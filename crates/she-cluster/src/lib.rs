@@ -41,7 +41,7 @@
 //! [`migrate`] moves one partition between *running* servers: the bulk
 //! travels as a `REPL_BOOTSTRAP` checkpoint rebuilt at the destination's
 //! shard count (any count — the range-overlap merge in
-//! `she_server::snapshot` retired the divisible-only restriction), and
+//! `she_core::sharded` retired the divisible-only restriction), and
 //! the delta replays from the source's op log until the destination has
 //! caught the head.
 
@@ -260,7 +260,7 @@ impl ClusterNode {
     /// [`ClusterNode::shutdown`]), then unwind: the monitor thread first
     /// (which in turn unwinds every replica slot and promoted replica it
     /// owns), then the primary server.
-    pub fn wait(mut self) -> Vec<she_server::protocol::ShardStats> {
+    pub fn wait(mut self) -> Vec<she_server::ShardStats> {
         while !self.server.is_shutting_down() {
             std::thread::sleep(Duration::from_millis(25));
         }

@@ -25,9 +25,10 @@
 //! bounds for SHE-BM / SHE-HLL / SHE-MH (Eqs. 3–5).
 
 //! Beyond the paper's five adapters, the crate ships the natural
-//! engineering extensions a deployment needs: [`sharded`] multi-core
-//! ingestion, [`SheCountSketch`] (a sixth CSM instance demonstrating the
-//! framework's genericity), multi-window queries
+//! engineering extensions a deployment needs: the [`sharded`] engine (the
+//! one router, per-shard state, serial composition and checkpoints every
+//! serving layer builds on), [`SheCountSketch`] (a sixth CSM instance
+//! demonstrating the framework's genericity), multi-window queries
 //! ([`SheBitmap::estimate_at`]), and a uniform persistence layer: every
 //! structure implements [`SnapshotState`] (versioned binary snapshots in
 //! the shared [`frame`] format, with cell-wise [`MergeMode`] merging for
@@ -59,7 +60,6 @@ pub use engine::{CellAge, EngineStats, She};
 pub use hll::SheHyperLogLog;
 pub use mh::SheMinHash;
 pub use ordered::{OrderedGuard, OrderedMutex};
-pub use sharded::{ShardedBitmap, ShardedBloomFilter, ShardedCountMin, ShardedShe};
 pub use snapshot::{MergeMode, SnapshotError, SnapshotState};
 pub use soft::SoftClock;
 pub use topk::SlidingTopK;

@@ -211,28 +211,28 @@ mod tests {
 
     #[test]
     fn lock_and_mutate() {
-        let m = OrderedMutex::new("sharded-shard", 0u64);
+        let m = OrderedMutex::new("cluster-map", 0u64);
         *m.lock() += 41;
         *m.lock() += 1;
         assert_eq!(*m.lock(), 42);
-        assert_eq!(m.name(), "sharded-shard");
+        assert_eq!(m.name(), "cluster-map");
     }
 
     #[test]
     fn increasing_rank_order_is_fine() {
         let log = OrderedMutex::new("repl-log", ());
-        let shard = OrderedMutex::new("sharded-shard", ());
+        let map = OrderedMutex::new("cluster-map", ());
         let rng = OrderedMutex::new("chaos-rng", ());
         let _a = log.lock(); // rank 10
-        let _b = shard.lock(); // rank 40
+        let _b = map.lock(); // rank 30
         let _c = rng.lock(); // rank 60
     }
 
     #[test]
     fn sequential_reacquisition_is_fine() {
-        let shard = OrderedMutex::new("sharded-shard", ());
-        drop(shard.lock());
-        drop(shard.lock());
+        let map = OrderedMutex::new("cluster-map", ());
+        drop(map.lock());
+        drop(map.lock());
     }
 
     #[test]
@@ -249,8 +249,8 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "lock-order violation")]
     fn equal_rank_nesting_panics() {
-        let a = OrderedMutex::new("sharded-shard", ());
-        let b = OrderedMutex::new("sharded-shard", ());
+        let a = OrderedMutex::new("cluster-map", ());
+        let b = OrderedMutex::new("cluster-map", ());
         let _a = a.lock();
         let _b = b.lock();
     }

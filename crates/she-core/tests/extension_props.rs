@@ -2,7 +2,8 @@
 //! as deterministic seeded loops — same invariants the `proptest` suite
 //! checked, reproducible bit-exactly from the fixed seeds.
 
-use she_core::{ShardedCountMin, She, SheConfig};
+use she_core::sharded::{Checkpoint, DirectEngine, EngineConfig};
+use she_core::{She, SheConfig};
 use she_hash::{RandomSource, Xoshiro256};
 use she_sketch::BloomSpec;
 
@@ -75,24 +76,36 @@ fn snapshot_loader_rejects_garbage() {
     }
 }
 
-/// Sharded Count-Min answers match a serial run over the same keys for
-/// any stream (the router and per-shard windows are deterministic).
+/// Worker-owned shards fed their `partition` runs on parallel threads end
+/// in the same bytes as one serial engine over the same keys, for any
+/// stream and shard count (the router and per-shard order are
+/// deterministic; nothing else reaches a shard's state).
 #[test]
-fn sharded_cm_matches_serial() {
+fn parallel_shard_feed_matches_serial() {
     for case in 0..16u64 {
         let mut rng = Xoshiro256::new(0x5CC5 ^ case);
         let shards = 1 + rng.next_below(5);
         let n_keys = 1 + rng.next_below(799);
         let keys: Vec<u64> = (0..n_keys).map(|_| rng.next_range(0, 500)).collect();
-        let window = 256u64;
-        let serial = ShardedCountMin::new(shards, window, 1 << 18, 9);
-        for &k in &keys {
-            serial.insert(k);
-        }
-        let parallel = ShardedCountMin::new(shards, window, 1 << 18, 9);
-        parallel.0.ingest_parallel(&keys, 4);
-        for &k in keys.iter().take(100) {
-            assert_eq!(serial.query(k), parallel.query(k), "case {case}");
-        }
+        let cfg = EngineConfig { window: 256, shards, memory_bytes: 1 << 18, seed: 9 };
+
+        let mut serial = DirectEngine::new(cfg);
+        serial.apply(0, &keys);
+
+        let (cfg, mut engines) = DirectEngine::new(cfg).into_shards();
+        let mut runs = cfg.partition(&keys).into_iter().peekable();
+        std::thread::scope(|scope| {
+            for (shard, engine) in engines.iter_mut().enumerate() {
+                if let Some((_, run)) = runs.next_if(|(s, _)| *s == shard) {
+                    scope.spawn(move || {
+                        for k in run {
+                            engine.insert(0, k);
+                        }
+                    });
+                }
+            }
+        });
+        let parallel = Checkpoint { cfg, shards: engines.iter().map(|e| e.snapshot()).collect() };
+        assert!(parallel.encode() == serial.checkpoint(), "case {case}: {shards} shards");
     }
 }

@@ -4,12 +4,15 @@
 //! the full sketch under a worker queue. This crate answers the hot read
 //! mix from a structure that never touches the write path:
 //!
-//! * **Stage one — [`FastSummary`]**: a read-optimized mirror of the
-//!   authoritative sketches, refreshed incrementally from the op stream
-//!   (the replication log tail) and read *frozen* — queries never mutate,
-//!   so the mirror answers bit-for-bit what the authoritative engines
-//!   would on the same insert history — plus a compact
-//!   [`SlidingTopK`](she_core::SlidingTopK) ranking summary.
+//! * **Stage one — the fast summary**: a second
+//!   [`DirectEngine`](she_core::sharded::DirectEngine) — the *same* sketch
+//!   the workers own, in the SF-sketch spirit, not a second type —
+//!   refreshed incrementally from the op stream (the replication log
+//!   tail) and read *frozen*: queries never mutate, so the mirror answers
+//!   bit-for-bit what the authoritative engines would on the same insert
+//!   history. Next to it sits a compact
+//!   [`SlidingTopK`](she_core::SlidingTopK) ranking summary the
+//!   authoritative tier does not maintain at all.
 //! * **Stage two — [`MarkCache`]**: a direct-mapped `(op, key)` result
 //!   cache validated by SHE **time-mark signatures**. An entry is dropped
 //!   only when a group the answer depends on changes observation context
@@ -23,13 +26,12 @@
 //! op-log sequence it has applied so callers can wait for quiescence.
 
 mod cache;
-mod fast;
 
 pub use cache::{Lookup, MarkCache};
-pub use fast::{Authority, FastSummary};
 
 use she_core::convert::usize_of;
-use she_core::{OrderedMutex, SnapshotError};
+use she_core::sharded::DirectEngine;
+use she_core::{OrderedMutex, SlidingTopK, SnapshotError};
 use she_metrics::ReadpathCounters;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,7 +86,11 @@ const APPLY_CHUNK: usize = 1024;
 const TOPK_MAX: u64 = 1024;
 
 struct Inner {
-    fast: FastSummary,
+    /// Frozen mirror of the authoritative engines, fed the same per-shard
+    /// key order (op-log order guarantees this).
+    mirror: DirectEngine,
+    /// Ranking summary; tracks stream A, like the frequency sketch.
+    topk: SlidingTopK,
     cache: MarkCache,
 }
 
@@ -105,12 +111,18 @@ impl std::fmt::Debug for ReadPath {
 }
 
 impl ReadPath {
-    /// Wrap a fast summary with a `cfg`-sized mark cache.
-    pub fn new(fast: FastSummary, cfg: ReadPathConfig, counters: Arc<ReadpathCounters>) -> Self {
+    /// Wrap a mirror engine with a `cfg`-sized mark cache and a ranking
+    /// summary sized to the mirror's own window, memory and seed. The
+    /// ranking cannot be seeded from snapshots — they carry none — so it
+    /// warms from the op stream only.
+    pub fn new(mirror: DirectEngine, cfg: ReadPathConfig, counters: Arc<ReadpathCounters>) -> Self {
+        let e = *mirror.config();
+        let topk =
+            SlidingTopK::new(cfg.topk.max(1), e.window.max(1), e.memory_bytes.max(64), e.seed);
         Self {
             inner: OrderedMutex::new(
                 "readpath",
-                Inner { fast, cache: MarkCache::new(cfg.cache_slots) },
+                Inner { mirror, topk, cache: MarkCache::new(cfg.cache_slots) },
             ),
             counters,
             seq: AtomicU64::new(0),
@@ -122,8 +134,9 @@ impl ReadPath {
     pub fn query(&self, opcode: u8, key: u64) -> Option<FastAnswer> {
         match opcode {
             op::TOPK => {
-                let mut g = self.inner.lock();
-                Some(FastAnswer::Ranked(g.fast.topk(usize_of(key.min(TOPK_MAX)))))
+                let mut top = self.inner.lock().topk.top();
+                top.truncate(usize_of(key.min(TOPK_MAX)));
+                Some(FastAnswer::Ranked(top))
             }
             op::FLUSH => {
                 self.invalidate_all();
@@ -131,7 +144,7 @@ impl ReadPath {
             }
             op::MEMBER | op::FREQ => {
                 let mut g = self.inner.lock();
-                let sig = g.fast.mark_sig(opcode, key);
+                let sig = g.mirror.mark_sig(opcode == op::FREQ, key);
                 match g.cache.lookup(opcode, key, sig) {
                     Lookup::Hit(v) => {
                         ReadpathCounters::bump(&self.counters.hits);
@@ -143,8 +156,8 @@ impl ReadPath {
                         }
                         ReadpathCounters::bump(&self.counters.misses);
                         let v = match opcode {
-                            op::MEMBER => u64::from(g.fast.member(key)),
-                            _ => g.fast.frequency(key),
+                            op::MEMBER => u64::from(g.mirror.member_frozen(key)),
+                            _ => g.mirror.frequency_frozen(key),
                         };
                         g.cache.fill(opcode, key, sig, v);
                         ReadpathCounters::bump(&self.counters.fills);
@@ -157,11 +170,17 @@ impl ReadPath {
     }
 
     /// Apply one op-stream record to the fast summary, in chunks so a
-    /// large batch cannot monopolize the read lock.
+    /// large batch cannot monopolize the read lock. Stream B feeds only
+    /// the mirror.
     pub fn apply(&self, stream: u8, keys: &[u64]) {
         for chunk in keys.chunks(APPLY_CHUNK) {
             let mut g = self.inner.lock();
-            g.fast.apply(stream, chunk);
+            g.mirror.apply(stream, chunk);
+            if stream == 0 {
+                for &k in chunk {
+                    g.topk.insert(k);
+                }
+            }
         }
     }
 
@@ -181,7 +200,7 @@ impl ReadPath {
     /// out from under the signatures.
     pub fn load(&self, shard: usize, frame: &[u8], merge: bool) -> Result<(), SnapshotError> {
         let mut g = self.inner.lock();
-        g.fast.load(shard, frame, merge)?;
+        g.mirror.load(shard, frame, merge)?;
         g.cache.clear();
         Ok(())
     }
@@ -209,73 +228,23 @@ fn unpack(opcode: u8, v: u64) -> FastAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use she_core::{SheBloomFilter, SheCountMin, SlidingTopK};
+    use she_core::sharded::EngineConfig;
     use she_hash::{RandomSource, Xoshiro256};
     use she_streams::Zipf;
     use she_window::WindowTruth;
 
     const WINDOW: u64 = 1 << 10;
 
-    /// Single-shard mirror over real SHE engines — the same shape the
-    /// server's sharded mirror has, minus routing.
-    struct OneShard {
-        bf: SheBloomFilter,
-        cm: SheCountMin,
-    }
-
-    impl OneShard {
-        fn new(seed: u32) -> Self {
-            Self {
-                bf: SheBloomFilter::builder()
-                    .window(WINDOW)
-                    .memory_bytes(16 << 10)
-                    .alpha(1.5)
-                    .seed(seed)
-                    .build(),
-                cm: SheCountMin::builder().window(WINDOW).memory_bytes(64 << 10).seed(seed).build(),
-            }
-        }
-    }
-
-    impl Authority for OneShard {
-        fn apply(&mut self, stream: u8, keys: &[u64]) {
-            if stream == 0 {
-                for &k in keys {
-                    self.bf.insert(&k);
-                    self.cm.insert(&k);
-                }
-            }
-        }
-        fn member_frozen(&self, key: u64) -> bool {
-            self.bf.contains_frozen(&key)
-        }
-        fn frequency_frozen(&self, key: u64) -> u64 {
-            self.cm.query_frozen(&key)
-        }
-        fn mark_sig(&self, opcode: u8, key: u64) -> u64 {
-            if opcode == op::FREQ {
-                self.cm.mark_sig(&key)
-            } else {
-                self.bf.mark_sig(&key)
-            }
-        }
-        fn load(
-            &mut self,
-            _shard: usize,
-            _frame: &[u8],
-            _merge: bool,
-        ) -> Result<(), SnapshotError> {
-            Ok(())
-        }
+    /// A 1-shard engine: the shape the server's mirror has, minus
+    /// routing. Built twice per test — once inside the read path, once as
+    /// the authoritative twin fed the same history.
+    fn engine(seed: u32) -> DirectEngine {
+        DirectEngine::new(EngineConfig { window: WINDOW, shards: 1, memory_bytes: 64 << 10, seed })
     }
 
     fn readpath(seed: u32, slots: usize) -> ReadPath {
-        let fast = FastSummary::new(
-            Box::new(OneShard::new(seed)),
-            SlidingTopK::new(16, WINDOW, 64 << 10, seed),
-        );
         ReadPath::new(
-            fast,
+            engine(seed),
             ReadPathConfig { cache_slots: slots, topk: 16 },
             Arc::new(ReadpathCounters::new()),
         )
@@ -295,7 +264,7 @@ mod tests {
         // Frozen reads on it answer exactly what the mutating query path
         // would (the she-core equivalence tests), so it stands in for a
         // client hitting the authoritative tier.
-        let mut auth = OneShard::new(11);
+        let mut auth = engine(11);
         let mut rng = Xoshiro256::new(0xFEED);
         let mut batch = Vec::new();
         for round in 0..4_000u64 {
@@ -348,7 +317,7 @@ mod tests {
     #[test]
     fn quiescent_hits_are_bit_for_bit() {
         let rp = readpath(5, 1 << 12);
-        let mut auth = OneShard::new(5);
+        let mut auth = engine(5);
         let keys: Vec<u64> = (0..3 * WINDOW).map(|i| i % 900).collect();
         rp.apply(0, &keys);
         auth.apply(0, &keys);
@@ -365,7 +334,7 @@ mod tests {
         assert_eq!(s.invalidations, 0, "frozen clock cannot invalidate");
     }
 
-    /// FastSummary accuracy against the exact sliding-window oracle:
+    /// Fast-summary accuracy against the exact sliding-window oracle:
     /// frequency ARE stays small on a zipfian stream, membership has no
     /// false negatives, and the top-k ranking recovers the true heavy
     /// hitters.

@@ -52,11 +52,11 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use she_server::codec::{read_frame, write_frame};
-use she_server::protocol::{Request, Response, ShardStats};
+use she_server::protocol::{Request, Response};
 use she_server::repl::Record;
 use she_server::{
     Backoff, Checkpoint, Client, ClusterDirectory, Injector, ReadPathConfig, ReplicaStatus, Role,
-    Server, ServerConfig,
+    Server, ServerConfig, ShardStats,
 };
 use std::io;
 use std::net::TcpStream;

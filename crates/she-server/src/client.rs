@@ -16,10 +16,9 @@
 use crate::backoff::Backoff;
 use crate::cluster::ClusterMap;
 use crate::codec::{read_frame, read_frame_deadline, write_frame, FrameIn};
-use crate::protocol::{
-    ClusterStatusInfo, Request, Response, ShardStats, MAX_BATCH, PROTOCOL_VERSION,
-};
+use crate::protocol::{ClusterStatusInfo, Request, Response, MAX_BATCH, PROTOCOL_VERSION};
 use crate::repl::Bootstrap;
+use she_core::sharded::ShardStats;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};

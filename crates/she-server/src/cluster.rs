@@ -2,9 +2,10 @@
 //!
 //! A cluster is a set of nodes, each serving one single-shard *partition*
 //! engine. Keys route to partitions with the same monotone
-//! `reduce_range(mix64(key ^ ROUTER_SEED), P)` the sharded engine uses,
-//! and every partition is sized `window/P`, `memory/P` — exactly how
-//! [`crate::engine::ShardEngine`] sizes shard `p` of a `P`-shard engine.
+//! [`she_core::sharded::route`] the sharded engine uses, and every
+//! partition is sized `window/P`, `memory/P` — exactly how
+//! [`ShardEngine`](she_core::sharded::ShardEngine) sizes shard `p` of a
+//! `P`-shard engine.
 //! A `P`-partition cluster therefore answers every query bit-for-bit like
 //! one `P`-shard single-process engine of the same global sizing: member
 //! and freq route to the owning partition, cardinality *sums* partition
@@ -25,12 +26,11 @@
 //! toward `rf` holders — which is what lets an RF=2 partition survive a
 //! second failure of the freshly promoted node.
 
-use crate::engine::ROUTER_SEED;
 use crate::protocol::{ProtoError, Response};
 use she_core::convert::usize_of;
 use she_core::frame::Reader;
+use she_core::sharded::route;
 use she_core::OrderedMutex;
-use she_hash::{mix64, reduce_range};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
@@ -89,13 +89,13 @@ pub struct ClusterMap {
 }
 
 impl ClusterMap {
-    /// The partition a key routes to. Matches
-    /// [`crate::engine::EngineConfig::shard_of`] with `shards` =
-    /// partition count, which is what makes cluster answers coincide with
-    /// a single sharded engine's.
+    /// The partition a key routes to: the same [`route`] call as
+    /// [`EngineConfig::shard_of`](she_core::sharded::EngineConfig::shard_of)
+    /// with `shards` = partition count, which is what makes cluster
+    /// answers coincide with a single sharded engine's.
     #[inline]
     pub fn partition_of(&self, key: u64) -> usize {
-        reduce_range(mix64(key ^ ROUTER_SEED), self.partitions.len())
+        route(key, self.partitions.len())
     }
 
     /// [`ClusterMap::initial_rf`] at the default replication factor 2
@@ -333,7 +333,7 @@ impl ClusterDirectory {
 /// answers: member/freq go to the key's owning partition, cardinality
 /// sums every partition's estimate in partition order, similarity
 /// averages them — the exact merge a `P`-shard
-/// [`crate::engine::DirectEngine`] applies to its own shards, which is
+/// [`DirectEngine`](she_core::sharded::DirectEngine) applies to its own shards, which is
 /// what makes the scatter-gather answer bit-for-bit mirrorable.
 ///
 /// Partitions are visited serially so the f64 merge order is fixed. Any
@@ -455,7 +455,6 @@ pub fn scatter_query_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
 
     fn node(id: u64) -> NodeRef {
         NodeRef { node_id: id, addr: format!("127.0.0.1:{}", 7000 + id) }
@@ -500,15 +499,6 @@ mod tests {
         bytes.truncate(bytes.len() - 2);
         let back = ClusterMap::decode_from(&mut Reader::new(&bytes)).expect("v5 decode");
         assert_eq!(back.rf, 1);
-    }
-
-    #[test]
-    fn partition_of_matches_shard_of() {
-        let map = ClusterMap::initial(&roster(5));
-        let cfg = EngineConfig { shards: 5, ..Default::default() };
-        for k in 0..10_000u64 {
-            assert_eq!(map.partition_of(k), cfg.shard_of(k), "key {k}");
-        }
     }
 
     #[test]

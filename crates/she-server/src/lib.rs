@@ -3,9 +3,10 @@
 //!
 //! Turns the in-process sliding-window sketches of `she-core` into a
 //! network service: `S` shard worker threads each own one
-//! [`ShardEngine`](engine::ShardEngine) (membership, cardinality,
-//! frequency, and similarity structures over the shard's slice of the key
-//! space), fed through bounded queues from a single epoll reactor thread
+//! [`ShardEngine`] (membership, cardinality, frequency, and similarity
+//! structures over the shard's slice of the key space — defined, with the
+//! router, checkpoints and shard rebalancing, in `she_core::sharded` and
+//! re-exported here), fed through bounded queues from a single epoll reactor thread
 //! speaking a length-prefixed binary protocol over TCP.
 //!
 //! The crate is deliberately dependency-free beyond the workspace:
@@ -18,22 +19,19 @@
 //! * [`codec`] — `u32`-length-prefixed framing (blocking I/O form);
 //! * [`conn`] — the sans-IO per-connection protocol state machine;
 //! * [`sys`] — minimal epoll FFI shims and the reactor waker;
-//! * [`engine`] — the per-shard state and the serial reference engine;
 //! * [`worker`] — shard worker loop and its batch-drained job queue;
 //! * [`server`] — server lifecycle, dispatch, backpressure, shutdown;
 //! * [`client`] — blocking client with backoff-based `BUSY` retry;
 //! * [`loadgen`] — workload driver with latency reports and a
 //!   bit-exact verification mode;
-//! * [`snapshot`] — whole-server checkpoints and shard rebalancing
-//!   (protocol v2: `SNAPSHOT` / `SNAPSHOT_ALL` / `RESTORE`);
 //! * [`repl`] — the primary's op log, record/bootstrap codecs, and peer
 //!   registry (protocol v3; see `docs/REPLICATION.md`);
 //! * [`cluster`] — the partition map, deterministic failover election,
 //!   and scatter-gather query merge (protocol v4; see
 //!   `docs/CLUSTER.md`);
-//! * `readpath` — the QUERY_FAST accelerator's server glue: a sharded
-//!   read-only mirror behind `she-readpath`'s fast summary + mark cache,
-//!   refreshed from the op-log tail (protocol v5; see
+//! * `readpath` — the QUERY_FAST accelerator's server glue: seeds
+//!   `she-readpath`'s frozen [`DirectEngine`] mirror from the shard
+//!   engines and refreshes it from the op-log tail (protocol v5; see
 //!   `docs/READPATH.md`);
 //! * [`store`] — generation-rotating checkpoint store with corrupt-file
 //!   quarantine and automatic fallback;
@@ -50,14 +48,12 @@ pub mod client;
 pub mod cluster;
 pub mod codec;
 pub mod conn;
-pub mod engine;
 pub mod loadgen;
 pub mod protocol;
 pub(crate) mod reactor;
 pub(crate) mod readpath;
 pub mod repl;
 pub mod server;
-pub mod snapshot;
 pub mod store;
 pub mod sys;
 pub mod worker;
@@ -67,14 +63,12 @@ pub use conn::{Connection, Event, FrameEvent};
 pub use backoff::Backoff;
 pub use client::Client;
 pub use cluster::{cluster_op, ClusterDirectory, ClusterMap, NodeRef, PartitionMap};
-pub use engine::{DirectEngine, EngineConfig, ShardEngine};
 pub use loadgen::{LoadSummary, LoadgenConfig, Mode};
 pub use protocol::{
-    ClusterStatusInfo, PeerStatus, ProtoError, ReadpathStatus, Request, Response, ShardStats,
-    PROTOCOL_VERSION,
+    ClusterStatusInfo, PeerStatus, ProtoError, ReadpathStatus, Request, Response, PROTOCOL_VERSION,
 };
 pub use repl::{Bootstrap, Record, ReplLog};
 pub use server::{Injector, ReplicaStatus, Role, Server, ServerConfig};
+pub use she_core::sharded::{Checkpoint, DirectEngine, EngineConfig, ShardEngine, ShardStats};
 pub use she_readpath::{op as fast_op, FastAnswer, ReadPath, ReadPathConfig};
-pub use snapshot::Checkpoint;
 pub use store::{CheckpointStore, LoadOutcome};

@@ -18,9 +18,9 @@
 
 use crate::client::Client;
 use crate::cluster::{cluster_op, ClusterMap};
-use crate::engine::{DirectEngine, EngineConfig};
 use crate::protocol::{ReadpathStatus, Response, MAX_BATCH};
 use she_core::convert::usize_of;
+use she_core::sharded::{DirectEngine, EngineConfig};
 use she_hash::{mix64, Xoshiro256};
 use she_metrics::{LatencyHistogram, NetReport};
 use she_readpath::op as fast_op;

@@ -49,6 +49,7 @@
 use crate::cluster::ClusterMap;
 use she_core::convert::{le_u64s, usize_of};
 use she_core::frame::{FrameError, Reader};
+use she_core::sharded::ShardStats;
 
 /// The protocol version this build speaks (reported by `HELLO`).
 pub const PROTOCOL_VERSION: u16 = 6;
@@ -208,17 +209,6 @@ pub enum Request {
     },
     /// Drain the queues and stop the server.
     Shutdown,
-}
-
-/// Per-shard counters reported by [`Response::Stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Items inserted into this shard so far.
-    pub inserts: u64,
-    /// Queries answered by this shard so far.
-    pub queries: u64,
-    /// Sketch memory held by this shard, in bits.
-    pub memory_bits: u64,
 }
 
 /// A server → client message.

@@ -1,10 +1,9 @@
-//! Server-side glue for the `she-readpath` accelerator: the sharded
-//! mirror that implements [`Authority`], the builder that seeds it from
-//! the (possibly restored) shard engines, and the refresher thread that
-//! tails the primary's op log.
+//! Server-side glue for the `she-readpath` accelerator: the builder that
+//! seeds its mirror from the (possibly restored) shard engines, and the
+//! refresher thread that tails the primary's op log.
 //!
-//! The mirror is a second, read-only copy of the authoritative engines:
-//! same [`EngineConfig`], same router, fed the identical per-shard insert
+//! The mirror is a second, read-only [`DirectEngine`]: same
+//! [`EngineConfig`], same router, fed the identical per-shard insert
 //! order ([`EngineConfig::partition`]) — so its *frozen* reads answer
 //! bit-for-bit what the workers would answer on the same insert history.
 //! On a primary the refresher keeps it fresh from the replication log
@@ -13,13 +12,12 @@
 //! it synchronously alongside the shard queues, and the refresher idles
 //! on the empty local log until a promotion starts filling it.
 
-use crate::engine::{EngineConfig, ShardEngine};
 use crate::repl::Tail;
 use crate::server::Shared;
 use crate::worker::Job;
-use she_core::{SlidingTopK, SnapshotError};
+use she_core::sharded::{DirectEngine, EngineConfig, ShardEngine};
 use she_metrics::ReadpathCounters;
-use she_readpath::{op, Authority, FastSummary, ReadPath, ReadPathConfig};
+use she_readpath::{ReadPath, ReadPathConfig};
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::sync_channel;
@@ -31,75 +29,21 @@ const REFRESH_BATCH: usize = 64;
 /// Refresher poll timeout — also bounds its shutdown latency.
 const REFRESH_POLL: Duration = Duration::from_millis(100);
 
-/// All mirrored shards plus the routing config — the server's
-/// [`Authority`] behind the fast summary.
-#[derive(Debug)]
-pub(crate) struct MirrorEngine {
-    cfg: EngineConfig,
-    shards: Vec<ShardEngine>,
-}
-
-impl MirrorEngine {
-    pub(crate) fn new(cfg: EngineConfig) -> Self {
-        Self { cfg, shards: (0..cfg.shards).map(|i| ShardEngine::new(&cfg, i)).collect() }
-    }
-}
-
-impl Authority for MirrorEngine {
-    fn apply(&mut self, stream: u8, keys: &[u64]) {
-        // The same partition the write path uses, so per-shard insert
-        // order matches the workers' exactly.
-        for (shard, ks) in self.cfg.partition(keys) {
-            for k in ks {
-                self.shards[shard].insert(stream, k);
-            }
-        }
-    }
-
-    fn member_frozen(&self, key: u64) -> bool {
-        self.shards[self.cfg.shard_of(key)].member_frozen(key)
-    }
-
-    fn frequency_frozen(&self, key: u64) -> u64 {
-        self.shards[self.cfg.shard_of(key)].frequency_frozen(key)
-    }
-
-    fn mark_sig(&self, opcode: u8, key: u64) -> u64 {
-        self.shards[self.cfg.shard_of(key)].mark_sig(opcode == op::FREQ, key)
-    }
-
-    fn load(&mut self, shard: usize, frame: &[u8], merge: bool) -> Result<(), SnapshotError> {
-        let Some(engine) = self.shards.get_mut(shard) else {
-            return Err(SnapshotError::ConfigMismatch { field: "shard index" });
-        };
-        if merge {
-            engine.reconcile(frame)
-        } else {
-            engine.restore(frame)
-        }
-    }
-}
-
 /// Build a server's read path: a mirror seeded from the engines'
-/// snapshots (so a restored server starts its fast reads from the
-/// restored state, not empty) plus the ranking summary. The top-k
-/// summary cannot be seeded from snapshots — they carry no ranking — so
-/// it warms from the op stream only.
+/// snapshots, so a restored server starts its fast reads from the
+/// restored state, not empty.
 pub(crate) fn build(
     cfg: &EngineConfig,
     rcfg: ReadPathConfig,
     engines: &[ShardEngine],
 ) -> io::Result<Arc<ReadPath>> {
-    let mut mirror = MirrorEngine::new(*cfg);
+    let mut mirror = DirectEngine::new(*cfg);
     for (shard, engine) in engines.iter().enumerate() {
         mirror.load(shard, &engine.snapshot(), false).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("read-path mirror seed: {e}"))
         })?;
     }
-    let topk =
-        SlidingTopK::new(rcfg.topk.max(1), cfg.window.max(1), cfg.memory_bytes.max(64), cfg.seed);
-    let fast = FastSummary::new(Box::new(mirror), topk);
-    Ok(Arc::new(ReadPath::new(fast, rcfg, Arc::new(ReadpathCounters::new()))))
+    Ok(Arc::new(ReadPath::new(mirror, rcfg, Arc::new(ReadpathCounters::new()))))
 }
 
 /// The refresher loop: tail the op log from just past the read path's
@@ -164,31 +108,6 @@ mod tests {
     use super::*;
     use she_hash::mix64;
 
-    /// The mirror must agree bit-for-bit with an identically fed set of
-    /// shard engines — the property QUERY_FAST correctness rests on.
-    #[test]
-    fn mirror_matches_directly_fed_engines() {
-        let cfg = EngineConfig { window: 1 << 12, shards: 4, memory_bytes: 64 << 10, seed: 9 };
-        let mut mirror = MirrorEngine::new(cfg);
-        let mut direct: Vec<ShardEngine> =
-            (0..cfg.shards).map(|i| ShardEngine::new(&cfg, i)).collect();
-        let keys: Vec<u64> = (0..6000u64).map(|i| mix64(i) % 1500).collect();
-        for chunk in keys.chunks(37) {
-            mirror.apply(0, chunk);
-            for (shard, ks) in cfg.partition(chunk) {
-                for k in ks {
-                    direct[shard].insert(0, k);
-                }
-            }
-        }
-        for probe in 0..2000u64 {
-            let shard = cfg.shard_of(probe);
-            assert_eq!(mirror.member_frozen(probe), direct[shard].member_frozen(probe));
-            assert_eq!(mirror.frequency_frozen(probe), direct[shard].frequency_frozen(probe));
-            assert_eq!(mirror.mark_sig(op::FREQ, probe), direct[shard].mark_sig(true, probe));
-        }
-    }
-
     /// Seeding from snapshots reproduces the source engines exactly.
     #[test]
     fn build_seeds_mirror_from_engine_snapshots() {
@@ -202,7 +121,7 @@ mod tests {
         let rp = build(&cfg, ReadPathConfig::default(), &engines).expect("seed");
         for probe in 0..1200u64 {
             let shard = cfg.shard_of(probe);
-            let got = rp.query(op::FREQ, probe);
+            let got = rp.query(she_readpath::op::FREQ, probe);
             assert_eq!(
                 got,
                 Some(she_readpath::FastAnswer::Count(engines[shard].frequency_frozen(probe))),

@@ -86,7 +86,7 @@ impl Record {
 pub struct Bootstrap {
     /// Sequence number of the last record the checkpoint reflects.
     pub seq: u64,
-    /// A `CHECKPOINT` frame (see [`crate::snapshot::Checkpoint`]).
+    /// A `CHECKPOINT` frame (see [`she_core::sharded::Checkpoint`]).
     pub checkpoint: Vec<u8>,
 }
 

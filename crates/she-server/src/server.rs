@@ -41,15 +41,14 @@
 
 use crate::cluster::{cluster_op, scatter_query, scatter_query_batch, ClusterDirectory};
 use crate::codec::{read_frame, write_frame};
-use crate::engine::{EngineConfig, ShardEngine};
 use crate::protocol::{
-    ClusterStatusInfo, ReadpathStatus, Request, Response, ShardStats, MAX_FRAME, PROTOCOL_VERSION,
+    ClusterStatusInfo, ReadpathStatus, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
 };
 use crate::reactor::spawn_reactor;
 use crate::repl::{Bootstrap, ReplHub, ReplLog, Tail};
-use crate::snapshot::Checkpoint;
 use crate::sys::{waker_pair, Waker};
 use crate::worker::{run_worker, Answer, Job, QuerySink, ShardQueue};
+use she_core::sharded::{Checkpoint, EngineConfig, ShardEngine, ShardStats};
 use she_metrics::ServeCounters;
 use she_readpath::{FastAnswer, ReadPath, ReadPathConfig};
 use std::io::{self, Read};

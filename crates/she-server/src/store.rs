@@ -20,7 +20,7 @@
 //! the latest generation and asserts the fallback restore is bit-for-bit
 //! identical to the previous checkpoint's engine state.
 
-use crate::snapshot::Checkpoint;
+use she_core::sharded::Checkpoint;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -162,7 +162,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{DirectEngine, EngineConfig};
+    use she_core::sharded::{DirectEngine, EngineConfig};
 
     fn temp_store(tag: &str) -> CheckpointStore {
         let dir = std::env::temp_dir().join(format!("she-store-{tag}-{}", std::process::id()));

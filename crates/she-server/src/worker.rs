@@ -13,9 +13,9 @@
 //! dispatch half of the reactor rewrite.
 
 use crate::cluster::cluster_op;
-use crate::engine::ShardEngine;
-use crate::protocol::{Response, ShardStats};
+use crate::protocol::Response;
 use crate::sys::Waker;
+use she_core::sharded::{ShardEngine, ShardStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SendError, Sender, SyncSender, TrySendError};
 use std::sync::Arc;

@@ -102,3 +102,15 @@ fn torn_over_old_contents_is_detected() {
     }
     assert!(Checkpoint::decode(&torn).is_err(), "half-new half-old file must not decode");
 }
+
+/// A well-formed frame whose config says zero shards must not restore:
+/// it used to decode `Ok`, build an engine with no shards, and panic on
+/// the first insert (`she serve --restore` came up with no workers).
+#[test]
+fn zero_shard_checkpoint_is_refused() {
+    let cfg = EngineConfig { window: 512, shards: 0, memory_bytes: 16 << 10, seed: 7 };
+    let blob = Checkpoint { cfg, shards: vec![] }.encode();
+    assert!(Checkpoint::decode(&blob).is_err(), "zero-shard checkpoint decoded");
+    assert!(DirectEngine::restore(&blob, None).is_err(), "zero-shard checkpoint restored");
+    assert!(DirectEngine::restore(&blob, Some(2)).is_err(), "zero-shard checkpoint rebalanced");
+}

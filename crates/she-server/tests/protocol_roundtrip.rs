@@ -5,9 +5,9 @@
 
 use she_server::codec::{read_frame, write_frame};
 use she_server::protocol::{
-    ClusterStatusInfo, PeerStatus, ProtoError, ReadpathStatus, Request, Response, ShardStats,
-    MAX_BATCH,
+    ClusterStatusInfo, PeerStatus, ProtoError, ReadpathStatus, Request, Response, MAX_BATCH,
 };
+use she_server::ShardStats;
 use std::io::Cursor;
 
 fn all_requests() -> Vec<Request> {
