@@ -9,10 +9,9 @@
 //!   suffix — `STATS_REPLY` documents as `STATS` in the response table);
 //! * a value outside its table's documented range (requests
 //!   `0x01..=0x7F`, responses `0x80..=0xFF`);
-//! * version-coverage drift: `PROTOCOL_VERSION: u16 = N` in the source
-//!   must be matched by `## Protocol vK` doc headings for every
-//!   `K in 2..=N` (v1 is the base framing, documented without its own
-//!   heading), with no heading above `N` and no version heading twice.
+//! * version drift: the doc states the version once, on a
+//!   `Protocol version: N` line, and `N` must equal
+//!   `PROTOCOL_VERSION: u16 = N` in the source.
 //!
 //! The inputs are paths (not hardwired file contents) so the self-test
 //! can mutate fixture copies and assert the gate fails.
@@ -129,52 +128,25 @@ pub fn check(rs: &Path, md: &Path) -> io::Result<Vec<Finding>> {
         }
     }
 
-    // Version coverage: every negotiated protocol revision must carry a
-    // `## Protocol vN` section, and the doc must not describe revisions
-    // the server does not negotiate.
-    match parse_version(&rs_text) {
-        None => out.push(finding(
-            &rs_name,
-            1,
-            "no `PROTOCOL_VERSION: u16 = N` constant found".to_string(),
-        )),
-        Some((version, vline)) => {
-            let headings = parse_doc_versions(&md_text);
-            for (i, (v, line)) in headings.iter().enumerate() {
-                if let Some((_, first)) = headings[..i].iter().find(|(w, _)| w == v) {
-                    out.push(finding(
-                        &md_name,
-                        *line,
-                        format!("`## Protocol v{v}` appears twice (first at line {first})"),
-                    ));
-                }
-                if *v > version {
-                    out.push(finding(
-                        &md_name,
-                        *line,
-                        format!("doc describes Protocol v{v} but PROTOCOL_VERSION is {version}"),
-                    ));
-                }
-            }
-            for v in 2..=version {
-                if !headings.iter().any(|(w, _)| *w == v) {
-                    out.push(finding(
-                        &rs_name,
-                        vline,
-                        format!(
-                            "PROTOCOL_VERSION is {version} but PROTOCOL.md has no \
-                             `## Protocol v{v}` section"
-                        ),
-                    ));
-                }
-            }
-        }
+    // One protocol version, stated once on each side, and equal.
+    let code = parse_version(&rs_text);
+    let doc = parse_doc_version(&md_text);
+    if code.is_none() || code != doc.map(|(v, _)| v) {
+        out.push(finding(
+            &md_name,
+            doc.map_or(1, |(_, line)| line),
+            format!(
+                "`PROTOCOL_VERSION: u16` is {code:?} but PROTOCOL.md's one \
+                 `Protocol version: N` line says {:?}",
+                doc.map(|(v, _)| v)
+            ),
+        ));
     }
     Ok(out)
 }
 
-/// Extract `const PROTOCOL_VERSION: u16 = N;` → `(N, line)`.
-fn parse_version(src: &str) -> Option<(u16, u32)> {
+/// Extract `const PROTOCOL_VERSION: u16 = N;` → `N`.
+fn parse_version(src: &str) -> Option<u16> {
     let lx = lex(src);
     let toks = &lx.tokens;
     toks.windows(7).find_map(|w| {
@@ -185,29 +157,22 @@ fn parse_version(src: &str) -> Option<(u16, u32)> {
             && w[4].is_punct('=')
             && w[5].kind == TokKind::Num
             && w[6].is_punct(';');
-        if seq_ok {
-            Some((w[5].text.parse().ok()?, w[1].line))
-        } else {
-            None
-        }
+        seq_ok.then(|| w[5].text.parse().ok()).flatten()
     })
 }
 
-/// Extract `## Protocol vN[: title]` headings → `(N, line)` pairs, in
-/// document order.
-fn parse_doc_versions(md: &str) -> Vec<(u16, u32)> {
-    md.lines()
-        .enumerate()
-        .filter_map(|(idx, raw)| {
-            let rest = raw.trim().strip_prefix("## Protocol v")?;
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            let after = &rest[digits.len()..];
-            if !after.is_empty() && !after.starts_with(':') && !after.starts_with(' ') {
-                return None;
-            }
-            Some((digits.parse().ok()?, u32::try_from(idx + 1).unwrap_or(u32::MAX)))
-        })
-        .collect()
+/// Extract the doc's single `Protocol version: N` line → `(N, line)`;
+/// `None` when the line is missing, malformed, or stated more than once.
+fn parse_doc_version(md: &str) -> Option<(u16, u32)> {
+    let mut lines = md.lines().enumerate().filter_map(|(idx, raw)| {
+        let rest = raw.trim().strip_prefix("Protocol version:")?;
+        Some((rest.trim().parse().ok(), idx))
+    });
+    let (version, idx) = lines.next()?;
+    if lines.next().is_some() {
+        return None;
+    }
+    Some((version?, u32::try_from(idx + 1).unwrap_or(u32::MAX)))
 }
 
 /// Extract `pub const NAME: u8 = 0xNN;` items via the lexer (comments,
@@ -317,15 +282,16 @@ mod tests {
     #[test]
     fn parses_the_version_constant() {
         let src = "// const PROTOCOL_VERSION: u16 = 9;\npub const PROTOCOL_VERSION: u16 = 5;\n";
-        assert_eq!(parse_version(src), Some((5, 2)));
+        assert_eq!(parse_version(src), Some(5));
         assert_eq!(parse_version("pub const PROTOCOL_VERSION: u8 = 5;"), None);
     }
 
     #[test]
-    fn parses_version_headings_and_rejects_lookalikes() {
-        let md = "## Protocol v2: snapshots\n## Protocol v3\n## Protocol v10: future\n\
-                  ## Protocol version notes\n## Protocol v2b\n";
-        assert_eq!(parse_doc_versions(md), [(2, 1), (3, 2), (10, 3)]);
+    fn parses_the_doc_version_line_once() {
+        assert_eq!(parse_doc_version("# t\n\nProtocol version: 6\n"), Some((6, 3)));
+        assert_eq!(parse_doc_version("The protocol version: 6\n"), None);
+        assert_eq!(parse_doc_version("Protocol version: six\n"), None);
+        assert_eq!(parse_doc_version("Protocol version: 6\nProtocol version: 6\n"), None);
     }
 
     #[test]

@@ -219,11 +219,10 @@ fn undocumented_opcode_fails_the_gate() {
 }
 
 #[test]
-fn version_bump_without_doc_section_fails_the_gate() {
-    // Negotiating v7 without a `## Protocol v7` section is drift: the
-    // doc is the normative spec for every negotiated revision.
-    let failures = protocol_audit("verbump", |rs, md| {
-        assert!(rs.contains("pub const PROTOCOL_VERSION: u16 = "), "fixture drifted");
+fn version_constant_and_doc_line_disagreeing_fails_the_gate() {
+    // The doc states the one protocol version on a `Protocol version: N`
+    // line; moving either side without the other is drift.
+    let bumped_const = protocol_audit("verconst", |rs, md| {
         let bumped = rs.replacen(
             "pub const PROTOCOL_VERSION: u16 = 6;",
             "pub const PROTOCOL_VERSION: u16 = 7;",
@@ -232,21 +231,17 @@ fn version_bump_without_doc_section_fails_the_gate() {
         assert_ne!(bumped, rs, "version constant moved off 6; update this fixture");
         (bumped, md)
     });
-    assert!(
-        failures.iter().any(|g| g.starts_with("protocol:")),
-        "a version bump without a doc section must trip protocol drift: {failures:?}"
-    );
-}
-
-#[test]
-fn doc_section_beyond_negotiated_version_fails_the_gate() {
-    let failures = protocol_audit("verfuture", |rs, md| {
-        (rs, format!("{md}\n## Protocol v9: speculative extensions\n\nNot negotiated.\n"))
+    let bumped_doc = protocol_audit("verdoc", |rs, md| {
+        let bumped = md.replacen("Protocol version: 6", "Protocol version: 7", 1);
+        assert_ne!(bumped, md, "doc version line moved off 6; update this fixture");
+        (rs, bumped)
     });
-    assert!(
-        failures.iter().any(|g| g.starts_with("protocol:")),
-        "documenting an unnegotiated version must trip protocol drift: {failures:?}"
-    );
+    for failures in [bumped_const, bumped_doc] {
+        assert!(
+            failures.iter().any(|g| g.starts_with("protocol:")),
+            "a one-sided version change must trip protocol drift: {failures:?}"
+        );
+    }
 }
 
 /// The gate behind the gate: `cargo test` fails if the tree this test

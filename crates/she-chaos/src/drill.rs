@@ -135,13 +135,10 @@ fn reserve_addrs(n: usize) -> Result<Vec<String>, String> {
     Ok(addrs)
 }
 
-fn connect_v4(addr: &str) -> Result<Client, String> {
+fn connect_node(addr: &str) -> Result<Client, String> {
     let mut c = Client::connect_timeout(addr, Duration::from_secs(5))
         .map_err(ctx("connect to cluster node"))?;
-    let v = c.hello().map_err(ctx("hello"))?;
-    if v < 4 {
-        return Err(format!("node {addr} negotiated protocol v{v}, need v4"));
-    }
+    c.hello().map_err(ctx("hello"))?;
     Ok(c)
 }
 
@@ -152,7 +149,7 @@ fn connect_v4(addr: &str) -> Result<Client, String> {
 /// not failover.
 fn drain_partition(part: &PartitionMap, deadline: Instant) -> Result<(), String> {
     loop {
-        let info = connect_v4(&part.primary.addr)?
+        let info = connect_node(&part.primary.addr)?
             .cluster_status()
             .map_err(ctx("partition cluster status"))?;
         let caught = |id: u64| {
@@ -196,7 +193,7 @@ fn insert_routed(
         if bucket.is_empty() {
             continue;
         }
-        let mut c = connect_v4(&map.partitions[p].primary.addr)?;
+        let mut c = connect_node(&map.partitions[p].primary.addr)?;
         inserted += c.insert_batch(stream, bucket).map_err(ctx("insert on partition"))?;
     }
     Ok(inserted)
@@ -341,7 +338,7 @@ pub fn run(cfg: &ClusterDrillConfig) -> Result<ClusterDrillReport, String> {
 
     // ---- post-failover battery, bit-for-bit vs the mirror -------------
     let coordinator = nodes.last().ok_or("no survivors")?.1.local_addr().to_string();
-    let mut c = connect_v4(&coordinator)?;
+    let mut c = connect_node(&coordinator)?;
     let probes: Vec<u64> = (0..64).map(|_| rng.next_range(0, 4_096)).collect();
     let mut battery = 0usize;
     for &k in &probes {

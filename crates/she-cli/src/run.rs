@@ -31,7 +31,7 @@ COMMANDS
                may differ from the checkpoint — rebalanced by snapshot merge)
                --repl-log N (keep an op log of the last N insert batches so
                replicas can join) --heartbeat-ms N
-               --readpath yes (serve v5 QUERY_FAST inline on the reactor
+               --readpath yes (serve QUERY_FAST inline on the reactor
                from a mark-cached read mirror; a primary needs --repl-log,
                the mirror tails the op log — docs/READPATH.md)
                --replica-of HOST:PORT (start a read-only replica instead;
@@ -53,7 +53,7 @@ COMMANDS
                --heartbeat-timeout-ms N --replication R (holders per
                partition, primary included; default 2) --anti-entropy-ms N
                (periodic commutative merge sweeps on every replica slot)
-               --readpath yes (serve v5 QUERY_FAST on primary + replicas)
+               --readpath yes (serve QUERY_FAST on primary + replicas)
   cluster-map  print a node's cluster map, one grep-friendly line per
                partition --addr HOST:PORT --timeout-ms N
   cluster-query  scatter-gather one query across the cluster via a
@@ -114,7 +114,7 @@ COMMANDS
                items of the seeded stream — continue an interrupted run)
                --query-batch N (batch member/freq probes N keys per round
                trip via QUERY_BATCH / CLUSTER_QUERY_BATCH)
-               --read-ratio F (interleave v5 QUERY_FAST reads at F reads
+               --read-ratio F (interleave QUERY_FAST reads at F reads
                per read+item — 0.95 is the 95/5 read-heavy profile; needs
                a --readpath server; prints the server-side cache hit rate)
                --zipf F (Zipf exponent of the fast-read key draw, seeded
@@ -524,13 +524,7 @@ fn checkpoint(a: &Args) -> Result<(), CliError> {
     let io = |err: std::io::Error| net_err(&addr, err);
     let mut client = she_server::Client::connect(&addr).map_err(io)?;
     client.set_op_timeout(op_timeout(a)?).map_err(io)?;
-    let version = client.hello().map_err(io)?;
-    if version < 2 {
-        return Err(ArgError(format!(
-            "server at {addr} speaks protocol v{version}; SNAPSHOT_ALL needs v2"
-        ))
-        .into());
-    }
+    client.hello().map_err(io)?;
     let blob = client.snapshot_all().map_err(io)?;
     std::fs::create_dir_all(&dir).map_err(|err| ArgError(format!("{dir}: {err}")))?;
     let path = std::path::Path::new(&dir).join("checkpoint.she");
@@ -861,13 +855,7 @@ fn cluster_status(a: &Args) -> Result<(), CliError> {
     let io = |err: std::io::Error| net_err(&addr, err);
     let mut client = she_server::Client::connect(&addr).map_err(io)?;
     client.set_op_timeout(op_timeout(a)?).map_err(io)?;
-    let version = client.hello().map_err(io)?;
-    if version < 3 {
-        return Err(ArgError(format!(
-            "server at {addr} speaks protocol v{version}; CLUSTER_STATUS needs v3"
-        ))
-        .into());
-    }
+    client.hello().map_err(io)?;
     let info = client.cluster_status().map_err(io)?;
     if info.is_primary {
         println!("role=primary head={} floor={} peers={}", info.head, info.floor, info.peers.len());
@@ -880,10 +868,8 @@ fn cluster_status(a: &Args) -> Result<(), CliError> {
             info.primary, info.connected, info.head, info.boot_seq
         );
     }
-    if !info.queue_depths.is_empty() {
-        let depths: Vec<String> = info.queue_depths.iter().map(u64::to_string).collect();
-        println!("queue_depths={}", depths.join(","));
-    }
+    let depths: Vec<String> = info.queue_depths.iter().map(u64::to_string).collect();
+    println!("queue_depths={}", depths.join(","));
     let rp = &info.readpath;
     if rp.enabled {
         println!(
@@ -900,25 +886,23 @@ fn cluster_status(a: &Args) -> Result<(), CliError> {
     // Checked writes, not `println!`: the lag probes pause between
     // lines, so a reader that closes early (`she cluster-status | grep
     // -q ...`) turns the next line into a broken pipe — stop quietly.
-    if version >= 4 {
-        if let Ok(map) = client.cluster_map() {
-            use std::io::Write as _;
-            let mut out = std::io::stdout().lock();
-            for (p, pm) in map.partitions.iter().enumerate() {
-                let mut holders = vec![pm.primary.node_id.to_string()];
-                holders.extend(pm.replicas.iter().map(|r| r.node_id.to_string()));
-                let (head, lags) = partition_lag(pm, op_timeout(a)?);
-                let line = writeln!(
-                    out,
-                    "partition={p} primary={}@{} holders={} head={head} lag={}",
-                    pm.primary.node_id,
-                    pm.primary.addr,
-                    holders.join(","),
-                    lags.join(",")
-                );
-                if line.is_err() {
-                    break;
-                }
+    if let Ok(map) = client.cluster_map() {
+        use std::io::Write as _;
+        let mut out = std::io::stdout().lock();
+        for (p, pm) in map.partitions.iter().enumerate() {
+            let mut holders = vec![pm.primary.node_id.to_string()];
+            holders.extend(pm.replicas.iter().map(|r| r.node_id.to_string()));
+            let (head, lags) = partition_lag(pm, op_timeout(a)?);
+            let line = writeln!(
+                out,
+                "partition={p} primary={}@{} holders={} head={head} lag={}",
+                pm.primary.node_id,
+                pm.primary.addr,
+                holders.join(","),
+                lags.join(",")
+            );
+            if line.is_err() {
+                break;
             }
         }
     }
@@ -988,13 +972,7 @@ fn fastcheck(a: &Args) -> Result<(), CliError> {
     let io = |err: std::io::Error| net_err(&addr, err);
     let mut client = she_server::Client::connect(&addr).map_err(io)?;
     client.set_op_timeout(op_timeout(a)?).map_err(io)?;
-    let version = client.hello().map_err(io)?;
-    if version < 5 {
-        return Err(ArgError(format!(
-            "server at {addr} speaks protocol v{version}; QUERY_FAST needs v5"
-        ))
-        .into());
-    }
+    client.hello().map_err(io)?;
 
     // Wait for quiescence: the op-log head must stop moving AND the read
     // path must have applied up to it (on a primary the refresher tails
@@ -1172,13 +1150,7 @@ fn cluster_map(a: &Args) -> Result<(), CliError> {
     let io = |err: std::io::Error| net_err(&addr, err);
     let mut client = she_server::Client::connect(&addr).map_err(io)?;
     client.set_op_timeout(op_timeout(a)?).map_err(io)?;
-    let version = client.hello().map_err(io)?;
-    if version < 4 {
-        return Err(ArgError(format!(
-            "server at {addr} speaks protocol v{version}; CLUSTER_MAP needs v4"
-        ))
-        .into());
-    }
+    client.hello().map_err(io)?;
     let map = client.cluster_map().map_err(io)?;
     println!("epoch={} partitions={}", map.epoch, map.partitions.len());
     for (p, pm) in map.partitions.iter().enumerate() {
@@ -1204,13 +1176,7 @@ fn cluster_query(a: &Args) -> Result<(), CliError> {
     let io = |err: std::io::Error| net_err(&addr, err);
     let mut client = she_server::Client::connect(&addr).map_err(io)?;
     client.set_op_timeout(op_timeout(a)?).map_err(io)?;
-    let version = client.hello().map_err(io)?;
-    if version < 4 {
-        return Err(ArgError(format!(
-            "server at {addr} speaks protocol v{version}; CLUSTER_QUERY needs v4"
-        ))
-        .into());
-    }
+    client.hello().map_err(io)?;
     let wire_op = match op {
         QueryOp::Member => she_server::cluster_op::MEMBER,
         QueryOp::Card => she_server::cluster_op::CARD,
@@ -1301,7 +1267,7 @@ fn replay_feed(
     use she_server::protocol::Response;
     let feed_err = |msg: String| std::io::Error::other(msg);
     let sub = she_server::Client::connect(addr)?;
-    let mut feed = sub.subscribe(1)?;
+    let mut feed = sub.subscribe(1, 0)?;
     feed.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
     let mut applied = 0u64;
     let mut items = 0u64;
@@ -1394,14 +1360,7 @@ fn mirror_check(a: &Args) -> Result<(), CliError> {
 
     let io = |err: std::io::Error| net_err(&addr, err);
     let mut client = she_server::Client::connect(&addr).map_err(io)?;
-    let version = client.hello().map_err(io)?;
-    let need = if cluster { 4 } else { 3 };
-    if version < need {
-        return Err(ArgError(format!(
-            "server at {addr} speaks protocol v{version}; mirror-check needs v{need}"
-        ))
-        .into());
-    }
+    client.hello().map_err(io)?;
     if from_log && cluster {
         return Err(ArgError(
             "--from-log replays one node's replication feed; it does not apply in \

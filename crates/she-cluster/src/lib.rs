@@ -94,13 +94,13 @@ pub struct NodeConfig {
     /// comfortably exceed `gossip_ms`.
     pub heartbeat_timeout_ms: u64,
     /// Replication factor: total holders per partition, primary
-    /// included (clamped to the roster size). 2 is the pre-v6 layout —
-    /// primary plus one ring-successor replica.
+    /// included (clamped to the roster size). 2 is primary plus one
+    /// ring-successor replica.
     pub replication: u16,
     /// Anti-entropy merge-sweep interval for every replica slot, in
     /// milliseconds; 0 disables periodic sweeps.
     pub anti_entropy_ms: u64,
-    /// Serve the v5 `QUERY_FAST` read path on this node's primary and
+    /// Serve the `QUERY_FAST` read path on this node's primary and
     /// replica servers.
     pub readpath: bool,
     /// Dial these addresses instead of the roster addresses for
@@ -537,12 +537,7 @@ pub fn migrate(
     let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
 
     let mut sc = Client::connect_timeout(src, op_timeout)?;
-    if sc.hello()? < 3 {
-        return Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "migration source does not serve REPL_BOOTSTRAP (needs protocol v3)",
-        ));
-    }
+    sc.hello()?;
     let (cut, bytes) = sc.repl_bootstrap()?;
     let ckpt = Checkpoint::decode(&bytes).map_err(|e| invalid(e.to_string()))?;
     let target = if dst_shards == 0 { ckpt.cfg.shards } else { dst_shards };
@@ -559,7 +554,7 @@ pub fn migrate(
     // head we have already applied means the destination is caught up.
     let mut tail = Client::connect_timeout(src, op_timeout)?;
     tail.hello()?;
-    let mut sock = tail.subscribe(cut + 1)?;
+    let mut sock = tail.subscribe(cut + 1, 0)?;
     sock.set_read_timeout(Some(Duration::from_millis(100)))?;
     let mut applied = cut;
     let mut records = 0u64;

@@ -51,7 +51,7 @@ fn start_cluster(addrs: &[String], heartbeat_ms: u64) -> (Vec<NodeRef>, Vec<Clus
 
 fn client(addr: &str) -> Client {
     let mut c = Client::connect_timeout(addr, Duration::from_secs(5)).expect("connect");
-    assert_eq!(c.hello().expect("hello"), 6);
+    c.hello().expect("hello");
     c
 }
 

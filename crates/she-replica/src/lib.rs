@@ -112,10 +112,10 @@ pub struct ReplicaConfig {
     /// replicate onward.
     pub repl_log: usize,
     /// Cluster membership directory shared with the node's other
-    /// servers, so the embedded server answers the v4
+    /// servers, so the embedded server answers the
     /// `CLUSTER_JOIN`/`CLUSTER_MAP`/`CLUSTER_QUERY` ops too.
     pub cluster: Option<Arc<ClusterDirectory>>,
-    /// Enable the v5 `QUERY_FAST` read path on the embedded server. The
+    /// Enable the `QUERY_FAST` read path on the embedded server. The
     /// replica's injector feeds the mirror synchronously alongside the
     /// shard queues, so fast reads track the applied position exactly;
     /// after a promotion the refresher takes over from the local log.
@@ -126,9 +126,9 @@ pub struct ReplicaConfig {
     /// [`ReplicaConfig::cluster`] directory, so the replica re-targets a
     /// promoted node without being restarted. Requires `cluster`.
     pub follow: Option<usize>,
-    /// This replica's cluster node id, sent with `REPL_SUBSCRIBE` (v6)
-    /// so the primary labels the peer `{node_id}@{addr}` in
-    /// `CLUSTER_STATUS`. 0 subscribes anonymously (the v5 wire form).
+    /// This replica's cluster node id, sent with `REPL_SUBSCRIBE` so the
+    /// primary labels the peer `{node_id}@{addr}` in `CLUSTER_STATUS`.
+    /// 0 subscribes anonymously.
     pub node_id: u64,
 }
 
@@ -303,13 +303,7 @@ impl Replica {
 fn fetch_bootstrap(primary: &str, op_timeout_ms: u64) -> io::Result<(u64, Checkpoint)> {
     let mut client = Client::connect(primary)?;
     client.set_op_timeout(op_timeout(op_timeout_ms))?;
-    let version = client.hello()?;
-    if version < 3 {
-        return Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            format!("primary speaks protocol v{version}; replication needs v3"),
-        ));
-    }
+    client.hello()?;
     let (seq, bytes) = client.repl_bootstrap()?;
     let ckpt = Checkpoint::decode(&bytes)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -410,12 +404,11 @@ fn feed_once(
     let Ok(mut client) = Client::connect(upstream) else {
         return FeedEnd::Lost;
     };
-    match client.hello() {
-        Ok(v) if v >= 3 => {}
-        _ => return FeedEnd::Lost,
+    if client.hello().is_err() {
+        return FeedEnd::Lost;
     }
     let mut applied = status.applied.load(Ordering::SeqCst);
-    let Ok(mut sock) = client.subscribe_as(applied + 1, cfg.node_id) else {
+    let Ok(mut sock) = client.subscribe(applied + 1, cfg.node_id) else {
         return FeedEnd::Lost;
     };
     if sock.set_read_timeout(Some(FEED_POLL)).is_err() {

@@ -234,13 +234,23 @@ impl Client {
         }
     }
 
-    /// Batch point query (v4): one `u64` answer per key, in key order
+    /// Batch point query: one `u64` answer per key, in key order
     /// (`op` is `cluster_op::MEMBER` — answers 0/1 — or
     /// `cluster_op::FREQ`). Splits into wire-sized batches as needed.
     pub fn query_batch(&mut self, op: u8, keys: &[u64]) -> io::Result<Vec<u64>> {
+        self.call_batches(keys, |keys| Request::QueryBatch { op, keys })
+    }
+
+    /// One `U64S` answer per wire-sized chunk of `keys`, concatenated in
+    /// key order; a chunk answered with the wrong length is an error.
+    fn call_batches(
+        &mut self,
+        keys: &[u64],
+        make: impl Fn(Vec<u64>) -> Request,
+    ) -> io::Result<Vec<u64>> {
         let mut out = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(MAX_BATCH.max(1)) {
-            match self.call_retrying(&Request::QueryBatch { op, keys: chunk.to_vec() })? {
+        for chunk in keys.chunks(MAX_BATCH) {
+            match self.call_retrying(&make(chunk.to_vec()))? {
                 Response::U64s(values) if values.len() == chunk.len() => out.extend(values),
                 Response::U64s(values) => {
                     return Err(io::Error::new(
@@ -254,7 +264,7 @@ impl Client {
         Ok(out)
     }
 
-    /// Accelerated point query (v5): answered inline on the reactor from
+    /// Accelerated point query: answered inline on the reactor from
     /// the read path's mark cache + fast summary, never queued or shed.
     /// `op` is [`fast_op::MEMBER`](crate::fast_op::MEMBER) (→ `Bool`),
     /// [`fast_op::FREQ`](crate::fast_op::FREQ) (→ `U64`), or
@@ -267,7 +277,7 @@ impl Client {
         }
     }
 
-    /// Fast membership (v5): [`Client::query_fast`] with the `MEMBER` op.
+    /// Fast membership: [`Client::query_fast`] with the `MEMBER` op.
     pub fn fast_member(&mut self, key: u64) -> io::Result<bool> {
         match self.query_fast(crate::fast_op::MEMBER, key)? {
             Response::Bool(v) => Ok(v),
@@ -275,7 +285,7 @@ impl Client {
         }
     }
 
-    /// Fast frequency (v5): [`Client::query_fast`] with the `FREQ` op.
+    /// Fast frequency: [`Client::query_fast`] with the `FREQ` op.
     pub fn fast_freq(&mut self, key: u64) -> io::Result<u64> {
         match self.query_fast(crate::fast_op::FREQ, key)? {
             Response::U64(v) => Ok(v),
@@ -283,7 +293,7 @@ impl Client {
         }
     }
 
-    /// Drop every cached fast answer (v5): subsequent fast reads refill
+    /// Drop every cached fast answer: subsequent fast reads refill
     /// from the mirror at its applied position.
     pub fn fast_flush(&mut self) -> io::Result<()> {
         match self.query_fast(crate::fast_op::FLUSH, 0)? {
@@ -292,7 +302,7 @@ impl Client {
         }
     }
 
-    /// Fast top-k (v5): up to `n` `(key, frequency estimate)` pairs,
+    /// Fast top-k: up to `n` `(key, frequency estimate)` pairs,
     /// heaviest first.
     pub fn fast_topk(&mut self, n: u64) -> io::Result<Vec<(u64, u64)>> {
         match self.query_fast(crate::fast_op::TOPK, n)? {
@@ -311,18 +321,22 @@ impl Client {
         }
     }
 
-    /// Negotiate the protocol version: returns what the server will
-    /// speak. A v1 server answers `HELLO` with `ERR` (unknown opcode),
-    /// which this maps to `Ok(1)` — the downgrade, not a failure.
-    pub fn hello(&mut self) -> io::Result<u16> {
+    /// Check that the server speaks this build's protocol version.
+    /// Anything else — another version, or an `ERR` from a peer that does
+    /// not know `HELLO` — is `Unsupported`: there is one protocol and no
+    /// downgrade.
+    pub fn hello(&mut self) -> io::Result<()> {
         match self.call(&Request::Hello { version: PROTOCOL_VERSION })? {
-            Response::Hello { version } => Ok(version),
-            Response::Err(_) => Ok(1),
+            Response::Hello { version } if version == PROTOCOL_VERSION => Ok(()),
+            other @ (Response::Hello { .. } | Response::Err(_)) => Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!("server does not speak protocol {PROTOCOL_VERSION}: answered {other:?}"),
+            )),
             other => Err(bad_reply(other)),
         }
     }
 
-    /// Fetch one shard's quiescent snapshot (v2 servers only).
+    /// Fetch one shard's quiescent snapshot.
     pub fn snapshot(&mut self, shard: u32) -> io::Result<Vec<u8>> {
         match self.call(&Request::Snapshot { shard })? {
             Response::Blob(data) => Ok(data),
@@ -330,7 +344,7 @@ impl Client {
         }
     }
 
-    /// Fetch a whole-server checkpoint (v2 servers only).
+    /// Fetch a whole-server checkpoint.
     pub fn snapshot_all(&mut self) -> io::Result<Vec<u8>> {
         match self.call(&Request::SnapshotAll)? {
             Response::Blob(data) => Ok(data),
@@ -338,7 +352,7 @@ impl Client {
         }
     }
 
-    /// Replace one shard's state with a snapshot frame (v2 servers only).
+    /// Replace one shard's state with a snapshot frame.
     pub fn restore(&mut self, shard: u32, data: &[u8]) -> io::Result<()> {
         match self.call(&Request::Restore { shard, data: data.to_vec() })? {
             Response::Ok { .. } => Ok(()),
@@ -346,7 +360,7 @@ impl Client {
         }
     }
 
-    /// Fetch a replica bootstrap package from a primary (v3): the op-log
+    /// Fetch a replica bootstrap package from a primary: the op-log
     /// cut sequence number plus the checkpoint bytes at that cut.
     pub fn repl_bootstrap(&mut self) -> io::Result<(u64, Vec<u8>)> {
         match self.call(&Request::ReplBootstrap)? {
@@ -359,7 +373,7 @@ impl Client {
         }
     }
 
-    /// The node's replication role and positions (v3).
+    /// The node's replication role and positions.
     pub fn cluster_status(&mut self) -> io::Result<ClusterStatusInfo> {
         match self.call(&Request::ClusterStatus)? {
             Response::ClusterStatus(info) => Ok(info),
@@ -367,7 +381,7 @@ impl Client {
         }
     }
 
-    /// Push-pull gossip (v4): offer `map` as node `from_node`; the peer
+    /// Push-pull gossip: offer `map` as node `from_node`; the peer
     /// adopts it if newer and answers with its own current view.
     pub fn cluster_join(&mut self, from_node: u64, map: &ClusterMap) -> io::Result<ClusterMap> {
         match self.call(&Request::ClusterJoin { from_node, map: map.clone() })? {
@@ -376,7 +390,7 @@ impl Client {
         }
     }
 
-    /// Fetch the node's current cluster map (v4) — how clients re-route
+    /// Fetch the node's current cluster map — how clients re-route
     /// after a failover without restarting.
     pub fn cluster_map(&mut self) -> io::Result<ClusterMap> {
         match self.call(&Request::ClusterMapGet)? {
@@ -385,7 +399,7 @@ impl Client {
         }
     }
 
-    /// Scatter-gather query (v4): the server coordinates across every
+    /// Scatter-gather query: the server coordinates across every
     /// partition and merges. Returns the merged `Bool`/`U64`/`F64`
     /// answer; callers match on the variant their `op` implies.
     pub fn cluster_query(&mut self, op: u8, key: u64) -> io::Result<Response> {
@@ -395,37 +409,20 @@ impl Client {
         }
     }
 
-    /// Scatter-gather batch query (v4): N member/freq keys per scatter
+    /// Scatter-gather batch query: N member/freq keys per scatter
     /// round-trip, answered in key order.
     pub fn cluster_query_batch(&mut self, op: u8, keys: &[u64]) -> io::Result<Vec<u64>> {
-        let mut out = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(MAX_BATCH.max(1)) {
-            match self.call_retrying(&Request::ClusterQueryBatch { op, keys: chunk.to_vec() })? {
-                Response::U64s(values) if values.len() == chunk.len() => out.extend(values),
-                Response::U64s(values) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("batch answered {} values for {} keys", values.len(), chunk.len()),
-                    ))
-                }
-                other => return Err(bad_reply(other)),
-            }
-        }
-        Ok(out)
+        self.call_batches(keys, |keys| Request::ClusterQueryBatch { op, keys })
     }
 
     /// Turn this connection into a replication feed starting at
-    /// `from_seq`, returning the raw socket (v3). The caller reads
+    /// `from_seq`, returning the raw socket. The caller reads
     /// `REPL_OP`/`REPL_HEARTBEAT` frames and writes `REPL_ACK`s with the
-    /// codec; the request/response discipline no longer applies.
-    pub fn subscribe(self, from_seq: u64) -> io::Result<TcpStream> {
-        self.subscribe_as(from_seq, 0)
-    }
-
-    /// [`Client::subscribe`], identifying the subscriber by its cluster
-    /// `node_id` (v6) so the primary labels the peer `{node}@{addr}` in
-    /// `CLUSTER_STATUS`. Pass 0 to stay anonymous (the v5 wire form).
-    pub fn subscribe_as(mut self, from_seq: u64, node_id: u64) -> io::Result<TcpStream> {
+    /// codec; the request/response discipline no longer applies. A
+    /// nonzero `node_id` names the subscriber by its cluster node id, so
+    /// the primary labels the peer `{node}@{addr}` in `CLUSTER_STATUS`;
+    /// 0 stays anonymous.
+    pub fn subscribe(mut self, from_seq: u64, node_id: u64) -> io::Result<TcpStream> {
         write_frame(&mut self.stream, &Request::ReplSubscribe { from_seq, node_id }.encode())?;
         Ok(self.stream)
     }

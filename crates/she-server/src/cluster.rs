@@ -1,4 +1,4 @@
-//! Cluster membership and partition routing (protocol v4).
+//! Cluster membership and partition routing.
 //!
 //! A cluster is a set of nodes, each serving one single-shard *partition*
 //! engine. Keys route to partitions with the same monotone
@@ -56,6 +56,20 @@ pub mod cluster_op {
     pub const SIM: u8 = 3;
 }
 
+/// Validate a batch-query op byte (only the per-key ops batch) — the one
+/// rule for `QUERY_BATCH` and `CLUSTER_QUERY_BATCH` alike.
+pub(crate) fn batch_op_check(op: u8) -> Result<(), Box<Response>> {
+    if op == cluster_op::MEMBER || op == cluster_op::FREQ {
+        Ok(())
+    } else {
+        Err(Box::new(Response::Err(format!(
+            "batch query op {op} must be member ({}) or freq ({})",
+            cluster_op::MEMBER,
+            cluster_op::FREQ
+        ))))
+    }
+}
+
 /// One node as named in a cluster map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeRef {
@@ -81,8 +95,8 @@ pub struct ClusterMap {
     /// Monotone map version; bumped by every election.
     pub epoch: u64,
     /// Replication factor: desired holders per partition, primary
-    /// included (so `rf = 2` means primary + one replica — the pre-v6
-    /// default). Elections top replica sets back up toward this.
+    /// included (so `rf = 2` means primary + one replica, the default).
+    /// Elections top replica sets back up toward this.
     pub rf: u16,
     /// Placement, indexed by partition.
     pub partitions: Vec<PartitionMap>,
@@ -99,7 +113,7 @@ impl ClusterMap {
     }
 
     /// [`ClusterMap::initial_rf`] at the default replication factor 2
-    /// (primary + one replica — the pre-v6 placement).
+    /// (primary + one replica).
     pub fn initial(roster: &[NodeRef]) -> ClusterMap {
         ClusterMap::initial_rf(roster, 2)
     }
@@ -217,9 +231,8 @@ impl ClusterMap {
     /// Wire encoding (shared by `CLUSTER_JOIN` and `CLUSTER_MAP_REPLY`):
     /// `epoch u64 | n_partitions u32 | n × (primary ref | n_replicas u16 |
     /// replica refs) | rf u16`, each ref `node_id u64 | addr_len u16 |
-    /// addr`. The `rf` field is the protocol-v6 tail: a v5 peer never
-    /// reads past the partition list, and [`ClusterMap::decode_from`]
-    /// treats it as optional, so v5 and v6 maps interchange freely.
+    /// addr`. Every field is mandatory: a map cut short anywhere is a
+    /// decode error, never a different map.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(16 + 64 * self.partitions.len());
         self.encode_into(&mut b);
@@ -263,14 +276,16 @@ impl ClusterMap {
         }
         let epoch = r.u64()?;
         let n = usize_of(u64::from(r.u32()?));
-        if n > MAX_PARTITIONS {
+        // A partition is at least an address-less primary ref plus its
+        // replica count; the bytes present bound what gets allocated.
+        if n > MAX_PARTITIONS.min(r.remaining() / 12) {
             return Err(ProtoError::Oversize);
         }
         let mut partitions = Vec::with_capacity(n);
         for _ in 0..n {
             let primary = node_ref(r)?;
             let n_replicas = usize::from(r.u16()?);
-            if n_replicas > MAX_REPLICAS {
+            if n_replicas > MAX_REPLICAS.min(r.remaining() / 10) {
                 return Err(ProtoError::Oversize);
             }
             let mut replicas = Vec::with_capacity(n_replicas);
@@ -279,14 +294,7 @@ impl ClusterMap {
             }
             partitions.push(PartitionMap { primary, replicas });
         }
-        // v6 tail: v5 encoders stop at the partition list, so infer the
-        // factor their placement implies (widest holder list).
-        let rf = if r.remaining() >= 2 {
-            r.u16()?
-        } else {
-            let widest = partitions.iter().map(|p| p.replicas.len() + 1).max().unwrap_or(1);
-            u16::try_from(widest).unwrap_or(u16::MAX)
-        };
+        let rf = r.u16()?;
         Ok(ClusterMap { epoch, rf, partitions })
     }
 }
@@ -349,23 +357,18 @@ pub fn scatter_query(map: &ClusterMap, op: u8, key: u64, op_timeout: Duration) -
             .map_err(|e| format!("partition {part} at {addr}: {e}"))
     };
     match op {
-        cluster_op::MEMBER => {
+        cluster_op::MEMBER | cluster_op::FREQ => {
             let part = map.partition_of(key);
-            match leg(part)
-                .and_then(|mut c| c.query_member(key).map_err(|e| format!("partition {part}: {e}")))
-            {
-                Ok(v) => Response::Bool(v),
-                Err(e) => Response::Err(e),
-            }
-        }
-        cluster_op::FREQ => {
-            let part = map.partition_of(key);
-            match leg(part)
-                .and_then(|mut c| c.query_freq(key).map_err(|e| format!("partition {part}: {e}")))
-            {
-                Ok(v) => Response::U64(v),
-                Err(e) => Response::Err(e),
-            }
+            leg(part)
+                .and_then(|mut c| {
+                    let answer = if op == cluster_op::MEMBER {
+                        c.query_member(key).map(Response::Bool)
+                    } else {
+                        c.query_freq(key).map(Response::U64)
+                    };
+                    answer.map_err(|e| format!("partition {part}: {e}"))
+                })
+                .unwrap_or_else(Response::Err)
         }
         cluster_op::CARD | cluster_op::SIM => {
             let mut sum = 0.0f64;
@@ -401,12 +404,8 @@ pub fn scatter_query_batch(
     keys: &[u64],
     op_timeout: Duration,
 ) -> Response {
-    if op != cluster_op::MEMBER && op != cluster_op::FREQ {
-        return Response::Err(format!(
-            "cluster batch query op {op} must be member ({}) or freq ({})",
-            cluster_op::MEMBER,
-            cluster_op::FREQ
-        ));
+    if let Err(resp) = batch_op_check(op) {
+        return *resp;
     }
     if map.partitions.is_empty() {
         return Response::Err("cluster map has no partitions".to_string());
@@ -478,27 +477,6 @@ mod tests {
             assert!(r.finish().is_ok());
             assert_eq!(back, map, "rf {rf}");
         }
-    }
-
-    /// A v5 peer encodes no `rf` tail; decoding its bytes must still
-    /// succeed and infer the factor its placement implies.
-    #[test]
-    fn decode_accepts_v5_bytes_without_rf_tail() {
-        let map = ClusterMap::initial_rf(&roster(3), 3);
-        let mut bytes = map.encode();
-        bytes.truncate(bytes.len() - 2); // what a v5 encoder would emit
-        let mut r = Reader::new(&bytes);
-        let back = ClusterMap::decode_from(&mut r).expect("v5 decode");
-        assert!(r.finish().is_ok());
-        assert_eq!(back.rf, 3, "inferred from the widest holder list");
-        assert_eq!(back.partitions, map.partitions);
-
-        // A single-node v5 map (no replicas anywhere) infers rf = 1.
-        let solo = ClusterMap::initial(&roster(1));
-        let mut bytes = solo.encode();
-        bytes.truncate(bytes.len() - 2);
-        let back = ClusterMap::decode_from(&mut Reader::new(&bytes)).expect("v5 decode");
-        assert_eq!(back.rf, 1);
     }
 
     #[test]

@@ -25,13 +25,12 @@
 //! * [`loadgen`] — workload driver with latency reports and a
 //!   bit-exact verification mode;
 //! * [`repl`] — the primary's op log, record/bootstrap codecs, and peer
-//!   registry (protocol v3; see `docs/REPLICATION.md`);
+//!   registry (see `docs/REPLICATION.md`);
 //! * [`cluster`] — the partition map, deterministic failover election,
-//!   and scatter-gather query merge (protocol v4; see
-//!   `docs/CLUSTER.md`);
+//!   and scatter-gather query merge (see `docs/CLUSTER.md`);
 //! * `readpath` — the QUERY_FAST accelerator's server glue: seeds
 //!   `she-readpath`'s frozen [`DirectEngine`] mirror from the shard
-//!   engines and refreshes it from the op-log tail (protocol v5; see
+//!   engines and refreshes it from the op-log tail (see
 //!   `docs/READPATH.md`);
 //! * [`store`] — generation-rotating checkpoint store with corrupt-file
 //!   quarantine and automatic fallback;

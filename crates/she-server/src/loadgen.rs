@@ -110,7 +110,7 @@ pub struct LoadgenConfig {
     /// mid-run surfaces as a clean head-went-backwards error, never as
     /// silent divergence.
     pub cluster_resync: bool,
-    /// Fraction of operations issued as v5 `QUERY_FAST` reads, by item
+    /// Fraction of operations issued as `QUERY_FAST` reads, by item
     /// count: after each insert batch the run owes
     /// `items * ratio / (1 - ratio)` fast reads, so `0.95` yields the
     /// canonical 95/5 read-heavy mix. 0 disables the profile. Fast-read
@@ -683,7 +683,7 @@ impl Sink {
         }
     }
 
-    /// One `QUERY_FAST` (v5), on the read connection when one is open.
+    /// One `QUERY_FAST`, on the read connection when one is open.
     /// The answer value is discarded — the read-heavy profile measures
     /// latency and server-side cache behaviour, not correctness (that is
     /// `she fastcheck`'s job, at quiescence where the bound is exact).
@@ -821,7 +821,7 @@ impl QuerySide {
     }
 }
 
-/// Read the server's read-path counters (v5), or `None` when the server
+/// Read the server's read-path counters, or `None` when the server
 /// is unreachable or serves without `--readpath`.
 fn poll_readpath(addr: &str) -> Option<ReadpathStatus> {
     let mut c = Client::connect_timeout(addr, Duration::from_secs(5)).ok()?;

@@ -9,59 +9,50 @@
 //! Requests carry a `stream` tag (0 = stream A, 1 = stream B) on inserts
 //! so the similarity pair can be fed over the same connection.
 //!
-//! Protocol **v2** adds snapshot transport (`HELLO`, `SNAPSHOT`,
-//! `SNAPSHOT_ALL`, `RESTORE`, `BLOB`, `HELLO_REPLY`). Version negotiation
-//! is optional and client-initiated: a v2 client may open with `HELLO`;
-//! a v1 server answers `ERR` (unknown opcode) and the client downgrades.
-//! Every v1 message is unchanged, so v1 clients work against v2 servers
-//! without negotiating.
+//! There is one protocol version, [`PROTOCOL_VERSION`]. A client may open
+//! with `HELLO`; the server answers `HELLO_REPLY` with its own version and
+//! the client proceeds only when the two are equal. No message has an
+//! optional field: every layout below is read to its last byte.
 //!
-//! Protocol **v3** adds replication (`REPL_BOOTSTRAP`, `REPL_SUBSCRIBE`,
-//! `REPL_ACK`, `CLUSTER_STATUS` and their responses, plus the
-//! `NOT_PRIMARY` / `LOG_TRUNCATED` errors). Like v2, every earlier
-//! message is unchanged, so v1/v2 clients keep working unmodified.
+//! The messages group by feature:
 //!
-//! Protocol **v4** adds the partitioned cluster (`CLUSTER_JOIN`,
-//! `CLUSTER_MAP`, `CLUSTER_QUERY`, `CLUSTER_MAP_REPLY`): push-pull gossip
-//! of the membership map and coordinator-side scatter-gather queries (see
-//! `crate::cluster` and `docs/CLUSTER.md`), plus the batch point queries
-//! (`QUERY_BATCH`, `CLUSTER_QUERY_BATCH`, `U64S`): N member/freq keys per
-//! round-trip, grouped per partition on the scatter path. As before,
-//! every earlier message is unchanged and older clients keep working
-//! unmodified.
-//!
-//! Protocol **v5** adds the accelerated read path (`QUERY_FAST`): point
-//! queries answered inline on the reactor from the `she-readpath` fast
-//! summary and mark cache, never queued to a shard worker. It also
-//! extends `CLUSTER_STATUS_REPLY` with per-shard queue depths and the
-//! read-path counters; the extension rides at the end of the payload, so
-//! v3/v4 decoders that stop at the peer list keep working and a v5
-//! decoder reading a v4 reply fills the tail with zeros.
-//!
-//! Protocol **v6** carries replication factors: the `ClusterMap` payload
-//! (inside `CLUSTER_JOIN` and `CLUSTER_MAP_REPLY`) grows a trailing
-//! `rf u16` after the partition list, and `REPL_SUBSCRIBE` grows a
-//! trailing `node_id u64` identifying the subscriber (0 = anonymous, the
-//! v5 meaning). Both ride at the end of their frames, so v5 decoders
-//! stop short of them and a v6 decoder reading v5 bytes falls back to
-//! the old semantics (inferred rf, anonymous subscriber).
+//! * **Snapshots** — `SNAPSHOT`, `SNAPSHOT_ALL`, `RESTORE`, answered with
+//!   `BLOB` (an opaque `she_core` frame).
+//! * **Replication** — `REPL_BOOTSTRAP`, `REPL_SUBSCRIBE`, `REPL_ACK`,
+//!   `CLUSTER_STATUS` and their responses (`REPL_OP`, `REPL_HEARTBEAT`,
+//!   `CLUSTER_STATUS_REPLY`), plus the `NOT_PRIMARY` / `LOG_TRUNCATED`
+//!   errors. A subscriber names itself by cluster `node_id` (0 =
+//!   anonymous).
+//! * **Cluster** — `CLUSTER_JOIN`, `CLUSTER_MAP`, `CLUSTER_MAP_REPLY`:
+//!   push-pull gossip of the membership map (see `crate::cluster` and
+//!   `docs/CLUSTER.md`); `CLUSTER_QUERY` and `CLUSTER_QUERY_BATCH`:
+//!   coordinator-side scatter-gather. The batch point queries
+//!   (`QUERY_BATCH`, `CLUSTER_QUERY_BATCH`, `U64S`) carry N member/freq
+//!   keys per round-trip, grouped per partition on the scatter path.
+//! * **Read path** — `QUERY_FAST`: point queries answered inline on the
+//!   reactor from the `she-readpath` mirror and mark cache, never queued
+//!   to a shard worker. `CLUSTER_STATUS_REPLY` carries the per-shard
+//!   queue depths and the read-path counters.
+//! * **Quorum** — the `ClusterMap` payload (inside `CLUSTER_JOIN` and
+//!   `CLUSTER_MAP_REPLY`) ends with the replication factor `rf u16`.
 
 use crate::cluster::ClusterMap;
 use she_core::convert::{le_u64s, usize_of};
 use she_core::frame::{FrameError, Reader};
 use she_core::sharded::ShardStats;
 
-/// The protocol version this build speaks (reported by `HELLO`).
+/// The one protocol version. `HELLO` carries the client's, `HELLO_REPLY`
+/// the server's; a connection proceeds only when they are equal.
 pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Hard cap on a frame payload; anything larger is a protocol error on
 /// both ends (prevents a hostile length prefix from allocating memory).
-/// Raised in v2 so a `BLOB` can carry a whole-server checkpoint.
+/// Sized so a `BLOB` can carry a whole-server checkpoint.
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Maximum number of keys a single `InsertBatch` can carry. Pinned to the
-/// v1 budget (1 MiB frames) so batches from either protocol version stay
-/// valid on the other.
+/// Maximum number of keys a single `InsertBatch` can carry: a 1 MiB
+/// payload. Batch sizing is a throughput knob, not a framing limit, so it
+/// sits well under [`MAX_FRAME`].
 pub const MAX_BATCH: usize = ((1 << 20) - 6) / 8;
 
 pub mod opcode {
@@ -122,7 +113,7 @@ pub enum Request {
     QueryFreq { key: u64 },
     /// Sliding-window Jaccard similarity between streams A and B.
     QuerySim,
-    /// v4: answer one point query per key in a single round-trip. `op` is
+    /// Answer one point query per key in a single round-trip. `op` is
     /// one of the per-key [`crate::cluster::cluster_op`] codes (`MEMBER`
     /// or `FREQ`); the answer is [`Response::U64s`], one value per key in
     /// request order (membership encodes as 0/1). Bounded by
@@ -133,8 +124,8 @@ pub enum Request {
         /// The keys, answered in order.
         keys: Vec<u64>,
     },
-    /// v5: accelerated point query, answered inline on the reactor from
-    /// the read path (fast summary + mark cache) without queuing to a
+    /// Accelerated point query, answered inline on the reactor from
+    /// the read path (mirror + mark cache) without queuing to a
     /// shard worker. `op` is a `she-readpath` op code (`MEMBER` → [`
     /// Response::Bool`], `FREQ` → [`Response::U64`], `TOPK` →
     /// [`Response::U64s`] as alternating key/estimate pairs, with `key`
@@ -148,33 +139,32 @@ pub enum Request {
     },
     /// Server / per-shard counters.
     Stats,
-    /// v2: announce the client's protocol version; the server answers
-    /// [`Response::Hello`] with the version both sides will speak.
+    /// Announce the client's protocol version; the server answers
+    /// [`Response::Hello`] with its own, and the two must be equal.
     Hello { version: u16 },
-    /// v2: serialize one shard's engine state (quiescent, via its worker).
+    /// Serialize one shard's engine state (quiescent, via its worker).
     Snapshot { shard: u32 },
-    /// v2: serialize every shard into one checkpoint frame.
+    /// Serialize every shard into one checkpoint frame.
     SnapshotAll,
-    /// v2: replace one shard's engine state with a shard frame.
+    /// Replace one shard's engine state with a shard frame.
     Restore { shard: u32, data: Vec<u8> },
-    /// v3: capture a replica bootstrap package — a quiescent checkpoint
+    /// Capture a replica bootstrap package — a quiescent checkpoint
     /// plus the op-log sequence number it reflects (answered with
     /// [`Response::Blob`] carrying a `BOOTSTRAP` frame).
     ReplBootstrap,
-    /// v3: turn this connection into a replication feed starting at
+    /// Turn this connection into a replication feed starting at
     /// `from_seq` (the first record the subscriber has *not* applied).
     /// The server answers with a stream of [`Response::ReplOp`] /
-    /// [`Response::ReplHeartbeat`] instead of one response. v6 appends
-    /// the subscriber's cluster `node_id` so the primary can label the
-    /// peer in `CLUSTER_STATUS`; 0 means anonymous (the v5 wire form,
-    /// which omits the field entirely).
+    /// [`Response::ReplHeartbeat`] instead of one response. `node_id` is
+    /// the subscriber's cluster node id, so the primary can label the
+    /// peer in `CLUSTER_STATUS`; 0 means anonymous.
     ReplSubscribe { from_seq: u64, node_id: u64 },
-    /// v3: sent *by the subscriber* on a replication feed — everything
+    /// Sent *by the subscriber* on a replication feed — everything
     /// up to `seq` has been applied (flow-control / cluster-status only).
     ReplAck { seq: u64 },
-    /// v3: this node's replication role, log positions, and peers.
+    /// This node's replication role, log positions, and peers.
     ClusterStatus,
-    /// v4: push-pull gossip — the sender offers its view of the cluster
+    /// Push-pull gossip — the sender offers its view of the cluster
     /// map; the receiver adopts it if newer and answers
     /// [`Response::ClusterMapReply`] with its own (possibly just-updated)
     /// view. `from_node` identifies the gossiping node for diagnostics.
@@ -184,9 +174,9 @@ pub enum Request {
         /// The sender's current view of the map.
         map: ClusterMap,
     },
-    /// v4: fetch this node's current cluster map (client re-routing).
+    /// Fetch this node's current cluster map (client re-routing).
     ClusterMapGet,
-    /// v4: scatter-gather query, merged by the coordinator (this node)
+    /// Scatter-gather query, merged by the coordinator (this node)
     /// across every partition: `op` is one of
     /// [`crate::cluster::cluster_op`], `key` is ignored by the
     /// whole-stream ops (card, sim).
@@ -196,7 +186,7 @@ pub enum Request {
         /// The key, for the routed ops (member, freq).
         key: u64,
     },
-    /// v4: scatter-gather batch query — N keys per scatter round-trip.
+    /// Scatter-gather batch query — N keys per scatter round-trip.
     /// The coordinator groups the keys by owning partition, sends one
     /// [`Request::QueryBatch`] leg per involved partition, and reassembles
     /// the answers into one [`Response::U64s`] in request order. Only the
@@ -222,21 +212,21 @@ pub enum Response {
     U64(u64),
     /// Floating answer (cardinality, similarity).
     F64(f64),
-    /// v4: one `u64` answer per key of a batch query, in request order.
+    /// One `u64` answer per key of a batch query, in request order.
     U64s(Vec<u64>),
     /// Per-shard counters.
     Stats(Vec<ShardStats>),
-    /// v2: opaque snapshot/checkpoint bytes (a she-core frame).
+    /// Opaque snapshot/checkpoint bytes (a she-core frame).
     Blob(Vec<u8>),
-    /// v2: the protocol version the server will speak on this connection.
+    /// The server's protocol version.
     Hello { version: u16 },
-    /// v3: one replication record (an `OPLOG` frame) on a feed.
+    /// One replication record (an `OPLOG` frame) on a feed.
     ReplOp(Vec<u8>),
-    /// v3: feed keep-alive carrying the primary's current log head.
+    /// Feed keep-alive carrying the primary's current log head.
     ReplHeartbeat { head: u64 },
-    /// v3: answer to [`Request::ClusterStatus`].
+    /// Answer to [`Request::ClusterStatus`].
     ClusterStatus(ClusterStatusInfo),
-    /// v4: the node's current cluster map (answers
+    /// The node's current cluster map (answers
     /// [`Request::ClusterJoin`] and [`Request::ClusterMapGet`]).
     ClusterMapReply(ClusterMap),
     /// The request failed; human-readable reason.
@@ -244,9 +234,9 @@ pub enum Response {
     /// Shard queue full and nothing was enqueued — retry the whole
     /// request after roughly this many milliseconds.
     Busy { retry_after_ms: u32 },
-    /// v3: a write was sent to a replica; `primary` is where writes go.
+    /// A write was sent to a replica; `primary` is where writes go.
     NotPrimary { primary: String },
-    /// v3: the requested subscription position fell off the bounded op
+    /// The requested subscription position fell off the bounded op
     /// log; the subscriber must re-bootstrap (`floor` = oldest retained).
     LogTruncated { floor: u64 },
     /// The server is shedding load: either the connection cap was hit
@@ -287,17 +277,16 @@ pub struct ClusterStatusInfo {
     pub primary: String,
     /// Primary: currently subscribed replicas.
     pub peers: Vec<PeerStatus>,
-    /// v5: pending jobs per shard worker queue at reply time — lets an
+    /// Pending jobs per shard worker queue at reply time — lets an
     /// operator tell overload (deep queues) from cache-miss storms
-    /// (read-path misses with idle queues) in one call. Empty when
-    /// talking to a pre-v5 server.
+    /// (read-path misses with idle queues) in one call.
     pub queue_depths: Vec<u64>,
-    /// v5: read-path cache state; disabled/zeroed without `--readpath`.
+    /// Read-path cache state; disabled/zeroed without `--readpath`.
     pub readpath: ReadpathStatus,
 }
 
 /// Read-path section of [`ClusterStatusInfo`] (all zeros when the read
-/// path is off or the server predates v5).
+/// path is off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReadpathStatus {
     /// Whether this node serves `QUERY_FAST`.
@@ -364,6 +353,30 @@ fn len_u16(n: usize) -> u16 {
     u16::try_from(n).unwrap_or(u16::MAX)
 }
 
+/// The one layout the three key-batch requests share, after the opcode:
+/// `tag u8 | count u32 | count × u64` (`tag` is the stream or the op),
+/// with `count` bounded by [`MAX_BATCH`].
+fn encode_keys(b: &mut Vec<u8>, opcode: u8, tag: u8, keys: &[u64]) {
+    assert!(keys.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
+    b.reserve(6 + 8 * keys.len());
+    b.push(opcode);
+    b.push(tag);
+    b.extend_from_slice(&len_u32(keys.len()).to_le_bytes());
+    for k in keys {
+        b.extend_from_slice(&k.to_le_bytes());
+    }
+}
+
+/// Decode the body [`encode_keys`] wrote: `(tag, keys)`.
+fn decode_keys(r: &mut Reader<'_>) -> Result<(u8, Vec<u64>), ProtoError> {
+    let tag = r.u8()?;
+    let n = usize_of(u64::from(r.u32()?));
+    if n > MAX_BATCH {
+        return Err(ProtoError::Oversize);
+    }
+    Ok((tag, le_u64s(r.take(8 * n)?)))
+}
+
 impl Request {
     /// Encode into a frame payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
@@ -376,14 +389,7 @@ impl Request {
                 b.extend_from_slice(&key.to_le_bytes());
             }
             Request::InsertBatch { stream, keys } => {
-                assert!(keys.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-                b.reserve(6 + 8 * keys.len());
-                b.push(opcode::INSERT_BATCH);
-                b.push(*stream);
-                b.extend_from_slice(&len_u32(keys.len()).to_le_bytes());
-                for k in keys {
-                    b.extend_from_slice(&k.to_le_bytes());
-                }
+                encode_keys(&mut b, opcode::INSERT_BATCH, *stream, keys);
             }
             Request::QueryMember { key } => {
                 b.push(opcode::QUERY_MEMBER);
@@ -396,14 +402,7 @@ impl Request {
             }
             Request::QuerySim => b.push(opcode::QUERY_SIM),
             Request::QueryBatch { op, keys } => {
-                assert!(keys.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-                b.reserve(6 + 8 * keys.len());
-                b.push(opcode::QUERY_BATCH);
-                b.push(*op);
-                b.extend_from_slice(&len_u32(keys.len()).to_le_bytes());
-                for k in keys {
-                    b.extend_from_slice(&k.to_le_bytes());
-                }
+                encode_keys(&mut b, opcode::QUERY_BATCH, *op, keys);
             }
             Request::QueryFast { op, key } => {
                 b.push(opcode::QUERY_FAST);
@@ -431,9 +430,7 @@ impl Request {
             Request::ReplSubscribe { from_seq, node_id } => {
                 b.push(opcode::REPL_SUBSCRIBE);
                 b.extend_from_slice(&from_seq.to_le_bytes());
-                if *node_id != 0 {
-                    b.extend_from_slice(&node_id.to_le_bytes());
-                }
+                b.extend_from_slice(&node_id.to_le_bytes());
             }
             Request::ReplAck { seq } => {
                 b.push(opcode::REPL_ACK);
@@ -452,14 +449,7 @@ impl Request {
                 b.extend_from_slice(&key.to_le_bytes());
             }
             Request::ClusterQueryBatch { op, keys } => {
-                assert!(keys.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-                b.reserve(6 + 8 * keys.len());
-                b.push(opcode::CLUSTER_QUERY_BATCH);
-                b.push(*op);
-                b.extend_from_slice(&len_u32(keys.len()).to_le_bytes());
-                for k in keys {
-                    b.extend_from_slice(&k.to_le_bytes());
-                }
+                encode_keys(&mut b, opcode::CLUSTER_QUERY_BATCH, *op, keys);
             }
             Request::Shutdown => b.push(opcode::SHUTDOWN),
         }
@@ -473,12 +463,7 @@ impl Request {
         let req = match op {
             opcode::INSERT => Request::Insert { stream: r.u8()?, key: r.u64()? },
             opcode::INSERT_BATCH => {
-                let stream = r.u8()?;
-                let n = usize_of(u64::from(r.u32()?));
-                if n > MAX_BATCH {
-                    return Err(ProtoError::Oversize);
-                }
-                let keys = le_u64s(r.take(8 * n)?);
+                let (stream, keys) = decode_keys(&mut r)?;
                 Request::InsertBatch { stream, keys }
             }
             opcode::QUERY_MEMBER => Request::QueryMember { key: r.u64()? },
@@ -486,12 +471,7 @@ impl Request {
             opcode::QUERY_FREQ => Request::QueryFreq { key: r.u64()? },
             opcode::QUERY_SIM => Request::QuerySim,
             opcode::QUERY_BATCH => {
-                let op = r.u8()?;
-                let n = usize_of(u64::from(r.u32()?));
-                if n > MAX_BATCH {
-                    return Err(ProtoError::Oversize);
-                }
-                let keys = le_u64s(r.take(8 * n)?);
+                let (op, keys) = decode_keys(&mut r)?;
                 Request::QueryBatch { op, keys }
             }
             opcode::QUERY_FAST => Request::QueryFast { op: r.u8()?, key: r.u64()? },
@@ -506,11 +486,9 @@ impl Request {
                 return Ok(Request::Restore { shard, data });
             }
             opcode::REPL_BOOTSTRAP => Request::ReplBootstrap,
-            opcode::REPL_SUBSCRIBE => Request::ReplSubscribe {
-                from_seq: r.u64()?,
-                // v6 tail; absent from v5 subscribers (anonymous).
-                node_id: if r.remaining() >= 8 { r.u64()? } else { 0 },
-            },
+            opcode::REPL_SUBSCRIBE => {
+                Request::ReplSubscribe { from_seq: r.u64()?, node_id: r.u64()? }
+            }
             opcode::REPL_ACK => Request::ReplAck { seq: r.u64()? },
             opcode::CLUSTER_STATUS => Request::ClusterStatus,
             opcode::CLUSTER_JOIN => {
@@ -521,12 +499,7 @@ impl Request {
             opcode::CLUSTER_MAP => Request::ClusterMapGet,
             opcode::CLUSTER_QUERY => Request::ClusterQuery { op: r.u8()?, key: r.u64()? },
             opcode::CLUSTER_QUERY_BATCH => {
-                let op = r.u8()?;
-                let n = usize_of(u64::from(r.u32()?));
-                if n > MAX_BATCH {
-                    return Err(ProtoError::Oversize);
-                }
-                let keys = le_u64s(r.take(8 * n)?);
+                let (op, keys) = decode_keys(&mut r)?;
                 Request::ClusterQueryBatch { op, keys }
             }
             opcode::SHUTDOWN => Request::Shutdown,
@@ -615,8 +588,6 @@ impl Response {
                     b.extend_from_slice(&len_u16(p.addr.len()).to_le_bytes());
                     b.extend_from_slice(p.addr.as_bytes());
                 }
-                // v5 tail: queue depths + read-path counters. Pre-v5
-                // decoders stop at the peer list and never see it.
                 b.extend_from_slice(&len_u32(info.queue_depths.len()).to_le_bytes());
                 for d in &info.queue_depths {
                     b.extend_from_slice(&d.to_le_bytes());
@@ -673,7 +644,9 @@ impl Response {
             }
             opcode::STATS_REPLY => {
                 let n = usize_of(u64::from(r.u32()?));
-                if n > MAX_FRAME / 24 {
+                // Bound the count by the bytes present (24 per shard), so
+                // a short frame cannot size the allocation.
+                if n > r.remaining() / 24 {
                     return Err(ProtoError::Oversize);
                 }
                 let mut shards = Vec::with_capacity(n);
@@ -705,7 +678,8 @@ impl Response {
                 let plen = usize::from(r.u16()?);
                 let primary = String::from_utf8_lossy(r.take(plen)?).into_owned();
                 let n = usize_of(u64::from(r.u32()?));
-                if n > MAX_FRAME / 10 {
+                // A peer is at least `acked u64 | addr_len u16`.
+                if n > r.remaining() / 10 {
                     return Err(ProtoError::Oversize);
                 }
                 let mut peers = Vec::with_capacity(n);
@@ -715,24 +689,19 @@ impl Response {
                     let addr = String::from_utf8_lossy(r.take(alen)?).into_owned();
                     peers.push(PeerStatus { addr, acked });
                 }
-                // v5 tail (absent from pre-v5 servers: default to zeros).
-                let mut queue_depths = Vec::new();
-                let mut readpath = ReadpathStatus::default();
-                if r.remaining() > 0 {
-                    let d = usize_of(u64::from(r.u32()?));
-                    if d > MAX_FRAME / 8 {
-                        return Err(ProtoError::Oversize);
-                    }
-                    queue_depths = le_u64s(r.take(8 * d)?);
-                    readpath = ReadpathStatus {
-                        enabled: r.u8()? != 0,
-                        hits: r.u64()?,
-                        misses: r.u64()?,
-                        fills: r.u64()?,
-                        invalidations: r.u64()?,
-                        seq: r.u64()?,
-                    };
+                let d = usize_of(u64::from(r.u32()?));
+                if d > MAX_FRAME / 8 {
+                    return Err(ProtoError::Oversize);
                 }
+                let queue_depths = le_u64s(r.take(8 * d)?);
+                let readpath = ReadpathStatus {
+                    enabled: r.u8()? != 0,
+                    hits: r.u64()?,
+                    misses: r.u64()?,
+                    fills: r.u64()?,
+                    invalidations: r.u64()?,
+                    seq: r.u64()?,
+                };
                 Response::ClusterStatus(ClusterStatusInfo {
                     is_primary,
                     connected,

@@ -9,8 +9,8 @@
 //!   ops, SHUTDOWN;
 //! * **native** — the per-key queries go to the shard queues with a
 //!   completion sink; the worker posts a [`Completion`] and wakes the
-//!   reactor, which merges multi-shard answers exactly like the old
-//!   blocking gather (f64 sums in shard order);
+//!   reactor, which merges multi-shard answers in [`finish_gather`] —
+//!   the server's only merge rule;
 //! * **offloaded** — snapshots, stats, bootstrap cuts, and cluster
 //!   scatter-gathers run on a small offload pool so their blocking
 //!   rendezvous never stalls the event loop;
@@ -32,11 +32,10 @@
 //! leaves already-enqueued jobs behind, and their late completions must
 //! not be mistaken for the answer to a newer request.
 
+use crate::cluster::batch_op_check;
 use crate::conn::{Connection, Event};
 use crate::protocol::{Request, Response};
-use crate::server::{
-    batch_op_check, partition_batch, serve_feed, shutting_down, ConnGuard, Shared,
-};
+use crate::server::{partition_batch, serve_feed, shutting_down, ConnGuard, Shared};
 use crate::sys::{
     raw_fd, Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -775,22 +774,16 @@ fn single_response(answer: Answer) -> Response {
     }
 }
 
-/// Merge a completed gather exactly like the old blocking path: f64 sums
-/// in shard index order (bit-for-bit identical merges), batch values
-/// scattered back to their request positions.
+/// The merge rule for every multi-shard answer the server gives.
+/// Cardinality is the sum of the per-shard estimates and similarity their
+/// mean, both accumulated in shard index order from `0.0` — f64 addition
+/// is not associative, so the fixed order is what makes the answer equal
+/// bit for bit to [`DirectEngine`](she_core::sharded::DirectEngine)'s and
+/// to the cluster scatter's. A batch scatters each shard's
+/// `(position, value)` pairs back to their request positions.
 fn finish_gather(parts: Vec<Option<Answer>>, kind: GatherKind) -> Response {
     match kind {
-        GatherKind::CardSum => {
-            let mut sum = 0.0f64;
-            for a in parts.into_iter().flatten() {
-                match a {
-                    Answer::F64(v) => sum += v,
-                    _ => return crate::server::answer_mismatch(),
-                }
-            }
-            Response::F64(sum)
-        }
-        GatherKind::SimAvg => {
+        GatherKind::CardSum | GatherKind::SimAvg => {
             let n = parts.len() as f64;
             let mut sum = 0.0f64;
             for a in parts.into_iter().flatten() {
@@ -799,7 +792,7 @@ fn finish_gather(parts: Vec<Option<Answer>>, kind: GatherKind) -> Response {
                     _ => return crate::server::answer_mismatch(),
                 }
             }
-            Response::F64(sum / n)
+            Response::F64(if matches!(kind, GatherKind::SimAvg) { sum / n } else { sum })
         }
         GatherKind::Batch { n } => {
             let mut out = vec![0u64; n];

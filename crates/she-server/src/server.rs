@@ -39,7 +39,7 @@
 //!   applied guarantee while reads degrade first. All three are counted
 //!   in [`ServeCounters`].
 
-use crate::cluster::{cluster_op, scatter_query, scatter_query_batch, ClusterDirectory};
+use crate::cluster::{scatter_query, scatter_query_batch, ClusterDirectory};
 use crate::codec::{read_frame, write_frame};
 use crate::protocol::{
     ClusterStatusInfo, ReadpathStatus, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
@@ -47,7 +47,7 @@ use crate::protocol::{
 use crate::reactor::spawn_reactor;
 use crate::repl::{Bootstrap, ReplHub, ReplLog, Tail};
 use crate::sys::{waker_pair, Waker};
-use crate::worker::{run_worker, Answer, Job, QuerySink, ShardQueue};
+use crate::worker::{run_worker, Job, ShardQueue};
 use she_core::sharded::{Checkpoint, EngineConfig, ShardEngine, ShardStats};
 use she_metrics::ServeCounters;
 use she_readpath::{FastAnswer, ReadPath, ReadPathConfig};
@@ -111,11 +111,11 @@ pub struct ServerConfig {
     /// Maximum simultaneously served connections; excess clients get one
     /// `OVERLOADED` frame and are closed.
     pub max_connections: usize,
-    /// v4: the node's shared cluster-map view. `Some` makes this server a
+    /// The node's shared cluster-map view. `Some` makes this server a
     /// cluster member: it answers `CLUSTER_JOIN` / `CLUSTER_MAP` from the
     /// directory and coordinates `CLUSTER_QUERY` scatter-gathers.
     pub cluster: Option<Arc<ClusterDirectory>>,
-    /// v5: `Some` enables the two-stage read path (fast mirror + mark
+    /// `Some` enables the two-stage read path (fast mirror + mark
     /// cache) behind `QUERY_FAST`. On a primary this requires
     /// `repl_log > 0` — the mirror refreshes from the op-log tail.
     pub readpath: Option<ReadPathConfig>,
@@ -163,38 +163,15 @@ pub(crate) struct Shared {
     pub(crate) conns: AtomicUsize,
     pub(crate) counters: Arc<ServeCounters>,
     pub(crate) cluster: Option<Arc<ClusterDirectory>>,
-    /// v5: the QUERY_FAST accelerator (fast mirror + mark cache), when
+    /// The QUERY_FAST accelerator (fast mirror + mark cache), when
     /// the server was started with a read-path config.
     pub(crate) readpath: Option<Arc<ReadPath>>,
     /// Wakes the reactor out of `epoll_wait` (shutdown, completions).
     pub(crate) waker: Arc<Waker>,
-    /// v4 failover: a replica-role server that won a partition election
+    /// Failover: a replica-role server that won a partition election
     /// flips this and serves writes from then on (its own op log starts
     /// at its promotion point; followers re-bootstrap from it).
     promoted: AtomicBool,
-}
-
-/// How a shed-capable read query resolved.
-pub(crate) enum ReadAnswer<T> {
-    /// The shard(s) answered.
-    Value(T),
-    /// A shard queue was full; the query was rejected without waiting.
-    Shed,
-    /// A worker is gone (shutdown).
-    Gone,
-}
-
-/// Validate a batch-query op byte (only the per-key ops batch).
-pub(crate) fn batch_op_check(op: u8) -> Result<(), Box<Response>> {
-    if op == cluster_op::MEMBER || op == cluster_op::FREQ {
-        Ok(())
-    } else {
-        Err(Box::new(Response::Err(format!(
-            "batch query op {op} must be member ({}) or freq ({})",
-            cluster_op::MEMBER,
-            cluster_op::FREQ
-        ))))
-    }
 }
 
 /// Split a batch query's keys by owning shard, remembering each key's
@@ -219,63 +196,14 @@ pub(crate) fn answer_mismatch() -> Response {
     Response::Err("internal: query answered with the wrong type".to_string())
 }
 
-/// Sum f64 answers in shard order; `None` on a type mismatch.
-fn sum_f64(parts: Vec<Answer>) -> Option<f64> {
-    let mut sum = 0.0f64;
-    for a in parts {
-        match a {
-            Answer::F64(v) => sum += v,
-            _ => return None,
-        }
-    }
-    Some(sum)
-}
-
 impl Shared {
-    /// Route one decoded request; never panics on client input. This is
-    /// the *blocking* path — the offload pool, feed threads, and tests.
-    /// The reactor answers the per-key queries natively (completion-based)
-    /// and routes everything else here.
+    /// Answer one *offloaded* request: the seven ops whose blocking
+    /// rendezvous with the shard workers (or peer partitions) must not
+    /// run on the reactor. The offload pool is the only caller; anything
+    /// else falls through to [`Shared::handle_inline`], which answers
+    /// `ERR internal` for a request it does not own either.
     pub(crate) fn handle(&self, req: Request) -> Response {
         match req {
-            Request::QueryMember { key } => {
-                let shard = self.engine.shard_of(key);
-                match self.ask_read(shard, |sink| Job::Member { key, sink }) {
-                    ReadAnswer::Value(Answer::Bool(v)) => Response::Bool(v),
-                    ReadAnswer::Value(_) => answer_mismatch(),
-                    ReadAnswer::Shed => self.shed(),
-                    ReadAnswer::Gone => shutting_down(),
-                }
-            }
-            Request::QueryCard => match self.ask_read_all(|sink| Job::Card { sink }) {
-                ReadAnswer::Value(parts) => match sum_f64(parts) {
-                    Some(sum) => Response::F64(sum),
-                    None => answer_mismatch(),
-                },
-                ReadAnswer::Shed => self.shed(),
-                ReadAnswer::Gone => shutting_down(),
-            },
-            Request::QueryFreq { key } => {
-                let shard = self.engine.shard_of(key);
-                match self.ask_read(shard, |sink| Job::Freq { key, sink }) {
-                    ReadAnswer::Value(Answer::U64(v)) => Response::U64(v),
-                    ReadAnswer::Value(_) => answer_mismatch(),
-                    ReadAnswer::Shed => self.shed(),
-                    ReadAnswer::Gone => shutting_down(),
-                }
-            }
-            Request::QuerySim => match self.ask_read_all(|sink| Job::Sim { sink }) {
-                ReadAnswer::Value(parts) => {
-                    let n = parts.len() as f64;
-                    match sum_f64(parts) {
-                        Some(sum) => Response::F64(sum / n),
-                        None => answer_mismatch(),
-                    }
-                }
-                ReadAnswer::Shed => self.shed(),
-                ReadAnswer::Gone => shutting_down(),
-            },
-            Request::QueryBatch { op, keys } => self.query_batch(op, keys),
             Request::Stats => match self.ask_all(|reply| Job::Stats { reply }) {
                 Some(parts) => Response::Stats(parts),
                 None => shutting_down(),
@@ -347,8 +275,6 @@ impl Shared {
                 Some(dir) => scatter_query_batch(&dir.get(), op, &keys, CLUSTER_LEG_TIMEOUT),
                 None => not_a_cluster_node(),
             },
-            // Everything else is reactor-safe; share one implementation
-            // so the two paths cannot drift.
             req => self.handle_inline(req),
         }
     }
@@ -386,11 +312,8 @@ impl Shared {
                 },
                 None => Response::Err("read path disabled (serve with --readpath)".to_string()),
             },
-            Request::Hello { version } => {
-                // Speak the lower of the two versions; v1 clients never
-                // send HELLO, and v1 servers answer it with ERR.
-                Response::Hello { version: version.min(PROTOCOL_VERSION) }
-            }
+            // Always our own version: the client checks for equality.
+            Request::Hello { .. } => Response::Hello { version: PROTOCOL_VERSION },
             Request::ClusterStatus => Response::ClusterStatus(self.cluster_status()),
             Request::ClusterJoin { from_node: _, map } => match &self.cluster {
                 Some(dir) => {
@@ -416,46 +339,6 @@ impl Shared {
             // client error — fail loudly instead of blocking the reactor.
             _ => Response::Err("internal: blocking request routed to the inline handler".into()),
         }
-    }
-
-    /// Channel-blocking batch point query (the offload/test path; the
-    /// reactor runs the same split through its completion queue instead).
-    pub(crate) fn query_batch(&self, op: u8, keys: Vec<u64>) -> Response {
-        if let Err(resp) = batch_op_check(op) {
-            return *resp;
-        }
-        if keys.is_empty() {
-            return Response::U64s(Vec::new());
-        }
-        let parts = partition_batch(&self.engine, &keys, self.txs.len());
-        let mut rxs = Vec::with_capacity(self.txs.len());
-        for (shard, (shard_keys, pos)) in parts.into_iter().enumerate() {
-            if shard_keys.is_empty() {
-                continue;
-            }
-            let (tx, rx) = sync_channel(1);
-            let job = Job::QueryBatch { op, keys: shard_keys, pos, sink: QuerySink::Channel(tx) };
-            match self.txs[shard].try_send(job) {
-                Ok(()) => rxs.push(rx),
-                Err(TrySendError::Full(_)) => return self.shed(),
-                Err(TrySendError::Disconnected(_)) => return shutting_down(),
-            }
-        }
-        let mut out = vec![0u64; keys.len()];
-        for rx in rxs {
-            match rx.recv() {
-                Ok(Answer::Slots(slots)) => {
-                    for (pos, value) in slots {
-                        if let Some(o) = out.get_mut(she_core::convert::usize_of(u64::from(pos))) {
-                            *o = value;
-                        }
-                    }
-                }
-                Ok(_) => return answer_mismatch(),
-                Err(_) => return shutting_down(),
-            }
-        }
-        Response::U64s(out)
     }
 
     /// `Some(primary)` when this server must refuse writes: a replica
@@ -558,32 +441,8 @@ impl Shared {
     /// replica reports like a primary (its feed is gone for good; what
     /// matters now is its own log head and subscribers).
     fn cluster_status(&self) -> ClusterStatusInfo {
-        if self.promoted.load(Ordering::SeqCst) {
-            return ClusterStatusInfo {
-                is_primary: true,
-                connected: true,
-                head: self.log.as_ref().map_or(0, |l| l.head()),
-                floor: self.log.as_ref().map_or(0, |l| l.floor()),
-                boot_seq: 0,
-                primary: String::new(),
-                peers: self.hub.status(),
-                queue_depths: self.queue_depths(),
-                readpath: self.readpath_status(0),
-            };
-        }
         match &self.role {
-            Role::Primary => ClusterStatusInfo {
-                is_primary: true,
-                connected: true,
-                head: self.log.as_ref().map_or(0, |l| l.head()),
-                floor: self.log.as_ref().map_or(0, |l| l.floor()),
-                boot_seq: 0,
-                primary: String::new(),
-                peers: self.hub.status(),
-                queue_depths: self.queue_depths(),
-                readpath: self.readpath_status(0),
-            },
-            Role::Replica { primary, status } => {
+            Role::Replica { primary, status } if !self.promoted.load(Ordering::SeqCst) => {
                 let applied = status.applied.load(Ordering::SeqCst);
                 ClusterStatusInfo {
                     is_primary: false,
@@ -597,6 +456,17 @@ impl Shared {
                     readpath: self.readpath_status(applied),
                 }
             }
+            _ => ClusterStatusInfo {
+                is_primary: true,
+                connected: true,
+                head: self.log.as_ref().map_or(0, |l| l.head()),
+                floor: self.log.as_ref().map_or(0, |l| l.floor()),
+                boot_seq: 0,
+                primary: String::new(),
+                peers: self.hub.status(),
+                queue_depths: self.queue_depths(),
+                readpath: self.readpath_status(0),
+            },
         }
     }
 
@@ -635,42 +505,6 @@ impl Shared {
     pub(crate) fn shed(&self) -> Response {
         ServeCounters::bump(&self.counters.shed_reads);
         Response::Overloaded { retry_after_ms: self.retry_after_ms }
-    }
-
-    /// Like [`Shared::ask`], but non-blocking at the queue: a full shard
-    /// queue sheds the read instead of waiting behind the write backlog.
-    /// Reads degrade before writes — an insert that reaches `admit` can
-    /// still claim the next free slot.
-    fn ask_read(&self, shard: usize, make: impl FnOnce(QuerySink) -> Job) -> ReadAnswer<Answer> {
-        let (tx, rx) = sync_channel(1);
-        match self.txs[shard].try_send(make(QuerySink::Channel(tx))) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => return ReadAnswer::Shed,
-            Err(TrySendError::Disconnected(_)) => return ReadAnswer::Gone,
-        }
-        match rx.recv() {
-            Ok(v) => ReadAnswer::Value(v),
-            Err(_) => ReadAnswer::Gone,
-        }
-    }
-
-    /// Fan a read out to every shard with `try_send`. If any queue is
-    /// full the whole query is shed; jobs already enqueued answer into
-    /// dropped channels (workers ignore failed sink sends).
-    fn ask_read_all(&self, mut make: impl FnMut(QuerySink) -> Job) -> ReadAnswer<Vec<Answer>> {
-        let mut pending = Vec::with_capacity(self.txs.len());
-        for tx in &self.txs {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            match tx.try_send(make(QuerySink::Channel(reply_tx))) {
-                Ok(()) => pending.push(reply_rx),
-                Err(TrySendError::Full(_)) => return ReadAnswer::Shed,
-                Err(TrySendError::Disconnected(_)) => return ReadAnswer::Gone,
-            }
-        }
-        match pending.into_iter().map(|rx| rx.recv().ok()).collect::<Option<Vec<Answer>>>() {
-            Some(parts) => ReadAnswer::Value(parts),
-            None => ReadAnswer::Gone,
-        }
     }
 
     /// Fan a query out to every shard, collecting answers in shard order.
@@ -840,7 +674,7 @@ impl Server {
         Arc::clone(&self.shared.counters)
     }
 
-    /// Promote a replica-role server to serve writes (v4 failover). From
+    /// Promote a replica-role server to serve writes (failover). From
     /// here on it accepts inserts, answers `REPL_BOOTSTRAP`, and reports
     /// as a primary in `CLUSTER_STATUS`; its op log (present when the
     /// server was started with `repl_log > 0`) begins at the promotion
@@ -944,8 +778,8 @@ fn serve_subscription<R: Read>(
         return;
     }
     let addr = write.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".to_string());
-    // A v6 subscriber identifies itself; label the peer `{node}@{addr}`
-    // so `CLUSTER_STATUS` readers can match holders to ack positions.
+    // An identified subscriber is labelled `{node}@{addr}` so
+    // `CLUSTER_STATUS` readers can match holders to ack positions.
     let peer = if node_id != 0 { format!("{node_id}@{addr}") } else { addr };
     let id = shared.hub.register(peer);
     let heartbeat = Duration::from_millis(shared.heartbeat_ms.max(1));

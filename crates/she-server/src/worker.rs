@@ -58,9 +58,9 @@ pub struct Completion {
     pub answer: Answer,
 }
 
-/// Where a query's answer goes: a rendezvous channel (blocking callers —
-/// the injector, offloaded ops, tests) or the reactor's completion queue
-/// plus its waker.
+/// Where a query's answer goes: a rendezvous channel (a caller that
+/// drives a worker directly and waits for the answer) or the reactor's
+/// completion queue plus its waker (every served query).
 #[derive(Debug, Clone)]
 pub enum QuerySink {
     /// Blocking rendezvous.
@@ -238,4 +238,42 @@ pub fn run_worker(mut engine: ShardEngine, rx: Receiver<Job>, depth: Arc<AtomicU
         }
     }
     engine.stats()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use she_core::sharded::EngineConfig;
+
+    /// A worker driven with no reactor: answers come back over
+    /// [`QuerySink::Channel`] in FIFO order behind the inserts, the depth
+    /// gauge returns to zero, and dropping the queue stops the worker.
+    #[test]
+    fn channel_sink_answers_in_queue_order() {
+        let cfg = EngineConfig { window: 1 << 10, shards: 1, memory_bytes: 8 << 10, seed: 3 };
+        let (queue, rx, depth) = ShardQueue::new(8);
+        let worker = std::thread::spawn(move || run_worker(ShardEngine::new(&cfg, 0), rx, depth));
+        let ask = |make: &dyn Fn(QuerySink) -> Job| {
+            let (tx, answer) = sync_channel(1);
+            queue.send(make(QuerySink::Channel(tx))).expect("worker alive");
+            answer.recv().expect("worker answers")
+        };
+
+        assert_eq!(ask(&|sink| Job::Member { key: 7, sink }), Answer::Bool(false));
+        queue.send(Job::Batch { stream: 0, keys: vec![7, 7, 9] }).expect("worker alive");
+        assert_eq!(ask(&|sink| Job::Member { key: 7, sink }), Answer::Bool(true));
+        assert_eq!(ask(&|sink| Job::Freq { key: 7, sink }), Answer::U64(2));
+        let batch = |sink| Job::QueryBatch {
+            op: cluster_op::FREQ,
+            keys: vec![9, 7],
+            pos: vec![1, 0],
+            sink,
+        };
+        assert_eq!(ask(&batch), Answer::Slots(vec![(1, 1), (0, 2)]));
+        assert_eq!(queue.depth(), 0, "every job was dequeued");
+
+        drop(queue);
+        let stats = worker.join().expect("worker thread");
+        assert_eq!(stats.inserts, 3);
+    }
 }

@@ -5,7 +5,10 @@
 //! one-sided guarantee.
 
 use she_hash::mix64;
+use she_server::codec::{read_frame, write_frame};
+use she_server::protocol::{Request, Response, PROTOCOL_VERSION};
 use she_server::{Checkpoint, Client, DirectEngine, EngineConfig, Server, ServerConfig};
+use std::net::{TcpListener, TcpStream};
 
 const N_KEYS: u64 = 10_000;
 
@@ -42,13 +45,36 @@ fn answers(client: &mut Client) -> Vec<(String, u64)> {
     out
 }
 
+/// One protocol version: the server answers `HELLO` with its own version
+/// whatever the client announces, and the client accepts only equality —
+/// another version or an `ERR` is `Unsupported`, never a downgrade.
 #[test]
-fn hello_negotiates_v6() {
+fn hello_is_an_equality_check() {
     let server = Server::start(test_cfg(2)).expect("start");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    for announced in [0, PROTOCOL_VERSION, u16::MAX] {
+        write_frame(&mut raw, &Request::Hello { version: announced }.encode()).expect("write");
+        let reply = read_frame(&mut raw).expect("read").expect("server closed");
+        assert_eq!(Response::decode(&reply), Ok(Response::Hello { version: PROTOCOL_VERSION }));
+    }
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    assert_eq!(client.hello().expect("hello"), 6);
+    client.hello().expect("same build on both ends");
     client.shutdown().expect("shutdown");
     server.wait();
+
+    // A peer that answers anything but this build's version is refused.
+    for reply in [Response::Hello { version: PROTOCOL_VERSION - 1 }, Response::Err("?".into())] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            read_frame(&mut sock).expect("read").expect("client closed");
+            write_frame(&mut sock, &reply.encode()).expect("write");
+        });
+        let err = Client::connect(addr).expect("connect").hello().expect_err("mismatch");
+        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
+        peer.join().expect("peer thread");
+    }
 }
 
 #[test]

@@ -1,16 +1,33 @@
 //! Wire-protocol coverage: every message type round-trips through
 //! encode → frame → unframe → decode, including the largest legal batch,
-//! and every truncation of every encoding is rejected instead of
-//! misparsed.
+//! every truncation of every encoding is rejected instead of misparsed,
+//! and a live server dispatches every request type to a handler that
+//! owns it.
 
 use she_server::codec::{read_frame, write_frame};
 use she_server::protocol::{
     ClusterStatusInfo, PeerStatus, ProtoError, ReadpathStatus, Request, Response, MAX_BATCH,
 };
-use she_server::ShardStats;
+use she_server::{
+    ClusterMap, EngineConfig, NodeRef, ReadPathConfig, Server, ServerConfig, ShardStats,
+};
 use std::io::Cursor;
+use std::net::TcpStream;
+
+/// Two cluster maps: a three-node ring at the default factor, and an
+/// `rf = 2` map whose partitions list no replicas — the shape whose last
+/// two bytes (`rf`) are the only thing telling it from an `rf = 1` map.
+fn maps() -> [ClusterMap; 2] {
+    let roster: Vec<NodeRef> =
+        (1..=3).map(|id| NodeRef { node_id: id, addr: format!("10.0.0.{id}:7070") }).collect();
+    let ring = ClusterMap::initial(&roster);
+    let mut bare = ClusterMap::initial_rf(&roster[..2], 1);
+    bare.rf = 2;
+    [ring, bare]
+}
 
 fn all_requests() -> Vec<Request> {
+    let [ring, bare] = maps();
     vec![
         Request::Insert { stream: 0, key: 0 },
         Request::Insert { stream: 1, key: u64::MAX },
@@ -36,10 +53,20 @@ fn all_requests() -> Vec<Request> {
         Request::ReplAck { seq: 12_345 },
         Request::ClusterStatus,
         Request::Shutdown,
+        Request::QueryBatch { op: 0, keys: vec![] },
+        Request::QueryBatch { op: 2, keys: vec![5, 6, u64::MAX] },
+        Request::ClusterJoin { from_node: 1, map: ring },
+        Request::ClusterJoin { from_node: u64::MAX, map: bare },
+        Request::ClusterMapGet,
+        Request::ClusterQuery { op: 3, key: 0 },
+        Request::ClusterQuery { op: 0, key: u64::MAX },
+        Request::ClusterQueryBatch { op: 0, keys: vec![] },
+        Request::ClusterQueryBatch { op: 2, keys: vec![9, 8, 7] },
     ]
 }
 
 fn all_responses() -> Vec<Response> {
+    let [ring, bare] = maps();
     vec![
         Response::Ok { accepted: 0 },
         Response::Ok { accepted: u64::MAX },
@@ -103,6 +130,10 @@ fn all_responses() -> Vec<Response> {
             queue_depths: vec![],
             readpath: ReadpathStatus::default(),
         }),
+        Response::U64s(vec![]),
+        Response::U64s(vec![0, 1, u64::MAX]),
+        Response::ClusterMapReply(ring),
+        Response::ClusterMapReply(bare),
     ]
 }
 
@@ -148,6 +179,30 @@ fn oversize_batch_count_is_rejected() {
     assert_eq!(Request::decode(&enc), Err(ProtoError::Oversize));
 }
 
+/// A count prefix is bounded by the bytes that follow it, so a short
+/// frame is refused before anything is allocated for the count it claims.
+#[test]
+fn declared_counts_beyond_the_frame_are_oversize() {
+    // STATS_REPLY declaring 699 050 shards (16 MiB of entries) in 5 bytes.
+    let mut stats = vec![0x84u8];
+    stats.extend_from_slice(&699_050u32.to_le_bytes());
+    assert_eq!(Response::decode(&stats), Err(ProtoError::Oversize));
+
+    // CLUSTER_STATUS_REPLY declaring 1 677 721 peers after an empty
+    // primary address, with no peer bytes behind the count.
+    let mut status = vec![0x89u8, 1, 1];
+    status.extend_from_slice(&[0u8; 24]); // head, floor, boot_seq
+    status.extend_from_slice(&0u16.to_le_bytes()); // primary_len
+    status.extend_from_slice(&1_677_721u32.to_le_bytes());
+    assert_eq!(Response::decode(&status), Err(ProtoError::Oversize));
+
+    // CLUSTER_MAP_REPLY declaring 65 536 partitions in 13 bytes.
+    let mut map = vec![0x8Au8];
+    map.extend_from_slice(&1u64.to_le_bytes());
+    map.extend_from_slice(&65_536u32.to_le_bytes());
+    assert_eq!(Response::decode(&map), Err(ProtoError::Oversize));
+}
+
 #[test]
 fn every_truncated_request_is_rejected() {
     for req in all_requests() {
@@ -156,12 +211,6 @@ fn every_truncated_request_is_rejected() {
             if matches!(req, Request::Restore { .. }) && cut >= 5 {
                 // RESTORE's blob is the frame remainder, so any prefix that
                 // keeps opcode + shard is a (shorter) valid RESTORE — skip.
-                continue;
-            }
-            if matches!(req, Request::ReplSubscribe { node_id, .. } if node_id != 0) && cut == 9 {
-                // The v6 node_id tail is optional by design — a cut at
-                // exactly the v5 boundary (opcode + from_seq) is a valid
-                // anonymous subscribe, not an error.
                 continue;
             }
             let r = Request::decode(&enc[..cut]);
@@ -188,15 +237,6 @@ fn every_truncated_response_is_rejected() {
                 // skip. (NOT_PRIMARY prefixes stay valid because the test
                 // addresses are ASCII.)
                 continue;
-            }
-            if let Response::ClusterStatus(info) = &resp {
-                // The v5 tail (depth count + depths + enabled flag + five
-                // counters) is optional by design — a cut at exactly the
-                // v4 boundary is a valid pre-v5 status, not an error.
-                let tail = 4 + 8 * info.queue_depths.len() + 1 + 40;
-                if cut == enc.len() - tail {
-                    continue;
-                }
             }
             let r = Response::decode(&enc[..cut]);
             assert!(r.is_err(), "{resp:?} truncated to {cut} bytes decoded as {r:?}");
@@ -232,4 +272,36 @@ fn unknown_opcodes_are_rejected() {
 fn empty_payload_is_truncated_not_panicking() {
     assert_eq!(Request::decode(&[]), Err(ProtoError::Truncated));
     assert_eq!(Response::decode(&[]), Err(ProtoError::Truncated));
+}
+
+/// The server splits requests three ways — reactor-native, offloaded
+/// (`Shared::handle`), inline (`Shared::handle_inline`) — and each
+/// handler answers `ERR internal: …` for a request it does not own. Every
+/// request type sent to a live server must therefore come back as
+/// something else: the guard that the split covers each opcode once.
+#[test]
+fn every_request_reaches_a_handler_that_owns_it() {
+    let server = Server::start(ServerConfig {
+        engine: EngineConfig { window: 1 << 10, shards: 2, memory_bytes: 8 << 10, seed: 5 },
+        repl_log: 64,
+        readpath: Some(ReadPathConfig::default()),
+        ..Default::default()
+    })
+    .expect("start");
+    let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+    for req in all_requests() {
+        // SHUTDOWN ends the run and REPL_SUBSCRIBE turns the socket into
+        // a feed; both have end-to-end tests of their own.
+        if matches!(req, Request::Shutdown | Request::ReplSubscribe { .. }) {
+            continue;
+        }
+        write_frame(&mut sock, &req.encode()).expect("write");
+        let payload = read_frame(&mut sock).expect("read").expect("server closed");
+        let resp = Response::decode(&payload).expect("decode");
+        assert!(
+            !matches!(&resp, Response::Err(msg) if msg.starts_with("internal:")),
+            "{req:?} was misrouted: {resp:?}"
+        );
+    }
+    server.join();
 }

@@ -1,4 +1,4 @@
-//! End-to-end tests for the v5 read path over real localhost TCP: at
+//! End-to-end tests for the read path over real localhost TCP: at
 //! quiescence `QUERY_FAST` answers must agree with the authoritative
 //! `QUERY` path, the mark cache must actually hit, and the loadgen's
 //! read-heavy profile must surface a server-side hit rate.
@@ -43,7 +43,7 @@ fn query_fast_matches_authoritative_at_quiescence() {
     let engine = EngineConfig { window: 1 << 14, shards: 4, memory_bytes: 64 << 10, seed: 11 };
     let server = start_readpath_server(engine);
     let mut c = Client::connect(server.local_addr()).expect("connect");
-    assert_eq!(c.hello().expect("hello"), 6);
+    c.hello().expect("hello");
 
     // A skewed stream: hot keys present, cold keys absent.
     let keys: Vec<u64> = (0..20_000u64).map(|i| she_hash::mix64(i % 3_000)).collect();
