@@ -16,6 +16,14 @@
 //! A group's **age** is `(t + d_gid) mod Tcycle`: the time since its last
 //! *scheduled* cleaning. Ages classify cells as young (`age < N`), perfect
 //! (`age == N`), or aged (`age > N`) — the basis of age-sensitive selection.
+//!
+//! [`She::insert`] is Algorithm 1 verbatim — hash, then `CheckGroup` +
+//! `F` per hashed cell — and the insert path of every adapter whose `K`
+//! is a handful of cells (BF, BM, CM, HLL, CS). SHE-MH (`K = M`, `w = 1`)
+//! walks all of its cells itself in one row-wise pass (`mh.rs`) built on
+//! `advance_time(1)`, `check_group` and the crate-private `next_flip` /
+//! `write_cell`; this loop is the oracle that pass is tested bit-for-bit
+//! against.
 
 use crate::SheConfig;
 use she_hash::HashKey;
@@ -380,6 +388,22 @@ impl<S: CsmSpec> She<S> {
         self.scratch = scratch;
     }
 
+    /// The cached instant of group `gid`'s next mark flip. Right after a
+    /// [`She::check_group`] at the current time it lies strictly after
+    /// `now()`, and until the clock reaches it checking the group again is
+    /// a no-op.
+    #[inline]
+    pub(crate) fn next_flip(&self, gid: usize) -> u64 {
+        self.groups[gid].next_flip()
+    }
+
+    /// Store `v` in cell `index` without touching marks. The caller has
+    /// already checked the owning group at the current time.
+    #[inline]
+    pub(crate) fn write_cell(&mut self, index: usize, v: u64) {
+        self.cells.set(index, v);
+    }
+
     /// Read a cell *after* checking its group (query-path accessor).
     pub fn read_cell(&mut self, index: usize) -> u64 {
         self.check_group(self.group_of(index));
@@ -411,6 +435,16 @@ impl<S: CsmSpec> She<S> {
     #[inline]
     pub fn updates_for<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>) {
         self.spec.updates(key, out);
+    }
+
+    /// Whether a clock arriving from outside (restore, merge) leaves the
+    /// mark arithmetic room. Next-flip instants run up to one `Tcycle`
+    /// ahead of the clock and share their word with the two mark bits, so
+    /// `t + 2·Tcycle` must stay below `2^62`; past that a flip instant
+    /// would spill into the stored/current mark bits.
+    pub(crate) fn clock_fits(&self, t: u64) -> bool {
+        let ahead = self.cfg.t_cycle.checked_mul(2).and_then(|c| t.checked_add(c));
+        ahead.is_some_and(|end| end <= FLIP_MASK)
     }
 
     /// Snapshot support: the clock and the stored marks.

@@ -6,10 +6,41 @@
 //! cell with `F(x, y) = min(h_i(x), y)` after `CheckGroup`. The similarity
 //! query keeps index positions legal (`age ≥ βN`) on *both* sides and
 //! reports the fraction of those positions whose minima agree (`u / k`).
+//!
+//! ## The row-wise insert
+//!
+//! SHE-MH is the one adapter where an insert touches *every* cell
+//! (`K = M`, `w = 1`), so [`SheMinHash::insert`] does not go through the
+//! generic per-cell loop of [`She::insert`]. It is one pass over three
+//! flat arrays — the row operands (hashed lane-wise,
+//! `MinHashSpec::operands`), the decoded minima, and nothing else — and
+//! is bit-for-bit the generic loop: same hash per row, same `CheckGroup`
+//! instants, same packed cells, same snapshot bytes (the generic loop is
+//! the oracle of this module's tests). Two cached facts make that
+//! possible, under one validity word:
+//!
+//! * `settled_until` — every group has been checked at the current mark
+//!   and none flips before this instant. Because every insert checks
+//!   every group, the 128 mark tests collapse to `t < settled_until`;
+//!   when that trips, `settle()` runs `check_group(0..M)` exactly as the
+//!   generic loop would and takes the minimum next flip.
+//! * `mins` — the cells decoded (`u32::MAX` for an empty cell), rebuilt
+//!   by the same `settle()`. The per-key work is `operands[i] < mins[i]`;
+//!   the packed array is written only for the rare rows whose minimum
+//!   drops.
+//!
+//! `settled_until = 0` means "unknown" and is set by every other writer
+//! of the cells: `engine_mut()` (restore, merge, reconcile), `clear()`,
+//! and a `similarity()` whose `check_group` actually cleaned a group
+//! (possible only after `advance_time`).
 
 use crate::{She, SheConfig};
 use she_hash::HashKey;
 use she_sketch::{CsmSpec, MinHashSpec};
+
+/// `mins` entry of an empty cell: above every operand (`≤ 2^24`), so the
+/// first offer always lands — `F(x, 0) = h(x)`.
+const EMPTY: u32 = u32::MAX;
 
 /// Sliding-window MinHash signature (hardware version of SHE).
 ///
@@ -27,6 +58,14 @@ use she_sketch::{CsmSpec, MinHashSpec};
 #[derive(Debug, Clone)]
 pub struct SheMinHash {
     engine: She<MinHashSpec>,
+    /// Row operands of the key being inserted (scratch, one per row).
+    operands: Vec<u32>,
+    /// The cells decoded, [`EMPTY`] for zero; meaningful only while
+    /// `settled_until != 0`.
+    mins: Vec<u32>,
+    /// Every group is checked at its current mark and none flips before
+    /// this instant; `0` = unknown (and `mins` stale).
+    settled_until: u64,
 }
 
 /// Builder for [`SheMinHash`] with the paper's defaults (`w = 1`, `α = 0.2`,
@@ -95,7 +134,12 @@ impl SheMinHashBuilder {
             .group_cells(1) // w = 1 per §4.5
             .beta(self.beta)
             .build();
-        SheMinHash { engine: She::new(MinHashSpec::new(self.num_hashes, self.seed), cfg) }
+        SheMinHash {
+            engine: She::new(MinHashSpec::new(self.num_hashes, self.seed), cfg),
+            operands: vec![0; self.num_hashes],
+            mins: vec![EMPTY; self.num_hashes],
+            settled_until: 0,
+        }
     }
 }
 
@@ -105,10 +149,46 @@ impl SheMinHash {
         SheMinHashBuilder::default()
     }
 
-    /// Insert an item at the next time step.
+    /// Insert an item at the next time step (module docs, *The row-wise
+    /// insert*).
     #[inline]
     pub fn insert<K: HashKey + ?Sized>(&mut self, key: &K) {
-        self.engine.insert(key);
+        debug_assert!(self.settled_until == 0 || self.mins_are_decoded_cells());
+        self.engine.advance_time(1); // the item clock: one insert, one tick
+        if self.engine.now() >= self.settled_until {
+            self.settle();
+        }
+        self.engine.spec().operands(0, key, &mut self.operands);
+        // One branch-free compare over two flat arrays; a row's minimum
+        // drops on a vanishing fraction of inserts once the window fills.
+        let drops =
+            self.operands.iter().zip(&self.mins).fold(false, |any, (op, min)| any | (op < min));
+        if drops {
+            for (i, (&op, min)) in self.operands.iter().zip(&mut self.mins).enumerate() {
+                if op < *min {
+                    *min = op;
+                    self.engine.write_cell(i, u64::from(op));
+                }
+            }
+        }
+    }
+
+    /// Check every group at the current time — what the generic insert
+    /// does per key — then cache how long that stays true and re-decode
+    /// the cells the checks may have cleaned.
+    #[cold]
+    fn settle(&mut self) {
+        let mut until = u64::MAX;
+        for (i, min) in self.mins.iter_mut().enumerate() {
+            self.engine.check_group(i); // w = 1: cell i is group i
+            until = until.min(self.engine.next_flip(i));
+            *min = decode(self.engine.peek_cell(i));
+        }
+        self.settled_until = until;
+    }
+
+    fn mins_are_decoded_cells(&self) -> bool {
+        self.mins.iter().enumerate().all(|(i, &min)| min == decode(self.engine.peek_cell(i)))
     }
 
     /// Estimated Jaccard similarity between this signature's window and
@@ -124,9 +204,15 @@ impl SheMinHash {
         let mut used = 0usize;
         let mut matches = 0usize;
         for i in 0..m {
-            // w = 1: cell i is group i on both sides.
-            self.engine.check_group(i);
-            other.engine.check_group(i);
+            // w = 1: cell i is group i on both sides. A check that cleans
+            // (the clock was advanced past a flip) writes a cell behind
+            // the insert path's caches.
+            if self.engine.check_group(i) {
+                self.settled_until = 0;
+            }
+            if other.engine.check_group(i) {
+                other.settled_until = 0;
+            }
             let legal_a = self.engine.group_age(i) as f64 >= beta_n_a;
             let legal_b = other.engine.group_age(i) as f64 >= beta_n_b;
             if !legal_a || !legal_b {
@@ -161,8 +247,10 @@ impl SheMinHash {
         &self.engine
     }
 
-    /// Mutable engine access for the snapshot layer.
+    /// Mutable engine access for the snapshot layer (restore, merge):
+    /// whatever it writes, the insert path's caches no longer describe.
     pub(crate) fn engine_mut(&mut self) -> &mut She<MinHashSpec> {
+        self.settled_until = 0;
         &mut self.engine
     }
 
@@ -186,7 +274,17 @@ impl SheMinHash {
 
     /// Reset to empty at time zero.
     pub fn clear(&mut self) {
-        self.engine.clear();
+        self.engine_mut().clear();
+    }
+}
+
+/// A stored cell as a `mins` entry. Cells are 25 bits wide, so the
+/// fallback is unreachable; it reads as "no minimum" rather than panics.
+#[inline]
+fn decode(cell: u64) -> u32 {
+    match cell {
+        0 => EMPTY,
+        v => u32::try_from(v).unwrap_or(EMPTY),
     }
 }
 
@@ -197,6 +295,105 @@ mod tests {
     fn pair(window: u64, m: usize) -> (SheMinHash, SheMinHash) {
         let b = SheMinHash::builder().window(window).num_hashes(m).seed(11);
         (b.clone().build(), b.build())
+    }
+
+    /// One step of the equivalence drive; `side` picks signature A or B.
+    enum Op {
+        Insert(usize, u64),
+        InsertStr(usize, String),
+        Advance(usize, u64),
+        Similarity,
+        Load(usize, Vec<u8>),
+        Merge(usize, Vec<u8>),
+        Clear(usize),
+    }
+
+    /// Apply `op` to a signature pair. With `generic`, inserts take the
+    /// oracle: the per-cell `She::insert` loop (reached through
+    /// `engine_mut`, which also leaves the caches "unknown", so an oracle
+    /// never settles). Returns the similarity bits when `op` queries.
+    fn apply(pair: &mut [SheMinHash; 2], op: &Op, generic: bool) -> Option<u64> {
+        use crate::SnapshotState;
+        match op {
+            Op::Insert(s, key) if generic => pair[*s].engine_mut().insert(key),
+            Op::Insert(s, key) => pair[*s].insert(key),
+            Op::InsertStr(s, key) if generic => pair[*s].engine_mut().insert(key.as_str()),
+            Op::InsertStr(s, key) => pair[*s].insert(key.as_str()),
+            Op::Advance(s, dt) => pair[*s].advance_time(*dt),
+            Op::Similarity => {
+                let [a, b] = pair;
+                return Some(a.similarity(b).to_bits());
+            }
+            Op::Load(s, snap) => pair[*s].load_snapshot(snap).expect("load"),
+            Op::Merge(s, snap) => pair[*s].merge_snapshot(snap).expect("merge"),
+            Op::Clear(s) => pair[*s].clear(),
+        }
+        None
+    }
+
+    #[test]
+    fn row_wise_insert_is_bit_for_bit_the_generic_insert() {
+        use crate::SnapshotState;
+        use she_hash::{RandomSource, Xoshiro256};
+
+        // m = 5 and 67 are multiples of neither 4 nor 64 (ragged vector
+        // tails, a ragged `updates` chunk); 130 crosses two chunks.
+        for (case, (window, m)) in
+            [(64u64, 5usize), (100, 67), (256, 128), (1_000, 130)].into_iter().enumerate()
+        {
+            let b = SheMinHash::builder().window(window).num_hashes(m).seed(11);
+            let mut fast = [b.clone().build(), b.clone().build()];
+            let mut oracle = [b.clone().build(), b.build()];
+            let mut rng = Xoshiro256::new(0x5EED + case as u64);
+            let t_cycle = fast[0].engine().config().t_cycle;
+            let mut saved = [fast[0].save_snapshot(), fast[1].save_snapshot()];
+            let mut inserted = [0u64; 2];
+            let (mut queries, mut step) = (0u64, 0u64);
+
+            // At least six windows of inserts on each side, whatever the
+            // clears and roll-backs in between do to the clocks.
+            while inserted[0].min(inserted[1]) < 6 * window {
+                step += 1;
+                let side = rng.next_below(2);
+                let key = rng.next_range(0, 4 * window);
+                // A flip-crossing jump is followed at once by the query
+                // that then has cleaning to do behind the insert caches.
+                let ops = match rng.next_below(48) {
+                    0 => vec![Op::Advance(side, key % 7)],
+                    1 => vec![Op::Advance(side, t_cycle / 3 + key % t_cycle), Op::Similarity],
+                    2 => vec![Op::Similarity],
+                    3 => vec![
+                        Op::InsertStr(side, format!("k{key}")),
+                        Op::InsertStr(side, format!("a-key-longer-than-one-block-{key}")),
+                    ],
+                    4 => {
+                        saved = [fast[0].save_snapshot(), fast[1].save_snapshot()];
+                        vec![]
+                    }
+                    5 => vec![Op::Load(side, saved[side].clone())],
+                    // The other stream's state, its clock elsewhere.
+                    6 => vec![Op::Merge(side, fast[1 - side].save_snapshot())],
+                    7 if key.is_multiple_of(8) => vec![Op::Clear(side)],
+                    _ => vec![Op::Insert(side, key)],
+                };
+                for op in &ops {
+                    if let Op::Insert(s, _) | Op::InsertStr(s, _) = op {
+                        inserted[*s] += 1;
+                    }
+                    let (got, want) = (apply(&mut fast, op, false), apply(&mut oracle, op, true));
+                    assert_eq!(got, want, "case {case} step {step}: similarity bits");
+                    queries += u64::from(got.is_some());
+                    for s in 0..2 {
+                        assert_eq!(
+                            fast[s].save_snapshot(),
+                            oracle[s].save_snapshot(),
+                            "case {case} (N={window}, m={m}) step {step} side {s}: snapshot bytes"
+                        );
+                    }
+                }
+            }
+            assert!(queries > 10, "case {case}: only {queries} similarity queries");
+        }
     }
 
     #[test]

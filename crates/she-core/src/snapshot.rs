@@ -12,7 +12,8 @@
 //! * `CONFIG` — `window u64 | t_cycle u64 | group_cells u64 | beta f64
 //!   | num_cells u64 | cell_bits u32 | k u32`, checked field-by-field on
 //!   load;
-//! * `CLOCK` — `t u64`;
+//! * `CLOCK` — `t u64`, refused when the time-mark arithmetic cannot hold
+//!   it ([`SnapshotError::ClockOutOfRange`]);
 //! * `MARKS` — `n u64` + bit-packed stored marks;
 //! * `CELLS` — `n_words u64` + raw cell words.
 //!
@@ -53,6 +54,13 @@ pub enum SnapshotError {
     /// The snapshot's geometry (cells/marks/hashes) disagrees with the
     /// target's.
     GeometryMismatch,
+    /// The snapshot's clock is beyond what the time-mark arithmetic can
+    /// hold (`t + 2·Tcycle` must stay below `2^62`) — no stream gets
+    /// there by counting items, so the frame is hostile or corrupt.
+    ClockOutOfRange {
+        /// The clock found in the frame.
+        t: u64,
+    },
     /// The structure defines no cell-wise merge.
     NotMergeable,
 }
@@ -67,6 +75,7 @@ impl fmt::Display for SnapshotError {
             Self::MissingSection { tag } => write!(f, "snapshot missing section {tag:#06x}"),
             Self::ConfigMismatch { field } => write!(f, "snapshot config mismatch: {field}"),
             Self::GeometryMismatch => write!(f, "snapshot geometry mismatch"),
+            Self::ClockOutOfRange { t } => write!(f, "snapshot clock {t} is out of range"),
             Self::NotMergeable => write!(f, "structure does not support snapshot merging"),
         }
     }
@@ -234,6 +243,9 @@ impl<S: CsmSpec> She<S> {
         let mut r = Reader::new(section(frame::tag::CLOCK)?);
         let t = r.u64()?;
         r.finish()?;
+        if !self.clock_fits(t) {
+            return Err(SnapshotError::ClockOutOfRange { t });
+        }
 
         let mut r = Reader::new(section(frame::tag::MARKS)?);
         let n_marks = r.u64()? as usize;

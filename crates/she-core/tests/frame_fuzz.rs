@@ -2,7 +2,10 @@
 //! shape must come back as a typed [`FrameError`], never a panic.
 
 use she_core::frame::{self, checksum, Frame, FrameError, FrameWriter};
-use she_core::{SheBitmap, SheBloomFilter, SheCountMin, SheCountSketch, SnapshotState};
+use she_core::sharded::{EngineConfig, ShardEngine};
+use she_core::{
+    SheBitmap, SheBloomFilter, SheCountMin, SheCountSketch, SnapshotError, SnapshotState,
+};
 use she_hash::{RandomSource, Xoshiro256};
 
 /// A representative valid frame with several sections, one repeated.
@@ -139,4 +142,74 @@ fn structured_noise_never_panics_adapter_loads() {
         let _ = bm.merge_snapshot(&buf);
         let _ = cm.merge_snapshot(&buf);
     }
+}
+
+/// `frame` re-encoded with one section's payload replaced and the
+/// checksum recomputed — a forged frame that passes every container
+/// check. `tags` lists the frame's sections in order.
+fn with_section(frame: &[u8], tags: &[u16], tag: u16, payload: &[u8]) -> Vec<u8> {
+    let f = Frame::parse(frame).expect("valid frame");
+    let mut w = FrameWriter::new(f.kind);
+    for &t in tags {
+        w.section(t, if t == tag { payload } else { f.section(t).expect("section") });
+    }
+    w.finish()
+}
+
+#[test]
+fn hostile_clock_is_refused_before_any_state_is_touched() {
+    // A clock the packed next-flip word cannot hold (`t + 2·Tcycle` must
+    // stay below 2^62) used to restore `Ok`: a debug build then panicked,
+    // a release build let the flip instant spill into the mark bits and
+    // answered `contains(&1)` false right after `insert(&1)`.
+    use frame::tag::{CELLS, CLOCK, CONFIG, COUNTERS, MARKS};
+    use frame::tag::{STRUCT_BF, STRUCT_BM, STRUCT_CM, STRUCT_MH_A, STRUCT_MH_B};
+    const ENGINE_TAGS: [u16; 4] = [CONFIG, CLOCK, MARKS, CELLS];
+    const SHARD_TAGS: [u16; 7] =
+        [CONFIG, COUNTERS, STRUCT_BF, STRUCT_BM, STRUCT_CM, STRUCT_MH_A, STRUCT_MH_B];
+
+    let new_bf = || SheBloomFilter::builder().window(256).memory_bytes(1 << 10).seed(1).build();
+    let cfg = EngineConfig { window: 1 << 10, shards: 2, memory_bytes: 4 << 10, seed: 1 };
+    let mut bf = new_bf();
+    let mut shard = ShardEngine::new(&cfg, 1);
+    for key in 0..300u64 {
+        bf.insert(&key);
+        shard.insert(0, key);
+        shard.insert(1, key ^ 1);
+    }
+    let (bf_before, shard_before) = (bf.save_snapshot(), shard.snapshot());
+
+    for t in [1u64 << 62, (1 << 63) + 12_345, u64::MAX - 3, u64::MAX] {
+        let refused = Err(SnapshotError::ClockOutOfRange { t });
+        let forged = with_section(&bf_before, &ENGINE_TAGS, CLOCK, &t.to_le_bytes());
+        assert_eq!(bf.load_snapshot(&forged), refused, "load, t = {t}");
+        assert_eq!(bf.merge_snapshot(&forged), refused, "merge, t = {t}");
+        assert_eq!(bf.save_snapshot(), bf_before, "a refused frame changed the filter");
+
+        // The same clock inside each nested structure of a shard frame —
+        // what wire `RESTORE` and the rebalance merge hand the engine.
+        for nested in [STRUCT_BF, STRUCT_MH_B] {
+            let inner = Frame::parse(&shard_before).expect("shard frame");
+            let inner = inner.section(nested).expect("nested frame");
+            let inner = with_section(inner, &ENGINE_TAGS, CLOCK, &t.to_le_bytes());
+            let forged = with_section(&shard_before, &SHARD_TAGS, nested, &inner);
+            assert_eq!(shard.restore(&forged), refused, "restore, t = {t}");
+            assert_eq!(shard.merge(&forged), refused, "shard merge, t = {t}");
+        }
+    }
+
+    // The largest clock that fits still loads, and the filter works on.
+    let t_cycle = bf.engine().config().t_cycle;
+    let last = (1u64 << 62) - 1 - 2 * t_cycle;
+    let mut fresh = new_bf();
+    fresh
+        .load_snapshot(&with_section(&bf_before, &ENGINE_TAGS, CLOCK, &last.to_le_bytes()))
+        .expect("largest in-range clock");
+    fresh.insert(&1u64);
+    assert!(fresh.contains(&1u64), "false negative inside the window");
+    let first_out = with_section(&bf_before, &ENGINE_TAGS, CLOCK, &(last + 1).to_le_bytes());
+    assert_eq!(
+        fresh.load_snapshot(&first_out),
+        Err(SnapshotError::ClockOutOfRange { t: last + 1 })
+    );
 }

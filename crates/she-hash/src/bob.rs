@@ -69,6 +69,36 @@ fn load_word(chunk: &[u8]) -> u32 {
     w
 }
 
+/// The three zero-padded words of a 1..=12-byte tail. lookup3 adds only
+/// the words the tail reaches; adding a zero word is the same sum.
+#[inline(always)]
+fn tail_words(tail: &[u8]) -> [u32; 3] {
+    debug_assert!((1..=12).contains(&tail.len()));
+    [
+        load_word(tail),
+        if tail.len() > 4 { load_word(&tail[4..]) } else { 0 },
+        if tail.len() > 8 { load_word(&tail[8..]) } else { 0 },
+    ]
+}
+
+/// lookup3's last block: add the tail words and run `final_mix`. For a
+/// key of 1..=12 bytes this is the whole hash (`a = b = c = initval`),
+/// which is what lets [`Bob32::hash_seeds`] run it lane-wise over seeds.
+#[inline(always)]
+fn finish(mut a: u32, mut b: u32, mut c: u32, w: [u32; 3]) -> u32 {
+    a = a.wrapping_add(w[0]);
+    b = b.wrapping_add(w[1]);
+    c = c.wrapping_add(w[2]);
+    final_mix(&mut a, &mut b, &mut c);
+    c
+}
+
+/// lookup3's `initval` mixing: the starting value of `a`, `b` and `c`.
+#[inline(always)]
+fn init(seed: u32, len: usize) -> u32 {
+    0xdead_beef_u32.wrapping_add(len as u32).wrapping_add(seed)
+}
+
 impl Bob32 {
     /// Create a hasher with the given seed (the lookup3 `initval`).
     #[inline]
@@ -84,7 +114,7 @@ impl Bob32 {
 
     /// Hash a byte string to 32 bits (lookup3 `hashlittle`).
     pub fn hash(&self, key: &[u8]) -> u32 {
-        let mut a = 0xdead_beef_u32.wrapping_add(key.len() as u32).wrapping_add(self.seed);
+        let mut a = init(self.seed, key.len());
         let mut b = a;
         let mut c = a;
 
@@ -101,15 +131,30 @@ impl Bob32 {
             // lookup3 returns c untouched for zero-length tails.
             return c;
         }
-        a = a.wrapping_add(load_word(rest));
-        if rest.len() > 4 {
-            b = b.wrapping_add(load_word(&rest[4..]));
+        finish(a, b, c, tail_words(rest))
+    }
+
+    /// `out[i] = Bob32::new(seeds[i]).hash(key)` for every `i` — the
+    /// row-wise form the all-rows sketches (MinHash) hash with.
+    ///
+    /// For a key of 1..=12 bytes (every integer key) the key words are
+    /// loaded once and each seed costs one `final_mix` in a flat
+    /// `seeds → out` loop with no cross-iteration dependency, which the
+    /// compiler vectorises in release builds. Longer (and empty) keys
+    /// take the per-seed loop.
+    pub fn hash_seeds(seeds: &[u32], key: &[u8], out: &mut [u32]) {
+        assert_eq!(seeds.len(), out.len(), "one output lane per seed");
+        if (1..=12).contains(&key.len()) {
+            let w = tail_words(key);
+            for (o, &seed) in out.iter_mut().zip(seeds) {
+                let v = init(seed, key.len());
+                *o = finish(v, v, v, w);
+            }
+        } else {
+            for (o, &seed) in out.iter_mut().zip(seeds) {
+                *o = Bob32::new(seed).hash(key);
+            }
         }
-        if rest.len() > 8 {
-            c = c.wrapping_add(load_word(&rest[8..]));
-        }
-        final_mix(&mut a, &mut b, &mut c);
-        c
     }
 
     /// Hash to 64 bits by running the 32-bit core with two related seeds.
@@ -159,6 +204,40 @@ mod tests {
         for len in 0..=key.len() {
             assert!(seen.insert(h.hash(&key[..len])), "collision at len {len}");
         }
+    }
+
+    #[test]
+    fn hash_seeds_matches_hash_for_every_length_and_seed() {
+        // Lengths 0..=26 cover the empty key, every short-key tail, the
+        // 12/13 boundary and two full blocks plus a tail; 128 golden-ratio
+        // seeds are the family a 128-row MinHash derives.
+        let key = b"abcdefghijklmnopqrstuvwxyz";
+        let seeds: Vec<u32> =
+            (0..128u32).map(|i| i.wrapping_mul(0x9E37_79B9).wrapping_add(1)).collect();
+        let mut out = vec![0u32; seeds.len()];
+        for len in 0..=key.len() {
+            Bob32::hash_seeds(&seeds, &key[..len], &mut out);
+            for (i, &seed) in seeds.iter().enumerate() {
+                assert_eq!(out[i], Bob32::new(seed).hash(&key[..len]), "len {len} seed #{i}");
+            }
+        }
+        // Lane counts that are not a multiple of any vector width.
+        for n in [0usize, 1, 3, 5, 67] {
+            Bob32::hash_seeds(&seeds[..n], &7u64.to_le_bytes(), &mut out[..n]);
+            for i in 0..n {
+                assert_eq!(out[i], Bob32::new(seeds[i]).hash(&7u64.to_le_bytes()));
+            }
+        }
+    }
+
+    #[test]
+    fn matches_lookup3_reference_vectors() {
+        // Values from lookup3.c's self-test driver: hashlittle("", 0) and
+        // hashlittle("Four score and seven years ago", initval 0 / 1).
+        assert_eq!(Bob32::new(0).hash(b""), 0xdead_beef);
+        assert_eq!(Bob32::new(0xdead_beef).hash(b""), 0xbd5b_7dde);
+        assert_eq!(Bob32::new(0).hash(b"Four score and seven years ago"), 0x1777_0551);
+        assert_eq!(Bob32::new(1).hash(b"Four score and seven years ago"), 0xcd62_8161);
     }
 
     #[test]

@@ -9,7 +9,9 @@ use crate::{Bob32, HashKey};
 /// `k` independent seeded hash functions with range-reduction helpers.
 #[derive(Debug, Clone)]
 pub struct HashFamily {
-    hashers: Vec<Bob32>,
+    /// One lookup3 seed per function — kept as the flat array
+    /// [`Bob32::hash_seeds`] walks, and the only copy.
+    seeds: Vec<u32>,
 }
 
 impl HashFamily {
@@ -19,30 +21,37 @@ impl HashFamily {
     /// adjacent seeds do not share members.
     pub fn new(k: usize, seed: u32) -> Self {
         assert!(k > 0, "a hash family needs at least one function");
-        let hashers = (0..k)
-            .map(|i| {
-                Bob32::new(seed.wrapping_add((i as u32).wrapping_mul(0x9E37_79B9)).wrapping_add(1))
-            })
+        let seeds = (0..k)
+            .map(|i| seed.wrapping_add((i as u32).wrapping_mul(0x9E37_79B9)).wrapping_add(1))
             .collect();
-        Self { hashers }
+        Self { seeds }
     }
 
     /// Number of functions in the family.
     #[inline]
     pub fn k(&self) -> usize {
-        self.hashers.len()
+        self.seeds.len()
     }
 
     /// The `i`-th function applied to `key`, as a raw 32-bit value.
     #[inline]
     pub fn hash<K: HashKey + ?Sized>(&self, i: usize, key: &K) -> u32 {
-        key.with_bytes(|b| self.hashers[i].hash(b))
+        key.with_bytes(|b| Bob32::new(self.seeds[i]).hash(b))
+    }
+
+    /// Functions `first..first + out.len()` applied to `key`, as raw
+    /// 32-bit values, in one lane-wise pass ([`Bob32::hash_seeds`]) —
+    /// `out[j]` equals `self.hash(first + j, key)`.
+    #[inline]
+    pub fn hash_range<K: HashKey + ?Sized>(&self, first: usize, key: &K, out: &mut [u32]) {
+        let seeds = &self.seeds[first..first + out.len()];
+        key.with_bytes(|b| Bob32::hash_seeds(seeds, b, out));
     }
 
     /// The `i`-th function applied to `key`, as a raw 64-bit value.
     #[inline]
     pub fn hash64<K: HashKey + ?Sized>(&self, i: usize, key: &K) -> u64 {
-        key.with_bytes(|b| self.hashers[i].hash64(b))
+        key.with_bytes(|b| Bob32::new(self.seeds[i]).hash64(b))
     }
 
     /// The `i`-th function reduced to an index in `[0, n)`.
@@ -58,8 +67,8 @@ impl HashFamily {
     pub fn indices_into<K: HashKey + ?Sized>(&self, key: &K, n: usize, out: &mut Vec<usize>) {
         out.clear();
         key.with_bytes(|b| {
-            for h in &self.hashers {
-                out.push((h.hash(b) as usize) % n);
+            for &seed in &self.seeds {
+                out.push((Bob32::new(seed).hash(b) as usize) % n);
             }
         });
     }
@@ -104,6 +113,19 @@ mod tests {
         let mut buf = Vec::new();
         f.indices_into(&"flow-1", 97, &mut buf);
         assert_eq!(buf, idx);
+    }
+
+    #[test]
+    fn hash_range_matches_per_function_hash() {
+        let f = HashFamily::new(67, 9);
+        let long = "a key longer than one lookup3 block";
+        let mut out = vec![0u32; 67];
+        f.hash_range(0, &123u64, &mut out);
+        assert_eq!(out, (0..67).map(|i| f.hash(i, &123u64)).collect::<Vec<_>>());
+        f.hash_range(0, long, &mut out);
+        assert_eq!(out, (0..67).map(|i| f.hash(i, long)).collect::<Vec<_>>());
+        f.hash_range(60, "flow-1", &mut out[..7]);
+        assert_eq!(out[..7], (60..67).map(|i| f.hash(i, "flow-1")).collect::<Vec<_>>());
     }
 
     #[test]

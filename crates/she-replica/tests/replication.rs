@@ -9,7 +9,7 @@
 //! call on both sides.
 
 use she_replica::{Replica, ReplicaConfig};
-use she_server::{Client, DirectEngine, EngineConfig, Role, Server, ServerConfig};
+use she_server::{Checkpoint, Client, DirectEngine, EngineConfig, Role, Server, ServerConfig};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -71,6 +71,17 @@ fn feed(client: &mut Client, mirror: &mut DirectEngine, from: u64, to: u64) {
 fn replica_checkpoint(replica: &Replica) -> Vec<u8> {
     let mut c = Client::connect(replica.local_addr()).unwrap();
     c.snapshot_all().unwrap()
+}
+
+/// `state` after one more anti-entropy sweep against `upstream`, replayed
+/// in process: every shard reconciled with the upstream's frame, which is
+/// what the replica's `merge_sweep` hands its workers.
+fn swept_once(state: &[u8], upstream: &[u8]) -> Vec<u8> {
+    let mut engine = DirectEngine::restore(state, None).unwrap();
+    for (shard, frame) in Checkpoint::decode(upstream).unwrap().shards.iter().enumerate() {
+        engine.load(shard, frame, true).unwrap();
+    }
+    engine.checkpoint()
 }
 
 #[test]
@@ -275,9 +286,19 @@ fn anti_entropy_sweeps_are_stable_on_converged_state() {
     // compared to the mirror's here. What must hold is *stability*:
     // after one sweep the state is a fixed point — reconcile's
     // idempotent merges (OR / max / min-nonzero, counter max) leave it
-    // bit-identical, sweep after sweep.
-    std::thread::sleep(Duration::from_millis(150));
-    let settled = replica_checkpoint(&replica);
+    // bit-identical, sweep after sweep. When that first sweep is through
+    // all four shards is the scheduler's business, so wait for it by its
+    // effect: a checkpoint that one more sweep, replayed in process,
+    // would not change.
+    let upstream = client.snapshot_all().unwrap();
+    let mut settled = Vec::new();
+    assert!(
+        eventually(5_000, || {
+            settled = replica_checkpoint(&replica);
+            swept_once(&settled, &upstream) == settled
+        }),
+        "the first anti-entropy sweep never completed"
+    );
     for round in 0..3 {
         std::thread::sleep(Duration::from_millis(75));
         assert_eq!(

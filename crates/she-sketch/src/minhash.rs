@@ -16,6 +16,10 @@ pub const MINHASH_CELL_BITS: u32 = 25;
 
 const HASH_MASK: u32 = (1 << 24) - 1;
 
+/// Rows [`MinHashSpec::updates`] hashes per lane-wise pass: a stack
+/// buffer, so the generic path stays allocation-free for any `m`.
+const UPDATE_LANES: usize = 64;
+
 /// CSM spec for MinHash: `m` cells, each owned by its own hash function;
 /// every insertion updates all `m`.
 #[derive(Debug, Clone)]
@@ -30,10 +34,17 @@ impl MinHashSpec {
         Self { family: HashFamily::new(m, seed) }
     }
 
-    /// The 24-bit hash value of function `i` for `key`.
+    /// The operands `(h_i(key) mod 2^24) + 1` of rows
+    /// `first..first + out.len()` — the one definition of which hash
+    /// feeds which row, shared by [`CsmSpec::updates`] and SHE-MH's
+    /// row-wise insert. One lane-wise pass over the row seeds
+    /// (`she_hash::Bob32::hash_seeds`).
     #[inline]
-    pub fn hash24<K: HashKey + ?Sized>(&self, i: usize, key: &K) -> u32 {
-        self.family.hash(i, key) & HASH_MASK
+    pub fn operands<K: HashKey + ?Sized>(&self, first: usize, key: &K, out: &mut [u32]) {
+        self.family.hash_range(first, key, out);
+        for o in out {
+            *o = (*o & HASH_MASK) + 1;
+        }
     }
 }
 
@@ -52,14 +63,17 @@ impl CsmSpec for MinHashSpec {
     }
     fn updates<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>) {
         out.clear();
-        key.with_bytes(|b| {
-            for i in 0..self.family.k() {
-                out.push(CellUpdate {
-                    index: i,
-                    operand: (self.family.hash(i, &b) & HASH_MASK) as u64 + 1,
-                });
-            }
-        });
+        let mut lanes = [0u32; UPDATE_LANES];
+        for first in (0..self.family.k()).step_by(UPDATE_LANES) {
+            let lanes = &mut lanes[..UPDATE_LANES.min(self.family.k() - first)];
+            self.operands(first, key, lanes);
+            out.extend(
+                lanes
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &op)| CellUpdate { index: first + j, operand: u64::from(op) }),
+            );
+        }
     }
     fn apply(&self, operand: u64, old: u64) -> u64 {
         if old == 0 {
@@ -204,6 +218,55 @@ mod tests {
             b.insert(&i);
         }
         assert_eq!(a.similarity(&b), 1.0);
+    }
+
+    #[test]
+    fn updates_and_operands_are_the_per_row_hash() {
+        // The row-hash definition, spelled out against the scalar family:
+        // 70 rows crosses the `UPDATE_LANES` chunk boundary with a ragged
+        // tail, and a long key takes the per-seed fallback.
+        let (m, seed) = (70, 5);
+        let spec = MinHashSpec::new(m, seed);
+        let family = HashFamily::new(m, seed);
+        let long = "a key longer than twelve bytes";
+        let mut ups = Vec::new();
+        let mut ops = vec![0u32; m];
+        for round in 0..50u64 {
+            let expect = |i: usize| {
+                let h = if round % 2 == 0 { family.hash(i, &round) } else { family.hash(i, long) };
+                u64::from(h & HASH_MASK) + 1
+            };
+            if round % 2 == 0 {
+                spec.updates(&round, &mut ups);
+                spec.operands(0, &round, &mut ops);
+            } else {
+                spec.updates(long, &mut ups);
+                spec.operands(0, long, &mut ops);
+            }
+            assert_eq!(ups.len(), m);
+            for (i, u) in ups.iter().enumerate() {
+                assert_eq!((u.index, u.operand), (i, expect(i)), "round {round} row {i}");
+                assert_eq!(u64::from(ops[i]), expect(i));
+            }
+        }
+    }
+
+    #[test]
+    fn signature_cells_match_a_scalar_replay() {
+        // The fixed-window signature is unchanged by the lane-wise
+        // `updates`: every cell is the minimum of the per-row hashes.
+        let (m, seed) = (37, 3);
+        let mut mh = MinHash::new(m, seed);
+        let family = HashFamily::new(m, seed);
+        let mut expect = vec![0u64; m];
+        for key in 0..500u64 {
+            mh.insert(&key);
+            for (i, e) in expect.iter_mut().enumerate() {
+                let op = u64::from(family.hash(i, &key) & HASH_MASK) + 1;
+                *e = if *e == 0 { op } else { op.min(*e) };
+            }
+        }
+        assert_eq!(mh.inner.cells().iter().collect::<Vec<_>>(), expect);
     }
 
     #[test]

@@ -29,6 +29,14 @@ printf '%7d  ladder (benchmark package, not in the total)\n' "$(rs_lines ladder)
 echo "== cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "== cargo test -q --offline --release -p she-hash -p she-sketch -p she-core"
+# SHE-MH's row-wise insert hashes lane-wise in a loop the compiler only
+# vectorises in release, and its `debug_assert`ed cache invariant is
+# compiled out there: the debug run above never executes the code that
+# serves. The equivalence, `hash_seeds` and golden-digest tests must hold
+# on that code too (seconds; the release artefacts already exist).
+cargo test -q --offline --release -p she-hash -p she-sketch -p she-core
+
 echo "== ladder tests (ladder/README.md)"
 # The benchmark is a package of its own, frozen between PRs, and compiles
 # against she-server's public names (`Client`, `worker`, the crate-root
