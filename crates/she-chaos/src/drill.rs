@@ -1,5 +1,5 @@
 //! The kill-primary failover drill: a quorum-replicated cluster under a
-//! seeded workload loses primaries outright — by default the partition-0
+//! seeded workload loses primaries outright — the partition-0
 //! primary and then the node just promoted in its place — while every
 //! `CLUSTER_JOIN` gossip exchange is routed through a fault proxy
 //! (partial reads, delays, mid-frame resets, duplicated deliveries). The
@@ -28,61 +28,37 @@ use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-/// Everything the drill needs; [`ClusterDrillConfig::default`] is the
-/// check.sh configuration.
+/// The two values a drill run varies; the cluster's shape is fixed by
+/// the constants below.
 #[derive(Debug, Clone)]
 pub struct ClusterDrillConfig {
     /// Master seed for the workload, the probe set, and the gossip fault
     /// schedules.
     pub seed: u64,
-    /// Cluster size (one partition per node; ≥ 3 so a kill leaves a
-    /// functioning majority of untouched partitions).
-    pub nodes: usize,
     /// Keys inserted before the first kill; each later round inserts a
     /// quarter more.
     pub keys: usize,
-    /// Cluster-wide window, in items.
-    pub window: u64,
-    /// Cluster-wide memory budget per structure.
-    pub memory_bytes: usize,
-    /// Heartbeat timeout after which a silent peer is declared dead.
-    pub heartbeat_timeout_ms: u64,
-    /// Replication factor: holders per partition, primary included.
-    pub replication: u16,
-    /// Primaries to kill, one per round: each round kills partition 0's
-    /// *current* primary, so round two takes out the freshly promoted
-    /// node. Must leave at least one survivor.
-    pub kills: usize,
-    /// Route every gossip exchange through a [`ChaosProxy`] drawing from
-    /// [`FaultConfig::gossip`] (drops, delays, mid-frame resets,
-    /// duplicated deliveries).
-    pub gossip_faults: bool,
 }
 
-impl Default for ClusterDrillConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0xFA11_0E5A_D411,
-            nodes: 3,
-            keys: 3_000,
-            window: 6 * 1024,
-            memory_bytes: 12 * 1024,
-            heartbeat_timeout_ms: 800,
-            replication: 2,
-            kills: 2,
-            gossip_faults: true,
-        }
-    }
-}
+/// Cluster size (one partition per node; 3 so two kills leave a
+/// survivor).
+const NODES: usize = 3;
+/// Cluster-wide window, in items.
+const WINDOW: u64 = 6 * 1024;
+/// Cluster-wide memory budget per structure.
+const MEMORY_BYTES: usize = 12 * 1024;
+/// Heartbeat timeout after which a silent peer is declared dead.
+const HEARTBEAT_TIMEOUT_MS: u64 = 800;
+/// Replication factor: holders per partition, primary included.
+const REPLICATION: u16 = 2;
+/// Primaries to kill, one per round: each round kills partition 0's
+/// *current* primary, so round two takes out the freshly promoted node.
+const KILLS: usize = 2;
 
 /// What the drill observed. A report implies every check passed; the
-/// fields feed the human-readable summary.
+/// fields are what the calling test asserts on.
 #[derive(Debug, Clone)]
 pub struct ClusterDrillReport {
-    /// Cluster size at start.
-    pub nodes: usize,
-    /// Replication factor the cluster ran at.
-    pub replication: u16,
     /// Keys inserted (cluster and mirror alike), all rounds.
     pub inserted: u64,
     /// Node ids killed, in order.
@@ -91,27 +67,10 @@ pub struct ClusterDrillReport {
     pub promoted: Vec<u64>,
     /// Wall-clock from each kill to every survivor serving the new map.
     pub failover_ms: Vec<u64>,
-    /// Faults the gossip proxies injected (0 when faults were off).
+    /// Faults the gossip proxies injected.
     pub gossip_faults: u64,
     /// Battery answers compared bit-for-bit after the last failover.
     pub battery: usize,
-}
-
-impl std::fmt::Display for ClusterDrillReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "cluster drill: {} nodes at RF={}, {} keys, killed {:?} — promoted {:?} in {:?}ms",
-            self.nodes,
-            self.replication,
-            self.inserted,
-            self.killed,
-            self.promoted,
-            self.failover_ms
-        )?;
-        writeln!(f, "  gossip faults injected: {}", self.gossip_faults)?;
-        write!(f, "  post-failover scatter-gather: {} answers, bit-for-bit vs mirror", self.battery)
-    }
 }
 
 /// Outer bound on any single wait inside the drill.
@@ -202,16 +161,7 @@ fn insert_routed(
 /// Run the drill; `Err` carries the first failed check (the caller
 /// prints the seed for replay).
 pub fn run(cfg: &ClusterDrillConfig) -> Result<ClusterDrillReport, String> {
-    if cfg.nodes < 3 {
-        return Err("cluster drill needs at least 3 nodes".to_string());
-    }
-    if cfg.kills >= cfg.nodes {
-        return Err(format!(
-            "cluster drill needs a survivor: kills {} must stay below nodes {}",
-            cfg.kills, cfg.nodes
-        ));
-    }
-    let addrs = reserve_addrs(cfg.nodes)?;
+    let addrs = reserve_addrs(NODES)?;
     let roster: Vec<NodeRef> = addrs
         .iter()
         .enumerate()
@@ -224,32 +174,30 @@ pub fn run(cfg: &ClusterDrillConfig) -> Result<ClusterDrillReport, String> {
     // Every CLUSTER_JOIN dial goes through a per-peer fault proxy; the
     // data plane (inserts, queries, replication, anti-entropy) keeps the
     // real addresses — the drill attacks membership, not payloads.
-    let mut proxies: Vec<ChaosProxy> = Vec::with_capacity(cfg.nodes);
+    let mut proxies: Vec<ChaosProxy> = Vec::with_capacity(NODES);
     let mut gossip_via: BTreeMap<u64, String> = BTreeMap::new();
-    if cfg.gossip_faults {
-        for r in &roster {
-            let proxy =
-                ChaosProxy::start(r.addr.clone(), FaultConfig::gossip(cfg.seed ^ mix64(r.node_id)))
-                    .map_err(ctx("start gossip proxy"))?;
-            gossip_via.insert(r.node_id, proxy.local_addr().to_string());
-            // audit:allow(growth): one proxy per node
-            proxies.push(proxy);
-        }
+    for r in &roster {
+        let proxy =
+            ChaosProxy::start(r.addr.clone(), FaultConfig::gossip(cfg.seed ^ mix64(r.node_id)))
+                .map_err(ctx("start gossip proxy"))?;
+        gossip_via.insert(r.node_id, proxy.local_addr().to_string());
+        // audit:allow(growth): one proxy per node
+        proxies.push(proxy);
     }
 
-    let mut nodes: Vec<(u64, ClusterNode)> = Vec::with_capacity(cfg.nodes);
+    let mut nodes: Vec<(u64, ClusterNode)> = Vec::with_capacity(NODES);
     for r in &roster {
         nodes.push((
             r.node_id,
             ClusterNode::start(NodeConfig {
                 node_id: r.node_id,
                 roster: roster.clone(),
-                window: cfg.window,
-                memory_bytes: cfg.memory_bytes,
+                window: WINDOW,
+                memory_bytes: MEMORY_BYTES,
                 seed: 7,
                 gossip_ms: 50,
-                heartbeat_timeout_ms: cfg.heartbeat_timeout_ms,
-                replication: cfg.replication,
+                heartbeat_timeout_ms: HEARTBEAT_TIMEOUT_MS,
+                replication: REPLICATION,
                 anti_entropy_ms: 500,
                 gossip_via: gossip_via.clone(),
                 ..Default::default()
@@ -261,9 +209,9 @@ pub fn run(cfg: &ClusterDrillConfig) -> Result<ClusterDrillReport, String> {
 
     // ---- seeded workload, routed like a cluster-aware writer ----------
     let mut mirror = DirectEngine::new(EngineConfig {
-        window: cfg.window,
-        shards: cfg.nodes,
-        memory_bytes: cfg.memory_bytes,
+        window: WINDOW,
+        shards: NODES,
+        memory_bytes: MEMORY_BYTES,
         seed: 7,
     });
     let mut rng = Xoshiro256::new(mix64(cfg.seed ^ 0xD1CE_D1CE));
@@ -281,11 +229,11 @@ pub fn run(cfg: &ClusterDrillConfig) -> Result<ClusterDrillReport, String> {
     }
 
     // ---- kill rounds: partition 0's current primary, each time --------
-    let mut killed: Vec<u64> = Vec::with_capacity(cfg.kills);
-    let mut promoted: Vec<u64> = Vec::with_capacity(cfg.kills);
-    let mut failover_ms: Vec<u64> = Vec::with_capacity(cfg.kills);
+    let mut killed: Vec<u64> = Vec::with_capacity(KILLS);
+    let mut promoted: Vec<u64> = Vec::with_capacity(KILLS);
+    let mut failover_ms: Vec<u64> = Vec::with_capacity(KILLS);
     let mut cur = map;
-    for _round in 0..cfg.kills {
+    for _round in 0..KILLS {
         let victim_id = cur.partitions[0].primary.node_id;
         let at = nodes
             .iter()
@@ -361,7 +309,7 @@ pub fn run(cfg: &ClusterDrillConfig) -> Result<ClusterDrillReport, String> {
     }
 
     let gossip_fault_total: u64 = proxies.iter().map(|p| p.counters().snapshot().total()).sum();
-    if cfg.gossip_faults && gossip_fault_total == 0 {
+    if gossip_fault_total == 0 {
         return Err("gossip proxies injected nothing — the chaos leg did not engage".to_string());
     }
 
@@ -374,8 +322,6 @@ pub fn run(cfg: &ClusterDrillConfig) -> Result<ClusterDrillReport, String> {
     }
 
     Ok(ClusterDrillReport {
-        nodes: cfg.nodes,
-        replication: cfg.replication,
         inserted,
         killed,
         promoted,

@@ -212,7 +212,15 @@ impl Faults {
             return WireFault::BitFlip { byte, bit };
         }
         edge += c.partial_io;
-        if draw < edge && len > 1 {
+        if draw < edge {
+            // A 1-byte transfer cannot be cut shorter. The draw still
+            // belongs to this band: letting it fall through would hand it
+            // to `duplicate` below even at `duplicate == 0`, and a byte
+            // delivered twice desynchronises a stream no preset asked to
+            // corrupt.
+            if len <= 1 {
+                return WireFault::None;
+            }
             let keep = rng.next_range(1, len as u64) as usize;
             drop(rng);
             self.counters.partial_io.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -298,6 +306,19 @@ mod tests {
         assert_eq!(snap.partial_io, count(|w| matches!(w, WireFault::Partial { .. })));
         assert_eq!(snap.duplicates, count(|w| matches!(w, WireFault::Duplicate)));
         assert!(snap.total() > 0, "wire preset over 2000 ops should inject something");
+    }
+
+    /// The wire preset has `duplicate == 0`; a 1-byte op (the tail a
+    /// `Partial` leaves behind) that draws in the partial band used to
+    /// come back `Duplicate` and desynchronise the stream.
+    #[test]
+    fn one_byte_ops_never_draw_a_disabled_fault() {
+        let f = Faults::new(FaultConfig::wire(3));
+        for _ in 0..4000 {
+            let w = f.wire_fault(1);
+            assert!(!matches!(w, WireFault::Duplicate | WireFault::Partial { .. }), "{w:?}");
+        }
+        assert_eq!(f.counters().snapshot().duplicates, 0);
     }
 
     #[test]

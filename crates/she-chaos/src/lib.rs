@@ -25,7 +25,7 @@
 //! - [`soak`] — the end-to-end scenario: primary + replica under the
 //!   proxy, kill/restart cycles, checkpoint corruption with generation
 //!   fallback, and a bit-for-bit verdict against an in-process mirror.
-//!   `scripts/check.sh` runs it with a fixed seed.
+//!   `tests/chaos.rs` runs it with a fixed seed.
 //! - [`drill`] — the cluster failover drill: a partitioned cluster loses
 //!   one primary outright; election, gossip convergence, and
 //!   scatter-gather re-routing must keep answers bit-for-bit identical

@@ -40,8 +40,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Everything the soak needs; [`SoakConfig::default`] is the check.sh
-/// configuration (fixed seed, 3 cycles).
+/// Everything the soak needs.
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
     /// Master seed: workload, probe set, and every injected fault.
@@ -54,20 +53,9 @@ pub struct SoakConfig {
     pub dir: PathBuf,
 }
 
-impl Default for SoakConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0xC0FF_EE00_5EED,
-            cycles: 3,
-            keys_per_cycle: 2_000,
-            dir: std::env::temp_dir().join("she-chaos-soak"),
-        }
-    }
-}
-
 /// What the soak observed; all the acceptance booleans must be true (a
 /// failed check returns `Err` instead, so a report implies success — the
-/// fields exist for the human-readable summary).
+/// fields are what the calling test asserts on).
 #[derive(Debug, Clone)]
 pub struct SoakReport {
     /// Cycles survived.
@@ -85,25 +73,6 @@ pub struct SoakReport {
     /// Corrupting the latest checkpoint generation triggered automatic
     /// fallback to the previous generation, bit-for-bit.
     pub checkpoint_fallback_bit_for_bit: bool,
-}
-
-impl std::fmt::Display for SoakReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "chaos soak: {} cycles, {} keys, mirror verified bit-for-bit on primary and replica",
-            self.cycles, self.inserted
-        )?;
-        writeln!(f, "  wire faults injected: {}", self.wire_faults)?;
-        writeln!(f, "  primary self-protection: {}", self.primary_serve)?;
-        writeln!(f, "  stalled client evicted: {}", self.stalled_client_evicted)?;
-        writeln!(f, "  torn checkpoint detected at restore: {}", self.torn_checkpoint_detected)?;
-        write!(
-            f,
-            "  corrupt-latest fallback recovered bit-for-bit: {}",
-            self.checkpoint_fallback_bit_for_bit
-        )
-    }
 }
 
 /// Per-connection deadline on the soak primary, kept short so the

@@ -1,9 +1,10 @@
 //! Integration tests for the chaos harness: the proxy carrying real
-//! protocol traffic under faults, and a scaled-down run of the full
-//! soak scenario (the check.sh smoke runs the full-size one).
+//! protocol traffic under faults, a verified loadgen run riding it, and
+//! the soak and cluster-drill scenarios. A failure prints its seed;
+//! replay with `cargo test -p she-chaos -- <test name>`.
 
 use she_chaos::{ChaosProxy, FaultConfig, SoakConfig};
-use she_server::{Client, EngineConfig, Server, ServerConfig};
+use she_server::{loadgen, Client, EngineConfig, LoadgenConfig, Server, ServerConfig};
 use std::time::Duration;
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -46,32 +47,74 @@ fn client_through_hostile_proxy_never_hangs() {
     server.join();
 }
 
-/// The full scenario at reduced size: 3 disruption cycles (sever,
-/// kill/restart, sever), bit-for-bit mirror verification on both nodes,
-/// stalled-client eviction, and torn-checkpoint detection.
+/// A verified loadgen run *through* the proxy: every injected reset is
+/// ridden by reconnect + op-log-head resync — the head says whether the
+/// cut-off batch landed, so it is counted or resent, never both — and
+/// every answer stays bit-for-bit equal to the in-process twin. Resets
+/// are ten times the wire preset so every run meets some; bit flips are
+/// off because inserts carry no checksum. A reset must cost a reconnect,
+/// not a wait for the op timeout: the whole run fits in ten seconds.
 #[test]
-fn small_soak_survives_three_cycles() {
+fn verified_loadgen_rides_injected_resets_by_head_resync() {
+    let engine = EngineConfig { window: 1 << 16, shards: 4, memory_bytes: 64 << 10, seed: 1 };
+    let server =
+        Server::start(ServerConfig { engine, repl_log: 8192, ..Default::default() }).unwrap();
+    let direct = server.local_addr().to_string();
+    let faults = FaultConfig { reset: 0.01, bitflip: 0.0, ..FaultConfig::wire(3) };
+    let proxy = ChaosProxy::start(direct.clone(), faults).unwrap();
+
+    let summary = loadgen::run(&LoadgenConfig {
+        addr: proxy.local_addr().to_string(),
+        resync_addr: Some(direct.clone()),
+        items: 20_000,
+        batch: 128,
+        queries: 400,
+        query_batch: 16,
+        universe: 5_000,
+        seed: 7,
+        verify: Some(engine),
+        ..Default::default()
+    })
+    .expect("the run recovers from every injected fault");
+    assert!(summary.verified > 400, "batched probes are verified per key");
+    assert_eq!(summary.mismatches, 0);
+    assert!(summary.reconnects >= 1, "no reset was ridden: {:?}", proxy.counters().snapshot());
+    assert!(summary.wall < Duration::from_secs(10), "a fault stalled the run: {:?}", summary.wall);
+    // Exactly-once, read off the ledger itself: one op-log record per batch.
+    let head = Client::connect(&direct).unwrap().cluster_status().unwrap().head;
+    assert_eq!(head, 20_000u64.div_ceil(128));
+
+    proxy.stop();
+    server.shutdown();
+    server.join();
+}
+
+/// The soak scenario: 3 disruption cycles (sever, kill/restart, sever),
+/// bit-for-bit mirror verification on both nodes, stalled-client
+/// eviction, torn-checkpoint detection, corrupt-latest fallback.
+#[test]
+fn soak_survives_three_cycles() {
     let cfg =
-        SoakConfig { seed: 0xD5_0AC, cycles: 3, keys_per_cycle: 400, dir: scratch("small-soak") };
+        SoakConfig { seed: 0xCAFE_BABE, cycles: 3, keys_per_cycle: 2_000, dir: scratch("soak") };
     let report = she_chaos::soak::run(&cfg)
         .unwrap_or_else(|e| panic!("soak failed (replay with seed {:#x}): {e}", cfg.seed));
     assert_eq!(report.cycles, 3);
-    assert_eq!(report.inserted, 3 * 400);
+    assert_eq!(report.inserted, 3 * 2_000);
     assert!(report.stalled_client_evicted);
     assert!(report.torn_checkpoint_detected);
-    // The wire preset over a bootstrap + 1200 inserts worth of frames
+    assert!(report.checkpoint_fallback_bit_for_bit);
+    // The wire preset over a bootstrap + 6000 inserts worth of frames
     // should have injected at least something.
     assert!(report.wire_faults.total() > 0, "no faults injected: {}", report.wire_faults);
 }
 
-/// The RF=2 failover drill at reduced size: gossip routed through fault
-/// proxies, partition 0's primary killed, then the freshly promoted node
-/// killed too — the last holder must promote, writes must continue, and
-/// the final scatter-gather battery must match the mirror bit-for-bit
-/// (the check.sh smoke runs the full-size drill).
+/// The RF=2 failover drill: gossip routed through fault proxies,
+/// partition 0's primary killed, then the freshly promoted node killed
+/// too — the last holder must promote, writes must continue, and the
+/// final scatter-gather battery must match the mirror bit-for-bit.
 #[test]
-fn small_drill_survives_double_kill_under_gossip_faults() {
-    let cfg = she_chaos::ClusterDrillConfig { seed: 0xD811_0002, keys: 600, ..Default::default() };
+fn drill_survives_double_kill_under_gossip_faults() {
+    let cfg = she_chaos::ClusterDrillConfig { seed: 0xFA11_0E5A_D411, keys: 3_000 };
     let report = she_chaos::drill::run(&cfg)
         .unwrap_or_else(|e| panic!("drill failed (replay with seed {:#x}): {e}", cfg.seed));
     assert_eq!(report.killed.len(), 2);

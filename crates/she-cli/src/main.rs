@@ -1,27 +1,7 @@
 //! `she` — run any SHE task from the command line.
 //!
-//! ```text
-//! she membership  [--window N] [--memory BYTES] [--stream caida|distinct|campus|webpage]
-//!                 [--items N] [--probes N] [--alpha F]
-//! she cardinality [--algo bm|hll] [--window N] [--memory BYTES] [--stream ...] [--items N]
-//! she frequency   [--window N] [--memory BYTES] [--stream ...] [--items N] [--sample N]
-//! she similarity  [--window N] [--memory BYTES] [--overlap F] [--items N]
-//! she pipeline    [--variant bm|bf|cm|hll] [--items N]
-//! she analyze     [--window N] [--memory BYTES] [--hashes K] [--cardinality C]
-//! she serve       [--addr HOST:PORT] [--shards N] [--window N] [--memory BYTES] [--queue N]
-//!                 [--restore DIR] [--repl-log N] [--heartbeat-ms N]
-//!                 [--replica-of HOST:PORT [--anti-entropy-ms N] [--heartbeat-timeout-ms N]]
-//! she checkpoint  [--addr HOST:PORT] [--dir DIR]
-//! she query       [--addr HOST:PORT] [--op member|card|freq|sim] [--key N]
-//! she cluster-status [--addr HOST:PORT]
-//! she mirror-check   [--addr HOST:PORT] [--items N] [--batch N] [--probes N] ...
-//! she loadgen     [--addr HOST:PORT] [--items N] [--queries N] [--verify yes ...]
-//!                 [--connections N] [--read-from HOST:PORT]
-//! ```
-//!
-//! Sizes accept `k`/`m`/`g` suffixes. Every run prints the estimate, the
-//! exact ground truth, and the resulting metric. Exit codes: 0 ok,
-//! 1 failure, 2 usage error, 3 connection refused.
+//! The list of subcommands, their flags and the exit codes is
+//! [`run::USAGE`], which `she help` prints; nothing repeats it here.
 
 mod args;
 mod run;

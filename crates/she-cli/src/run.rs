@@ -68,40 +68,6 @@ COMMANDS
                nodes — one line per partition with its holder list and
                each replica's apply-lag (docs/REPLICATION.md)
                --addr HOST:PORT --timeout-ms N
-  fastcheck    verify a quiescent --readpath server: warm cached answers
-               must respect the staleness bound (member-true still true,
-               freq never above QUERY), then after a cache flush every
-               fresh fill must match QUERY bit-for-bit and every repeat
-               ask must hit (docs/READPATH.md)
-               --addr HOST:PORT --keys N --universe N --skew F --seed N
-               --timeout-ms N
-  chaos-soak   deterministic fault-injection soak: primary + replica under a
-               fault proxy, kill/restart cycles, checkpoint corruption with
-               generation fallback, bit-for-bit mirror verdict
-               (docs/ROBUSTNESS.md) --seed N --cycles N --keys N --dir DIR
-  chaos-cluster  failover drill on a real quorum-replicated cluster:
-               gossip routed through fault proxies (drops, delays,
-               mid-frame resets, duplicated deliveries), partition 0's
-               primary killed and then its promoted successor too;
-               survivors must converge after every kill, writes continue,
-               scatter-gather stays bit-for-bit (docs/CLUSTER.md,
-               docs/ROBUSTNESS.md) --seed N --nodes N --keys N
-               --heartbeat-timeout-ms N --replication R --kills N
-               --gossip-faults yes|no
-  mirror-check replay the loadgen workload into an in-process mirror and
-               compare a quiescent node's answers bit-for-bit
-               --addr HOST:PORT --items N --batch N --universe N --skew F
-               --seed N --sim-every N --probes N (+ --shards/--window/
-               --memory/--engine-seed matching the serving engine)
-               --cluster yes (treat --addr as a coordinator: answers come
-               from CLUSTER_QUERY scatter-gather, --shards must equal the
-               partition count, and the whole --items stream must be
-               applied cluster-wide)
-               --from-log yes (replay the node's own op log into the
-               mirror via a replication subscription instead of re-running
-               the keygen — sound for workloads from many concurrent
-               connections; the node must run with --repl-log and retain
-               the log from sequence 1)
   loadgen      drive a running server with a Zipf workload
                --addr HOST:PORT --items N --batch N --queries N --open RATE
                --universe N --skew F --seed N --verify yes (+ --shards/
@@ -110,8 +76,7 @@ COMMANDS
                --read-from HOST:PORT (send the queries to a replica)
                --cluster yes (treat --addr as a cluster seed node: writes
                route per partition, queries scatter-gather, and the map is
-               refreshed through failovers) --offset N (skip the first N
-               items of the seeded stream — continue an interrupted run)
+               refreshed through failovers)
                --query-batch N (batch member/freq probes N keys per round
                trip via QUERY_BATCH / CLUSTER_QUERY_BATCH)
                --read-ratio F (interleave QUERY_FAST reads at F reads
@@ -119,13 +84,11 @@ COMMANDS
                a --readpath server; prints the server-side cache hit rate)
                --zipf F (Zipf exponent of the fast-read key draw, seeded
                from --seed; default 1.1)
-               --faults yes --fault-seed N (route traffic through an
-               in-process fault proxy — partial writes, delays, resets —
-               riding each fault with reconnect + op-log-head resync, so
-               --verify stays bit-for-bit; server must run --repl-log.
-               With --cluster yes every partition leg gets its own proxy
-               and its own per-partition head ledger, and the ledger
-               follows a failover to the promoted holder's log)
+               --faults yes --fault-seed N (route a single server's traffic
+               through an in-process fault proxy — partial writes, delays,
+               resets — riding each fault with reconnect + op-log-head
+               resync, so --verify stays bit-for-bit; server must run
+               --repl-log)
   shutdown     ask a running server to drain and stop
                --addr HOST:PORT
   audit        run the workspace static-analysis gate (docs/ANALYSIS.md):
@@ -221,10 +184,6 @@ pub fn dispatch(a: &Args) -> Result<(), CliError> {
         "cluster-query" => cluster_query(a),
         "cluster-rebalance" => cluster_rebalance(a),
         "cluster-status" => cluster_status(a),
-        "fastcheck" => fastcheck(a),
-        "chaos-soak" => chaos_soak(a),
-        "chaos-cluster" => chaos_cluster(a),
-        "mirror-check" => mirror_check(a),
         "loadgen" => loadgen(a),
         "shutdown" => shutdown(a),
         "audit" => audit(a),
@@ -460,11 +419,11 @@ fn serve(a: &Args) -> Result<(), CliError> {
     if readpath {
         println!(
             "read path enabled: QUERY_FAST served inline from the mark-cached mirror \
-             (verify with `she fastcheck --addr {}`)",
+             (counters via `she cluster-status --addr {}`)",
             server.local_addr()
         );
     }
-    println!("(stop with the wire SHUTDOWN request, e.g. via `she loadgen` or she-server::Client)");
+    println!("(stop with `she shutdown --addr {}`)", server.local_addr());
     print_shard_stats(&server.wait());
     Ok(())
 }
@@ -502,7 +461,10 @@ fn serve_replica(a: &Args) -> Result<(), CliError> {
     if readpath {
         println!("read path enabled: QUERY_FAST tracks the applied replication position");
     }
-    println!("(writes are rejected with NOT_PRIMARY; stop with the wire SHUTDOWN request)");
+    println!(
+        "(writes are rejected with NOT_PRIMARY; stop with `she shutdown --addr {}`)",
+        replica.local_addr()
+    );
     print_shard_stats(&replica.wait());
     Ok(())
 }
@@ -534,95 +496,6 @@ fn checkpoint(a: &Args) -> Result<(), CliError> {
         .map_err(|err| ArgError(format!("{}: {err}", path.display())))?;
     println!("wrote {} ({} bytes)", path.display(), blob.len());
     Ok(())
-}
-
-/// Run the deterministic chaos soak (docs/ROBUSTNESS.md): a real primary
-/// and replica in this process, faults injected on the replication path,
-/// scripted disconnects and replica kills, and a bit-for-bit comparison
-/// against an in-process mirror at the end. Exit 0 means every check
-/// held; on failure the seed is printed for an exact replay.
-fn chaos_soak(a: &Args) -> Result<(), CliError> {
-    a.expect_only(&["seed", "cycles", "keys", "dir"])?;
-    let defaults = she_chaos::SoakConfig::default();
-    let cfg = she_chaos::SoakConfig {
-        seed: a.get_u64("seed", defaults.seed)?,
-        cycles: a.get_u64("cycles", u64::from(defaults.cycles))? as u32,
-        keys_per_cycle: a.get_u64("keys", defaults.keys_per_cycle as u64)? as usize,
-        dir: match a.get("dir", "").as_str() {
-            "" => defaults.dir,
-            d => std::path::PathBuf::from(d),
-        },
-    };
-    println!(
-        "chaos soak starting: seed={} cycles={} keys-per-cycle={}",
-        cfg.seed, cfg.cycles, cfg.keys_per_cycle
-    );
-    match she_chaos::soak::run(&cfg) {
-        Ok(report) => {
-            println!("{report}");
-            Ok(())
-        }
-        Err(e) => Err(CliError {
-            msg: format!("chaos soak FAILED (replay with --seed {}): {e}", cfg.seed),
-            code: 1,
-        }),
-    }
-}
-
-/// Run the kill-primary cluster failover drill (docs/CLUSTER.md): a real
-/// partitioned cluster in this process, a seeded workload routed by the
-/// cluster map, one primary killed outright, and a post-failover
-/// scatter-gather battery compared bit-for-bit against an in-process
-/// mirror. Exit 0 means every check held; on failure the seed is printed
-/// for an exact replay.
-fn chaos_cluster(a: &Args) -> Result<(), CliError> {
-    a.expect_only(&[
-        "seed",
-        "nodes",
-        "keys",
-        "window",
-        "memory",
-        "heartbeat-timeout-ms",
-        "replication",
-        "kills",
-        "gossip-faults",
-    ])?;
-    let defaults = she_chaos::ClusterDrillConfig::default();
-    let cfg = she_chaos::ClusterDrillConfig {
-        seed: a.get_u64("seed", defaults.seed)?,
-        nodes: a.get_u64("nodes", defaults.nodes as u64)? as usize,
-        keys: a.get_u64("keys", defaults.keys as u64)? as usize,
-        window: a.get_u64("window", defaults.window)?,
-        memory_bytes: a.get_u64("memory", defaults.memory_bytes as u64)? as usize,
-        heartbeat_timeout_ms: a.get_u64("heartbeat-timeout-ms", defaults.heartbeat_timeout_ms)?,
-        replication: a.get_u64("replication", u64::from(defaults.replication))? as u16,
-        kills: a.get_u64("kills", defaults.kills as u64)? as usize,
-        gossip_faults: matches!(
-            a.get("gossip-faults", if defaults.gossip_faults { "yes" } else { "no" }).as_str(),
-            "yes" | "true" | "1"
-        ),
-    };
-    println!(
-        "cluster drill starting: seed={} nodes={} rf={} keys={} kills={} gossip-faults={} \
-         heartbeat-timeout-ms={}",
-        cfg.seed,
-        cfg.nodes,
-        cfg.replication,
-        cfg.keys,
-        cfg.kills,
-        cfg.gossip_faults,
-        cfg.heartbeat_timeout_ms
-    );
-    match she_chaos::drill::run(&cfg) {
-        Ok(report) => {
-            println!("{report}");
-            Ok(())
-        }
-        Err(e) => Err(CliError {
-            msg: format!("cluster drill FAILED (replay with --seed {}): {e}", cfg.seed),
-            code: 1,
-        }),
-    }
 }
 
 /// The four wire queries `she query --op` can issue. Parsing the flag
@@ -743,7 +616,6 @@ fn loadgen(a: &Args) -> Result<(), CliError> {
         "read-from",
         "connections",
         "cluster",
-        "offset",
         "query-batch",
         "faults",
         "fault-seed",
@@ -775,58 +647,30 @@ fn loadgen(a: &Args) -> Result<(), CliError> {
         read_from: if read_from.is_empty() { None } else { Some(read_from) },
         connections: a.get_u64("connections", 1)? as usize,
         cluster: cluster.then(|| addr.clone()),
-        offset: a.get_u64("offset", 0)?,
         query_batch: a.get_u64("query-batch", 0)? as usize,
         resync_addr: None,
         read_ratio: a.get_f64("read-ratio", 0.0)?,
         read_skew: a.get_f64("zipf", 1.1)?,
-        cluster_via: std::collections::BTreeMap::new(),
-        cluster_resync: false,
     };
-    let fault_seed = a.get_u64("fault-seed", 1)?;
-    // Bit flips stay off on every fault leg: inserts carry no checksum,
-    // so a flipped key would corrupt the run silently instead of failing
-    // it. Duplicates stay off too — a duplicated *applied* insert frame
-    // would advance the op-log head twice for one committed frame and the
-    // resync ledger would read that as divergence.
-    let mut proxies = Vec::new();
-    if faults {
-        if cluster {
-            // One proxy per partition primary; every data leg detours
-            // through its proxy while head polls and map refreshes go
-            // direct. The per-partition head ledger keeps retries
-            // exactly-once, and survives failover because a promoted
-            // holder continues its predecessor's op-log numbering.
-            let mut map_client =
-                she_server::Client::connect(&addr).map_err(|err| net_err(&addr, err))?;
-            let map = map_client.cluster_map().map_err(|err| net_err(&addr, err))?;
-            for (p, part) in map.partitions.iter().enumerate() {
-                let mut fault_cfg = she_chaos::FaultConfig::wire(fault_seed + p as u64);
-                fault_cfg.bitflip = 0.0;
-                let proxy =
-                    she_chaos::ChaosProxy::start(part.primary.addr.clone(), fault_cfg).map_err(
-                        |e| CliError { msg: format!("fault proxy failed to start: {e}"), code: 1 },
-                    )?;
-                cfg.cluster_via.insert(part.primary.addr.clone(), proxy.local_addr().to_string());
-                proxies.push(proxy);
-            }
-            cfg.cluster_resync = true;
-        } else {
-            // All traffic detours through a seeded in-process fault
-            // proxy; the loadgen resyncs against the server's *direct*
-            // address after each injected fault.
-            let mut fault_cfg = she_chaos::FaultConfig::wire(fault_seed);
-            fault_cfg.bitflip = 0.0;
-            let proxy = she_chaos::ChaosProxy::start(addr.clone(), fault_cfg).map_err(|e| {
-                CliError { msg: format!("fault proxy failed to start: {e}"), code: 1 }
-            })?;
-            cfg.resync_addr = Some(addr.clone());
-            cfg.addr = proxy.local_addr().to_string();
-            proxies.push(proxy);
-        }
-    }
+    // All traffic detours through a seeded in-process fault proxy; the
+    // loadgen resyncs against the server's *direct* address after each
+    // injected fault. Bit flips stay off: inserts carry no checksum, so
+    // a flipped key would corrupt the run silently instead of failing it.
+    let proxy = if faults {
+        let fault_cfg = she_chaos::FaultConfig {
+            bitflip: 0.0,
+            ..she_chaos::FaultConfig::wire(a.get_u64("fault-seed", 1)?)
+        };
+        let proxy = she_chaos::ChaosProxy::start(addr.clone(), fault_cfg)
+            .map_err(|e| CliError { msg: format!("fault proxy failed to start: {e}"), code: 1 })?;
+        cfg.resync_addr = Some(addr.clone());
+        cfg.addr = proxy.local_addr().to_string();
+        Some(proxy)
+    } else {
+        None
+    };
     let summary = she_server::loadgen::run(&cfg).map_err(|err| net_err(&cfg.addr, err));
-    for p in proxies {
+    if let Some(p) = proxy {
         p.stop();
     }
     let summary = summary?;
@@ -946,150 +790,6 @@ fn partition_lag(
     (info.head.to_string(), lags)
 }
 
-/// `she fastcheck` — verify both halves of a quiescent `--readpath`
-/// server's contract (docs/READPATH.md):
-///
-/// 1. **Bound phase** (cache as-is): entries filled mid-stream stay
-///    valid until a relevant time-mark flips, so they may lag inserts —
-///    but never outside the bound: a fast `member = true` must be
-///    authoritatively true, and a fast frequency can never *exceed* the
-///    authoritative estimate.
-/// 2. **Exact phase** (after a cache flush): at quiescence the mirror's
-///    applied position has reached the op-log head and the window clock
-///    is frozen, so a *fresh fill* is the frozen-read answer on the same
-///    insert history the workers hold — bit-for-bit. Each key is asked
-///    twice back-to-back (fill path, then the signature-checked hit
-///    path; authoritative queries touch the workers, never the mirror,
-///    so the signature cannot move in between), so N keys must advance
-///    the hit counter by at least 2N.
-fn fastcheck(a: &Args) -> Result<(), CliError> {
-    a.expect_only(&["addr", "keys", "universe", "skew", "seed", "timeout-ms"])?;
-    let addr = a.get("addr", "127.0.0.1:7487");
-    let keys = a.get_u64("keys", 256)?.max(1);
-    let universe = (a.get_u64("universe", 100_000)? as usize).max(2);
-    let skew = a.get_f64("skew", 1.1)?;
-    let seed = a.get_u64("seed", 1)?;
-    let io = |err: std::io::Error| net_err(&addr, err);
-    let mut client = she_server::Client::connect(&addr).map_err(io)?;
-    client.set_op_timeout(op_timeout(a)?).map_err(io)?;
-    client.hello().map_err(io)?;
-
-    // Wait for quiescence: the op-log head must stop moving AND the read
-    // path must have applied up to it (on a primary the refresher tails
-    // the log; on a replica the injector is synchronous).
-    let before = {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        loop {
-            let first = client.cluster_status().map_err(io)?;
-            if !first.readpath.enabled {
-                return Err(ArgError(format!(
-                    "server at {addr} serves without --readpath; nothing to fastcheck"
-                ))
-                .into());
-            }
-            std::thread::sleep(std::time::Duration::from_millis(250));
-            let second = client.cluster_status().map_err(io)?;
-            if first.head == second.head && second.readpath.seq >= second.head {
-                break second;
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(ArgError(format!(
-                    "server at {addr} did not quiesce: head {} -> {}, readpath seq {}",
-                    first.head, second.head, second.readpath.seq
-                ))
-                .into());
-            }
-        }
-    };
-
-    // The same seeded Zipf draw + mix64 permutation the loadgen's
-    // read-heavy profile uses, so the probe set is hot keys by default —
-    // keys a prior 95/5 run left warm in the cache.
-    let probe_keys: Vec<u64> = {
-        let zipf = she_streams::Zipf::new(universe, skew);
-        let mut rng = she_hash::Xoshiro256::new(seed ^ 0xFA57_4EAD_5EED);
-        (0..keys).map(|_| she_hash::mix64(zipf.sample(&mut rng) as u64)).collect()
-    };
-
-    // Phase 1 — the staleness bound on whatever the cache holds.
-    let mut checked = 0u64;
-    let mut violations = 0u64;
-    for &key in &probe_keys {
-        let fast = client.fast_member(key).map_err(io)?;
-        let auth = client.query_member(key).map_err(io)?;
-        checked += 1;
-        if fast && !auth {
-            violations += 1;
-            eprintln!("bound violation: fast member({key}) = true, QUERY says false");
-        }
-        let fast = client.fast_freq(key).map_err(io)?;
-        let auth = client.query_freq(key).map_err(io)?;
-        checked += 1;
-        if fast > auth {
-            violations += 1;
-            eprintln!("bound violation: fast freq({key}) = {fast} exceeds QUERY's {auth}");
-        }
-    }
-
-    // Phase 2 — flush, then every fresh fill must be bit-for-bit and
-    // every immediate repeat ask must hit.
-    client.fast_flush().map_err(io)?;
-    let mut mismatches = 0u64;
-    for &key in &probe_keys {
-        for round in 0..2 {
-            let fast = client.fast_member(key).map_err(io)?;
-            let auth = client.query_member(key).map_err(io)?;
-            checked += 1;
-            if fast != auth {
-                mismatches += 1;
-                eprintln!("mismatch: fast member({key}) = {fast}, QUERY says {auth} (ask {round})");
-            }
-        }
-        for round in 0..2 {
-            let fast = client.fast_freq(key).map_err(io)?;
-            let auth = client.query_freq(key).map_err(io)?;
-            checked += 1;
-            if fast != auth {
-                mismatches += 1;
-                eprintln!("mismatch: fast freq({key}) = {fast}, QUERY says {auth} (ask {round})");
-            }
-        }
-    }
-
-    let after = client.cluster_status().map_err(io)?;
-    let hits = after.readpath.hits.saturating_sub(before.readpath.hits);
-    let misses = after.readpath.misses.saturating_sub(before.readpath.misses);
-    println!(
-        "fastcheck {addr}: {checked} fast answers checked at seq {}, {violations} bound \
-         violation(s), {mismatches} post-flush mismatch(es), cache {hits} hit(s) / {misses} \
-         miss(es) over the probe window",
-        after.readpath.seq
-    );
-    if violations > 0 {
-        return Err(ArgError(format!(
-            "fastcheck failed: {violations} staleness-bound violations on the warm cache"
-        ))
-        .into());
-    }
-    if mismatches > 0 {
-        return Err(ArgError(format!(
-            "fastcheck failed: {mismatches} mismatched answers after a cache flush"
-        ))
-        .into());
-    }
-    // Post-flush, each key's repeat asks (2 per op class) must hit: the
-    // signature cannot move at quiescence.
-    let floor = 2 * keys;
-    if hits < floor {
-        return Err(ArgError(format!(
-            "fastcheck failed: the mark cache served {hits} hit(s), expected at least {floor} \
-             (every post-flush repeat ask should hit)"
-        ))
-        .into());
-    }
-    Ok(())
-}
-
 /// `she cluster-serve` — run one node of a partitioned cluster: the
 /// partition primary, the ring-predecessor replica, and the gossip
 /// failover monitor (docs/CLUSTER.md).
@@ -1137,7 +837,7 @@ fn cluster_serve(a: &Args) -> Result<(), CliError> {
          gossip failover armed",
         node.local_addr()
     );
-    println!("(stop with the wire SHUTDOWN request)");
+    println!("(stop with `she shutdown --addr {}`)", node.local_addr());
     print_shard_stats(&node.wait());
     Ok(())
 }
@@ -1218,266 +918,6 @@ fn cluster_rebalance(a: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One mirror-check probe: plain query to the node, or scatter-gather
-/// `CLUSTER_QUERY` through it when `cluster` is set.
-fn probe_bool(c: &mut she_server::Client, cluster: bool, key: u64) -> std::io::Result<bool> {
-    if !cluster {
-        return c.query_member(key);
-    }
-    match c.cluster_query(she_server::cluster_op::MEMBER, key)? {
-        she_server::protocol::Response::Bool(v) => Ok(v),
-        other => Err(std::io::Error::other(format!("unexpected CLUSTER_QUERY reply {other:?}"))),
-    }
-}
-
-/// See [`probe_bool`].
-fn probe_freq(c: &mut she_server::Client, cluster: bool, key: u64) -> std::io::Result<u64> {
-    if !cluster {
-        return c.query_freq(key);
-    }
-    match c.cluster_query(she_server::cluster_op::FREQ, key)? {
-        she_server::protocol::Response::U64(v) => Ok(v),
-        other => Err(std::io::Error::other(format!("unexpected CLUSTER_QUERY reply {other:?}"))),
-    }
-}
-
-/// See [`probe_bool`]; `op` is `cluster_op::CARD` or `cluster_op::SIM`.
-fn probe_f64(c: &mut she_server::Client, cluster: bool, op: u8) -> std::io::Result<f64> {
-    if !cluster {
-        return if op == she_server::cluster_op::CARD { c.query_card() } else { c.query_sim() };
-    }
-    match c.cluster_query(op, 0)? {
-        she_server::protocol::Response::F64(v) => Ok(v),
-        other => Err(std::io::Error::other(format!("unexpected CLUSTER_QUERY reply {other:?}"))),
-    }
-}
-
-/// Replay a quiescent node's own op log into the mirror by subscribing
-/// to its replication feed from sequence 1. Each `REPL_OP` carries one
-/// admitted insert batch in admission order, so the mirror ends up with
-/// exactly the server's insert history no matter how many connections
-/// produced it. Returns the number of items replayed. The node must
-/// retain its log from sequence 1 (no checkpoint truncation).
-fn replay_feed(
-    addr: &str,
-    head: u64,
-    mirror: &mut she_server::DirectEngine,
-) -> std::io::Result<u64> {
-    use she_server::codec::{read_frame_deadline, FrameIn};
-    use she_server::protocol::Response;
-    let feed_err = |msg: String| std::io::Error::other(msg);
-    let sub = she_server::Client::connect(addr)?;
-    let mut feed = sub.subscribe(1, 0)?;
-    feed.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
-    let mut applied = 0u64;
-    let mut items = 0u64;
-    let mut last_progress = std::time::Instant::now();
-    while applied < head {
-        match read_frame_deadline(&mut feed, std::time::Duration::from_secs(30))? {
-            FrameIn::Frame(payload) => {
-                last_progress = std::time::Instant::now();
-                match Response::decode(&payload) {
-                    Ok(Response::ReplOp(data)) => {
-                        let rec = she_server::Record::decode(&data)
-                            .map_err(|e| feed_err(format!("feed record undecodable: {e:?}")))?;
-                        if rec.seq != applied + 1 {
-                            return Err(feed_err(format!(
-                                "feed jumped from seq {applied} to {} — the log no longer \
-                                 reaches back to sequence 1 (checkpoint truncation?)",
-                                rec.seq
-                            )));
-                        }
-                        for &k in &rec.keys {
-                            mirror.insert(rec.stream, k);
-                        }
-                        items += rec.keys.len() as u64;
-                        applied = rec.seq;
-                    }
-                    Ok(Response::ReplHeartbeat { .. }) => {}
-                    Ok(Response::Err(msg)) => {
-                        return Err(feed_err(format!("server refused the feed: {msg}")))
-                    }
-                    Ok(other) => {
-                        return Err(feed_err(format!("unexpected frame on the feed: {other:?}")))
-                    }
-                    Err(e) => return Err(feed_err(format!("feed frame undecodable: {e:?}"))),
-                }
-            }
-            FrameIn::Idle => {
-                if last_progress.elapsed() > std::time::Duration::from_secs(30) {
-                    return Err(feed_err(format!("feed went quiet at seq {applied} of {head}")));
-                }
-            }
-            FrameIn::Eof => {
-                return Err(feed_err(format!("feed closed at seq {applied} of {head}")))
-            }
-            FrameIn::Stalled => {
-                return Err(feed_err(format!("feed stalled mid-frame at seq {applied}")))
-            }
-        }
-    }
-    Ok(items)
-}
-
-/// Replay the loadgen workload into an in-process [`DirectEngine`]
-/// mirror and compare a quiescent node's query answers bit-for-bit.
-///
-/// Sound because each admitted `INSERT_BATCH` is exactly one op-log
-/// record, appended in admission order — so a node whose position is
-/// `S` holds precisely the first `S` workload batches, and `she
-/// loadgen`'s keygen is deterministic from `--seed`. Queries advance
-/// lazy cleaning but cleaning is itself deterministic in the insert
-/// history, so answers are unaffected by any reads the node served
-/// earlier; the battery below makes the same calls on both sides.
-fn mirror_check(a: &Args) -> Result<(), CliError> {
-    a.expect_only(&[
-        "addr",
-        "items",
-        "batch",
-        "universe",
-        "skew",
-        "seed",
-        "sim-every",
-        "probes",
-        "window",
-        "shards",
-        "memory",
-        "engine-seed",
-        "cluster",
-        "from-log",
-    ])?;
-    let addr = a.get("addr", "127.0.0.1:7488");
-    let from_log = matches!(a.get("from-log", "no").as_str(), "yes" | "true" | "1");
-    let items = a.get_u64("items", 1 << 20)?;
-    let batch = a.get_u64("batch", 512)?.max(1);
-    let universe = (a.get_u64("universe", 100_000)? as usize).max(2);
-    let skew = a.get_f64("skew", 1.05)?;
-    let seed = a.get_u64("seed", 1)?;
-    let sim_every = a.get_u64("sim-every", 8)?;
-    let probes = a.get_u64("probes", 64)?;
-    let cluster = matches!(a.get("cluster", "no").as_str(), "yes" | "true" | "1");
-    let engine = engine_config(a, "engine-seed")?;
-
-    let io = |err: std::io::Error| net_err(&addr, err);
-    let mut client = she_server::Client::connect(&addr).map_err(io)?;
-    client.hello().map_err(io)?;
-    if from_log && cluster {
-        return Err(ArgError(
-            "--from-log replays one node's replication feed; it does not apply in \
-             cluster mode"
-                .into(),
-        )
-        .into());
-    }
-    let n_batches = items.div_ceil(batch);
-    let applied = if cluster {
-        // Cluster mode: answers come from CLUSTER_QUERY scatter-gather,
-        // so the mirror must hold the *whole* stream — the caller is
-        // responsible for having applied all --items cluster-wide. The
-        // merge runs in partition order, so the mirror's shard count
-        // must equal the partition count.
-        let map = client.cluster_map().map_err(io)?;
-        if engine.shards != map.partitions.len() {
-            return Err(ArgError(format!(
-                "--shards {} but the cluster has {} partitions; the scatter-gather merge \
-                 runs in partition order, so the mirror must shard identically",
-                engine.shards,
-                map.partitions.len()
-            ))
-            .into());
-        }
-        n_batches
-    } else {
-        // The node must be quiescent: its position (primary head /
-        // replica applied) tells the mirror how many batches to replay,
-        // which only holds once it has stopped moving.
-        let first = client.cluster_status().map_err(io)?;
-        std::thread::sleep(std::time::Duration::from_millis(250));
-        let second = client.cluster_status().map_err(io)?;
-        if first.head != second.head {
-            return Err(ArgError(format!(
-                "node at {addr} is still applying (seq {} -> {}); quiesce the stream first",
-                first.head, second.head
-            ))
-            .into());
-        }
-        if !from_log && second.head > n_batches {
-            return Err(ArgError(format!(
-                "node is at seq {} but --items {items} --batch {batch} only yields \
-                 {n_batches} batches; pass the flags the loadgen run used",
-                second.head
-            ))
-            .into());
-        }
-        second.head
-    };
-
-    let mut mirror = she_server::DirectEngine::new(engine);
-    let mut sent = 0u64;
-    if from_log {
-        // The log is the admission order itself, so this replay stays
-        // sound for workloads produced by many concurrent connections —
-        // where no keygen rerun could reproduce the interleaving.
-        sent = replay_feed(&addr, applied, &mut mirror).map_err(io)?;
-    } else {
-        let mut keygen = CaidaLike::new(universe, skew, seed);
-        for b in 0..applied {
-            let take = batch.min(items - sent) as usize;
-            let keys = keygen.take_vec(take);
-            let stream = if sim_every > 0 && b % sim_every == sim_every - 1 { 1u8 } else { 0u8 };
-            for &k in &keys {
-                mirror.insert(stream, k);
-            }
-            sent += take as u64;
-        }
-    }
-
-    let mut checked = 0u64;
-    let mut mismatches = 0u64;
-    for i in 0..probes {
-        let key = she_hash::mix64(seed.wrapping_add(i)) % universe as u64;
-        let got = probe_bool(&mut client, cluster, key).map_err(io)?;
-        let want = mirror.member(key);
-        checked += 1;
-        if got != want {
-            mismatches += 1;
-            eprintln!("mismatch: member({key}) node={got} mirror={want}");
-        }
-        let got = probe_freq(&mut client, cluster, key).map_err(io)?;
-        let want = mirror.frequency(key);
-        checked += 1;
-        if got != want {
-            mismatches += 1;
-            eprintln!("mismatch: freq({key}) node={got} mirror={want}");
-        }
-    }
-    let got = probe_f64(&mut client, cluster, she_server::cluster_op::CARD).map_err(io)?.to_bits();
-    let want = mirror.cardinality().to_bits();
-    checked += 1;
-    if got != want {
-        mismatches += 1;
-        eprintln!("mismatch: card node_bits={got:#018x} mirror_bits={want:#018x}");
-    }
-    let got = probe_f64(&mut client, cluster, she_server::cluster_op::SIM).map_err(io)?.to_bits();
-    let want = mirror.similarity().to_bits();
-    checked += 1;
-    if got != want {
-        mismatches += 1;
-        eprintln!("mismatch: sim node_bits={got:#018x} mirror_bits={want:#018x}");
-    }
-
-    println!(
-        "mirror-check {addr}: seq {applied} ({sent} items replayed), \
-         {checked} answers checked, {mismatches} mismatches"
-    );
-    if mismatches > 0 {
-        return Err(
-            ArgError(format!("mirror-check failed: {mismatches} mismatched answers")).into()
-        );
-    }
-    Ok(())
-}
-
 fn analyze(a: &Args) -> Result<(), ArgError> {
     a.expect_only(&["window", "memory", "hashes", "cardinality"])?;
     let window = a.get_u64("window", 1 << 16)?;
@@ -1520,6 +960,28 @@ mod tests {
     #[test]
     fn dispatch_rejects_unknown_command() {
         assert!(dispatch(&args("frobnicate")).is_err());
+    }
+
+    /// `USAGE` is the one list of subcommands (`main.rs` and the docs
+    /// point at it): every command it names must be routed and every
+    /// routed command named, so a deletion cannot leave either behind.
+    #[test]
+    fn usage_names_exactly_the_commands_dispatch_routes() {
+        let listed: Vec<&str> = USAGE
+            .lines()
+            .skip_while(|l| *l != "COMMANDS")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let source = include_str!("run.rs");
+        let body = source.split("pub fn dispatch(").nth(1).expect("dispatch is in this file");
+        let body = body.split("other =>").next().expect("dispatch ends in a catch-all arm");
+        let routed: Vec<&str> =
+            body.lines().filter_map(|l| l.trim().strip_prefix('"')?.split('"').next()).collect();
+        assert_eq!(listed, routed, "USAGE and dispatch list the commands in one order");
+        assert_eq!(listed.len(), 17);
     }
 
     #[test]
@@ -1635,7 +1097,6 @@ mod tests {
             "query --addr 127.0.0.1:1 --op card",
             "checkpoint --addr 127.0.0.1:1 --dir /tmp/she-nope",
             "cluster-status --addr 127.0.0.1:1",
-            "mirror-check --addr 127.0.0.1:1",
             "shutdown --addr 127.0.0.1:1",
         ] {
             let err = dispatch(&args(line)).unwrap_err();
@@ -1647,8 +1108,6 @@ mod tests {
     #[test]
     fn bad_flags_keep_exit_code_1() {
         let err = dispatch(&args("cluster-status --bogus 1")).unwrap_err();
-        assert_eq!(err.code, 1);
-        let err = dispatch(&args("mirror-check --bogus 1")).unwrap_err();
         assert_eq!(err.code, 1);
         let err = dispatch(&args("loadgen --bogus 1")).unwrap_err();
         assert_eq!(err.code, 1);

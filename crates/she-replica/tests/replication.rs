@@ -136,6 +136,59 @@ fn bootstrap_plus_tail_matches_mirror_bit_for_bit() {
     primary.join();
 }
 
+/// The join above happens at a quiet point. Here the replica joins while
+/// a writer is streaming: the bootstrap snapshot must be cut *between*
+/// two admitted batches (`0 < boot_seq < head`), and snapshot + tail must
+/// still add up to the mirror bit for bit. Channels, not sleeps, force
+/// the overlap: the writer never pauses, it only stops 50 batches after
+/// it hears that the replica is up.
+#[test]
+fn replica_joining_mid_stream_cuts_past_zero_and_converges_bit_for_bit() {
+    // A log deep enough that the tail from any cut is still retained.
+    let primary =
+        Server::start(ServerConfig { repl_log: 1 << 16, ..primary_cfg("127.0.0.1:0") }).unwrap();
+    let paddr = primary.local_addr().to_string();
+    let (streaming_tx, streaming_rx) = std::sync::mpsc::channel::<()>();
+    let (joined_tx, joined_rx) = std::sync::mpsc::channel::<()>();
+
+    let writer = std::thread::spawn({
+        let paddr = paddr.clone();
+        move || {
+            let mut client = Client::connect(&paddr).unwrap();
+            let mut mirror = DirectEngine::new(engine_cfg());
+            feed(&mut client, &mut mirror, 0, 50);
+            streaming_tx.send(()).unwrap();
+            let mut sent = 50;
+            // `Empty` = the join is still in flight; a dropped sender
+            // (the main thread failed) ends the stream too.
+            while joined_rx.try_recv() == Err(std::sync::mpsc::TryRecvError::Empty) {
+                feed(&mut client, &mut mirror, sent, sent + 1);
+                sent += 1;
+            }
+            feed(&mut client, &mut mirror, sent, sent + 50);
+            (sent + 50, mirror)
+        }
+    });
+
+    streaming_rx.recv().unwrap();
+    let replica = Replica::start(replica_cfg(&paddr)).unwrap();
+    let boot = replica.status().boot_seq.load(Ordering::SeqCst);
+    joined_tx.send(()).unwrap();
+    let (head, mirror) = writer.join().unwrap();
+
+    assert!(0 < boot && boot < head, "boot_seq {boot} is not mid-stream (head {head})");
+    assert_eq!(Client::connect(&paddr).unwrap().cluster_status().unwrap().head, head);
+    assert!(
+        eventually(10_000, || replica.status().applied.load(Ordering::SeqCst) == head),
+        "replica stopped at {} of {head}",
+        replica.status().applied.load(Ordering::SeqCst)
+    );
+    assert_eq!(replica_checkpoint(&replica), mirror.checkpoint(), "replica state diverged");
+
+    replica.join();
+    primary.join();
+}
+
 #[test]
 fn replica_rejects_writes_naming_the_primary() {
     let primary = Server::start(primary_cfg("127.0.0.1:0")).unwrap();

@@ -25,7 +25,6 @@ use she_hash::{mix64, Xoshiro256};
 use she_metrics::{LatencyHistogram, NetReport};
 use she_readpath::op as fast_op;
 use she_streams::{CaidaLike, KeyStream, Zipf};
-use std::collections::BTreeMap;
 use std::io;
 use std::time::{Duration, Instant};
 
@@ -75,11 +74,6 @@ pub struct LoadgenConfig {
     /// map is re-fetched and the op retried, so the run rides through a
     /// failover without restarting. `addr` is ignored.
     pub cluster: Option<String>,
-    /// Skip the first `offset` workload items (must be a multiple of
-    /// `batch`): the keygen is fast-forwarded and the batch numbering
-    /// continues, so a second run with `offset` picks up the exact same
-    /// global stream where the first run's `items` left off.
-    pub offset: u64,
     /// Issue point queries (member/freq) in batches of this many keys per
     /// round trip — `QUERY_BATCH` against one server,
     /// `CLUSTER_QUERY_BATCH` in cluster mode. 0 keeps them one-per-frame.
@@ -93,23 +87,6 @@ pub struct LoadgenConfig {
     /// through injected resets. Requires a single connection and a server
     /// running with `--repl-log` (the head is the ledger).
     pub resync_addr: Option<String>,
-    /// Cluster-mode fault hook: when opening an insert or coordinator
-    /// leg to a primary address listed here, dial the mapped (flaky,
-    /// chaos-proxied) address instead. Op-log-head polls and map
-    /// refreshes keep the direct addresses — the ledger must read the
-    /// truth. Primaries promoted mid-run are not in the table and are
-    /// dialed direct: faults attack the stable topology, the reroute
-    /// loop covers failover.
-    pub cluster_via: BTreeMap<String, String>,
-    /// Cluster-mode exactly-once recovery: keep a per-partition op-log
-    /// head ledger so an insert retried after an injected fault is
-    /// resent only when the primary really never applied it — which is
-    /// what keeps `--verify` bit-for-bit under `--faults`. Requires a
-    /// nonzero repl-log on every primary, this run being the sole
-    /// writer, and the topology staying stable for the run: a failover
-    /// mid-run surfaces as a clean head-went-backwards error, never as
-    /// silent divergence.
-    pub cluster_resync: bool,
     /// Fraction of operations issued as `QUERY_FAST` reads, by item
     /// count: after each insert batch the run owes
     /// `items * ratio / (1 - ratio)` fast reads, so `0.95` yields the
@@ -145,11 +122,8 @@ impl Default for LoadgenConfig {
             read_from: None,
             connections: 1,
             cluster: None,
-            offset: 0,
             query_batch: 0,
             resync_addr: None,
-            cluster_via: BTreeMap::new(),
-            cluster_resync: false,
             read_ratio: 0.0,
             read_skew: 1.1,
         }
@@ -234,66 +208,23 @@ struct ClusterConns {
     legs: Vec<Option<Client>>,
     /// `busy_retries` harvested from legs already dropped by reroutes.
     retired_busy: u64,
-    /// Flaky detours for primary addresses (see
-    /// [`LoadgenConfig::cluster_via`]); head polls stay direct.
-    via: BTreeMap<String, String>,
-    /// Per-partition exactly-once ledgers, armed by
-    /// [`LoadgenConfig::cluster_resync`].
-    ledgers: Option<Vec<PartLedger>>,
-    /// Reconnects performed while riding through injected faults.
-    reconnects: u64,
-}
-
-/// Exactly-once ledger for one partition's inserts under faults: the
-/// primary's op-log head before the run sent anything, plus the frames
-/// known applied on our behalf since — the same scheme as [`Resilient`],
-/// one ledger per partition leg. The ledger assumes the partition keeps
-/// its primary for the duration of the run: a promoted holder starts a
-/// fresh log, which the head poll reads as the head going backwards and
-/// surfaces as a clean error — never as silent divergence.
-struct PartLedger {
-    head0: u64,
-    committed: u64,
 }
 
 impl ClusterConns {
-    fn connect(
-        seed: &str,
-        via: &BTreeMap<String, String>,
-        resync: bool,
-    ) -> io::Result<ClusterConns> {
+    fn connect(seed: &str) -> io::Result<ClusterConns> {
         let mut c = Client::connect_timeout(seed, CLUSTER_LEG_TIMEOUT)?;
         let map = c.cluster_map()?;
         if map.partitions.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "cluster map is empty"));
         }
-        let ledgers = if resync {
-            let mut l = Vec::with_capacity(map.partitions.len());
-            for part in &map.partitions {
-                // audit:allow(growth): one ledger per partition
-                l.push(PartLedger { head0: poll_head(&part.primary.addr)?, committed: 0 });
-            }
-            Some(l)
-        } else {
-            None
-        };
         let legs = (0..map.partitions.len()).map(|_| None).collect();
-        Ok(ClusterConns {
-            seed: seed.to_string(),
-            map,
-            legs,
-            retired_busy: 0,
-            via: via.clone(),
-            ledgers,
-            reconnects: 0,
-        })
+        Ok(ClusterConns { seed: seed.to_string(), map, legs, retired_busy: 0 })
     }
 
     fn leg(&mut self, p: usize) -> io::Result<&mut Client> {
         if self.legs[p].is_none() {
             let addr = &self.map.partitions[p].primary.addr;
-            let dial = self.via.get(addr).unwrap_or(addr);
-            self.legs[p] = Some(Client::connect_timeout(dial, CLUSTER_LEG_TIMEOUT)?);
+            self.legs[p] = Some(Client::connect_timeout(addr, CLUSTER_LEG_TIMEOUT)?);
         }
         match self.legs[p].as_mut() {
             Some(c) => Ok(c),
@@ -360,85 +291,9 @@ impl ClusterConns {
             if sub.is_empty() {
                 continue;
             }
-            if self.ledgers.is_some() {
-                self.insert_resilient(p, stream, sub)?;
-            } else {
-                self.retrying(|me| me.leg(p)?.insert_batch(stream, sub))?;
-            }
+            self.retrying(|me| me.leg(p)?.insert_batch(stream, sub))?;
         }
         Ok(())
-    }
-
-    /// Exactly-once insert on one partition leg over a flaky transport:
-    /// after a faulted send, poll the primary's op-log head over its
-    /// *direct* address and either count the frames as landed or resend
-    /// exactly the missing tail. When the primary itself is unreachable
-    /// (a kill, not just a fault), the map refresh between laps follows
-    /// the promotion; a promoted successor starts a fresh log, which
-    /// the head poll reads as the head going backwards and reports as a
-    /// clean error rather than guessing at what landed.
-    fn insert_resilient(&mut self, p: usize, stream: u8, sub: &[u64]) -> io::Result<()> {
-        let frames = sub.len().div_ceil(MAX_BATCH.max(1)).max(1) as u64;
-        let first = match self.leg(p).and_then(|c| c.insert_batch(stream, sub)) {
-            Ok(_) => {
-                self.commit(p, frames);
-                return Ok(());
-            }
-            Err(e) => e,
-        };
-        for _ in 0..FAULT_RETRIES {
-            std::thread::sleep(FAULT_BACKOFF);
-            if let Some(c) = self.legs[p].take() {
-                self.retired_busy += c.busy_retries;
-            }
-            self.reconnects += 1;
-            let head = match poll_head(&self.map.partitions[p].primary.addr) {
-                Ok(h) => h,
-                Err(_) => {
-                    // Unreachable primary: possibly mid-failover. Adopt
-                    // any newer map and try its promoted successor.
-                    self.refresh();
-                    continue;
-                }
-            };
-            let (head0, committed) = match self.ledgers.as_ref() {
-                Some(l) => (l[p].head0, l[p].committed),
-                None => return Err(io::Error::other("cluster insert ledger vanished")),
-            };
-            let Some(applied) = head.checked_sub(head0 + committed) else {
-                return Err(io::Error::other(format!(
-                    "partition {p} op-log head went backwards under faults: head {head}, \
-                     committed {} ({first})",
-                    head0 + committed
-                )));
-            };
-            if applied > frames {
-                return Err(io::Error::other(format!(
-                    "partition {p} op-log head diverged under faults: {applied} frames \
-                     applied, at most {frames} in flight ({first})"
-                )));
-            }
-            if applied == frames {
-                // Every frame landed; only the response was lost.
-                self.commit(p, frames);
-                return Ok(());
-            }
-            let resend = &sub[(usize_of(applied) * MAX_BATCH.max(1)).min(sub.len())..];
-            if self.leg(p).and_then(|c| c.insert_batch(stream, resend)).is_ok() {
-                self.commit(p, frames);
-                return Ok(());
-            }
-        }
-        Err(io::Error::other(format!(
-            "partition {p} insert did not recover after {FAULT_RETRIES} reconnect \
-             attempts ({first})"
-        )))
-    }
-
-    fn commit(&mut self, p: usize, frames: u64) {
-        if let Some(l) = self.ledgers.as_mut() {
-            l[p].committed += frames;
-        }
     }
 
     fn query(&mut self, op: u8, key: u64) -> io::Result<Response> {
@@ -462,12 +317,17 @@ const FAULT_RETRIES: usize = 40;
 /// finish applying a frame that was delivered right before the fault, so
 /// the head poll observes its final verdict.
 const FAULT_BACKOFF: Duration = Duration::from_millis(50);
+/// Connect + per-op bound on every connection of a fault-riding run, the
+/// first one included: a request an injected fault swallowed must fail
+/// the op (and start recovery) rather than wait out the server's
+/// stalled-client eviction.
+const FAULT_OP_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Ask the server (over a *direct*, non-flaky connection) for its op-log
 /// head. A fresh connection per poll: the whole point is that the usual
 /// path is unreliable.
 fn poll_head(status_addr: &str) -> io::Result<u64> {
-    let mut c = Client::connect_timeout(status_addr, Duration::from_secs(5))?;
+    let mut c = Client::connect_timeout(status_addr, FAULT_OP_TIMEOUT)?;
     Ok(c.cluster_status()?.head)
 }
 
@@ -513,7 +373,7 @@ impl Resilient {
     /// Replace a dead flaky connection with a fresh one, keeping its
     /// busy-retry tally. Returns false when even the connect faulted.
     fn reconnect(&mut self, client: &mut Client) -> bool {
-        match Client::connect_timeout(&self.addr, Duration::from_secs(5)) {
+        match Client::connect_timeout(&self.addr, FAULT_OP_TIMEOUT) {
             Ok(fresh) => {
                 let dead = std::mem::replace(client, fresh);
                 self.retired_busy += dead.busy_retries;
@@ -686,7 +546,7 @@ impl Sink {
     /// One `QUERY_FAST`, on the read connection when one is open.
     /// The answer value is discarded — the read-heavy profile measures
     /// latency and server-side cache behaviour, not correctness (that is
-    /// `she fastcheck`'s job, at quiescence where the bound is exact).
+    /// `readpath_e2e.rs`'s job, at quiescence where the bound is exact).
     fn query_fast(&mut self, op: u8, key: u64) -> io::Result<()> {
         match self {
             Sink::Single { client, reads, faulted } => match reads.as_mut() {
@@ -711,7 +571,7 @@ impl Sink {
     fn reconnects(&self) -> u64 {
         match self {
             Sink::Single { faulted, .. } => faulted.as_ref().map_or(0, |r| r.reconnects),
-            Sink::Cluster(c) => c.reconnects,
+            Sink::Cluster(_) => 0,
         }
     }
 }
@@ -844,7 +704,7 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
         }
         if cfg.verify.is_some() {
             // Mid-stream fast answers are cache-served under a staleness
-            // *bound*, not bit-for-bit; `she fastcheck` verifies them at
+            // *bound*, not bit-for-bit; `readpath_e2e.rs` verifies them at
             // quiescence instead.
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -883,15 +743,7 @@ fn run_fanout(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
             "--verify requires a single connection",
         ));
     }
-    if cfg.offset > 0 {
-        // --offset continues one deterministic stream; fanned-out threads
-        // each reseed, so there is no single stream to continue.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "--offset requires a single connection",
-        ));
-    }
-    if cfg.resync_addr.is_some() || cfg.cluster_resync {
+    if cfg.resync_addr.is_some() {
         // Head-based recovery attributes every op-log advance to the one
         // connection it owns; concurrent writers would make the ledger
         // ambiguous.
@@ -960,14 +812,6 @@ fn run_fanout(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
 /// One connection's worth of [`run`].
 fn run_single(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
     let batch = cfg.batch.max(1) as u64;
-    if !cfg.offset.is_multiple_of(batch) {
-        // Batch numbering (and with it the A/B stream cycle) must line up
-        // with the run that produced the first `offset` items.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "--offset must be a multiple of --batch",
-        ));
-    }
     let mut sink = match &cfg.cluster {
         Some(seed) => {
             if cfg.read_from.is_some() {
@@ -984,7 +828,7 @@ fn run_single(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
                     "fault injection applies to a single server, not a cluster",
                 ));
             }
-            let conns = ClusterConns::connect(seed, &cfg.cluster_via, cfg.cluster_resync)?;
+            let conns = ClusterConns::connect(seed)?;
             if let Some(v) = &cfg.verify {
                 // The scatter-gather merge runs in partition order; the
                 // mirror's shard order must be the same order.
@@ -998,7 +842,10 @@ fn run_single(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
             Sink::Cluster(conns)
         }
         None => {
-            let client = Client::connect(&cfg.addr)?;
+            let client = match cfg.resync_addr {
+                Some(_) => Client::connect_timeout(&cfg.addr, FAULT_OP_TIMEOUT)?,
+                None => Client::connect(&cfg.addr)?,
+            };
             // Reads may go to a different node (a replica); the mirror
             // cannot vouch for a lagging replica, so the combination is
             // refused.
@@ -1030,12 +877,7 @@ fn run_single(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
     };
     let mut mirror = cfg.verify.map(DirectEngine::new);
     let mut keygen = CaidaLike::new(cfg.universe.max(2), cfg.skew, cfg.seed);
-    for _ in 0..cfg.offset {
-        // Fast-forward past the items a previous run already sent.
-        keygen.next_key();
-    }
 
-    let first_batch = cfg.offset / batch;
     let n_batches = cfg.items.div_ceil(batch);
     // Interleave queries evenly: one after roughly every `stride`-th batch.
     let stride = if cfg.queries == 0 { u64::MAX } else { n_batches.div_ceil(cfg.queries).max(1) };
@@ -1059,11 +901,8 @@ fn run_single(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
         let take = usize_of(batch.min(cfg.items - sent_items));
         let keys = keygen.take_vec(take);
         last_key = *keys.last().unwrap_or(&last_key);
-        // Stream selection runs on the *global* batch number so an
-        // offset continuation keeps the same A/B cycle.
-        let gb = first_batch + b;
         let stream =
-            if cfg.sim_every > 0 && gb % cfg.sim_every == cfg.sim_every - 1 { 1u8 } else { 0u8 };
+            if cfg.sim_every > 0 && b % cfg.sim_every == cfg.sim_every - 1 { 1u8 } else { 0u8 };
 
         // Open-loop: wait for this batch's scheduled departure, then
         // charge latency from the schedule, not from the actual send.

@@ -96,7 +96,7 @@ fn query_fast_matches_authoritative_at_quiescence() {
 /// at quiescence — fast freq never above authoritative, fast
 /// member-true never wrong — and a FLUSH must restore bit-for-bit
 /// equality. This is exactly the scenario a 95/5 loadgen run leaves
-/// behind for `she fastcheck`.
+/// behind.
 #[test]
 fn warm_cache_respects_bound_and_flush_restores_exactness() {
     let engine = EngineConfig { window: 1 << 14, shards: 2, memory_bytes: 32 << 10, seed: 23 };

@@ -3,7 +3,11 @@
 //! engine fed the same stream, and the lifecycle (backpressure, drain,
 //! shutdown) must hold up under load.
 
-use she_server::{loadgen, Client, EngineConfig, LoadgenConfig, Mode, Server, ServerConfig};
+use she_server::codec::read_frame;
+use she_server::protocol::Response;
+use she_server::{
+    loadgen, Client, DirectEngine, EngineConfig, LoadgenConfig, Mode, Record, Server, ServerConfig,
+};
 
 fn start_server(engine: EngineConfig) -> Server {
     Server::start(ServerConfig {
@@ -155,8 +159,7 @@ fn multi_connection_loadgen_aggregates() {
         seed: 21,
         connections: 3,
         // Reads from a second address — here the same server, standing in
-        // for a replica (the read-scaling path is exercised end to end in
-        // scripts/check.sh with a real replica).
+        // for a replica (`she-cli/tests/cli.rs` reads from a real one).
         read_from: Some(server.local_addr().to_string()),
         ..Default::default()
     };
@@ -169,6 +172,81 @@ fn multi_connection_loadgen_aggregates() {
 
     let stats = server.join();
     assert_eq!(stats.iter().map(|s| s.inserts).sum::<u64>(), 10_001);
+}
+
+/// 1 023 connections held open at once — the feed subscription below is
+/// the 1 024th, the default cap — each insert through one reactor,
+/// interleaved by four threads. No keygen rerun could reproduce
+/// that interleaving, but the node's op log *is* the admission order: a
+/// twin rebuilt by subscribing from sequence 1 and replaying every
+/// `REPL_OP` must answer the battery bit for bit.
+///
+/// Each connection completes a round trip before the next one dials, so
+/// the accept queue never holds more than one: 1 024 threads dialling at
+/// once (what `loadgen --connections 1024` does) overflow the listen
+/// backlog on a busy box and the kernel answers the first write with a
+/// reset — a property of the herd, not of the reactor.
+#[test]
+fn twin_rebuilt_from_the_op_log_matches_after_1023_concurrent_connections() {
+    let engine = EngineConfig { window: 1 << 16, shards: 4, memory_bytes: 64 << 10, seed: 1 };
+    let server = Server::start(ServerConfig { engine, repl_log: 8192, ..Default::default() })
+        .expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    let mut conns: Vec<Client> = (0..1_023)
+        .map(|_| {
+            let mut c = Client::connect(&addr).expect("under the connection cap");
+            c.hello().expect("registered with the reactor");
+            c
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for (t, quarter) in conns.chunks_mut(256).enumerate() {
+            scope.spawn(move || {
+                for (i, c) in quarter.iter_mut().enumerate() {
+                    let n = (t * 256 + i) as u64;
+                    let keys: Vec<u64> =
+                        (0..64).map(|j| she_hash::mix64(n * 64 + j) % 5_000).collect();
+                    c.insert_batch(u8::from(n % 8 == 7), &keys).unwrap();
+                    c.query_batch(she_server::cluster_op::MEMBER, &keys[..8]).unwrap();
+                }
+            });
+        }
+    });
+
+    let client = &mut conns[0];
+    let head = client.cluster_status().unwrap().head;
+    assert_eq!(head, 1_023, "one op-log record per admitted batch");
+
+    let mut feed = Client::connect(&addr).unwrap().subscribe(1, 0).unwrap();
+    let mut twin = DirectEngine::new(engine);
+    let mut applied = 0;
+    while applied < head {
+        let payload = read_frame(&mut feed).unwrap().expect("feed closed before the head");
+        match Response::decode(&payload).unwrap() {
+            Response::ReplOp(data) => {
+                let rec = Record::decode(&data).unwrap();
+                assert_eq!(rec.seq, applied + 1, "the feed skipped or repeated a record");
+                for &k in &rec.keys {
+                    twin.insert(rec.stream, k);
+                }
+                applied = rec.seq;
+            }
+            Response::ReplHeartbeat { .. } => {}
+            other => panic!("unexpected frame on the feed: {other:?}"),
+        }
+    }
+    drop(feed);
+
+    for i in 0..64u64 {
+        let k = she_hash::mix64(i) % 5_000;
+        assert_eq!(client.query_member(k).unwrap(), twin.member(k), "member({k})");
+        assert_eq!(client.query_freq(k).unwrap(), twin.frequency(k), "freq({k})");
+    }
+    assert_eq!(client.query_card().unwrap().to_bits(), twin.cardinality().to_bits());
+    assert_eq!(client.query_sim().unwrap().to_bits(), twin.similarity().to_bits());
+
+    drop(conns);
+    server.join();
 }
 
 /// Verification is a single-connection contract.
