@@ -69,14 +69,14 @@ fn verified_loadgen_rides_injected_resets_by_head_resync() {
         items: 20_000,
         batch: 128,
         queries: 400,
-        query_batch: 16,
         universe: 5_000,
         seed: 7,
         verify: Some(engine),
         ..Default::default()
     })
     .expect("the run recovers from every injected fault");
-    assert!(summary.verified > 400, "batched probes are verified per key");
+    // 66 six-probe cycles + 4 singles: 268 single answers, 132 batches of 16.
+    assert_eq!(summary.verified, 268 + 132 * 16, "batched probes are verified per key");
     assert_eq!(summary.mismatches, 0);
     assert!(summary.reconnects >= 1, "no reset was ridden: {:?}", proxy.counters().snapshot());
     assert!(summary.wall < Duration::from_secs(10), "a fault stalled the run: {:?}", summary.wall);

@@ -88,7 +88,7 @@ pub fn parse_size(s: &str) -> Option<u64> {
         'g' | 'G' => (&s[..s.len() - 1], 1u64 << 30),
         _ => (s, 1),
     };
-    num.parse::<u64>().ok().map(|n| n * mult)
+    num.parse::<u64>().ok()?.checked_mul(mult)
 }
 
 #[cfg(test)]
@@ -116,6 +116,9 @@ mod tests {
         assert_eq!(parse_size("1G"), Some(1 << 30));
         assert_eq!(parse_size("x"), None);
         assert_eq!(parse_size("12kk"), None);
+        // 2^34 · 2^30 = 2^64: out of range, not wrapped to 0.
+        assert_eq!(parse_size("17179869184g"), None);
+        assert_eq!(parse_size("17179869183g"), Some(u64::MAX - (1 << 30) + 1));
     }
 
     #[test]

@@ -15,12 +15,13 @@ USAGE: she <command> [--flag value ...]
 COMMANDS
   membership   SHE-BF false-positive rate vs exact ground truth
                --window N --memory BYTES --stream S --items N --probes N --alpha F
+               --seed N
   cardinality  SHE-BM / SHE-HLL relative error
-               --algo bm|hll --window N --memory BYTES --stream S --items N
+               --algo bm|hll --window N --memory BYTES --stream S --items N --seed N
   frequency    SHE-CM average relative error
-               --window N --memory BYTES --stream S --items N --sample N
+               --window N --memory BYTES --stream S --items N --sample N --seed N
   similarity   SHE-MH pair relative error
-               --window N --memory BYTES --overlap F --items N
+               --window N --memory BYTES --overlap F --items N --seed N
   pipeline     audited 4-stage hardware pipeline (Tables 2-3)
                --variant bm|bf|cm|hll --items N
   analyze      closed-form parameter guidance (Eqs. 1-5)
@@ -68,32 +69,28 @@ COMMANDS
                nodes — one line per partition with its holder list and
                each replica's apply-lag (docs/REPLICATION.md)
                --addr HOST:PORT --timeout-ms N
-  loadgen      drive a running server with a Zipf workload
-               --addr HOST:PORT --items N --batch N --queries N --open RATE
-               --universe N --skew F --seed N --verify yes (+ --shards/
-               --window/--memory/--engine-seed matching the server)
-               --connections N (fan out; merged latency histograms)
-               --read-from HOST:PORT (send the queries to a replica)
+  loadgen      feed a running server a seeded Zipf workload; with --verify
+               yes every answer is checked bit for bit against an
+               in-process twin (probes cycle member, freq, card, sim, a
+               16-key member batch, a 16-key freq batch)
+               --addr HOST:PORT --items N --batch N --queries N
+               --universe N --skew F --seed N --sim-every N --verify yes
+               (+ --shards/--window/--memory/--engine-seed matching the
+               server)
                --cluster yes (treat --addr as a cluster seed node: writes
                route per partition, queries scatter-gather, and the map is
                refreshed through failovers)
-               --query-batch N (batch member/freq probes N keys per round
-               trip via QUERY_BATCH / CLUSTER_QUERY_BATCH)
-               --read-ratio F (interleave QUERY_FAST reads at F reads
-               per read+item — 0.95 is the 95/5 read-heavy profile; needs
-               a --readpath server; prints the server-side cache hit rate)
-               --zipf F (Zipf exponent of the fast-read key draw, seeded
-               from --seed; default 1.1)
                --faults yes --fault-seed N (route a single server's traffic
                through an in-process fault proxy — partial writes, delays,
                resets — riding each fault with reconnect + op-log-head
-               resync, so --verify stays bit-for-bit; server must run
-               --repl-log)
+               resync, so --verify stays bit-for-bit; the server must keep
+               an op log)
   shutdown     ask a running server to drain and stop
                --addr HOST:PORT
   audit        run the workspace static-analysis gate (docs/ANALYSIS.md):
                panic-path, truncating-cast, lock-order, protocol-drift
                --root DIR (workspace root, default .) --list-locks yes
+               --json yes (the report as JSON) --rule NAME (run one rule)
 
 Sizes accept k/m/g suffixes: --memory 64k, --items 2m.
 Streams: caida (default), distinct, campus, webpage.
@@ -603,7 +600,6 @@ fn loadgen(a: &Args) -> Result<(), CliError> {
         "items",
         "batch",
         "queries",
-        "open",
         "universe",
         "skew",
         "seed",
@@ -613,50 +609,30 @@ fn loadgen(a: &Args) -> Result<(), CliError> {
         "window",
         "memory",
         "engine-seed",
-        "read-from",
-        "connections",
         "cluster",
-        "query-batch",
         "faults",
         "fault-seed",
-        "read-ratio",
-        "zipf",
     ])?;
-    let verify = a.get("verify", "no");
-    let read_from = a.get("read-from", "");
+    let yes = |flag: &str| matches!(a.get(flag, "no").as_str(), "yes" | "true" | "1");
     let addr = a.get("addr", "127.0.0.1:7487");
-    let cluster = matches!(a.get("cluster", "no").as_str(), "yes" | "true" | "1");
-    let faults = matches!(a.get("faults", "no").as_str(), "yes" | "true" | "1");
     let mut cfg = she_server::LoadgenConfig {
         addr: addr.clone(),
         items: a.get_u64("items", 1 << 20)?,
         batch: a.get_u64("batch", 512)? as usize,
         queries: a.get_u64("queries", 10_000)?,
-        mode: match a.get_f64("open", -1.0).ok().filter(|&r| r > 0.0) {
-            Some(rate) => she_server::Mode::Open { items_per_sec: rate },
-            None => she_server::Mode::Closed,
-        },
         universe: a.get_u64("universe", 100_000)? as usize,
         skew: a.get_f64("skew", 1.05)?,
         seed: a.get_u64("seed", 1)?,
         sim_every: a.get_u64("sim-every", 8)?,
-        verify: match verify.as_str() {
-            "yes" | "true" | "1" => Some(engine_config(a, "engine-seed")?),
-            _ => None,
-        },
-        read_from: if read_from.is_empty() { None } else { Some(read_from) },
-        connections: a.get_u64("connections", 1)? as usize,
-        cluster: cluster.then(|| addr.clone()),
-        query_batch: a.get_u64("query-batch", 0)? as usize,
+        verify: if yes("verify") { Some(engine_config(a, "engine-seed")?) } else { None },
+        cluster: yes("cluster"),
         resync_addr: None,
-        read_ratio: a.get_f64("read-ratio", 0.0)?,
-        read_skew: a.get_f64("zipf", 1.1)?,
     };
     // All traffic detours through a seeded in-process fault proxy; the
     // loadgen resyncs against the server's *direct* address after each
     // injected fault. Bit flips stay off: inserts carry no checksum, so
     // a flipped key would corrupt the run silently instead of failing it.
-    let proxy = if faults {
+    let proxy = if yes("faults") {
         let fault_cfg = she_chaos::FaultConfig {
             bitflip: 0.0,
             ..she_chaos::FaultConfig::wire(a.get_u64("fault-seed", 1)?)
@@ -951,6 +927,7 @@ fn analyze(a: &Args) -> Result<(), ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn args(line: &str) -> Args {
         let toks: Vec<String> = line.split_whitespace().map(String::from).collect();
@@ -962,19 +939,28 @@ mod tests {
         assert!(dispatch(&args("frobnicate")).is_err());
     }
 
-    /// `USAGE` is the one list of subcommands (`main.rs` and the docs
-    /// point at it): every command it names must be routed and every
-    /// routed command named, so a deletion cannot leave either behind.
+    /// `USAGE` is the one list of subcommands and flags (`main.rs` and
+    /// the docs point at it): every command it names must be routed and
+    /// every routed command named, and each command's block must name
+    /// exactly the flags that command accepts, so a deletion cannot leave
+    /// either behind.
     #[test]
     fn usage_names_exactly_the_commands_dispatch_routes() {
-        let listed: Vec<&str> = USAGE
-            .lines()
-            .skip_while(|l| *l != "COMMANDS")
-            .skip(1)
-            .take_while(|l| !l.is_empty())
-            .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
-            .filter_map(|l| l.split_whitespace().next())
-            .collect();
+        // (command, the `--flags` its block names), in USAGE order.
+        let mut blocks: Vec<(&str, BTreeSet<&str>)> = Vec::new();
+        for line in
+            USAGE.lines().skip_while(|l| *l != "COMMANDS").skip(1).take_while(|l| !l.is_empty())
+        {
+            if !line.starts_with("   ") {
+                blocks.push((line.split_whitespace().next().expect("a name"), BTreeSet::new()));
+            }
+            let flags = &mut blocks.last_mut().expect("a command line opens the list").1;
+            for tail in line.split("--").skip(1) {
+                let end = tail.find(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+                flags.insert(&tail[..end.unwrap_or(tail.len())]);
+            }
+        }
+        let listed: Vec<&str> = blocks.iter().map(|b| b.0).collect();
         let source = include_str!("run.rs");
         let body = source.split("pub fn dispatch(").nth(1).expect("dispatch is in this file");
         let body = body.split("other =>").next().expect("dispatch ends in a catch-all arm");
@@ -982,6 +968,19 @@ mod tests {
             body.lines().filter_map(|l| l.trim().strip_prefix('"')?.split('"').next()).collect();
         assert_eq!(listed, routed, "USAGE and dispatch list the commands in one order");
         assert_eq!(listed.len(), 17);
+
+        for (command, documented) in &blocks {
+            let err = dispatch(&args(&format!("{command} --zz-not-a-flag 1"))).unwrap_err();
+            let allowed: BTreeSet<&str> = err
+                .msg
+                .split("(allowed: ")
+                .nth(1)
+                .and_then(|list| list.strip_suffix(')'))
+                .unwrap_or_else(|| panic!("{command}: no allowed list in {:?}", err.msg))
+                .split(", ")
+                .collect();
+            assert_eq!(documented, &allowed, "USAGE's `{command}` block vs the flags it accepts");
+        }
     }
 
     #[test]

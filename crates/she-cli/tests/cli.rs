@@ -132,7 +132,9 @@ fn checkpoint_then_restore_answers_the_same_query_lines() {
     let report = she_ok(&format!(
         "loadgen --addr {addr} --items 10000 --queries 100 --universe 5000 --verify yes {SIZING}"
     ));
-    assert!(report.contains("verified=100  mismatches=0"), "{report}");
+    // 100 probes = 16 six-probe cycles + 4 singles: 68 single answers and
+    // 32 batches of 16.
+    assert!(report.contains("verified=580  mismatches=0"), "{report}");
     let wrote = she_ok(&format!("checkpoint --addr {addr} --dir {dir_arg}"));
     assert!(wrote.starts_with("wrote ") && wrote.contains("checkpoint.she"), "{wrote}");
     let before = battery("query", addr);
@@ -154,10 +156,10 @@ fn checkpoint_then_restore_answers_the_same_query_lines() {
     assert!(first.exited() && restored.exited() && fast.exited(), "LEAKED PROCESS");
 }
 
-/// `she serve --replica-of`: the replica tails a loadgen run, serves the
-/// read half of a `--read-from` run, refuses a write with exit code 1
+/// `she serve --replica-of`: the replica tails a loadgen run, answers the
+/// `she query` lines the primary gives, refuses a write with exit code 1
 /// naming the primary, and after the primary's `SIGKILL` still answers
-/// the `she query` lines the primary gave.
+/// those same lines.
 #[test]
 fn replica_follows_refuses_writes_and_outlives_a_killed_primary() {
     let mut primary = Node::spawn(&format!("serve --addr 127.0.0.1:0 --repl-log 4096 {SIZING}"));
@@ -180,17 +182,14 @@ fn replica_follows_refuses_writes_and_outlives_a_killed_primary() {
     assert!(status.contains(" boot_seq=0\nqueue_depths="), "{status}");
     assert!(status.ends_with("\nreadpath=disabled\n"), "{status}");
 
-    // Read scaling: writes stay on the primary, queries go to the replica.
-    she_ok(&format!(
-        "loadgen --addr {paddr} --items 0 --queries 200 --connections 2 --read-from {raddr}"
-    ));
+    let before = battery("query", &paddr);
+    assert_eq!(battery("query", &raddr), before, "replica answers differ from its primary's");
 
     let refused = she(&format!("loadgen --addr {raddr} --items 100 --queries 0"));
     assert_eq!(refused.status.code(), Some(1), "a replica accepted a write");
     let stderr = String::from_utf8_lossy(&refused.stderr);
     assert!(stderr.contains("read-only replica") && stderr.contains(&paddr), "{stderr}");
 
-    let before = battery("query", &paddr);
     primary.kill();
     let gone = she(&format!("query --addr {paddr} --op card"));
     assert_eq!(gone.status.code(), Some(3), "a dead server is exit code 3");
@@ -236,7 +235,9 @@ fn cluster_of_three_processes_fails_over_to_the_lowest_live_holder() {
         "loadgen --addr {first} --cluster yes --items 30720 --batch 256 --queries 60 \
          --universe 5000 --seed 1 --verify yes --window 65536 --shards 3 --memory 65536"
     ));
-    assert!(report.contains("verified=60  mismatches=0"), "{report}");
+    // 60 probes = 10 six-probe cycles: 40 single answers and 20
+    // `CLUSTER_QUERY_BATCH`es of 16.
+    assert!(report.contains("verified=360  mismatches=0"), "{report}");
 
     // Drained: every replica holder has acked its primary's log head (a
     // kill before that would test data loss, not failover). One line per

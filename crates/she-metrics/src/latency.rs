@@ -1,5 +1,5 @@
-//! Latency accounting for the serving path: a log-scale histogram and a
-//! throughput/latency report, both allocation-free on the record path.
+//! Latency accounting for the serving path: a log-scale histogram,
+//! allocation-free on the record path.
 
 use std::time::Duration;
 
@@ -107,96 +107,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Human-readable nanosecond formatting (ns / µs / ms / s).
-pub fn fmt_ns(ns: u64) -> String {
-    match ns {
-        0..=999 => format!("{ns}ns"),
-        1_000..=999_999 => format!("{:.1}µs", ns as f64 / 1e3),
-        1_000_000..=999_999_999 => format!("{:.2}ms", ns as f64 / 1e6),
-        _ => format!("{:.3}s", ns as f64 / 1e9),
-    }
-}
-
-/// A throughput + latency summary for one class of network operations.
-#[derive(Debug)]
-pub struct NetReport {
-    /// Operation-class label (e.g. "insert_batch", "query").
-    pub label: String,
-    /// Operations completed.
-    pub ops: u64,
-    /// Items carried by those operations (≥ ops for batched inserts).
-    pub items: u64,
-    /// Wall-clock time for the whole run.
-    pub wall: Duration,
-    /// Per-operation round-trip latencies.
-    pub latency: LatencyHistogram,
-    /// Backpressure retries absorbed while completing `ops` (`BUSY`
-    /// responses that were retried, not surfaced).
-    pub retries: u64,
-}
-
-impl NetReport {
-    /// Build a report; `items` counts the payload units (keys, queries).
-    pub fn new(
-        label: &str,
-        ops: u64,
-        items: u64,
-        wall: Duration,
-        latency: LatencyHistogram,
-    ) -> Self {
-        Self { label: label.to_string(), ops, items, wall, latency, retries: 0 }
-    }
-
-    /// Attach a backpressure-retry count (shown in the `retries` column).
-    pub fn with_retries(mut self, retries: u64) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Operations per second over the wall clock.
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.wall.is_zero() {
-            0.0
-        } else {
-            self.ops as f64 / self.wall.as_secs_f64()
-        }
-    }
-
-    /// Items per second over the wall clock.
-    pub fn items_per_sec(&self) -> f64 {
-        if self.wall.is_zero() {
-            0.0
-        } else {
-            self.items as f64 / self.wall.as_secs_f64()
-        }
-    }
-
-    /// Render one aligned summary line (header via [`NetReport::header`]).
-    pub fn line(&self) -> String {
-        let h = &self.latency;
-        format!(
-            "{:<14} {:>10} {:>12} {:>12.0} {:>9} {:>9} {:>9} {:>9} {:>8}",
-            self.label,
-            self.ops,
-            self.items,
-            self.items_per_sec(),
-            fmt_ns(h.quantile_ns(0.50)),
-            fmt_ns(h.quantile_ns(0.90)),
-            fmt_ns(h.quantile_ns(0.99)),
-            fmt_ns(h.max_ns()),
-            self.retries,
-        )
-    }
-
-    /// Column header matching [`NetReport::line`].
-    pub fn header() -> String {
-        format!(
-            "{:<14} {:>10} {:>12} {:>12} {:>9} {:>9} {:>9} {:>9} {:>8}",
-            "op", "ops", "items", "items/s", "p50", "p90", "p99", "max", "retries"
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,23 +147,5 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.max_ns(), 2000);
         assert_eq!(a.min_ns(), 10);
-    }
-
-    #[test]
-    fn report_renders() {
-        let mut h = LatencyHistogram::new();
-        h.record_ns(5_000);
-        let r = NetReport::new("insert", 1, 128, Duration::from_millis(10), h);
-        assert!(r.items_per_sec() > 0.0);
-        assert!(r.line().contains("insert"));
-        assert!(NetReport::header().contains("p99"));
-    }
-
-    #[test]
-    fn fmt_ns_units() {
-        assert_eq!(fmt_ns(999), "999ns");
-        assert_eq!(fmt_ns(1_500), "1.5µs");
-        assert_eq!(fmt_ns(2_500_000), "2.50ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.000s");
     }
 }

@@ -16,10 +16,10 @@
 
 //!
 //! For the serving path (`she-server`), the [`latency`] module adds a
-//! log-bucket [`LatencyHistogram`] and per-operation [`NetReport`]
-//! throughput/latency summaries, and the [`counters`] module adds
-//! robustness tallies ([`ServeCounters`] for server self-protection
-//! events, [`FaultCounters`] for injected faults under `she-chaos`).
+//! mergeable log-bucket [`LatencyHistogram`], and the [`counters`]
+//! module adds robustness tallies ([`ServeCounters`] for server
+//! self-protection events, [`FaultCounters`] for injected faults under
+//! `she-chaos`).
 
 pub mod adapters;
 pub mod counters;
@@ -32,7 +32,7 @@ pub use counters::{
     FaultCounters, FaultCountersSnapshot, ReadpathCounters, ReadpathCountersSnapshot,
     ServeCounters, ServeCountersSnapshot,
 };
-pub use latency::{LatencyHistogram, NetReport};
+pub use latency::LatencyHistogram;
 pub use report::ResultTable;
 pub use runners::*;
 

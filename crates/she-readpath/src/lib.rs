@@ -5,13 +5,13 @@
 //! mix from a structure that never touches the write path:
 //!
 //! * **Stage one — the fast summary**: a second
-//!   [`DirectEngine`](she_core::sharded::DirectEngine) — the *same* sketch
+//!   [`DirectEngine`] — the *same* sketch
 //!   the workers own, in the SF-sketch spirit, not a second type —
 //!   refreshed incrementally from the op stream (the replication log
 //!   tail) and read *frozen*: queries never mutate, so the mirror answers
 //!   bit-for-bit what the authoritative engines would on the same insert
 //!   history. Next to it sits a compact
-//!   [`SlidingTopK`](she_core::SlidingTopK) ranking summary the
+//!   [`SlidingTopK`] ranking summary the
 //!   authoritative tier does not maintain at all.
 //! * **Stage two — [`MarkCache`]**: a direct-mapped `(op, key)` result
 //!   cache validated by SHE **time-mark signatures**. An entry is dropped
@@ -22,7 +22,7 @@
 //!
 //! [`ReadPath`] glues the two behind one ranked lock, counts
 //! hits/misses/fills/invalidations into
-//! [`ReadpathCounters`](she_metrics::ReadpathCounters), and tracks the
+//! [`ReadpathCounters`], and tracks the
 //! op-log sequence it has applied so callers can wait for quiescence.
 
 mod cache;

@@ -1,7 +1,7 @@
 //! Length-prefixed framing over any `Read`/`Write` pair.
 //!
 //! A frame is `u32` little-endian payload length + payload, payload at
-//! most [`MAX_FRAME`](crate::protocol::MAX_FRAME) bytes. The codec is
+//! most [`MAX_FRAME`] bytes. The codec is
 //! blocking; callers that need to poll a shutdown flag set a read timeout
 //! on the socket and treat `WouldBlock`/`TimedOut` as "no frame yet".
 

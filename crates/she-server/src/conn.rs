@@ -11,7 +11,7 @@
 //!
 //! Framing matches `codec.rs` byte for byte: a `u32` little-endian payload
 //! length followed by the payload, payload at most
-//! [`MAX_FRAME`](crate::protocol::MAX_FRAME) bytes. The state machine
+//! [`MAX_FRAME`] bytes. The state machine
 //! preserves the blocking codec's semantics:
 //!
 //! * an oversize length prefix is **fatal** ([`Event::Fatal`]) — the

@@ -22,8 +22,8 @@
 //! * [`worker`] — shard worker loop and its batch-drained job queue;
 //! * [`server`] — server lifecycle, dispatch, backpressure, shutdown;
 //! * [`client`] — blocking client with backoff-based `BUSY` retry;
-//! * [`loadgen`] — workload driver with latency reports and a
-//!   bit-exact verification mode;
+//! * [`loadgen`] — the verified feeder: seeded inserts and probes,
+//!   every answer checked bit for bit against an in-process twin;
 //! * [`repl`] — the primary's op log, record/bootstrap codecs, and peer
 //!   registry (see `docs/REPLICATION.md`);
 //! * [`cluster`] — the partition map, deterministic failover election,
@@ -62,7 +62,7 @@ pub use conn::{Connection, Event, FrameEvent};
 pub use backoff::Backoff;
 pub use client::Client;
 pub use cluster::{cluster_op, ClusterDirectory, ClusterMap, NodeRef, PartitionMap};
-pub use loadgen::{LoadSummary, LoadgenConfig, Mode};
+pub use loadgen::{LoadSummary, LoadgenConfig};
 pub use protocol::{
     ClusterStatusInfo, PeerStatus, ProtoError, ReadpathStatus, Request, Response, PROTOCOL_VERSION,
 };

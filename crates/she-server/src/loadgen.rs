@@ -1,55 +1,38 @@
-//! Workload driver for a running she-server: batched Zipf inserts with
-//! interleaved queries, per-op latency histograms, and an optional
-//! in-process mirror engine that checks every server answer bit-for-bit.
-//!
-//! Two pacing modes:
-//!
-//! * **closed-loop** — send the next request the moment the previous
-//!   response lands; measures the server's saturated throughput.
-//! * **open-loop** — each batch has a scheduled departure at the target
-//!   rate, and latency is measured *from the schedule*, so server-side
-//!   queueing shows up in the tail instead of silently stretching the
-//!   run (coordinated-omission-safe).
+//! The verified feeder: drives a running she-server (or a whole cluster)
+//! with batched Zipf inserts and interleaved probes, and — given the
+//! server's sizing — mirrors the stream through an in-process
+//! [`DirectEngine`] twin and checks every answer bit for bit.
 //!
 //! Verification works because everything is deterministic: one
 //! connection, FIFO shard queues, and a seeded workload mean the server
-//! applies exactly the per-shard insert order the mirror sees, so
-//! matching answers must be bit-identical, not merely close.
+//! applies exactly the per-shard insert order the twin sees, so matching
+//! answers must be bit-identical, not merely close. Throughput and
+//! latency are the benchmark's job (`ladder/`), not this module's.
 
 use crate::client::Client;
 use crate::cluster::{cluster_op, ClusterMap};
-use crate::protocol::{ReadpathStatus, Response, MAX_BATCH};
+use crate::protocol::{Response, MAX_BATCH};
 use she_core::convert::usize_of;
 use she_core::sharded::{DirectEngine, EngineConfig};
-use she_hash::{mix64, Xoshiro256};
-use she_metrics::{LatencyHistogram, NetReport};
-use she_readpath::op as fast_op;
-use she_streams::{CaidaLike, KeyStream, Zipf};
+use she_hash::mix64;
+use she_streams::{CaidaLike, KeyStream};
 use std::io;
 use std::time::{Duration, Instant};
 
-/// Pacing policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Mode {
-    /// Back-to-back requests.
-    Closed,
-    /// Scheduled departures at `items_per_sec` inserted items per second.
-    Open { items_per_sec: f64 },
-}
-
-/// A loadgen run description.
+/// A feeder run description.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
-    /// Server address.
+    /// Server address; in cluster mode, the seed node the map is fetched
+    /// from.
     pub addr: String,
     /// Total items to insert (streams A and B combined).
     pub items: u64,
     /// Keys per `INSERT_BATCH` frame.
     pub batch: usize,
-    /// Total queries to interleave (cycling member/freq/card/sim).
+    /// Total probes to interleave, in a fixed cycle: single-key member,
+    /// freq, card, sim, then one 16-key `MEMBER` and one 16-key `FREQ`
+    /// batch.
     pub queries: u64,
-    /// Pacing policy.
-    pub mode: Mode,
     /// Zipf key universe.
     pub universe: usize,
     /// Zipf skew.
@@ -61,49 +44,20 @@ pub struct LoadgenConfig {
     /// Mirror the stream through an in-process [`DirectEngine`] with this
     /// sizing (must match the server's) and compare every answer.
     pub verify: Option<EngineConfig>,
-    /// Send queries to this address instead of `addr` — the read-scaling
-    /// pattern: inserts go to the primary, reads to a replica.
-    pub read_from: Option<String>,
-    /// Concurrent connections. Above 1 the run fans out over threads,
-    /// each driving its own slice of the workload on its own connection,
-    /// and the summary merges their latency histograms.
-    pub connections: usize,
-    /// Cluster mode: fetch the partition map from this seed node, route
-    /// each batch's keys to their owning partition primary, and issue
-    /// queries as scatter-gather `CLUSTER_QUERY`s. On a leg failure the
-    /// map is re-fetched and the op retried, so the run rides through a
-    /// failover without restarting. `addr` is ignored.
-    pub cluster: Option<String>,
-    /// Issue point queries (member/freq) in batches of this many keys per
-    /// round trip — `QUERY_BATCH` against one server,
-    /// `CLUSTER_QUERY_BATCH` in cluster mode. 0 keeps them one-per-frame.
-    /// Card/sim queries stay single either way.
-    pub query_batch: usize,
+    /// Cluster mode: treat `addr` as a seed node, route each batch's keys
+    /// to their owning partition primary, and issue probes as
+    /// scatter-gather `CLUSTER_QUERY` / `CLUSTER_QUERY_BATCH`. On a leg
+    /// failure the map is re-fetched and the op retried, so the run rides
+    /// through a failover without restarting.
+    pub cluster: bool,
     /// Fault-injection mode: `addr` is assumed to be a flaky path (a
     /// chaos proxy) to the server *really* listening here. On an insert
     /// transport error the run reconnects and uses this address's op-log
     /// head to decide, exactly-once, whether the batch landed before the
-    /// fault or must be resent — so `--verify` stays bit-for-bit sound
-    /// through injected resets. Requires a single connection and a server
-    /// running with `--repl-log` (the head is the ledger).
+    /// fault or must be resent — so `verify` stays bit-for-bit sound
+    /// through injected resets. Requires a server running with
+    /// `--repl-log` (the head is the ledger).
     pub resync_addr: Option<String>,
-    /// Fraction of operations issued as `QUERY_FAST` reads, by item
-    /// count: after each insert batch the run owes
-    /// `items * ratio / (1 - ratio)` fast reads, so `0.95` yields the
-    /// canonical 95/5 read-heavy mix. 0 disables the profile. Fast-read
-    /// keys come from a *separate* seeded Zipf([`read_skew`][s]) draw
-    /// over the same universe and key permutation as the writes, so the
-    /// whole profile is reproducible from `seed` alone. Incompatible
-    /// with `--verify` (fast answers are cache-served and only
-    /// *bounded*-stale mid-stream) and with cluster mode (`QUERY_FAST`
-    /// is single-server).
-    ///
-    /// [s]: LoadgenConfig::read_skew
-    pub read_ratio: f64,
-    /// Zipf exponent of the fast-read key distribution. Hot-key
-    /// repetition is what exercises the server's mark cache; higher skew
-    /// means higher hit rates.
-    pub read_skew: f64,
 }
 
 impl Default for LoadgenConfig {
@@ -113,38 +67,27 @@ impl Default for LoadgenConfig {
             items: 200_000,
             batch: 512,
             queries: 2_000,
-            mode: Mode::Closed,
             universe: 100_000,
             skew: 1.05,
             seed: 1,
             sim_every: 8,
             verify: None,
-            read_from: None,
-            connections: 1,
-            cluster: None,
-            query_batch: 0,
+            cluster: false,
             resync_addr: None,
-            read_ratio: 0.0,
-            read_skew: 1.1,
         }
     }
 }
 
-/// What a run did, with per-class latency.
+/// What a run did.
 #[derive(Debug)]
 pub struct LoadSummary {
-    /// Insert-side report (ops = batches, items = keys).
-    pub insert: NetReport,
-    /// Query-side report (ops = items = queries).
-    pub query: NetReport,
-    /// Fast-read report (ops = items = `QUERY_FAST`s; all zero unless
-    /// the run used `read_ratio`).
-    pub fast: NetReport,
-    /// Server-side mark-cache hit rate over this run's window, from
-    /// `CLUSTER_STATUS` counter deltas — `None` when the profile was off,
-    /// the server's read path is disabled, or no fast read was counted.
-    pub fast_hit_rate: Option<f64>,
-    /// Queries whose answers were checked against the mirror.
+    /// `INSERT_BATCH` calls made.
+    pub batches: u64,
+    /// Keys inserted.
+    pub items: u64,
+    /// Probes issued (a batched probe counts once).
+    pub queries: u64,
+    /// Answers checked against the twin (a batched probe checks each key).
     pub verified: u64,
     /// Checked answers that differed (must be 0 on a healthy run).
     pub mismatches: u64,
@@ -157,29 +100,34 @@ pub struct LoadSummary {
 }
 
 impl LoadSummary {
-    /// Render the ops/s + latency table.
+    /// Print the counts and the `wall= … mismatches=` line scripts grep.
     pub fn print(&self) {
-        println!("{}", NetReport::header());
-        println!("{}", self.insert.line());
-        println!("{}", self.query.line());
-        if self.fast.ops > 0 {
-            println!("{}", self.fast.line());
-        }
-        let hit_rate = match self.fast_hit_rate {
-            Some(r) => format!("  fast_hit_rate={r:.3}"),
-            None => String::new(),
-        };
+        println!("batches={}  items={}  queries={}", self.batches, self.items, self.queries);
         println!(
-            "wall={:.2}s  busy_retries={}  reconnects={}  verified={}  mismatches={}{}",
+            "wall={:.2}s  busy_retries={}  reconnects={}  verified={}  mismatches={}",
             self.wall.as_secs_f64(),
             self.busy_retries,
             self.reconnects,
             self.verified,
-            self.mismatches,
-            hit_rate
+            self.mismatches
         );
     }
 }
+
+/// Keys per batched probe.
+const PROBE_BATCH: usize = 16;
+
+/// The probe cycle, one entry per probe: `(op, batched)`. Four single-key
+/// probes, then one [`PROBE_BATCH`]-key `MEMBER` and one `FREQ` batch, so
+/// every run checks both the single-key and the batched answer paths.
+const PROBE_CYCLE: [(u8, bool); 6] = [
+    (cluster_op::MEMBER, false),
+    (cluster_op::FREQ, false),
+    (cluster_op::CARD, false),
+    (cluster_op::SIM, false),
+    (cluster_op::MEMBER, true),
+    (cluster_op::FREQ, true),
+];
 
 /// Per-leg connect/op timeout in cluster mode: a dead primary must fail
 /// the op quickly so the reroute loop can fetch a newer map.
@@ -197,7 +145,7 @@ const CLUSTER_REROUTE_WINDOW: Duration = Duration::from_secs(30);
 /// see); queries go out as `CLUSTER_QUERY` through the partition-0
 /// primary acting as coordinator. Any leg failure drops the connections,
 /// re-fetches the map from every node still known, and retries until
-/// [`CLUSTER_REROUTE_WINDOW`] expires — which is how the loadgen keeps
+/// [`CLUSTER_REROUTE_WINDOW`] expires — which is how the feeder keeps
 /// verifying straight through a primary kill. Insert retries are
 /// at-least-once per *leg* (never the whole batch), so a retry after a
 /// failed connect cannot double-apply keys on the legs that already took
@@ -294,14 +242,6 @@ impl ClusterConns {
             self.retrying(|me| me.leg(p)?.insert_batch(stream, sub))?;
         }
         Ok(())
-    }
-
-    fn query(&mut self, op: u8, key: u64) -> io::Result<Response> {
-        self.retrying(|me| me.leg(0)?.cluster_query(op, key))
-    }
-
-    fn query_batch(&mut self, op: u8, keys: &[u64]) -> io::Result<Vec<u64>> {
-        self.retrying(|me| me.leg(0)?.cluster_query_batch(op, keys))
     }
 
     fn busy_retries(&self) -> u64 {
@@ -462,106 +402,55 @@ fn read_retry<T>(
     )))
 }
 
-/// Where a run's requests go: one server (optionally with a separate
-/// read connection, optionally with fault recovery) or a whole cluster.
+/// Where a run's requests go: one server (optionally with fault
+/// recovery) or a whole cluster.
 enum Sink {
-    Single { client: Client, reads: Option<Client>, faulted: Option<Resilient> },
+    Single { client: Client, faulted: Option<Resilient> },
     Cluster(ClusterConns),
 }
 
 impl Sink {
     fn insert_batch(&mut self, stream: u8, keys: &[u64]) -> io::Result<()> {
         match self {
-            Sink::Single { client, faulted: Some(r), .. } => r.insert_batch(client, stream, keys),
+            Sink::Single { client, faulted: Some(r) } => r.insert_batch(client, stream, keys),
             Sink::Single { client, .. } => client.insert_batch(stream, keys).map(|_| ()),
             Sink::Cluster(c) => c.insert_batch(stream, keys),
         }
     }
 
-    fn query_member(&mut self, key: u64) -> io::Result<bool> {
+    /// One single-key probe (`cluster_op` numbering), answered as bits:
+    /// booleans as 0/1, estimates as their `f64` bit pattern.
+    fn query(&mut self, op: u8, key: u64) -> io::Result<u64> {
         match self {
-            Sink::Single { client, reads, faulted } => match reads.as_mut() {
-                Some(r) => r.query_member(key),
-                None => read_retry(client, faulted, |c| c.query_member(key)),
-            },
-            Sink::Cluster(c) => match c.query(cluster_op::MEMBER, key)? {
-                Response::Bool(b) => Ok(b),
-                other => Err(io::Error::other(format!("unexpected CLUSTER_QUERY reply {other:?}"))),
-            },
-        }
-    }
-
-    fn query_freq(&mut self, key: u64) -> io::Result<u64> {
-        match self {
-            Sink::Single { client, reads, faulted } => match reads.as_mut() {
-                Some(r) => r.query_freq(key),
-                None => read_retry(client, faulted, |c| c.query_freq(key)),
-            },
-            Sink::Cluster(c) => match c.query(cluster_op::FREQ, key)? {
+            Sink::Single { client, faulted } => read_retry(client, faulted, |c| match op {
+                cluster_op::MEMBER => c.query_member(key).map(u64::from),
+                cluster_op::FREQ => c.query_freq(key),
+                cluster_op::CARD => c.query_card().map(f64::to_bits),
+                _ => c.query_sim().map(f64::to_bits),
+            }),
+            Sink::Cluster(c) => match c.retrying(|me| me.leg(0)?.cluster_query(op, key))? {
+                Response::Bool(b) => Ok(u64::from(b)),
                 Response::U64(v) => Ok(v),
+                Response::F64(v) => Ok(v.to_bits()),
                 other => Err(io::Error::other(format!("unexpected CLUSTER_QUERY reply {other:?}"))),
             },
         }
     }
 
-    fn query_card(&mut self) -> io::Result<f64> {
-        match self {
-            Sink::Single { client, reads, faulted } => match reads.as_mut() {
-                Some(r) => r.query_card(),
-                None => read_retry(client, faulted, |c| c.query_card()),
-            },
-            Sink::Cluster(c) => match c.query(cluster_op::CARD, 0)? {
-                Response::F64(v) => Ok(v),
-                other => Err(io::Error::other(format!("unexpected CLUSTER_QUERY reply {other:?}"))),
-            },
-        }
-    }
-
-    fn query_sim(&mut self) -> io::Result<f64> {
-        match self {
-            Sink::Single { client, reads, faulted } => match reads.as_mut() {
-                Some(r) => r.query_sim(),
-                None => read_retry(client, faulted, |c| c.query_sim()),
-            },
-            Sink::Cluster(c) => match c.query(cluster_op::SIM, 0)? {
-                Response::F64(v) => Ok(v),
-                other => Err(io::Error::other(format!("unexpected CLUSTER_QUERY reply {other:?}"))),
-            },
-        }
-    }
-
-    /// Batched point queries: one round trip for N keys — `QUERY_BATCH`
-    /// against one server, `CLUSTER_QUERY_BATCH` through the coordinator
-    /// in cluster mode.
+    /// One batched probe: `QUERY_BATCH` against one server,
+    /// `CLUSTER_QUERY_BATCH` through the coordinator in cluster mode.
     fn query_batch(&mut self, op: u8, keys: &[u64]) -> io::Result<Vec<u64>> {
         match self {
-            Sink::Single { client, reads, faulted } => match reads.as_mut() {
-                Some(r) => r.query_batch(op, keys),
-                None => read_retry(client, faulted, |c| c.query_batch(op, keys)),
-            },
-            Sink::Cluster(c) => c.query_batch(op, keys),
-        }
-    }
-
-    /// One `QUERY_FAST`, on the read connection when one is open.
-    /// The answer value is discarded — the read-heavy profile measures
-    /// latency and server-side cache behaviour, not correctness (that is
-    /// `readpath_e2e.rs`'s job, at quiescence where the bound is exact).
-    fn query_fast(&mut self, op: u8, key: u64) -> io::Result<()> {
-        match self {
-            Sink::Single { client, reads, faulted } => match reads.as_mut() {
-                Some(r) => r.query_fast(op, key).map(|_| ()),
-                None => read_retry(client, faulted, |c| c.query_fast(op, key)).map(|_| ()),
-            },
-            Sink::Cluster(_) => {
-                Err(io::Error::new(io::ErrorKind::InvalidInput, "QUERY_FAST is single-server"))
+            Sink::Single { client, faulted } => {
+                read_retry(client, faulted, |c| c.query_batch(op, keys))
             }
+            Sink::Cluster(c) => c.retrying(|me| me.leg(0)?.cluster_query_batch(op, keys)),
         }
     }
 
     fn busy_retries(&self) -> u64 {
         match self {
-            Sink::Single { client, faulted, .. } => {
+            Sink::Single { client, faulted } => {
                 client.busy_retries + faulted.as_ref().map_or(0, |r| r.retired_busy)
             }
             Sink::Cluster(c) => c.busy_retries(),
@@ -576,323 +465,118 @@ impl Sink {
     }
 }
 
-/// Book-keeping for the query side of a run.
+/// The twin's answer to one probe, as bits (see [`Sink::query`]).
+fn twin_answer(twin: &mut DirectEngine, op: u8, key: u64) -> u64 {
+    match op {
+        cluster_op::MEMBER => u64::from(twin.member(key)),
+        cluster_op::FREQ => twin.frequency(key),
+        cluster_op::CARD => twin.cardinality().to_bits(),
+        _ => twin.similarity().to_bits(),
+    }
+}
+
+/// The keys of batched probe number `sent`, derived from the anchor key
+/// so every rerun probes the same set. Each is a rank below `universe`
+/// sent through the same `mix64` permutation `CaidaLike` writes with, so
+/// the batch probes keys the run actually inserted.
+fn probe_keys(anchor: u64, sent: u64, universe: usize) -> [u64; PROBE_BATCH] {
+    let universe = universe.max(2) as u64;
+    std::array::from_fn(|j| mix64(mix64(anchor ^ (sent << 32) ^ j as u64) % universe))
+}
+
+/// Book-keeping for the probe side of a run.
+#[derive(Default)]
 struct QuerySide {
-    lat: LatencyHistogram,
     sent: u64,
     verified: u64,
     mismatches: u64,
 }
 
 impl QuerySide {
-    /// Issue one query (kind cycles member → freq → card → sim), check it
-    /// against the mirror when one is present, and time it.
+    /// Issue the next probe of [`PROBE_CYCLE`] and check every answer it
+    /// returns against the twin when one is present.
     fn issue(
         &mut self,
         sink: &mut Sink,
-        mirror: &mut Option<DirectEngine>,
-        key: u64,
+        twin: &mut Option<DirectEngine>,
+        anchor: u64,
+        universe: usize,
     ) -> io::Result<()> {
-        let t = Instant::now();
-        let (got_bits, want_bits) = match self.sent % 4 {
-            0 => {
-                let got = sink.query_member(key)?;
-                (got as u64, mirror.as_mut().map(|m| m.member(key) as u64))
+        let (op, batched) = PROBE_CYCLE[usize_of(self.sent % PROBE_CYCLE.len() as u64)];
+        if batched {
+            let keys = probe_keys(anchor, self.sent, universe);
+            let got = sink.query_batch(op, &keys)?;
+            if got.len() != keys.len() {
+                return Err(io::Error::other(format!(
+                    "batched query returned {} values for {} keys",
+                    got.len(),
+                    keys.len()
+                )));
             }
-            1 => {
-                let got = sink.query_freq(key)?;
-                (got, mirror.as_mut().map(|m| m.frequency(key)))
-            }
-            2 => {
-                let got = sink.query_card()?;
-                (got.to_bits(), mirror.as_mut().map(|m| m.cardinality().to_bits()))
-            }
-            _ => {
-                let got = sink.query_sim()?;
-                (got.to_bits(), mirror.as_mut().map(|m| m.similarity().to_bits()))
-            }
-        };
-        self.lat.record(t.elapsed());
-        self.sent += 1;
-        if let Some(want) = want_bits {
-            self.verified += 1;
-            self.mismatches += (got_bits != want) as u64;
-        }
-        Ok(())
-    }
-
-    /// Like [`QuerySide::issue`], but when `cfg.query_batch > 0` the two
-    /// point-query slots of the member → freq → card → sim cycle go out
-    /// as one batched round trip over `cfg.query_batch` derived keys.
-    /// Card/sim have no batched form and keep their single frames.
-    fn issue_any(
-        &mut self,
-        sink: &mut Sink,
-        mirror: &mut Option<DirectEngine>,
-        key: u64,
-        cfg: &LoadgenConfig,
-    ) -> io::Result<()> {
-        if cfg.query_batch == 0 {
-            return self.issue(sink, mirror, key);
-        }
-        match self.sent % 4 {
-            0 => self.issue_batch(sink, mirror, key, cluster_op::MEMBER, cfg),
-            1 => self.issue_batch(sink, mirror, key, cluster_op::FREQ, cfg),
-            _ => self.issue(sink, mirror, key),
-        }
-    }
-
-    /// One batched point query: `cfg.query_batch` keys derived
-    /// deterministically from the anchor key and the query counter (so
-    /// every connection and every rerun probes the same key set), each
-    /// answer checked against the mirror when one is present.
-    fn issue_batch(
-        &mut self,
-        sink: &mut Sink,
-        mirror: &mut Option<DirectEngine>,
-        key: u64,
-        op: u8,
-        cfg: &LoadgenConfig,
-    ) -> io::Result<()> {
-        let universe = cfg.universe.max(2) as u64;
-        let keys: Vec<u64> = (0..cfg.query_batch as u64)
-            .map(|j| mix64(key ^ (self.sent << 32) ^ j) % universe)
-            .collect();
-        let t = Instant::now();
-        let got = sink.query_batch(op, &keys)?;
-        self.lat.record(t.elapsed());
-        self.sent += 1;
-        if got.len() != keys.len() {
-            return Err(io::Error::other(format!(
-                "batched query returned {} values for {} keys",
-                got.len(),
-                keys.len()
-            )));
-        }
-        if let Some(m) = mirror.as_mut() {
             for (&k, &g) in keys.iter().zip(&got) {
-                let want =
-                    if op == cluster_op::MEMBER { u64::from(m.member(k)) } else { m.frequency(k) };
-                self.verified += 1;
-                self.mismatches += (g != want) as u64;
+                self.check(twin, op, k, g);
             }
+        } else {
+            let got = sink.query(op, anchor)?;
+            self.check(twin, op, anchor, got);
         }
+        self.sent += 1;
         Ok(())
     }
+
+    fn check(&mut self, twin: &mut Option<DirectEngine>, op: u8, key: u64, got: u64) {
+        if let Some(t) = twin.as_mut() {
+            self.verified += 1;
+            self.mismatches += u64::from(got != twin_answer(t, op, key));
+        }
+    }
 }
 
-/// Read the server's read-path counters, or `None` when the server
-/// is unreachable or serves without `--readpath`.
-fn poll_readpath(addr: &str) -> Option<ReadpathStatus> {
-    let mut c = Client::connect_timeout(addr, Duration::from_secs(5)).ok()?;
-    let info = c.cluster_status().ok()?;
-    info.readpath.enabled.then_some(info.readpath)
-}
-
-/// Drive the workload against `cfg.addr` (queries against
-/// `cfg.read_from` when set), fanning out over `cfg.connections`
-/// threads. Returns an error on transport failure; verification
-/// mismatches are *reported*, not fatal (callers check
-/// [`LoadSummary::mismatches`]).
+/// Drive the workload against `cfg.addr`. Returns an error on transport
+/// failure; verification mismatches are *reported*, not fatal (callers
+/// check [`LoadSummary::mismatches`]).
 pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
-    if cfg.read_ratio != 0.0 {
-        if !(0.0..1.0).contains(&cfg.read_ratio) {
+    let mut sink = if cfg.cluster {
+        if cfg.resync_addr.is_some() {
+            // Cluster mode already rides through faults with its own
+            // reroute loop; head-based recovery is single-server.
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "--read-ratio must be in [0, 1)",
+                "fault injection applies to a single server, not a cluster",
             ));
         }
-        if cfg.verify.is_some() {
-            // Mid-stream fast answers are cache-served under a staleness
-            // *bound*, not bit-for-bit; `readpath_e2e.rs` verifies them at
-            // quiescence instead.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "--verify checks authoritative answers; it cannot run with --read-ratio",
-            ));
-        }
-        if cfg.cluster.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "--read-ratio drives single-server QUERY_FAST, not a cluster",
-            ));
-        }
-    }
-    // Hit rate is a server-side delta so it stays exact across fanned-out
-    // connections (each thread's own before/after windows would overlap).
-    let status_addr = cfg.read_from.as_deref().unwrap_or(&cfg.addr);
-    let before = if cfg.read_ratio > 0.0 { poll_readpath(status_addr) } else { None };
-    let mut summary = if cfg.connections <= 1 { run_single(cfg) } else { run_fanout(cfg) }?;
-    if let (Some(b), Some(a)) = (&before, before.as_ref().and_then(|_| poll_readpath(status_addr)))
-    {
-        let hits = a.hits.saturating_sub(b.hits);
-        let misses = a.misses.saturating_sub(b.misses);
-        if hits + misses > 0 {
-            summary.fast_hit_rate = Some(hits as f64 / (hits + misses) as f64);
-        }
-    }
-    Ok(summary)
-}
-
-/// The `connections > 1` path of [`run`]: per-thread workload slices.
-fn run_fanout(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
-    if cfg.verify.is_some() {
-        // Bit-for-bit verification needs one connection's FIFO order.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "--verify requires a single connection",
-        ));
-    }
-    if cfg.resync_addr.is_some() {
-        // Head-based recovery attributes every op-log advance to the one
-        // connection it owns; concurrent writers would make the ledger
-        // ambiguous.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "fault injection requires a single connection",
-        ));
-    }
-    let conns = cfg.connections as u64;
-    let handles: Vec<_> = (0..conns)
-        .map(|i| {
-            let mut sub = cfg.clone();
-            sub.connections = 1;
-            // Each connection drives its own slice of the item and query
-            // budgets with a distinct workload seed and a fair share of
-            // the open-loop rate.
-            sub.items = cfg.items / conns + u64::from(i < cfg.items % conns);
-            sub.queries = cfg.queries / conns + u64::from(i < cfg.queries % conns);
-            sub.seed = cfg.seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).max(1);
-            if let Mode::Open { items_per_sec } = cfg.mode {
-                sub.mode = Mode::Open { items_per_sec: items_per_sec / conns as f64 };
-            }
-            std::thread::spawn(move || run_single(&sub))
-        })
-        .collect();
-
-    let mut insert = NetReport::new("insert_batch", 0, 0, Duration::ZERO, LatencyHistogram::new());
-    let mut query = NetReport::new("query", 0, 0, Duration::ZERO, LatencyHistogram::new());
-    let mut fast = NetReport::new("query_fast", 0, 0, Duration::ZERO, LatencyHistogram::new());
-    let (mut verified, mut mismatches, mut busy, mut reconnects, mut wall) =
-        (0, 0, 0, 0, Duration::ZERO);
-    for h in handles {
-        let s = h.join().map_err(|_| io::Error::other("loadgen connection thread panicked"))??;
-        insert.ops += s.insert.ops;
-        insert.items += s.insert.items;
-        insert.latency.merge(&s.insert.latency);
-        query.ops += s.query.ops;
-        query.items += s.query.items;
-        query.latency.merge(&s.query.latency);
-        fast.ops += s.fast.ops;
-        fast.items += s.fast.items;
-        fast.latency.merge(&s.fast.latency);
-        verified += s.verified;
-        mismatches += s.mismatches;
-        busy += s.busy_retries;
-        reconnects += s.reconnects;
-        wall = wall.max(s.wall);
-    }
-    insert.wall = wall;
-    query.wall = wall;
-    fast.wall = wall;
-    insert.retries = busy;
-    Ok(LoadSummary {
-        insert,
-        query,
-        fast,
-        fast_hit_rate: None,
-        verified,
-        mismatches,
-        busy_retries: busy,
-        reconnects,
-        wall,
-    })
-}
-
-/// One connection's worth of [`run`].
-fn run_single(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
-    let batch = cfg.batch.max(1) as u64;
-    let mut sink = match &cfg.cluster {
-        Some(seed) => {
-            if cfg.read_from.is_some() {
+        let conns = ClusterConns::connect(&cfg.addr)?;
+        if let Some(v) = &cfg.verify {
+            // The scatter-gather merge runs in partition order; the
+            // twin's shard order must be the same order.
+            if v.shards != conns.map.partitions.len() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    "--read-from does not apply in cluster mode (queries scatter-gather)",
+                    "--verify in cluster mode needs --shards == partition count",
                 ));
             }
-            if cfg.resync_addr.is_some() {
-                // Cluster mode already rides through faults with its own
-                // reroute loop; head-based recovery is single-server.
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "fault injection applies to a single server, not a cluster",
-                ));
-            }
-            let conns = ClusterConns::connect(seed)?;
-            if let Some(v) = &cfg.verify {
-                // The scatter-gather merge runs in partition order; the
-                // mirror's shard order must be the same order.
-                if v.shards != conns.map.partitions.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "--verify in cluster mode needs --shards == partition count",
-                    ));
-                }
-            }
-            Sink::Cluster(conns)
         }
-        None => {
-            let client = match cfg.resync_addr {
-                Some(_) => Client::connect_timeout(&cfg.addr, FAULT_OP_TIMEOUT)?,
-                None => Client::connect(&cfg.addr)?,
-            };
-            // Reads may go to a different node (a replica); the mirror
-            // cannot vouch for a lagging replica, so the combination is
-            // refused.
-            let reads = match &cfg.read_from {
-                Some(addr) if cfg.verify.is_some() => {
-                    let _ = addr;
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "--verify compares against the write connection; it cannot read from a replica",
-                    ));
-                }
-                Some(addr) => Some(Client::connect(addr)?),
-                None => None,
-            };
-            let faulted = match &cfg.resync_addr {
-                Some(status_addr) => {
-                    if reads.is_some() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            "fault injection keeps reads on the write connection (--read-from refused)",
-                        ));
-                    }
-                    Some(Resilient::new(&cfg.addr, status_addr)?)
-                }
-                None => None,
-            };
-            Sink::Single { client, reads, faulted }
-        }
+        Sink::Cluster(conns)
+    } else {
+        let client = match cfg.resync_addr {
+            Some(_) => Client::connect_timeout(&cfg.addr, FAULT_OP_TIMEOUT)?,
+            None => Client::connect(&cfg.addr)?,
+        };
+        let faulted = match &cfg.resync_addr {
+            Some(status_addr) => Some(Resilient::new(&cfg.addr, status_addr)?),
+            None => None,
+        };
+        Sink::Single { client, faulted }
     };
-    let mut mirror = cfg.verify.map(DirectEngine::new);
+    let mut twin = cfg.verify.map(DirectEngine::new);
     let mut keygen = CaidaLike::new(cfg.universe.max(2), cfg.skew, cfg.seed);
 
+    let batch = cfg.batch.max(1) as u64;
     let n_batches = cfg.items.div_ceil(batch);
-    // Interleave queries evenly: one after roughly every `stride`-th batch.
+    // Interleave probes evenly: one after roughly every `stride`-th batch.
     let stride = if cfg.queries == 0 { u64::MAX } else { n_batches.div_ceil(cfg.queries).max(1) };
 
-    let mut insert_lat = LatencyHistogram::new();
-    let mut queries =
-        QuerySide { lat: LatencyHistogram::new(), sent: 0, verified: 0, mismatches: 0 };
-    // The read-heavy profile: a separate, identically seeded Zipf draw
-    // over the same universe + mix64 permutation the writes use, so the
-    // fast reads probe real (mostly hot) keys deterministically.
-    let read_zipf = (cfg.read_ratio > 0.0).then(|| Zipf::new(cfg.universe.max(2), cfg.read_skew));
-    let mut read_rng = Xoshiro256::new(cfg.seed ^ 0xFA57_4EAD_5EED);
-    let mut read_debt = 0.0f64;
-    let mut fast_lat = LatencyHistogram::new();
-    let mut fast_sent = 0u64;
+    let mut queries = QuerySide::default();
     let mut sent_items = 0u64;
     let mut last_key = 0u64;
     let start = Instant::now();
@@ -903,68 +587,66 @@ fn run_single(cfg: &LoadgenConfig) -> io::Result<LoadSummary> {
         last_key = *keys.last().unwrap_or(&last_key);
         let stream =
             if cfg.sim_every > 0 && b % cfg.sim_every == cfg.sim_every - 1 { 1u8 } else { 0u8 };
-
-        // Open-loop: wait for this batch's scheduled departure, then
-        // charge latency from the schedule, not from the actual send.
-        let op_start = match cfg.mode {
-            Mode::Closed => Instant::now(),
-            Mode::Open { items_per_sec } => {
-                let due = start + Duration::from_secs_f64(sent_items as f64 / items_per_sec);
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-                due
-            }
-        };
         sink.insert_batch(stream, &keys)?;
-        insert_lat.record(op_start.elapsed());
         sent_items += take as u64;
 
-        if let Some(m) = mirror.as_mut() {
+        if let Some(t) = twin.as_mut() {
             for &k in &keys {
-                m.insert(stream, k);
-            }
-        }
-
-        if let Some(z) = &read_zipf {
-            // Keep reads/(reads + items) at the ratio: each inserted item
-            // accrues ratio/(1-ratio) fast reads, fractional debt carried.
-            read_debt += take as f64 * cfg.read_ratio / (1.0 - cfg.read_ratio);
-            while read_debt >= 1.0 {
-                read_debt -= 1.0;
-                let key = mix64(z.sample(&mut read_rng) as u64);
-                let op = if fast_sent.is_multiple_of(2) { fast_op::MEMBER } else { fast_op::FREQ };
-                let t = Instant::now();
-                sink.query_fast(op, key)?;
-                fast_lat.record(t.elapsed());
-                fast_sent += 1;
+                t.insert(stream, k);
             }
         }
 
         if b % stride == stride - 1 && queries.sent < cfg.queries {
-            queries.issue_any(&mut sink, &mut mirror, last_key, cfg)?;
+            queries.issue(&mut sink, &mut twin, last_key, cfg.universe)?;
         }
     }
 
-    // Any remaining query budget runs back-to-back at the end (small
+    // Any remaining probe budget runs back-to-back at the end (small
     // `items` with large `queries` would otherwise under-deliver).
     while queries.sent < cfg.queries {
-        queries.issue_any(&mut sink, &mut mirror, last_key, cfg)?;
+        queries.issue(&mut sink, &mut twin, last_key, cfg.universe)?;
     }
 
-    let wall = start.elapsed();
-    let busy_retries = sink.busy_retries();
     Ok(LoadSummary {
-        insert: NetReport::new("insert_batch", n_batches, sent_items, wall, insert_lat)
-            .with_retries(busy_retries),
-        query: NetReport::new("query", queries.sent, queries.sent, wall, queries.lat),
-        fast: NetReport::new("query_fast", fast_sent, fast_sent, wall, fast_lat),
-        fast_hit_rate: None,
+        batches: n_batches,
+        items: sent_items,
+        queries: queries.sent,
         verified: queries.verified,
         mismatches: queries.mismatches,
-        busy_retries,
+        busy_retries: sink.busy_retries(),
         reconnects: sink.reconnects(),
-        wall,
+        wall: start.elapsed(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Batched probes draw from the written key set: every probe key is a
+    /// `CaidaLike` key `mix64(rank)` with `rank < universe`, so a twin fed
+    /// a seeded run answers `true` for a real share of a batched `MEMBER`,
+    /// not only for its false positives.
+    #[test]
+    fn batched_probes_touch_the_written_keys() {
+        let universe = 1_000;
+        let written: std::collections::HashSet<u64> = (0..universe as u64).map(mix64).collect();
+        let engine = EngineConfig { window: 1 << 14, shards: 2, memory_bytes: 64 << 10, seed: 1 };
+        let mut twin = DirectEngine::new(engine);
+        let mut keygen = CaidaLike::new(universe, 1.05, 7);
+        let mut anchor = 0;
+        for _ in 0..20_000 {
+            anchor = keygen.next_key();
+            twin.insert(0, anchor);
+        }
+        let (mut probed, mut present) = (0u64, 0u64);
+        for sent in 0..64 {
+            for key in probe_keys(anchor, sent, universe) {
+                assert!(written.contains(&key), "probe {key:#x} is no mix64(rank < {universe})");
+                probed += 1;
+                present += u64::from(twin.member(key));
+            }
+        }
+        assert!(present * 4 >= probed, "only {present} of {probed} batched probes were present");
+    }
 }

@@ -1,11 +1,10 @@
 //! End-to-end tests for the read path over real localhost TCP: at
 //! quiescence `QUERY_FAST` answers must agree with the authoritative
-//! `QUERY` path, the mark cache must actually hit, and the loadgen's
-//! read-heavy profile must surface a server-side hit rate.
+//! `QUERY` path, the mark cache must actually hit, and a warm cache must
+//! stay within its staleness bound. The 95/5 read-heavy profile's speed
+//! and hit rate are the benchmark's `fast_95_5` workload (`ladder/`).
 
-use she_server::{
-    loadgen, Client, EngineConfig, LoadgenConfig, Mode, ReadPathConfig, Server, ServerConfig,
-};
+use she_server::{Client, EngineConfig, ReadPathConfig, Server, ServerConfig};
 use std::time::{Duration, Instant};
 
 fn start_readpath_server(engine: EngineConfig) -> Server {
@@ -95,8 +94,8 @@ fn query_fast_matches_authoritative_at_quiescence() {
 /// relevant mark flip ⇒ still valid, but lagging). The bound must hold
 /// at quiescence — fast freq never above authoritative, fast
 /// member-true never wrong — and a FLUSH must restore bit-for-bit
-/// equality. This is exactly the scenario a 95/5 loadgen run leaves
-/// behind.
+/// equality. This is exactly the scenario a 95/5 read-heavy run (the
+/// ladder's `fast_95_5`) leaves behind.
 #[test]
 fn warm_cache_respects_bound_and_flush_restores_exactness() {
     let engine = EngineConfig { window: 1 << 14, shards: 2, memory_bytes: 32 << 10, seed: 23 };
@@ -169,60 +168,4 @@ fn query_fast_errs_when_readpath_is_off() {
     assert!(!status.readpath.enabled);
     drop(c);
     server.join();
-}
-
-/// The read-heavy loadgen profile end to end: interleaved QUERY_FAST
-/// traffic flows, and the summary carries a real server-side hit rate.
-#[test]
-fn loadgen_read_heavy_profile_reports_hit_rate() {
-    let engine = EngineConfig { window: 1 << 12, shards: 2, memory_bytes: 16 << 10, seed: 7 };
-    let server = start_readpath_server(engine);
-    let cfg = LoadgenConfig {
-        addr: server.local_addr().to_string(),
-        items: 4_000,
-        batch: 128,
-        queries: 0,
-        mode: Mode::Closed,
-        universe: 2_000,
-        skew: 1.05,
-        seed: 9,
-        read_ratio: 0.75,
-        read_skew: 1.2,
-        ..Default::default()
-    };
-    let summary = loadgen::run(&cfg).expect("loadgen");
-    assert_eq!(summary.insert.items, 4_000);
-    // 0.75 reads per (reads+items) → 3 reads per item.
-    assert_eq!(summary.fast.ops, 12_000);
-    assert_eq!(summary.fast.latency.count(), summary.fast.ops);
-    let rate = summary.fast_hit_rate.expect("hit rate must be measured");
-    assert!(
-        (0.0..=1.0).contains(&rate) && rate > 0.0,
-        "zipfian re-reads must hit the mark cache: rate {rate}"
-    );
-
-    let mut c = Client::connect(server.local_addr()).expect("connect");
-    c.shutdown().expect("shutdown");
-    drop(c);
-    server.wait();
-}
-
-/// `--verify` and the fast-read profile are mutually exclusive by
-/// contract: mid-stream fast answers are bounded, not bit-for-bit.
-#[test]
-fn loadgen_refuses_verify_with_read_ratio() {
-    let engine = EngineConfig { window: 1 << 10, shards: 2, memory_bytes: 8 << 10, seed: 5 };
-    let server = start_readpath_server(engine);
-    let cfg = LoadgenConfig {
-        addr: server.local_addr().to_string(),
-        items: 100,
-        read_ratio: 0.5,
-        verify: Some(engine),
-        ..Default::default()
-    };
-    let err = loadgen::run(&cfg).expect_err("verify + read_ratio must refuse");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
-    let mut c = Client::connect(server.local_addr()).expect("connect");
-    c.shutdown().expect("shutdown");
-    server.wait();
 }

@@ -62,6 +62,10 @@ stage cargo test -q --offline --manifest-path ladder/Cargo.toml
 # `--all-targets`: `cargo test` never builds `she-bench/benches/`, so
 # without it a changed engine signature could break them unnoticed.
 stage cargo clippy --offline --workspace --all-targets -- -D warnings
+# Intra-doc links name public items; a deleted field or type must take
+# its links with it. `--lib`: the `she` lib and bin would otherwise
+# collide on one output file name.
+stage env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 stage cargo fmt --check
 
 # Workspace-wide static-analysis gate (docs/ANALYSIS.md): call-graph
