@@ -30,16 +30,11 @@
 //!   one primary outright; election, gossip convergence, and
 //!   scatter-gather re-routing must keep answers bit-for-bit identical
 //!   to a single-engine mirror.
-//! - [`sansio`] — chaos for the protocol state machine itself, with zero
-//!   sockets: seeded frame streams torn at seeded split points (and
-//!   optionally bit-flipped) drive `she-server`'s sans-IO `Connection`
-//!   directly, asserting it never panics and reassembles byte-exactly.
 
 pub mod drill;
 pub mod fault;
 pub mod fs;
 pub mod proxy;
-pub mod sansio;
 pub mod soak;
 pub mod stream;
 
@@ -47,6 +42,5 @@ pub use drill::{ClusterDrillConfig, ClusterDrillReport};
 pub use fault::{FaultConfig, Faults, FileFault, WireFault};
 pub use fs::{atomic_write, ChaosFs};
 pub use proxy::ChaosProxy;
-pub use sansio::{drive, SansIoConfig, SansIoReport};
 pub use soak::{SoakConfig, SoakReport};
 pub use stream::ChaosStream;

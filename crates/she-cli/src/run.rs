@@ -87,8 +87,9 @@ COMMANDS
                an op log)
   shutdown     ask a running server to drain and stop
                --addr HOST:PORT
-  audit        run the workspace static-analysis gate (docs/ANALYSIS.md):
-               panic-path, truncating-cast, lock-order, protocol-drift
+  audit        run the workspace static-analysis gate (docs/ANALYSIS.md),
+               rules panic, cast, growth, lock, blocking, wiresize,
+               unsafe, protocol, allow
                --root DIR (workspace root, default .) --list-locks yes
                --json yes (the report as JSON) --rule NAME (run one rule)
 

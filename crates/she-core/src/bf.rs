@@ -139,9 +139,13 @@ impl SheBloomFilter {
     /// running `CheckGroup` — a hashed bit whose group is due for
     /// cleaning reads as zero ([`She::peek_cell_effective`]), and
     /// maturity is observed purely. Because nothing mutates, two engines
-    /// with identical *insert* histories answer identically regardless
-    /// of how differently they have been queried — the property the
-    /// read-path mirror relies on.
+    /// with equal insert *and* mutating-query histories answer identically
+    /// however often either is read frozen — the property the read-path
+    /// mirror relies on. Equal insert histories alone are not enough: a
+    /// [`SheBloomFilter::contains`] that cleans a due group stores the
+    /// flipped mark, so at the next flip that group is due again, while an
+    /// unqueried twin's group stops being due and its stale bits read as
+    /// live (Eq. 1's unswept groups).
     pub fn contains_frozen<K: HashKey + ?Sized>(&self, key: &K) -> bool {
         let mut ups = Vec::with_capacity(self.engine.spec().k());
         self.engine.updates_for(key, &mut ups);
@@ -282,6 +286,53 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Frozen reads agree for equal insert *and* mutating-query histories,
+    /// not for equal inserts alone. Three filters see 200 inserts; two are
+    /// then read through `contains` ⅝ or ¾ `Tcycle` later, cleaning the
+    /// groups that flipped since. One idle `Tcycle` on, the queried pair
+    /// still agree bit for bit, but the unqueried filter's uncleaned
+    /// groups are no longer due (their 1-bit mark wrapped): 27–73 of the
+    /// 200 expired keys read present, against 2–5 (seeds 1–6).
+    #[test]
+    fn frozen_reads_agree_only_for_equal_query_histories() {
+        for (case, eighths) in [(1u32, 5u64), (2, 6), (3, 5), (4, 6)] {
+            let build = || {
+                SheBloomFilter::builder()
+                    .window(256)
+                    .memory_bytes(256)
+                    .hash_functions(4)
+                    .seed(case)
+                    .build()
+            };
+            let (mut idle, mut queried, mut twin) = (build(), build(), build());
+            let tc = idle.engine().config().t_cycle;
+            let keys: Vec<u64> =
+                (0..200).map(|i| she_hash::mix64((u64::from(case) << 32) | i)).collect();
+            for bf in [&mut idle, &mut queried, &mut twin] {
+                for key in &keys {
+                    bf.insert(key);
+                }
+                bf.advance_time(tc * eighths / 8);
+            }
+            for key in &keys {
+                assert_eq!(queried.contains(key), twin.contains(key), "case {case}");
+            }
+            for bf in [&mut idle, &mut queried, &mut twin] {
+                bf.advance_time(tc);
+            }
+            for key in &keys {
+                assert_eq!(queried.contains_frozen(key), twin.contains_frozen(key), "case {case}");
+            }
+            let stale =
+                |bf: &SheBloomFilter| keys.iter().filter(|k| bf.contains_frozen(*k)).count();
+            let (idle_stale, queried_stale) = (stale(&idle), stale(&queried));
+            assert!(
+                idle_stale >= 20 && idle_stale > 3 * queried_stale,
+                "case {case}: unqueried {idle_stale} vs queried {queried_stale} expired keys present"
+            );
         }
     }
 

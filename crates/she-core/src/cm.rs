@@ -155,9 +155,11 @@ impl SheCountMin {
     /// [`SheCountMin::query`] would on the same state, without running
     /// `CheckGroup` — a counter whose group is due for cleaning reads as
     /// zero ([`She::peek_cell_effective`]), and maturity is observed
-    /// purely. Nothing mutates, so identical insert histories answer
-    /// identically regardless of query history (the read-path mirror's
-    /// bit-for-bit property).
+    /// purely. Nothing mutates, so two sketches with equal insert *and*
+    /// mutating-query histories answer identically however often either
+    /// is read frozen — the read-path mirror's bit-for-bit property. Equal
+    /// insert histories alone are not enough (see
+    /// [`crate::SheBloomFilter::contains_frozen`]).
     pub fn query_frozen<K: HashKey + ?Sized>(&self, key: &K) -> u64 {
         let mut ups = Vec::with_capacity(self.engine.spec().k());
         self.engine.updates_for(key, &mut ups);
@@ -181,38 +183,6 @@ impl SheCountMin {
         let mut ups = Vec::with_capacity(self.engine.spec().k());
         self.engine.updates_for(key, &mut ups);
         self.engine.mark_sig_of(&ups)
-    }
-
-    /// Age-normalized frequency estimate.
-    ///
-    /// [`SheCountMin::query`] (the paper's estimator) returns the minimum
-    /// over mature counters, each of which has accumulated for its own
-    /// `age ∈ [N, Tcycle)` — so with α = 1 an unlucky key whose youngest
-    /// mature counter is old reads up to 2× its window frequency. The age
-    /// of every counter is known, so scaling each mature counter by
-    /// `N / age` before taking the minimum removes that bias for
-    /// near-stationary streams (at the cost of the strict
-    /// never-underestimate guarantee, which only holds unscaled). Rankings
-    /// (e.g. [`crate::SlidingTopK`]) should use this.
-    pub fn query_scaled<K: HashKey + ?Sized>(&mut self, key: &K) -> u64 {
-        let n = self.engine.config().window;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.engine.updates_for(key, &mut scratch);
-        let mut best: Option<u64> = None;
-        let mut fallback: Option<u64> = None;
-        for u in &scratch {
-            let gid = self.engine.group_of(u.index);
-            let mature = self.engine.check_mature(gid);
-            let v = self.engine.peek_cell(u.index);
-            fallback = Some(fallback.map_or(v, |m| m.min(v)));
-            if mature {
-                let age = self.engine.group_age(gid).max(1);
-                let scaled = ((v as u128 * n as u128) / age as u128) as u64;
-                best = Some(best.map_or(scaled, |m| m.min(scaled)));
-            }
-        }
-        self.scratch = scratch;
-        best.or(fallback).unwrap_or(0)
     }
 
     /// Advance logical time without inserting.

@@ -334,8 +334,8 @@ impl<S: CsmSpec> She<S> {
     /// Read a cell *as the next `check_group` would leave it*: zero when
     /// the owning group is due for cleaning, the raw stored value
     /// otherwise. Pure — frozen-read query variants use this so two
-    /// engines with identical insert histories answer identically no
-    /// matter how differently they have been queried.
+    /// engines with equal insert and mutating-query histories answer
+    /// identically however often either is read frozen.
     #[inline]
     pub fn peek_cell_effective(&self, index: usize) -> u64 {
         if self.group_due(self.group_of(index)) {

@@ -50,10 +50,8 @@ pub mod kind {
     pub const MH: u16 = 0x0006;
     /// `SheCountSketch`.
     pub const CS: u16 = 0x0007;
-    /// `SoftClock<S>` (software-version engine).
-    pub const SOFT: u16 = 0x0008;
-    /// `SlidingTopK`.
-    pub const TOPK: u16 = 0x0009;
+    // 0x0008 and 0x0009 are retired: old builds wrote them, so never
+    // reuse them.
     /// One she-server shard (nested structure frames).
     pub const SHARD: u16 = 0x0010;
     /// A whole-server checkpoint (engine config + all shard frames).
@@ -76,13 +74,12 @@ pub mod tag {
     pub const MARKS: u16 = 0x0003;
     /// Raw cell words.
     pub const CELLS: u16 = 0x0004;
-    /// Structure-specific parameters (e.g. top-k's `k`).
+    /// Structure-specific parameters (e.g. an op-log record's sequence).
     pub const META: u16 = 0x0005;
     /// Operational counters (inserts/queries).
     pub const COUNTERS: u16 = 0x0006;
-    /// Top-k candidate entries.
-    pub const CANDIDATES: u16 = 0x0007;
-    /// A nested frame (e.g. top-k's Count-Min sketch).
+    // 0x0007 is retired: old builds wrote it, so never reuse it.
+    /// A nested frame (e.g. a bootstrap package's checkpoint).
     pub const SKETCH: u16 = 0x0008;
     /// Shard frame: nested Bloom filter.
     pub const STRUCT_BF: u16 = 0x0010;

@@ -30,7 +30,7 @@
 //! serving layer builds on), [`SheCountSketch`] (a sixth CSM instance
 //! demonstrating the framework's genericity), multi-window queries
 //! ([`SheBitmap::estimate_at`]), and a uniform persistence layer: every
-//! structure implements [`SnapshotState`] (versioned binary snapshots in
+//! adapter implements [`SnapshotState`] (versioned binary snapshots in
 //! the shared [`frame`] format, with cell-wise [`MergeMode`] merging for
 //! the mergeable sketches).
 

@@ -12,8 +12,6 @@
 //! within one cleaning step (see the cross-version tests in
 //! `tests/soft_vs_hw.rs`).
 
-use crate::frame::{self, Frame, FrameWriter, Reader};
-use crate::snapshot::{MergeMode, SnapshotError, SnapshotState};
 use crate::SheConfig;
 use she_hash::HashKey;
 use she_sketch::{CellUpdate, CsmSpec, PackedArray};
@@ -151,97 +149,6 @@ impl<S: CsmSpec> SoftClock<S> {
     /// conceptual cleaner needs only its position, folded into the counter).
     pub fn memory_bits(&self) -> usize {
         self.cells.memory_bits() + 32
-    }
-}
-
-/// Not mergeable: two cleaners at different sweep positions leave no
-/// per-cell mark to reconcile which cells are live, so a sound cell-wise
-/// merge does not exist. Snapshot/restore only.
-impl<S: CsmSpec> SnapshotState for SoftClock<S> {
-    const KIND: u16 = frame::kind::SOFT;
-    const MERGE: Option<MergeMode> = None;
-
-    fn save_snapshot(&self) -> Vec<u8> {
-        let mut w = FrameWriter::new(Self::KIND);
-
-        let mut sec = Vec::with_capacity(48);
-        sec.extend_from_slice(&self.cfg.window.to_le_bytes());
-        sec.extend_from_slice(&self.cfg.t_cycle.to_le_bytes());
-        sec.extend_from_slice(&(self.cfg.group_cells as u64).to_le_bytes());
-        sec.extend_from_slice(&self.cfg.beta.to_le_bytes());
-        sec.extend_from_slice(&(self.spec.num_cells() as u64).to_le_bytes());
-        sec.extend_from_slice(&self.spec.cell_bits().to_le_bytes());
-        sec.extend_from_slice(&(self.spec.k() as u32).to_le_bytes());
-        w.section(frame::tag::CONFIG, &sec);
-
-        sec = Vec::with_capacity(16);
-        sec.extend_from_slice(&self.t.to_le_bytes());
-        sec.extend_from_slice(&self.cleaned.to_le_bytes());
-        w.section(frame::tag::CLOCK, &sec);
-
-        let words = self.cells.words();
-        sec = Vec::with_capacity(8 + words.len() * 8);
-        sec.extend_from_slice(&(words.len() as u64).to_le_bytes());
-        for &word in words {
-            sec.extend_from_slice(&word.to_le_bytes());
-        }
-        w.section(frame::tag::CELLS, &sec);
-
-        w.finish()
-    }
-
-    fn load_snapshot(&mut self, buf: &[u8]) -> Result<(), SnapshotError> {
-        let f = Frame::parse(buf)?;
-        if f.kind != Self::KIND {
-            return Err(SnapshotError::WrongKind { expected: Self::KIND, found: f.kind });
-        }
-        let section = |tag: u16| f.section(tag).ok_or(SnapshotError::MissingSection { tag });
-
-        let mut r = Reader::new(section(frame::tag::CONFIG)?);
-        if r.u64()? != self.cfg.window {
-            return Err(SnapshotError::ConfigMismatch { field: "window" });
-        }
-        if r.u64()? != self.cfg.t_cycle {
-            return Err(SnapshotError::ConfigMismatch { field: "t_cycle" });
-        }
-        if r.u64()? != self.cfg.group_cells as u64 {
-            return Err(SnapshotError::ConfigMismatch { field: "group_cells" });
-        }
-        if r.f64()?.to_bits() != self.cfg.beta.to_bits() {
-            return Err(SnapshotError::ConfigMismatch { field: "beta" });
-        }
-        if r.u64()? != self.spec.num_cells() as u64
-            || r.u32()? != self.spec.cell_bits()
-            || r.u32()? != self.spec.k() as u32
-        {
-            return Err(SnapshotError::GeometryMismatch);
-        }
-        r.finish()?;
-
-        let mut r = Reader::new(section(frame::tag::CLOCK)?);
-        let t = r.u64()?;
-        let cleaned = r.u64()?;
-        r.finish()?;
-
-        let mut r = Reader::new(section(frame::tag::CELLS)?);
-        let n_words = r.u64()? as usize;
-        if n_words != self.cells.words().len() {
-            return Err(SnapshotError::GeometryMismatch);
-        }
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(r.u64()?);
-        }
-        r.finish()?;
-
-        self.t = t;
-        self.cleaned = cleaned;
-        self.cells.copy_from_words(&words);
-        Ok(())
-    }
-
-    fn merge_snapshot(&mut self, _buf: &[u8]) -> Result<(), SnapshotError> {
-        Err(SnapshotError::NotMergeable)
     }
 }
 

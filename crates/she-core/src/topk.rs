@@ -1,217 +1,128 @@
 //! Sliding heavy hitters: the application layer the paper's introduction
 //! motivates (financial trackers, intrusion detection, QoS).
 //!
-//! A [`SlidingTopK`] combines SHE-CM with a small candidate set: every
-//! insertion refreshes the key's frequency estimate and promotes it into
-//! the candidate map when it competes with the current top-k. Because the
-//! sketch answers *sliding-window* frequencies, candidates age out on
+//! A [`SlidingTopK`] is a small candidate set with no sketch of its own:
+//! the caller passes the estimator (a SHE-CM frozen read, say) to every
+//! call. An offered key enters the set when it competes with the current
+//! top-k, and compaction re-scores every candidate with the estimator.
+//! Because it answers *sliding-window* frequencies, candidates age out on
 //! their own — a key that stops arriving sees its estimate collapse after
 //! one window and is dropped at the next compaction.
 
-use crate::frame::{self, Frame, FrameWriter, Reader};
-use crate::snapshot::{MergeMode, SnapshotError, SnapshotState};
-use crate::SheCountMin;
 use std::collections::HashMap;
 
-/// Top-k frequent keys over a sliding window.
+/// Top-k frequent keys over a sliding window, ranked by a caller-supplied
+/// estimator.
 #[derive(Debug)]
 pub struct SlidingTopK {
-    cm: SheCountMin,
     k: usize,
     /// Key → last refreshed window-frequency estimate.
     candidates: HashMap<u64, u64>,
-    /// Compaction threshold (candidates are re-queried and pruned when the
+    /// Compaction threshold (candidates are re-scored and pruned when the
     /// map grows past this).
     cap: usize,
 }
 
 impl SlidingTopK {
-    /// Track the `k` heaviest keys of the last `window` items with a
-    /// `bytes`-byte SHE-CM underneath.
-    pub fn new(k: usize, window: u64, bytes: usize, seed: u32) -> Self {
+    /// Track the `k` heaviest keys.
+    pub fn new(k: usize) -> Self {
         assert!(k >= 1);
-        Self {
-            cm: SheCountMin::builder().window(window).memory_bytes(bytes).seed(seed).build(),
-            k,
-            candidates: HashMap::new(),
-            cap: (4 * k).max(16),
-        }
+        Self { k, candidates: HashMap::new(), cap: (4 * k).max(16) }
     }
 
-    /// Ingest the next item.
-    pub fn insert(&mut self, key: u64) {
-        self.cm.insert(&key);
-        let est = self.cm.query_scaled(&key);
-        // A key competes once its estimate reaches the weakest candidate's
+    /// Offer the key just inserted, scored by `est`.
+    pub fn offer(&mut self, key: u64, mut est: impl FnMut(u64) -> u64) {
+        let score = est(key);
+        // A key competes once its estimate beats the weakest candidate's
         // (or the set is not full yet).
-        if self.candidates.len() < self.cap {
-            self.candidates.insert(key, est);
-        } else {
-            let min = self.candidates.values().copied().min().unwrap_or(0);
-            if est > min {
-                self.candidates.insert(key, est);
-            }
-            if self.candidates.len() > self.cap {
-                self.compact();
-            }
+        let full = self.candidates.len() >= self.cap;
+        if !full || score > self.candidates.values().copied().min().unwrap_or(0) {
+            self.candidates.insert(key, score);
+        }
+        if self.candidates.len() > self.cap {
+            self.compact(est);
         }
     }
 
-    /// Re-query every candidate against the sliding sketch and keep the
-    /// strongest `2k` (estimates decay as the window slides, so this is
-    /// where expired heavy hitters fall out).
-    fn compact(&mut self) {
-        let cm = &mut self.cm;
+    /// Re-score every candidate with `est` and keep the strongest `2k`
+    /// (estimates decay as the window slides, so this is where expired
+    /// heavy hitters fall out). Returns the survivors heaviest first, ties
+    /// by key.
+    fn compact(&mut self, mut est: impl FnMut(u64) -> u64) -> Vec<(u64, u64)> {
         let mut scored: Vec<(u64, u64)> =
-            self.candidates.keys().map(|&key| (key, cm.query_scaled(&key))).collect();
-        scored.sort_unstable_by_key(|e| std::cmp::Reverse(e.1));
+            self.candidates.keys().map(|&key| (key, est(key))).collect();
+        scored.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.truncate(2 * self.k);
-        self.candidates = scored.into_iter().collect();
+        self.candidates = scored.iter().copied().collect();
+        scored
     }
 
-    /// The current top-k as `(key, estimated window frequency)`, heaviest
-    /// first. Re-queries candidates so the answer reflects the window as of
-    /// now.
-    pub fn top(&mut self) -> Vec<(u64, u64)> {
-        self.compact();
-        let mut out: Vec<(u64, u64)> = self.candidates.iter().map(|(&k, &v)| (k, v)).collect();
-        out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    /// The current top-k as `(key, estimate)`, heaviest first, every
+    /// estimate re-read through `est` so the answer reflects the window as
+    /// of now.
+    pub fn top(&mut self, est: impl FnMut(u64) -> u64) -> Vec<(u64, u64)> {
+        let mut out = self.compact(est);
         out.truncate(self.k);
         out
-    }
-
-    /// The underlying frequency sketch.
-    pub fn sketch(&self) -> &SheCountMin {
-        &self.cm
-    }
-
-    /// Memory footprint in bits (sketch + candidate entries at 128 bits).
-    pub fn memory_bits(&self) -> usize {
-        self.cm.memory_bits() + self.candidates.len() * 128
-    }
-}
-
-/// Not mergeable: the candidate maps of two trackers cover different key
-/// subsets, so a merged top-k can silently miss keys heavy only in the
-/// union. Snapshot/restore only.
-impl SnapshotState for SlidingTopK {
-    const KIND: u16 = frame::kind::TOPK;
-    const MERGE: Option<MergeMode> = None;
-
-    fn save_snapshot(&self) -> Vec<u8> {
-        let mut w = FrameWriter::new(Self::KIND);
-
-        let mut sec = Vec::with_capacity(16);
-        sec.extend_from_slice(&(self.k as u64).to_le_bytes());
-        sec.extend_from_slice(&(self.cap as u64).to_le_bytes());
-        w.section(frame::tag::META, &sec);
-
-        w.section(frame::tag::SKETCH, &self.cm.save_snapshot());
-
-        // Sort by key so identical state yields identical bytes regardless
-        // of HashMap iteration order.
-        let mut entries: Vec<(u64, u64)> = self.candidates.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable();
-        sec = Vec::with_capacity(8 + entries.len() * 16);
-        sec.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for (key, est) in entries {
-            sec.extend_from_slice(&key.to_le_bytes());
-            sec.extend_from_slice(&est.to_le_bytes());
-        }
-        w.section(frame::tag::CANDIDATES, &sec);
-
-        w.finish()
-    }
-
-    fn load_snapshot(&mut self, buf: &[u8]) -> Result<(), SnapshotError> {
-        let f = Frame::parse(buf)?;
-        if f.kind != Self::KIND {
-            return Err(SnapshotError::WrongKind { expected: Self::KIND, found: f.kind });
-        }
-        let section = |tag: u16| f.section(tag).ok_or(SnapshotError::MissingSection { tag });
-
-        let mut r = Reader::new(section(frame::tag::META)?);
-        if r.u64()? != self.k as u64 {
-            return Err(SnapshotError::ConfigMismatch { field: "k" });
-        }
-        if r.u64()? != self.cap as u64 {
-            return Err(SnapshotError::ConfigMismatch { field: "cap" });
-        }
-        r.finish()?;
-
-        let mut r = Reader::new(section(frame::tag::CANDIDATES)?);
-        let n = r.u64()? as usize;
-        // A snapshot cannot legitimately carry more candidates than the
-        // tracker's own cap; reject a corrupt length before it sizes the
-        // allocation.
-        if n > self.cap {
-            return Err(SnapshotError::ConfigMismatch { field: "cap" });
-        }
-        let mut candidates = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let key = r.u64()?;
-            let est = r.u64()?;
-            candidates.insert(key, est);
-        }
-        r.finish()?;
-
-        // Restore the sketch last so a malformed candidate section leaves
-        // this tracker untouched.
-        self.cm.load_snapshot(section(frame::tag::SKETCH)?)?;
-        self.candidates = candidates;
-        Ok(())
-    }
-
-    fn merge_snapshot(&mut self, _buf: &[u8]) -> Result<(), SnapshotError> {
-        Err(SnapshotError::NotMergeable)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SheCountMin;
+
+    fn sketch(window: u64, bytes: usize, seed: u32) -> SheCountMin {
+        SheCountMin::builder().window(window).memory_bytes(bytes).seed(seed).build()
+    }
+
+    /// Insert into the sketch, then offer at its frozen estimate: the read
+    /// path's order.
+    fn insert(tk: &mut SlidingTopK, cm: &mut SheCountMin, key: u64) {
+        cm.insert(&key);
+        tk.offer(key, |k| cm.query_frozen(&k));
+    }
 
     #[test]
     fn finds_the_heavy_keys() {
         let window = 1u64 << 13;
-        let mut tk = SlidingTopK::new(3, window, 1 << 20, 1);
-        // Keys 1, 2, 3 take 30%, 20%, 10% of traffic; the rest is distinct.
+        let (mut tk, mut cm) = (SlidingTopK::new(3), sketch(window, 1 << 20, 1));
+        // Keys 1, 2, 3 take 40%, 15%, 5% of traffic; the rest is distinct.
+        // More than 2× apart, so the unscaled estimates cannot swap them.
         for i in 0..3 * window {
-            let key = match i % 10 {
-                0..=2 => 1,
-                3..=4 => 2,
-                5 => 3,
+            let key = match i % 20 {
+                0..=7 => 1,
+                8..=10 => 2,
+                11 => 3,
                 _ => 1_000_000 + i,
             };
-            tk.insert(key);
+            insert(&mut tk, &mut cm, key);
         }
-        let top = tk.top();
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0].0, 1);
-        assert_eq!(top[1].0, 2);
-        assert_eq!(top[2].0, 3);
-        // Estimates are near the true shares of one window.
-        let truth = [3 * window / 10, window / 5, window / 10];
-        for ((_, est), t) in top.iter().zip(truth) {
-            let re = (*est as f64 - t as f64).abs() / t as f64;
-            assert!(re < 0.3, "estimate {est} vs {t}");
+        let top = tk.top(|k| cm.query_frozen(&k));
+        assert_eq!(top.iter().map(|e| e.0).collect::<Vec<_>>(), [1, 2, 3]);
+        // Every row carries the estimator's own answer: a mature SHE-CM
+        // counter never undercounts the window and spans less than two.
+        let truth = [2 * window / 5, 3 * window / 20, window / 20];
+        for (&(key, est), t) in top.iter().zip(truth) {
+            assert_eq!(est, cm.query_frozen(&key));
+            assert!(est >= t && est < 2 * t, "estimate {est} vs {t}");
         }
     }
 
     #[test]
     fn expired_heavy_hitter_falls_out() {
         let window = 1u64 << 12;
-        let mut tk = SlidingTopK::new(2, window, 1 << 20, 2);
+        let (mut tk, mut cm) = (SlidingTopK::new(2), sketch(window, 1 << 20, 2));
         // Phase 1: key 7 dominates.
         for i in 0..window {
-            tk.insert(if i % 2 == 0 { 7 } else { 1_000_000 + i });
+            insert(&mut tk, &mut cm, if i % 2 == 0 { 7 } else { 1_000_000 + i });
         }
-        assert_eq!(tk.top()[0].0, 7);
+        assert_eq!(tk.top(|k| cm.query_frozen(&k))[0].0, 7);
         // Phase 2: key 7 vanishes; key 9 dominates for several windows.
         for i in 0..6 * window {
-            tk.insert(if i % 2 == 0 { 9 } else { 2_000_000 + i });
+            insert(&mut tk, &mut cm, if i % 2 == 0 { 9 } else { 2_000_000 + i });
         }
-        let top = tk.top();
+        let top = tk.top(|k| cm.query_frozen(&k));
         assert_eq!(top[0].0, 9);
         assert!(
             top.iter().all(|&(k, est)| k != 7 || est < window / 10),
@@ -221,11 +132,11 @@ mod tests {
 
     #[test]
     fn candidate_set_stays_bounded() {
-        let mut tk = SlidingTopK::new(5, 1 << 10, 1 << 18, 3);
+        let (mut tk, mut cm) = (SlidingTopK::new(5), sketch(1 << 10, 1 << 18, 3));
         for i in 0..50_000u64 {
-            tk.insert(she_hash::mix64(i)); // all distinct
+            insert(&mut tk, &mut cm, she_hash::mix64(i)); // all distinct
         }
         assert!(tk.candidates.len() <= tk.cap + 1);
-        assert!(tk.top().len() <= 5);
+        assert!(tk.top(|k| cm.query_frozen(&k)).len() <= 5);
     }
 }

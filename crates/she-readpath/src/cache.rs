@@ -52,7 +52,7 @@ pub struct MarkCache {
 
 impl MarkCache {
     /// A cache with at least `slots` entries (rounded up to a power of
-    /// two, minimum 16). Memory is ~26 bytes per slot, fixed at build.
+    /// two, minimum 16). Memory is 32 bytes per slot, fixed at build.
     pub fn new(slots: usize) -> Self {
         let n = slots.next_power_of_two().max(16);
         Self { slots: vec![Slot::default(); n], mask: u64_of(n - 1) }

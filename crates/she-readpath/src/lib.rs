@@ -9,10 +9,10 @@
 //!   the workers own, in the SF-sketch spirit, not a second type —
 //!   refreshed incrementally from the op stream (the replication log
 //!   tail) and read *frozen*: queries never mutate, so the mirror answers
-//!   bit-for-bit what the authoritative engines would on the same insert
-//!   history. Next to it sits a compact
-//!   [`SlidingTopK`] ranking summary the
-//!   authoritative tier does not maintain at all.
+//!   bit-for-bit what the authoritative engines would after the same
+//!   inserts *and* the same mutating queries. Next to it sits a
+//!   [`SlidingTopK`] candidate set, ranked by the mirror's own SHE-CM,
+//!   that the authoritative tier does not maintain at all.
 //! * **Stage two — [`MarkCache`]**: a direct-mapped `(op, key)` result
 //!   cache validated by SHE **time-mark signatures**. An entry is dropped
 //!   only when a group the answer depends on changes observation context
@@ -90,7 +90,7 @@ struct Inner {
     /// Frozen mirror of the authoritative engines, fed the same per-shard
     /// key order (op-log order guarantees this).
     mirror: DirectEngine,
-    /// Ranking summary; tracks stream A, like the frequency sketch.
+    /// Stream-A candidates, ranked by `mirror.frequency_frozen`.
     topk: SlidingTopK,
     cache: MarkCache,
 }
@@ -112,14 +112,12 @@ impl std::fmt::Debug for ReadPath {
 }
 
 impl ReadPath {
-    /// Wrap a mirror engine with a `cfg`-sized mark cache and a ranking
-    /// summary sized to the mirror's own window, memory and seed. The
-    /// ranking cannot be seeded from snapshots — they carry none — so it
-    /// warms from the op stream only.
+    /// Wrap a mirror engine with a `cfg`-sized mark cache and a `cfg.topk`
+    /// candidate set. Candidates are the keys the op stream offers; their
+    /// estimates always come from the mirror, so a mirror loaded from a
+    /// snapshot ranks by the loaded state.
     pub fn new(mirror: DirectEngine, cfg: ReadPathConfig, counters: Arc<ReadpathCounters>) -> Self {
-        let e = *mirror.config();
-        let topk =
-            SlidingTopK::new(cfg.topk.max(1), e.window.max(1), e.memory_bytes.max(64), e.seed);
+        let topk = SlidingTopK::new(cfg.topk.max(1));
         Self {
             inner: OrderedMutex::new(
                 "readpath",
@@ -135,7 +133,9 @@ impl ReadPath {
     pub fn query(&self, opcode: u8, key: u64) -> Option<FastAnswer> {
         match opcode {
             op::TOPK => {
-                let mut top = self.inner.lock().topk.top();
+                let mut g = self.inner.lock();
+                let Inner { mirror, topk, .. } = &mut *g;
+                let mut top = topk.top(|k| mirror.frequency_frozen(k));
                 top.truncate(usize_of(key.min(TOPK_MAX)));
                 Some(FastAnswer::Ranked(top))
             }
@@ -171,15 +171,17 @@ impl ReadPath {
     }
 
     /// Apply one op-stream record to the fast summary, in chunks so a
-    /// large batch cannot monopolize the read lock. Stream B feeds only
-    /// the mirror.
+    /// large batch cannot monopolize the read lock. A stream-A chunk
+    /// reaches the mirror, then its keys are offered to the candidate set
+    /// at the mirror's estimate. Stream B feeds only the mirror.
     pub fn apply(&self, stream: u8, keys: &[u64]) {
         for chunk in keys.chunks(APPLY_CHUNK) {
             let mut g = self.inner.lock();
-            g.mirror.apply(stream, chunk);
+            let Inner { mirror, topk, .. } = &mut *g;
+            mirror.apply(stream, chunk);
             if stream == 0 {
                 for &k in chunk {
-                    g.topk.insert(k);
+                    topk.offer(k, |k| mirror.frequency_frozen(k));
                 }
             }
         }
@@ -229,7 +231,7 @@ fn unpack(opcode: u8, v: u64) -> FastAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use she_core::sharded::EngineConfig;
+    use she_core::sharded::{EngineConfig, ShardEngine};
     use she_hash::{RandomSource, Xoshiro256};
     use she_streams::Zipf;
     use she_window::WindowTruth;
@@ -336,56 +338,119 @@ mod tests {
         assert_eq!(s.invalidations, 0, "frozen clock cannot invalidate");
     }
 
-    /// Fast-summary accuracy against the exact sliding-window oracle:
-    /// frequency ARE stays small on a zipfian stream, membership has no
-    /// false negatives, and the top-k ranking recovers the true heavy
-    /// hitters.
-    #[test]
-    fn fast_summary_tracks_the_exact_oracle() {
-        let rp = readpath(7, 1 << 12);
-        let mut truth = WindowTruth::new(usize_of(WINDOW));
+    /// `4·WINDOW` keys of a Zipf(1.2) stream over 10 000 keys, drawn from
+    /// `seed`.
+    fn zipf_stream(seed: u64) -> Vec<u64> {
         let zipf = Zipf::new(10_000, 1.2);
-        let mut rng = Xoshiro256::new(42);
-        let mut batch = Vec::new();
-        for _ in 0..4 * WINDOW {
-            let key = zipf.sample(&mut rng) as u64;
-            truth.insert(key);
-            batch.push(key);
-            if batch.len() == 64 {
-                rp.apply(0, &batch);
-                batch.clear();
+        let mut rng = Xoshiro256::new(seed);
+        (0..4 * WINDOW).map(|_| zipf.sample(&mut rng) as u64).collect()
+    }
+
+    /// A `shards`-shard read path fed `zipf_stream(seed)` in 64-key
+    /// records, and the exact window's counts, heaviest first (ties by
+    /// key).
+    fn zipf_fed(shards: usize, seed: u64) -> (ReadPath, Vec<(u64, u32)>) {
+        let cfg = EngineConfig { window: WINDOW, shards, memory_bytes: 64 << 10, seed: 7 };
+        let rp = ReadPath::new(
+            DirectEngine::new(cfg),
+            ReadPathConfig { cache_slots: 1 << 12, topk: 16 },
+            Arc::new(ReadpathCounters::new()),
+        );
+        let mut truth = WindowTruth::new(usize_of(WINDOW));
+        for chunk in zipf_stream(seed).chunks(64) {
+            rp.apply(0, chunk);
+            for &k in chunk {
+                truth.insert(k);
             }
         }
-        rp.apply(0, &batch);
-
-        // Frequency: ARE over the oracle's 64 heaviest keys.
         let mut counts: Vec<(u64, u32)> = truth.iter_counts().collect();
         counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut sum_re = 0.0;
-        for &(key, exact) in counts.iter().take(64) {
-            let Some(FastAnswer::Count(est)) = rp.query(op::FREQ, key) else {
-                panic!("freq answer missing for {key}");
-            };
-            sum_re += (est as f64 - f64::from(exact)).abs() / f64::from(exact.max(1));
-        }
-        let are = sum_re / 64.0;
-        assert!(are < 0.5, "frequency ARE {are} vs exact oracle");
+        (rp, counts)
+    }
 
-        // Membership: every in-window key must be reported present.
-        for &(key, _) in counts.iter().take(256) {
-            assert_eq!(
-                rp.query(op::MEMBER, key),
-                Some(FastAnswer::Bool(true)),
-                "false negative on in-window key {key}"
-            );
-        }
-
-        // Top-k: at least 6 of the true top-8 appear in the fast top-16.
+    /// How many of the oracle's top 8 appear in the fast top 16.
+    fn top8_recall(rp: &ReadPath, counts: &[(u64, u32)]) -> usize {
         let Some(FastAnswer::Ranked(top)) = rp.query(op::TOPK, 16) else {
             panic!("topk answer missing");
         };
-        let have = counts.iter().take(8).filter(|(k, _)| top.iter().any(|(tk, _)| tk == k)).count();
-        assert!(have >= 6, "top-k recall {have}/8 (got {top:?})");
+        counts.iter().take(8).filter(|(k, _)| top.iter().any(|(tk, _)| tk == k)).count()
+    }
+
+    /// Fast-summary accuracy against the exact sliding-window oracle:
+    /// frequency ARE stays small on a zipfian stream, membership has no
+    /// false negatives, and the top-k ranking recovers all of the true top
+    /// 8 on each of four stream seeds.
+    #[test]
+    fn fast_summary_tracks_the_exact_oracle() {
+        for seed in [42, 1, 2, 3] {
+            let (rp, counts) = zipf_fed(1, seed);
+
+            // Frequency: ARE over the oracle's 64 heaviest keys.
+            let mut sum_re = 0.0;
+            for &(key, exact) in counts.iter().take(64) {
+                let Some(FastAnswer::Count(est)) = rp.query(op::FREQ, key) else {
+                    panic!("freq answer missing for {key}");
+                };
+                sum_re += (est as f64 - f64::from(exact)).abs() / f64::from(exact.max(1));
+            }
+            let are = sum_re / 64.0;
+            assert!(are < 0.5, "seed {seed}: frequency ARE {are} vs exact oracle");
+
+            // Membership: every in-window key must be reported present.
+            for &(key, _) in counts.iter().take(256) {
+                assert_eq!(
+                    rp.query(op::MEMBER, key),
+                    Some(FastAnswer::Bool(true)),
+                    "seed {seed}: false negative on in-window key {key}"
+                );
+            }
+
+            let recall = top8_recall(&rp, &counts);
+            assert_eq!(recall, 8, "seed {seed}: top-k recall {recall}/8");
+        }
+    }
+
+    /// The same ranking over four shards, each estimating over its own
+    /// unscaled `WINDOW / 4`-item window rather than the one global window
+    /// the oracle counts (ROADMAP item 5). Measured: 8/8 on seeds 42 and
+    /// 2, 7/8 on seeds 1 and 3, so the gate is 7.
+    #[test]
+    fn topk_recall_over_four_shards() {
+        for seed in [42, 1, 2, 3] {
+            let (rp, counts) = zipf_fed(4, seed);
+            let recall = top8_recall(&rp, &counts);
+            assert!(recall >= 7, "seed {seed}: four-shard top-k recall {recall}/8");
+        }
+    }
+
+    /// A mirror loaded from a snapshot ranks by the loaded state: after a
+    /// shard pre-fed most of a Zipf stream is loaded and the rest of the
+    /// stream applied, every `TOPK` row carries exactly the twin's frozen
+    /// frequency, and the twin's heaviest key ranks first.
+    #[test]
+    fn topk_rows_are_the_loaded_mirrors_frequencies() {
+        let cfg = EngineConfig { window: WINDOW, shards: 1, memory_bytes: 64 << 10, seed: 9 };
+        let keys = zipf_stream(5);
+        let (prefix, tail) = keys.split_at(keys.len() - 128);
+        let mut twin = ShardEngine::new(&cfg, 0);
+        prefix.iter().for_each(|&k| twin.insert(0, k));
+        let rp = readpath(9, 1 << 12);
+        rp.load(0, &twin.snapshot(), false).expect("same-config snapshot loads");
+        rp.apply(0, tail);
+        tail.iter().for_each(|&k| twin.insert(0, k));
+
+        let Some(FastAnswer::Ranked(top)) = rp.query(op::TOPK, 16) else {
+            panic!("topk answer missing");
+        };
+        assert_eq!(top.len(), 16);
+        for &(key, est) in &top {
+            assert_eq!(est, twin.frequency_frozen(key), "row for key {key}");
+        }
+        // Among the keys the stream carried: an absent key whose only
+        // mature counter is shared with a heavy one can read higher still.
+        let heaviest =
+            keys.iter().copied().max_by_key(|&k| twin.frequency_frozen(k)).expect("keys");
+        assert_eq!(top[0].0, heaviest, "{top:?}");
     }
 
     #[test]

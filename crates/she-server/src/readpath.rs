@@ -5,7 +5,10 @@
 //! The mirror is a second, read-only [`DirectEngine`]: same
 //! [`EngineConfig`], same router, fed the identical per-shard insert
 //! order ([`EngineConfig::partition`]) — so its *frozen* reads answer
-//! bit-for-bit what the workers would answer on the same insert history.
+//! bit-for-bit what the workers would after the same inserts *and* the
+//! same mutating queries (a worker's `QUERY` cleans due groups the mirror
+//! leaves alone). `TOPK` ranks by the same frozen frequencies, so a
+//! mirror seeded or resynced from snapshots ranks by the loaded state.
 //! On a primary the refresher keeps it fresh from the replication log
 //! tail (the read path rides the replication machinery; it adds no work
 //! to the write path). On a replica the [`crate::server::Injector`] feeds

@@ -98,34 +98,48 @@ fn seeded_torn_streams_reassemble_the_exact_request_sequence() {
 
 #[test]
 fn bit_flipped_streams_never_panic() {
-    // Flip every single bit of a small multi-frame stream, one at a time,
-    // and drive the whole thing through. Any outcome is acceptable except
-    // a panic or a payload from a fatal stream.
-    let mut stream = Vec::new();
-    for r in
-        [Request::Insert { stream: 0, key: 1 }, Request::QueryCard, Request::Hello { version: 4 }]
-    {
-        stream.extend_from_slice(&frame(&r.encode()));
-    }
-    for bit in 0..stream.len() * 8 {
-        let mut s = stream.clone();
-        s[bit / 8] ^= 1 << (bit % 8);
-        let mut c = Connection::new();
-        c.feed(&s, 0);
-        let mut fatal = false;
-        loop {
-            match c.poll() {
-                Event::Request(_) | Event::Bad(_) => {
-                    assert!(!fatal, "bit {bit}: event after fatal");
-                }
-                Event::NeedMore => break,
-                Event::Fatal => {
-                    fatal = true;
-                    break;
+    // Flip every single bit of two multi-frame streams, one at a time, and
+    // feed each flipped stream in seeded splits. Any outcome is acceptable
+    // except a panic, a payload once the stream is fatal, or a payload that
+    // decodes but does not re-encode to exactly its bytes.
+    let small = vec![
+        Request::Insert { stream: 0, key: 1 },
+        Request::QueryCard,
+        Request::Hello { version: 4 },
+    ];
+    for reqs in [small, sample_requests()] {
+        let mut stream = Vec::new();
+        for r in &reqs {
+            stream.extend_from_slice(&frame(&r.encode()));
+        }
+        for bit in 0..stream.len() * 8 {
+            let mut s = stream.clone();
+            s[bit / 8] ^= 1 << (bit % 8);
+            let mut rng = Lcg(bit as u64 | 1);
+            let mut c = Connection::new();
+            let (mut fed, mut fatal) = (0, false);
+            while fed < s.len() {
+                let end = (fed + 1 + (rng.next() as usize) % 96).min(s.len());
+                c.feed(&s[fed..end], fed as u64);
+                fed = end;
+                loop {
+                    match c.poll_frame() {
+                        FrameEvent::Payload(p) => {
+                            assert!(!fatal, "bit {bit}: payload after fatal");
+                            if let Ok(req) = Request::decode(&p) {
+                                assert_eq!(req.encode(), p, "bit {bit}: {req:?} re-encodes");
+                            }
+                        }
+                        FrameEvent::NeedMore => break,
+                        FrameEvent::Fatal => {
+                            fatal = true;
+                            break;
+                        }
+                    }
                 }
             }
+            assert_eq!(fatal, c.is_fatal(), "bit {bit}: sticky flag mismatch");
         }
-        assert_eq!(fatal, c.is_fatal(), "bit {bit}: sticky flag mismatch");
     }
 }
 

@@ -4,18 +4,26 @@
 //! stay within its staleness bound. The 95/5 read-heavy profile's speed
 //! and hit rate are the benchmark's `fast_95_5` workload (`ladder/`).
 
-use she_server::{Client, EngineConfig, ReadPathConfig, Server, ServerConfig};
+use she_server::{Client, EngineConfig, ReadPathConfig, Server, ServerConfig, ShardEngine};
 use std::time::{Duration, Instant};
 
-fn start_readpath_server(engine: EngineConfig) -> Server {
-    Server::start(ServerConfig {
+/// A read-path server whose shards start pre-fed `restored` stream-A
+/// keys: the `serve --restore` path, which seeds the mirror from their
+/// snapshots.
+fn start_readpath_server(engine: EngineConfig, restored: &[u64]) -> Server {
+    let mut engines: Vec<ShardEngine> =
+        (0..engine.shards).map(|s| ShardEngine::new(&engine, s)).collect();
+    for &k in restored {
+        engines[engine.shard_of(k)].insert(0, k);
+    }
+    let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         engine,
         repl_log: 16_384,
         readpath: Some(ReadPathConfig::default()),
         ..Default::default()
-    })
-    .expect("bind ephemeral port")
+    };
+    Server::start_with_engines(cfg, engines).expect("bind ephemeral port")
 }
 
 /// Block until the mirror's applied sequence catches the op-log head and
@@ -40,7 +48,7 @@ fn wait_quiescent(c: &mut Client) {
 #[test]
 fn query_fast_matches_authoritative_at_quiescence() {
     let engine = EngineConfig { window: 1 << 14, shards: 4, memory_bytes: 64 << 10, seed: 11 };
-    let server = start_readpath_server(engine);
+    let server = start_readpath_server(engine, &[]);
     let mut c = Client::connect(server.local_addr()).expect("connect");
     c.hello().expect("hello");
 
@@ -77,12 +85,53 @@ fn query_fast_matches_authoritative_at_quiescence() {
     // mark signature cannot move between the two asks).
     assert!(hits >= 2 * probed, "expected ≥{} cache hits, saw {hits}", 2 * probed);
 
-    // Top-k comes back as (key, estimate) pairs with sane estimates.
+    assert_topk_rows_are_freq(&mut c, None);
+
+    c.shutdown().expect("shutdown");
+    drop(c);
+    server.wait();
+}
+
+/// Every `TOPK` row carries exactly the authoritative `FREQ` of its key
+/// (at quiescence the mirror and the workers agree), and, when given,
+/// `heaviest` ranks first.
+fn assert_topk_rows_are_freq(c: &mut Client, heaviest: Option<u64>) {
     let top = c.fast_topk(8).expect("fast topk");
-    assert!(!top.is_empty() && top.len() <= 8, "topk size {}", top.len());
+    assert_eq!(top.len(), 8, "topk size");
     for &(key, est) in &top {
-        assert!(est >= 1, "top-k key {key:#x} with zero estimate");
+        assert_eq!(est, c.query_freq(key).expect("freq"), "top-k row for key {key:#x}");
     }
+    if let Some(key) = heaviest {
+        assert_eq!(top[0].0, key, "heaviest key must rank first: {top:?}");
+    }
+}
+
+/// A server started from pre-fed engines ranks by the restored state,
+/// not only by the keys inserted after the start.
+#[test]
+fn topk_ranks_restored_state() {
+    let engine = EngineConfig { window: 1 << 14, shards: 4, memory_bytes: 64 << 10, seed: 17 };
+    // Four rounds in which key 0 recurs 256 times and key i of 1..64
+    // recurs 64 − i times: key 0 outweighs any other by 4×, beyond
+    // SHE-CM's 2× spread.
+    let round =
+        std::iter::repeat_n(0, 256).chain((1..64).flat_map(|i| std::iter::repeat_n(i, 64 - i)));
+    let restored: Vec<u64> =
+        round.cycle().take(4 * 2272).map(|i| she_hash::mix64(i as u64)).collect();
+    let server = start_readpath_server(engine, &restored);
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+
+    // A short tail: each restored key once more, then 16 new light keys
+    // 16 times each. Candidates come only from the op stream; their
+    // estimates must still count the restored state.
+    let tail: Vec<u64> = (0..64u64)
+        .rev()
+        .chain((0..256u64).map(|i| (1 << 40) | (i % 16)))
+        .map(she_hash::mix64)
+        .collect();
+    c.insert_batch(0, &tail).expect("insert");
+    wait_quiescent(&mut c);
+    assert_topk_rows_are_freq(&mut c, Some(she_hash::mix64(0)));
 
     c.shutdown().expect("shutdown");
     drop(c);
@@ -99,7 +148,7 @@ fn query_fast_matches_authoritative_at_quiescence() {
 #[test]
 fn warm_cache_respects_bound_and_flush_restores_exactness() {
     let engine = EngineConfig { window: 1 << 14, shards: 2, memory_bytes: 32 << 10, seed: 23 };
-    let server = start_readpath_server(engine);
+    let server = start_readpath_server(engine, &[]);
     let mut c = Client::connect(server.local_addr()).expect("connect");
 
     let hot: Vec<u64> = (0..64u64).map(she_hash::mix64).collect();
