@@ -11,22 +11,17 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::rules::RULES;
+
 /// Everything the rule engine needs to know beyond the source tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RuleConfig {
-    /// Crates where the panic-path rule applies to non-test code.
-    pub panic_crates: Vec<String>,
-    /// Crates where the truncating-cast rule applies to non-test code.
-    pub cast_crates: Vec<String>,
-    /// Crates where the unbounded-growth rule applies to non-test code.
-    pub growth_crates: Vec<String>,
-    /// Crates where the lock-order rule applies (raw `Mutex::new` banned,
-    /// `OrderedMutex` names cross-checked against the manifest).
-    pub lock_crates: Vec<String>,
-    /// Workspace-relative path suffixes of files on the epoll reactor
-    /// path. v2 coverage assertion: the computed reactor root set must
-    /// reach at least one fn in each of these files.
-    pub blocking_files: Vec<String>,
+    /// What each rule polices, keyed by its registered name. An entry is
+    /// a crate name or a workspace-relative path suffix naming one file:
+    /// `blocking`'s files are the legacy reactor-path files its root set
+    /// must keep covering, `unsafe`'s the boundary where annotated
+    /// `unsafe` is allowed (it scans every file).
+    pub scope: BTreeMap<&'static str, Vec<String>>,
     /// `(crate, qualified-fn)` roots of the reactor path: the poll loop,
     /// the inline dispatch arm, and the `QUERY_FAST` handlers. Blocking
     /// sinks reachable from these are hard findings with the chain.
@@ -40,12 +35,6 @@ pub struct RuleConfig {
     /// zero (hard), with spawn closures auto-rooted as serving entry
     /// points. Unreachable sites in these crates stay ratcheted.
     pub panic_pinned_crates: Vec<String>,
-    /// Crates where the wire-length-allocation rule applies.
-    pub wiresize_crates: Vec<String>,
-    /// Path suffixes of the files allowed to contain `unsafe` (each
-    /// block still needs `// audit:allow(unsafe): <reason>`). Everywhere
-    /// else `unsafe` is a hard finding.
-    pub unsafe_files: Vec<String>,
     /// Named lock ranks from `audit-locks.toml` (name → rank).
     pub locks: BTreeMap<String, u16>,
     /// Ratchet baseline from `audit-ratchet.toml`: `"rule/crate"` → count.
@@ -79,8 +68,7 @@ impl RuleConfig {
 
         let mut ratchet = BTreeMap::new();
         for ((section, key), value) in &ratchet_doc {
-            if section != "panic" && section != "cast" && section != "growth" && section != "unsafe"
-            {
+            if !RULES.iter().any(|r| r.name() == section && r.gate().ratchet.is_some()) {
                 return Err(bad(format!("audit-ratchet.toml: unknown section [{section}]")));
             }
             let Value::Int(n) = value else {
@@ -91,70 +79,34 @@ impl RuleConfig {
             ratchet.insert(format!("{section}/{key}"), n);
         }
 
+        // Every rule polices the serving crates; some reach further.
+        let serving = ["she-server", "she-replica", "she-cluster", "she-readpath"];
+        let and = |more: &[&str]| serving.iter().chain(more).map(|c| c.to_string()).collect();
+        let paths = |files: &[&str]| files.iter().map(|f| format!("she-server/src/{f}")).collect();
+        let spec = |krate: &str, qual: &str| (krate.to_string(), qual.to_string());
         Ok(RuleConfig {
-            panic_crates: vec![
-                "she-server".into(),
-                "she-replica".into(),
-                "she-cluster".into(),
-                "she-core".into(),
-                "she-chaos".into(),
-                "she-cli".into(),
-                "she-readpath".into(),
-            ],
-            cast_crates: vec![
-                "she-core".into(),
-                "she-sketch".into(),
-                "she-server".into(),
-                "she-replica".into(),
-                "she-cluster".into(),
-                "she-readpath".into(),
-            ],
-            growth_crates: vec![
-                "she-server".into(),
-                "she-replica".into(),
-                "she-cluster".into(),
-                "she-core".into(),
-                "she-readpath".into(),
-            ],
-            lock_crates: vec![
-                "she-server".into(),
-                "she-replica".into(),
-                "she-cluster".into(),
-                "she-core".into(),
-                "she-chaos".into(),
-                "she-readpath".into(),
-            ],
-            blocking_files: vec![
-                "she-server/src/reactor.rs".into(),
-                "she-server/src/conn.rs".into(),
-                "she-server/src/sys.rs".into(),
-            ],
+            scope: BTreeMap::from([
+                ("panic", and(&["she-core", "she-chaos", "she-cli"])),
+                ("cast", and(&["she-core", "she-sketch"])),
+                ("growth", and(&["she-core"])),
+                ("lock", and(&["she-core", "she-chaos"])),
+                ("blocking", paths(&["reactor.rs", "conn.rs", "sys.rs"])),
+                ("wiresize", and(&["she-core"])),
+                ("unsafe", paths(&["sys.rs"])),
+            ]),
             blocking_roots: vec![
-                ("she-server".into(), "Reactor::run".into()),
-                ("she-server".into(), "Reactor::dispatch".into()),
-                ("she-server".into(), "Shared::handle_inline".into()),
-                ("she-readpath".into(), "ReadPath::query".into()),
+                spec("she-server", "Reactor::run"),
+                spec("she-server", "Reactor::dispatch"),
+                spec("she-server", "Shared::handle_inline"),
+                spec("she-readpath", "ReadPath::query"),
             ],
             serving_roots: vec![
-                ("she-server".into(), "Shared::handle".into()),
-                ("she-server".into(), "run_worker".into()),
-                ("she-replica".into(), "run_tail".into()),
-                ("she-cluster".into(), "Monitor::run".into()),
+                spec("she-server", "Shared::handle"),
+                spec("she-server", "run_worker"),
+                spec("she-replica", "run_tail"),
+                spec("she-cluster", "Monitor::run"),
             ],
-            panic_pinned_crates: vec![
-                "she-server".into(),
-                "she-replica".into(),
-                "she-cluster".into(),
-                "she-readpath".into(),
-            ],
-            wiresize_crates: vec![
-                "she-core".into(),
-                "she-server".into(),
-                "she-replica".into(),
-                "she-cluster".into(),
-                "she-readpath".into(),
-            ],
-            unsafe_files: vec!["she-server/src/sys.rs".into()],
+            panic_pinned_crates: serving.map(String::from).to_vec(),
             locks,
             ratchet,
             protocol: Some((
@@ -162,6 +114,27 @@ impl RuleConfig {
                 root.join("docs/PROTOCOL.md"),
             )),
         })
+    }
+
+    /// Every crate-scoped rule policing `krate` alone: no roots, pinned
+    /// crates, locks, baselines, or protocol inputs — the starting point
+    /// of a fixture's configuration.
+    pub fn policing(krate: &str) -> Self {
+        let scope = ["panic", "cast", "growth", "lock", "wiresize"];
+        RuleConfig {
+            scope: scope.into_iter().map(|rule| (rule, vec![krate.to_string()])).collect(),
+            ..RuleConfig::default()
+        }
+    }
+
+    /// The entries `rule` polices.
+    pub fn scope_of(&self, rule: &str) -> &[String] {
+        self.scope.get(rule).map_or(&[], Vec::as_slice)
+    }
+
+    /// Does `rule` police the file at `path` in `crate_name`?
+    pub fn polices(&self, rule: &str, crate_name: &str, path: &str) -> bool {
+        self.scope_of(rule).iter().any(|e| e == crate_name || path.ends_with(e.as_str()))
     }
 }
 

@@ -59,10 +59,6 @@ pub struct CallGraph {
     /// Per-fn resolution results, parallel to `fns[i].calls` subsets.
     pub resolved: Vec<Vec<ResolvedCall>>,
     pub unresolved_calls: usize,
-    /// trait name → implementing types.
-    pub trait_impls: BTreeMap<String, Vec<String>>,
-    /// ident → possible nominal types (workspace-merged hints).
-    pub ident_tys: BTreeMap<String, BTreeSet<String>>,
     by_file: BTreeMap<String, Vec<usize>>,
 }
 
@@ -71,20 +67,6 @@ pub struct CallGraph {
 pub struct Reach {
     pub reachable: Vec<bool>,
     parent: Vec<Option<usize>>,
-    pub roots: Vec<usize>,
-}
-
-impl Reach {
-    /// Root-to-`id` chain of fn indices (inclusive).
-    pub fn chain(&self, mut id: usize) -> Vec<usize> {
-        let mut rev = vec![id];
-        while let Some(p) = self.parent[id] {
-            rev.push(p);
-            id = p;
-        }
-        rev.reverse();
-        rev
-    }
 }
 
 impl CallGraph {
@@ -139,29 +121,19 @@ impl CallGraph {
         }
 
         let candidates_for_ty = |ty: &str, name: &str| -> Vec<usize> {
-            let mut out = Vec::new();
-            if let Some(ids) = typed.get(&(ty, name)) {
-                out.extend(ids);
-            }
+            let on = |ty: &str| typed.get(&(ty, name)).cloned().unwrap_or_default();
+            let default_bodies = |tr: &str| -> Vec<usize> {
+                let decls = trait_decl.get(&(tr, name)).into_iter().flatten().copied();
+                decls.filter(|&i| fns[i].body.is_some()).collect()
+            };
+            let mut out = on(ty);
             // `ty` is a trait: fan out to every implementor + defaults.
             if let Some(impls) = trait_impls.get(ty) {
-                for imp in impls {
-                    if let Some(ids) = typed.get(&(imp.as_str(), name)) {
-                        out.extend(ids);
-                    }
-                }
-                if let Some(ids) = trait_decl.get(&(ty, name)) {
-                    out.extend(ids.iter().filter(|&&i| fns[i].body.is_some()));
-                }
+                out.extend(impls.iter().flat_map(|imp| on(imp)));
+                out.extend(default_bodies(ty));
             }
             // `ty` is a type whose trait provides a default body.
-            if let Some(trs) = tys_traits.get(ty) {
-                for tr in trs {
-                    if let Some(ids) = trait_decl.get(&(*tr, name)) {
-                        out.extend(ids.iter().filter(|&&i| fns[i].body.is_some()));
-                    }
-                }
-            }
+            out.extend(tys_traits.get(ty).into_iter().flatten().flat_map(|tr| default_bodies(tr)));
             out.sort_unstable();
             out.dedup();
             out
@@ -217,15 +189,7 @@ impl CallGraph {
             );
         }
 
-        CallGraph {
-            fns,
-            edges,
-            resolved,
-            unresolved_calls: unresolved,
-            trait_impls,
-            ident_tys,
-            by_file,
-        }
+        CallGraph { fns, edges, resolved, unresolved_calls: unresolved, by_file }
     }
 
     pub fn stats(&self, roots: usize) -> GraphStats {
@@ -243,14 +207,11 @@ impl CallGraph {
         let mut ids = Vec::new();
         let mut missing = Vec::new();
         for (krate, qual) in specs {
-            let mut hit = false;
-            for (i, f) in self.fns.iter().enumerate() {
-                if &f.crate_name == krate && &f.qual == qual && f.body.is_some() {
-                    ids.push(i);
-                    hit = true;
-                }
-            }
-            if !hit {
+            let found = ids.len();
+            ids.extend(self.fns.iter().enumerate().filter_map(|(i, f)| {
+                (&f.crate_name == krate && &f.qual == qual && f.body.is_some()).then_some(i)
+            }));
+            if ids.len() == found {
                 missing.push(format!("{krate}::{qual}"));
             }
         }
@@ -271,7 +232,7 @@ impl CallGraph {
 
     /// BFS from `roots`; `confident_only` restricts traversal to
     /// type-hinted edges (used where blind fan-out would drown the
-    /// rule in false positives, e.g. lock-order closure).
+    /// rule in false positives: the locks a callee may acquire).
     pub fn reach(&self, roots: &[usize], confident_only: bool) -> Reach {
         let mut reachable = vec![false; self.fns.len()];
         let mut parent = vec![None; self.fns.len()];
@@ -299,17 +260,18 @@ impl CallGraph {
                 }
             }
         }
-        Reach { reachable, parent, roots: roots.to_vec() }
+        Reach { reachable, parent }
     }
 
     /// Human-readable root→fn chain, e.g. `Reactor::run → Shared::handle → ask`.
-    pub fn chain_str(&self, reach: &Reach, id: usize) -> String {
-        reach
-            .chain(id)
-            .into_iter()
-            .map(|i| self.fns[i].qual.as_str())
-            .collect::<Vec<_>>()
-            .join(" → ")
+    pub fn chain_str(&self, reach: &Reach, mut id: usize) -> String {
+        let mut chain = vec![self.fns[id].qual.as_str()];
+        while let Some(p) = reach.parent[id] {
+            chain.push(&self.fns[p].qual);
+            id = p;
+        }
+        chain.reverse();
+        chain.join(" → ")
     }
 
     /// Innermost fn containing `line` of `file` (by item line span).
@@ -326,16 +288,6 @@ impl CallGraph {
                 hi - lo
             })
     }
-
-    /// Fn indices whose file ends with `suffix`.
-    pub fn fns_in_file(&self, suffix: &str) -> Vec<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.file.ends_with(suffix))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -351,29 +303,16 @@ fn resolve_call(
 ) -> (Vec<usize>, bool) {
     match call.kind {
         CallKind::Method => {
-            let mut tys: BTreeSet<String> = BTreeSet::new();
-            match (&call.qual, call.recv_close) {
-                (Some(q), _) if q == "self" => {
-                    if let Some(ty) = &caller.self_ty {
-                        tys.insert(ty.clone());
-                    }
-                }
-                (Some(q), _) => {
-                    if let Some(ts) = ident_tys.get(q) {
-                        tys.extend(ts.iter().cloned());
-                    }
-                }
+            let tys: BTreeSet<String> = match (&call.qual, call.recv_close) {
+                (Some(q), _) if q == "self" => caller.self_ty.iter().cloned().collect(),
+                (Some(q), _) => ident_tys.get(q).cloned().unwrap_or_default(),
                 (None, Some(close)) => {
-                    if let Some(ts) = rets.get(&close) {
-                        tys.extend(ts.iter().map(|s| s.to_string()));
-                    }
+                    rets.get(&close).into_iter().flatten().map(|s| s.to_string()).collect()
                 }
-                (None, None) => {}
-            }
-            let mut out = Vec::new();
-            for ty in &tys {
-                out.extend(candidates_for_ty(ty, &call.name));
-            }
+                (None, None) => BTreeSet::new(),
+            };
+            let mut out: Vec<usize> =
+                tys.iter().flat_map(|ty| candidates_for_ty(ty, &call.name)).collect();
             out.sort_unstable();
             out.dedup();
             if !out.is_empty() {

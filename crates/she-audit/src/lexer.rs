@@ -4,9 +4,12 @@
 //! literals vs `'a` lifetimes, raw identifiers, and numeric literals kept
 //! verbatim (the protocol-drift rule reads `0xE4`-style values).
 //!
-//! Beyond tokens, lexing extracts the two pieces of file-level structure
-//! the rules need:
+//! Beyond tokens, lexing extracts the file-level structure the rules
+//! need:
 //!
+//! * **delimiter partners** — the index of every `(`, `[` and `{`
+//!   token's matching close (and every close's open), so no caller
+//!   counts nesting depth again.
 //! * **allow annotations** — `// audit:allow(<rule>): <reason>` comments.
 //!   A finding on the annotation's line or the line directly below it is
 //!   suppressed; when either of those lines opens a brace block, the
@@ -67,6 +70,10 @@ impl Token {
 pub struct Lexed {
     /// All tokens in source order (comments and whitespace dropped).
     pub tokens: Vec<Token>,
+    /// Per token: for `(`, `[` and `{`, the index of the matching close
+    /// (the last token's when the group is unterminated); for a matched
+    /// close, its open's; for every other token, its own.
+    pub partner: Vec<usize>,
     /// `audit:allow(<rule>)` annotations: rule key → inclusive line
     /// ranges each one covers (see [`Lexed::allowed`]).
     pub allows: BTreeMap<String, Vec<(u32, u32)>>,
@@ -95,12 +102,44 @@ impl Lexed {
 /// is the most useful behaviour for an auditor (the compiler owns syntax
 /// errors; the auditor must not die on them).
 pub fn lex(src: &str) -> Lexed {
-    let mut lx = Lexer { chars: src.chars().collect(), pos: 0, line: 1, out: Lexed::default() };
+    let chars = src.chars().collect();
+    let mut lx = Lexer { chars, pos: 0, line: 1, out: Lexed::default(), delims: Vec::new() };
     lx.run();
-    let ranges = test_regions(&lx.out.tokens);
-    lx.out.test_ranges = ranges;
-    extend_allow_spans(&lx.out.tokens, &mut lx.out.allows);
-    lx.out
+    let mut out = lx.out;
+    out.partner = pair_delimiters(out.tokens.len(), &lx.delims);
+    out.test_ranges = test_regions(&out.tokens, &out.partner);
+    extend_allow_spans(&out.tokens, &out.partner, &mut out.allows);
+    out
+}
+
+/// Compute [`Lexed::partner`] for `len` tokens from the delimiters
+/// among them, `(token index, char)` in order. A close pairs with the
+/// nearest open of its own kind; opens skipped over that way, and opens
+/// never closed, run to the last token — the compiler owns syntax errors,
+/// the auditor only must not die on them.
+fn pair_delimiters(len: usize, delims: &[(usize, char)]) -> Vec<usize> {
+    let last = len.saturating_sub(1);
+    let mut partner: Vec<usize> = (0..len).collect();
+    let mut open: Vec<(usize, char)> = Vec::new();
+    for &(i, c) in delims {
+        let opener = match c {
+            ')' => '(',
+            ']' => '[',
+            '}' => '{',
+            _ => {
+                partner[i] = last;
+                open.push((i, c));
+                continue;
+            }
+        };
+        if let Some(at) = open.iter().rposition(|&(_, o)| o == opener) {
+            let o = open[at].0;
+            open.truncate(at);
+            partner[o] = i;
+            partner[i] = o;
+        }
+    }
+    partner
 }
 
 /// Make annotations span-aware: if the annotation's own line or the line
@@ -108,27 +147,19 @@ pub fn lex(src: &str) -> Lexed {
 /// the matching close brace. An unterminated block extends to EOF, which
 /// errs on the suppressing side only inside code the compiler would
 /// reject anyway.
-fn extend_allow_spans(tokens: &[Token], allows: &mut BTreeMap<String, Vec<(u32, u32)>>) {
+fn extend_allow_spans(
+    tokens: &[Token],
+    partner: &[usize],
+    allows: &mut BTreeMap<String, Vec<(u32, u32)>>,
+) {
     for ranges in allows.values_mut() {
         for range in ranges.iter_mut() {
             let (lo, hi) = *range;
-            let Some(open) =
+            if let Some(open) =
                 tokens.iter().position(|t| t.is_punct('{') && (t.line == lo || t.line == lo + 1))
-            else {
-                continue;
-            };
-            let mut depth = 1usize;
-            let mut i = open + 1;
-            while i < tokens.len() && depth > 0 {
-                if tokens[i].is_punct('{') {
-                    depth += 1;
-                } else if tokens[i].is_punct('}') {
-                    depth -= 1;
-                }
-                i += 1;
+            {
+                range.1 = hi.max(tokens[partner[open]].line);
             }
-            let end = tokens.get(i.saturating_sub(1)).map_or(hi, |t| t.line);
-            range.1 = hi.max(end);
         }
     }
 }
@@ -138,6 +169,8 @@ struct Lexer {
     pos: usize,
     line: u32,
     out: Lexed,
+    /// `(token index, char)` of every `(`, `[`, `{`, `)`, `]` and `}`.
+    delims: Vec<(usize, char)>,
 }
 
 impl Lexer {
@@ -174,6 +207,9 @@ impl Lexer {
                 _ => {
                     let line = self.line;
                     self.bump();
+                    if "([{)]}".contains(c) {
+                        self.delims.push((self.out.tokens.len(), c));
+                    }
                     self.push(TokKind::Punct, c.to_string(), line);
                 }
             }
@@ -395,7 +431,7 @@ impl Lexer {
 /// Find line ranges covered by test-only items: any item whose attribute
 /// list contains `#[test]`, `#[should_panic]`, or a `cfg(...)` mentioning
 /// `test` outside a `not(...)` (so `#[cfg(not(test))]` stays non-test).
-fn test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
+fn test_regions(tokens: &[Token], partner: &[usize]) -> Vec<(u32, u32)> {
     let mut ranges = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -403,75 +439,35 @@ fn test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
             i += 1;
             continue;
         }
-        // One attribute: collect tokens to the matching ']'.
-        let mut j = i + 2;
-        let mut depth = 1usize;
-        let attr_start = j;
-        while j < tokens.len() && depth > 0 {
-            if tokens[j].is_punct('[') {
-                depth += 1;
-            } else if tokens[j].is_punct(']') {
-                depth -= 1;
-            }
-            j += 1;
-        }
-        let attr = &tokens[attr_start..j.saturating_sub(1)];
-        if !attr_is_test(attr) {
+        // One attribute: the tokens up to the matching ']'.
+        let close = partner[i + 1];
+        let j = close + 1;
+        if !attr_is_test(tokens, partner, i + 2, close) {
             i = j;
             continue;
         }
         // Skip any further attributes between this one and the item.
         let mut k = j;
         while k + 1 < tokens.len() && tokens[k].is_punct('#') && tokens[k + 1].is_punct('[') {
-            let mut d = 1usize;
-            k += 2;
-            while k < tokens.len() && d > 0 {
-                if tokens[k].is_punct('[') {
-                    d += 1;
-                } else if tokens[k].is_punct(']') {
-                    d -= 1;
-                }
-                k += 1;
-            }
+            k = partner[k + 1] + 1;
         }
         // Find the item body `{ … }` (or give up at `;` — e.g. an
         // out-of-line `mod tests;`).
-        let mut body = None;
-        let mut m = k;
-        while m < tokens.len() {
-            if tokens[m].is_punct('{') {
-                body = Some(m);
-                break;
-            }
-            if tokens[m].is_punct(';') {
-                break;
-            }
-            m += 1;
-        }
-        let Some(open) = body else {
+        let body = (k..tokens.len()).find(|&m| tokens[m].is_punct('{') || tokens[m].is_punct(';'));
+        let Some(open) = body.filter(|&m| tokens[m].is_punct('{')) else {
             i = j;
             continue;
         };
-        let mut d = 1usize;
-        let mut e = open + 1;
-        while e < tokens.len() && d > 0 {
-            if tokens[e].is_punct('{') {
-                d += 1;
-            } else if tokens[e].is_punct('}') {
-                d -= 1;
-            }
-            e += 1;
-        }
-        let end_line = tokens.get(e.saturating_sub(1)).map_or(tokens[open].line, |t| t.line);
-        ranges.push((tokens[i].line, end_line));
-        i = e;
+        let close = partner[open];
+        ranges.push((tokens[i].line, tokens[close].line));
+        i = close + 1;
     }
     ranges
 }
 
-/// Does an attribute token list mark a test item?
-fn attr_is_test(attr: &[Token]) -> bool {
-    let Some(head) = attr.first() else { return false };
+/// Do the attribute tokens `lo..hi` mark a test item?
+fn attr_is_test(tokens: &[Token], partner: &[usize], lo: usize, hi: usize) -> bool {
+    let Some(head) = tokens[..hi].get(lo) else { return false };
     if head.is_ident("test") || head.is_ident("should_panic") {
         return true;
     }
@@ -479,21 +475,14 @@ fn attr_is_test(attr: &[Token]) -> bool {
         return false;
     }
     // `test` counts unless it only appears under `not(...)`.
-    let mut not_depth: i32 = 0;
-    let mut pending_not = false;
-    for t in &attr[1..] {
-        match t.kind {
-            TokKind::Ident if t.text == "not" => pending_not = true,
-            TokKind::Ident if t.text == "test" && not_depth == 0 => return true,
-            TokKind::Punct if t.is_punct('(') => {
-                if pending_not || not_depth > 0 {
-                    not_depth += 1;
-                }
-                pending_not = false;
-            }
-            TokKind::Punct if t.is_punct(')') => not_depth = (not_depth - 1).max(0),
-            _ => pending_not = false,
+    let mut i = lo + 1;
+    while i < hi {
+        if tokens[i].is_ident("not") && tokens[i + 1].is_punct('(') {
+            i = partner[i + 1];
+        } else if tokens[i].is_ident("test") {
+            return true;
         }
+        i += 1;
     }
     false
 }

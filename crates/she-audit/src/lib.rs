@@ -3,28 +3,17 @@
 //! A dependency-free auditor that lexes every Rust source file in the
 //! workspace, parses items into a conservative whole-workspace call
 //! graph ([`parse`], [`graph`]), and enforces repo-specific invariants
-//! `cargo clippy` cannot express. Nine rules ship today (see [`rules`]):
+//! `cargo clippy` cannot express. Each rule is one [`Rule`] pass,
+//! registered once in [`RULES`]; `docs/ANALYSIS.md` catalogues them.
 //!
-//! | rule              | invariant |
-//! |-------------------|-----------|
-//! | `panic`           | `unwrap`/`expect`/`panic!`/`unreachable!` sites *not* reachable from serving roots, ratcheted |
-//! | `panic-reachable` | the same sites reachable from serving roots in pinned crates — hard, zero |
-//! | `cast`            | no narrowing `as` casts in cell-index / frame-length math |
-//! | `growth`          | no `Vec`/`VecDeque` `push`/`extend` without a nearby cap check |
-//! | `lock`            | ranked `OrderedMutex` everywhere; manifest/source agreement; statically mined acquisition-order edges rank-increase, acyclic |
-//! | `blocking`        | no call chain from a reactor root to a blocking syscall wrapper |
-//! | `wiresize`        | allocations sized by decoded wire lengths are clamped in the fn or a caller |
-//! | `unsafe`          | `unsafe` only in the sys boundary, each block annotated; count ratcheted |
-//! | `protocol`        | opcode constants and `docs/PROTOCOL.md` tables agree |
+//! A rule's [`Gate`] decides how its findings fail the build: **hard**
+//! findings fail it outright; **ratcheted** counts (`panic`, `cast`,
+//! `growth` findings and annotated `unsafe` blocks) must equal the
+//! per-crate number `audit-ratchet.toml` commits — growth is a
+//! regression, shrinkage must be banked.
 //!
-//! `panic`, `cast`, `growth`, and the annotated-`unsafe` count are
-//! **ratcheted**: `audit-ratchet.toml` commits a per-crate number and
-//! the gate fails when the live count moves in *either* direction —
-//! growth is a regression, shrinkage must be banked. Everything else is
-//! a hard gate failure.
-//!
-//! The entry point is [`audit`] (or [`audit_with`] for `--rule` /
-//! `--json` support); `she audit` (in `she-cli`) is a thin wrapper. See
+//! The entry point is [`audit`] (or [`audit_with`] for `--rule`
+//! support); `she audit` (in `she-cli`) is a thin wrapper. See
 //! `docs/ANALYSIS.md` for the rule catalogue, graph construction and
 //! its known approximations, the annotation syntax, and the ratchet
 //! workflow.
@@ -40,20 +29,22 @@ pub mod rules;
 pub use config::{parse_toml, parse_toml_file, RuleConfig, TomlEntry, Value};
 pub use graph::{CallGraph, GraphStats, Reach};
 pub use lexer::{lex, Lexed, TokKind, Token};
-pub use rules::Finding;
+pub use rules::{Finding, Gate, Rule, RULES};
 pub use walk::{discover, SourceFile};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-use rules::lock_order::LockScan;
+use rules::{Ctx, Roots};
 
 /// Options for one audit run beyond the committed config.
 #[derive(Debug, Default)]
 pub struct AuditOptions {
-    /// Run (and gate) only the named rule. `None` runs everything.
+    /// Run (and gate) only the named rule — a name in [`RULES`], or
+    /// `panic-reachable` for the hard half of `panic`. `None` runs
+    /// everything.
     pub rule: Option<String>,
 }
 
@@ -65,16 +56,25 @@ pub struct RuleTiming {
     pub findings: usize,
 }
 
+/// One reason the gate fails.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GateFailure {
+    /// The finding key the line gates.
+    pub rule: &'static str,
+    /// The crates it names; empty when it names none.
+    pub crates: Vec<String>,
+    /// The line `she audit` prints.
+    pub line: String,
+}
+
 /// The result of one audit run.
 #[derive(Debug)]
 pub struct Audit {
     /// Every finding, in deterministic (path, line) order — including
     /// ratcheted findings that are at (not above) their baseline.
     pub findings: Vec<Finding>,
-    /// One line per gate violation; empty means the gate passes.
-    pub gate_failures: Vec<String>,
-    /// Every `.lock()` call site, for `she audit --list-locks`.
-    pub lock_sites: Vec<String>,
+    /// Every gate violation; empty means the gate passes.
+    pub gate_failures: Vec<GateFailure>,
     /// Number of source files lexed.
     pub files_scanned: usize,
     /// Call-graph headline numbers (nodes, edges, roots, unresolved).
@@ -97,8 +97,8 @@ impl Audit {
             .iter()
             .filter(|f| {
                 self.gate_failures.iter().any(|g| {
-                    g.starts_with(&format!("{}:", f.rule))
-                        && (f.crate_name.is_empty() || g.contains(&f.crate_name))
+                    g.rule == f.rule
+                        && (f.crate_name.is_empty() || g.crates.contains(&f.crate_name))
                 })
             })
             .collect()
@@ -107,51 +107,46 @@ impl Audit {
     /// Machine-readable report (the `--json` schema; see
     /// `docs/ANALYSIS.md`).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str(&format!(
-            "{{\"ok\":{},\"files_scanned\":{},\"graph\":{{\"nodes\":{},\"edges\":{},\"roots\":{},\"unresolved_calls\":{}}}",
+        let g = &self.graph_stats;
+        let rules: Vec<String> = self
+            .timings
+            .iter()
+            .map(|t| {
+                format!(
+                    "{{\"name\":{},\"micros\":{},\"findings\":{}}}",
+                    json_str(t.name),
+                    t.micros,
+                    t.findings
+                )
+            })
+            .collect();
+        let findings: Vec<String> = self
+            .findings
+            .iter()
+            .map(|f| {
+                format!(
+                    "{{\"rule\":{},\"crate\":{},\"file\":{},\"line\":{},\"msg\":{}}}",
+                    json_str(f.rule),
+                    json_str(&f.crate_name),
+                    json_str(&f.file),
+                    f.line,
+                    json_str(&f.msg)
+                )
+            })
+            .collect();
+        let gates: Vec<String> = self.gate_failures.iter().map(|g| json_str(&g.line)).collect();
+        format!(
+            "{{\"ok\":{},\"files_scanned\":{},\"graph\":{{\"nodes\":{},\"edges\":{},\"roots\":{},\"unresolved_calls\":{}}},\"rules\":[{}],\"findings\":[{}],\"gate_failures\":[{}]}}",
             self.ok(),
             self.files_scanned,
-            self.graph_stats.nodes,
-            self.graph_stats.edges,
-            self.graph_stats.roots,
-            self.graph_stats.unresolved_calls,
-        ));
-        s.push_str(",\"rules\":[");
-        for (i, t) in self.timings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":{},\"micros\":{},\"findings\":{}}}",
-                json_str(t.name),
-                t.micros,
-                t.findings
-            ));
-        }
-        s.push_str("],\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"rule\":{},\"crate\":{},\"file\":{},\"line\":{},\"msg\":{}}}",
-                json_str(f.rule),
-                json_str(&f.crate_name),
-                json_str(&f.file),
-                f.line,
-                json_str(&f.msg)
-            ));
-        }
-        s.push_str("],\"gate_failures\":[");
-        for (i, g) in self.gate_failures.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&json_str(g));
-        }
-        s.push_str("]}");
-        s
+            g.nodes,
+            g.edges,
+            g.roots,
+            g.unresolved_calls,
+            rules.join(","),
+            findings.join(","),
+            gates.join(",")
+        )
     }
 }
 
@@ -178,29 +173,33 @@ pub fn audit(root: &Path, cfg: &RuleConfig) -> io::Result<Audit> {
     audit_with(root, cfg, &AuditOptions::default())
 }
 
-/// Run the audit with options (`--rule` filter for local iteration).
-pub fn audit_with(root: &Path, cfg: &RuleConfig, opts: &AuditOptions) -> io::Result<Audit> {
-    let files = discover(root)?;
-    let sel = opts.rule.as_deref();
-    let want = |name: &str| sel.is_none_or(|r| r == name);
+/// Does `rule` run for the `--rule` selection `sel`?
+fn selected(rule: &dyn Rule, sel: Option<&str>) -> bool {
+    sel.is_none_or(|s| s == rule.name() || rule.gate().hard.is_some_and(|(key, _)| key == s))
+}
 
+/// Run the audit with options (`--rule` filter for local iteration).
+/// A `--rule` no registered rule answers to is an `InvalidInput` error
+/// naming the registered rules.
+pub fn audit_with(root: &Path, cfg: &RuleConfig, opts: &AuditOptions) -> io::Result<Audit> {
+    let sel = opts.rule.as_deref();
+    if !RULES.iter().any(|r| selected(*r, sel)) {
+        let names: Vec<&str> = RULES.iter().map(|r| r.name()).collect();
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "unknown rule `{}` — registered rules: {} (`panic-reachable` selects panic's \
+                 reachable half)",
+                sel.unwrap_or_default(),
+                names.join(", ")
+            ),
+        ));
+    }
     // Lex every non-test file once; the graph wants the whole workspace
     // even where no rule polices the crate (cross-crate call edges).
-    let mut lexed: BTreeMap<String, Lexed> = BTreeMap::new();
-    let mut scanned: Vec<&SourceFile> = Vec::new();
-    for file in &files {
-        if file.test_only {
-            continue;
-        }
-        let src = std::fs::read_to_string(&file.abs_path)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", file.rel_path)))?;
-        lexed.insert(file.rel_path.clone(), lexer::lex(&src));
-        scanned.push(file);
-    }
-    let files_scanned = scanned.len();
-
-    let mut timings: Vec<RuleTiming> = Vec::new();
-    let mut findings: Vec<Finding> = Vec::new();
+    let files = discover(root)?;
+    let scanned: Vec<&SourceFile> = files.iter().filter(|f| !f.test_only).collect();
+    let lexed = lex_files(&scanned)?;
 
     // ---- call graph + root sets (timed as a pseudo-rule) ----
     let t0 = Instant::now();
@@ -209,330 +208,130 @@ pub fn audit_with(root: &Path, cfg: &RuleConfig, opts: &AuditOptions) -> io::Res
         .map(|f| parse::parse_file(&f.crate_name, &f.rel_path, &lexed[&f.rel_path]))
         .collect();
     let graph = CallGraph::build(parsed);
-    let (blocking_ids, blocking_missing) = graph.find_roots(&cfg.blocking_roots);
-    let blocking_reach = graph.reach(&blocking_ids, false);
+    let (reactor_ids, reactor_missing) = graph.find_roots(&cfg.blocking_roots);
     let mut serving_specs = cfg.blocking_roots.clone();
     serving_specs.extend(cfg.serving_roots.iter().cloned());
     let (mut serving_ids, serving_missing) = graph.find_roots(&serving_specs);
     serving_ids.extend(graph.spawn_nodes(&cfg.panic_pinned_crates));
     serving_ids.sort_unstable();
     serving_ids.dedup();
-    let serving_reach = graph.reach(&serving_ids, false);
-    let mut root_union = blocking_ids.clone();
-    root_union.extend(serving_ids.iter().copied());
-    root_union.sort_unstable();
-    root_union.dedup();
-    let graph_stats = graph.stats(root_union.len());
-    timings.push(RuleTiming { name: "graph", micros: t0.elapsed().as_micros(), findings: 0 });
-
-    // Which files each per-file rule looks at. The `allow` syntax check
-    // covers every file at least one rule polices.
-    let policed = |f: &SourceFile| {
-        cfg.panic_crates.contains(&f.crate_name)
-            || cfg.cast_crates.contains(&f.crate_name)
-            || cfg.growth_crates.contains(&f.crate_name)
-            || cfg.lock_crates.contains(&f.crate_name)
-            || cfg.wiresize_crates.contains(&f.crate_name)
-            || cfg.blocking_files.iter().any(|s| f.rel_path.ends_with(s.as_str()))
-            || cfg.unsafe_files.iter().any(|s| f.rel_path.ends_with(s.as_str()))
+    // The serving roots include the reactor roots: they count once.
+    let graph_stats = graph.stats(serving_ids.len());
+    let cx = Ctx {
+        cfg,
+        files: scanned
+            .iter()
+            .map(|f| (f.crate_name.as_str(), f.rel_path.as_str(), &lexed[&f.rel_path]))
+            .collect(),
+        lexed: &lexed,
+        graph: &graph,
+        reactor: Roots { reach: graph.reach(&reactor_ids, false), missing: reactor_missing },
+        serving: Roots { reach: graph.reach(&serving_ids, false), missing: serving_missing },
     };
+    let mut timings =
+        vec![RuleTiming { name: "graph", micros: t0.elapsed().as_micros(), findings: 0 }];
 
-    // ---- allow syntax ----
-    if want("allow") {
+    let mut findings: Vec<Finding> = Vec::new();
+    let mut gate_failures = Vec::new();
+    for rule in RULES.iter().filter(|r| selected(**r, sel)) {
         let t0 = Instant::now();
-        let mut n = 0;
-        for f in &scanned {
-            if !policed(f) {
-                continue;
-            }
-            for &line in &lexed[&f.rel_path].malformed_allows {
-                findings.push(Finding {
-                    rule: "allow",
-                    crate_name: f.crate_name.clone(),
-                    file: f.rel_path.clone(),
-                    line,
-                    msg: "malformed audit:allow annotation (syntax: `// audit:allow(<rule>): <reason>`, reason required)".to_string(),
-                });
-                n += 1;
-            }
-        }
-        timings.push(RuleTiming { name: "allow", micros: t0.elapsed().as_micros(), findings: n });
-    }
-
-    // ---- panic (site scan + reachability split) ----
-    if want("panic") || want("panic-reachable") {
-        let t0 = Instant::now();
-        let mut n = 0;
-        for spec in &serving_missing {
-            findings.push(Finding {
-                rule: "panic-reachable",
-                crate_name: String::new(),
-                file: "RuleConfig::serving_roots".to_string(),
-                line: 0,
-                msg: format!(
-                    "configured serving root `{spec}` matches no fn in the workspace — the \
-                     reachable-panic split silently under-approximates without it"
-                ),
-            });
-            n += 1;
-        }
-        for f in &scanned {
-            if !cfg.panic_crates.contains(&f.crate_name) {
-                continue;
-            }
-            for site in rules::panic_path::check(&f.crate_name, &f.rel_path, &lexed[&f.rel_path]) {
-                let pinned = cfg.panic_pinned_crates.contains(&f.crate_name);
-                let reachable_from =
-                    graph.fn_at(&site.file, site.line).filter(|&id| serving_reach.reachable[id]);
-                match reachable_from {
-                    Some(id) if pinned => findings.push(Finding {
-                        rule: "panic-reachable",
-                        msg: format!(
-                            "{} — reachable from serving roots: {}",
-                            site.msg,
-                            graph.chain_str(&serving_reach, id)
-                        ),
-                        ..site
-                    }),
-                    _ => findings.push(site),
-                }
-                n += 1;
-            }
-        }
-        timings.push(RuleTiming { name: "panic", micros: t0.elapsed().as_micros(), findings: n });
-    }
-
-    // ---- cast ----
-    if want("cast") {
-        let t0 = Instant::now();
-        let mut n = 0;
-        for f in &scanned {
-            if cfg.cast_crates.contains(&f.crate_name) {
-                let fs = rules::cast::check(&f.crate_name, &f.rel_path, &lexed[&f.rel_path]);
-                n += fs.len();
-                findings.extend(fs);
-            }
-        }
-        timings.push(RuleTiming { name: "cast", micros: t0.elapsed().as_micros(), findings: n });
-    }
-
-    // ---- growth ----
-    if want("growth") {
-        let t0 = Instant::now();
-        let mut n = 0;
-        for f in &scanned {
-            if cfg.growth_crates.contains(&f.crate_name) {
-                let fs = rules::growth::check(&f.crate_name, &f.rel_path, &lexed[&f.rel_path]);
-                n += fs.len();
-                findings.extend(fs);
-            }
-        }
-        timings.push(RuleTiming { name: "growth", micros: t0.elapsed().as_micros(), findings: n });
-    }
-
-    // ---- blocking (reachability) ----
-    if want("blocking") {
-        let t0 = Instant::now();
-        let fs = rules::blocking_io::check_graph(
-            &graph,
-            &blocking_reach,
-            &lexed,
-            &cfg.blocking_files,
-            &blocking_missing,
-        );
+        let found = rule.check(&cx)?;
         timings.push(RuleTiming {
-            name: "blocking",
+            name: rule.name(),
             micros: t0.elapsed().as_micros(),
-            findings: fs.len(),
+            findings: found.len(),
         });
-        findings.extend(fs);
+        let ratcheted = sel.is_none_or(|s| s == rule.name());
+        gate_failures.extend(gate(*rule, &found, &cx, ratcheted));
+        findings.extend(found);
     }
-
-    // ---- lock (v1 manifest checks + v2 order edges) ----
-    let mut lock_sites = Vec::new();
-    if want("lock") {
-        let t0 = Instant::now();
-        let mut lock_scan = LockScan::default();
-        for f in &scanned {
-            if cfg.lock_crates.contains(&f.crate_name) {
-                lock_scan.scan_file(&f.crate_name, &f.rel_path, &lexed[&f.rel_path]);
-            }
-        }
-        let (lock_findings, sites) = lock_scan.finish(&cfg.locks);
-        lock_sites = sites;
-        let mut n = lock_findings.len();
-        findings.extend(lock_findings);
-        let order = rules::lock_order::check_order(&graph, &lexed, &cfg.lock_crates, &cfg.locks);
-        n += order.len();
-        findings.extend(order);
-        timings.push(RuleTiming { name: "lock", micros: t0.elapsed().as_micros(), findings: n });
-    }
-
-    // ---- wiresize ----
-    if want("wiresize") {
-        let t0 = Instant::now();
-        let fs = rules::wiresize::check(&graph, &lexed, &cfg.wiresize_crates);
-        timings.push(RuleTiming {
-            name: "wiresize",
-            micros: t0.elapsed().as_micros(),
-            findings: fs.len(),
-        });
-        findings.extend(fs);
-    }
-
-    // ---- unsafe inventory ----
-    let mut unsafe_counts: BTreeMap<String, u64> = BTreeMap::new();
-    if want("unsafe") {
-        let t0 = Instant::now();
-        let mut n = 0;
-        for f in &scanned {
-            let (fs, count) = rules::unsafe_inv::check(
-                &f.crate_name,
-                &f.rel_path,
-                &lexed[&f.rel_path],
-                &cfg.unsafe_files,
-            );
-            n += fs.len();
-            findings.extend(fs);
-            if count > 0 {
-                *unsafe_counts.entry(f.crate_name.clone()).or_insert(0) += count;
-            }
-        }
-        timings.push(RuleTiming { name: "unsafe", micros: t0.elapsed().as_micros(), findings: n });
-    }
-
-    // ---- protocol drift ----
-    if want("protocol") {
-        if let Some((rs, md)) = &cfg.protocol {
-            let t0 = Instant::now();
-            let fs = rules::protocol_drift::check(rs, md)?;
-            timings.push(RuleTiming {
-                name: "protocol",
-                micros: t0.elapsed().as_micros(),
-                findings: fs.len(),
-            });
-            findings.extend(fs);
-        }
-    }
-
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 
-    let gate_failures = evaluate_gate(&findings, cfg, &unsafe_counts, sel);
-    Ok(Audit { findings, gate_failures, lock_sites, files_scanned, graph_stats, timings })
+    let files_scanned = scanned.len();
+    Ok(Audit { findings, gate_failures, files_scanned, graph_stats, timings })
 }
 
-/// Ratchet + hard-rule gate semantics.
-fn evaluate_gate(
-    findings: &[Finding],
-    cfg: &RuleConfig,
-    unsafe_counts: &BTreeMap<String, u64>,
-    rule_filter: Option<&str>,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    let want = |name: &str| rule_filter.is_none_or(|r| r == name);
+/// Every `.lock()` call site in the files the `lock` rule polices, as
+/// `file:line — crate` (`she audit --list-locks`).
+pub fn lock_sites(root: &Path, cfg: &RuleConfig) -> io::Result<Vec<String>> {
+    let files = discover(root)?;
+    let policed: Vec<&SourceFile> = files
+        .iter()
+        .filter(|f| !f.test_only && cfg.polices("lock", &f.crate_name, &f.rel_path))
+        .collect();
+    let lexed = lex_files(&policed)?;
+    let srcs =
+        policed.iter().map(|f| (f.crate_name.as_str(), f.rel_path.as_str(), &lexed[&f.rel_path]));
+    Ok(rules::lock_order::lock_sites(srcs))
+}
 
-    // Hard rules: any finding fails the gate.
-    for (rule, label) in [
-        ("lock", "lock-order"),
-        ("protocol", "protocol-drift"),
-        ("allow", "allow-syntax"),
-        ("blocking", "blocking-io"),
-        ("panic-reachable", "reachable-panic"),
-        ("wiresize", "wire-size"),
-        ("unsafe", "unsafe-inventory"),
-    ] {
-        if !(want(rule) || rule == "panic-reachable" && want("panic")) {
-            continue;
-        }
-        let n = findings.iter().filter(|f| f.rule == rule).count();
-        if n > 0 {
-            // Name the offending crates so `failing_findings` (which
-            // matches gate lines by crate) lists the details.
-            let mut crates: Vec<&str> = findings
-                .iter()
-                .filter(|f| f.rule == rule && !f.crate_name.is_empty())
-                .map(|f| f.crate_name.as_str())
-                .collect();
-            crates.sort_unstable();
-            crates.dedup();
+/// Read and lex `files`, keyed by workspace-relative path.
+fn lex_files(files: &[&SourceFile]) -> io::Result<BTreeMap<String, Lexed>> {
+    let mut lexed = BTreeMap::new();
+    for file in files {
+        let src = std::fs::read_to_string(&file.abs_path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", file.rel_path)))?;
+        lexed.insert(file.rel_path.clone(), lexer::lex(&src));
+    }
+    Ok(lexed)
+}
+
+/// One pass's gate lines: its hard findings, then — unless `--rule`
+/// picked only the hard half — every crate whose tallied count differs
+/// from `audit-ratchet.toml`.
+fn gate(rule: &dyn Rule, found: &[Finding], cx: &Ctx, ratcheted: bool) -> Vec<GateFailure> {
+    let mut out = Vec::new();
+    let name = rule.name();
+    let Gate { hard, ratchet } = rule.gate();
+    if let Some((key, label)) = hard {
+        let hits: Vec<&Finding> = found.iter().filter(|f| f.rule == key).collect();
+        if !hits.is_empty() {
+            let crates: BTreeSet<&String> =
+                hits.iter().map(|f| &f.crate_name).filter(|c| !c.is_empty()).collect();
+            let crates: Vec<String> = crates.into_iter().cloned().collect();
             let along = if crates.is_empty() {
                 String::new()
             } else {
                 format!(" in {}", crates.join(", "))
             };
-            failures.push(format!("{rule}: {n} {label} finding(s){along}"));
+            let line = format!("{key}: {} {label} finding(s){along}", hits.len());
+            out.push(GateFailure { rule: key, crates, line });
         }
     }
-
-    // Ratcheted rules: per-crate counts must equal the committed baseline.
-    for (rule, crates) in
-        [("panic", &cfg.panic_crates), ("cast", &cfg.cast_crates), ("growth", &cfg.growth_crates)]
-    {
-        if !want(rule) {
-            continue;
-        }
-        let mut counts: BTreeMap<&str, u64> = crates.iter().map(|c| (c.as_str(), 0)).collect();
-        for f in findings.iter().filter(|f| f.rule == rule) {
-            if let Some(n) = counts.get_mut(f.crate_name.as_str()) {
-                *n += 1;
-            }
-        }
-        // A ratchet entry for a crate the rule doesn't police is a
-        // config bug — surface it instead of silently ignoring it.
-        for key in cfg.ratchet.keys() {
-            if let Some(crate_name) = key.strip_prefix(&format!("{rule}/")) {
-                if !counts.contains_key(crate_name) {
-                    failures.push(format!(
-                        "{rule}: ratchet entry for unknown crate `{crate_name}` in audit-ratchet.toml"
-                    ));
-                }
-            }
-        }
-        for (crate_name, &count) in &counts {
-            let baseline = cfg.ratchet.get(&format!("{rule}/{crate_name}")).copied().unwrap_or(0);
-            if count > baseline {
-                failures.push(format!(
-                    "{rule}: {crate_name} has {count} finding(s), baseline {baseline} — fix them or annotate with a reason"
-                ));
-            } else if count < baseline {
-                failures.push(format!(
-                    "{rule}: {crate_name} improved to {count} finding(s), baseline {baseline} — tighten audit-ratchet.toml so the gains can't regress"
-                ));
-            }
+    let Some((unit, advice)) = ratchet.filter(|_| ratcheted) else { return out };
+    let tally = rule.tally(cx, found);
+    let mut fail = |krate: &str, line: String| {
+        out.push(GateFailure { rule: name, crates: vec![krate.to_string()], line })
+    };
+    // A ratchet entry for a crate the rule doesn't police is a config
+    // bug — surface it instead of silently ignoring it.
+    for key in cx.cfg.ratchet.keys() {
+        match key.strip_prefix(name).and_then(|k| k.strip_prefix('/')) {
+            Some(krate) if !tally.contains_key(krate) => fail(
+                krate,
+                format!("{name}: ratchet entry for unknown crate `{krate}` in audit-ratchet.toml"),
+            ),
+            _ => {}
         }
     }
-
-    // The unsafe inventory ratchets a *count of annotated blocks*, not
-    // findings: boundary-file crates must hold exactly their committed
-    // number of `audit:allow(unsafe)` blocks.
-    if want("unsafe") {
-        let mut crates: Vec<String> = cfg
-            .unsafe_files
-            .iter()
-            .filter_map(|p| p.split('/').next())
-            .map(str::to_string)
-            .collect();
-        crates.extend(unsafe_counts.keys().cloned());
-        crates.extend(
-            cfg.ratchet.keys().filter_map(|k| k.strip_prefix("unsafe/")).map(str::to_string),
-        );
-        crates.sort_unstable();
-        crates.dedup();
-        for crate_name in &crates {
-            let count = unsafe_counts.get(crate_name).copied().unwrap_or(0);
-            let baseline = cfg.ratchet.get(&format!("unsafe/{crate_name}")).copied().unwrap_or(0);
-            if count > baseline {
-                failures.push(format!(
-                    "unsafe: {crate_name} has {count} annotated unsafe block(s), baseline {baseline} — shrink the unsafe surface or bank the growth deliberately in audit-ratchet.toml"
-                ));
-            } else if count < baseline {
-                failures.push(format!(
-                    "unsafe: {crate_name} improved to {count} annotated unsafe block(s), baseline {baseline} — tighten audit-ratchet.toml so the gains can't regress"
-                ));
-            }
+    for (krate, &count) in &tally {
+        let baseline = cx.cfg.ratchet.get(&format!("{name}/{krate}")).copied().unwrap_or(0);
+        if count > baseline {
+            fail(
+                krate,
+                format!("{name}: {krate} has {count} {unit}, baseline {baseline} — {advice}"),
+            );
+        } else if count < baseline {
+            fail(
+                krate,
+                format!(
+                    "{name}: {krate} improved to {count} {unit}, baseline {baseline} — tighten \
+                     audit-ratchet.toml so the gains can't regress"
+                ),
+            );
         }
     }
-    failures
+    out
 }
 
 #[cfg(test)]
@@ -541,19 +340,8 @@ mod tests {
 
     fn cfg_for(ratchet: &[(&str, u64)]) -> RuleConfig {
         RuleConfig {
-            panic_crates: vec!["demo".into()],
-            cast_crates: vec!["demo".into()],
-            growth_crates: vec!["demo".into()],
-            lock_crates: vec!["demo".into()],
-            blocking_files: Vec::new(),
-            blocking_roots: Vec::new(),
-            serving_roots: Vec::new(),
-            panic_pinned_crates: Vec::new(),
-            wiresize_crates: vec!["demo".into()],
-            unsafe_files: Vec::new(),
-            locks: BTreeMap::new(),
             ratchet: ratchet.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            protocol: None,
+            ..RuleConfig::policing("demo")
         }
     }
 
@@ -577,7 +365,10 @@ mod tests {
         let cfg = cfg_for(&[]);
         let a = audit(&tmp, &cfg).expect("audit");
         assert!(!a.ok());
-        assert!(a.gate_failures.iter().any(|g| g.contains("baseline 0") && g.contains("fix")));
+        assert!(a
+            .gate_failures
+            .iter()
+            .any(|g| g.line.contains("baseline 0") && g.line.contains("fix")));
 
         // Baseline 1: at baseline → gate passes, finding still listed.
         let cfg = cfg_for(&[("panic/demo", 1)]);
@@ -588,7 +379,7 @@ mod tests {
         // Baseline 2: below baseline → gate demands tightening.
         let cfg = cfg_for(&[("panic/demo", 2)]);
         let a = audit(&tmp, &cfg).expect("audit");
-        assert!(a.gate_failures.iter().any(|g| g.contains("tighten")));
+        assert!(a.gate_failures.iter().any(|g| g.line.contains("tighten")));
         std::fs::remove_dir_all(&tmp).ok();
     }
 
@@ -597,7 +388,7 @@ mod tests {
         let tmp = tree("unknown", &[("crates/demo/src/lib.rs", "pub fn f() {}\n")]);
         let cfg = cfg_for(&[("panic/ghost", 3)]);
         let a = audit(&tmp, &cfg).expect("audit");
-        assert!(a.gate_failures.iter().any(|g| g.contains("unknown crate `ghost`")));
+        assert!(a.gate_failures.iter().any(|g| g.line.contains("unknown crate `ghost`")));
         std::fs::remove_dir_all(&tmp).ok();
     }
 
@@ -637,16 +428,32 @@ mod tests {
     }
 
     #[test]
+    fn unknown_rule_is_rejected_with_the_registered_names() {
+        let tmp = tree("badrule", &[("crates/demo/src/lib.rs", "pub fn f() {}\n")]);
+        let cfg = cfg_for(&[]);
+        let err = audit_with(&tmp, &cfg, &AuditOptions { rule: Some("bogus".into()) })
+            .expect_err("a typo must not pass after running nothing");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        for rule in RULES {
+            assert!(err.to_string().contains(rule.name()), "{err}");
+        }
+        let a = audit_with(&tmp, &cfg, &AuditOptions { rule: Some("panic-reachable".into()) })
+            .expect("the reachable half of panic is selectable");
+        assert!(a.timings.iter().any(|t| t.name == "panic"));
+        std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    #[test]
     fn unsafe_ratchet_counts_annotated_blocks() {
         let src = "pub fn f() {\n    // audit:allow(unsafe): fd open by construction\n    \
                    unsafe { go() };\n}\n";
         let tmp = tree("unsafecount", &[("crates/demo/src/sys.rs", src)]);
         let mut cfg = cfg_for(&[]);
-        cfg.unsafe_files = vec!["demo/src/sys.rs".into()];
+        cfg.scope.insert("unsafe", vec!["demo/src/sys.rs".into()]);
         // No baseline → annotated count of 1 is growth.
         let a = audit(&tmp, &cfg).expect("audit");
         assert!(
-            a.gate_failures.iter().any(|g| g.contains("annotated unsafe block(s)")),
+            a.gate_failures.iter().any(|g| g.line.contains("annotated unsafe block(s)")),
             "{:?}",
             a.gate_failures
         );

@@ -46,7 +46,7 @@ pub struct Call {
 
 /// One `fn` item: free function, inherent/trait-impl method, trait
 /// declaration, nested fn, or a synthetic `<spawn@LINE>` closure node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FnDef {
     pub crate_name: String,
     pub file: String,
@@ -102,7 +102,7 @@ fn is_keyword(s: &str) -> bool {
 /// Skip a `<...>` generics group starting at an opening `<`. Returns
 /// the index after the matching `>`, or `start` if it does not look
 /// like a balanced group (shifts, comparisons).
-fn skip_angles(t: &[Token], start: usize) -> usize {
+pub(crate) fn skip_angles(t: &[Token], start: usize) -> usize {
     let mut depth = 0usize;
     let mut i = start;
     let limit = (start + 256).min(t.len());
@@ -127,40 +127,41 @@ fn skip_angles(t: &[Token], start: usize) -> usize {
     start
 }
 
-/// Index just past the brace that matches the opening brace at `open`.
-fn match_brace(t: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < t.len() {
-        if t[i].is_punct('{') {
-            depth += 1;
-        } else if t[i].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
+/// Walk `from..to` at one nesting level: step over every `(..)`, `[..]`
+/// and `{..}` group whole — and, with `generics`, every `<..>` group —
+/// and return the first index whose token satisfies `stop`, or that
+/// closes the enclosing group; `to` if there is none.
+pub(crate) fn scan_level(
+    lx: &Lexed,
+    from: usize,
+    to: usize,
+    generics: bool,
+    stop: impl Fn(&Token) -> bool,
+) -> usize {
+    let (t, partner) = (&lx.tokens, &lx.partner);
+    let mut k = from;
+    while k < to && !stop(&t[k]) && partner[k] >= k {
+        k = if partner[k] > k {
+            partner[k] + 1
+        } else if generics && t[k].is_punct('<') {
+            skip_angles(t, k).max(k + 1)
+        } else {
+            k + 1
+        };
     }
-    t.len().saturating_sub(1)
+    k.min(to)
 }
 
-/// Index of the `)` matching the `(` at `open`.
-fn match_paren(t: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < t.len() {
-        if t[i].is_punct('(') {
-            depth += 1;
-        } else if t[i].is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    t.len().saturating_sub(1)
+/// Uppercase-initial identifiers in `lo..hi`: the nominal types a
+/// field, parameter or `let` annotation mentions.
+fn type_idents(t: &[Token], lo: usize, hi: usize) -> impl Iterator<Item = &str> {
+    t[lo..hi]
+        .iter()
+        .filter(|x| {
+            x.kind == TokKind::Ident
+                && x.text.chars().next().is_some_and(|c| c.is_ascii_uppercase())
+        })
+        .map(|x| x.text.as_str())
 }
 
 #[derive(Clone, Copy, Default)]
@@ -173,9 +174,10 @@ struct ImplCtx<'a> {
 /// Parse one lexed file into items.
 pub fn parse_file(crate_name: &str, file: &str, lx: &Lexed) -> FileItems {
     let t = &lx.tokens;
-    let mut items = FileItems::default();
-    collect_items(t, lx, 0, t.len(), ImplCtx::default(), &mut items, crate_name, file);
-    carve_spawns(t, &mut items);
+    let mut p = Parser { lx, crate_name, file, items: FileItems::default() };
+    p.collect_items(0, t.len(), ImplCtx::default());
+    let mut items = p.items;
+    carve_spawns(lx, &mut items);
 
     // Each fn's calls exclude the bodies of fns nested strictly inside
     // it (including carved-out spawn closures), so every call is
@@ -190,84 +192,156 @@ pub fn parse_file(crate_name: &str, file: &str, lx: &Lexed) -> FileItems {
             .filter_map(|(_, r)| *r)
             .filter(|(o, c)| lo < *o && *c < hi)
             .collect();
-        extract_calls(t, lo + 1, hi, &excluded, &mut f.calls, &mut items.ident_tys);
+        extract_calls(lx, lo + 1, hi, &excluded, &mut f.calls, &mut items.ident_tys);
     }
     items
 }
 
-#[allow(clippy::too_many_arguments)]
-fn collect_items(
-    t: &[Token],
-    lx: &Lexed,
-    lo: usize,
-    hi: usize,
-    ctx: ImplCtx<'_>,
-    items: &mut FileItems,
-    crate_name: &str,
-    file: &str,
-) {
-    let mut i = lo;
-    while i < hi {
-        let tok = &t[i];
-        if tok.is_ident("impl") {
-            if let Some((self_ty, trait_name, open)) = parse_impl_header(t, i, hi) {
-                let close = match_brace(t, open);
-                if let Some(tr) = &trait_name {
-                    items.trait_impls.push((tr.clone(), self_ty.clone()));
+/// The item walk over one file.
+struct Parser<'a> {
+    lx: &'a Lexed,
+    crate_name: &'a str,
+    file: &'a str,
+    items: FileItems,
+}
+
+impl Parser<'_> {
+    fn collect_items(&mut self, lo: usize, hi: usize, ctx: ImplCtx<'_>) {
+        let t = &self.lx.tokens;
+        let mut i = lo;
+        while i < hi {
+            let tok = &t[i];
+            if tok.is_ident("impl") {
+                if let Some((self_ty, trait_name, open)) = parse_impl_header(t, i, hi) {
+                    let close = self.lx.partner[open];
+                    if let Some(tr) = &trait_name {
+                        self.items.trait_impls.push((tr.clone(), self_ty.clone()));
+                    }
+                    let inner = ImplCtx {
+                        self_ty: Some(&self_ty),
+                        trait_name: trait_name.as_deref(),
+                        in_trait_decl: false,
+                    };
+                    self.collect_items(open + 1, close, inner);
+                    i = close + 1;
+                    continue;
                 }
-                let inner = ImplCtx {
-                    self_ty: Some(&self_ty),
-                    trait_name: trait_name.as_deref(),
-                    in_trait_decl: false,
-                };
-                collect_items(t, lx, open + 1, close, inner, items, crate_name, file);
-                i = close + 1;
+            } else if tok.is_ident("trait") && i + 1 < hi && t[i + 1].kind == TokKind::Ident {
+                let name = &t[i + 1].text;
+                let j =
+                    (i + 2..hi).find(|&j| t[j].is_punct('{') || t[j].is_punct(';')).unwrap_or(hi);
+                if j < hi && t[j].is_punct('{') {
+                    let close = self.lx.partner[j];
+                    let inner =
+                        ImplCtx { self_ty: None, trait_name: Some(name), in_trait_decl: true };
+                    self.collect_items(j + 1, close, inner);
+                    i = close + 1;
+                    continue;
+                }
+                i = j + 1;
+                continue;
+            } else if tok.is_ident("struct") && i + 1 < hi && t[i + 1].kind == TokKind::Ident {
+                i = parse_struct_fields(self.lx, i, hi, &mut self.items.ident_tys);
+                continue;
+            } else if tok.is_ident("fn") && i + 1 < hi && t[i + 1].kind == TokKind::Ident {
+                if let Some((def, next)) = self.parse_fn(i, hi, ctx) {
+                    if let Some((open, close)) = def.body {
+                        // Nested fns (and items in nested mods) still parse.
+                        self.collect_items(open + 1, close, ImplCtx::default());
+                    }
+                    if !self.lx.in_test(def.line) {
+                        self.items.fns.push(def);
+                    }
+                    i = next;
+                    continue;
+                }
+            }
+            i += 1;
+        }
+    }
+
+    /// Parse a `fn` item starting at the `fn` token. Returns the def and
+    /// the index to resume scanning at.
+    fn parse_fn(&mut self, at: usize, hi: usize, ctx: ImplCtx<'_>) -> Option<(FnDef, usize)> {
+        let t = &self.lx.tokens;
+        let name = t[at + 1].text.clone();
+        let mut i = at + 2;
+        if i < hi && t[i].is_punct('<') {
+            i = skip_angles(t, i);
+        }
+        if i >= hi || !t[i].is_punct('(') {
+            return None;
+        }
+        let partner = &self.lx.partner;
+        let pclose = partner[i];
+        let mut params = Vec::new();
+        let mut has_self = false;
+        let mut j = i + 1;
+        while j < pclose {
+            if partner[j] > j {
+                j = partner[j] + 1;
                 continue;
             }
-        } else if tok.is_ident("trait") && i + 1 < hi && t[i + 1].kind == TokKind::Ident {
-            let name = t[i + 1].text.clone();
-            let mut j = i + 2;
-            while j < hi && !t[j].is_punct('{') && !t[j].is_punct(';') {
-                j += 1;
-            }
-            if j < hi && t[j].is_punct('{') {
-                let close = match_brace(t, j);
-                let inner = ImplCtx { self_ty: None, trait_name: Some(&name), in_trait_decl: true };
-                collect_items(t, lx, j + 1, close, inner, items, crate_name, file);
-                i = close + 1;
-                continue;
-            }
-            i = j + 1;
-            continue;
-        } else if tok.is_ident("struct") && i + 1 < hi && t[i + 1].kind == TokKind::Ident {
-            i = parse_struct_fields(t, i, hi, &mut items.ident_tys);
-            continue;
-        } else if tok.is_ident("fn") && i + 1 < hi && t[i + 1].kind == TokKind::Ident {
-            if let Some((def, next)) =
-                parse_fn(t, i, hi, ctx, crate_name, file, &mut items.ident_tys)
+            if t[j].is_ident("self") {
+                has_self = true;
+            } else if t[j].kind == TokKind::Ident
+                && t[j + 1].is_punct(':')
+                && (j + 2 > pclose || !t[j + 2].is_punct(':'))
+                && !is_keyword(&t[j].text)
             {
-                let in_test = lx.in_test(def.line);
-                if let Some((open, close)) = def.body {
-                    // Nested fns (and items in nested mods) still parse.
-                    collect_items(
-                        t,
-                        lx,
-                        open + 1,
-                        close,
-                        ImplCtx::default(),
-                        items,
-                        crate_name,
-                        file,
-                    );
+                // Record the parameter's nominal type idents so the graph can
+                // resolve method calls on parameters.
+                let end = scan_level(self.lx, j + 2, pclose, false, |x| x.is_punct(','));
+                self.items.ident_tys.extend(
+                    type_idents(t, j + 2, end).map(|ty| (t[j].text.clone(), ty.to_string())),
+                );
+                params.push(t[j].text.clone());
+            }
+            j += 1;
+        }
+        // Return type idents, up to `{`, `;`, or `where`.
+        let mut ret_tys = Vec::new();
+        let mut k = pclose + 1;
+        if k + 1 < hi && t[k].is_punct('-') && t[k + 1].is_punct('>') {
+            k += 2;
+            while k < hi && !t[k].is_punct('{') && !t[k].is_punct(';') && !t[k].is_ident("where") {
+                if t[k].kind == TokKind::Ident && !is_keyword(&t[k].text) {
+                    ret_tys.push(t[k].text.clone());
                 }
-                if !in_test {
-                    items.fns.push(def);
-                }
-                i = next;
-                continue;
+                k += 1;
             }
         }
-        i += 1;
+        while k < hi && !t[k].is_punct('{') && !t[k].is_punct(';') {
+            k += 1;
+        }
+        let (body, next, end_line) = if k < hi && t[k].is_punct('{') {
+            let close = partner[k];
+            (Some((k, close)), close + 1, t[close].line)
+        } else {
+            (None, k + 1, t[at].line)
+        };
+        let qual = match (ctx.self_ty, ctx.trait_name) {
+            (Some(ty), _) => format!("{ty}::{name}"),
+            (None, Some(tr)) => format!("{tr}::{name}"),
+            _ => name.clone(),
+        };
+        let def = FnDef {
+            crate_name: self.crate_name.to_string(),
+            file: self.file.to_string(),
+            line: t[at].line,
+            name,
+            qual,
+            self_ty: ctx.self_ty.map(str::to_string),
+            trait_name: ctx.trait_name.map(str::to_string),
+            is_trait_decl: ctx.in_trait_decl,
+            has_self,
+            params,
+            ret_tys,
+            body,
+            body_lines: (t[at].line, end_line),
+            ..FnDef::default()
+        };
+        Some((def, next))
     }
 }
 
@@ -285,14 +359,8 @@ fn parse_impl_header(t: &[Token], at: usize, hi: usize) -> Option<(String, Optio
         i += 1;
         first_path = last_segment(t, &mut i, hi)?;
     }
-    while i < hi && !t[i].is_punct('{') && !t[i].is_punct(';') {
-        i += 1;
-    }
-    if i < hi && t[i].is_punct('{') {
-        Some((first_path, trait_name, i))
-    } else {
-        None
-    }
+    let open = (i..hi).find(|&k| t[k].is_punct('{') || t[k].is_punct(';'))?;
+    t[open].is_punct('{').then_some((first_path, trait_name, open))
 }
 
 /// Read a (possibly `::`-qualified, possibly generic) path starting at
@@ -303,84 +371,54 @@ fn last_segment(t: &[Token], i: &mut usize, hi: usize) -> Option<String> {
     while *i < hi && (t[*i].is_punct('&') || t[*i].is_ident("mut") || t[*i].is_ident("dyn")) {
         *i += 1;
     }
-    loop {
-        if *i >= hi {
+    while *i < hi
+        && t[*i].kind == TokKind::Ident
+        && !t[*i].is_ident("for")
+        && !t[*i].is_ident("where")
+    {
+        last = Some(t[*i].text.clone());
+        *i += 1;
+        if *i < hi && t[*i].is_punct('<') {
+            *i = skip_angles(t, *i);
+        }
+        if !(*i + 1 < hi && t[*i].is_punct(':') && t[*i + 1].is_punct(':')) {
             break;
         }
-        if t[*i].kind == TokKind::Ident && !t[*i].is_ident("for") && !t[*i].is_ident("where") {
-            last = Some(t[*i].text.clone());
-            *i += 1;
-            if *i < hi && t[*i].is_punct('<') {
-                *i = skip_angles(t, *i);
-            }
-            if *i + 1 < hi && t[*i].is_punct(':') && t[*i + 1].is_punct(':') {
-                *i += 2;
-                continue;
-            }
-        }
-        break;
+        *i += 2;
     }
     last
 }
 
 /// Struct fields: `name: Type` at brace depth 1. Returns the index
 /// after the item.
-fn parse_struct_fields(
-    t: &[Token],
-    at: usize,
-    hi: usize,
-    out: &mut Vec<(String, String)>,
-) -> usize {
+fn parse_struct_fields(lx: &Lexed, at: usize, hi: usize, out: &mut Vec<(String, String)>) -> usize {
+    let (t, partner) = (&lx.tokens, &lx.partner);
     let mut i = at + 2;
     if i < hi && t[i].is_punct('<') {
         i = skip_angles(t, i);
     }
-    while i < hi && !t[i].is_punct('{') && !t[i].is_punct(';') && !t[i].is_punct('(') {
-        i += 1;
-    }
-    if i >= hi || !t[i].is_punct('{') {
+    let i = (i..hi).find(|&k| t[k].is_punct('{') || t[k].is_punct(';') || t[k].is_punct('('));
+    let Some(i) = i.filter(|&i| t[i].is_punct('{')) else {
         // Tuple/unit struct: skip to the terminating `;`.
-        while i < hi && !t[i].is_punct(';') {
-            i += 1;
-        }
-        return i + 1;
-    }
-    let close = match_brace(t, i);
+        return (i.unwrap_or(hi)..hi).find(|&k| t[k].is_punct(';')).unwrap_or(hi) + 1;
+    };
+    let close = partner[i];
     let mut j = i + 1;
-    let mut depth = 0i32;
     while j < close {
-        if t[j].is_punct('(') || t[j].is_punct('[') || t[j].is_punct('{') {
-            depth += 1;
-        } else if t[j].is_punct(')') || t[j].is_punct(']') || t[j].is_punct('}') {
-            depth -= 1;
-        } else if depth == 0
-            && t[j].kind == TokKind::Ident
+        if partner[j] > j {
+            j = partner[j] + 1;
+            continue;
+        }
+        if t[j].kind == TokKind::Ident
             && !is_keyword(&t[j].text)
             && j + 1 < close
             && t[j + 1].is_punct(':')
             && (j + 2 >= close || !t[j + 2].is_punct(':'))
         {
-            // Field type: every uppercase-initial ident until `,` at depth 0.
-            let field = t[j].text.clone();
-            let mut k = j + 2;
-            let mut d = 0i32;
-            while k < close {
-                if t[k].is_punct(',') && d == 0 {
-                    break;
-                }
-                match () {
-                    _ if t[k].is_punct('(') || t[k].is_punct('[') || t[k].is_punct('<') => d += 1,
-                    _ if t[k].is_punct(')') || t[k].is_punct(']') || t[k].is_punct('>') => d -= 1,
-                    _ => {}
-                }
-                if t[k].kind == TokKind::Ident
-                    && t[k].text.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                {
-                    out.push((field.clone(), t[k].text.clone()));
-                }
-                k += 1;
-            }
-            j = k;
+            // Field type: every uppercase-initial ident up to the next field.
+            let end = scan_level(lx, j + 2, close, true, |x| x.is_punct(','));
+            out.extend(type_idents(t, j + 2, end).map(|ty| (t[j].text.clone(), ty.to_string())));
+            j = end;
             continue;
         }
         j += 1;
@@ -388,145 +426,29 @@ fn parse_struct_fields(
     close + 1
 }
 
-/// Parse a `fn` item starting at the `fn` token. Returns the def and
-/// the index to resume scanning at.
-#[allow(clippy::too_many_arguments)]
-fn parse_fn(
-    t: &[Token],
-    at: usize,
-    hi: usize,
-    ctx: ImplCtx<'_>,
-    crate_name: &str,
-    file: &str,
-    ident_tys: &mut Vec<(String, String)>,
-) -> Option<(FnDef, usize)> {
-    let name = t[at + 1].text.clone();
-    let mut i = at + 2;
-    if i < hi && t[i].is_punct('<') {
-        i = skip_angles(t, i);
-    }
-    if i >= hi || !t[i].is_punct('(') {
-        return None;
-    }
-    let pclose = match_paren(t, i);
-    let mut params = Vec::new();
-    let mut has_self = false;
-    {
-        let mut j = i + 1;
-        let mut depth = 1i32;
-        while j < pclose {
-            if t[j].is_punct('(') || t[j].is_punct('[') || t[j].is_punct('{') {
-                depth += 1;
-            } else if t[j].is_punct(')') || t[j].is_punct(']') || t[j].is_punct('}') {
-                depth -= 1;
-            } else if depth == 1 && t[j].kind == TokKind::Ident {
-                if t[j].is_ident("self") {
-                    has_self = true;
-                } else if j + 1 < pclose + 1
-                    && t[j + 1].is_punct(':')
-                    && (j + 2 > pclose || !t[j + 2].is_punct(':'))
-                    && !is_keyword(&t[j].text)
-                {
-                    // Record the parameter's nominal type idents so the
-                    // graph can resolve method calls on parameters.
-                    let mut k = j + 2;
-                    let mut d = depth;
-                    while k < pclose {
-                        if t[k].is_punct(',') && d == 1 {
-                            break;
-                        }
-                        match () {
-                            _ if t[k].is_punct('(') || t[k].is_punct('[') => d += 1,
-                            _ if t[k].is_punct(')') || t[k].is_punct(']') => d -= 1,
-                            _ => {}
-                        }
-                        if t[k].kind == TokKind::Ident
-                            && t[k].text.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                        {
-                            ident_tys.push((t[j].text.clone(), t[k].text.clone()));
-                        }
-                        k += 1;
-                    }
-                    params.push(t[j].text.clone());
-                }
-            }
-            j += 1;
-        }
-    }
-    // Return type idents, up to `{`, `;`, or `where`.
-    let mut ret_tys = Vec::new();
-    let mut k = pclose + 1;
-    if k + 1 < hi && t[k].is_punct('-') && t[k + 1].is_punct('>') {
-        k += 2;
-        while k < hi && !t[k].is_punct('{') && !t[k].is_punct(';') && !t[k].is_ident("where") {
-            if t[k].kind == TokKind::Ident && !is_keyword(&t[k].text) {
-                ret_tys.push(t[k].text.clone());
-            }
-            k += 1;
-        }
-    }
-    while k < hi && !t[k].is_punct('{') && !t[k].is_punct(';') {
-        k += 1;
-    }
-    let (body, next, end_line) = if k < hi && t[k].is_punct('{') {
-        let close = match_brace(t, k);
-        (Some((k, close)), close + 1, t[close].line)
-    } else {
-        (None, k + 1, t[at].line)
-    };
-    let qual = match (ctx.self_ty, ctx.trait_name) {
-        (Some(ty), _) => format!("{ty}::{name}"),
-        (None, Some(tr)) => format!("{tr}::{name}"),
-        _ => name.clone(),
-    };
-    let def = FnDef {
-        crate_name: crate_name.to_string(),
-        file: file.to_string(),
-        line: t[at].line,
-        name,
-        qual,
-        self_ty: ctx.self_ty.map(str::to_string),
-        trait_name: ctx.trait_name.map(str::to_string),
-        is_trait_decl: ctx.in_trait_decl,
-        is_spawn: false,
-        has_self,
-        params,
-        ret_tys,
-        body,
-        body_lines: (t[at].line, end_line),
-        calls: Vec::new(),
-    };
-    Some((def, next))
-}
-
 /// Carve `spawn(..)` argument ranges out of each fn into detached
 /// synthetic nodes (`parent::<spawn@LINE>`): the closure body runs on
 /// its own thread, so its calls must not count as reachable from the
 /// spawning function.
-fn carve_spawns(t: &[Token], items: &mut FileItems) {
+fn carve_spawns(lx: &Lexed, items: &mut FileItems) {
+    let t = &lx.tokens;
     let mut spawned = Vec::new();
     for f in &items.fns {
         let Some((lo, hi)) = f.body else { continue };
         let mut i = lo + 1;
         while i < hi {
             if t[i].is_ident("spawn") && i + 1 < hi && t[i + 1].is_punct('(') {
-                let close = match_paren(t, i + 1);
+                let close = lx.partner[i + 1];
                 spawned.push(FnDef {
                     crate_name: f.crate_name.clone(),
                     file: f.file.clone(),
                     line: t[i].line,
                     name: format!("<spawn@{}>", t[i].line),
                     qual: format!("{}::<spawn@{}>", f.qual, t[i].line),
-                    self_ty: None,
-                    trait_name: None,
-                    is_trait_decl: false,
                     is_spawn: true,
-                    has_self: false,
-                    params: Vec::new(),
-                    ret_tys: Vec::new(),
                     body: Some((i + 1, close)),
                     body_lines: (t[i].line, t[close].line),
-                    calls: Vec::new(),
+                    ..FnDef::default()
                 });
                 i = close + 1;
                 continue;
@@ -540,13 +462,14 @@ fn carve_spawns(t: &[Token], items: &mut FileItems) {
 /// Walk a body range collecting call sites and `let x: Type` hints,
 /// skipping nested-fn ranges and attributes.
 fn extract_calls(
-    t: &[Token],
+    lx: &Lexed,
     lo: usize,
     hi: usize,
     excluded: &[(usize, usize)],
     out: &mut Vec<Call>,
     ident_tys: &mut Vec<(String, String)>,
 ) {
+    let t = &lx.tokens;
     let mut i = lo;
     'outer: while i < hi {
         for (o, c) in excluded {
@@ -558,20 +481,7 @@ fn extract_calls(
         let tok = &t[i];
         // Skip attribute groups: `#[ .. ]`.
         if tok.is_punct('#') && i + 1 < hi && t[i + 1].is_punct('[') {
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            while j < hi {
-                if t[j].is_punct('[') {
-                    depth += 1;
-                } else if t[j].is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            i = j + 1;
+            i = lx.partner[i + 1] + 1;
             continue;
         }
         // `let x: Type = ..` / `let x = ..` type hints.
@@ -582,17 +492,11 @@ fn extract_calls(
             && t[i + 2].is_punct(':')
             && (i + 3 >= hi || !t[i + 3].is_punct(':'))
         {
-            let name = t[i + 1].text.clone();
-            let mut k = i + 3;
-            while k < hi && !t[k].is_punct('=') && !t[k].is_punct(';') {
-                if t[k].kind == TokKind::Ident
-                    && t[k].text.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                {
-                    ident_tys.push((name.clone(), t[k].text.clone()));
-                }
-                k += 1;
-            }
-            i = k;
+            let end = (i + 3..hi).find(|&k| t[k].is_punct('=') || t[k].is_punct(';')).unwrap_or(hi);
+            ident_tys.extend(
+                type_idents(t, i + 3, end).map(|ty| (t[i + 1].text.clone(), ty.to_string())),
+            );
+            i = end;
             continue;
         }
         if tok.kind == TokKind::Ident && i + 1 < hi && t[i + 1].is_punct('(') {
@@ -601,12 +505,11 @@ fn extract_calls(
                 i += 1;
                 continue;
             }
-            let prev = if i > lo { Some(&t[i - 1]) } else { None };
-            if prev.is_some_and(|p| p.is_ident("fn")) {
+            if i > lo && t[i - 1].is_ident("fn") {
                 i += 1;
                 continue;
             }
-            let close = match_paren(t, i + 1);
+            let close = lx.partner[i + 1];
             let (kind, qual, recv_close) = classify_call(t, lo, i);
             if kind == CallKind::Free && name.chars().next().is_some_and(|c| c.is_ascii_uppercase())
             {
@@ -614,7 +517,7 @@ fn extract_calls(
                 i += 1;
                 continue;
             }
-            let args = split_args(t, i + 1, close);
+            let args = split_args(lx, i + 1, close);
             out.push(Call {
                 name: name.clone(),
                 kind,
@@ -639,17 +542,9 @@ fn classify_call(t: &[Token], lo: usize, i: usize) -> (CallKind, Option<String>,
     }
     let p = &t[i - 1];
     if p.is_punct('.') {
-        // Method call: look one further back for the receiver hint.
-        let mut r = i.checked_sub(2);
-        // `recv()?.m(..)` / `recv().m(..)`: skip `?` to find the `)`.
-        while let Some(ri) = r {
-            if t[ri].is_punct('?') {
-                r = ri.checked_sub(1);
-            } else {
-                break;
-            }
-        }
-        if let Some(ri) = r {
+        // Method call: look one further back for the receiver hint,
+        // skipping `?` (`recv()?.m(..)`) to find a chained call's `)`.
+        if let Some(ri) = (0..i - 1).rev().find(|&r| !t[r].is_punct('?')) {
             if t[ri].kind == TokKind::Ident {
                 return (CallKind::Method, Some(t[ri].text.clone()), None);
             }
@@ -660,11 +555,7 @@ fn classify_call(t: &[Token], lo: usize, i: usize) -> (CallKind, Option<String>,
         return (CallKind::Method, None, None);
     }
     if p.is_punct(':') && i >= 2 && t[i - 2].is_punct(':') {
-        let qual = if i >= 3 && t[i - 3].kind == TokKind::Ident {
-            Some(t[i - 3].text.clone())
-        } else {
-            None
-        };
+        let qual = (i >= 3 && t[i - 3].kind == TokKind::Ident).then(|| t[i - 3].text.clone());
         return (CallKind::Path, qual, None);
     }
     (CallKind::Free, None, None)
@@ -672,33 +563,27 @@ fn classify_call(t: &[Token], lo: usize, i: usize) -> (CallKind, Option<String>,
 
 /// Split an argument list `( .. )` into per-argument token ranges.
 /// Closure parameter lists (`|a, b|`) do not split arguments.
-fn split_args(t: &[Token], open: usize, close: usize) -> Vec<(usize, usize)> {
+fn split_args(lx: &Lexed, open: usize, close: usize) -> Vec<(usize, usize)> {
+    let t = &lx.tokens;
     let mut args = Vec::new();
     if close <= open + 1 {
         return args;
     }
     let mut start = open + 1;
-    let mut depth = 0i32;
     let mut j = open + 1;
     while j < close {
         let tok = &t[j];
-        if tok.is_punct('(') || tok.is_punct('[') || tok.is_punct('{') {
-            depth += 1;
-        } else if tok.is_punct(')') || tok.is_punct(']') || tok.is_punct('}') {
-            depth -= 1;
-        } else if depth == 0 && tok.is_punct('|') {
+        if lx.partner[j] > j {
+            j = lx.partner[j] + 1;
+            continue;
+        }
+        if tok.is_punct('|') && (j == start || t[j - 1].is_ident("move")) {
             // Closure parameter list at the head of an argument: scan to
             // the closing `|` without splitting on its commas.
-            let head = j == start || t[j - 1].is_ident("move");
-            if head {
-                let mut k = j + 1;
-                while k < close && !t[k].is_punct('|') {
-                    k += 1;
-                }
-                j = k + 1;
-                continue;
-            }
-        } else if depth == 0 && tok.is_punct(',') {
+            j = (j + 1..close).find(|&k| t[k].is_punct('|')).unwrap_or(close) + 1;
+            continue;
+        }
+        if tok.is_punct(',') {
             args.push((start, j));
             start = j + 1;
         }

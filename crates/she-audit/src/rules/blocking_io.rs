@@ -20,17 +20,36 @@
 //! blocks. Findings are a hard gate failure, not ratcheted.
 
 use std::collections::BTreeMap;
+use std::io;
 
 use crate::graph::{CallGraph, Reach};
-use crate::lexer::{Lexed, TokKind};
-use crate::rules::Finding;
+use crate::lexer::Lexed;
+use crate::rules::{Ctx, Finding, Gate, Rule};
+
+pub(crate) struct Blocking;
+
+impl Rule for Blocking {
+    fn name(&self) -> &'static str {
+        "blocking"
+    }
+    fn description(&self) -> &'static str {
+        "blocking syscall wrappers reachable from the reactor roots"
+    }
+    fn gate(&self) -> Gate {
+        Gate { hard: Some(("blocking", "blocking-io")), ratchet: None }
+    }
+    fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
+        let legacy = cx.cfg.scope_of("blocking");
+        Ok(check_graph(cx.graph, &cx.reactor.reach, cx.lexed, legacy, &cx.reactor.missing))
+    }
+}
 
 /// Calls that park the calling thread on I/O or an unbounded wait.
 /// Covers the repo's own frame codec (`read_frame` and friends are
 /// blocking by design), the std blocking read/write combinators, socket
 /// timeout configuration (only meaningful on blocking sockets), and
 /// blocking channel receives.
-pub const BLOCKERS: [&str; 10] = [
+const BLOCKERS: [&str; 10] = [
     "read_frame",
     "read_frame_deadline",
     "write_frame",
@@ -42,31 +61,6 @@ pub const BLOCKERS: [&str; 10] = [
     "set_read_timeout",
     "set_write_timeout",
 ];
-
-/// Blocking call sites in the token range `lo..hi`: `(line, callee)`.
-/// Definitions (`fn read_frame(`), imports, test code, and
-/// allow-annotated lines are excluded.
-pub fn sink_sites(lx: &Lexed, lo: usize, hi: usize) -> Vec<(u32, String)> {
-    let toks = &lx.tokens;
-    let mut out = Vec::new();
-    for i in lo..hi.min(toks.len()) {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || !BLOCKERS.contains(&t.text.as_str()) {
-            continue;
-        }
-        if !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        if i > 0 && toks[i - 1].is_ident("fn") {
-            continue;
-        }
-        if lx.in_test(t.line) || lx.allowed("blocking", t.line) {
-            continue;
-        }
-        out.push((t.line, t.text.clone()));
-    }
-    out
-}
 
 /// Run the reachability rule: every blocking sink in a root-reachable fn
 /// is a finding carrying the full call chain; every legacy reactor-path
@@ -81,75 +75,62 @@ pub fn check_graph(
 ) -> Vec<Finding> {
     let mut out = Vec::new();
     for spec in missing_roots {
-        out.push(Finding {
-            rule: "blocking",
-            crate_name: String::new(),
-            file: "RuleConfig::blocking_roots".to_string(),
-            line: 0,
-            msg: format!(
+        out.push(Finding::new(
+            "blocking",
+            "",
+            "RuleConfig::blocking_roots",
+            0,
+            format!(
                 "configured reactor root `{spec}` matches no fn in the workspace — the \
                  root set must track the code or the whole rule silently under-approximates"
             ),
-        });
+        ));
     }
-    for (id, f) in graph.fns.iter().enumerate() {
-        if !reach.reachable[id] {
-            continue;
-        }
-        let Some((lo, hi)) = f.body else { continue };
+    for (id, f) in graph.fns.iter().enumerate().filter(|&(id, _)| reach.reachable[id]) {
         let Some(lx) = lexed.get(&f.file) else { continue };
-        // Tokens inside a nested fn or a carved-out spawn closure belong
-        // to *that* node; scanning them here would blame the spawner for
-        // work a dedicated thread does.
-        let mut holes: Vec<(usize, usize)> = graph
-            .fns
-            .iter()
-            .enumerate()
-            .filter(|&(j, g)| j != id && g.file == f.file)
-            .filter_map(|(_, g)| g.body)
-            .filter(|&(glo, ghi)| glo > lo && ghi < hi)
-            .collect();
-        holes.sort_unstable();
-        let mut segments = Vec::new();
-        let mut cursor = lo;
-        for (hlo, hhi) in holes {
-            if hlo > cursor {
-                segments.push((cursor, hlo));
+        // A fn's calls exclude nested fns and carved-out spawn closures:
+        // those belong to their own node, so a dedicated thread's work
+        // never blames the spawner.
+        for call in &f.calls {
+            if !BLOCKERS.contains(&call.name.as_str())
+                || lx.in_test(call.line)
+                || lx.allowed("blocking", call.line)
+            {
+                continue;
             }
-            cursor = cursor.max(hhi + 1);
-        }
-        if cursor < hi + 1 {
-            segments.push((cursor, hi + 1));
-        }
-        for (line, name) in segments.iter().flat_map(|&(slo, shi)| sink_sites(lx, slo, shi)) {
-            out.push(Finding {
-                rule: "blocking",
-                crate_name: f.crate_name.clone(),
-                file: f.file.clone(),
-                line,
-                msg: format!(
-                    "`{name}(` blocks the reactor thread; chain: {} — go through epoll \
+            out.push(Finding::new(
+                "blocking",
+                &f.crate_name,
+                &f.file,
+                call.line,
+                format!(
+                    "`{}(` blocks the reactor thread; chain: {} — go through epoll \
                      readiness, offload it, or annotate `// audit:allow(blocking): <reason>` \
                      naming the thread that actually blocks",
+                    call.name,
                     graph.chain_str(reach, id)
                 ),
-            });
+            ));
         }
     }
     // Coverage assertion: the computed root set must still reach every
     // file the retired v1 list policed by hand.
     for suffix in blocking_files {
-        let covered = graph.fns_in_file(suffix).iter().any(|&i| reach.reachable[i]);
+        let covered = graph
+            .fns
+            .iter()
+            .enumerate()
+            .any(|(i, f)| f.file.ends_with(suffix.as_str()) && reach.reachable[i]);
         if !covered {
-            out.push(Finding {
-                rule: "blocking",
-                crate_name: String::new(),
-                file: suffix.clone(),
-                line: 0,
-                msg: "reactor root set does not reach any fn in this legacy reactor-path \
-                      file — extend RuleConfig::blocking_roots to cover it"
+            out.push(Finding::new(
+                "blocking",
+                "",
+                suffix,
+                0,
+                "reactor root set does not reach any fn in this legacy reactor-path \
+                 file — extend RuleConfig::blocking_roots to cover it"
                     .to_string(),
-            });
+            ));
         }
     }
     out

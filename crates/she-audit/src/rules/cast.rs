@@ -5,51 +5,56 @@
 //! instead. Sites with a proven bound carry
 //! `// audit:allow(cast): <reason>`.
 
-use crate::lexer::{Lexed, TokKind};
-use crate::rules::Finding;
+use std::io;
+
+use crate::lexer::{TokKind, Token};
+use crate::rules::{scan_sites, Ctx, Finding, Gate, Rule, FINDINGS};
 
 const NARROW: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 
-/// Run the rule over one lexed non-test-only file.
-pub fn check(crate_name: &str, file: &str, lx: &Lexed) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let toks = &lx.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("as") {
-            continue;
-        }
-        let Some(target) = toks.get(i + 1) else { continue };
-        if target.kind != TokKind::Ident || !NARROW.contains(&target.text.as_str()) {
-            continue;
-        }
-        // `use path as u8` can't happen (keywords), so any `as <narrow>`
-        // is a cast expression. Skip numeric-literal suffix-style casts
-        // like `0xFF as u8`: the value is constant and visible, the cast
-        // cannot truncate at runtime.
-        if i > 0 && toks[i - 1].kind == TokKind::Num {
-            continue;
-        }
-        if lx.in_test(t.line) || lx.allowed("cast", t.line) {
-            continue;
-        }
-        out.push(Finding {
-            rule: "cast",
-            crate_name: crate_name.to_string(),
-            file: file.to_string(),
-            line: t.line,
-            msg: format!("narrowing `as {}` cast (use try_from/checked helpers, or annotate `// audit:allow(cast): <reason>`)", target.text),
-        });
+pub(crate) struct Cast;
+
+impl Rule for Cast {
+    fn name(&self) -> &'static str {
+        "cast"
     }
-    out
+    fn description(&self) -> &'static str {
+        "narrowing `as` casts in the cast crates"
+    }
+    fn gate(&self) -> Gate {
+        Gate { hard: None, ratchet: Some(FINDINGS) }
+    }
+    fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
+        Ok(scan_sites(cx.policed("cast"), "cast", true, site, msg).0)
+    }
+}
+
+/// A narrowing cast: `as <narrow>`. (`use path as u8` can't happen —
+/// keywords — so any such `as` is a cast expression.) Casts of numeric
+/// literals like `0xFF as u8` are skipped: the value is constant and
+/// visible, the cast cannot truncate at runtime.
+fn site(toks: &[Token], i: usize) -> bool {
+    toks[i].is_ident("as")
+        && toks.get(i + 1).is_some_and(|target| {
+            target.kind == TokKind::Ident && NARROW.contains(&target.text.as_str())
+        })
+        && !(i > 0 && toks[i - 1].kind == TokKind::Num)
+}
+
+fn msg(toks: &[Token], i: usize) -> String {
+    format!(
+        "narrowing `as {}` cast (use try_from/checked helpers, or annotate `// audit:allow(cast): <reason>`)",
+        toks[i + 1].text
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::rules::sites_in;
 
     fn lines(src: &str) -> Vec<u32> {
-        check("c", "f.rs", &lex(src)).into_iter().map(|f| f.line).collect()
+        sites_in(src, "cast", site, msg).into_iter().map(|f| f.line).collect()
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! further away than the scan window are banked in `audit-ratchet.toml`
 //! or annotated, and the committed count can only shrink.
 
-use crate::lexer::{Lexed, TokKind};
-use crate::rules::Finding;
+use std::io;
+
+use crate::lexer::{TokKind, Token};
+use crate::rules::{scan_sites, Ctx, Finding, Gate, Rule, FINDINGS};
 
 /// Method names that grow a collection.
 const GROWERS: [&str; 6] =
@@ -38,55 +40,59 @@ const BOUNDERS: [&str; 12] = [
 /// bound signal.
 const BOUND_WINDOW: u32 = 8;
 
-/// Run the rule over one lexed non-test-only file.
-pub fn check(crate_name: &str, file: &str, lx: &Lexed) -> Vec<Finding> {
-    let toks = &lx.tokens;
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || !GROWERS.contains(&t.text.as_str()) {
-            continue;
-        }
-        // Only method calls count: `.push(` — a fn named `push` or a
-        // bare path does not grow a collection here.
-        let is_call =
-            i > 0 && toks[i - 1].is_punct('.') && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
-        if !is_call {
-            continue;
-        }
-        if lx.in_test(t.line) || lx.allowed("growth", t.line) {
-            continue;
-        }
-        let lo = t.line.saturating_sub(BOUND_WINDOW);
-        let hi = t.line + BOUND_WINDOW;
-        let bounded = toks.iter().any(|b| {
-            b.kind == TokKind::Ident
-                && (lo..=hi).contains(&b.line)
-                && BOUNDERS.contains(&b.text.as_str())
-        });
-        if bounded {
-            continue;
-        }
-        out.push(Finding {
-            rule: "growth",
-            crate_name: crate_name.to_string(),
-            file: file.to_string(),
-            line: t.line,
-            msg: format!(
-                "`.{}(` grows a collection with no cap check in sight (bound it nearby, or annotate `// audit:allow(growth): <reason>`)",
-                t.text
-            ),
-        });
+pub(crate) struct Growth;
+
+impl Rule for Growth {
+    fn name(&self) -> &'static str {
+        "growth"
     }
-    out
+    fn description(&self) -> &'static str {
+        "unbounded collection growth on the serving path"
+    }
+    fn gate(&self) -> Gate {
+        Gate { hard: None, ratchet: Some(FINDINGS) }
+    }
+    fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
+        Ok(scan_sites(cx.policed("growth"), "growth", true, site, msg).0)
+    }
+}
+
+/// A growth call — `.push(` and friends; a fn named `push` or a bare path
+/// does not grow a collection here — with no bound signal within
+/// [`BOUND_WINDOW`] lines.
+fn site(toks: &[Token], i: usize) -> bool {
+    let t = &toks[i];
+    let is_call = t.kind == TokKind::Ident
+        && GROWERS.contains(&t.text.as_str())
+        && i > 0
+        && toks[i - 1].is_punct('.')
+        && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
+    if !is_call {
+        return false;
+    }
+    let (lo, hi) = (t.line.saturating_sub(BOUND_WINDOW), t.line + BOUND_WINDOW);
+    // Tokens are in line order: start at the window's first line.
+    let first = toks.partition_point(|b| b.line < lo);
+    !toks[first..]
+        .iter()
+        .take_while(|b| b.line <= hi)
+        .any(|b| b.kind == TokKind::Ident && BOUNDERS.contains(&b.text.as_str()))
+}
+
+fn msg(toks: &[Token], i: usize) -> String {
+    format!(
+        "`.{}(` grows a collection with no cap check in sight (bound it nearby, or annotate `// audit:allow(growth): <reason>`)",
+        toks[i].text
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::rules::sites_in;
 
     fn lines(src: &str) -> Vec<u32> {
-        check("c", "f.rs", &lex(src)).into_iter().map(|f| f.line).collect()
+        sites_in(src, "growth", site, msg).into_iter().map(|f| f.line).collect()
     }
 
     #[test]

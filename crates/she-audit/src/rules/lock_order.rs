@@ -13,137 +13,114 @@
 //! * two manifest entries sharing a rank is a finding (ranks are a total
 //!   order).
 //!
+//! v2 mines acquisition-order edges statically (see [`check_order`]).
 //! `.lock()` call sites are also collected, for `she audit --list-locks`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::io;
 
-use crate::lexer::{Lexed, TokKind};
-use crate::rules::Finding;
+use crate::lexer::{Lexed, TokKind, Token};
+use crate::rules::{Ctx, Finding, Gate, Rule, Src};
 
-/// Cross-file scan state; feed every policed file, then call
-/// [`LockScan::finish`].
-#[derive(Debug, Default)]
-pub struct LockScan {
-    findings: Vec<Finding>,
-    used_names: BTreeSet<String>,
-    /// `file:line — crate` for every `.lock()` call site (tests included;
-    /// the listing is for humans mapping the lock graph).
-    pub sites: Vec<String>,
+pub(crate) struct Lock;
+
+impl Rule for Lock {
+    fn name(&self) -> &'static str {
+        "lock"
+    }
+    fn description(&self) -> &'static str {
+        "unranked mutexes, manifest drift, and acquisition-order inversions"
+    }
+    fn gate(&self) -> Gate {
+        Gate { hard: Some(("lock", "lock-order")), ratchet: None }
+    }
+    fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
+        let mut out = check_manifest(cx.policed("lock"), &cx.cfg.locks);
+        out.extend(check_order(cx.graph, cx.lexed, cx.cfg.scope_of("lock"), &cx.cfg.locks));
+        Ok(out)
+    }
 }
 
-impl LockScan {
-    /// Scan one lexed file from a policed crate.
-    pub fn scan_file(&mut self, crate_name: &str, file: &str, lx: &Lexed) {
+/// Is token `i` the `Name` of a `Name::new` path?
+fn path_new(toks: &[Token], i: usize, name: &str) -> bool {
+    toks[i].is_ident(name)
+        && toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
+        && toks.get(i + 2).is_some_and(|a| a.is_punct(':'))
+        && toks.get(i + 3).is_some_and(|a| a.is_ident("new"))
+}
+
+/// **v1**: the manifest and the policed `(crate, file, tokens)` agree —
+/// no raw `Mutex::new`, every `OrderedMutex::new` names a ranked lock
+/// with a string literal, every manifest entry is used, and no two
+/// entries share a rank.
+pub fn check_manifest<'a>(
+    files: impl IntoIterator<Item = Src<'a>>,
+    manifest: &BTreeMap<String, u16>,
+) -> Vec<Finding> {
+    let mut out = Vec::new();
+    let mut used_names = BTreeSet::new();
+    for (crate_name, file, lx) in files {
         let toks = &lx.tokens;
         for (i, t) in toks.iter().enumerate() {
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            let path_new = |name: &str| -> bool {
-                t.text == name
-                    && toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
-                    && toks.get(i + 2).is_some_and(|a| a.is_punct(':'))
-                    && toks.get(i + 3).is_some_and(|a| a.is_ident("new"))
-            };
-            if path_new("Mutex") && !lx.in_test(t.line) && !lx.allowed("lock", t.line) {
-                self.findings.push(Finding {
-                    rule: "lock",
-                    crate_name: crate_name.to_string(),
-                    file: file.to_string(),
-                    line: t.line,
-                    msg: "raw Mutex::new in a lock-order-policed crate (use she_core::OrderedMutex with a rank in audit-locks.toml)".to_string(),
-                });
+            let finding = |msg: String| Finding::new("lock", crate_name, file, t.line, msg);
+            if path_new(toks, i, "Mutex") && !lx.in_test(t.line) && !lx.allowed("lock", t.line) {
+                out.push(finding("raw Mutex::new in a lock-order-policed crate (use she_core::OrderedMutex with a rank in audit-locks.toml)".to_string()));
             }
             // Tests may construct OrderedMutexes with any manifest name
             // (e.g. to prove out-of-rank acquisition panics); only
             // non-test constructions bind the manifest.
-            if path_new("OrderedMutex") && !lx.in_test(t.line) {
-                match toks.get(i + 5) {
-                    Some(arg)
-                        if arg.kind == TokKind::Str
-                            && toks.get(i + 4).is_some_and(|a| a.is_punct('(')) =>
-                    {
-                        self.used_names.insert(arg.text.clone());
-                        // Unknown names are reported in finish(), where
-                        // the manifest is in hand.
-                        self.findings.push(Finding {
-                            rule: "lock",
-                            crate_name: crate_name.to_string(),
-                            file: file.to_string(),
-                            line: t.line,
-                            msg: format!("__name__:{}", arg.text),
-                        });
+            if !path_new(toks, i, "OrderedMutex") || lx.in_test(t.line) {
+                continue;
+            }
+            match toks.get(i + 5) {
+                Some(arg)
+                    if arg.kind == TokKind::Str
+                        && toks.get(i + 4).is_some_and(|a| a.is_punct('(')) =>
+                {
+                    used_names.insert(arg.text.clone());
+                    if !manifest.contains_key(&arg.text) {
+                        out.push(finding(format!(
+                            "OrderedMutex name \"{}\" has no rank in audit-locks.toml",
+                            arg.text
+                        )));
                     }
-                    _ => self.findings.push(Finding {
-                        rule: "lock",
-                        crate_name: crate_name.to_string(),
-                        file: file.to_string(),
-                        line: t.line,
-                        msg: "OrderedMutex::new without a string-literal name (the audit must be able to read the name statically)".to_string(),
-                    }),
                 }
-            }
-            if t.is_ident("lock")
-                && i > 0
-                && toks[i - 1].is_punct('.')
-                && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            {
-                self.sites.push(format!("{file}:{} — {crate_name}", t.line));
+                _ => out.push(finding("OrderedMutex::new without a string-literal name (the audit must be able to read the name statically)".to_string())),
             }
         }
     }
+    let manifest_finding = |msg: String| Finding::new("lock", "", "audit-locks.toml", 0, msg);
+    for name in manifest.keys().filter(|name| !used_names.contains(*name)) {
+        out.push(manifest_finding(format!(
+            "stale manifest entry: no OrderedMutex named \"{name}\" in the source tree"
+        )));
+    }
+    let mut by_rank: BTreeMap<u16, Vec<&String>> = BTreeMap::new();
+    for (name, rank) in manifest {
+        by_rank.entry(*rank).or_default().push(name);
+    }
+    for (rank, names) in by_rank.into_iter().filter(|(_, names)| names.len() > 1) {
+        out.push(manifest_finding(format!(
+            "duplicate rank {rank} for locks {names:?} (ranks must be a total order)"
+        )));
+    }
+    out
+}
 
-    /// Resolve name placeholders against the manifest and check the
-    /// manifest itself. Consumes the scan.
-    pub fn finish(self, manifest: &BTreeMap<String, u16>) -> (Vec<Finding>, Vec<String>) {
-        let mut out = Vec::new();
-        for f in self.findings {
-            if let Some(name) = f.msg.strip_prefix("__name__:") {
-                if !manifest.contains_key(name) {
-                    out.push(Finding {
-                        msg: format!(
-                            "OrderedMutex name \"{name}\" has no rank in audit-locks.toml"
-                        ),
-                        ..f
-                    });
-                }
-            } else {
-                out.push(f);
-            }
-        }
-        for name in manifest.keys() {
-            if !self.used_names.contains(name) {
-                out.push(Finding {
-                    rule: "lock",
-                    crate_name: String::new(),
-                    file: "audit-locks.toml".to_string(),
-                    line: 0,
-                    msg: format!(
-                        "stale manifest entry: no OrderedMutex named \"{name}\" in the source tree"
-                    ),
-                });
-            }
-        }
-        let mut by_rank: BTreeMap<u16, Vec<&String>> = BTreeMap::new();
-        for (name, rank) in manifest {
-            by_rank.entry(*rank).or_default().push(name);
-        }
-        for (rank, names) in by_rank {
-            if names.len() > 1 {
-                out.push(Finding {
-                    rule: "lock",
-                    crate_name: String::new(),
-                    file: "audit-locks.toml".to_string(),
-                    line: 0,
-                    msg: format!(
-                        "duplicate rank {rank} for locks {:?} (ranks must be a total order)",
-                        names
-                    ),
-                });
-            }
-        }
-        (out, self.sites)
+/// `file:line — crate` for every `.lock()` call site in the given files
+/// (tests included; the listing is for humans mapping the lock graph).
+pub fn lock_sites<'a>(files: impl IntoIterator<Item = Src<'a>>) -> Vec<String> {
+    let mut out = Vec::new();
+    for (crate_name, file, lx) in files {
+        let t = &lx.tokens;
+        let sites = (1..t.len()).filter(|&i| {
+            t[i].is_ident("lock")
+                && t[i - 1].is_punct('.')
+                && t.get(i + 1).is_some_and(|n| n.is_punct('('))
+        });
+        out.extend(sites.map(|i| format!("{file}:{} — {crate_name}", t[i].line)));
     }
+    out
 }
 
 /// One mined acquisition-order edge: lock `from` is held while `to` is
@@ -180,19 +157,13 @@ pub fn check_order(
     for (file, lx) in lexed {
         let toks = &lx.tokens;
         for (i, t) in toks.iter().enumerate() {
-            if !t.is_ident("OrderedMutex")
-                || !toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
-                || !toks.get(i + 2).is_some_and(|a| a.is_punct(':'))
-                || !toks.get(i + 3).is_some_and(|a| a.is_ident("new"))
+            if !path_new(toks, i, "OrderedMutex")
                 || !toks.get(i + 4).is_some_and(|a| a.is_punct('('))
                 || lx.in_test(t.line)
             {
                 continue;
             }
-            let Some(name_tok) = toks.get(i + 5) else { continue };
-            if name_tok.kind != TokKind::Str {
-                continue;
-            }
+            let Some(name) = toks.get(i + 5).filter(|n| n.kind == TokKind::Str) else { continue };
             // `field: OrderedMutex::new(..)` (struct literal) or
             // `let x = OrderedMutex::new(..)`.
             let struct_field = i >= 2
@@ -201,16 +172,11 @@ pub fn check_order(
                 && !(i >= 3 && toks[i - 3].is_punct(':'));
             let let_bind =
                 i >= 2 && toks[i - 1].is_punct('=') && toks[i - 2].kind == TokKind::Ident;
-            let bound =
-                if struct_field || let_bind { Some(toks[i - 2].text.clone()) } else { None };
-            if let Some(ident) = bound {
-                per_file
-                    .entry(file.as_str())
-                    .or_default()
-                    .entry(ident.clone())
-                    .or_default()
-                    .insert(name_tok.text.clone());
-                global.entry(ident).or_default().insert(name_tok.text.clone());
+            if struct_field || let_bind {
+                let ident = &toks[i - 2].text;
+                let in_file = per_file.entry(file.as_str()).or_default();
+                in_file.entry(ident.clone()).or_default().insert(name.text.clone());
+                global.entry(ident.clone()).or_default().insert(name.text.clone());
             }
         }
     }
@@ -227,75 +193,50 @@ pub fn check_order(
     // 2. Per-fn acquisitions with hold ranges.
     struct Acq {
         tok: usize,
+        line: u32,
         end: usize,
         names: BTreeSet<String>,
     }
-    let policed: Vec<usize> = graph
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.body.is_some() && lock_crates.iter().any(|c| c == &f.crate_name))
-        .map(|(i, _)| i)
-        .collect();
     let mut acqs: BTreeMap<usize, Vec<Acq>> = BTreeMap::new();
-    for &id in &policed {
-        let f = &graph.fns[id];
+    for (id, f) in graph.fns.iter().enumerate() {
+        let Some((_, body_hi)) = f.body.filter(|_| lock_crates.contains(&f.crate_name)) else {
+            continue;
+        };
         let Some(lx) = lexed.get(&f.file) else { continue };
-        let toks = &lx.tokens;
         let mut list = Vec::new();
         for call in &f.calls {
-            if call.name != "lock" || call.kind != crate::parse::CallKind::Method {
+            if call.name != "lock"
+                || call.kind != crate::parse::CallKind::Method
+                || lx.in_test(call.line)
+            {
                 continue;
             }
-            if lx.in_test(call.line) {
-                continue;
+            let names = call.qual.as_ref().map(|q| names_for(&f.file, q)).unwrap_or_default();
+            if !names.is_empty() {
+                let end = hold_end(lx, call, body_hi);
+                list.push(Acq { tok: call.tok, line: call.line, end, names });
             }
-            let Some(q) = &call.qual else { continue };
-            let names = names_for(&f.file, q);
-            if names.is_empty() {
-                continue;
-            }
-            let end = hold_end(toks, call, f.body.map(|(_, h)| h).unwrap_or(call.close));
-            list.push(Acq { tok: call.tok, end, names });
         }
         if !list.is_empty() {
             acqs.insert(id, list);
         }
     }
 
-    // 3. Transitive lock closure of each policed fn over confident edges.
-    fn closure(
-        graph: &crate::graph::CallGraph,
-        acqs: &BTreeMap<usize, Vec<Acq>>,
-        id: usize,
-        memo: &mut BTreeMap<usize, BTreeSet<String>>,
-        visiting: &mut BTreeSet<usize>,
-    ) -> BTreeSet<String> {
-        if let Some(s) = memo.get(&id) {
-            return s.clone();
-        }
-        if !visiting.insert(id) {
-            return BTreeSet::new(); // recursion cycle: stop
-        }
-        let mut out = BTreeSet::new();
-        if let Some(list) = acqs.get(&id) {
-            for a in list {
-                out.extend(a.names.iter().cloned());
-            }
-        }
-        let edges: Vec<usize> = graph.edges[id]
-            .iter()
-            .filter(|e| e.confident && !graph.fns[e.callee].is_spawn)
-            .map(|e| e.callee)
-            .collect();
-        for callee in edges {
-            out.extend(closure(graph, acqs, callee, memo, visiting));
-        }
-        visiting.remove(&id);
-        memo.insert(id, out.clone());
-        out
-    }
-    let mut memo = BTreeMap::new();
+    // 3. The locks a callee acquires, itself or down any chain of
+    //    confident calls — recursion cycles included.
+    let mut under: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
+    let mut locks_under = |callee: usize| -> BTreeSet<String> {
+        under
+            .entry(callee)
+            .or_insert_with(|| {
+                let reach = graph.reach(&[callee], true);
+                acqs.iter()
+                    .filter(|(id, _)| reach.reachable[**id])
+                    .flat_map(|(_, list)| list.iter().flat_map(|a| a.names.iter().cloned()))
+                    .collect()
+            })
+            .clone()
+    };
 
     // 4. Mine edges: nested acquisitions in the same fn, plus locks
     //    acquired by callees invoked while a lock is held.
@@ -303,50 +244,30 @@ pub fn check_order(
     for (&id, list) in &acqs {
         let f = &graph.fns[id];
         for a in list {
-            for b in list {
-                if a.tok < b.tok && b.tok <= a.end {
-                    for na in &a.names {
-                        for nb in &b.names {
-                            edges.insert(OrderEdge {
-                                from: na.clone(),
-                                to: nb.clone(),
-                                fn_qual: f.qual.clone(),
-                                file: f.file.clone(),
-                                line: graph.fns[id]
-                                    .calls
-                                    .iter()
-                                    .find(|c| c.tok == b.tok)
-                                    .map(|c| c.line)
-                                    .unwrap_or(f.line),
-                                via: None,
-                            });
-                        }
-                    }
+            // What is acquired while `a` is held: (names, line, callee).
+            let mut inner: Vec<(BTreeSet<String>, u32, Option<String>)> = list
+                .iter()
+                .filter(|b| a.tok < b.tok && b.tok <= a.end)
+                .map(|b| (b.names.clone(), b.line, None))
+                .collect();
+            for rc in graph.resolved[id].iter().filter(|rc| rc.confident) {
+                let call = &f.calls[rc.call];
+                if call.name != "lock" && a.tok < call.tok && call.tok <= a.end {
+                    inner.extend(rc.callees.iter().map(|&callee| {
+                        (locks_under(callee), call.line, Some(graph.fns[callee].qual.clone()))
+                    }));
                 }
             }
-            for rc in &graph.resolved[id] {
-                if !rc.confident {
-                    continue;
-                }
-                let call = &f.calls[rc.call];
-                if call.name == "lock" || call.tok <= a.tok || call.tok > a.end {
-                    continue;
-                }
-                for &callee in &rc.callees {
-                    let mut visiting = BTreeSet::new();
-                    let held = closure(graph, &acqs, callee, &mut memo, &mut visiting);
-                    for na in &a.names {
-                        for nb in &held {
-                            edges.insert(OrderEdge {
-                                from: na.clone(),
-                                to: nb.clone(),
-                                fn_qual: f.qual.clone(),
-                                file: f.file.clone(),
-                                line: call.line,
-                                via: Some(graph.fns[callee].qual.clone()),
-                            });
-                        }
-                    }
+            for (names, line, via) in inner {
+                for (na, nb) in a.names.iter().flat_map(|na| names.iter().map(move |nb| (na, nb))) {
+                    edges.insert(OrderEdge {
+                        from: na.clone(),
+                        to: nb.clone(),
+                        fn_qual: f.qual.clone(),
+                        file: f.file.clone(),
+                        line,
+                        via: via.clone(),
+                    });
                 }
             }
         }
@@ -360,28 +281,28 @@ pub fn check_order(
         };
         if ra >= rb {
             let via = e.via.as_deref().map(|v| format!(" via {v}")).unwrap_or_default();
-            out.push(Finding {
-                rule: "lock",
-                crate_name: String::new(),
-                file: e.file.clone(),
-                line: e.line,
-                msg: format!(
+            out.push(Finding::new(
+                "lock",
+                "",
+                &e.file,
+                e.line,
+                format!(
                     "acquisition-order edge \"{}\" (rank {ra}) → \"{}\" (rank {rb}) in \
                      {}{via} — ranks must strictly increase along every chain \
                      (reorder the acquisitions or re-rank audit-locks.toml)",
                     e.from, e.to, e.fn_qual
                 ),
-            });
+            ));
         }
     }
     if let Some(cycle) = find_cycle(&edges) {
-        out.push(Finding {
-            rule: "lock",
-            crate_name: String::new(),
-            file: "audit-locks.toml".to_string(),
-            line: 0,
-            msg: format!("lock acquisition cycle: {}", cycle.join(" → ")),
-        });
+        out.push(Finding::new(
+            "lock",
+            "",
+            "audit-locks.toml",
+            0,
+            format!("lock acquisition cycle: {}", cycle.join(" → ")),
+        ));
     }
     out
 }
@@ -389,7 +310,8 @@ pub fn check_order(
 /// End of the hold range for a `.lock()` call: a `let`-bound guard lives
 /// to its `drop(guard)` call or enclosing-block close; a temporary lives
 /// to the end of its statement.
-fn hold_end(t: &[crate::lexer::Token], call: &crate::parse::Call, body_hi: usize) -> usize {
+fn hold_end(lx: &Lexed, call: &crate::parse::Call, body_hi: usize) -> usize {
+    let t = &lx.tokens;
     // Statement start: scan back to the nearest `;`, `{`, or `}`.
     let mut s = call.tok;
     while s > 0 && !(t[s - 1].is_punct(';') || t[s - 1].is_punct('{') || t[s - 1].is_punct('}')) {
@@ -400,46 +322,23 @@ fn hold_end(t: &[crate::lexer::Token], call: &crate::parse::Call, body_hi: usize
         .and_then(|j| t.get(j + 1))
         .filter(|g| g.kind == TokKind::Ident)
         .map(|g| g.text.clone());
-    if let Some(g) = guard {
-        // Block close from the statement end, or an earlier `drop(g)`.
-        let mut depth = 0i32;
-        let mut j = call.close;
-        while j < body_hi {
-            if t[j].is_ident("drop")
-                && t.get(j + 1).is_some_and(|n| n.is_punct('('))
-                && t.get(j + 2).is_some_and(|n| n.is_ident(&g))
-            {
-                return j;
-            }
-            if t[j].is_punct('{') {
-                depth += 1;
-            } else if t[j].is_punct('}') {
-                if depth == 0 {
-                    return j;
-                }
-                depth -= 1;
-            }
-            j += 1;
-        }
-        body_hi
-    } else {
-        let mut depth = 0i32;
-        let mut j = call.close;
-        while j < body_hi {
-            if t[j].is_punct(';') && depth == 0 {
-                return j;
-            }
-            if t[j].is_punct('{') {
-                depth += 1;
-            } else if t[j].is_punct('}') {
-                if depth == 0 {
-                    return j;
-                }
-                depth -= 1;
-            }
-            j += 1;
-        }
-        body_hi
+    // The enclosing block's close — or, for a temporary, the statement's
+    // end — stepping over nested blocks.
+    let mut end = call.close;
+    while end < body_hi && !(t[end].is_punct('}') || guard.is_none() && t[end].is_punct(';')) {
+        end = if t[end].is_punct('{') { lx.partner[end] + 1 } else { end + 1 };
+    }
+    let end = end.min(body_hi);
+    match guard {
+        // A guard dropped early (`drop(g)`, in any nested block) ends there.
+        Some(g) => (call.close..end)
+            .find(|&j| {
+                t[j].is_ident("drop")
+                    && t.get(j + 1).is_some_and(|n| n.is_punct('('))
+                    && t.get(j + 2).is_some_and(|n| n.is_ident(&g))
+            })
+            .unwrap_or(end),
+        None => end,
     }
 }
 
@@ -447,53 +346,37 @@ fn hold_end(t: &[crate::lexer::Token], call: &crate::parse::Call, body_hi: usize
 /// sequence if any.
 fn find_cycle(edges: &BTreeSet<OrderEdge>) -> Option<Vec<String>> {
     let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for e in edges {
-        if e.from != e.to {
-            adj.entry(&e.from).or_default().insert(&e.to);
-        }
+    for e in edges.iter().filter(|e| e.from != e.to) {
+        adj.entry(&e.from).or_default().insert(&e.to);
     }
-    let succs = |n: &str| -> Vec<&str> {
-        adj.get(n).map(|s| s.iter().copied().collect()).unwrap_or_default()
-    };
-    let mut done: BTreeSet<&str> = BTreeSet::new();
-    let starts: Vec<&str> = adj.keys().copied().collect();
-    for start in starts {
-        if done.contains(start) {
-            continue;
-        }
-        let mut stack = vec![(start, succs(start))];
-        let mut path = vec![start];
-        let mut on_path: BTreeSet<&str> = [start].into_iter().collect();
-        while !stack.is_empty() {
-            let next = {
-                let last = stack.last_mut().expect("nonempty");
-                last.1.pop()
-            };
-            match next {
-                Some(next) if on_path.contains(next) => {
-                    let pos = path.iter().position(|&n| n == next).unwrap_or(0);
-                    let mut cyc: Vec<String> = path[pos..].iter().map(|s| s.to_string()).collect();
-                    cyc.push(next.to_string());
-                    return Some(cyc);
-                }
-                Some(next) if done.contains(next) => {}
-                Some(next) => {
-                    on_path.insert(next);
-                    path.push(next);
-                    stack.push((next, succs(next)));
-                }
-                None => {
-                    if let Some((n, _)) = stack.pop() {
-                        on_path.remove(n);
-                        path.pop();
-                        done.insert(n);
-                    }
+    fn dfs<'a>(
+        n: &'a str,
+        adj: &BTreeMap<&'a str, BTreeSet<&'a str>>,
+        path: &mut Vec<&'a str>,
+        done: &mut BTreeSet<&'a str>,
+    ) -> Option<Vec<String>> {
+        path.push(n);
+        for &next in adj.get(n).into_iter().flatten().rev() {
+            if let Some(pos) = path.iter().position(|&p| p == next) {
+                return Some(path[pos..].iter().chain([&next]).map(|s| s.to_string()).collect());
+            }
+            if !done.contains(next) {
+                if let Some(cycle) = dfs(next, adj, path, done) {
+                    return Some(cycle);
                 }
             }
         }
-        done.insert(start);
+        path.pop();
+        done.insert(n);
+        None
     }
-    None
+    let mut done = BTreeSet::new();
+    adj.keys().find_map(|&start| {
+        if done.contains(start) {
+            return None;
+        }
+        dfs(start, &adj, &mut Vec::new(), &mut done)
+    })
 }
 
 #[cfg(test)]
@@ -502,12 +385,13 @@ mod tests {
     use crate::lexer::lex;
 
     fn run(srcs: &[&str], manifest: &[(&str, u16)]) -> Vec<String> {
-        let mut scan = LockScan::default();
-        for (i, src) in srcs.iter().enumerate() {
-            scan.scan_file("c", &format!("f{i}.rs"), &lex(src));
-        }
+        let files: Vec<(String, Lexed)> =
+            srcs.iter().enumerate().map(|(i, src)| (format!("f{i}.rs"), lex(src))).collect();
         let m: BTreeMap<String, u16> = manifest.iter().map(|(n, r)| (n.to_string(), *r)).collect();
-        scan.finish(&m).0.into_iter().map(|f| f.msg).collect()
+        check_manifest(files.iter().map(|(f, lx)| ("c", f.as_str(), lx)), &m)
+            .into_iter()
+            .map(|f| f.msg)
+            .collect()
     }
 
     #[test]
@@ -557,9 +441,8 @@ mod tests {
 
     #[test]
     fn lock_sites_are_collected() {
-        let mut scan = LockScan::default();
-        scan.scan_file("c", "f.rs", &lex("fn f() { m.lock(); g.lock.poisoned; }"));
-        assert_eq!(scan.sites, ["f.rs:1 — c"]);
+        let lx = lex("fn f() { m.lock(); g.lock.poisoned; }");
+        assert_eq!(lock_sites([("c", "f.rs", &lx)]), ["f.rs:1 — c"]);
     }
 
     fn run_order(src: &str, manifest: &[(&str, u16)]) -> Vec<String> {

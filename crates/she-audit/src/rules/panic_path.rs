@@ -5,62 +5,100 @@
 //! style nit. Sites that are provably safe carry
 //! `// audit:allow(panic): <reason>` and are skipped (the reason is
 //! mandatory — a malformed annotation is itself a finding).
+//!
+//! Sites are split by reachability: one in a pinned crate whose
+//! enclosing fn a serving root reaches is filed as `panic-reachable`
+//! (hard, with the call chain); the rest stay `panic` (ratcheted).
 
-use crate::lexer::{Lexed, TokKind};
-use crate::rules::Finding;
+use std::io;
 
-/// Run the rule over one lexed non-test-only file.
-pub fn check(crate_name: &str, file: &str, lx: &Lexed) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let toks = &lx.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let what = match t.text.as_str() {
-            // Method calls: require a leading `.` so definitions and
-            // mentions (e.g. `Option::unwrap` in a doc path) don't fire,
-            // and a trailing `(` so field names don't.
-            "unwrap" | "expect" => {
-                let dotted = i > 0 && toks[i - 1].is_punct('.');
-                let called = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
-                if dotted && called {
-                    format!(".{}()", t.text)
-                } else {
-                    continue;
-                }
-            }
-            // Macros: `panic !` / `unreachable !`.
-            "panic" | "unreachable" => {
-                if toks.get(i + 1).is_some_and(|n| n.is_punct('!')) {
-                    format!("{}!", t.text)
-                } else {
-                    continue;
-                }
-            }
-            _ => continue,
-        };
-        if lx.in_test(t.line) || lx.allowed("panic", t.line) {
-            continue;
-        }
-        out.push(Finding {
-            rule: "panic",
-            crate_name: crate_name.to_string(),
-            file: file.to_string(),
-            line: t.line,
-            msg: format!("{what} in non-test code (annotate `// audit:allow(panic): <reason>` if provably safe)"),
-        });
+use crate::lexer::{TokKind, Token};
+use crate::rules::{scan_sites, Ctx, Finding, Gate, Rule, FINDINGS};
+
+pub(crate) struct Panic;
+
+impl Rule for Panic {
+    fn name(&self) -> &'static str {
+        "panic"
     }
-    out
+    fn description(&self) -> &'static str {
+        "panic sites in policed crates; those a serving root can reach (`panic-reachable`) are pinned at zero"
+    }
+    fn gate(&self) -> Gate {
+        Gate { hard: Some(("panic-reachable", "reachable-panic")), ratchet: Some(FINDINGS) }
+    }
+    fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
+        let mut out: Vec<Finding> = cx
+            .serving
+            .missing
+            .iter()
+            .map(|spec| {
+                Finding::new(
+                    "panic-reachable",
+                    "",
+                    "RuleConfig::serving_roots",
+                    0,
+                    format!(
+                        "configured serving root `{spec}` matches no fn in the workspace — the \
+                         reachable-panic split silently under-approximates without it"
+                    ),
+                )
+            })
+            .collect();
+        let (sites, _) = scan_sites(cx.policed("panic"), "panic", true, site, msg);
+        for site in sites {
+            let reached = cx
+                .graph
+                .fn_at(&site.file, site.line)
+                .filter(|&id| cx.serving.reach.reachable[id])
+                .filter(|_| cx.cfg.panic_pinned_crates.contains(&site.crate_name));
+            out.push(match reached {
+                Some(id) => Finding {
+                    rule: "panic-reachable",
+                    msg: format!(
+                        "{} — reachable from serving roots: {}",
+                        site.msg,
+                        cx.graph.chain_str(&cx.serving.reach, id)
+                    ),
+                    ..site
+                },
+                None => site,
+            });
+        }
+        Ok(out)
+    }
+}
+
+/// A panic site: `.unwrap()` / `.expect(` — a leading `.` so definitions
+/// and mentions (`Option::unwrap` in a doc path) don't fire, a trailing
+/// `(` so field names don't — or a `panic!` / `unreachable!` macro.
+fn site(toks: &[Token], i: usize) -> bool {
+    let t = &toks[i];
+    t.kind == TokKind::Ident
+        && match t.text.as_str() {
+            "unwrap" | "expect" => {
+                i > 0
+                    && toks[i - 1].is_punct('.')
+                    && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+            }
+            "panic" | "unreachable" => toks.get(i + 1).is_some_and(|n| n.is_punct('!')),
+            _ => false,
+        }
+}
+
+fn msg(toks: &[Token], i: usize) -> String {
+    let t = &toks[i].text;
+    let what = if t == "unwrap" || t == "expect" { format!(".{t}()") } else { format!("{t}!") };
+    format!("{what} in non-test code (annotate `// audit:allow(panic): <reason>` if provably safe)")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::rules::sites_in;
 
     fn findings(src: &str) -> Vec<(u32, String)> {
-        check("c", "f.rs", &lex(src)).into_iter().map(|f| (f.line, f.msg)).collect()
+        sites_in(src, "panic", site, msg).into_iter().map(|f| (f.line, f.msg)).collect()
     }
 
     #[test]

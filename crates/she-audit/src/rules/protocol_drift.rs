@@ -20,7 +20,24 @@ use std::io;
 use std::path::Path;
 
 use crate::lexer::{lex, TokKind};
-use crate::rules::Finding;
+use crate::rules::{Ctx, Finding, Gate, Rule};
+
+pub(crate) struct Protocol;
+
+impl Rule for Protocol {
+    fn name(&self) -> &'static str {
+        "protocol"
+    }
+    fn description(&self) -> &'static str {
+        "opcode constants vs `docs/PROTOCOL.md` drift"
+    }
+    fn gate(&self) -> Gate {
+        Gate { hard: Some(("protocol", "protocol-drift")), ratchet: None }
+    }
+    fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
+        cx.cfg.protocol.as_ref().map_or(Ok(Vec::new()), |(rs, md)| check(rs, md))
+    }
+}
 
 /// One opcode constant from `protocol.rs`.
 #[derive(Debug, Clone)]
@@ -43,12 +60,8 @@ pub fn check(rs: &Path, md: &Path) -> io::Result<Vec<Finding>> {
     let consts = parse_consts(&rs_text);
     let rows = parse_doc_rows(&md_text, &md_name, &mut out);
 
-    let finding = |file: &str, line: u32, msg: String| Finding {
-        rule: "protocol",
-        crate_name: "she-server".to_string(),
-        file: file.to_string(),
-        line,
-        msg,
+    let finding = |file: &str, line: u32, msg: String| {
+        Finding::new("protocol", "she-server", file, line, msg)
     };
 
     // Duplicate values on either side.
@@ -179,27 +192,21 @@ fn parse_doc_version(md: &str) -> Option<(u16, u32)> {
 /// strings, and cfg'd-out lookalikes in literals can't confuse it).
 fn parse_consts(src: &str) -> Vec<Op> {
     let lx = lex(src);
-    let toks = &lx.tokens;
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 6 < toks.len() {
-        let seq_ok = toks[i].is_ident("const")
-            && toks[i + 1].kind == TokKind::Ident
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].is_ident("u8")
-            && toks[i + 4].is_punct('=')
-            && toks[i + 5].kind == TokKind::Num
-            && toks[i + 6].is_punct(';');
-        if seq_ok {
-            if let Some(value) = parse_u8(&toks[i + 5].text) {
-                out.push(Op { name: toks[i + 1].text.clone(), value, line: toks[i + 1].line });
-            }
-            i += 7;
-        } else {
-            i += 1;
-        }
-    }
-    out
+    lx.tokens
+        .windows(7)
+        .filter(|w| {
+            w[0].is_ident("const")
+                && w[1].kind == TokKind::Ident
+                && w[2].is_punct(':')
+                && w[3].is_ident("u8")
+                && w[4].is_punct('=')
+                && w[5].kind == TokKind::Num
+                && w[6].is_punct(';')
+        })
+        .filter_map(|w| {
+            Some(Op { name: w[1].text.clone(), value: parse_u8(&w[5].text)?, line: w[1].line })
+        })
+        .collect()
 }
 
 fn parse_u8(num: &str) -> Option<u8> {
@@ -247,13 +254,13 @@ fn parse_doc_rows(md: &str, md_name: &str, out: &mut Vec<Finding>) -> Vec<DocRow
             continue; // header or separator row
         }
         let Some(value) = parse_u8(code) else {
-            out.push(Finding {
-                rule: "protocol",
-                crate_name: "she-server".to_string(),
-                file: md_name.to_string(),
-                line: lineno,
-                msg: format!("malformed opcode cell `{code}`"),
-            });
+            out.push(Finding::new(
+                "protocol",
+                "she-server",
+                md_name,
+                lineno,
+                format!("malformed opcode cell `{code}`"),
+            ));
             continue;
         };
         rows.push(DocRow {

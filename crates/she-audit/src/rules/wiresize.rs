@@ -26,12 +26,32 @@
 //! `// audit:allow(wiresize): <reason>`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::io;
 
 use crate::graph::CallGraph;
 use crate::lexer::{Lexed, TokKind, Token};
-use crate::rules::Finding;
+use crate::parse::scan_level;
+use crate::rules::{Ctx, Finding, Gate, Rule};
 
 const SINKS: [&str; 4] = ["with_capacity", "reserve", "resize", "resize_with"];
+
+pub(crate) struct WireSize;
+
+impl Rule for WireSize {
+    fn name(&self) -> &'static str {
+        "wiresize"
+    }
+    fn description(&self) -> &'static str {
+        "allocations sized by an unclamped wire-decoded length"
+    }
+    fn gate(&self) -> Gate {
+        Gate { hard: Some(("wiresize", "wire-size")), ratchet: None }
+    }
+    fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
+        let crates = cx.cfg.scope_of("wiresize");
+        Ok(check(cx.graph, cx.lexed, crates))
+    }
+}
 
 /// Per-ident taint state inside one fn.
 #[derive(Debug, Clone, Default)]
@@ -48,14 +68,9 @@ pub fn check(
     lexed: &BTreeMap<String, Lexed>,
     crates: &[String],
 ) -> Vec<Finding> {
-    let policed: Vec<usize> = graph
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.body.is_some() && crates.iter().any(|c| c == &f.crate_name))
-        .map(|(i, _)| i)
+    let policed: BTreeSet<usize> = (0..graph.fns.len())
+        .filter(|&i| graph.fns[i].body.is_some() && crates.contains(&graph.fns[i].crate_name))
         .collect();
-    let policed_set: BTreeSet<usize> = policed.iter().copied().collect();
 
     // Interprocedural fixpoint: parameter taint injected by callers.
     let mut pre: BTreeMap<usize, BTreeMap<String, String>> = BTreeMap::new();
@@ -86,7 +101,7 @@ pub fn check(
                 let hot = hot_expr(&lx.tokens, alo, ahi, &st, call.tok);
                 let Some(origin) = hot else { continue };
                 for &callee in &rc.callees {
-                    if !policed_set.contains(&callee) || graph.fns[callee].body.is_none() {
+                    if !policed.contains(&callee) {
                         continue;
                     }
                     let params = &graph.fns[callee].params;
@@ -127,71 +142,43 @@ fn hot_expr(t: &[Token], lo: usize, hi: usize, st: &FnTaint, at: usize) -> Optio
     if let Some(i) = find_decode(t, lo, hi) {
         return Some(format!("wire length decoded at line {}", t[i].line));
     }
-    for tok in &t[lo..hi.min(t.len())] {
-        if tok.kind != TokKind::Ident {
-            continue;
-        }
-        if let Some(origin) = st.tainted.get(&tok.text) {
-            let clamped = st.clamped.get(&tok.text).is_some_and(|&c| c < at);
-            if !clamped {
-                return Some(origin.clone());
-            }
-        }
-    }
-    None
+    t[lo..hi.min(t.len())].iter().filter(|x| x.kind == TokKind::Ident).find_map(|x| {
+        let clamped = st.clamped.get(&x.text).is_some_and(|&c| c < at);
+        st.tainted.get(&x.text).filter(|_| !clamped).cloned()
+    })
 }
 
 /// First numeric wire-decode call in the range: `.u32(` / `.u64(` /
 /// `u32::from_le_bytes(` / `u64::from_le_bytes(`.
 fn find_decode(t: &[Token], lo: usize, hi: usize) -> Option<usize> {
-    for i in lo..hi.min(t.len()) {
-        let tok = &t[i];
-        if tok.kind != TokKind::Ident {
-            continue;
-        }
-        let called = t.get(i + 1).is_some_and(|n| n.is_punct('('));
-        if !called {
-            continue;
-        }
-        match tok.text.as_str() {
-            "u32" | "u64" if i > lo && t[i - 1].is_punct('.') => return Some(i),
-            "from_le_bytes"
-                if i >= 3
-                    && t[i - 1].is_punct(':')
-                    && t[i - 2].is_punct(':')
-                    && (t[i - 3].is_ident("u32") || t[i - 3].is_ident("u64")) =>
-            {
-                return Some(i)
+    (lo..hi.min(t.len())).find(|&i| {
+        let called = t[i].kind == TokKind::Ident && t.get(i + 1).is_some_and(|n| n.is_punct('('));
+        called
+            && match t[i].text.as_str() {
+                "u32" | "u64" => i > lo && t[i - 1].is_punct('.'),
+                "from_le_bytes" => {
+                    i >= 3
+                        && t[i - 1].is_punct(':')
+                        && t[i - 2].is_punct(':')
+                        && (t[i - 3].is_ident("u32") || t[i - 3].is_ident("u64"))
+                }
+                _ => false,
             }
-            _ => {}
-        }
-    }
-    None
+    })
 }
 
 /// Does the range apply a clamp inline? (`.min(`, `clamp`, `MAX_*`,
 /// `*_CAP`, `*_LIMIT` idents, or a narrowing `as u16`/`as u8` cast.)
 fn expr_has_clamp(t: &[Token], lo: usize, hi: usize) -> bool {
-    for i in lo..hi.min(t.len()) {
-        let tok = &t[i];
-        if tok.kind != TokKind::Ident {
-            continue;
-        }
-        let s = tok.text.as_str();
-        if s == "min" && i > lo && t[i - 1].is_punct('.') {
-            return true;
-        }
-        if s == "clamp" {
-            return true;
-        }
-        if s.starts_with("MAX_") || s.ends_with("_CAP") || s.ends_with("_LIMIT") {
-            return true;
-        }
-        if (s == "u16" || s == "u8") && i > lo && t[i - 1].is_ident("as") {
-            return true;
-        }
-    }
-    false
+    (lo..hi.min(t.len())).filter(|&i| t[i].kind == TokKind::Ident).any(|i| {
+        let s = t[i].text.as_str();
+        (s == "min" && i > lo && t[i - 1].is_punct('.'))
+            || s == "clamp"
+            || s.starts_with("MAX_")
+            || s.ends_with("_CAP")
+            || s.ends_with("_LIMIT")
+            || ((s == "u16" || s == "u8") && i > lo && t[i - 1].is_ident("as"))
+    })
 }
 
 /// One pass of local taint analysis: `let` bindings propagate taint,
@@ -215,7 +202,7 @@ fn analyze_fn(
             let tok = &t[i];
             // `let x [: T] = RHS ;`
             if tok.is_ident("let") {
-                if let Some((name, rlo, rhi, next)) = let_binding(t, i, hi) {
+                if let Some((name, rlo, rhi, next)) = let_binding(lx, i, hi) {
                     let has_decode = find_decode(t, rlo, rhi).is_some();
                     let tainted_ident = (rlo..rhi.min(t.len())).find_map(|j| {
                         (t[j].kind == TokKind::Ident)
@@ -242,10 +229,10 @@ fn analyze_fn(
             }
             // Guard: `if <cond mentioning x with a comparator> { .. return .. }`
             if tok.is_ident("if") {
-                if let Some((clo, chi, blo, bhi)) = if_shape(t, i, hi) {
-                    let guards = guard_block_exits(t, blo, bhi);
-                    if guards && cond_has_comparator(t, clo, chi) {
-                        for ctok in &t[clo..chi] {
+                if let Some((clo, blo, bhi)) = if_shape(lx, i, hi) {
+                    let exits = t[blo..bhi].iter().any(|x| x.is_ident("return"));
+                    if exits && cond_has_comparator(t, clo, blo) {
+                        for ctok in &t[clo..blo] {
                             if ctok.kind == TokKind::Ident && st.tainted.contains_key(&ctok.text) {
                                 st.clamped.entry(ctok.text.clone()).or_insert(i);
                             }
@@ -261,7 +248,8 @@ fn analyze_fn(
 
 /// Parse `let [mut] name [: T] = RHS ;` at `i`. Returns
 /// `(name, rhs_lo, rhs_hi, resume_index)`.
-fn let_binding(t: &[Token], i: usize, hi: usize) -> Option<(String, usize, usize, usize)> {
+fn let_binding(lx: &Lexed, i: usize, hi: usize) -> Option<(String, usize, usize, usize)> {
+    let t = &lx.tokens;
     let mut j = i + 1;
     if j < hi && t[j].is_ident("mut") {
         j += 1;
@@ -271,98 +259,44 @@ fn let_binding(t: &[Token], i: usize, hi: usize) -> Option<(String, usize, usize
     }
     let name = t[j].text.clone();
     j += 1;
-    // Skip a `: Type` annotation.
+    // Skip a `: Type` annotation; a `;` anywhere in it means this is no
+    // plain binding.
     if j < hi && t[j].is_punct(':') && !(j + 1 < hi && t[j + 1].is_punct(':')) {
-        j += 1;
-        let mut d = 0i32;
-        while j < hi {
-            if t[j].is_punct('=') && d == 0 {
-                break;
-            }
-            match () {
-                _ if t[j].is_punct('<') || t[j].is_punct('(') || t[j].is_punct('[') => d += 1,
-                _ if t[j].is_punct('>') || t[j].is_punct(')') || t[j].is_punct(']') => d -= 1,
-                _ if t[j].is_punct(';') => return None,
-                _ => {}
-            }
-            j += 1;
+        let ty = j + 1;
+        j = scan_level(lx, ty, hi, true, |x| x.is_punct('=') || x.is_punct(';'));
+        if t[ty..j].iter().any(|x| x.is_punct(';')) {
+            return None;
         }
     }
     if j >= hi || !t[j].is_punct('=') {
         return None;
     }
-    let rlo = j + 1;
-    let mut d = 0i32;
-    let mut k = rlo;
-    while k < hi {
-        if t[k].is_punct(';') && d == 0 {
-            break;
-        }
-        match () {
-            _ if t[k].is_punct('(') || t[k].is_punct('[') || t[k].is_punct('{') => d += 1,
-            _ if t[k].is_punct(')') || t[k].is_punct(']') || t[k].is_punct('}') => d -= 1,
-            _ => {}
-        }
-        k += 1;
-    }
-    Some((name, rlo, k, k + 1))
+    let k = scan_level(lx, j + 1, hi, false, |x| x.is_punct(';'));
+    Some((name, j + 1, k, k + 1))
 }
 
-/// Shape of an `if`: condition range and block range.
-fn if_shape(t: &[Token], i: usize, hi: usize) -> Option<(usize, usize, usize, usize)> {
+/// Shape of an `if`: where its condition starts, and its block's open
+/// and close. A `;` before the block means the `if` sits in a shape
+/// this walk does not follow.
+fn if_shape(lx: &Lexed, i: usize, hi: usize) -> Option<(usize, usize, usize)> {
+    let t = &lx.tokens;
     let clo = i + 1;
-    let mut d = 0i32;
-    let mut j = clo;
-    while j < hi {
-        if t[j].is_punct('{') && d == 0 {
-            break;
-        }
-        match () {
-            _ if t[j].is_punct('(') || t[j].is_punct('[') => d += 1,
-            _ if t[j].is_punct(')') || t[j].is_punct(']') => d -= 1,
-            _ if t[j].is_punct(';') => return None,
-            _ => {}
-        }
-        j += 1;
-    }
-    if j >= hi {
+    let j = scan_level(lx, clo, hi, false, |x| x.is_punct('{') || x.is_punct(';'));
+    if j >= hi || !t[j].is_punct('{') || t[clo..j].iter().any(|x| x.is_punct(';')) {
         return None;
     }
-    let blo = j;
-    let mut depth = 0i32;
-    let mut k = blo;
-    while k < hi {
-        if t[k].is_punct('{') {
-            depth += 1;
-        } else if t[k].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return Some((clo, j, blo, k));
-            }
-        }
-        k += 1;
-    }
-    None
-}
-
-/// Does the guard body bail out (contain `return`)?
-fn guard_block_exits(t: &[Token], blo: usize, bhi: usize) -> bool {
-    (blo..bhi.min(t.len())).any(|j| t[j].is_ident("return"))
+    let bhi = lx.partner[j];
+    (bhi < hi).then_some((clo, j, bhi))
 }
 
 /// Does the condition compare (`<`, `>`, `==`, `!=`, `<=`, `>=`)?
 fn cond_has_comparator(t: &[Token], clo: usize, chi: usize) -> bool {
-    for j in clo..chi.min(t.len()) {
-        if t[j].is_punct('<') || t[j].is_punct('>') {
-            return true;
-        }
-        if (t[j].is_punct('!') || t[j].is_punct('='))
-            && t.get(j + 1).is_some_and(|n| n.is_punct('='))
-        {
-            return true;
-        }
-    }
-    false
+    (clo..chi.min(t.len())).any(|j| {
+        t[j].is_punct('<')
+            || t[j].is_punct('>')
+            || (t[j].is_punct('!') || t[j].is_punct('='))
+                && t.get(j + 1).is_some_and(|n| n.is_punct('='))
+    })
 }
 
 /// Emit findings for tainted, unclamped allocation sinks in one fn.
@@ -392,28 +326,16 @@ fn collect_sink_findings(
             && t.get(i + 1).is_some_and(|n| n.is_punct('!'))
             && t.get(i + 2).is_some_and(|n| n.is_punct('['))
         {
-            let mut d = 0i32;
-            let mut semi = None;
-            let mut close = None;
-            let mut j = i + 2;
-            while j < hi {
-                if t[j].is_punct('[') {
-                    d += 1;
-                } else if t[j].is_punct(']') {
-                    d -= 1;
-                    if d == 0 {
-                        close = Some(j);
-                        break;
-                    }
-                } else if t[j].is_punct(';') && d == 1 {
-                    semi = Some(j);
-                }
-                j += 1;
+            let close = lx.partner[i + 2];
+            if close >= hi {
+                i += 3;
+                continue;
             }
-            if let (Some(s), Some(c)) = (semi, close) {
-                sinks.push((i, s + 1, c, t[i].line, "vec![_; n]".to_string()));
+            let semi = scan_level(lx, i + 3, close, false, |x| x.is_punct(';'));
+            if semi < close {
+                sinks.push((i, semi + 1, close, t[i].line, "vec![_; n]".to_string()));
             }
-            i = close.map_or(i + 3, |c| c + 1);
+            i = close + 1;
             continue;
         }
         i += 1;
@@ -423,18 +345,18 @@ fn collect_sink_findings(
             continue;
         }
         if let Some(origin) = hot_expr(t, alo, ahi, st, tok) {
-            out.push(Finding {
-                rule: "wiresize",
-                crate_name: f.crate_name.clone(),
-                file: f.file.clone(),
+            out.push(Finding::new(
+                "wiresize",
+                &f.crate_name,
+                &f.file,
                 line,
-                msg: format!(
+                format!(
                     "`{label}` sized by an unclamped wire-decoded length in {} — {origin}; \
                      clamp it against MAX_FRAME/geometry before allocating (or annotate \
                      `// audit:allow(wiresize): <reason>`)",
                     f.qual
                 ),
-            });
+            ));
         }
     }
 }

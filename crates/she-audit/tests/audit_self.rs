@@ -3,7 +3,6 @@
 //! must trip the drift rule, and — the gate behind the gate — the real
 //! workspace must pass with a zero serving-path baseline.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -20,21 +19,15 @@ fn workspace_root() -> PathBuf {
 /// A config policing the fixture's `demo` crate with an empty ratchet
 /// and a one-entry lock manifest.
 fn demo_cfg() -> RuleConfig {
-    RuleConfig {
-        panic_crates: vec!["demo".into()],
-        cast_crates: vec!["demo".into()],
-        growth_crates: vec!["demo".into()],
-        lock_crates: vec!["demo".into()],
-        blocking_files: vec!["demo/src/lib.rs".into()],
+    let mut cfg = RuleConfig {
         blocking_roots: vec![("demo".into(), "reactor_loop".into())],
         serving_roots: vec![("demo".into(), "serve_loop".into())],
         panic_pinned_crates: vec!["demo".into()],
-        wiresize_crates: vec!["demo".into()],
-        unsafe_files: vec![],
         locks: [("listed".to_string(), 10u16)].into_iter().collect(),
-        ratchet: BTreeMap::new(),
-        protocol: None,
-    }
+        ..RuleConfig::policing("demo")
+    };
+    cfg.scope.insert("blocking", vec!["demo/src/lib.rs".into()]);
+    cfg
 }
 
 fn rules_fired(findings: &[Finding]) -> Vec<&'static str> {
@@ -103,7 +96,7 @@ fn known_bad_fixture_fires_every_rule() {
         "unsafe:",
     ] {
         assert!(
-            report.gate_failures.iter().any(|g| g.starts_with(rule)),
+            report.gate_failures.iter().any(|g| g.line.starts_with(rule)),
             "missing {rule} gate failure in {:?}",
             report.gate_failures
         );
@@ -127,7 +120,7 @@ fn unbanked_improvement_fails_the_gate() {
     let report = audit(&fixture("known-good"), &cfg).expect("audit runs");
     assert!(!report.ok());
     assert!(
-        report.gate_failures.iter().any(|g| g.contains("tighten audit-ratchet.toml")),
+        report.gate_failures.iter().any(|g| g.line.contains("tighten audit-ratchet.toml")),
         "expected shrink failure, got {:?}",
         report.gate_failures
     );
@@ -147,23 +140,12 @@ fn protocol_audit(label: &str, mutate: impl Fn(String, String) -> (String, Strin
     fs::write(dir.join("PROTOCOL.md"), md).expect("write md");
 
     let cfg = RuleConfig {
-        panic_crates: vec![],
-        cast_crates: vec![],
-        growth_crates: vec![],
-        lock_crates: vec![],
-        blocking_files: vec![],
-        blocking_roots: vec![],
-        serving_roots: vec![],
-        panic_pinned_crates: vec![],
-        wiresize_crates: vec![],
-        unsafe_files: vec![],
-        locks: BTreeMap::new(),
-        ratchet: BTreeMap::new(),
         protocol: Some((dir.join("protocol.rs"), dir.join("PROTOCOL.md"))),
+        ..RuleConfig::default()
     };
     let report = audit(&dir, &cfg).expect("audit runs");
     fs::remove_dir_all(&dir).ok();
-    report.gate_failures
+    report.gate_failures.into_iter().map(|g| g.line).collect()
 }
 
 #[test]
@@ -253,7 +235,7 @@ fn real_workspace_is_clean() {
     let cfg = RuleConfig::for_workspace(&root).expect("manifests parse");
     let report = audit(&root, &cfg).expect("audit runs");
     assert!(report.ok(), "the workspace fails its own audit: {:?}", report.gate_failures);
-    for crate_name in ["she-server", "she-replica"] {
+    for crate_name in ["she-server", "she-replica", "she-cluster", "she-readpath"] {
         let n = report.findings.iter().filter(|f| f.crate_name == crate_name).count();
         assert_eq!(n, 0, "{crate_name} must stay at a zero finding baseline");
     }

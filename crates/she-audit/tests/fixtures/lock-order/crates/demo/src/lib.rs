@@ -3,6 +3,8 @@
 //! `forwards` nests in increasing rank (fine), `backwards` inverts it
 //! (an acquisition-order finding), and `caller` reaches the inversion
 //! through a helper so the edge must be mined across fn boundaries.
+//! `ping` and `pong` call each other and only `ping` locks: the two
+//! holders reach that lock from either side of the recursion cycle.
 
 use she_core::OrderedMutex;
 
@@ -37,4 +39,25 @@ pub fn caller(p: &Pair) -> u32 {
 
 fn tail(p: &Pair) -> u32 {
     *p.first.lock()
+}
+
+fn ping(p: &Pair, n: u32) -> u32 {
+    if n == 0 {
+        return *p.first.lock();
+    }
+    pong(p, n - 1)
+}
+
+fn pong(p: &Pair, n: u32) -> u32 {
+    ping(p, n)
+}
+
+pub fn holds_then_pings(p: &Pair) -> u32 {
+    let hi = p.second.lock();
+    ping(p, 1) + *hi
+}
+
+pub fn holds_then_pongs(p: &Pair) -> u32 {
+    let hi = p.second.lock();
+    pong(p, 1) + *hi
 }

@@ -109,3 +109,19 @@ fn lock_order_inversion_is_mined_within_and_across_fns() {
         "cross-fn inversion missed: {findings:?}"
     );
 }
+
+/// A callee inside a recursion cycle acquires everything the cycle
+/// acquires: `pong` only calls `ping`, which locks `outer`, so holding
+/// `inner` across `pong` inverts the ranks just as holding it across
+/// `ping` does — whichever holder the miner meets first.
+#[test]
+fn lock_order_sees_locks_from_either_side_of_a_recursion_cycle() {
+    let (g, lexed) = load("lock-order");
+    let manifest: BTreeMap<String, u16> =
+        [("outer".to_string(), 10u16), ("inner".to_string(), 20u16)].into_iter().collect();
+    let findings =
+        she_audit::rules::lock_order::check_order(&g, &lexed, &["demo".to_string()], &manifest);
+    for holder in ["in holds_then_pings via ping", "in holds_then_pongs via pong"] {
+        assert!(findings.iter().any(|f| f.msg.contains(holder)), "{holder} missed: {findings:?}");
+    }
+}

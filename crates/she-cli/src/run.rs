@@ -88,8 +88,8 @@ COMMANDS
   shutdown     ask a running server to drain and stop
                --addr HOST:PORT
   audit        run the workspace static-analysis gate (docs/ANALYSIS.md),
-               rules panic, cast, growth, lock, blocking, wiresize,
-               unsafe, protocol, allow
+               rules allow, panic, cast, growth, blocking, lock, wiresize,
+               unsafe, protocol
                --root DIR (workspace root, default .) --list-locks yes
                --json yes (the report as JSON) --rule NAME (run one rule)
 
@@ -554,6 +554,14 @@ fn audit(a: &Args) -> Result<(), CliError> {
     let cfg = she_audit::RuleConfig::for_workspace(&root).map_err(|e| fail(e.to_string()))?;
     let rule = a.get("rule", "");
     let opts = she_audit::AuditOptions { rule: (!rule.is_empty()).then_some(rule) };
+    if a.get("list-locks", "no") == "yes" && a.get("json", "no") != "yes" {
+        let sites = she_audit::lock_sites(&root, &cfg).map_err(|e| fail(e.to_string()))?;
+        println!("{} lock() site(s):", sites.len());
+        for site in &sites {
+            println!("  {site}");
+        }
+        return Ok(());
+    }
     let report = she_audit::audit_with(&root, &cfg, &opts).map_err(|e| fail(e.to_string()))?;
     if a.get("json", "no") == "yes" {
         println!("{}", report.to_json());
@@ -562,13 +570,6 @@ fn audit(a: &Args) -> Result<(), CliError> {
         } else {
             Err(fail(format!("she audit: {} gate failure(s)", report.gate_failures.len())))
         };
-    }
-    if a.get("list-locks", "no") == "yes" {
-        println!("{} lock() site(s):", report.lock_sites.len());
-        for site in &report.lock_sites {
-            println!("  {site}");
-        }
-        return Ok(());
     }
     let g = &report.graph_stats;
     println!(
@@ -590,7 +591,7 @@ fn audit(a: &Args) -> Result<(), CliError> {
         eprintln!("{f}");
     }
     for g in &report.gate_failures {
-        eprintln!("audit gate: {g}");
+        eprintln!("audit gate: {}", g.line);
     }
     Err(fail(format!("she audit: {} gate failure(s)", report.gate_failures.len())))
 }
@@ -982,6 +983,37 @@ mod tests {
                 .collect();
             assert_eq!(documented, &allowed, "USAGE's `{command}` block vs the flags it accepts");
         }
+    }
+
+    #[test]
+    fn usage_and_analysis_md_list_exactly_the_registered_audit_rules() {
+        let registered: Vec<&str> = she_audit::RULES.iter().map(|r| r.name()).collect();
+        let audit = USAGE.split("\n  audit ").nth(1).expect("USAGE has an audit block");
+        let list = audit.split("rules ").nth(1).and_then(|l| l.split("--").next());
+        let listed: Vec<&str> = list.expect("a rule list").split(',').map(str::trim).collect();
+        assert_eq!(listed, registered, "USAGE's `audit` rules vs RULES");
+
+        // One catalogue row per rule, in order: name, gate class, description.
+        let doc = include_str!("../../../docs/ANALYSIS.md");
+        let catalogue = doc.split("## Rule catalogue").nth(1).expect("ANALYSIS.md has a catalogue");
+        let rows: Vec<Vec<&str>> = catalogue
+            .lines()
+            .take_while(|l| !l.starts_with("## "))
+            .filter(|l| l.starts_with("| `"))
+            .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
+            .collect();
+        let expected: Vec<Vec<String>> = she_audit::RULES
+            .iter()
+            .map(|r| {
+                let class = match (r.gate().hard, r.gate().ratchet) {
+                    (Some(_), Some(_)) => "mixed",
+                    (Some(_), None) => "**hard**",
+                    (None, _) => "ratcheted",
+                };
+                vec![format!("`{}`", r.name()), class.to_string(), r.description().to_string()]
+            })
+            .collect();
+        assert_eq!(rows, expected, "ANALYSIS.md's rule catalogue vs RULES");
     }
 
     #[test]

@@ -425,50 +425,22 @@ impl Monitor {
         Some(Slot { cell, stop: slot_stop, thread: Some(thread) })
     }
 
-    /// Run the deterministic election and install every changed
-    /// partition *this node* is responsible for: promotions of its own
-    /// replica slots (rewriting the map entry with the promoted server's
-    /// real address — only the winner knows it) and replica-set repairs
-    /// of partitions it already serves as primary. Losers converge by
-    /// hearing the winner's map through gossip.
+    /// Run the deterministic election and install what [`local_election`]
+    /// hands this node: a promotion takes the slot's replica (none yet
+    /// bootstrapped means retry next round) and promotes it, keeping it
+    /// running; only the winner knows the promoted server's real address.
+    /// Losers converge by hearing the winner's map through gossip.
     fn elect_and_install(&mut self, alive: &BTreeSet<u64>) {
-        let my_id = self.cfg.node_id;
         let cur = self.directory.get();
-        let Some(cand) = cur.elect(alive) else { return };
-        let mut next = cur.clone();
-        let mut installed = false;
-        for p in 0..cand.partitions.len() {
-            if cand.partitions[p] == cur.partitions[p]
-                || cand.partitions[p].primary.node_id != my_id
-            {
-                continue;
-            }
-            if cur.partitions[p].primary.node_id == my_id {
-                // Already this partition's primary: install the repaired
-                // replica set as-is.
-                next.partitions[p] = cand.partitions[p].clone();
-                installed = true;
-                continue;
-            }
-            // A promotion: take the local replica out of its slot. Not
-            // bootstrapped yet means retry next round — the candidate is
-            // a pure function of (map, alive), so it will reappear.
-            let taken = match self.slots.get(&p) {
-                Some(slot) => slot.cell.lock().take(),
-                None => None,
-            };
-            let Some(mut replica) = taken else { continue };
+        let (slots, promoted) = (&self.slots, &mut self.promoted);
+        let next = local_election(&cur, alive, self.cfg.node_id, |p| {
+            let mut replica = slots.get(&p)?.cell.lock().take()?;
             let addr = replica.promote();
             // audit:allow(growth): bounded by the partition count
-            self.promoted.push(replica);
-            next.partitions[p] = PartitionMap {
-                primary: NodeRef { node_id: my_id, addr: addr.to_string() },
-                replicas: cand.partitions[p].replicas.clone(),
-            };
-            installed = true;
-        }
-        if installed {
-            next.epoch = cur.epoch + 1;
+            promoted.push(replica);
+            Some(addr.to_string())
+        });
+        if let Some(next) = next {
             self.directory.observe(&next);
         }
     }
@@ -483,6 +455,44 @@ impl Monitor {
             replica.join();
         }
     }
+}
+
+/// One node's step of the failover election, network-free: elect from
+/// `view` and `alive`, and install every changed partition `my_id` is
+/// responsible for — replica-set repairs of partitions it already serves
+/// as-is, promotions with the address `promote(partition)` returns. A
+/// promotion `promote` cannot make yet (`None`) is skipped: the candidate
+/// is a pure function of (map, alive), so it reappears next round.
+/// Returns the epoch+1 map, or `None` when nothing changed here.
+fn local_election(
+    view: &ClusterMap,
+    alive: &BTreeSet<u64>,
+    my_id: u64,
+    mut promote: impl FnMut(usize) -> Option<String>,
+) -> Option<ClusterMap> {
+    let cand = view.elect(alive)?;
+    let mut next = view.clone();
+    let mut installed = false;
+    for (p, pm) in cand.partitions.iter().enumerate() {
+        if *pm == view.partitions[p] || pm.primary.node_id != my_id {
+            continue;
+        }
+        if view.partitions[p].primary.node_id == my_id {
+            next.partitions[p] = pm.clone();
+        } else if let Some(addr) = promote(p) {
+            next.partitions[p] = PartitionMap {
+                primary: NodeRef { node_id: my_id, addr },
+                replicas: pm.replicas.clone(),
+            };
+        } else {
+            continue;
+        }
+        installed = true;
+    }
+    installed.then(|| {
+        next.epoch = view.epoch + 1;
+        next
+    })
 }
 
 /// Stop one slot: cancel its bootstrap thread, then shut down whatever
@@ -662,37 +672,12 @@ mod tests {
         }
     }
 
-    /// What one node's monitor does with an election, network-free: the
-    /// exact rule [`Monitor::elect_and_install`] applies — install every
-    /// changed partition this node is responsible for, promotions with
-    /// this node's (simulated) promoted address, replica-set repairs of
-    /// partitions it already serves as-is.
+    /// What one node's monitor does with an election: the production
+    /// [`local_election`] step, every promotion succeeding at a synthetic
+    /// address.
     fn apply_local_election(view: &ClusterMap, my_id: u64, alive: &BTreeSet<u64>) -> ClusterMap {
-        let Some(cand) = view.elect(alive) else {
-            return view.clone();
-        };
-        let mut next = view.clone();
-        let mut installed = false;
-        for (p, pm) in cand.partitions.iter().enumerate() {
-            if *pm == view.partitions[p] || pm.primary.node_id != my_id {
-                continue;
-            }
-            if view.partitions[p].primary.node_id == my_id {
-                next.partitions[p] = pm.clone();
-            } else {
-                next.partitions[p] = PartitionMap {
-                    primary: NodeRef { node_id: my_id, addr: format!("promoted-{my_id}-p{p}") },
-                    replicas: pm.replicas.clone(),
-                };
-            }
-            installed = true;
-        }
-        if installed {
-            next.epoch = view.epoch + 1;
-            next
-        } else {
-            view.clone()
-        }
+        local_election(view, alive, my_id, |p| Some(format!("promoted-{my_id}-p{p}")))
+            .unwrap_or_else(|| view.clone())
     }
 
     /// One convergence run: random heartbeat losses, each followed by

@@ -17,13 +17,11 @@
 
 use crate::repl::Tail;
 use crate::server::Shared;
-use crate::worker::Job;
 use she_core::sharded::{DirectEngine, EngineConfig, ShardEngine};
 use she_metrics::ReadpathCounters;
 use she_readpath::{ReadPath, ReadPathConfig};
 use std::io;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,27 +74,13 @@ pub(crate) fn run_refresher(shared: &Shared, rp: &ReadPath) {
     }
 }
 
-/// Rebuild the mirror from an exact cut: snapshot jobs enqueued under
-/// the log lock (so `seq` names precisely the state they capture), then
+/// Rebuild the mirror from the shard snapshots at an exact op-log cut,
 /// each frame loaded into the mirror (which drops every cached answer).
 /// Returns the cut sequence, or `None` when the workers are gone.
 fn resync(shared: &Shared, rp: &ReadPath) -> Option<u64> {
-    let log = shared.log.as_ref()?;
-    let mut rxs = Vec::with_capacity(shared.txs.len());
-    let mut wedged = false;
-    let seq = log.cut(|| {
-        for tx in &shared.txs {
-            let (reply, rx) = sync_channel(1);
-            wedged |= tx.send(Job::Snapshot { reply }).is_err();
-            rxs.push(rx);
-        }
-    });
-    if wedged {
-        return None;
-    }
-    for (shard, rx) in rxs.into_iter().enumerate() {
-        let frame = rx.recv().ok()?;
-        if rp.load(shard, &frame, false).is_err() {
+    let (seq, frames) = shared.cut_snapshots()?;
+    for (shard, frame) in frames.iter().enumerate() {
+        if rp.load(shard, frame, false).is_err() {
             // A same-config snapshot cannot fail to load; if it somehow
             // does, at least drop the cache so nothing stale is served.
             rp.invalidate_all();

@@ -373,17 +373,12 @@ impl Shared {
         }
     }
 
-    /// Capture a bootstrap package: snapshot jobs enqueued under the log
-    /// lock (an exact cut), answers collected outside it.
-    fn bootstrap(&self) -> Response {
-        if let Some(primary) = self.write_refusal() {
-            return Response::NotPrimary { primary };
-        }
-        let Some(log) = &self.log else {
-            return Response::Err(
-                "replication is disabled on this server (serve with --repl-log N)".to_string(),
-            );
-        };
+    /// Snapshot every shard at an exact op-log cut: the snapshot jobs are
+    /// enqueued under the log lock, so `seq` names precisely the state the
+    /// frames capture; the replies are collected outside it, in shard
+    /// order. `None` without an op log, or when the workers are gone.
+    pub(crate) fn cut_snapshots(&self) -> Option<(u64, Vec<Vec<u8>>)> {
+        let log = self.log.as_ref()?;
         let mut rxs = Vec::with_capacity(self.txs.len());
         let mut wedged = false;
         let seq = log.cut(|| {
@@ -394,10 +389,23 @@ impl Shared {
             }
         });
         if wedged {
-            return shutting_down();
+            return None;
         }
-        let shards: Option<Vec<Vec<u8>>> = rxs.into_iter().map(|rx| rx.recv().ok()).collect();
-        let Some(shards) = shards else {
+        let frames = rxs.into_iter().map(|rx| rx.recv().ok()).collect::<Option<Vec<_>>>()?;
+        Some((seq, frames))
+    }
+
+    /// Capture a bootstrap package: the shard snapshots at an exact cut.
+    fn bootstrap(&self) -> Response {
+        if let Some(primary) = self.write_refusal() {
+            return Response::NotPrimary { primary };
+        }
+        if self.log.is_none() {
+            return Response::Err(
+                "replication is disabled on this server (serve with --repl-log N)".to_string(),
+            );
+        }
+        let Some((seq, shards)) = self.cut_snapshots() else {
             return shutting_down();
         };
         let checkpoint = Checkpoint { cfg: self.engine, shards }.encode();
