@@ -1,6 +1,6 @@
-//! Audit configuration: which crates each rule polices, the lock-rank
-//! manifest, and the ratchet baseline — plus the tiny TOML-subset parser
-//! that reads the two committed manifest files.
+//! Audit configuration: which crates each rule polices, the reactor
+//! roots and the lock-rank manifest — plus the tiny TOML-subset parser
+//! that reads the committed manifest.
 //!
 //! The subset is deliberately small: `[section]` headers, `key = value`
 //! lines (values: bare integers or quoted strings), `#` comments, blank
@@ -9,9 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
-
-use crate::rules::RULES;
+use std::path::Path;
 
 /// Everything the rule engine needs to know beyond the source tree.
 #[derive(Debug, Clone, Default)]
@@ -19,39 +17,22 @@ pub struct RuleConfig {
     /// What each rule polices, keyed by its registered name. An entry is
     /// a crate name or a workspace-relative path suffix naming one file:
     /// `blocking`'s files are the legacy reactor-path files its root set
-    /// must keep covering, `unsafe`'s the boundary where annotated
-    /// `unsafe` is allowed (it scans every file).
+    /// must keep covering.
     pub scope: BTreeMap<&'static str, Vec<String>>,
     /// `(crate, qualified-fn)` roots of the reactor path: the poll loop,
     /// the inline dispatch arm, and the `QUERY_FAST` handlers. Blocking
     /// sinks reachable from these are hard findings with the chain.
     pub blocking_roots: Vec<(String, String)>,
-    /// Additional `(crate, qualified-fn)` serving roots for the
-    /// reachable-panic split (worker loops, feed threads, refreshers) —
-    /// the blocking roots and every spawn closure in a pinned crate are
-    /// added automatically.
-    pub serving_roots: Vec<(String, String)>,
-    /// Crates whose reachable-from-serving panic sites are pinned at
-    /// zero (hard), with spawn closures auto-rooted as serving entry
-    /// points. Unreachable sites in these crates stay ratcheted.
-    pub panic_pinned_crates: Vec<String>,
     /// Named lock ranks from `audit-locks.toml` (name → rank).
     pub locks: BTreeMap<String, u16>,
-    /// Ratchet baseline from `audit-ratchet.toml`: `"rule/crate"` → count.
-    /// Crates absent from the map have an implicit baseline of zero.
-    pub ratchet: BTreeMap<String, u64>,
-    /// Protocol-drift inputs: (path to protocol.rs, path to PROTOCOL.md).
-    /// `None` disables the rule (used by fixture self-tests for other rules).
-    pub protocol: Option<(PathBuf, PathBuf)>,
 }
 
 impl RuleConfig {
     /// The repo's production configuration, anchored at the workspace
-    /// root. Reads both manifests; missing manifest files are an error —
-    /// the gate must not silently run unratcheted.
+    /// root. A missing `audit-locks.toml` is an error — the lock rule
+    /// must not silently run without its manifest.
     pub fn for_workspace(root: &Path) -> io::Result<Self> {
         let locks_doc = parse_toml_file(&root.join("audit-locks.toml"))?;
-        let ratchet_doc = parse_toml_file(&root.join("audit-ratchet.toml"))?;
 
         let mut locks = BTreeMap::new();
         for ((section, key), value) in &locks_doc {
@@ -66,19 +47,6 @@ impl RuleConfig {
             locks.insert(key.clone(), rank);
         }
 
-        let mut ratchet = BTreeMap::new();
-        for ((section, key), value) in &ratchet_doc {
-            if !RULES.iter().any(|r| r.name() == section && r.gate().ratchet.is_some()) {
-                return Err(bad(format!("audit-ratchet.toml: unknown section [{section}]")));
-            }
-            let Value::Int(n) = value else {
-                return Err(bad(format!("audit-ratchet.toml: {section}.{key} must be an integer")));
-            };
-            let n = u64::try_from(*n)
-                .map_err(|_| bad(format!("audit-ratchet.toml: {section}.{key} is negative")))?;
-            ratchet.insert(format!("{section}/{key}"), n);
-        }
-
         // Every rule polices the serving crates; some reach further.
         let serving = ["she-server", "she-replica", "she-cluster", "she-readpath"];
         let and = |more: &[&str]| serving.iter().chain(more).map(|c| c.to_string()).collect();
@@ -86,13 +54,10 @@ impl RuleConfig {
         let spec = |krate: &str, qual: &str| (krate.to_string(), qual.to_string());
         Ok(RuleConfig {
             scope: BTreeMap::from([
-                ("panic", and(&["she-core", "she-chaos", "she-cli"])),
-                ("cast", and(&["she-core", "she-sketch"])),
                 ("growth", and(&["she-core"])),
                 ("lock", and(&["she-core", "she-chaos"])),
                 ("blocking", paths(&["reactor.rs", "conn.rs", "sys.rs"])),
                 ("wiresize", and(&["she-core"])),
-                ("unsafe", paths(&["sys.rs"])),
             ]),
             blocking_roots: vec![
                 spec("she-server", "Reactor::run"),
@@ -100,27 +65,14 @@ impl RuleConfig {
                 spec("she-server", "Shared::handle_inline"),
                 spec("she-readpath", "ReadPath::query"),
             ],
-            serving_roots: vec![
-                spec("she-server", "Shared::handle"),
-                spec("she-server", "run_worker"),
-                spec("she-replica", "run_tail"),
-                spec("she-cluster", "Monitor::run"),
-            ],
-            panic_pinned_crates: serving.map(String::from).to_vec(),
             locks,
-            ratchet,
-            protocol: Some((
-                root.join("crates/she-server/src/protocol.rs"),
-                root.join("docs/PROTOCOL.md"),
-            )),
         })
     }
 
-    /// Every crate-scoped rule policing `krate` alone: no roots, pinned
-    /// crates, locks, baselines, or protocol inputs — the starting point
-    /// of a fixture's configuration.
+    /// Every crate-scoped rule policing `krate` alone, with no roots or
+    /// locks — the starting point of a fixture's configuration.
     pub fn policing(krate: &str) -> Self {
-        let scope = ["panic", "cast", "growth", "lock", "wiresize"];
+        let scope = ["growth", "lock", "wiresize"];
         RuleConfig {
             scope: scope.into_iter().map(|rule| (rule, vec![krate.to_string()])).collect(),
             ..RuleConfig::default()

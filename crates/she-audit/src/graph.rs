@@ -59,7 +59,6 @@ pub struct CallGraph {
     /// Per-fn resolution results, parallel to `fns[i].calls` subsets.
     pub resolved: Vec<Vec<ResolvedCall>>,
     pub unresolved_calls: usize,
-    by_file: BTreeMap<String, Vec<usize>>,
 }
 
 /// BFS reachability with parent links for chain printing.
@@ -93,9 +92,7 @@ impl CallGraph {
         let mut typed: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
         let mut trait_decl: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
         let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        let mut by_file: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
-            by_file.entry(f.file.clone()).or_default().push(i);
             if f.is_spawn {
                 continue;
             }
@@ -189,7 +186,7 @@ impl CallGraph {
             );
         }
 
-        CallGraph { fns, edges, resolved, unresolved_calls: unresolved, by_file }
+        CallGraph { fns, edges, resolved, unresolved_calls: unresolved }
     }
 
     pub fn stats(&self, roots: usize) -> GraphStats {
@@ -218,16 +215,6 @@ impl CallGraph {
         ids.sort_unstable();
         ids.dedup();
         (ids, missing)
-    }
-
-    /// Every synthetic spawn-closure node in the given crates.
-    pub fn spawn_nodes(&self, crates: &[String]) -> Vec<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_spawn && crates.iter().any(|c| c == &f.crate_name))
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// BFS from `roots`; `confident_only` restricts traversal to
@@ -273,24 +260,12 @@ impl CallGraph {
         chain.reverse();
         chain.join(" → ")
     }
-
-    /// Innermost fn containing `line` of `file` (by item line span).
-    pub fn fn_at(&self, file: &str, line: u32) -> Option<usize> {
-        let ids = self.by_file.get(file)?;
-        ids.iter()
-            .copied()
-            .filter(|&i| {
-                let (lo, hi) = self.fns[i].body_lines;
-                lo <= line && line <= hi
-            })
-            .min_by_key(|&i| {
-                let (lo, hi) = self.fns[i].body_lines;
-                hi - lo
-            })
-    }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the symbol tables `build` assembles, passed once to the one resolver"
+)]
 fn resolve_call(
     fns: &[FnDef],
     caller: &FnDef,
@@ -461,9 +436,9 @@ mod tests {
         let serve = idx(&g, "serve");
         let r = g.reach(&[serve], false);
         assert!(!r.reachable[idx(&g, "worker")], "spawned work not reachable from spawner");
-        let spawns = g.spawn_nodes(&["a".to_string()]);
-        assert_eq!(spawns.len(), 1);
-        let r2 = g.reach(&spawns, false);
+        let spawn = idx(&g, "serve::<spawn@1>");
+        assert!(g.fns[spawn].is_spawn);
+        let r2 = g.reach(&[spawn], false);
         assert!(r2.reachable[idx(&g, "sink")], "spawn roots reach their closure's callees");
         assert_eq!(g.chain_str(&r2, idx(&g, "sink")), "serve::<spawn@1> → worker → sink");
     }
@@ -485,13 +460,5 @@ mod tests {
         ]);
         assert_eq!(ids.len(), 1);
         assert_eq!(missing, ["a::ghost"]);
-    }
-
-    #[test]
-    fn fn_at_picks_innermost() {
-        let src = "fn outer() {\n fn inner() {\n  x();\n }\n}\n";
-        let g = graph(&[("a", "a/src/lib.rs", src)]);
-        let id = g.fn_at("a/src/lib.rs", 3).unwrap();
-        assert_eq!(g.fns[id].qual, "inner");
     }
 }

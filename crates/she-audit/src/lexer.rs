@@ -2,7 +2,7 @@
 //! the audit rules to be sound: comments (line, nested block), string and
 //! byte-string literals (escaped and raw, any `#` depth), `'a'` char
 //! literals vs `'a` lifetimes, raw identifiers, and numeric literals kept
-//! verbatim (the protocol-drift rule reads `0xE4`-style values).
+//! verbatim (`0xE4`, `16_384`).
 //!
 //! Beyond tokens, lexing extracts the file-level structure the rules
 //! need:

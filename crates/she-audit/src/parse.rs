@@ -72,8 +72,6 @@ pub struct FnDef {
     pub ret_tys: Vec<String>,
     /// Token range `(open_brace, close_brace)` of the body, if any.
     pub body: Option<(usize, usize)>,
-    /// Line span of the whole item, for enclosing-fn lookups.
-    pub body_lines: (u32, u32),
     pub calls: Vec<Call>,
 }
 
@@ -314,11 +312,10 @@ impl Parser<'_> {
         while k < hi && !t[k].is_punct('{') && !t[k].is_punct(';') {
             k += 1;
         }
-        let (body, next, end_line) = if k < hi && t[k].is_punct('{') {
-            let close = partner[k];
-            (Some((k, close)), close + 1, t[close].line)
+        let (body, next) = if k < hi && t[k].is_punct('{') {
+            (Some((k, partner[k])), partner[k] + 1)
         } else {
-            (None, k + 1, t[at].line)
+            (None, k + 1)
         };
         let qual = match (ctx.self_ty, ctx.trait_name) {
             (Some(ty), _) => format!("{ty}::{name}"),
@@ -338,7 +335,6 @@ impl Parser<'_> {
             params,
             ret_tys,
             body,
-            body_lines: (t[at].line, end_line),
             ..FnDef::default()
         };
         Some((def, next))
@@ -447,7 +443,6 @@ fn carve_spawns(lx: &Lexed, items: &mut FileItems) {
                     qual: format!("{}::<spawn@{}>", f.qual, t[i].line),
                     is_spawn: true,
                     body: Some((i + 1, close)),
-                    body_lines: (t[i].line, t[close].line),
                     ..FnDef::default()
                 });
                 i = close + 1;

@@ -17,14 +17,14 @@
 //! A reachable site that must block deliberately — e.g. handing a
 //! connection off to a dedicated thread — carries
 //! `// audit:allow(blocking): <reason>` naming the thread that actually
-//! blocks. Findings are a hard gate failure, not ratcheted.
+//! blocks. Any finding fails the gate.
 
 use std::collections::BTreeMap;
 use std::io;
 
 use crate::graph::{CallGraph, Reach};
 use crate::lexer::Lexed;
-use crate::rules::{Ctx, Finding, Gate, Rule};
+use crate::rules::{Ctx, Finding, Rule};
 
 pub(crate) struct Blocking;
 
@@ -35,8 +35,8 @@ impl Rule for Blocking {
     fn description(&self) -> &'static str {
         "blocking syscall wrappers reachable from the reactor roots"
     }
-    fn gate(&self) -> Gate {
-        Gate { hard: Some(("blocking", "blocking-io")), ratchet: None }
+    fn label(&self) -> &'static str {
+        "blocking-io"
     }
     fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
         let legacy = cx.cfg.scope_of("blocking");

@@ -6,14 +6,13 @@
 //! within a few lines of the growth site, or carry
 //! `// audit:allow(growth): <reason>` stating the bound.
 //!
-//! The rule is a heuristic and is ratcheted: sites whose bound lives
-//! further away than the scan window are banked in `audit-ratchet.toml`
-//! or annotated, and the committed count can only shrink.
+//! The rule is a heuristic: a site whose bound lives further away than
+//! the scan window is annotated with that bound.
 
 use std::io;
 
-use crate::lexer::{TokKind, Token};
-use crate::rules::{scan_sites, Ctx, Finding, Gate, Rule, FINDINGS};
+use crate::lexer::{Lexed, TokKind, Token};
+use crate::rules::{Ctx, Finding, Rule};
 
 /// Method names that grow a collection.
 const GROWERS: [&str; 6] =
@@ -49,12 +48,29 @@ impl Rule for Growth {
     fn description(&self) -> &'static str {
         "unbounded collection growth on the serving path"
     }
-    fn gate(&self) -> Gate {
-        Gate { hard: None, ratchet: Some(FINDINGS) }
+    fn label(&self) -> &'static str {
+        "unbounded-growth"
     }
     fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
-        Ok(scan_sites(cx.policed("growth"), "growth", true, site, msg).0)
+        let mut out = Vec::new();
+        for (krate, path, lx) in cx.policed("growth") {
+            for (line, msg) in sites(lx) {
+                out.push(Finding::new("growth", krate, path, line, msg));
+            }
+        }
+        Ok(out)
     }
+}
+
+/// Every growth site outside test code and `audit:allow(growth)`
+/// annotations, as `(line, message)`.
+fn sites(lx: &Lexed) -> Vec<(u32, String)> {
+    let toks = &lx.tokens;
+    (0..toks.len())
+        .filter(|&i| site(toks, i))
+        .filter(|&i| !lx.in_test(toks[i].line) && !lx.allowed("growth", toks[i].line))
+        .map(|i| (toks[i].line, msg(toks, i)))
+        .collect()
 }
 
 /// A growth call — `.push(` and friends; a fn named `push` or a bare path
@@ -89,10 +105,10 @@ fn msg(toks: &[Token], i: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::sites_in;
+    use crate::lexer::lex;
 
     fn lines(src: &str) -> Vec<u32> {
-        sites_in(src, "growth", site, msg).into_iter().map(|f| f.line).collect()
+        sites(&lex(src)).into_iter().map(|(line, _)| line).collect()
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 
 use crate::lexer::{Lexed, TokKind, Token};
-use crate::rules::{Ctx, Finding, Gate, Rule, Src};
+use crate::rules::{Ctx, Finding, Rule, Src};
 
 pub(crate) struct Lock;
 
@@ -31,8 +31,8 @@ impl Rule for Lock {
     fn description(&self) -> &'static str {
         "unranked mutexes, manifest drift, and acquisition-order inversions"
     }
-    fn gate(&self) -> Gate {
-        Gate { hard: Some(("lock", "lock-order")), ratchet: None }
+    fn label(&self) -> &'static str {
+        "lock-order"
     }
     fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
         let mut out = check_manifest(cx.policed("lock"), &cx.cfg.locks);

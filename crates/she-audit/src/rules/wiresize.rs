@@ -31,7 +31,7 @@ use std::io;
 use crate::graph::CallGraph;
 use crate::lexer::{Lexed, TokKind, Token};
 use crate::parse::scan_level;
-use crate::rules::{Ctx, Finding, Gate, Rule};
+use crate::rules::{Ctx, Finding, Rule};
 
 const SINKS: [&str; 4] = ["with_capacity", "reserve", "resize", "resize_with"];
 
@@ -44,8 +44,8 @@ impl Rule for WireSize {
     fn description(&self) -> &'static str {
         "allocations sized by an unclamped wire-decoded length"
     }
-    fn gate(&self) -> Gate {
-        Gate { hard: Some(("wiresize", "wire-size")), ratchet: None }
+    fn label(&self) -> &'static str {
+        "wire-size"
     }
     fn check(&self, cx: &Ctx) -> io::Result<Vec<Finding>> {
         let crates = cx.cfg.scope_of("wiresize");

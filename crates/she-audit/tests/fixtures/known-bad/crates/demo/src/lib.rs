@@ -4,18 +4,6 @@
 
 use std::sync::Mutex;
 
-pub fn first(v: &[u32]) -> u32 {
-    *v.first().unwrap()
-}
-
-pub fn last(v: &[u32]) -> u32 {
-    *v.last().expect("non-empty")
-}
-
-pub fn low_half(x: u64) -> u32 {
-    x as u32
-}
-
 pub fn raw_lock() -> Mutex<u32> {
     Mutex::new(0)
 }
@@ -24,24 +12,21 @@ pub fn ghost_lock() {
     let _m = she_core::OrderedMutex::new("ghost", 0u8);
 }
 
-// audit:allow(panic)
-pub fn malformed_allow_above() {
-    panic!("the allow above has no reason, so it is itself a finding");
-}
+// audit:allow(growth)
+pub fn malformed_allow_above() {}
 
-pub fn boom() -> ! {
-    unreachable!("unannotated")
-}
+// audit:allow(panik): names no registered rule, so it excuses nothing
+pub fn unknown_allow_above() {}
 
 pub fn hoard(log: &mut Vec<u32>, x: u32) {
     log.push(x);
 }
 
 pub fn stall_the_reactor(s: &mut std::net::TcpStream, buf: &mut [u8]) {
-    s.read_exact(buf).unwrap();
+    let _ = s.read_exact(buf);
 }
 
-// ---- v2 reachability violations ----
+// ---- reachability violations ----
 
 /// Blocking root (`demo_cfg().blocking_roots`): reaches the blocking
 /// `read_exact` through a helper, so the finding must carry the chain.
@@ -49,20 +34,8 @@ pub fn reactor_loop(s: &mut std::net::TcpStream, buf: &mut [u8]) {
     stall_the_reactor(s, buf);
 }
 
-/// Serving root (`demo_cfg().serving_roots`): reaches `first`'s unwrap,
-/// which must reclassify from the ratcheted `panic` rule to the hard
-/// `panic-reachable` rule.
-pub fn serve_loop(v: &[u32]) -> u32 {
-    first(v)
-}
-
 /// Allocation sized straight off a decoded wire length, never clamped.
 pub fn inflate(r: &mut Reader) -> Vec<u8> {
     let n = r.u64() as usize;
     Vec::with_capacity(n)
-}
-
-/// `unsafe` outside the audited boundary file set.
-pub fn poke(p: *const u8) -> u8 {
-    unsafe { *p }
 }

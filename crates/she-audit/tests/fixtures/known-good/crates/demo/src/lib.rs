@@ -1,25 +1,15 @@
 //! Rule-clean fixture. Never compiled — only lexed by
 //! `tests/audit_self.rs`, which asserts the audit reports zero findings
-//! here: checked conversions instead of casts, a ranked OrderedMutex
-//! instead of a raw mutex, a properly-annotated allow, and unwraps only
-//! inside test code.
+//! here: a ranked OrderedMutex instead of a raw mutex, bounded or
+//! properly-annotated growth, and a clamped wire length.
 
 pub fn first(v: &[u32]) -> Option<u32> {
     v.first().copied()
 }
 
-pub fn low_half(x: u64) -> u32 {
-    u32::try_from(x & 0xFFFF_FFFF).unwrap_or(u32::MAX)
-}
-
 pub fn ranked_lock() -> u32 {
     let m = she_core::OrderedMutex::new("listed", 7u32);
     *m.lock()
-}
-
-pub fn annotated() -> u32 {
-    // audit:allow(panic): fixture exercising a well-formed allow
-    [1u32].first().copied().unwrap()
 }
 
 pub fn bounded_log(log: &mut Vec<u32>, x: u32, cap: usize) {
@@ -41,18 +31,12 @@ pub fn hand_off(s: &mut std::net::TcpStream, out: &[u8]) -> std::io::Result<()> 
     s.write_all(out)
 }
 
-// ---- v2 reachability counterparts ----
+// ---- reachability counterparts ----
 
 /// Blocking root (`demo_cfg().blocking_roots`): exists (a missing root
-/// is itself a finding), reaches only panic-free, non-blocking code,
-/// and covers the legacy `blocking_files` entry for this file.
+/// is itself a finding), reaches only non-blocking code, and covers the
+/// legacy `blocking_files` entry for this file.
 pub fn reactor_loop(v: &[u32]) -> Option<u32> {
-    first(v)
-}
-
-/// Serving root (`demo_cfg().serving_roots`): same, for the
-/// reachable-panic split.
-pub fn serve_loop(v: &[u32]) -> Option<u32> {
     first(v)
 }
 
@@ -63,14 +47,13 @@ pub fn inflate(r: &mut Reader, cap: usize) -> Vec<u8> {
 }
 
 // A string mentioning Mutex::new must not confuse the lexer:
-pub const DOC: &str = "call Mutex::new(0) and x as u32 here";
+pub const DOC: &str = "call Mutex::new(0) and log.push(x) here";
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwraps_in_tests_are_fine() {
-        assert_eq!(super::first(&[3]).unwrap(), 3);
-        let v: u32 = u32::try_from(5u64).unwrap();
-        assert_eq!(v, 5);
+    fn growth_in_tests_is_fine() {
+        let mut v = Vec::new();
+        v.push(super::first(&[3]));
     }
 }

@@ -63,7 +63,7 @@ fn spawn_closure_is_a_detached_synthetic_node() {
     assert!(r.reachable[idx(&g, "foreground")], "inline work stays attributed");
     assert!(!r.reachable[idx(&g, "background")], "spawned work must not taint the spawner");
 
-    let spawns = g.spawn_nodes(&["alpha".to_string()]);
+    let spawns: Vec<usize> = (0..g.fns.len()).filter(|&i| g.fns[i].is_spawn).collect();
     assert_eq!(spawns.len(), 1, "one synthetic spawn node");
     let r2 = g.reach(&spawns, false);
     assert!(r2.reachable[idx(&g, "background")], "the spawn node roots its closure");

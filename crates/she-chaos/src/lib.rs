@@ -31,6 +31,14 @@
 //!   scatter-gather re-routing must keep answers bit-for-bit identical
 //!   to a single-engine mirror.
 
+// No panic outside tests: a panic on the serving path kills a shard
+// worker or a connection. A deliberate one carries
+// `#[expect(<lint>, reason = "…")]` stating why it cannot fire.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod drill;
 pub mod fault;
 pub mod fs;

@@ -3,6 +3,14 @@
 //! The list of subcommands, their flags and the exit codes is
 //! [`run::USAGE`], which `she help` prints; nothing repeats it here.
 
+// No panic outside tests: a panic on the serving path kills a shard
+// worker or a connection. A deliberate one carries
+// `#[expect(<lint>, reason = "…")]` stating why it cannot fire.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 mod args;
 mod run;
 

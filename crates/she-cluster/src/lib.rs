@@ -45,6 +45,16 @@
 //! the delta replays from the source's op log until the destination has
 //! caught the head.
 
+// No panic and no silent truncation outside tests: a panic on the
+// serving path kills a shard worker or a connection, a truncated length
+// corrupts data. A deliberate exception carries
+// `#[expect(<lint>, reason = "…")]` stating why it cannot fire.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use she_core::OrderedMutex;
 use she_replica::{Replica, ReplicaConfig};
 use she_server::codec::read_frame;

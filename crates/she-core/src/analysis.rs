@@ -29,6 +29,10 @@ pub fn max_group_count(epsilon: f64, alpha: f64, c: u64, h: usize) -> usize {
     assert!(epsilon > 0.0);
     // E(G) is increasing in G throughout the useful regime (G ≤ (1+α)CH),
     // so binary-search the threshold.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates; (1+α)·C·H is an update count far below usize::MAX"
+    )]
     let updates = ((1.0 + alpha) * c as f64 * h as f64) as usize;
     let (mut lo, mut hi) = (1usize, updates.max(2));
     if expected_unswept_groups(hi, alpha, c, h) <= epsilon {
@@ -52,6 +56,10 @@ pub fn max_group_count(epsilon: f64, alpha: f64, c: u64, h: usize) -> usize {
 ///
 /// where `Q = (1 − 1/M)^{C·H}` is the per-cycle zero-bit retention base
 /// (`M` filter bits, `C` window cardinality, `H` hash functions).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "h is the hash count, a handful, far below i32::MAX"
+)]
 pub fn she_bf_fpr(q: f64, r: f64, h: usize) -> f64 {
     assert!(q > 0.0 && q < 1.0, "Q must be in (0,1), got {q}");
     assert!(r > 0.0);

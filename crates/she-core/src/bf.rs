@@ -83,6 +83,10 @@ impl SheBloomFilterBuilder {
     /// Build the filter.
     pub fn build(self) -> SheBloomFilter {
         let m = self.memory_bits.max(self.group_cells);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "lossless on 64-bit targets; the window is a count of items the engine holds in memory"
+        )]
         let alpha = self.alpha.unwrap_or_else(|| {
             // Eq. 2 with the conservative all-distinct window C = N.
             analysis::optimal_alpha_bf(m, self.k, self.window as usize)

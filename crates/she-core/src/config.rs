@@ -89,6 +89,10 @@ impl SheConfigBuilder {
 
     /// Resolve into a validated [`SheConfig`].
     pub fn build(self) -> SheConfig {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "float-to-int `as` saturates; (1+α)·N is a cycle length in items"
+        )]
         let t_cycle = ((self.window as f64) * (1.0 + self.alpha)).round() as u64;
         let cfg = SheConfig {
             window: self.window,

@@ -1,14 +1,14 @@
 //! Checked integer conversions and fixed-slice readers for the serving
-//! path. The `she audit` cast rule bans narrowing `as` casts in the
-//! serving crates, and the panic-path rule bans `.unwrap()` — these
-//! helpers are the blessed replacements: every conversion either cannot
-//! fail by construction or returns the failure to the caller.
+//! path. The serving crates deny `clippy::cast_possible_truncation` and
+//! `clippy::unwrap_used` at their crate roots — these helpers are the
+//! blessed replacements: every conversion either cannot fail by
+//! construction or returns the failure to the caller.
 
 /// Widen a `usize` to `u64`. On every supported target `usize` is at
 /// most 64 bits, so this is lossless; spelled as a helper (not `as`) so
-/// audited code never needs a cast.
+/// linted code never needs a cast.
 pub fn u64_of(n: usize) -> u64 {
-    u64::try_from(n).unwrap_or(u64::MAX) // audit:allow(cast): lossless on <=64-bit targets; saturation is unreachable
+    u64::try_from(n).unwrap_or(u64::MAX)
 }
 
 /// Narrow a `u64` to `usize`, saturating at `usize::MAX`. Callers that

@@ -117,6 +117,10 @@ impl SheCountSketch {
 
     /// Estimated frequency of `key` within the sliding window: the median
     /// of the sign-corrected legal counters.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`peek_cell(..) as u32`: the cell holds a 32-bit two's-complement counter in its low bits"
+    )]
     pub fn query<K: HashKey + ?Sized>(&mut self, key: &K) -> i64 {
         let beta_n = self.engine.config().beta * self.engine.config().window as f64;
         let mut scratch = std::mem::take(&mut self.scratch);

@@ -183,6 +183,10 @@ impl<S: CsmSpec> She<S> {
             cfg.group_cells
         );
         let g = m.div_ceil(cfg.group_cells);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "gid < g, so Tcycle·gid/g is below Tcycle and fits u64"
+        )]
         let neg_offsets: Vec<u64> =
             (0..g).map(|gid| ((cfg.t_cycle as u128 * gid as u128) / g as u128) as u64).collect();
         let cells = PackedArray::new(m, spec.cell_bits());

@@ -243,10 +243,10 @@ impl FrameWriter {
         assert!(len.is_ok(), "section exceeds u32 length");
         let next = self.sections.checked_add(1);
         assert!(next.is_some(), "too many sections");
-        self.sections = next.unwrap_or(u16::MAX); // audit:allow(panic): asserted Some above
+        self.sections = next.unwrap_or(u16::MAX);
         self.buf.reserve(6 + payload.len());
         self.buf.extend_from_slice(&tag.to_le_bytes());
-        self.buf.extend_from_slice(&len.unwrap_or(u32::MAX).to_le_bytes()); // audit:allow(panic): asserted Ok above
+        self.buf.extend_from_slice(&len.unwrap_or(u32::MAX).to_le_bytes());
         self.buf.extend_from_slice(payload);
     }
 

@@ -149,6 +149,7 @@ impl SheHyperLogLog {
         let mut legal = Vec::new();
         self.engine.for_each_group(|g| {
             if (g.age() as f64) >= lo && (g.age() as f64) <= hi {
+                // audit:allow(growth): at most M registers — the groups partition the M-cell array
                 legal.extend(g.cells());
             }
         });

@@ -64,7 +64,10 @@ mod ranks {
     pub(super) fn rank_of(name: &'static str) -> u16 {
         match table().get(name) {
             Some(&rank) => rank,
-            // audit:allow(panic): debug-only; an unregistered lock name is a build bug the first test run must surface
+            #[expect(
+                clippy::panic,
+                reason = "debug-only; an unregistered lock name is a build bug the first test run must surface"
+            )]
             None => panic!("OrderedMutex name {name:?} has no rank in audit-locks.toml"),
         }
     }
@@ -80,8 +83,11 @@ mod ranks {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(&(top_rank, top_name)) = held.last() {
+                #[expect(
+                    clippy::panic,
+                    reason = "debug-only; this panic IS the feature — a lock-order inversion must abort the test deterministically"
+                )]
                 if rank <= top_rank {
-                    // audit:allow(panic): debug-only; this panic IS the feature — a lock-order inversion must abort the test deterministically
                     panic!(
                         "lock-order violation: acquiring {name:?} (rank {rank}) while holding {top_name:?} (rank {top_rank}); ranks must strictly increase — see audit-locks.toml"
                     );
@@ -159,10 +165,12 @@ impl<'a, T> OrderedGuard<'a, T> {
     /// blocked, so it cannot acquire anything else meanwhile, and on
     /// wake it holds the same lock again.
     pub fn wait_timeout(mut self, cvar: &Condvar, dur: Duration) -> (Self, bool) {
-        let guard = self.guard.take().unwrap_or_else(
-            // audit:allow(panic): guard is Some for every reachable caller — only wait_timeout itself takes it, and it always restores
-            || unreachable!("OrderedGuard inner guard taken"),
-        );
+        #[expect(
+            clippy::unreachable,
+            reason = "guard is Some for every reachable caller — only wait_timeout itself takes it, and it always restores"
+        )]
+        let guard =
+            self.guard.take().unwrap_or_else(|| unreachable!("OrderedGuard inner guard taken"));
         let (guard, result) = match cvar.wait_timeout(guard, dur) {
             Ok((g, r)) => (g, r.timed_out()),
             Err(poisoned) => {
@@ -181,7 +189,7 @@ impl<'a, T> Deref for OrderedGuard<'a, T> {
     fn deref(&self) -> &T {
         match &self.guard {
             Some(g) => g,
-            // audit:allow(panic): structurally impossible — see wait_timeout
+            #[expect(clippy::unreachable, reason = "structurally impossible — see wait_timeout")]
             None => unreachable!("OrderedGuard dereferenced while empty"),
         }
     }
@@ -191,7 +199,7 @@ impl<'a, T> DerefMut for OrderedGuard<'a, T> {
     fn deref_mut(&mut self) -> &mut T {
         match &mut self.guard {
             Some(g) => g,
-            // audit:allow(panic): structurally impossible — see wait_timeout
+            #[expect(clippy::unreachable, reason = "structurally impossible — see wait_timeout")]
             None => unreachable!("OrderedGuard dereferenced while empty"),
         }
     }

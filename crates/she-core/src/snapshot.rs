@@ -185,6 +185,10 @@ impl<S: CsmSpec> She<S> {
         sec.extend_from_slice(&cfg.beta.to_le_bytes());
         sec.extend_from_slice(&(self.spec().num_cells() as u64).to_le_bytes());
         sec.extend_from_slice(&self.spec().cell_bits().to_le_bytes());
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "k is the hash count, far below u32::MAX"
+        )]
         sec.extend_from_slice(&(self.spec().k() as u32).to_le_bytes());
         w.section(frame::tag::CONFIG, &sec);
 
@@ -232,6 +236,10 @@ impl<S: CsmSpec> She<S> {
         if r.f64()?.to_bits() != cfg.beta.to_bits() {
             return Err(SnapshotError::ConfigMismatch { field: "beta" });
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "k is the hash count, far below u32::MAX"
+        )]
         if r.u64()? != self.spec().num_cells() as u64
             || r.u32()? != self.spec().cell_bits()
             || r.u32()? != self.spec().k() as u32
@@ -248,6 +256,10 @@ impl<S: CsmSpec> She<S> {
         }
 
         let mut r = Reader::new(section(frame::tag::MARKS)?);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "lossless on 64-bit targets; checked against num_groups() before use"
+        )]
         let n_marks = r.u64()? as usize;
         if n_marks != self.num_groups() {
             return Err(SnapshotError::GeometryMismatch);
@@ -264,6 +276,10 @@ impl<S: CsmSpec> She<S> {
         }
 
         let mut r = Reader::new(section(frame::tag::CELLS)?);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "lossless on 64-bit targets; checked against the cell array's word count before use"
+        )]
         let n_words = r.u64()? as usize;
         {
             let (_, _, cells) = self.snapshot_state();

@@ -60,6 +60,10 @@ impl<S: CsmSpec> SoftClock<S> {
     /// Total cells the cleaner should have cleaned by time `t`:
     /// `floor(t · M / Tcycle)`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a cleaned-cell count: reaching 2^64 takes 2^64·Tcycle/M ticks of a clock that advances per item"
+    )]
     fn target_count(&self, t: u64) -> u64 {
         ((t as u128 * self.cells.len() as u128) / self.cfg.t_cycle as u128) as u64
     }
@@ -75,6 +79,10 @@ impl<S: CsmSpec> SoftClock<S> {
             self.cells.clear();
         } else {
             for j in self.cleaned + 1..=target {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "the index is below m, the cell array's usize length"
+                )]
                 self.cells.set(((j - 1) % m) as usize, 0);
             }
         }
@@ -114,6 +122,10 @@ impl<S: CsmSpec> SoftClock<S> {
         let j = c - (c - i1) % m;
         // Count j is reached at the earliest time s with floor(s·m/Tc) ≥ j.
         let tc = self.cfg.t_cycle as u128;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "j ≤ floor(t·m/Tcycle), so ⌈j·Tcycle/m⌉ ≤ t fits u64"
+        )]
         let s = (j as u128 * tc).div_ceil(m as u128) as u64;
         self.t.saturating_sub(s)
     }

@@ -25,6 +25,16 @@
 //! [`ReadpathCounters`], and tracks the
 //! op-log sequence it has applied so callers can wait for quiescence.
 
+// No panic and no silent truncation outside tests: a panic on the
+// serving path kills a shard worker or a connection, a truncated length
+// corrupts data. A deliberate exception carries
+// `#[expect(<lint>, reason = "…")]` stating why it cannot fire.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 mod cache;
 
 pub use cache::{Lookup, MarkCache};

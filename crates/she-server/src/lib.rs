@@ -37,10 +37,15 @@
 //! * [`backoff`] — capped exponential backoff with jitter, shared by the
 //!   client's retry loop and the replica's reconnects.
 
-// The serving path must never truncate a length or a count silently:
-// `she audit`'s cast rule holds this crate at a zero baseline, and the
-// compiler enforces the same contract on every new cast.
+// No panic and no silent truncation outside tests: a panic on the
+// serving path kills a shard worker or a connection, a truncated length
+// corrupts data. A deliberate exception carries
+// `#[expect(<lint>, reason = "…")]` stating why it cannot fire.
 #![deny(clippy::cast_possible_truncation)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 pub mod backoff;
 pub mod client;

@@ -55,47 +55,61 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// sits well under [`MAX_FRAME`].
 pub const MAX_BATCH: usize = ((1 << 20) - 6) / 8;
 
-pub mod opcode {
-    pub const INSERT: u8 = 0x01;
-    pub const INSERT_BATCH: u8 = 0x02;
-    pub const HELLO: u8 = 0x05;
-    pub const QUERY_MEMBER: u8 = 0x10;
-    pub const QUERY_CARD: u8 = 0x11;
-    pub const QUERY_FREQ: u8 = 0x12;
-    pub const QUERY_SIM: u8 = 0x13;
-    pub const QUERY_BATCH: u8 = 0x14;
-    pub const QUERY_FAST: u8 = 0x15;
-    pub const STATS: u8 = 0x20;
-    pub const SNAPSHOT: u8 = 0x21;
-    pub const SNAPSHOT_ALL: u8 = 0x22;
-    pub const RESTORE: u8 = 0x23;
-    pub const SHUTDOWN: u8 = 0x2F;
-    pub const REPL_BOOTSTRAP: u8 = 0x30;
-    pub const REPL_SUBSCRIBE: u8 = 0x31;
-    pub const REPL_ACK: u8 = 0x32;
-    pub const CLUSTER_STATUS: u8 = 0x33;
-    pub const CLUSTER_JOIN: u8 = 0x34;
-    pub const CLUSTER_MAP: u8 = 0x35;
-    pub const CLUSTER_QUERY: u8 = 0x36;
-    pub const CLUSTER_QUERY_BATCH: u8 = 0x37;
+/// Declare every opcode once, in the `define_stages!` table shape: each
+/// `NAME = value` row becomes a `pub const NAME: u8`, and `ALL` lists the
+/// rows as `(name, value)` — the table `docs/PROTOCOL.md` is tested
+/// against.
+macro_rules! define_opcodes {
+    ($($name:ident = $value:literal,)*) => {
+        $(pub const $name: u8 = $value;)*
+        /// Every opcode as `(name, value)`: requests, then responses.
+        pub const ALL: &[(&str, u8)] = &[$((stringify!($name), $name)),*];
+    };
+}
 
-    pub const OK: u8 = 0x80;
-    pub const BOOL: u8 = 0x81;
-    pub const U64: u8 = 0x82;
-    pub const F64: u8 = 0x83;
-    pub const STATS_REPLY: u8 = 0x84;
-    pub const BLOB: u8 = 0x85;
-    pub const HELLO_REPLY: u8 = 0x86;
-    pub const REPL_OP: u8 = 0x87;
-    pub const REPL_HEARTBEAT: u8 = 0x88;
-    pub const CLUSTER_STATUS_REPLY: u8 = 0x89;
-    pub const CLUSTER_MAP_REPLY: u8 = 0x8A;
-    pub const U64S: u8 = 0x8B;
-    pub const ERR: u8 = 0xE0;
-    pub const BUSY: u8 = 0xE1;
-    pub const NOT_PRIMARY: u8 = 0xE2;
-    pub const LOG_TRUNCATED: u8 = 0xE3;
-    pub const OVERLOADED: u8 = 0xE4;
+pub mod opcode {
+    define_opcodes! {
+        INSERT = 0x01,
+        INSERT_BATCH = 0x02,
+        HELLO = 0x05,
+        QUERY_MEMBER = 0x10,
+        QUERY_CARD = 0x11,
+        QUERY_FREQ = 0x12,
+        QUERY_SIM = 0x13,
+        QUERY_BATCH = 0x14,
+        QUERY_FAST = 0x15,
+        STATS = 0x20,
+        SNAPSHOT = 0x21,
+        SNAPSHOT_ALL = 0x22,
+        RESTORE = 0x23,
+        SHUTDOWN = 0x2F,
+        REPL_BOOTSTRAP = 0x30,
+        REPL_SUBSCRIBE = 0x31,
+        REPL_ACK = 0x32,
+        CLUSTER_STATUS = 0x33,
+        CLUSTER_JOIN = 0x34,
+        CLUSTER_MAP = 0x35,
+        CLUSTER_QUERY = 0x36,
+        CLUSTER_QUERY_BATCH = 0x37,
+
+        OK = 0x80,
+        BOOL = 0x81,
+        U64 = 0x82,
+        F64 = 0x83,
+        STATS_REPLY = 0x84,
+        BLOB = 0x85,
+        HELLO_REPLY = 0x86,
+        REPL_OP = 0x87,
+        REPL_HEARTBEAT = 0x88,
+        CLUSTER_STATUS_REPLY = 0x89,
+        CLUSTER_MAP_REPLY = 0x8A,
+        U64S = 0x8B,
+        ERR = 0xE0,
+        BUSY = 0xE1,
+        NOT_PRIMARY = 0xE2,
+        LOG_TRUNCATED = 0xE3,
+        OVERLOADED = 0xE4,
+    }
 }
 
 /// A client → server message.
@@ -734,5 +748,108 @@ impl Response {
         };
         r.finish()?;
         Ok(resp)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{opcode, PROTOCOL_VERSION};
+
+    const MD: &str = include_str!("../../../docs/PROTOCOL.md");
+
+    /// The rows of PROTOCOL.md's opcode tables as `(name, value, in the
+    /// response table, line)`, read under the `## Request opcodes` and
+    /// `## Response opcodes` headings.
+    fn doc_rows(md: &str) -> Vec<(&str, u8, bool, usize)> {
+        let mut rows = Vec::new();
+        let mut response = None;
+        for (at, line) in md.lines().map(str::trim).enumerate() {
+            if let Some(heading) = line.strip_prefix("## ") {
+                response = heading.contains("opcodes").then(|| heading.starts_with("Response"));
+                continue;
+            }
+            let (Some(response), Some(row)) = (response, line.strip_prefix('|')) else { continue };
+            let cells: Vec<&str> = row.split('|').map(|c| c.trim().trim_matches('`')).collect();
+            let Some(hex) = cells[0].strip_prefix("0x") else { continue }; // header or rule
+            let value = u8::from_str_radix(hex, 16).expect("an opcode cell is one hex byte");
+            rows.push((cells[1], value, response, at + 1));
+        }
+        rows
+    }
+
+    /// Every way the opcode `table` and `version` disagree with the doc
+    /// `md`; the doc may drop a response constant's `_REPLY` suffix.
+    fn drift(table: &[(&str, u8)], version: u16, md: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let rows = doc_rows(md);
+        let same = |constant: &str, row: &str| {
+            constant == row || constant.strip_suffix("_REPLY") == Some(row)
+        };
+        for (i, &(name, value)) in table.iter().enumerate() {
+            if let Some((other, _)) = table[..i].iter().find(|&&(_, v)| v == value) {
+                out.push(format!("0x{value:02X} is both {other} and {name}"));
+            }
+            if value == 0x00 {
+                out.push(format!("{name}: 0x00 is reserved"));
+            }
+            if !rows.iter().any(|&(row, v, _, _)| v == value && same(name, row)) {
+                out.push(format!("{name} (0x{value:02X}) has no PROTOCOL.md row"));
+            }
+        }
+        for &(row, value, response, line) in &rows {
+            let range = if response { 0x80..=0xFF } else { 0x01..=0x7F };
+            if !range.contains(&value) {
+                out.push(format!(
+                    "PROTOCOL.md:{line}: {row} (0x{value:02X}) is outside {range:X?}"
+                ));
+            }
+            if !table.iter().any(|&(name, v)| v == value && same(name, row)) {
+                out.push(format!("PROTOCOL.md:{line}: {row} (0x{value:02X}) has no constant"));
+            }
+        }
+        let stated: Vec<&str> =
+            md.lines().filter_map(|l| l.trim().strip_prefix("Protocol version:")).collect();
+        if stated.iter().map(|v| v.trim()).ne([version.to_string().as_str()]) {
+            out.push(format!("PROTOCOL_VERSION is {version}; PROTOCOL.md states {stated:?}"));
+        }
+        out
+    }
+
+    #[test]
+    fn protocol_md_matches_the_opcode_table() {
+        assert_eq!(drift(opcode::ALL, PROTOCOL_VERSION, MD), Vec::<String>::new());
+    }
+
+    /// Each drift the check exists for, made on the real table or doc.
+    #[test]
+    fn every_drift_is_caught() {
+        let moved = |name: &str, value: u8| -> Vec<(&str, u8)> {
+            opcode::ALL.iter().map(|&(n, v)| (n, if n == name { value } else { v })).collect()
+        };
+        let (renumbered, duplicate) = (moved("CLUSTER_STATUS", 0x34), moved("INSERT_BATCH", 0x01));
+        let (reserved, misfiled) = (moved("HELLO", 0x00), moved("OK", 0x7F));
+        let insert_row = MD.lines().find(|l| l.starts_with("| `0x01` |")).expect("INSERT row");
+        let undocumented = MD.replacen(&format!("{insert_row}\n"), "", 1);
+        let stated = format!("Protocol version: {PROTOCOL_VERSION}");
+        let bumped =
+            MD.replacen(&stated, &format!("Protocol version: {}", PROTOCOL_VERSION + 1), 1);
+        let twice = format!("{MD}\n{stated}\n");
+        let ok_misfiled = MD.replacen("| `0x80` | `OK`", "| `0x7F` | `OK`", 1);
+        assert!(
+            MD.contains(&stated) && undocumented != MD && ok_misfiled != MD,
+            "the doc moved on"
+        );
+        for (label, table, version, md) in [
+            ("renumbered", &renumbered[..], PROTOCOL_VERSION, MD),
+            ("duplicate", &duplicate, PROTOCOL_VERSION, MD),
+            ("reserved", &reserved, PROTOCOL_VERSION, MD),
+            ("response in the request range", &misfiled, PROTOCOL_VERSION, &ok_misfiled),
+            ("undocumented", opcode::ALL, PROTOCOL_VERSION, &undocumented),
+            ("version constant", opcode::ALL, PROTOCOL_VERSION + 1, MD),
+            ("version line", opcode::ALL, PROTOCOL_VERSION, &bumped),
+            ("two version lines", opcode::ALL, PROTOCOL_VERSION, &twice),
+        ] {
+            assert!(!drift(table, version, md).is_empty(), "{label} drift passed");
+        }
     }
 }

@@ -98,8 +98,7 @@ struct ConnState {
     stream: TcpStream,
     conn: Connection,
     /// Releases the connection-cap reservation on drop.
-    #[allow(dead_code)]
-    guard: ConnGuard,
+    _guard: ConnGuard,
     pending: Pending,
     /// Request counter; bumped at every dispatch. Completions carrying an
     /// older token are stale and dropped.
@@ -301,7 +300,7 @@ impl Reactor {
         self.slots[slot_i].conn = Some(ConnState {
             stream,
             conn: Connection::new(),
-            guard,
+            _guard: guard,
             pending: Pending::Idle,
             token: 0,
             // Bytes may already be waiting; under EPOLLET the edge fired
@@ -649,7 +648,7 @@ impl Reactor {
         }
         let leftover = cs.conn.take_input();
         let shared = Arc::clone(&self.shared);
-        let ConnState { stream, guard, .. } = cs;
+        let ConnState { stream, _guard: guard, .. } = cs;
         let spawned = std::thread::Builder::new().name("she-feed".to_string()).spawn(move || {
             let _guard = guard;
             serve_feed(stream, leftover, &shared, from_seq, node_id);

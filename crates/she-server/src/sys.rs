@@ -12,7 +12,10 @@
 //! otherwise denies `unsafe_code`): four FFI declarations and their call
 //! sites, each with a SAFETY argument.
 
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "the epoll FFI boundary: four syscalls, each block with a SAFETY argument"
+)]
 
 use std::fmt;
 use std::io::{self, Write};
@@ -75,7 +78,6 @@ impl Epoll {
     pub fn new() -> io::Result<Epoll> {
         // SAFETY: epoll_create1 takes no pointers; any flag value is
         // accepted or rejected by the kernel with -1/errno.
-        // audit:allow(unsafe): raw syscall, no pointers cross the boundary
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -88,7 +90,6 @@ impl Epoll {
         let mut ev = EpollEvent { events, data };
         // SAFETY: `ev` is a live, properly laid out (#[repr(C)], kernel
         // ABI) stack value for the duration of the call.
-        // audit:allow(unsafe): pointer is to a live repr(C) stack value
         let rc = unsafe { epoll_ctl(self.fd, EPOLL_CTL_ADD, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -101,7 +102,6 @@ impl Epoll {
         let mut ev = EpollEvent { events: 0, data: 0 };
         // SAFETY: as in `add` — pre-2.6.9 kernels demanded a non-null
         // event pointer even for DEL, and `ev` satisfies both eras.
-        // audit:allow(unsafe): pointer is to a live repr(C) stack value
         let rc = unsafe { epoll_ctl(self.fd, EPOLL_CTL_DEL, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -115,7 +115,6 @@ impl Epoll {
         let cap = c_int::try_from(events.len()).unwrap_or(c_int::MAX).max(1);
         // SAFETY: `events` is a live mutable slice; `cap` never exceeds
         // its length, so the kernel writes only within bounds.
-        // audit:allow(unsafe): kernel writes stay within the slice (cap <= len)
         let rc = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), cap, timeout_ms) };
         if rc < 0 {
             let e = io::Error::last_os_error();
@@ -132,7 +131,6 @@ impl Drop for Epoll {
     fn drop(&mut self) {
         // SAFETY: `self.fd` came from a successful epoll_create1 and is
         // owned exclusively by this value; double-close is impossible.
-        // audit:allow(unsafe): fd owned exclusively, closed exactly once
         unsafe {
             close(self.fd);
         }

@@ -66,6 +66,7 @@ impl PackedArray {
     pub fn get(&self, i: usize) -> u64 {
         assert!(i < self.m, "cell index {i} out of bounds ({})", self.m);
         let bit = i * self.bits as usize;
+        #[expect(clippy::cast_possible_truncation, reason = "a bit offset below 64")]
         let (w, off) = (bit / 64, (bit % 64) as u32);
         let mask = self.max_value();
         if off + self.bits <= 64 {
@@ -85,6 +86,7 @@ impl PackedArray {
         debug_assert!(v <= mask, "value {v} does not fit in {} bits", self.bits);
         let v = v & mask;
         let bit = i * self.bits as usize;
+        #[expect(clippy::cast_possible_truncation, reason = "a bit offset below 64")]
         let (w, off) = (bit / 64, (bit % 64) as u32);
         if off + self.bits <= 64 {
             self.words[w] = (self.words[w] & !(mask << off)) | (v << off);

@@ -22,6 +22,10 @@ fn to_cell(v: i32) -> u64 {
 }
 
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the cell holds a 32-bit two's-complement counter in its low bits"
+)]
 fn from_cell(c: u64) -> i32 {
     c as u32 as i32
 }

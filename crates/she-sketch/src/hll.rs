@@ -30,6 +30,10 @@ pub fn hll_estimate_subset(registers: impl Iterator<Item = u64>, m_total: usize)
     let mut k = 0usize;
     let mut zeros = 0usize;
     let mut sum = 0.0f64;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a register holds a rank ≤ 65, far below i32::MAX"
+    )]
     for r in registers {
         k += 1;
         if r == 0 {

@@ -17,6 +17,11 @@
 //! exactly the items of a window into a fresh fixed-window sketch gives the
 //! accuracy SHE aspires to match.
 
+// No silent truncation outside tests: a narrowing `as` carries
+// `#[expect(clippy::cast_possible_truncation, reason = "…")]` stating
+// its bound.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 mod bitmap;
 mod bloom;
 mod cells;
