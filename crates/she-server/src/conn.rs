@@ -2,8 +2,9 @@
 //!
 //! A [`Connection`] owns both directions of one client connection as pure
 //! state: callers *feed* it raw bytes ([`Connection::feed`]) and *poll*
-//! typed events out ([`Connection::poll`]); responses are queued with
-//! [`Connection::push_response`] and drained as byte slices
+//! typed events out ([`Connection::poll`], or [`Connection::poll_if`] to
+//! take the next request only if it is one they want); responses are
+//! queued with [`Connection::push_response`] and drained as byte slices
 //! ([`Connection::out_slices`] / [`Connection::advance_out`]). No sockets,
 //! no threads, no clocks — time enters only as the `now_ms` the caller
 //! passes in, so the epoll reactor, unit tests, fuzzers, and `she-chaos`
@@ -32,6 +33,7 @@
 use crate::protocol::{ProtoError, Request, Response, MAX_FRAME};
 use she_core::convert::usize_of;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// One event from [`Connection::poll`].
 #[derive(Debug, PartialEq)]
@@ -103,14 +105,16 @@ impl Connection {
         }
     }
 
-    /// Pop the next complete frame payload, if one is buffered.
-    pub fn poll_frame(&mut self) -> FrameEvent {
+    /// Where the next complete frame's payload sits in `input`, or the
+    /// [`FrameEvent`] that says why none is buffered. Consumes nothing; an
+    /// oversize prefix marks the stream fatal.
+    fn next_frame(&mut self) -> Result<Range<usize>, FrameEvent> {
         if self.fatal {
-            return FrameEvent::Fatal;
+            return Err(FrameEvent::Fatal);
         }
         let avail = self.input.len() - self.pos;
         if avail < 4 {
-            return FrameEvent::NeedMore;
+            return Err(FrameEvent::NeedMore);
         }
         let mut len_buf = [0u8; 4];
         len_buf.copy_from_slice(&self.input[self.pos..self.pos + 4]);
@@ -120,13 +124,17 @@ impl Connection {
             // or corrupt prefix must not drive an allocation, and the
             // stream can never resynchronise.
             self.fatal = true;
-            return FrameEvent::Fatal;
+            return Err(FrameEvent::Fatal);
         }
         if avail < 4 + len {
-            return FrameEvent::NeedMore;
+            return Err(FrameEvent::NeedMore);
         }
-        let payload = self.input[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
+        Ok(self.pos + 4..self.pos + 4 + len)
+    }
+
+    /// Consume input up to `end`, the end of the frame just popped.
+    fn consume(&mut self, end: usize) {
+        self.pos = end;
         if self.pos == self.input.len() {
             self.input.clear();
             self.pos = 0;
@@ -136,18 +144,59 @@ impl Connection {
             // starts at the feed that delivered its first byte.
             self.frame_start_ms = Some(self.last_feed_ms);
         }
-        FrameEvent::Payload(payload)
+    }
+
+    /// Decode the next complete frame where it lies in `input`, without
+    /// consuming it: the event [`Connection::poll`] would return, and the
+    /// end of the frame to consume when it is taken.
+    fn peek(&mut self) -> (Event, usize) {
+        match self.next_frame() {
+            Ok(frame) => {
+                let end = frame.end;
+                match Request::decode(&self.input[frame]) {
+                    Ok(req) => (Event::Request(req), end),
+                    Err(e) => (Event::Bad(e), end),
+                }
+            }
+            Err(FrameEvent::Fatal) => (Event::Fatal, self.pos),
+            Err(_) => (Event::NeedMore, self.pos),
+        }
+    }
+
+    /// Pop the next complete frame payload, if one is buffered.
+    pub fn poll_frame(&mut self) -> FrameEvent {
+        match self.next_frame() {
+            Ok(frame) => {
+                let end = frame.end;
+                let payload = self.input[frame].to_vec();
+                self.consume(end);
+                FrameEvent::Payload(payload)
+            }
+            Err(event) => event,
+        }
     }
 
     /// Pop and decode the next complete frame.
     pub fn poll(&mut self) -> Event {
-        match self.poll_frame() {
-            FrameEvent::Payload(payload) => match Request::decode(&payload) {
-                Ok(req) => Event::Request(req),
-                Err(e) => Event::Bad(e),
-            },
-            FrameEvent::NeedMore => Event::NeedMore,
-            FrameEvent::Fatal => Event::Fatal,
+        let (event, end) = self.peek();
+        if matches!(event, Event::Request(_) | Event::Bad(_)) {
+            self.consume(end);
+        }
+        event
+    }
+
+    /// Pop the next complete frame only if it decodes to a request that
+    /// `accept` takes. Anything else — a rejected request, an undecodable
+    /// or incomplete frame, a fatal prefix — stays for [`Connection::poll`]
+    /// to report, so interleaving the two never changes what `poll` alone
+    /// would have returned.
+    pub fn poll_if(&mut self, accept: impl FnOnce(&Request) -> bool) -> Option<Request> {
+        match self.peek() {
+            (Event::Request(req), end) if accept(&req) => {
+                self.consume(end);
+                Some(req)
+            }
+            _ => None,
         }
     }
 
@@ -164,7 +213,7 @@ impl Connection {
         framed.extend_from_slice(&u32::try_from(payload.len()).unwrap_or(u32::MAX).to_le_bytes());
         framed.extend_from_slice(payload);
         self.out_bytes += framed.len();
-        // audit:allow(growth): callers dispatch at most one request at a time per connection, so the queue holds at most the responses to frames already buffered in `input`
+        // audit:allow(growth): callers hold one pending read set or request per connection (a round sends one job per shard), so the queue holds at most the responses to frames already buffered in `input`
         self.out.push_back(framed);
     }
 
@@ -293,6 +342,43 @@ mod tests {
         c.feed(&frame(&Request::QueryCard.encode()), 1);
         assert_eq!(c.poll(), Event::Fatal, "a desynchronised stream never recovers");
         assert!(c.is_fatal());
+    }
+
+    fn is_read(req: &Request) -> bool {
+        matches!(req, Request::QueryMember { .. } | Request::QueryFreq { .. })
+    }
+
+    #[test]
+    fn poll_if_never_consumes_a_rejected_frame() {
+        let mut c = Connection::new();
+        let mut bytes = frame(&Request::QueryFreq { key: 1 }.encode());
+        bytes.extend_from_slice(&frame(&Request::QueryCard.encode()));
+        bytes.extend_from_slice(&frame(&[0xFF, 1, 2, 3]));
+        bytes.extend_from_slice(&frame(&Request::QueryMember { key: 2 }.encode())[..5]);
+        c.feed(&bytes, 0);
+        assert_eq!(c.poll_if(is_read), Some(Request::QueryFreq { key: 1 }));
+        assert_eq!(c.poll_if(is_read), None, "a request the predicate rejects");
+        assert_eq!(c.poll_if(is_read), None, "asking twice changes nothing");
+        assert_eq!(c.poll(), Event::Request(Request::QueryCard));
+        assert_eq!(c.poll_if(|_| true), None, "an undecodable frame");
+        assert!(matches!(c.poll(), Event::Bad(ProtoError::BadOpcode(0xFF))));
+        assert_eq!(c.poll_if(|_| true), None, "an incomplete frame");
+        assert!(c.has_buffered_input());
+        c.feed(&frame(&Request::QueryMember { key: 2 }.encode())[5..], 1);
+        assert_eq!(c.poll_if(is_read), Some(Request::QueryMember { key: 2 }));
+        assert!(!c.has_buffered_input());
+    }
+
+    #[test]
+    fn poll_if_leaves_an_oversize_prefix_fatal() {
+        let mut c = Connection::new();
+        c.feed(&u32::MAX.to_le_bytes(), 0);
+        assert_eq!(c.poll_if(|_| true), None);
+        assert!(c.is_fatal());
+        assert_eq!(c.poll(), Event::Fatal);
+        c.feed(&frame(&Request::QueryCard.encode()), 1);
+        assert_eq!(c.poll_if(|_| true), None, "a desynchronised stream never recovers");
+        assert_eq!(c.poll(), Event::Fatal);
     }
 
     #[test]

@@ -7,39 +7,50 @@
 //! * **inline** — inserts (admission control is `try_send`-first, so the
 //!   reactor never waits behind an un-admitted write), HELLO, cluster map
 //!   ops, SHUTDOWN;
-//! * **native** — the per-key queries go to the shard queues with a
-//!   completion sink; the worker posts a [`Completion`] and wakes the
-//!   reactor, which merges multi-shard answers in [`finish_gather`] —
-//!   the server's only merge rule;
+//! * **native** — per-key reads (pipelined `QUERY_MEMBER`/`QUERY_FREQ`
+//!   runs and `QUERY_BATCH` keys) join the round's per-shard
+//!   accumulator, and `QUERY_CARD`/`QUERY_SIM` fan out to every shard;
+//!   the worker posts a [`Completion`] and wakes the reactor, which
+//!   scatters read values back by position and sums aggregate parts in
+//!   [`finish_gather`] — the server's only merge rule;
 //! * **offloaded** — snapshots, stats, bootstrap cuts, and cluster
 //!   scatter-gathers run on a small offload pool so their blocking
 //!   rendezvous never stalls the event loop;
 //! * **detached** — `REPL_SUBSCRIBE` hands the socket (re-blocking, plus
 //!   any over-read bytes) to a dedicated feed thread.
 //!
-//! The reactor dispatches at most **one request per connection at a
-//! time** — parsing pauses while an answer is in flight — which preserves
-//! the thread-per-connection tier's FIFO request/response order per
-//! connection. Pipelined frames simply wait in the connection's input
-//! buffer.
+//! Each connection holds **one pending read set or request** at a time —
+//! parsing pauses while an answer is in flight — which preserves the
+//! thread-per-connection tier's FIFO request/response order per
+//! connection. A read set is a maximal run of buffered single-key reads
+//! (at most `MAX_BATCH`; it stops at the first other frame) or the keys
+//! of one `QUERY_BATCH`. The event-loop **round** is the unit of shard
+//! work: every read set parsed while pumping the round's connections
+//! lands in one per-shard accumulator, and the end of the round sends
+//! **one job per shard** that has reads ([`Job::Reads`]). The job carries
+//! its own delivery list ([`Route::Reads`]) back through the completion,
+//! so the reactor keeps no table a dropped job could leak. A full shard
+//! queue sheds every read set with a read in that job: one `OVERLOADED`
+//! per frame it covers. Frames behind a read set wait in the
+//! connection's input buffer.
 //!
 //! Sockets are registered edge-triggered (`EPOLLET`); the listener and
 //! the waker are level-triggered and fully drained on every wakeup.
 //! Connection slots live in a slab whose epoll token packs
 //! `generation << 32 | index`, so events and completions for a slot that
 //! was freed and reused are recognized as stale and dropped. The same
-//! goes for a per-connection *request* token: a shed multi-shard gather
+//! goes for a per-connection *request* token: a shed gather or read set
 //! leaves already-enqueued jobs behind, and their late completions must
 //! not be mistaken for the answer to a newer request.
 
-use crate::cluster::batch_op_check;
+use crate::cluster::{batch_op_check, cluster_op};
 use crate::conn::{Connection, Event};
-use crate::protocol::{Request, Response};
-use crate::server::{partition_batch, serve_feed, shutting_down, ConnGuard, Shared};
+use crate::protocol::{Request, Response, MAX_BATCH};
+use crate::server::{answer_mismatch, serve_feed, shutting_down, ConnGuard, Shared};
 use crate::sys::{
     raw_fd, Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use crate::worker::{Answer, Completion, Job, QuerySink};
+use crate::worker::{Answer, Completion, Job, QuerySink, ReadShare, Route};
 use she_core::convert::usize_of;
 use she_metrics::ServeCounters;
 use std::io::{self, IoSlice, Read, Write};
@@ -76,10 +87,13 @@ struct OffloadJob {
 enum Pending {
     /// Nothing in flight; the reactor may parse its next frame.
     Idle,
-    /// One answer outstanding (single-shard query or offloaded op).
+    /// One answer outstanding (an offloaded op).
     Single,
-    /// A multi-shard gather in flight.
+    /// A cardinality / similarity gather in flight.
     Gather { parts: Vec<Option<Answer>>, remaining: usize, kind: GatherKind },
+    /// A read set in this round's jobs: `values[i]` arrives from the
+    /// shard owning read `i`; `remaining` counts the values still out.
+    Reads { values: Vec<u64>, remaining: usize, set: ReadSet },
 }
 
 /// How a finished gather's parts merge into one response.
@@ -89,8 +103,53 @@ enum GatherKind {
     CardSum,
     /// Similarity: sum in shard order, divide by shard count.
     SimAvg,
-    /// Batch point query over `n` keys: scatter values back by position.
-    Batch { n: usize },
+}
+
+/// The frames a pending read set answers.
+enum ReadSet {
+    /// A run of single-key reads: one `Bool`/`U64` frame per op, in order.
+    Run(Vec<u8>),
+    /// One `QUERY_BATCH`: one `U64s` frame.
+    Batch,
+}
+
+impl ReadSet {
+    /// How many response frames the set answers.
+    fn frames(&self) -> usize {
+        match self {
+            ReadSet::Run(ops) => ops.len(),
+            ReadSet::Batch => 1,
+        }
+    }
+
+    /// Queue the set's responses, in request order.
+    fn respond(self, conn: &mut Connection, values: Vec<u64>) {
+        match self {
+            ReadSet::Run(ops) => {
+                for (op, v) in ops.into_iter().zip(values) {
+                    let resp = if op == cluster_op::MEMBER {
+                        Response::Bool(v != 0)
+                    } else {
+                        Response::U64(v)
+                    };
+                    conn.push_response(&resp);
+                }
+            }
+            ReadSet::Batch => conn.push_response(&Response::U64s(values)),
+        }
+    }
+}
+
+/// One shard's reads gathered so far this round; the end of the round
+/// sends them as one [`Job::Reads`].
+#[derive(Default)]
+struct RoundPart {
+    /// `(op, key)` in arrival order.
+    reads: Vec<(u8, u64)>,
+    /// Each key's position in its connection's read set.
+    pos: Vec<u32>,
+    /// One share per connection, in key order.
+    shares: Vec<ReadShare>,
 }
 
 /// One served connection.
@@ -142,6 +201,7 @@ pub(crate) fn spawn_reactor(
     epoll.add(raw_fd(&listener), EPOLLIN, LISTENER_TOKEN)?;
     epoll.add(raw_fd(&waker_rx), EPOLLIN, WAKER_TOKEN)?;
     let (comp_tx, comp_rx) = channel();
+    let shards = shared.txs.len();
 
     // Each offload thread owns its receiver outright (round-robin fan-out
     // instead of a shared locked queue). The senders live only in the
@@ -160,10 +220,12 @@ pub(crate) fn spawn_reactor(
                 while let Ok(job) = rx.recv() {
                     let resp = shared.handle(job.req);
                     let done = Completion {
-                        slot: job.slot,
-                        gen: job.gen,
-                        token: job.token,
-                        shard: 0,
+                        route: Route::Request {
+                            slot: job.slot,
+                            gen: job.gen,
+                            token: job.token,
+                            shard: 0,
+                        },
                         answer: Answer::Resp(resp),
                     };
                     if comp_tx.send(done).is_err() {
@@ -189,6 +251,7 @@ pub(crate) fn spawn_reactor(
         feeds: Vec::new(),
         scratch: vec![0u8; 64 * 1024],
         dirty: Vec::new(),
+        round: (0..shards).map(|_| RoundPart::default()).collect(),
         epoch: Instant::now(),
         last_sweep: 0,
     };
@@ -214,8 +277,11 @@ struct Reactor {
     feeds: Vec<JoinHandle<()>>,
     scratch: Vec<u8>,
     /// Connections touched this round (events or completions), deduped by
-    /// the per-connection `dirty` flag.
+    /// the per-connection `dirty` flag. Read sets shed at the end of a
+    /// round stay listed for the next one.
     dirty: Vec<u32>,
+    /// This round's per-key reads, one part per shard.
+    round: Vec<RoundPart>,
     epoch: Instant,
     last_sweep: u64,
 }
@@ -231,7 +297,10 @@ impl Reactor {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let timeout = i32::try_from(SWEEP_MS).unwrap_or(100);
+            // Connections still dirty (read sets shed at the last flush)
+            // must not wait out a quiet epoll.
+            let timeout =
+                if self.dirty.is_empty() { i32::try_from(SWEEP_MS).unwrap_or(100) } else { 0 };
             let n = self.epoll.wait(&mut events, timeout).unwrap_or(0);
             for ev in events.iter().take(n) {
                 // Copy out of the (possibly packed) event before use.
@@ -245,6 +314,7 @@ impl Reactor {
             }
             self.drain_completions();
             self.pump_dirty();
+            self.flush_round();
             self.sweep();
         }
         self.shutdown_sequence();
@@ -360,26 +430,32 @@ impl Reactor {
     }
 
     fn apply_completion(&mut self, c: Completion) {
-        let slot_i = usize_of(u64::from(c.slot));
-        let Some(slot) = self.slots.get_mut(slot_i) else { return };
-        if slot.gen != c.gen {
-            return; // the connection this answered is gone
+        match (c.route, c.answer) {
+            (Route::Request { slot, gen, token, shard }, answer) => {
+                self.answer_request(slot, gen, token, shard, answer);
+            }
+            (Route::Reads { shares, pos }, Answer::Values(values)) => {
+                self.deliver_reads(&shares, &pos, &values);
+            }
+            // A worker answers a `Job::Reads` with its values only.
+            (Route::Reads { .. }, _) => {}
         }
-        let Some(cs) = slot.conn.as_mut() else { return };
-        if cs.token != c.token {
-            return; // stale answer to a superseded request
-        }
+    }
+
+    fn answer_request(&mut self, slot: u32, gen: u32, token: u64, shard: usize, answer: Answer) {
+        let Some(cs) = live_conn(&mut self.slots, slot, gen, token) else { return };
         match std::mem::replace(&mut cs.pending, Pending::Idle) {
-            // A shed gather's stragglers land here: token still matches,
-            // but nothing is in flight any more.
-            Pending::Idle => return,
             Pending::Single => {
-                cs.conn.push_response(&single_response(c.answer));
+                let resp = match answer {
+                    Answer::Resp(resp) => resp,
+                    _ => answer_mismatch(),
+                };
+                cs.conn.push_response(&resp);
             }
             Pending::Gather { mut parts, mut remaining, kind } => {
-                if let Some(p) = parts.get_mut(c.shard) {
+                if let Some(p) = parts.get_mut(shard) {
                     if p.is_none() {
-                        *p = Some(c.answer);
+                        *p = Some(answer);
                         remaining -= 1;
                     }
                 }
@@ -390,8 +466,45 @@ impl Reactor {
                     return;
                 }
             }
+            // A shed gather's stragglers land here: the token still
+            // matches, but nothing of that shape is in flight any more.
+            other => {
+                cs.pending = other;
+                return;
+            }
         }
-        self.mark_dirty(c.slot);
+        self.mark_dirty(slot);
+    }
+
+    /// Scatter one shard's read values back to the read sets they answer;
+    /// a set whose last value arrives queues its responses.
+    fn deliver_reads(&mut self, shares: &[ReadShare], pos: &[u32], values: &[u64]) {
+        let mut at = 0;
+        for share in shares {
+            let end = at + usize_of(u64::from(share.len));
+            let (Some(pos), Some(vals)) = (pos.get(at..end), values.get(at..end)) else { return };
+            at = end;
+            let Some(cs) = live_conn(&mut self.slots, share.slot, share.gen, share.token) else {
+                continue;
+            };
+            // A shed set's parts on other shards die here.
+            let Pending::Reads { values, remaining, .. } = &mut cs.pending else { continue };
+            for (&p, &v) in pos.iter().zip(vals) {
+                if let Some(o) = values.get_mut(usize_of(u64::from(p))) {
+                    *o = v;
+                }
+            }
+            *remaining = remaining.saturating_sub(pos.len());
+            if *remaining > 0 {
+                continue;
+            }
+            if let Pending::Reads { values, set, .. } =
+                std::mem::replace(&mut cs.pending, Pending::Idle)
+            {
+                set.respond(&mut cs.conn, values);
+            }
+            self.mark_dirty(share.slot);
+        }
     }
 
     // ---- the pump ------------------------------------------------------
@@ -429,7 +542,8 @@ impl Reactor {
 
     fn drive(&mut self, cs: &mut ConnState, idx: u32, gen: u32) -> Disp {
         loop {
-            // Parse while nothing is in flight (one request at a time).
+            // Parse while nothing is in flight (one read set or request
+            // at a time).
             while matches!(cs.pending, Pending::Idle) {
                 match cs.conn.poll() {
                     Event::Request(req) => match self.dispatch(cs, idx, gen, req) {
@@ -466,17 +580,18 @@ impl Reactor {
     fn dispatch(&mut self, cs: &mut ConnState, idx: u32, gen: u32, req: Request) -> Ctl {
         cs.token = cs.token.wrapping_add(1);
         match req {
-            Request::QueryMember { key } => {
-                let shard = self.shared.engine.shard_of(key);
-                self.native_single(cs, idx, gen, shard, |sink| Job::Member { key, sink });
-            }
-            Request::QueryFreq { key } => {
-                let shard = self.shared.engine.shard_of(key);
-                self.native_single(cs, idx, gen, shard, |sink| Job::Freq { key, sink });
-            }
+            Request::QueryMember { key } => self.read_run(cs, idx, gen, cluster_op::MEMBER, key),
+            Request::QueryFreq { key } => self.read_run(cs, idx, gen, cluster_op::FREQ, key),
             Request::QueryCard => self.native_all(cs, idx, gen, GatherKind::CardSum),
             Request::QuerySim => self.native_all(cs, idx, gen, GatherKind::SimAvg),
-            Request::QueryBatch { op, keys } => self.native_batch(cs, idx, gen, op, keys),
+            Request::QueryBatch { op, keys } => match batch_op_check(op) {
+                Err(resp) => cs.conn.push_response(&resp),
+                Ok(()) if keys.is_empty() => cs.conn.push_response(&Response::U64s(Vec::new())),
+                Ok(()) => {
+                    let reads = keys.iter().map(|&key| (op, key));
+                    self.add_reads(cs, idx, gen, reads, ReadSet::Batch);
+                }
+            },
             Request::ReplSubscribe { from_seq, node_id } => {
                 return Ctl::Detach { from_seq, node_id }
             }
@@ -500,34 +615,99 @@ impl Reactor {
         Ctl::Continue
     }
 
-    fn reactor_sink(&self, slot: u32, gen: u32, token: u64, shard: usize) -> QuerySink {
-        QuerySink::Reactor {
-            tx: self.comp_tx.clone(),
-            waker: Arc::clone(&self.shared.waker),
-            slot,
-            gen,
-            token,
-            shard,
+    /// A run of single-key reads: this one plus every point read buffered
+    /// right behind it, up to `MAX_BATCH`.
+    fn read_run(&mut self, cs: &mut ConnState, idx: u32, gen: u32, op: u8, key: u64) {
+        let mut reads = vec![(op, key)];
+        while reads.len() < MAX_BATCH {
+            let Some(req) = cs.conn.poll_if(|r| point_read(r).is_some()) else { break };
+            reads.extend(point_read(&req));
         }
+        let ops = reads.iter().map(|&(op, _)| op).collect();
+        self.add_reads(cs, idx, gen, reads.into_iter(), ReadSet::Run(ops));
     }
 
-    /// Single-shard read query: `try_send` or shed.
-    fn native_single(
+    /// Put a read set's `(op, key)` reads into this round's per-shard
+    /// parts; the connection waits until every value is back.
+    fn add_reads(
         &mut self,
         cs: &mut ConnState,
         idx: u32,
         gen: u32,
-        shard: usize,
-        make: impl FnOnce(QuerySink) -> Job,
+        reads: impl ExactSizeIterator<Item = (u8, u64)>,
+        set: ReadSet,
     ) {
-        let sink = self.reactor_sink(idx, gen, cs.token, shard);
-        match self.shared.txs[shard].try_send(make(sink)) {
-            Ok(()) => cs.pending = Pending::Single,
-            Err(TrySendError::Full(_)) => {
-                let resp = self.shared.shed();
-                cs.conn.push_response(&resp);
+        let n = reads.len();
+        let token = cs.token;
+        for (i, (op, key)) in reads.enumerate() {
+            let part = &mut self.round[self.shared.engine.shard_of(key)];
+            // A set is added whole, so its reads on one shard are contiguous.
+            match part.shares.last_mut() {
+                Some(last) if (last.slot, last.gen, last.token) == (idx, gen, token) => {
+                    last.len += 1
+                }
+                // audit:allow(growth): one share per connection per round, bounded by the live connection count
+                _ => part.shares.push(ReadShare { slot: idx, gen, token, len: 1 }),
             }
-            Err(TrySendError::Disconnected(_)) => cs.conn.push_response(&shutting_down()),
+            // audit:allow(growth): a round holds at most one read set per live connection, each at most MAX_BATCH reads; flushed every round
+            part.reads.push((op, key));
+            // audit:allow(growth): as above
+            part.pos.push(u32::try_from(i).unwrap_or(u32::MAX));
+        }
+        cs.pending = Pending::Reads { values: vec![0; n], remaining: n, set };
+    }
+
+    /// End of round: one [`Job::Reads`] per shard that has reads. A full
+    /// queue sheds every read set with a read in that job — one
+    /// `OVERLOADED` per frame it covers — and the set's parts already
+    /// sent to other shards die on its token.
+    fn flush_round(&mut self) {
+        for shard in 0..self.round.len() {
+            if self.round[shard].reads.is_empty() {
+                continue;
+            }
+            let RoundPart { reads, pos, shares } = std::mem::take(&mut self.round[shard]);
+            let sink = QuerySink::Reactor {
+                tx: self.comp_tx.clone(),
+                waker: Arc::clone(&self.shared.waker),
+                route: Route::Reads { shares, pos },
+            };
+            let (job, overloaded) =
+                match self.shared.txs[shard].try_send(Job::Reads { reads, sink }) {
+                    Ok(()) => continue,
+                    Err(TrySendError::Full(job)) => (job, true),
+                    Err(TrySendError::Disconnected(job)) => (job, false),
+                };
+            let Job::Reads {
+                sink: QuerySink::Reactor { route: Route::Reads { shares, .. }, .. },
+                ..
+            } = job
+            else {
+                continue;
+            };
+            for share in shares {
+                let Some(cs) = live_conn(&mut self.slots, share.slot, share.gen, share.token)
+                else {
+                    continue;
+                };
+                let Pending::Reads { set, .. } = std::mem::replace(&mut cs.pending, Pending::Idle)
+                else {
+                    continue; // already shed by an earlier shard's job
+                };
+                for _ in 0..set.frames() {
+                    let resp = if overloaded { self.shared.shed() } else { shutting_down() };
+                    cs.conn.push_response(&resp);
+                }
+                self.mark_dirty(share.slot);
+            }
+        }
+    }
+
+    fn reactor_sink(&self, slot: u32, gen: u32, token: u64, shard: usize) -> QuerySink {
+        QuerySink::Reactor {
+            tx: self.comp_tx.clone(),
+            waker: Arc::clone(&self.shared.waker),
+            route: Route::Request { slot, gen, token, shard },
         }
     }
 
@@ -539,7 +719,7 @@ impl Reactor {
             let sink = self.reactor_sink(idx, gen, cs.token, shard);
             let job = match kind {
                 GatherKind::CardSum => Job::Card { sink },
-                GatherKind::SimAvg | GatherKind::Batch { .. } => Job::Sim { sink },
+                GatherKind::SimAvg => Job::Sim { sink },
             };
             match self.shared.txs[shard].try_send(job) {
                 Ok(()) => {}
@@ -555,44 +735,6 @@ impl Reactor {
             }
         }
         cs.pending = Pending::Gather { parts: vec![None; shards], remaining: shards, kind };
-    }
-
-    /// Batch point query: split keys by owning shard, gather slices.
-    fn native_batch(&mut self, cs: &mut ConnState, idx: u32, gen: u32, op: u8, keys: Vec<u64>) {
-        if let Err(resp) = batch_op_check(op) {
-            cs.conn.push_response(&resp);
-            return;
-        }
-        if keys.is_empty() {
-            cs.conn.push_response(&Response::U64s(Vec::new()));
-            return;
-        }
-        let n = keys.len();
-        let shards = self.shared.txs.len();
-        let mut remaining = 0;
-        for (shard, (shard_keys, pos)) in
-            partition_batch(&self.shared.engine, &keys, shards).into_iter().enumerate()
-        {
-            if shard_keys.is_empty() {
-                continue;
-            }
-            let sink = self.reactor_sink(idx, gen, cs.token, shard);
-            let job = Job::QueryBatch { op, keys: shard_keys, pos, sink };
-            match self.shared.txs[shard].try_send(job) {
-                Ok(()) => remaining += 1,
-                Err(TrySendError::Full(_)) => {
-                    let resp = self.shared.shed();
-                    cs.conn.push_response(&resp);
-                    return;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    cs.conn.push_response(&shutting_down());
-                    return;
-                }
-            }
-        }
-        cs.pending =
-            Pending::Gather { parts: vec![None; shards], remaining, kind: GatherKind::Batch { n } };
     }
 
     /// Ship a blocking op to the offload pool (round-robin).
@@ -762,54 +904,41 @@ fn flush_out(cs: &mut ConnState, now: u64) -> bool {
     true
 }
 
-/// Map a worker's answer to the wire response for a single-part query.
-fn single_response(answer: Answer) -> Response {
-    match answer {
-        Answer::Bool(v) => Response::Bool(v),
-        Answer::U64(v) => Response::U64(v),
-        Answer::F64(v) => Response::F64(v),
-        Answer::Resp(resp) => resp,
-        Answer::Slots(_) => crate::server::answer_mismatch(),
+/// The `(op, key)` of a single-key read, the frames a read run takes.
+fn point_read(req: &Request) -> Option<(u8, u64)> {
+    match *req {
+        Request::QueryMember { key } => Some((cluster_op::MEMBER, key)),
+        Request::QueryFreq { key } => Some((cluster_op::FREQ, key)),
+        _ => None,
     }
 }
 
-/// The merge rule for every multi-shard answer the server gives.
+/// The live connection at `slot`, if it is still the tenant of `gen` and
+/// `token` is still its current request.
+fn live_conn(slots: &mut [Slot], slot: u32, gen: u32, token: u64) -> Option<&mut ConnState> {
+    let slot = slots.get_mut(usize_of(u64::from(slot)))?;
+    if slot.gen != gen {
+        return None; // the connection this answered is gone
+    }
+    slot.conn.as_mut().filter(|cs| cs.token == token) // else a superseded request
+}
+
+/// The merge rule for every multi-shard aggregate the server gives.
 /// Cardinality is the sum of the per-shard estimates and similarity their
 /// mean, both accumulated in shard index order from `0.0` — f64 addition
 /// is not associative, so the fixed order is what makes the answer equal
 /// bit for bit to [`DirectEngine`](she_core::sharded::DirectEngine)'s and
-/// to the cluster scatter's. A batch scatters each shard's
-/// `(position, value)` pairs back to their request positions.
+/// to the cluster scatter's.
 fn finish_gather(parts: Vec<Option<Answer>>, kind: GatherKind) -> Response {
-    match kind {
-        GatherKind::CardSum | GatherKind::SimAvg => {
-            let n = parts.len() as f64;
-            let mut sum = 0.0f64;
-            for a in parts.into_iter().flatten() {
-                match a {
-                    Answer::F64(v) => sum += v,
-                    _ => return crate::server::answer_mismatch(),
-                }
-            }
-            Response::F64(if matches!(kind, GatherKind::SimAvg) { sum / n } else { sum })
-        }
-        GatherKind::Batch { n } => {
-            let mut out = vec![0u64; n];
-            for a in parts.into_iter().flatten() {
-                match a {
-                    Answer::Slots(slots) => {
-                        for (pos, value) in slots {
-                            if let Some(o) = out.get_mut(usize_of(u64::from(pos))) {
-                                *o = value;
-                            }
-                        }
-                    }
-                    _ => return crate::server::answer_mismatch(),
-                }
-            }
-            Response::U64s(out)
+    let n = parts.len() as f64;
+    let mut sum = 0.0f64;
+    for a in parts.into_iter().flatten() {
+        match a {
+            Answer::F64(v) => sum += v,
+            _ => return answer_mismatch(),
         }
     }
+    Response::F64(if matches!(kind, GatherKind::SimAvg) { sum / n } else { sum })
 }
 
 /// Refuse an over-cap connection: one best-effort `OVERLOADED` frame on

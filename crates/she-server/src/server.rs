@@ -23,7 +23,9 @@
 //!   sub-batch of a request has been enqueued the remainder uses blocking
 //!   sends, so a request is applied exactly once or not at all.
 //! * **Ordering** — the reactor parses one connection's frames in order
-//!   and dispatches at most one request per connection at a time, and the
+//!   and holds one pending read set or request per connection (a read
+//!   set is a run of pipelined single-key reads or one `QUERY_BATCH`); a
+//!   round sends one job per shard, after that round's inserts, and the
 //!   shard queues are FIFO, so a query observes every insert the same
 //!   connection sent before it (the property the verify mode relies on).
 //! * **Shutdown** — the `SHUTDOWN` request flips a flag and wakes the
@@ -172,24 +174,6 @@ pub(crate) struct Shared {
     /// flips this and serves writes from then on (its own op log starts
     /// at its promotion point; followers re-bootstrap from it).
     promoted: AtomicBool,
-}
-
-/// Split a batch query's keys by owning shard, remembering each key's
-/// position in the request (`u32` — positions are bounded by `MAX_BATCH`).
-pub(crate) fn partition_batch(
-    engine: &EngineConfig,
-    keys: &[u64],
-    shards: usize,
-) -> Vec<(Vec<u64>, Vec<u32>)> {
-    let mut per: Vec<(Vec<u64>, Vec<u32>)> = vec![(Vec::new(), Vec::new()); shards];
-    for (i, &key) in keys.iter().enumerate() {
-        let shard = engine.shard_of(key);
-        // audit:allow(growth): per-shard split of one batch, total bounded by MAX_BATCH at decode
-        per[shard].0.push(key);
-        // audit:allow(growth): position index of the same bounded batch
-        per[shard].1.push(u32::try_from(i).unwrap_or(u32::MAX));
-    }
-    per
 }
 
 pub(crate) fn answer_mismatch() -> Response {

@@ -28,32 +28,51 @@ pub const DRAIN_BATCH: usize = 64;
 /// One query answer, typed by the query that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
-    /// Membership.
+    /// Membership of one key ([`Job::Member`]).
     Bool(bool),
-    /// Frequency.
-    U64(u64),
     /// Cardinality / similarity contribution.
     F64(f64),
-    /// Batch query: `(request position, value)` per key this shard owns.
-    Slots(Vec<(u32, u64)>),
+    /// A [`Job::Reads`]: one value per key, in the job's key order —
+    /// membership as 0/1, frequency as the count.
+    Values(Vec<u64>),
     /// A full response computed off the reactor (offloaded ops).
     Resp(Response),
 }
 
-/// A completed query headed back to the reactor: `slot`/`gen` name the
-/// connection, `token` names the request (a connection's dispatch
-/// counter — a stale completion whose token no longer matches is
-/// dropped), `shard` indexes multi-shard gathers.
-#[derive(Debug)]
-pub struct Completion {
+/// One connection's share of a [`Job::Reads`]: the next `len` keys of the
+/// job belong to the pending read set that `slot`/`gen`/`token` name.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadShare {
     /// Connection slab slot.
     pub slot: u32,
-    /// Slot generation at dispatch time.
+    /// Slot generation when the read set was parsed.
     pub gen: u32,
-    /// Connection request counter at dispatch time.
+    /// The connection's request counter for that read set.
     pub token: u64,
-    /// Which shard answered (orders f64 merges).
-    pub shard: usize,
+    /// How many consecutive keys of the job are this connection's.
+    pub len: u32,
+}
+
+/// Who a reactor completion answers. The worker never looks inside: the
+/// route rides the job to the shard and back, so the reactor keeps no
+/// table that a dropped job could leak.
+#[derive(Debug, Clone)]
+pub enum Route {
+    /// One request: `slot`/`gen` name the connection, `token` the request
+    /// (a connection's dispatch counter — a stale completion whose token
+    /// no longer matches is dropped), `shard` indexes multi-shard gathers.
+    Request { slot: u32, gen: u32, token: u64, shard: usize },
+    /// One shard's reads of a reactor round: `shares` split the job's
+    /// keys among connections in order, and `pos[i]` is key `i`'s
+    /// position in its connection's read set.
+    Reads { shares: Vec<ReadShare>, pos: Vec<u32> },
+}
+
+/// A completed query headed back to the reactor.
+#[derive(Debug)]
+pub struct Completion {
+    /// Who asked.
+    pub route: Route,
     /// The answer.
     pub answer: Answer,
 }
@@ -71,14 +90,8 @@ pub enum QuerySink {
         tx: Sender<Completion>,
         /// Wakes the reactor's `epoll_wait`.
         waker: Arc<Waker>,
-        /// Connection slab slot.
-        slot: u32,
-        /// Slot generation at dispatch time.
-        gen: u32,
-        /// Connection request counter at dispatch time.
-        token: u64,
-        /// Which shard this sink is answering for.
-        shard: usize,
+        /// Who the answer is for.
+        route: Route,
     },
 }
 
@@ -90,8 +103,8 @@ impl QuerySink {
             QuerySink::Channel(tx) => {
                 let _ = tx.send(answer);
             }
-            QuerySink::Reactor { tx, waker, slot, gen, token, shard } => {
-                let _ = tx.send(Completion { slot, gen, token, shard, answer });
+            QuerySink::Reactor { tx, waker, route } => {
+                let _ = tx.send(Completion { route, answer });
                 waker.wake();
             }
         }
@@ -105,18 +118,20 @@ impl QuerySink {
 pub enum Job {
     /// Apply a run of same-stream inserts, in order.
     Batch { stream: u8, keys: Vec<u64> },
-    /// Membership of `key` in stream A (answers [`Answer::Bool`]).
+    /// Membership of `key` in stream A (answers [`Answer::Bool`]). The
+    /// reactor sends [`Job::Reads`]; this one-key form is for callers
+    /// that drive a worker directly.
     Member { key: u64, sink: QuerySink },
     /// This shard's cardinality contribution (answers [`Answer::F64`]).
     Card { sink: QuerySink },
-    /// Frequency of `key` in stream A (answers [`Answer::U64`]).
-    Freq { key: u64, sink: QuerySink },
     /// This shard's A/B Jaccard estimate (answers [`Answer::F64`]).
     Sim { sink: QuerySink },
-    /// Batch point query over this shard's slice of the keys: `op` is
-    /// `cluster_op::{MEMBER, FREQ}`, `pos[i]` is `keys[i]`'s position in
-    /// the original request (answers [`Answer::Slots`]).
-    QueryBatch { op: u8, keys: Vec<u64>, pos: Vec<u32>, sink: QuerySink },
+    /// Every per-key read one reactor round has for this shard — runs of
+    /// pipelined `QUERY_MEMBER`/`QUERY_FREQ` and `QUERY_BATCH` keys, from
+    /// any number of connections: `(op, key)` pairs, `op` being
+    /// `cluster_op::{MEMBER, FREQ}`, read in order (answers
+    /// [`Answer::Values`]).
+    Reads { reads: Vec<(u8, u64)>, sink: QuerySink },
     /// Counter snapshot.
     Stats { reply: SyncSender<ShardStats> },
     /// Serialize this shard's state. Rides the same FIFO queue as the
@@ -189,19 +204,19 @@ fn apply(engine: &mut ShardEngine, job: Job) {
         }
         Job::Member { key, sink } => sink.send(Answer::Bool(engine.member(key))),
         Job::Card { sink } => sink.send(Answer::F64(engine.cardinality())),
-        Job::Freq { key, sink } => sink.send(Answer::U64(engine.frequency(key))),
         Job::Sim { sink } => sink.send(Answer::F64(engine.similarity())),
-        Job::QueryBatch { op, keys, pos, sink } => {
-            let mut slots = Vec::with_capacity(keys.len());
-            for (k, p) in keys.into_iter().zip(pos) {
-                let v = if op == cluster_op::MEMBER {
-                    u64::from(engine.member(k))
-                } else {
-                    engine.frequency(k)
-                };
-                slots.push((p, v));
-            }
-            sink.send(Answer::Slots(slots));
+        Job::Reads { reads, sink } => {
+            let values = reads
+                .into_iter()
+                .map(|(op, k)| {
+                    if op == cluster_op::MEMBER {
+                        u64::from(engine.member(k))
+                    } else {
+                        engine.frequency(k)
+                    }
+                })
+                .collect();
+            sink.send(Answer::Values(values));
         }
         Job::Stats { reply } => {
             let _ = reply.send(engine.stats());
@@ -262,14 +277,11 @@ mod tests {
         assert_eq!(ask(&|sink| Job::Member { key: 7, sink }), Answer::Bool(false));
         queue.send(Job::Batch { stream: 0, keys: vec![7, 7, 9] }).expect("worker alive");
         assert_eq!(ask(&|sink| Job::Member { key: 7, sink }), Answer::Bool(true));
-        assert_eq!(ask(&|sink| Job::Freq { key: 7, sink }), Answer::U64(2));
-        let batch = |sink| Job::QueryBatch {
-            op: cluster_op::FREQ,
-            keys: vec![9, 7],
-            pos: vec![1, 0],
+        let reads = |sink| Job::Reads {
+            reads: vec![(cluster_op::FREQ, 7), (cluster_op::MEMBER, 9), (cluster_op::FREQ, 4)],
             sink,
         };
-        assert_eq!(ask(&batch), Answer::Slots(vec![(1, 1), (0, 2)]));
+        assert_eq!(ask(&reads), Answer::Values(vec![2, 1, 0]));
         assert_eq!(queue.depth(), 0, "every job was dequeued");
 
         drop(queue);

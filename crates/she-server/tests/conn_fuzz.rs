@@ -96,6 +96,56 @@ fn seeded_torn_streams_reassemble_the_exact_request_sequence() {
     }
 }
 
+/// The reactor takes a run of reads with `poll_if` and everything else
+/// with `poll`. Whatever the predicate, interleaving the two over any
+/// split of the input must yield exactly the events `poll` alone yields:
+/// a rejected, undecodable or incomplete frame is never consumed.
+#[test]
+fn poll_if_interleaved_with_poll_yields_the_poll_sequence() {
+    let mut payloads: Vec<Vec<u8>> = sample_requests().iter().map(Request::encode).collect();
+    payloads.push(vec![0xFF, 1, 2, 3]);
+    payloads.push(Vec::new());
+    for seed in 0..20u64 {
+        let mut rng = Lcg(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
+        let mut stream = Vec::new();
+        for _ in 0..64 {
+            let p = &payloads[(rng.next() as usize) % payloads.len()];
+            stream.extend_from_slice(&frame(p));
+        }
+        let mut splits = Vec::new();
+        let mut fed = 0;
+        while fed < stream.len() {
+            let end = (fed + 1 + (rng.next() as usize) % 41).min(stream.len());
+            splits.push(fed..end);
+            fed = end;
+        }
+        let drain = |mixed: bool, rng: &mut Lcg| {
+            let mut c = Connection::new();
+            let mut got = Vec::new();
+            for range in &splits {
+                c.feed(&stream[range.clone()], range.start as u64);
+                loop {
+                    if mixed && rng.next().is_multiple_of(2) {
+                        let take = !rng.next().is_multiple_of(3);
+                        if let Some(req) = c.poll_if(|_| take) {
+                            got.push(Event::Request(req));
+                            continue;
+                        }
+                    }
+                    match c.poll() {
+                        Event::NeedMore => break,
+                        event => got.push(event),
+                    }
+                }
+            }
+            got
+        };
+        let alone = drain(false, &mut rng);
+        assert_eq!(alone.len(), 64, "seed {seed}: every frame is one event");
+        assert_eq!(drain(true, &mut rng), alone, "seed {seed}");
+    }
+}
+
 #[test]
 fn bit_flipped_streams_never_panic() {
     // Flip every single bit of two multi-frame streams, one at a time, and
@@ -189,8 +239,8 @@ fn oversize_prefix_is_fatal_before_any_allocation_sized_by_it() {
 
 #[test]
 fn pipelined_requests_interleave_with_responses_in_fifo_order() {
-    // The reactor dispatches one request at a time; the state machine
-    // must hold pipelined frames intact while responses queue up.
+    // The reactor holds one read set or request at a time; the state
+    // machine must hold pipelined frames intact while responses queue up.
     let mut c = Connection::new();
     let mut bytes = Vec::new();
     for key in 0..10u64 {

@@ -5,7 +5,7 @@
 
 use she_server::codec::{read_frame, write_frame};
 use she_server::protocol::{Request, Response};
-use she_server::{Client, EngineConfig, Server, ServerConfig};
+use she_server::{cluster_op, Client, DirectEngine, EngineConfig, Server, ServerConfig};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -55,6 +55,72 @@ fn saturated_queue_sheds_reads_as_overloaded() {
     );
     assert!(t0.elapsed() < Duration::from_millis(100), "shed must not block behind the backlog");
     assert_eq!(server.counters().snapshot().shed_reads, 1);
+
+    server.shutdown();
+    server.join();
+}
+
+/// A full queue at the end of a reactor round sheds each read set in the
+/// refused job whole: three pipelined `QUERY_FREQ`s and one `QUERY_BATCH`
+/// written at once get four `OVERLOADED` frames, in order. Once the
+/// backlog drains, a read on the same connection answers like the twin.
+#[test]
+fn saturated_queue_sheds_a_whole_read_set() {
+    let engine = small_engine();
+    let server = Server::start(ServerConfig {
+        engine,
+        queue_capacity: 1,
+        retry_after_ms: 7,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    // A frame the server never answers fails the test instead of hanging it.
+    sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut twin = DirectEngine::new(engine);
+
+    // Wedge the worker exactly as `saturated_queue_sheds_reads_as_overloaded`.
+    let big: Vec<u64> = (0..120_000u64).collect();
+    for _ in 0..2 {
+        let resp = raw_call(&mut sock, &Request::InsertBatch { stream: 0, keys: big.clone() });
+        assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
+    }
+    let mut bytes = Vec::new();
+    let reads = (0..3u64)
+        .map(|key| Request::QueryFreq { key })
+        .chain([Request::QueryBatch { op: cluster_op::MEMBER, keys: vec![1, 2, 3] }]);
+    for req in reads {
+        let payload = req.encode();
+        bytes.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        bytes.extend_from_slice(&payload);
+    }
+    sock.write_all(&bytes).unwrap();
+    for at in 0..4 {
+        let resp = Response::decode(&read_frame(&mut sock).unwrap().expect("a reply")).unwrap();
+        assert!(
+            matches!(resp, Response::Overloaded { retry_after_ms: 7 }),
+            "reply {at}: expected OVERLOADED, got {resp:?}"
+        );
+    }
+    assert_eq!(server.counters().snapshot().shed_reads, 4, "one count per shed frame");
+    twin.apply(0, &big);
+    twin.apply(0, &big);
+
+    let last = *big.last().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let answer = loop {
+        match raw_call(&mut sock, &Request::QueryMember { key: last }) {
+            Response::Overloaded { .. } if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            other => break other,
+        }
+    };
+    assert_eq!(answer, Response::Bool(twin.member(last)));
+    assert_eq!(
+        raw_call(&mut sock, &Request::QueryFreq { key: last }),
+        Response::U64(twin.frequency(last))
+    );
 
     server.shutdown();
     server.join();

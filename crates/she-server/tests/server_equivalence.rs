@@ -9,6 +9,9 @@ use she_server::{
     loadgen, Client, DirectEngine, EngineConfig, LoadgenConfig, Record, Server, ServerConfig,
 };
 
+/// How long a raw-socket test waits for a reply before it fails.
+const REPLY_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
+
 fn start_server(engine: EngineConfig) -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -116,6 +119,144 @@ fn malformed_frame_gets_err_not_hangup() {
     assert!(matches!(resp, Response::F64(_)), "got {resp:?}");
 
     drop(sock);
+    server.join();
+}
+
+/// Every frame in one write, so the reactor sees them all buffered at
+/// once: runs of single reads, an insert between them, a batch, an
+/// undecodable frame and an aggregate. Each reply must equal the twin
+/// asked in request order, and the `ERR` must sit at the bad frame.
+#[test]
+fn pipelined_mixed_frames_answer_in_order_and_match_the_twin() {
+    use she_server::cluster_op;
+    use she_server::protocol::Request;
+    use std::io::Write;
+
+    let engine = EngineConfig { window: 1 << 12, shards: 4, memory_bytes: 32 << 10, seed: 9 };
+    let server = start_server(engine);
+    let mut twin = DirectEngine::new(engine);
+    let warm: Vec<u64> = (0..3_000u64).map(|i| she_hash::mix64(i) % 700).collect();
+    Client::connect(server.local_addr()).unwrap().insert_batch(0, &warm).unwrap();
+    twin.apply(0, &warm);
+
+    // Keys 700.. are fresh until the pipelined insert below, and reads
+    // 2..5 ask for the same keys as reads 7..10: a read that saw an insert
+    // sent after it, or missed one sent before it, differs from the twin.
+    let key = |i: u64| 690 + (i % 5) * 5;
+    let read = |i: u64| {
+        if i.is_multiple_of(2) {
+            Request::QueryMember { key: key(i) }
+        } else {
+            Request::QueryFreq { key: key(i) }
+        }
+    };
+    let batch: Vec<u64> = (40..60).map(key).collect();
+    let fresh: Vec<u64> = (0..200u64).map(|i| 700 + i % 150).collect();
+    let mut frames: Vec<Vec<u8>> = Vec::new();
+    frames.extend((0..5).map(|i| read(i).encode()));
+    frames.push(Request::InsertBatch { stream: 0, keys: fresh.clone() }.encode());
+    frames.extend((5..8).map(|i| read(i).encode()));
+    frames.push(Request::QueryBatch { op: cluster_op::FREQ, keys: batch.clone() }.encode());
+    frames.push(vec![0xFF, 1, 2, 3]);
+    frames.extend((8..10).map(|i| read(i).encode()));
+    frames.push(Request::QueryCard.encode());
+
+    let mut bytes = Vec::new();
+    for f in &frames {
+        bytes.extend_from_slice(&u32::try_from(f.len()).unwrap().to_le_bytes());
+        bytes.extend_from_slice(f);
+    }
+    let mut sock = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    // A frame the server never answers fails the test instead of hanging it.
+    sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+    sock.write_all(&bytes).unwrap();
+
+    let ask = |i: u64, twin: &mut DirectEngine| {
+        if i.is_multiple_of(2) {
+            Response::Bool(twin.member(key(i)))
+        } else {
+            Response::U64(twin.frequency(key(i)))
+        }
+    };
+    let mut expect: Vec<Option<Response>> = Vec::new();
+    expect.extend((0..5).map(|i| Some(ask(i, &mut twin))));
+    twin.apply(0, &fresh);
+    expect.push(Some(Response::Ok { accepted: 200 }));
+    expect.extend((5..8).map(|i| Some(ask(i, &mut twin))));
+    expect.push(Some(Response::U64s(batch.iter().map(|&k| twin.frequency(k)).collect())));
+    expect.push(None); // the undecodable frame: any ERR
+    expect.extend((8..10).map(|i| Some(ask(i, &mut twin))));
+    expect.push(Some(Response::F64(twin.cardinality())));
+
+    for (at, want) in expect.into_iter().enumerate() {
+        let got = Response::decode(&read_frame(&mut sock).unwrap().expect("a reply")).unwrap();
+        match (want, got) {
+            (None, Response::Err(_)) => {}
+            (Some(Response::F64(w)), Response::F64(g)) => {
+                assert_eq!(g.to_bits(), w.to_bits(), "reply {at}");
+            }
+            (want, got) => assert_eq!(Some(got), want, "reply {at}"),
+        }
+    }
+    drop(sock);
+    server.join();
+}
+
+/// Eight connections, each with four reads in flight, released together
+/// so their runs share reactor rounds: every answer equals the twin's.
+#[test]
+fn concurrent_pipelined_reads_match_the_twin() {
+    use she_server::protocol::Request;
+    use std::io::Write;
+    use std::sync::Barrier;
+
+    let engine = EngineConfig { window: 1 << 12, shards: 4, memory_bytes: 32 << 10, seed: 13 };
+    let server = start_server(engine);
+    let mut twin = DirectEngine::new(engine);
+    let warm: Vec<u64> = (0..3_000u64).map(|i| she_hash::mix64(i) % 500).collect();
+    Client::connect(server.local_addr()).unwrap().insert_batch(0, &warm).unwrap();
+    twin.apply(0, &warm);
+
+    // Reads between two inserts commute, so the twin can answer in any
+    // order the reactor happens to pick.
+    let conns: Vec<Vec<(Request, Response)>> = (0..8u64)
+        .map(|c| {
+            (0..4u64)
+                .map(|i| {
+                    let key = she_hash::mix64(c * 4 + i) % 600;
+                    if (c + i) % 2 == 0 {
+                        (Request::QueryMember { key }, Response::Bool(twin.member(key)))
+                    } else {
+                        (Request::QueryFreq { key }, Response::U64(twin.frequency(key)))
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let barrier = Barrier::new(conns.len());
+    let addr = server.local_addr();
+    std::thread::scope(|scope| {
+        for (c, calls) in conns.iter().enumerate() {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                let mut sock = std::net::TcpStream::connect(addr).unwrap();
+                sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+                let mut bytes = Vec::new();
+                for (req, _) in calls {
+                    let f = req.encode();
+                    bytes.extend_from_slice(&u32::try_from(f.len()).unwrap().to_le_bytes());
+                    bytes.extend_from_slice(&f);
+                }
+                barrier.wait();
+                sock.write_all(&bytes).unwrap();
+                for (i, (req, want)) in calls.iter().enumerate() {
+                    let got = read_frame(&mut sock).unwrap().expect("a reply");
+                    let got = Response::decode(&got).unwrap();
+                    assert_eq!(&got, want, "connection {c}, read {i}: {req:?}");
+                }
+            });
+        }
+    });
     server.join();
 }
 

@@ -45,7 +45,10 @@ stage cargo test -q --offline --workspace
 # compiled out there: the debug run above never executes the code that
 # serves. The equivalence, `hash_seeds` and golden-digest tests must hold
 # on that code too (seconds; the release artefacts already exist).
-stage cargo test -q --offline --release -p she-hash -p she-sketch -p she-core
+# she-server's tests run here as well: the reactor's round path, its
+# shedding and the twin-equivalence tests then also run on the optimised
+# build the benchmark times, where the worker outpaces the reactor.
+stage cargo test -q --offline --release -p she-hash -p she-sketch -p she-core -p she-server
 
 # The CLI scenarios again, against the release `she`: the binary people
 # actually serve with is otherwise never started by the gate.
