@@ -47,9 +47,10 @@ impl Rule for Blocking {
 /// Calls that park the calling thread on I/O or an unbounded wait.
 /// Covers the repo's own frame codec (`read_frame` and friends are
 /// blocking by design), the std blocking read/write combinators, socket
-/// timeout configuration (only meaningful on blocking sockets), and
-/// blocking channel receives.
-const BLOCKERS: [&str; 10] = [
+/// timeout configuration (only meaningful on blocking sockets), blocking
+/// channel receives, TCP dials (a handshake, or a refused or silent
+/// peer, for up to the whole timeout) and sleeps.
+const BLOCKERS: [&str; 13] = [
     "read_frame",
     "read_frame_deadline",
     "write_frame",
@@ -60,6 +61,9 @@ const BLOCKERS: [&str; 10] = [
     "recv_timeout",
     "set_read_timeout",
     "set_write_timeout",
+    "connect",
+    "connect_timeout",
+    "sleep",
 ];
 
 /// Run the reachability rule: every blocking sink in a root-reachable fn
@@ -174,6 +178,31 @@ mod tests {
     #[test]
     fn spawned_closure_does_not_taint_the_spawner() {
         let src = "fn run() { spawn(move || { rx.recv(); }); poll(); }\nfn poll() {}\n";
+        assert!(run(src, &["run"], &[]).is_empty());
+    }
+
+    /// Each dial and sleep form is a sink when the reactor reaches it.
+    #[test]
+    fn dials_and_sleeps_are_sinks() {
+        for (call, name) in [
+            ("TcpStream::connect(addr)", "connect"),
+            ("TcpStream::connect_timeout(&sa, t)", "connect_timeout"),
+            ("std::thread::sleep(pause)", "sleep"),
+        ] {
+            let src = format!("fn run() {{ send_leg(); }}\nfn send_leg() {{ {call}; }}\n");
+            let f = run(&src, &["run"], &[]);
+            assert_eq!(f.len(), 1, "{call}: {f:?}");
+            assert!(f[0].msg.contains(&format!("`{name}(`")), "{}", f[0].msg);
+            assert!(f[0].msg.contains("run → send_leg"), "{}", f[0].msg);
+        }
+    }
+
+    /// A dial on a one-shot thread is the sanctioned form: the spawned
+    /// closure is its own node, so the spawner stays clean.
+    #[test]
+    fn dial_inside_a_spawned_closure_is_not_flagged() {
+        let src = "fn run() { open_link(); }\nfn open_link() {\n    \
+                   spawn(move || { let s = TcpStream::connect_timeout(&sa, t); tx.send(s); });\n}\n";
         assert!(run(src, &["run"], &[]).is_empty());
     }
 

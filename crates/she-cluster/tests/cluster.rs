@@ -2,8 +2,10 @@
 //! single in-process engine, automated failover, and live migration.
 
 use she_cluster::{migrate, ClusterNode, NodeConfig};
+use she_server::codec::{read_frame, write_frame};
+use she_server::protocol::{Request, Response};
 use she_server::{cluster_op, Client, DirectEngine, EngineConfig, NodeRef, Server, ServerConfig};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Grab `n` free ports by binding and immediately releasing them. The
@@ -121,6 +123,99 @@ fn scatter_gather_matches_direct_mirror_bit_for_bit() {
                 assert_eq!(v.to_bits(), mirror.similarity().to_bits());
             }
             other => panic!("unexpected sim reply {other:?}"),
+        }
+    }
+
+    for n in nodes {
+        n.shutdown();
+        n.wait();
+    }
+}
+
+/// Raw pipelined frames: several connections each send a burst of mixed
+/// `CLUSTER_QUERY` member/freq frames plus a batch, a cardinality and a
+/// similarity before reading a single answer, through two coordinators.
+/// Every answer equals the twin's, asked in the same order.
+#[test]
+fn pipelined_cluster_reads_equal_the_twin() {
+    let addrs = reserve_addrs(3);
+    let (roster, nodes) = start_cluster(&addrs, 60_000);
+    let map = nodes[0].directory().get();
+    let mut twin = DirectEngine::new(EngineConfig {
+        window: 6 * 1024,
+        shards: 3,
+        memory_bytes: 12 * 1024,
+        seed: 7,
+    });
+    let mut rng = Rng(0x9195_C0DE);
+    for stream in [0u8, 1] {
+        let keys: Vec<u64> = (0..1_500).map(|_| rng.next() % 3_000).collect();
+        cluster_insert(&roster, &map, stream, &keys);
+        keys.iter().for_each(|&k| twin.insert(stream, k));
+    }
+
+    // Four connections, two per coordinator; all bursts go out first.
+    let mut conns: Vec<(TcpStream, Vec<Request>)> = Vec::new();
+    for c in 0..4 {
+        let mut stream = TcpStream::connect(&addrs[if c < 2 { 0 } else { 2 }]).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let mut reqs: Vec<Request> = (0..32)
+            .map(|i| {
+                let key = rng.next() % 3_000;
+                let op = if (i + c) % 2 == 0 { cluster_op::MEMBER } else { cluster_op::FREQ };
+                Request::ClusterQuery { op, key }
+            })
+            .collect();
+        let op = if c % 2 == 0 { cluster_op::FREQ } else { cluster_op::MEMBER };
+        reqs.push(Request::ClusterQueryBatch {
+            op,
+            keys: (0..48).map(|_| rng.next() % 3_000).collect(),
+        });
+        reqs.push(Request::ClusterQuery { op: cluster_op::CARD, key: 0 });
+        reqs.push(Request::ClusterQuery { op: cluster_op::SIM, key: 0 });
+        let mut burst = Vec::new();
+        for req in &reqs {
+            write_frame(&mut burst, &req.encode()).expect("frame");
+        }
+        std::io::Write::write_all(&mut stream, &burst).expect("burst");
+        conns.push((stream, reqs));
+    }
+
+    for (mut stream, reqs) in conns {
+        for req in reqs {
+            let payload = read_frame(&mut stream).expect("read").expect("an answer per frame");
+            let got = Response::decode(&payload).expect("decode");
+            let want = match req {
+                Request::ClusterQuery { op: cluster_op::MEMBER, key } => {
+                    Response::Bool(twin.member(key))
+                }
+                Request::ClusterQuery { op: cluster_op::FREQ, key } => {
+                    Response::U64(twin.frequency(key))
+                }
+                Request::ClusterQuery { op: cluster_op::CARD, .. } => {
+                    Response::F64(twin.cardinality())
+                }
+                Request::ClusterQuery { op: cluster_op::SIM, .. } => {
+                    Response::F64(twin.similarity())
+                }
+                Request::ClusterQueryBatch { op, keys } => Response::U64s(
+                    keys.iter()
+                        .map(|&k| {
+                            if op == cluster_op::MEMBER {
+                                u64::from(twin.member(k))
+                            } else {
+                                twin.frequency(k)
+                            }
+                        })
+                        .collect(),
+                ),
+                other => panic!("unexpected request {other:?}"),
+            };
+            match (&got, &want) {
+                (Response::F64(g), Response::F64(w)) => assert_eq!(g.to_bits(), w.to_bits()),
+                _ => assert_eq!(got, want),
+            }
         }
     }
 

@@ -75,9 +75,9 @@ impl Client {
     }
 
     /// Connect with a bound on the connect itself *and* on every
-    /// subsequent operation (see [`Client::set_op_timeout`]) — the
-    /// scatter-gather and gossip paths, where a dead peer must fail the
-    /// leg quickly instead of wedging the caller.
+    /// subsequent operation (see [`Client::set_op_timeout`]) — for peers
+    /// that may be dead (gossip, cluster loadgen, drills), which must fail
+    /// the call quickly instead of wedging the caller.
     pub fn connect_timeout<A: ToSocketAddrs>(addr: A, timeout: Duration) -> io::Result<Client> {
         let sa = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")

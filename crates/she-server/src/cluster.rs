@@ -32,7 +32,7 @@ use she_core::frame::Reader;
 use she_core::sharded::route;
 use she_core::OrderedMutex;
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Sanity cap on partitions in a decoded map (a map is a few hundred
 /// bytes per partition; this bounds hostile counts, not real clusters).
@@ -305,18 +305,24 @@ impl ClusterMap {
 /// immediately what `CLUSTER_MAP` and `CLUSTER_QUERY` serve.
 #[derive(Debug)]
 pub struct ClusterDirectory {
-    map: OrderedMutex<ClusterMap>,
+    map: OrderedMutex<Arc<ClusterMap>>,
 }
 
 impl ClusterDirectory {
     /// Start from `initial` (normally [`ClusterMap::initial`]).
     pub fn new(initial: ClusterMap) -> Self {
-        ClusterDirectory { map: OrderedMutex::new("cluster-map", initial) }
+        ClusterDirectory { map: OrderedMutex::new("cluster-map", Arc::new(initial)) }
     }
 
     /// A snapshot of the current view.
     pub fn get(&self) -> ClusterMap {
-        self.map.lock().clone()
+        ClusterMap::clone(&self.map.lock())
+    }
+
+    /// The current view, shared: a reference count instead of a copy,
+    /// for the reactor's per-request scatter.
+    pub(crate) fn current(&self) -> Arc<ClusterMap> {
+        Arc::clone(&self.map.lock())
     }
 
     /// The current epoch (cheaper than cloning the whole map).
@@ -329,126 +335,12 @@ impl ClusterDirectory {
     pub fn observe(&self, candidate: &ClusterMap) -> bool {
         let mut cur = self.map.lock();
         if candidate.supersedes(&cur) {
-            *cur = candidate.clone();
+            *cur = Arc::new(candidate.clone());
             true
         } else {
             false
         }
     }
-}
-
-/// Scatter one `CLUSTER_QUERY` across `map` and merge the partial
-/// answers: member/freq go to the key's owning partition, cardinality
-/// sums every partition's estimate in partition order, similarity
-/// averages them — the exact merge a `P`-shard
-/// [`DirectEngine`](she_core::sharded::DirectEngine) applies to its own shards, which is
-/// what makes the scatter-gather answer bit-for-bit mirrorable.
-///
-/// Partitions are visited serially so the f64 merge order is fixed. Any
-/// unreachable partition fails the whole query (a partial merge would be
-/// silently wrong).
-pub fn scatter_query(map: &ClusterMap, op: u8, key: u64, op_timeout: Duration) -> Response {
-    if map.partitions.is_empty() {
-        return Response::Err("cluster map has no partitions".to_string());
-    }
-    let leg = |part: usize| -> Result<crate::client::Client, String> {
-        let addr = &map.partitions[part].primary.addr;
-        crate::client::Client::connect_timeout(addr, op_timeout)
-            .map_err(|e| format!("partition {part} at {addr}: {e}"))
-    };
-    match op {
-        cluster_op::MEMBER | cluster_op::FREQ => {
-            let part = map.partition_of(key);
-            leg(part)
-                .and_then(|mut c| {
-                    let answer = if op == cluster_op::MEMBER {
-                        c.query_member(key).map(Response::Bool)
-                    } else {
-                        c.query_freq(key).map(Response::U64)
-                    };
-                    answer.map_err(|e| format!("partition {part}: {e}"))
-                })
-                .unwrap_or_else(Response::Err)
-        }
-        cluster_op::CARD | cluster_op::SIM => {
-            let mut sum = 0.0f64;
-            for part in 0..map.partitions.len() {
-                let est = leg(part).and_then(|mut c| {
-                    let r = if op == cluster_op::CARD { c.query_card() } else { c.query_sim() };
-                    r.map_err(|e| format!("partition {part}: {e}"))
-                });
-                match est {
-                    Ok(v) => sum += v,
-                    Err(e) => return Response::Err(e),
-                }
-            }
-            if op == cluster_op::SIM {
-                sum /= map.partitions.len() as f64;
-            }
-            Response::F64(sum)
-        }
-        other => Response::Err(format!("unknown cluster query op {other}")),
-    }
-}
-
-/// Scatter one `CLUSTER_QUERY_BATCH` across `map`: keys are grouped by
-/// owning partition, each involved partition gets **one** `QUERY_BATCH`
-/// leg (N keys per scatter round-trip instead of N round-trips), and the
-/// per-key answers are reassembled into request order. Only the per-key
-/// ops are batchable; the whole-stream merges (card, sim) have no per-key
-/// answer to reorder. Like [`scatter_query`], any unreachable partition
-/// fails the whole query.
-pub fn scatter_query_batch(
-    map: &ClusterMap,
-    op: u8,
-    keys: &[u64],
-    op_timeout: Duration,
-) -> Response {
-    if let Err(resp) = batch_op_check(op) {
-        return *resp;
-    }
-    if map.partitions.is_empty() {
-        return Response::Err("cluster map has no partitions".to_string());
-    }
-    if keys.is_empty() {
-        return Response::U64s(Vec::new());
-    }
-    // Group keys by partition, remembering each key's request position.
-    let mut per: Vec<(Vec<u64>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); map.partitions.len()];
-    for (i, &key) in keys.iter().enumerate() {
-        let part = map.partition_of(key);
-        // audit:allow(growth): per-partition split of one batch, total bounded by MAX_BATCH at decode
-        per[part].0.push(key);
-        // audit:allow(growth): position index of the same bounded batch
-        per[part].1.push(i);
-    }
-    let mut out = vec![0u64; keys.len()];
-    for (part, (part_keys, positions)) in per.into_iter().enumerate() {
-        if part_keys.is_empty() {
-            continue;
-        }
-        let addr = &map.partitions[part].primary.addr;
-        let leg = crate::client::Client::connect_timeout(addr, op_timeout)
-            .map_err(|e| format!("partition {part} at {addr}: {e}"))
-            .and_then(|mut c| {
-                c.query_batch(op, &part_keys).map_err(|e| format!("partition {part}: {e}"))
-            });
-        let values = match leg {
-            Ok(v) => v,
-            Err(e) => return Response::Err(e),
-        };
-        if values.len() != positions.len() {
-            return Response::Err(format!(
-                "partition {part}: batch answered {} values for {} keys",
-                values.len(),
-                positions.len()
-            ));
-        }
-        for (pos, value) in positions.into_iter().zip(values) {
-            out[pos] = value;
-        }
-    }
-    Response::U64s(out)
 }
 
 #[cfg(test)]

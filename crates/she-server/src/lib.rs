@@ -26,8 +26,10 @@
 //!   every answer checked bit for bit against an in-process twin;
 //! * [`repl`] — the primary's op log, record/bootstrap codecs, and peer
 //!   registry (see `docs/REPLICATION.md`);
-//! * [`cluster`] — the partition map, deterministic failover election,
-//!   and scatter-gather query merge (see `docs/CLUSTER.md`);
+//! * [`cluster`] — the partition map and deterministic failover
+//!   election (see `docs/CLUSTER.md`);
+//! * `link` — a coordinator's persistent peer links: the scatter legs
+//!   of `CLUSTER_QUERY`, answered in order on the reactor;
 //! * `readpath` — the QUERY_FAST accelerator's server glue: seeds
 //!   `she-readpath`'s frozen [`DirectEngine`] mirror from the shard
 //!   engines and refreshes it from the op-log tail (see
@@ -52,6 +54,7 @@ pub mod client;
 pub mod cluster;
 pub mod codec;
 pub mod conn;
+pub(crate) mod link;
 pub mod loadgen;
 pub mod protocol;
 pub(crate) mod reactor;

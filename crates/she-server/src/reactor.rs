@@ -13,9 +13,16 @@
 //!   the worker posts a [`Completion`] and wakes the reactor, which
 //!   scatters read values back by position and sums aggregate parts in
 //!   [`finish_gather`] — the server's only merge rule;
-//! * **offloaded** — snapshots, stats, bootstrap cuts, and cluster
-//!   scatter-gathers run on a small offload pool so their blocking
-//!   rendezvous never stalls the event loop;
+//! * **peer-link gathers** — `CLUSTER_QUERY`/`CLUSTER_QUERY_BATCH` write
+//!   one leg frame per partition involved into that partition's
+//!   persistent [`Link`], and read the answers back in order on this same
+//!   loop; each leg carries the [`Route`] a shard job carries, so its
+//!   answer fills the same read set or gather and partitions merge
+//!   exactly like shards. A link is dialed on a one-shot thread, never
+//!   here; legs queue in its output meanwhile;
+//! * **offloaded** — snapshots, stats, restores and bootstrap cuts run on
+//!   a small offload pool so their blocking rendezvous never stalls the
+//!   event loop;
 //! * **detached** — `REPL_SUBSCRIBE` hands the socket (re-blocking, plus
 //!   any over-read bytes) to a dedicated feed thread.
 //!
@@ -38,15 +45,20 @@
 //! the waker are level-triggered and fully drained on every wakeup.
 //! Connection slots live in a slab whose epoll token packs
 //! `generation << 32 | index`, so events and completions for a slot that
-//! was freed and reused are recognized as stale and dropped. The same
+//! was freed and reused are recognized as stale and dropped. Peer links
+//! take tokens `LINK_TAG | index`; connection indices stay below
+//! `LINK_TAG`, so the two never meet. The same
 //! goes for a per-connection *request* token: a shed gather or read set
 //! leaves already-enqueued jobs behind, and their late completions must
 //! not be mistaken for the answer to a newer request.
 
-use crate::cluster::{batch_op_check, cluster_op};
+use crate::cluster::{batch_op_check, cluster_op, ClusterMap};
 use crate::conn::{Connection, Event};
+use crate::link::{dial, Dialed, Leg, Link, LinkSweep};
 use crate::protocol::{Request, Response, MAX_BATCH};
-use crate::server::{answer_mismatch, serve_feed, shutting_down, ConnGuard, Shared};
+use crate::server::{
+    answer_mismatch, not_a_cluster_node, serve_feed, shutting_down, ConnGuard, Shared,
+};
 use crate::sys::{
     raw_fd, Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -60,14 +72,21 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Epoll token of the listening socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
 /// Epoll token of the waker's read half.
 const WAKER_TOKEN: u64 = u64::MAX - 1;
-/// Threads in the offload pool (blocking ops: snapshots, scatter legs).
+/// Epoll token bit marking a peer link (`LINK_TAG | index`). Connection
+/// slab indices stay below it.
+const LINK_TAG: u64 = 1 << 31;
+/// Threads in the offload pool (blocking ops: stats, snapshots, restores,
+/// bootstrap cuts).
 const OFFLOAD_THREADS: usize = 4;
+/// End-to-end budget for one scatter-gather leg to a peer partition: the
+/// dial, and the wait for the answer once the leg is queued.
+const CLUSTER_LEG_TIMEOUT: Duration = Duration::from_secs(10);
 /// Sweep cadence for deadline eviction and feed-thread reaping, in ms;
 /// also the `epoll_wait` timeout, so a quiet reactor still sweeps.
 const SWEEP_MS: u64 = 100;
@@ -91,8 +110,9 @@ enum Pending {
     Single,
     /// A cardinality / similarity gather in flight.
     Gather { parts: Vec<Option<Answer>>, remaining: usize, kind: GatherKind },
-    /// A read set in this round's jobs: `values[i]` arrives from the
-    /// shard owning read `i`; `remaining` counts the values still out.
+    /// A read set in this round's jobs or a cluster request's legs:
+    /// `values[i]` arrives from the shard (or partition) owning read `i`;
+    /// `remaining` counts the values still out.
     Reads { values: Vec<u64>, remaining: usize, set: ReadSet },
 }
 
@@ -201,6 +221,7 @@ pub(crate) fn spawn_reactor(
     epoll.add(raw_fd(&listener), EPOLLIN, LISTENER_TOKEN)?;
     epoll.add(raw_fd(&waker_rx), EPOLLIN, WAKER_TOKEN)?;
     let (comp_tx, comp_rx) = channel();
+    let (dial_tx, dial_rx) = channel();
     let shards = shared.txs.len();
 
     // Each offload thread owns its receiver outright (round-robin fan-out
@@ -246,6 +267,10 @@ pub(crate) fn spawn_reactor(
         comp_rx,
         offload_txs,
         next_offload: 0,
+        dial_tx,
+        dial_rx,
+        links: Vec::new(),
+        next_serial: 0,
         slots: Vec::new(),
         free: Vec::new(),
         feeds: Vec::new(),
@@ -272,6 +297,13 @@ struct Reactor {
     comp_rx: Receiver<Completion>,
     offload_txs: Vec<Sender<OffloadJob>>,
     next_offload: usize,
+    /// Dial outcomes from the one-shot dial threads.
+    dial_tx: Sender<Dialed>,
+    dial_rx: Receiver<Dialed>,
+    /// Peer links, at most one per address; a closed link leaves `None`.
+    links: Vec<Option<Link>>,
+    /// Serial for the next link.
+    next_serial: u64,
     slots: Vec<Slot>,
     free: Vec<u32>,
     feeds: Vec<JoinHandle<()>>,
@@ -309,12 +341,15 @@ impl Reactor {
                 match data {
                     LISTENER_TOKEN => self.accept_ready(),
                     WAKER_TOKEN => self.drain_waker(),
+                    token if token & LINK_TAG != 0 => self.note_link_event(token, flags),
                     token => self.note_conn_event(token, flags),
                 }
             }
             self.drain_completions();
+            self.pump_links();
             self.pump_dirty();
             self.flush_round();
+            self.flush_links();
             self.sweep();
         }
         self.shutdown_sequence();
@@ -354,6 +389,9 @@ impl Reactor {
             Some(idx) => idx,
             None => {
                 let idx = u32::try_from(self.slots.len()).unwrap_or(u32::MAX);
+                if u64::from(idx) >= LINK_TAG {
+                    return; // the token space above belongs to links
+                }
                 self.slots.push(Slot { gen: 0, conn: None });
                 idx
             }
@@ -409,6 +447,17 @@ impl Reactor {
         self.mark_dirty(idx);
     }
 
+    /// Record readiness for a peer link; writes go out at the end of
+    /// every round regardless, so only read readiness matters.
+    fn note_link_event(&mut self, token: u64, flags: u32) {
+        let idx = usize_of(token & !LINK_TAG);
+        if let Some(Some(link)) = self.links.get_mut(idx) {
+            if flags & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0 {
+                link.readable = true;
+            }
+        }
+    }
+
     fn mark_dirty(&mut self, idx: u32) {
         if let Some(slot) = self.slots.get_mut(usize_of(u64::from(idx))) {
             if let Some(cs) = slot.conn.as_mut() {
@@ -427,32 +476,43 @@ impl Reactor {
         while let Ok(c) = self.comp_rx.try_recv() {
             self.apply_completion(c);
         }
+        while let Ok((serial, result)) = self.dial_rx.try_recv() {
+            self.dialed(serial, result);
+        }
     }
 
+    /// The one completion path, for shard jobs and peer legs alike.
     fn apply_completion(&mut self, c: Completion) {
         match (c.route, c.answer) {
             (Route::Request { slot, gen, token, shard }, answer) => {
                 self.answer_request(slot, gen, token, shard, answer);
             }
-            (Route::Reads { shares, pos }, Answer::Values(values)) => {
+            (Route::Reads { shares, pos }, Answer::Values(values)) if values.len() == pos.len() => {
                 self.deliver_reads(&shares, &pos, &values);
             }
-            // A worker answers a `Job::Reads` with its values only.
-            (Route::Reads { .. }, _) => {}
+            // A failed leg (a worker answers a `Job::Reads` with its
+            // values only) fails every read set it covers.
+            (Route::Reads { shares, .. }, answer) => {
+                let resp = match answer {
+                    Answer::Resp(resp) => resp,
+                    _ => answer_mismatch(),
+                };
+                for share in shares {
+                    self.fail_request(share.slot, share.gen, share.token, |_| resp.clone());
+                }
+            }
         }
     }
 
     fn answer_request(&mut self, slot: u32, gen: u32, token: u64, shard: usize, answer: Answer) {
         let Some(cs) = live_conn(&mut self.slots, slot, gen, token) else { return };
-        match std::mem::replace(&mut cs.pending, Pending::Idle) {
-            Pending::Single => {
-                let resp = match answer {
-                    Answer::Resp(resp) => resp,
-                    _ => answer_mismatch(),
-                };
-                cs.conn.push_response(&resp);
-            }
-            Pending::Gather { mut parts, mut remaining, kind } => {
+        match (std::mem::replace(&mut cs.pending, Pending::Idle), answer) {
+            (Pending::Single, Answer::Resp(resp)) => cs.conn.push_response(&resp),
+            (Pending::Single, _) => cs.conn.push_response(&answer_mismatch()),
+            // A failed leg fails the whole gather; its other legs' answers
+            // then find the connection idle and die.
+            (Pending::Gather { .. }, Answer::Resp(resp)) => cs.conn.push_response(&resp),
+            (Pending::Gather { mut parts, mut remaining, kind }, answer) => {
                 if let Some(p) = parts.get_mut(shard) {
                     if p.is_none() {
                         *p = Some(answer);
@@ -468,10 +528,32 @@ impl Reactor {
             }
             // A shed gather's stragglers land here: the token still
             // matches, but nothing of that shape is in flight any more.
-            other => {
+            (other, _) => {
                 cs.pending = other;
                 return;
             }
+        }
+        self.mark_dirty(slot);
+    }
+
+    /// Answer whatever the request `slot`/`gen`/`token` still waits for
+    /// with `resp`, once per frame it covers; the parts still out die on
+    /// the idle state.
+    fn fail_request(
+        &mut self,
+        slot: u32,
+        gen: u32,
+        token: u64,
+        resp: impl Fn(&Shared) -> Response,
+    ) {
+        let Some(cs) = live_conn(&mut self.slots, slot, gen, token) else { return };
+        let frames = match std::mem::replace(&mut cs.pending, Pending::Idle) {
+            Pending::Idle => return, // already answered or failed
+            Pending::Reads { set, .. } => set.frames(),
+            Pending::Single | Pending::Gather { .. } => 1,
+        };
+        for _ in 0..frames {
+            cs.conn.push_response(&resp(&self.shared));
         }
         self.mark_dirty(slot);
     }
@@ -558,7 +640,7 @@ impl Reactor {
                 }
             }
             let now = self.now_ms();
-            if !flush_out(cs, now) {
+            if !flush_out(&cs.stream, &mut cs.conn, &mut cs.stall_since, now) {
                 return Disp::Close;
             }
             if !cs.readable || !matches!(cs.pending, Pending::Idle) {
@@ -592,6 +674,8 @@ impl Reactor {
                     self.add_reads(cs, idx, gen, reads, ReadSet::Batch);
                 }
             },
+            Request::ClusterQuery { op, key } => self.cluster_query(cs, idx, gen, op, key),
+            Request::ClusterQueryBatch { op, keys } => self.cluster_batch(cs, idx, gen, op, &keys),
             Request::ReplSubscribe { from_seq, node_id } => {
                 return Ctl::Detach { from_seq, node_id }
             }
@@ -599,9 +683,7 @@ impl Reactor {
             | Request::Snapshot { .. }
             | Request::SnapshotAll
             | Request::Restore { .. }
-            | Request::ReplBootstrap
-            | Request::ClusterQuery { .. }
-            | Request::ClusterQueryBatch { .. }) => self.offload(cs, idx, gen, req),
+            | Request::ReplBootstrap) => self.offload(cs, idx, gen, req),
             // Everything else is cheap and lock-light: inserts (try_send
             // admission first — BUSY without blocking), HELLO, cluster map
             // ops, SHUTDOWN (flips the flag; the loop notices this round).
@@ -686,19 +768,14 @@ impl Reactor {
                 continue;
             };
             for share in shares {
-                let Some(cs) = live_conn(&mut self.slots, share.slot, share.gen, share.token)
-                else {
-                    continue;
-                };
-                let Pending::Reads { set, .. } = std::mem::replace(&mut cs.pending, Pending::Idle)
-                else {
-                    continue; // already shed by an earlier shard's job
-                };
-                for _ in 0..set.frames() {
-                    let resp = if overloaded { self.shared.shed() } else { shutting_down() };
-                    cs.conn.push_response(&resp);
-                }
-                self.mark_dirty(share.slot);
+                // A set already shed by an earlier shard's job is idle.
+                self.fail_request(share.slot, share.gen, share.token, |shared| {
+                    if overloaded {
+                        shared.shed()
+                    } else {
+                        shutting_down()
+                    }
+                });
             }
         }
     }
@@ -735,6 +812,221 @@ impl Reactor {
             }
         }
         cs.pending = Pending::Gather { parts: vec![None; shards], remaining: shards, kind };
+    }
+
+    /// The map a cluster request scatters over, or the `ERR` that answers
+    /// it instead. The legs are plain `QUERY_*` requests (never a nested
+    /// `CLUSTER_QUERY`), so coordinators cannot recurse.
+    fn cluster_map(&self) -> Result<Arc<ClusterMap>, Box<Response>> {
+        let Some(dir) = &self.shared.cluster else { return Err(Box::new(not_a_cluster_node())) };
+        let map = dir.current();
+        if map.partitions.is_empty() {
+            return Err(Box::new(Response::Err("cluster map has no partitions".to_string())));
+        }
+        Ok(map)
+    }
+
+    /// `CLUSTER_QUERY`: member/freq is a one-read set answered by the
+    /// key's partition; card/sim is a gather with one part per partition,
+    /// summed in partition order by [`finish_gather`].
+    fn cluster_query(&mut self, cs: &mut ConnState, idx: u32, gen: u32, op: u8, key: u64) {
+        let map = match self.cluster_map() {
+            Ok(map) => map,
+            Err(resp) => return cs.conn.push_response(&resp),
+        };
+        let token = cs.token;
+        match op {
+            cluster_op::MEMBER | cluster_op::FREQ => {
+                let part = map.partition_of(key);
+                let req = if op == cluster_op::MEMBER {
+                    Request::QueryMember { key }
+                } else {
+                    Request::QueryFreq { key }
+                };
+                let share = ReadShare { slot: idx, gen, token, len: 1 };
+                let route = Route::Reads { shares: vec![share], pos: vec![0] };
+                self.send_leg(&map, part, &req, route);
+                let set = ReadSet::Run(vec![op]);
+                cs.pending = Pending::Reads { values: vec![0], remaining: 1, set };
+            }
+            cluster_op::CARD | cluster_op::SIM => {
+                let (req, kind) = if op == cluster_op::CARD {
+                    (Request::QueryCard, GatherKind::CardSum)
+                } else {
+                    (Request::QuerySim, GatherKind::SimAvg)
+                };
+                let parts = map.partitions.len();
+                for part in 0..parts {
+                    let route = Route::Request { slot: idx, gen, token, shard: part };
+                    self.send_leg(&map, part, &req, route);
+                }
+                cs.pending = Pending::Gather { parts: vec![None; parts], remaining: parts, kind };
+            }
+            other => {
+                cs.conn.push_response(&Response::Err(format!("unknown cluster query op {other}")))
+            }
+        }
+    }
+
+    /// `CLUSTER_QUERY_BATCH`: one `QUERY_BATCH` leg per partition holding
+    /// keys; each leg's values land at their keys' request positions.
+    fn cluster_batch(&mut self, cs: &mut ConnState, idx: u32, gen: u32, op: u8, keys: &[u64]) {
+        if let Err(resp) = batch_op_check(op) {
+            return cs.conn.push_response(&resp);
+        }
+        let map = match self.cluster_map() {
+            Ok(map) => map,
+            Err(resp) => return cs.conn.push_response(&resp),
+        };
+        if keys.is_empty() {
+            return cs.conn.push_response(&Response::U64s(Vec::new()));
+        }
+        let mut per: Vec<(Vec<u64>, Vec<u32>)> =
+            vec![(Vec::new(), Vec::new()); map.partitions.len()];
+        for (i, &key) in keys.iter().enumerate() {
+            let (part_keys, pos) = &mut per[map.partition_of(key)];
+            // audit:allow(growth): per-partition split of one batch, total bounded by MAX_BATCH at decode
+            part_keys.push(key);
+            // audit:allow(growth): position index of the same bounded batch
+            pos.push(u32::try_from(i).unwrap_or(u32::MAX));
+        }
+        let token = cs.token;
+        for (part, (part_keys, pos)) in per.into_iter().enumerate() {
+            if part_keys.is_empty() {
+                continue;
+            }
+            let len = u32::try_from(pos.len()).unwrap_or(u32::MAX);
+            let route =
+                Route::Reads { shares: vec![ReadShare { slot: idx, gen, token, len }], pos };
+            self.send_leg(&map, part, &Request::QueryBatch { op, keys: part_keys }, route);
+        }
+        let n = keys.len();
+        cs.pending = Pending::Reads { values: vec![0; n], remaining: n, set: ReadSet::Batch };
+    }
+
+    /// Queue one leg on the link to `part`'s primary, opening the link
+    /// (a dial on a one-shot thread) if there is none. Never fails here:
+    /// a failure reaches the leg through [`Reactor::close_link`] in a
+    /// later step of the round, after the request is pending.
+    fn send_leg(&mut self, map: &ClusterMap, part: usize, req: &Request, route: Route) {
+        let addr = &map.partitions[part].primary.addr;
+        let at = match self.links.iter().position(|l| l.as_ref().is_some_and(|l| l.addr == *addr)) {
+            Some(at) => at,
+            None => self.open_link(addr),
+        };
+        let leg = Leg { route, part, sent_ms: self.now_ms() };
+        if let Some(Some(link)) = self.links.get_mut(at) {
+            link.queue(req, leg);
+        }
+    }
+
+    /// Start a link to `addr` in the first free table slot.
+    fn open_link(&mut self, addr: &str) -> usize {
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        let link = Some(Link::new(addr, serial));
+        let at = match self.links.iter().position(Option::is_none) {
+            Some(at) => {
+                self.links[at] = link;
+                at
+            }
+            None => {
+                // audit:allow(growth): one slot per peer address, bounded by the roster (idle links retire at the sweep)
+                self.links.push(link);
+                self.links.len() - 1
+            }
+        };
+        let (tx, waker) = (self.dial_tx.clone(), Arc::clone(&self.shared.waker));
+        dial(addr.to_string(), serial, CLUSTER_LEG_TIMEOUT, tx, waker);
+        at
+    }
+
+    /// A dial finished: register the stream (its queued legs go out at
+    /// the end of the round) or fail the link's legs with the error.
+    fn dialed(&mut self, serial: u64, result: io::Result<TcpStream>) {
+        let Some(at) = self
+            .links
+            .iter()
+            .position(|l| l.as_ref().is_some_and(|l| l.serial == serial && l.stream.is_none()))
+        else {
+            return; // the link expired while dialing
+        };
+        let token = LINK_TAG | u64::try_from(at).unwrap_or(0);
+        let interest = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
+        let registered = result.and_then(|stream| {
+            self.epoll.add(raw_fd(&stream), interest, token)?;
+            Ok(stream)
+        });
+        match registered {
+            Ok(stream) => {
+                if let Some(Some(link)) = self.links.get_mut(at) {
+                    link.stream = Some(stream);
+                    link.readable = true;
+                }
+            }
+            Err(e) => self.close_link(at, &e.to_string()),
+        }
+    }
+
+    /// Read every readable link to `WouldBlock`, delivering each answer
+    /// through [`Reactor::apply_completion`]; a closed or out-of-step
+    /// link fails its remaining legs.
+    fn pump_links(&mut self) {
+        for at in 0..self.links.len() {
+            let now = self.now_ms();
+            let Some(link) = self.links[at].as_mut().filter(|l| l.readable) else { continue };
+            let Some(stream) = link.stream.take() else { continue };
+            let mut done = Vec::new();
+            let outcome = loop {
+                match (&stream).read(&mut self.scratch) {
+                    Ok(0) => break Err("peer closed the link".to_string()),
+                    Ok(n) => match link.answers(&self.scratch[..n], now) {
+                        // audit:allow(growth): at most one completion per leg in flight on this link
+                        Ok(answers) => done.extend(answers),
+                        Err(e) => break Err(e),
+                    },
+                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        link.readable = false;
+                        break Ok(());
+                    }
+                    Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => break Err(e.to_string()),
+                }
+            };
+            link.stream = Some(stream);
+            for c in done {
+                self.apply_completion(c);
+            }
+            if let Err(why) = outcome {
+                self.close_link(at, &why);
+            }
+        }
+    }
+
+    /// End of round: every connected link writes its queued legs, one
+    /// vectored write per link.
+    fn flush_links(&mut self) {
+        for at in 0..self.links.len() {
+            let Some(link) = self.links[at].as_mut() else { continue };
+            let Some(stream) = &link.stream else { continue };
+            if link.conn.has_output() && !flush_out(stream, &mut link.conn, &mut None, 0) {
+                self.close_link(at, "link write failed");
+            }
+        }
+    }
+
+    /// Close a link, answering each leg still in flight `ERR` through the
+    /// completion path.
+    fn close_link(&mut self, at: usize, why: &str) {
+        let Some(mut link) = self.links.get_mut(at).and_then(Option::take) else { return };
+        if let Some(stream) = &link.stream {
+            let _ = self.epoll.del(raw_fd(stream));
+        }
+        for leg in link.take_legs() {
+            let msg = format!("partition {} at {}: {why}", leg.part, link.addr);
+            let answer = Answer::Resp(Response::Err(msg));
+            self.apply_completion(Completion { route: leg.route, answer });
+        }
     }
 
     /// Ship a blocking op to the offload pool (round-robin).
@@ -801,8 +1093,8 @@ impl Reactor {
         }
     }
 
-    /// Periodic housekeeping: evict deadline-busting connections, reap
-    /// finished feed threads.
+    /// Periodic housekeeping: reap finished feed threads, expire or
+    /// retire peer links, evict deadline-busting connections.
     fn sweep(&mut self) {
         let now = self.now_ms();
         if now.saturating_sub(self.last_sweep) < SWEEP_MS {
@@ -817,6 +1109,7 @@ impl Reactor {
                 i += 1;
             }
         }
+        self.sweep_links(now);
         let Some(deadline) = self.shared.client_deadline else { return };
         let limit = u64::try_from(deadline.as_millis()).unwrap_or(u64::MAX);
         let mut evict = Vec::new();
@@ -838,6 +1131,35 @@ impl Reactor {
         }
     }
 
+    /// Give every connection's queued output one write.
+    fn flush_all(&mut self) {
+        let now = self.now_ms();
+        for cs in self.slots.iter_mut().filter_map(|slot| slot.conn.as_mut()) {
+            if cs.conn.has_output() {
+                let _ = flush_out(&cs.stream, &mut cs.conn, &mut cs.stall_since, now);
+            }
+        }
+    }
+
+    /// Apply [`Link::sweep`] to every link: a leg older than
+    /// `CLUSTER_LEG_TIMEOUT` fails its link; an idle link no primary names
+    /// closes.
+    fn sweep_links(&mut self, now: u64) {
+        if self.links.iter().all(Option::is_none) {
+            return;
+        }
+        let map = self.shared.cluster.as_ref().map(|dir| dir.current());
+        let limit = u64::try_from(CLUSTER_LEG_TIMEOUT.as_millis()).unwrap_or(u64::MAX);
+        for at in 0..self.links.len() {
+            let Some(link) = &self.links[at] else { continue };
+            match link.sweep(now, limit, map.as_deref()) {
+                LinkSweep::Keep => {}
+                LinkSweep::Expire => self.close_link(at, &format!("no answer within {limit} ms")),
+                LinkSweep::Retire => self.close_link(at, "retired"),
+            }
+        }
+    }
+
     /// Stop accepting immediately, grace-flush in-flight answers, close
     /// everything, join the feed threads.
     fn shutdown_sequence(&mut self) {
@@ -855,15 +1177,19 @@ impl Reactor {
             let _ = self.epoll.wait(&mut events, 20);
             self.drain_waker();
             self.drain_completions();
-            let now = self.now_ms();
-            for slot in &mut self.slots {
-                if let Some(cs) = slot.conn.as_mut() {
-                    if cs.conn.has_output() {
-                        let _ = flush_out(cs, now);
-                    }
-                }
+            // The wait's events are dropped; a link read that would block
+            // costs one syscall.
+            for link in self.links.iter_mut().flatten() {
+                link.readable = true;
             }
+            self.pump_links();
+            self.flush_links();
+            self.flush_all();
         }
+        for at in 0..self.links.len() {
+            self.close_link(at, "server shutting down");
+        }
+        self.flush_all();
         for slot_i in 0..self.slots.len() {
             if let Some(cs) = self.slots[slot_i].conn.take() {
                 self.release(slot_i, cs);
@@ -876,23 +1202,28 @@ impl Reactor {
     }
 }
 
-/// Write as much queued output as the socket accepts, vectored. Returns
-/// `false` when the connection is dead. Tracks write-stall onset for the
-/// deadline sweeper.
-fn flush_out(cs: &mut ConnState, now: u64) -> bool {
-    while cs.conn.has_output() {
+/// Write as much of `conn`'s queued output as `stream` accepts, vectored.
+/// Returns `false` when the stream is dead. Tracks write-stall onset in
+/// `stall_since` for the deadline sweeper.
+fn flush_out(
+    stream: &TcpStream,
+    conn: &mut Connection,
+    stall_since: &mut Option<u64>,
+    now: u64,
+) -> bool {
+    while conn.has_output() {
         let bufs: Vec<IoSlice<'_>> =
-            cs.conn.out_slices().take(WRITE_BATCH).map(IoSlice::new).collect();
-        match (&cs.stream).write_vectored(&bufs) {
+            conn.out_slices().take(WRITE_BATCH).map(IoSlice::new).collect();
+        match (&*stream).write_vectored(&bufs) {
             Ok(0) => return false,
             Ok(n) => {
                 drop(bufs);
-                cs.conn.advance_out(n);
-                cs.stall_since = None;
+                conn.advance_out(n);
+                *stall_since = None;
             }
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if cs.stall_since.is_none() {
-                    cs.stall_since = Some(now);
+                if stall_since.is_none() {
+                    *stall_since = Some(now);
                 }
                 return true;
             }
@@ -900,7 +1231,7 @@ fn flush_out(cs: &mut ConnState, now: u64) -> bool {
             Err(_) => return false,
         }
     }
-    cs.stall_since = None;
+    *stall_since = None;
     true
 }
 
@@ -923,12 +1254,12 @@ fn live_conn(slots: &mut [Slot], slot: u32, gen: u32, token: u64) -> Option<&mut
     slot.conn.as_mut().filter(|cs| cs.token == token) // else a superseded request
 }
 
-/// The merge rule for every multi-shard aggregate the server gives.
-/// Cardinality is the sum of the per-shard estimates and similarity their
-/// mean, both accumulated in shard index order from `0.0` — f64 addition
-/// is not associative, so the fixed order is what makes the answer equal
-/// bit for bit to [`DirectEngine`](she_core::sharded::DirectEngine)'s and
-/// to the cluster scatter's.
+/// The merge rule for every multi-part aggregate the server gives, over a
+/// server's shards and a cluster's partitions alike. Cardinality is the
+/// sum of the per-part estimates and similarity their mean, both
+/// accumulated in part index order from `0.0` — f64 addition is not
+/// associative, so the fixed order is what makes the answer equal bit for
+/// bit to [`DirectEngine`](she_core::sharded::DirectEngine)'s.
 fn finish_gather(parts: Vec<Option<Answer>>, kind: GatherKind) -> Response {
     let n = parts.len() as f64;
     let mut sum = 0.0f64;

@@ -7,7 +7,8 @@
 //!  epoll reactor thread ──► S bounded mpsc queues ──► S shard workers
 //!        │    ▲                        (batch-drained per wakeup)
 //!        │    └── completion queue + waker (query answers return)
-//!        ├──► offload pool (snapshots, stats, scatter-gather legs)
+//!        ├──► peer links (cluster scatter legs, answered in order)
+//!        ├──► offload pool (snapshots, stats, restores, bootstrap cuts)
 //!        └──► feed threads (replication subscriptions)
 //! ```
 //!
@@ -41,7 +42,7 @@
 //!   applied guarantee while reads degrade first. All three are counted
 //!   in [`ServeCounters`].
 
-use crate::cluster::{scatter_query, scatter_query_batch, ClusterDirectory};
+use crate::cluster::ClusterDirectory;
 use crate::codec::{read_frame, write_frame};
 use crate::protocol::{
     ClusterStatusInfo, ReadpathStatus, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
@@ -141,9 +142,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// End-to-end budget for one scatter-gather leg to a peer partition.
-pub(crate) const CLUSTER_LEG_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// State shared by the reactor, the offload pool, and the feed threads.
 /// Workers are *not* behind this — they own their engines; only their
 /// queue senders live here, and dropping the last `Shared` is what lets
@@ -181,9 +179,8 @@ pub(crate) fn answer_mismatch() -> Response {
 }
 
 impl Shared {
-    /// Answer one *offloaded* request: the seven ops whose blocking
-    /// rendezvous with the shard workers (or peer partitions) must not
-    /// run on the reactor. The offload pool is the only caller; anything
+    /// Answer one *offloaded* request: the five ops whose blocking
+    /// rendezvous with the shard workers must not run on the reactor. The offload pool is the only caller; anything
     /// else falls through to [`Shared::handle_inline`], which answers
     /// `ERR internal` for a request it does not own either.
     pub(crate) fn handle(&self, req: Request) -> Response {
@@ -248,17 +245,6 @@ impl Shared {
                 }
             }
             Request::ReplBootstrap => self.bootstrap(),
-            Request::ClusterQuery { op, key } => match &self.cluster {
-                // The scatter legs are plain QUERY_* requests (never a
-                // nested CLUSTER_QUERY), so coordinators cannot recurse;
-                // the self-leg loops back through our own reactor.
-                Some(dir) => scatter_query(&dir.get(), op, key, CLUSTER_LEG_TIMEOUT),
-                None => not_a_cluster_node(),
-            },
-            Request::ClusterQueryBatch { op, keys } => match &self.cluster {
-                Some(dir) => scatter_query_batch(&dir.get(), op, &keys, CLUSTER_LEG_TIMEOUT),
-                None => not_a_cluster_node(),
-            },
             req => self.handle_inline(req),
         }
     }

@@ -47,8 +47,10 @@ stage cargo test -q --offline --workspace
 # on that code too (seconds; the release artefacts already exist).
 # she-server's tests run here as well: the reactor's round path, its
 # shedding and the twin-equivalence tests then also run on the optimised
-# build the benchmark times, where the worker outpaces the reactor.
-stage cargo test -q --offline --release -p she-hash -p she-sketch -p she-core -p she-server
+# build the benchmark times, where the worker outpaces the reactor. So do
+# she-cluster's: the coordinator's peer links and their in-order leg
+# matching, under the timing the benchmark's cluster workload sees.
+stage cargo test -q --offline --release -p she-hash -p she-sketch -p she-core -p she-server -p she-cluster
 
 # The CLI scenarios again, against the release `she`: the binary people
 # actually serve with is otherwise never started by the gate.
