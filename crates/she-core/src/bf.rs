@@ -9,13 +9,13 @@
 
 use crate::{analysis, She, SheConfig};
 use she_hash::HashKey;
-use she_sketch::{BloomSpec, CellUpdate, CsmSpec};
+use she_sketch::{BloomSpec, CsmSpec};
+use std::ops::ControlFlow;
 
 /// Sliding-window Bloom filter (hardware version of SHE).
 #[derive(Debug, Clone)]
 pub struct SheBloomFilter {
     engine: She<BloomSpec>,
-    scratch: Vec<CellUpdate>,
 }
 
 /// Builder for [`SheBloomFilter`] with the paper's §7.1 defaults
@@ -96,10 +96,7 @@ impl SheBloomFilterBuilder {
             .alpha(alpha)
             .group_cells(self.group_cells.min(m))
             .build();
-        SheBloomFilter {
-            engine: She::new(BloomSpec::new(m, self.k, self.seed), cfg),
-            scratch: Vec::new(),
-        }
+        SheBloomFilter { engine: She::new(BloomSpec::new(m, self.k, self.seed), cfg) }
     }
 }
 
@@ -115,27 +112,30 @@ impl SheBloomFilter {
         self.engine.insert(key);
     }
 
+    /// [`SheBloomFilter::insert`] of a key whose row hashes the caller already
+    /// holds: `rows[..k]`, from a family this one's is a prefix of.
+    #[inline]
+    pub(crate) fn insert_rows(&mut self, rows: &[u32]) {
+        self.engine.insert_rows(&rows[..self.engine.spec().k()]);
+    }
+
     /// Sliding-window membership query.
     ///
     /// Takes `&mut self` because queries run `CheckGroup` on the hashed
     /// groups (Algorithm 1), possibly cleaning them — exactly as on the
     /// hardware pipeline.
+    /// The walk stops at the first mature zero bit, so the groups of
+    /// later rows are not checked.
     pub fn contains<K: HashKey + ?Sized>(&mut self, key: &K) -> bool {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.engine.updates_for(key, &mut scratch);
-        let mut present = true;
-        for u in &scratch {
-            let gid = self.engine.group_of(u.index);
-            if !self.engine.check_mature(gid) {
-                continue; // young bit: ignored (age-sensitive selection)
+        let walk = self.engine.try_for_each_update(key, |engine, u| {
+            // A young bit is ignored (age-sensitive selection).
+            if engine.check_mature(engine.group_of(u.index)) && engine.peek_cell(u.index) == 0 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            if self.engine.peek_cell(u.index) == 0 {
-                present = false;
-                break;
-            }
-        }
-        self.scratch = scratch;
-        present
+        });
+        walk.is_continue()
     }
 
     /// Sliding-window membership, **frozen read**: answers exactly what
@@ -151,28 +151,26 @@ impl SheBloomFilter {
     /// unqueried twin's group stops being due and its stale bits read as
     /// live (Eq. 1's unswept groups).
     pub fn contains_frozen<K: HashKey + ?Sized>(&self, key: &K) -> bool {
-        let mut ups = Vec::with_capacity(self.engine.spec().k());
-        self.engine.updates_for(key, &mut ups);
-        for u in &ups {
-            let gid = u.group(self.engine.config().group_cells);
-            if !self.engine.observe_mature(gid) {
-                continue; // young bit: ignored (age-sensitive selection)
+        let engine = &self.engine;
+        let walk = engine.spec().try_for_each_update(key, |u| {
+            // A young bit is ignored (age-sensitive selection).
+            if engine.observe_mature(engine.group_of(u.index))
+                && engine.peek_cell_effective(u.index) == 0
+            {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            if self.engine.peek_cell_effective(u.index) == 0 {
-                return false;
-            }
-        }
-        true
+        });
+        walk.is_continue()
     }
 
     /// Time-mark signature of the groups `key` hashes to (see
-    /// [`She::mark_sig_of`]): changes iff one of those groups' marks
+    /// [`She::mark_sig`]): changes iff one of those groups' marks
     /// flips, i.e. iff a future [`SheBloomFilter::contains`] could see a
     /// cleaning this key's cached answer predates. Pure.
     pub fn mark_sig<K: HashKey + ?Sized>(&self, key: &K) -> u64 {
-        let mut ups = Vec::with_capacity(self.engine.spec().k());
-        self.engine.updates_for(key, &mut ups);
-        self.engine.mark_sig_of(&ups)
+        self.engine.mark_sig(key)
     }
 
     /// Advance logical time without inserting.

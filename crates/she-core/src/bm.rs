@@ -117,6 +117,13 @@ impl SheBitmap {
         self.engine.insert(key);
     }
 
+    /// [`SheBitmap::insert`] of a key whose row hash the caller already
+    /// holds: `rows[0]`, from a family this bitmap's is a prefix of.
+    #[inline]
+    pub(crate) fn insert_rows(&mut self, rows: &[u32]) {
+        self.engine.insert_rows(&rows[..1]);
+    }
+
     /// Estimated cardinality of the sliding window.
     ///
     /// Takes `&mut self` because the sweep runs `CheckGroup` on every group.

@@ -10,7 +10,8 @@
 
 use crate::{She, SheConfig};
 use she_hash::HashKey;
-use she_sketch::{CellUpdate, CountMinSpec, CsmSpec};
+use she_sketch::{CountMinSpec, CsmSpec};
+use std::ops::ControlFlow;
 
 /// Sliding-window Count-Min sketch (hardware version of SHE).
 ///
@@ -32,7 +33,6 @@ use she_sketch::{CellUpdate, CountMinSpec, CsmSpec};
 #[derive(Debug, Clone)]
 pub struct SheCountMin {
     engine: She<CountMinSpec>,
-    scratch: Vec<CellUpdate>,
 }
 
 /// Builder for [`SheCountMin`] with the paper's defaults
@@ -115,7 +115,6 @@ impl SheCountMinBuilder {
             .build();
         SheCountMin {
             engine: She::new(CountMinSpec::new(m, self.counter_bits, self.k, self.seed), cfg),
-            scratch: Vec::new(),
         }
     }
 }
@@ -134,21 +133,20 @@ impl SheCountMin {
 
     /// Estimated frequency of `key` within the sliding window.
     pub fn query<K: HashKey + ?Sized>(&mut self, key: &K) -> u64 {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.engine.updates_for(key, &mut scratch);
-        let mut mature_min: Option<u64> = None;
-        let mut any_min: Option<u64> = None;
-        for u in &scratch {
-            let gid = self.engine.group_of(u.index);
-            let mature = self.engine.check_mature(gid);
-            let v = self.engine.peek_cell(u.index);
-            any_min = Some(any_min.map_or(v, |m| m.min(v)));
-            if mature {
-                mature_min = Some(mature_min.map_or(v, |m| m.min(v)));
-            }
-        }
-        self.scratch = scratch;
-        mature_min.or(any_min).unwrap_or(0)
+        let mut mins = Mins::default();
+        let _ = self.engine.try_for_each_update(key, |engine, u| {
+            let mature = engine.check_mature(engine.group_of(u.index));
+            mins.offer(engine.peek_cell(u.index), mature);
+            ControlFlow::<()>::Continue(())
+        });
+        mins.estimate()
+    }
+
+    /// [`SheCountMin::insert`] of a key whose row hashes the caller already
+    /// holds: `rows[..k]`, from a family this one's is a prefix of.
+    #[inline]
+    pub(crate) fn insert_rows(&mut self, rows: &[u32]) {
+        self.engine.insert_rows(&rows[..self.engine.spec().k()]);
     }
 
     /// Estimated frequency, **frozen read**: answers exactly what
@@ -161,28 +159,21 @@ impl SheCountMin {
     /// insert histories alone are not enough (see
     /// [`crate::SheBloomFilter::contains_frozen`]).
     pub fn query_frozen<K: HashKey + ?Sized>(&self, key: &K) -> u64 {
-        let mut ups = Vec::with_capacity(self.engine.spec().k());
-        self.engine.updates_for(key, &mut ups);
-        let mut mature_min: Option<u64> = None;
-        let mut any_min: Option<u64> = None;
-        for u in &ups {
-            let gid = u.group(self.engine.config().group_cells);
-            let v = self.engine.peek_cell_effective(u.index);
-            any_min = Some(any_min.map_or(v, |m| m.min(v)));
-            if self.engine.observe_mature(gid) {
-                mature_min = Some(mature_min.map_or(v, |m| m.min(v)));
-            }
-        }
-        mature_min.or(any_min).unwrap_or(0)
+        let engine = &self.engine;
+        let mut mins = Mins::default();
+        let _ = engine.spec().try_for_each_update(key, |u| {
+            let mature = engine.observe_mature(engine.group_of(u.index));
+            mins.offer(engine.peek_cell_effective(u.index), mature);
+            ControlFlow::<()>::Continue(())
+        });
+        mins.estimate()
     }
 
     /// Time-mark signature of the groups `key` hashes to (see
-    /// [`She::mark_sig_of`]): changes iff one of those groups' marks
+    /// [`She::mark_sig`]): changes iff one of those groups' marks
     /// flips. Pure.
     pub fn mark_sig<K: HashKey + ?Sized>(&self, key: &K) -> u64 {
-        let mut ups = Vec::with_capacity(self.engine.spec().k());
-        self.engine.updates_for(key, &mut ups);
-        self.engine.mark_sig_of(&ups)
+        self.engine.mark_sig(key)
     }
 
     /// Advance logical time without inserting.
@@ -217,6 +208,30 @@ impl SheCountMin {
     /// Reset to empty at time zero.
     pub fn clear(&mut self) {
         self.engine.clear();
+    }
+}
+
+/// The two minima a SHE-CM read keeps: over the mature counters, and
+/// over all of them — the best-effort answer when every hashed counter
+/// is young.
+#[derive(Debug, Default)]
+struct Mins {
+    mature: Option<u64>,
+    any: Option<u64>,
+}
+
+impl Mins {
+    #[inline]
+    fn offer(&mut self, v: u64, mature: bool) {
+        self.any = Some(self.any.map_or(v, |m| m.min(v)));
+        if mature {
+            self.mature = Some(self.mature.map_or(v, |m| m.min(v)));
+        }
+    }
+
+    #[inline]
+    fn estimate(&self) -> u64 {
+        self.mature.or(self.any).unwrap_or(0)
     }
 }
 

@@ -8,13 +8,13 @@
 
 use crate::{She, SheConfig};
 use she_hash::HashKey;
-use she_sketch::{CellUpdate, CountSketchSpec};
+use she_sketch::{CountSketchSpec, CsmSpec};
+use std::ops::ControlFlow;
 
 /// Sliding-window count sketch (hardware version of SHE).
 #[derive(Debug, Clone)]
 pub struct SheCountSketch {
     engine: She<CountSketchSpec>,
-    scratch: Vec<CellUpdate>,
 }
 
 /// Builder for [`SheCountSketch`] (defaults: `k = 5`, `w = 64`, `α = 1`,
@@ -96,10 +96,7 @@ impl SheCountSketchBuilder {
             .group_cells(self.group_cells.min(m))
             .beta(self.beta)
             .build();
-        SheCountSketch {
-            engine: She::new(CountSketchSpec::new(m, self.k, self.seed), cfg),
-            scratch: Vec::new(),
-        }
+        SheCountSketch { engine: She::new(CountSketchSpec::new(m, self.k, self.seed), cfg) }
     }
 }
 
@@ -123,21 +120,20 @@ impl SheCountSketch {
     )]
     pub fn query<K: HashKey + ?Sized>(&mut self, key: &K) -> i64 {
         let beta_n = self.engine.config().beta * self.engine.config().window as f64;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.engine.updates_for(key, &mut scratch);
-        let mut vals: Vec<i64> = Vec::with_capacity(scratch.len());
-        let mut fallback: Vec<i64> = Vec::with_capacity(scratch.len());
-        for u in &scratch {
-            let gid = self.engine.group_of(u.index);
-            self.engine.check_group(gid);
-            let raw = self.engine.peek_cell(u.index) as u32 as i32 as i64;
+        let k = self.engine.spec().k();
+        let mut vals: Vec<i64> = Vec::with_capacity(k);
+        let mut fallback: Vec<i64> = Vec::with_capacity(k);
+        let _ = self.engine.try_for_each_update(key, |engine, u| {
+            let gid = engine.group_of(u.index);
+            engine.check_group(gid);
+            let raw = engine.peek_cell(u.index) as u32 as i32 as i64;
             let sign = if u.operand == 1 { 1 } else { -1 };
             fallback.push(raw * sign);
-            if self.engine.group_age(gid) as f64 >= beta_n {
+            if engine.group_age(gid) as f64 >= beta_n {
                 vals.push(raw * sign);
             }
-        }
-        self.scratch = scratch;
+            ControlFlow::<()>::Continue(())
+        });
         if vals.is_empty() {
             vals = fallback;
         }

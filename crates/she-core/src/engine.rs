@@ -17,13 +17,23 @@
 //! *scheduled* cleaning. Ages classify cells as young (`age < N`), perfect
 //! (`age == N`), or aged (`age > N`) — the basis of age-sensitive selection.
 //!
-//! [`She::insert`] is Algorithm 1 verbatim — hash, then `CheckGroup` +
-//! `F` per hashed cell — and the insert path of every adapter whose `K`
-//! is a handful of cells (BF, BM, CM, HLL, CS). SHE-MH (`K = M`, `w = 1`)
-//! walks all of its cells itself in one row-wise pass (`mh.rs`) built on
-//! `advance_time(1)`, `check_group` and the crate-private `next_flip` /
-//! `write_cell`; this loop is the oracle that pass is tested bit-for-bit
-//! against.
+//! Algorithm 1 is fed **rows**: a spec hashes a key's `K` rows
+//! ([`CsmSpec::hash_rows`]) and maps each row's hash to a cell update
+//! ([`CsmSpec::row_update`]). [`She::insert`] hashes the rows
+//! [`UPDATE_LANES`] at a time into a stack buffer; [`She::insert_rows`]
+//! takes rows a caller already hashed (a shard hashes a key once and
+//! feeds BF, BM and CM from the same rows). Both advance the clock, then
+//! run `CheckGroup` + `F` per update in row order, through the one
+//! function that writes an inserted cell — the insert path of every
+//! adapter whose `K` is a handful of cells (BF, BM, CM, HLL, CS). SHE-MH (`K = M`, `w = 1`) walks all of its cells itself in
+//! one row-wise pass (`mh.rs`) built on `advance_time(1)`, `check_group`
+//! and the crate-private `next_flip` / `write_cell`; this loop is the
+//! oracle that pass is tested bit-for-bit against.
+//!
+//! Nothing on an insert or point read divides: the specs reduce a row
+//! hash to a cell with a precomputed reciprocal (`she_hash::FastMod`),
+//! and [`She::group_of`] is a shift for a power-of-two `w` (every served
+//! configuration) and the same kind of reciprocal otherwise.
 //!
 //! Whole-array queries (SHE-BM, SHE-HLL) sweep the groups through
 //! [`She::for_each_group`], which hands each checked group over as a
@@ -31,8 +41,9 @@
 //! group's words, as the hardware reads a group as one memory word.
 
 use crate::SheConfig;
-use she_hash::HashKey;
-use she_sketch::{CellUpdate, CsmSpec, PackedArray};
+use she_hash::{FastMod, HashKey};
+use she_sketch::{row_chunks, CellUpdate, CsmSpec, PackedArray, UPDATE_LANES};
+use std::ops::ControlFlow;
 
 /// Age classification of a cell/group at query time (Sec. 3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +78,17 @@ pub struct She<S: CsmSpec> {
     /// count-based window of `N` items is `N` time units (the paper assumes
     /// uniform arrival for time-based windows).
     t: u64,
-    scratch: Vec<CellUpdate>,
+    /// `index / w`, without dividing.
+    group_div: GroupDiv,
+}
+
+/// A cell's group `index / w` without a division instruction: a shift
+/// when `w` is a power of two (`w = 1` gives `gid = index`), an exact
+/// reciprocal otherwise.
+#[derive(Debug, Clone, Copy)]
+enum GroupDiv {
+    Shift(u32),
+    Reciprocal(FastMod),
 }
 
 /// A counter snapshot of one engine, cheap to take and `Copy` — the unit
@@ -182,7 +203,17 @@ impl<S: CsmSpec> She<S> {
             "group size w={} exceeds the cell count M={m}",
             cfg.group_cells
         );
-        let g = m.div_ceil(cfg.group_cells);
+        let w = cfg.group_cells;
+        let group_div = if w.is_power_of_two() {
+            GroupDiv::Shift(w.trailing_zeros())
+        } else {
+            assert!(
+                u32::try_from(m - 1).is_ok(),
+                "a group size w={w} that is no power of two needs M ≤ 2^32 cells"
+            );
+            GroupDiv::Reciprocal(FastMod::new(w))
+        };
+        let g = m.div_ceil(w);
         #[expect(
             clippy::cast_possible_truncation,
             reason = "gid < g, so Tcycle·gid/g is below Tcycle and fits u64"
@@ -200,7 +231,7 @@ impl<S: CsmSpec> She<S> {
             groups: vec![GroupMeta::new(0, false, false); g],
             neg_offsets,
             t: 0,
-            scratch: Vec::new(),
+            group_div,
         };
         for gid in 0..g {
             let mark = engine.observe_mark(gid);
@@ -258,10 +289,17 @@ impl<S: CsmSpec> She<S> {
         }
     }
 
-    /// Group id owning cell `index`.
+    /// Group id owning cell `index`: `index / w`, by shift or reciprocal.
     #[inline]
     pub fn group_of(&self, index: usize) -> usize {
-        index / self.cfg.group_cells
+        match self.group_div {
+            GroupDiv::Shift(bits) => index >> bits,
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`new` admits a reciprocal only for M ≤ 2^32 cells, so a cell index fits u32"
+            )]
+            GroupDiv::Reciprocal(w) => w.quotient(index as u32),
+        }
     }
 
     /// First cell index of group `gid`.
@@ -350,22 +388,24 @@ impl<S: CsmSpec> She<S> {
     }
 
     /// Fold a 64-bit **time-mark signature** over the groups the hashed
-    /// cells of `updates` touch. The signature changes whenever any
-    /// touched group's *observation context* changes: its
-    /// [`She::mark_epoch`] steps (a cleaning the answer predates becomes
-    /// possible) or its [`She::observe_mature`] bit flips (the query's
-    /// age-sensitive cell selection changes). Between those instants it is
-    /// stable no matter how many inserts land — the invalidation key of
-    /// the read path's `MarkCache`. A wrapping sum of per-group mixes, so
-    /// a group hashed twice still contributes. Pure.
-    pub fn mark_sig_of(&self, updates: &[CellUpdate]) -> u64 {
+    /// cells of `key` touch (its rows hashed into a stack buffer). The
+    /// signature changes whenever any touched group's *observation
+    /// context* changes: its [`She::mark_epoch`] steps (a cleaning the
+    /// answer predates becomes possible) or its [`She::observe_mature`]
+    /// bit flips (the query's age-sensitive cell selection changes).
+    /// Between those instants it is stable no matter how many inserts
+    /// land — the invalidation key of the read path's `MarkCache`. A
+    /// wrapping sum of per-group mixes, so a group hashed twice still
+    /// contributes. Pure.
+    pub fn mark_sig<K: HashKey + ?Sized>(&self, key: &K) -> u64 {
         let mut sig = 0u64;
-        for u in updates {
-            let gid = u.group(self.cfg.group_cells);
+        let _ = self.spec.try_for_each_update(key, |u| {
+            let gid = self.group_of(u.index);
             let epoch = (self.mark_epoch(gid) << 1) | u64::from(self.observe_mature(gid));
             sig = sig
                 .wrapping_add(she_hash::mix64(crate::convert::u64_of(gid).rotate_left(32) ^ epoch));
-        }
+            ControlFlow::<()>::Continue(())
+        });
         sig
     }
 
@@ -436,14 +476,56 @@ impl<S: CsmSpec> She<S> {
     /// `CheckGroup` on its group and apply the update function `F`.
     pub fn insert<K: HashKey + ?Sized>(&mut self, key: &K) {
         self.t += 1;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.spec.updates(key, &mut scratch);
-        for u in &scratch {
-            self.check_group(self.group_of(u.index));
-            let old = self.cells.get(u.index);
-            self.cells.set(u.index, self.spec.apply(u.operand, old));
+        let _ = self.try_for_each_update(key, |engine, u| {
+            engine.update_cell(u);
+            ControlFlow::<()>::Continue(())
+        });
+    }
+
+    /// [`She::insert`] of the key whose [`CsmSpec::k`] rows a caller
+    /// already hashed (`rows[i]` is row `i`'s [`CsmSpec::hash_rows`]).
+    #[inline]
+    pub fn insert_rows(&mut self, rows: &[S::Row]) {
+        debug_assert_eq!(rows.len(), self.spec.k(), "one hash per row");
+        self.t += 1;
+        for (row, &hash) in rows.iter().enumerate() {
+            let u = self.spec.row_update(row, hash);
+            self.update_cell(u);
         }
-        self.scratch = scratch;
+    }
+
+    /// `CheckGroup` + `F` on one hashed cell — the only place an insert
+    /// writes a cell.
+    #[inline]
+    fn update_cell(&mut self, u: CellUpdate) {
+        self.check_group(self.group_of(u.index));
+        let old = self.cells.get(u.index);
+        self.cells.set(u.index, self.spec.apply(u.operand, old));
+    }
+
+    /// Hand `key`'s cell updates to `f` in row order, with the engine,
+    /// until `f` breaks: the walk of an insert and of the point reads
+    /// that check groups — [`CsmSpec::try_for_each_update`] for callers
+    /// that mutate the engine. The rows are hashed [`UPDATE_LANES`] at a
+    /// time into a stack buffer, so nothing allocates. Always inlined, so
+    /// that `f`'s state stays in registers (an outlined walk cost SHE-CM's
+    /// point read ~40 %).
+    #[inline(always)]
+    pub fn try_for_each_update<K: HashKey + ?Sized, B>(
+        &mut self,
+        key: &K,
+        mut f: impl FnMut(&mut Self, CellUpdate) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let mut buf = [S::Row::default(); UPDATE_LANES];
+        for chunk in row_chunks(self.spec.k()) {
+            let rows = &mut buf[..chunk.len()];
+            self.spec.hash_rows(key, chunk.start, rows);
+            for (row, &hash) in chunk.zip(rows.iter()) {
+                let u = self.spec.row_update(row, hash);
+                f(self, u)?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// The cached instant of group `gid`'s next mark flip. Right after a
@@ -671,6 +753,19 @@ mod tests {
     }
 
     #[test]
+    fn group_of_is_the_quotient_for_every_group_size() {
+        // Powers of two take the shift (w = 1: gid = index), the rest the
+        // reciprocal; 1000 cells leave a short last group for most w.
+        for w in [1, 2, 3, 7, 64, 100, 127, 128, 333, 1000] {
+            let s = tiny(100, 0.5, 1000, w);
+            assert_eq!(s.num_groups(), 1000usize.div_ceil(w));
+            for index in 0..1000 {
+                assert_eq!(s.group_of(index), index / w, "w = {w}, index {index}");
+            }
+        }
+    }
+
+    #[test]
     fn ages_are_spread_over_the_cycle() {
         let s = tiny(100, 0.5, 512, 64); // Tcycle = 150, G = 8
         let mut ages: Vec<u64> = (0..s.num_groups()).map(|g| s.group_age(g)).collect();
@@ -859,18 +954,18 @@ mod tests {
                 .collect()
         };
         // Reading twice without advancing the clock is stable.
-        assert_eq!(s.mark_sig_of(&ups), s.mark_sig_of(&ups));
+        assert_eq!(s.mark_sig(&99u64), s.mark_sig(&99u64));
         // Step the clock one unit at a time across a full cycle: the
         // signature must change exactly when some touched group's
         // (epoch, maturity) context changes — flips and maturity
         // crossings — and hold steady otherwise.
         let mut prev_ctx = context(&s);
-        let mut prev_sig = s.mark_sig_of(&ups);
+        let mut prev_sig = s.mark_sig(&99u64);
         let mut changes = 0;
         for _ in 0..s.config().t_cycle {
             s.advance_time(1);
             let ctx = context(&s);
-            let sig = s.mark_sig_of(&ups);
+            let sig = s.mark_sig(&99u64);
             assert_eq!(ctx != prev_ctx, sig != prev_sig, "sig must track context");
             if sig != prev_sig {
                 changes += 1;

@@ -11,13 +11,15 @@
 //!
 //! SHE-MH is the one adapter where an insert touches *every* cell
 //! (`K = M`, `w = 1`), so [`SheMinHash::insert`] does not go through the
-//! generic per-cell loop of [`She::insert`]. It is one pass over three
-//! flat arrays — the row operands (hashed lane-wise,
-//! `MinHashSpec::operands`), the decoded minima, and nothing else — and
-//! is bit-for-bit the generic loop: same hash per row, same `CheckGroup`
-//! instants, same packed cells, same snapshot bytes (the generic loop is
-//! the oracle of this module's tests). Two cached facts make that
-//! possible, under one validity word:
+//! generic per-cell loop of [`She::insert`]. It is one pass over two flat
+//! arrays — the row hashes (hashed lane-wise, [`UPDATE_LANES`] rows at a
+//! time into a stack buffer) and the decoded minima — and is bit-for-bit
+//! the generic loop: same hash per row, same `CheckGroup` instants, same
+//! packed cells, same snapshot bytes (the generic loop is the oracle of
+//! this module's tests). A shard that already hashed the key for its
+//! other sketches hands the rows over instead (`insert_rows`), and the
+//! same pass runs on them. Two cached facts make that possible, under
+//! one validity word:
 //!
 //! * `settled_until` — every group has been checked at the current mark
 //!   and none flips before this instant. Because every insert checks
@@ -25,7 +27,7 @@
 //!   when that trips, `settle()` runs `check_group(0..M)` exactly as the
 //!   generic loop would and takes the minimum next flip.
 //! * `mins` — the cells decoded (`u32::MAX` for an empty cell), rebuilt
-//!   by the same `settle()`. The per-key work is `operands[i] < mins[i]`;
+//!   by the same `settle()`. The per-key work is `operand(rows[i]) < mins[i]`;
 //!   the packed array is written only for the rare rows whose minimum
 //!   drops.
 //!
@@ -36,7 +38,7 @@
 
 use crate::{She, SheConfig};
 use she_hash::HashKey;
-use she_sketch::{CsmSpec, MinHashSpec};
+use she_sketch::{row_chunks, CsmSpec, MinHashSpec, UPDATE_LANES};
 
 /// `mins` entry of an empty cell: above every operand (`≤ 2^24`), so the
 /// first offer always lands — `F(x, 0) = h(x)`.
@@ -58,8 +60,6 @@ const EMPTY: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct SheMinHash {
     engine: She<MinHashSpec>,
-    /// Row operands of the key being inserted (scratch, one per row).
-    operands: Vec<u32>,
     /// The cells decoded, [`EMPTY`] for zero; meaningful only while
     /// `settled_until != 0`.
     mins: Vec<u32>,
@@ -136,7 +136,6 @@ impl SheMinHashBuilder {
             .build();
         SheMinHash {
             engine: She::new(MinHashSpec::new(self.num_hashes, self.seed), cfg),
-            operands: vec![0; self.num_hashes],
             mins: vec![EMPTY; self.num_hashes],
             settled_until: 0,
         }
@@ -153,18 +152,49 @@ impl SheMinHash {
     /// insert*).
     #[inline]
     pub fn insert<K: HashKey + ?Sized>(&mut self, key: &K) {
+        self.tick();
+        let mut buf = [0u32; UPDATE_LANES];
+        for chunk in row_chunks(self.num_hashes()) {
+            let rows = &mut buf[..chunk.len()];
+            self.engine.spec().hash_rows(key, chunk.start, rows);
+            self.offer(chunk.start, rows);
+        }
+    }
+
+    /// [`SheMinHash::insert`] of a key whose row hashes the caller
+    /// already holds: `rows[i]` is row `i`'s, one per row.
+    #[inline]
+    pub(crate) fn insert_rows(&mut self, rows: &[u32]) {
+        debug_assert_eq!(rows.len(), self.num_hashes(), "one hash per row");
+        self.tick();
+        self.offer(0, rows);
+    }
+
+    /// The item clock — one insert, one tick — with every group settled
+    /// at the new time.
+    #[inline]
+    fn tick(&mut self) {
         debug_assert!(self.settled_until == 0 || self.mins_are_decoded_cells());
-        self.engine.advance_time(1); // the item clock: one insert, one tick
+        self.engine.advance_time(1);
         if self.engine.now() >= self.settled_until {
             self.settle();
         }
-        self.engine.spec().operands(0, key, &mut self.operands);
+    }
+
+    /// Offer the operands of rows `first..first + rows.len()` to their
+    /// cells' minima.
+    #[inline]
+    fn offer(&mut self, first: usize, rows: &[u32]) {
+        let mins = &mut self.mins[first..first + rows.len()];
         // One branch-free compare over two flat arrays; a row's minimum
         // drops on a vanishing fraction of inserts once the window fills.
-        let drops =
-            self.operands.iter().zip(&self.mins).fold(false, |any, (op, min)| any | (op < min));
+        let drops = rows
+            .iter()
+            .zip(mins.iter())
+            .fold(false, |any, (&h, &min)| any | (MinHashSpec::operand(h) < min));
         if drops {
-            for (i, (&op, min)) in self.operands.iter().zip(&mut self.mins).enumerate() {
+            for (i, (&h, min)) in (first..).zip(rows.iter().zip(mins.iter_mut())) {
+                let op = MinHashSpec::operand(h);
                 if op < *min {
                     *min = op;
                     self.engine.write_cell(i, u64::from(op));

@@ -58,6 +58,7 @@ use crate::convert::usize_of;
 use crate::frame::{self, Frame, FrameWriter, Reader};
 use crate::{SheBitmap, SheBloomFilter, SheCountMin, SheMinHash, SnapshotError, SnapshotState};
 use she_hash::{mix64, reduce_range};
+use she_sketch::CsmSpec;
 
 /// Router constant: decorrelates shard placement from the sketches' own
 /// hashes of the same key.
@@ -160,6 +161,11 @@ impl EngineConfig {
     }
 }
 
+/// Rows of each similarity MinHash: every insert touches every row, so it
+/// is sized by hash count, not bytes (a byte budget would make inserts
+/// O(memory)).
+const MH_ROWS: usize = 128;
+
 /// One shard's sketches. Inserts feed every structure; stream B (tag 1)
 /// exists only for the similarity pair and feeds just its MinHash.
 #[derive(Debug)]
@@ -182,32 +188,48 @@ impl ShardEngine {
         let window = (cfg.window / cfg.shards as u64).max(1);
         let bytes = (cfg.memory_bytes / cfg.shards).max(64);
         let seed = cfg.seed;
-        Self {
+        // The similarity pair must share hash functions (same seed) —
+        // per-row minima are only comparable under identical hashes.
+        let mh = || SheMinHash::builder().window(window).num_hashes(MH_ROWS).seed(seed).build();
+        let engine = Self {
             cfg: *cfg,
             shard,
             bf: SheBloomFilter::builder().window(window).memory_bytes(bytes).seed(seed).build(),
             bm: SheBitmap::builder().window(window).memory_bytes(bytes).seed(seed).build(),
             cm: SheCountMin::builder().window(window).memory_bytes(bytes).seed(seed).build(),
-            // The similarity pair must share hash functions (same seed) —
-            // per-row minima are only comparable under identical hashes.
-            // Sized by hash count, not bytes: every insert touches every
-            // row, so a byte budget would make inserts O(memory).
-            mh_a: SheMinHash::builder().window(window).num_hashes(128).seed(seed).build(),
-            mh_b: SheMinHash::builder().window(window).num_hashes(128).seed(seed).build(),
+            mh_a: mh(),
+            mh_b: mh(),
             inserts: 0,
             queries: 0,
-        }
+        };
+        // What lets `insert` hash a stream-A key once for all four.
+        let rows = engine.mh_a.engine().spec().family();
+        assert!(
+            engine.bf.engine().spec().family().is_prefix_of(rows)
+                && engine.bm.engine().spec().family().is_prefix_of(rows)
+                && engine.cm.engine().spec().family().is_prefix_of(rows),
+            "the BF, BM and CM hash families must be row prefixes of SHE-MH's"
+        );
+        engine
     }
 
     /// Insert a key into stream 0 (A) or 1 (B). Stream A feeds every
     /// structure; stream B only its similarity MinHash.
+    ///
+    /// A stream-A key is hashed once: the SHE-MH family's rows, into a
+    /// stack buffer. BF, BM and CM are built from the same seed, so their
+    /// families are row prefixes of it (asserted in `new`): BF takes rows
+    /// `0..k`, BM row 0, CM rows `0..k` and SHE-MH all of them — the cells,
+    /// `CheckGroup` instants and bytes of four separate `insert(&key)`s.
     #[inline]
     pub fn insert(&mut self, stream: u8, key: u64) {
         if stream == 0 {
-            self.bf.insert(&key);
-            self.bm.insert(&key);
-            self.cm.insert(&key);
-            self.mh_a.insert(&key);
+            let mut rows = [0u32; MH_ROWS];
+            self.mh_a.engine().spec().hash_rows(&key, 0, &mut rows);
+            self.bf.insert_rows(&rows);
+            self.bm.insert_rows(&rows);
+            self.cm.insert_rows(&rows);
+            self.mh_a.insert_rows(&rows);
         } else {
             self.mh_b.insert(&key);
         }
@@ -709,6 +731,87 @@ mod tests {
         }
         for &c in &counts {
             assert!((8_000..12_000).contains(&c), "imbalanced shard: {c}");
+        }
+    }
+
+    /// The per-structure insert `ShardEngine::insert` replaces: every
+    /// sketch hashes the key itself — the oracle of the hashed-once insert.
+    fn insert_per_structure(e: &mut ShardEngine, stream: u8, key: u64) {
+        if stream == 0 {
+            e.bf.insert(&key);
+            e.bm.insert(&key);
+            e.cm.insert(&key);
+            e.mh_a.insert(&key);
+        } else {
+            e.mh_b.insert(&key);
+        }
+        e.inserts += 1;
+    }
+
+    /// The hashed-once stream-A insert is bit-for-bit four per-structure
+    /// inserts: after every op — inserts on both streams, the four reads,
+    /// restore of an earlier snapshot, merge of another shard's — the two
+    /// shards answer alike and their snapshots are byte-equal, over at
+    /// least three cleaning cycles of the slowest structure.
+    #[test]
+    fn hashed_once_insert_is_the_per_structure_insert() {
+        for (case, (seed, window, memory_bytes)) in
+            [(1u32, 512u64, 4usize << 10), (20_220_829, 300, 2 << 10)].into_iter().enumerate()
+        {
+            let cfg = EngineConfig { window, shards: 2, memory_bytes, seed };
+            let (mut fast, mut oracle) = (ShardEngine::new(&cfg, 0), ShardEngine::new(&cfg, 0));
+            let mut donor = ShardEngine::new(&cfg, 1);
+            let t_cycle = [
+                fast.bf.engine().config().t_cycle,
+                fast.bm.engine().config().t_cycle,
+                fast.cm.engine().config().t_cycle,
+                fast.mh_a.engine().config().t_cycle,
+            ]
+            .into_iter()
+            .max()
+            .expect("four structures");
+            let mut rng = Xoshiro256::new(0x0A5C_E000 + case as u64);
+            let mut saved = fast.snapshot();
+            let (mut inserted, mut step) = (0u64, 0u64);
+            while inserted < 3 * t_cycle {
+                step += 1;
+                let key = mix64(rng.next_below(3 * window as usize) as u64);
+                let (got, want) = match rng.next_below(64) {
+                    0 => (fast.member(key).into(), oracle.member(key).into()),
+                    1 => (fast.frequency(key), oracle.frequency(key)),
+                    2 => (fast.cardinality().to_bits(), oracle.cardinality().to_bits()),
+                    3 => (fast.similarity().to_bits(), oracle.similarity().to_bits()),
+                    4 => {
+                        saved = fast.snapshot();
+                        (0, 0)
+                    }
+                    5 => {
+                        fast.restore(&saved).expect("restore");
+                        oracle.restore(&saved).expect("restore");
+                        (0, 0)
+                    }
+                    6 => {
+                        let blob = donor.snapshot();
+                        fast.merge(&blob).expect("merge");
+                        oracle.merge(&blob).expect("merge");
+                        (0, 0)
+                    }
+                    7..=14 => {
+                        fast.insert(1, key);
+                        insert_per_structure(&mut oracle, 1, key);
+                        insert_per_structure(&mut donor, 0, key ^ 1);
+                        (0, 0)
+                    }
+                    _ => {
+                        fast.insert(0, key);
+                        insert_per_structure(&mut oracle, 0, key);
+                        inserted += 1;
+                        (0, 0)
+                    }
+                };
+                assert_eq!(got, want, "case {case} step {step}: answer");
+                assert!(fast.snapshot() == oracle.snapshot(), "case {case} step {step}: snapshot");
+            }
         }
     }
 

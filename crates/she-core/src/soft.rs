@@ -14,7 +14,8 @@
 
 use crate::SheConfig;
 use she_hash::HashKey;
-use she_sketch::{CellUpdate, CsmSpec, PackedArray};
+use she_sketch::{CsmSpec, PackedArray};
+use std::ops::ControlFlow;
 
 /// Software-version SHE engine: continuous circular cleaning.
 #[derive(Debug, Clone)]
@@ -26,7 +27,6 @@ pub struct SoftClock<S: CsmSpec> {
     t: u64,
     /// Total cells cleaned since the start (the cleaner's absolute count).
     cleaned: u64,
-    scratch: Vec<CellUpdate>,
 }
 
 impl<S: CsmSpec> SoftClock<S> {
@@ -36,7 +36,7 @@ impl<S: CsmSpec> SoftClock<S> {
     pub fn new(spec: S, cfg: SheConfig) -> Self {
         cfg.validate();
         let cells = PackedArray::new(spec.num_cells(), spec.cell_bits());
-        Self { spec, cfg, cells, t: 0, cleaned: 0, scratch: Vec::new() }
+        Self { spec, cfg, cells, t: 0, cleaned: 0 }
     }
 
     /// The wrapped CSM spec.
@@ -100,13 +100,11 @@ impl<S: CsmSpec> SoftClock<S> {
     pub fn insert<K: HashKey + ?Sized>(&mut self, key: &K) {
         self.t += 1;
         self.catch_up();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.spec.updates(key, &mut scratch);
-        for u in &scratch {
+        let _ = self.spec.try_for_each_update(key, |u| {
             let old = self.cells.get(u.index);
             self.cells.set(u.index, self.spec.apply(u.operand, old));
-        }
-        self.scratch = scratch;
+            ControlFlow::<()>::Continue(())
+        });
     }
 
     /// Age of cell `i`: time since its latest cleaning, or the full elapsed

@@ -33,6 +33,14 @@ impl HashFamily {
         self.seeds.len()
     }
 
+    /// Whether every function of this family is the same-numbered
+    /// function of `other` — so `other`'s first `k` row hashes of a key
+    /// are this family's. `new(k, s)` is a prefix of `new(K, s)` for
+    /// every `k ≤ K`: the seeds depend on the row number, not on `k`.
+    pub fn is_prefix_of(&self, other: &HashFamily) -> bool {
+        other.seeds.starts_with(&self.seeds)
+    }
+
     /// The `i`-th function applied to `key`, as a raw 32-bit value.
     #[inline]
     pub fn hash<K: HashKey + ?Sized>(&self, i: usize, key: &K) -> u32 {
@@ -126,6 +134,22 @@ mod tests {
         assert_eq!(out, (0..67).map(|i| f.hash(i, long)).collect::<Vec<_>>());
         f.hash_range(60, "flow-1", &mut out[..7]);
         assert_eq!(out[..7], (60..67).map(|i| f.hash(i, "flow-1")).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn smaller_families_are_row_prefixes_of_larger_ones() {
+        for seed in [0u32, 1, 20_220_829, u32::MAX] {
+            let big = HashFamily::new(128, seed);
+            for k in [1usize, 2, 8, 64, 127, 128] {
+                let small = HashFamily::new(k, seed);
+                assert!(small.is_prefix_of(&big), "k = {k}, seed {seed}");
+                let mut rows = vec![0u32; k];
+                big.hash_range(0, &0xFEED_u64, &mut rows);
+                assert_eq!(rows, (0..k).map(|i| small.hash(i, &0xFEED_u64)).collect::<Vec<_>>());
+            }
+            assert!(!big.is_prefix_of(&HashFamily::new(8, seed)), "longer than the other");
+            assert!(!HashFamily::new(8, seed ^ 1).is_prefix_of(&big), "another seed");
+        }
     }
 
     #[test]

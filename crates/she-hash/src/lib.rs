@@ -10,6 +10,8 @@
 //!   keys (used where a 64-bit value is needed, e.g. HyperLogLog's `Hz`);
 //! * [`HashFamily`] — `k` independent seeded hash functions with convenient
 //!   range reduction, the building block of every multi-hash sketch;
+//! * [`FastMod`] — `h % m` for 32-bit hashes by a reciprocal computed once,
+//!   the cell-index reduction of every sketch's hot path;
 //! * rank helpers ([`rank_of`]) used by HyperLogLog-style estimators;
 //! * [`rng`] — deterministic in-tree PRNGs (SplitMix64, xoshiro256**) used
 //!   by the workload generators and the seeded-loop test suites.
@@ -19,11 +21,13 @@
 
 mod bob;
 mod family;
+mod fastmod;
 mod mix;
 pub mod rng;
 
 pub use bob::Bob32;
 pub use family::HashFamily;
+pub use fastmod::FastMod;
 pub use mix::{mix64, Mix64};
 pub use rng::{RandomSource, SplitMix64, Xoshiro256};
 

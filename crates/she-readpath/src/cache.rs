@@ -2,7 +2,7 @@
 //! invalidated by time-mark *flips*, not by inserts.
 //!
 //! Each entry stores the answer to one `(op, key)` query together with the
-//! [mark signature](she_core::She::mark_sig_of) of the groups the key
+//! [mark signature](she_core::She::mark_sig) of the groups the key
 //! hashes to at fill time. A lookup recomputes the current signature and
 //! compares: equal means no group the answer depends on has flipped its
 //! time-mark since fill, so the cached answer is still *valid* (see the

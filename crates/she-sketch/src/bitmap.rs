@@ -1,12 +1,13 @@
 //! Linear-counting Bitmap (Whang et al., 1990): `<bit, 1, F(x,y)=1>`.
 
 use crate::{bitmap_mle, CellUpdate, CsmSpec, FixedSketch};
-use she_hash::{HashFamily, HashKey};
+use she_hash::{FastMod, HashFamily, HashKey};
 
 /// CSM spec for the Bitmap: `m` bits, one hash function.
 #[derive(Debug, Clone)]
 pub struct BitmapSpec {
     m: usize,
+    cell_of: FastMod,
     family: HashFamily,
 }
 
@@ -14,7 +15,7 @@ impl BitmapSpec {
     /// `m` bits hashed by a single function derived from `seed`.
     pub fn new(m: usize, seed: u32) -> Self {
         assert!(m > 0);
-        Self { m, family: HashFamily::new(1, seed) }
+        Self { m, cell_of: FastMod::new(m), family: HashFamily::new(1, seed) }
     }
 
     /// The single-function hash family (shared with SHE-BM).
@@ -37,9 +38,16 @@ impl CsmSpec for BitmapSpec {
     fn k(&self) -> usize {
         1
     }
-    fn updates<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>) {
-        out.clear();
-        out.push(CellUpdate { index: self.family.index(0, key, self.m), operand: 1 });
+    type Row = u32;
+    #[inline]
+    fn hash_rows<K: HashKey + ?Sized>(&self, key: &K, first: usize, out: &mut [u32]) {
+        for (h, row) in out.iter_mut().zip(first..) {
+            *h = self.family.hash(row, key);
+        }
+    }
+    #[inline]
+    fn row_update(&self, _row: usize, hash: u32) -> CellUpdate {
+        CellUpdate { index: self.cell_of.reduce(hash), operand: 1 }
     }
     fn apply(&self, _operand: u64, _old: u64) -> u64 {
         1

@@ -1,13 +1,14 @@
 //! Bloom filter (Bloom, 1970): `<bit, k, F(x,y)=1>`.
 
-use crate::csm::push_row_updates;
 use crate::{CellUpdate, CsmSpec, FixedSketch};
-use she_hash::{HashFamily, HashKey};
+use she_hash::{FastMod, HashFamily, HashKey};
+use std::ops::ControlFlow;
 
 /// CSM spec for a Bloom filter: an `m`-bit array with `k` hash functions.
 #[derive(Debug, Clone)]
 pub struct BloomSpec {
     m: usize,
+    cell_of: FastMod,
     family: HashFamily,
 }
 
@@ -15,7 +16,7 @@ impl BloomSpec {
     /// `m` bits, `k` hash functions, derived from `seed`.
     pub fn new(m: usize, k: usize, seed: u32) -> Self {
         assert!(m > 0 && k > 0);
-        Self { m, family: HashFamily::new(k, seed) }
+        Self { m, cell_of: FastMod::new(m), family: HashFamily::new(k, seed) }
     }
 
     /// The hash family (shared with SHE-BF's query path).
@@ -38,11 +39,14 @@ impl CsmSpec for BloomSpec {
     fn k(&self) -> usize {
         self.family.k()
     }
-    fn updates<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>) {
-        push_row_updates(&self.family, key, out, |_, h| CellUpdate {
-            index: h as usize % self.m,
-            operand: 1,
-        });
+    type Row = u32;
+    #[inline]
+    fn hash_rows<K: HashKey + ?Sized>(&self, key: &K, first: usize, out: &mut [u32]) {
+        self.family.hash_range(first, key, out);
+    }
+    #[inline]
+    fn row_update(&self, _row: usize, hash: u32) -> CellUpdate {
+        CellUpdate { index: self.cell_of.reduce(hash), operand: 1 }
     }
     fn apply(&self, _operand: u64, _old: u64) -> u64 {
         1
@@ -74,11 +78,15 @@ impl BloomFilter {
 
     /// Membership query: true iff all `k` hashed bits are set.
     pub fn contains<K: HashKey + ?Sized>(&self, key: &K) -> bool {
-        let spec = self.inner.spec();
         let cells = self.inner.cells();
-        key.with_bytes(|b| {
-            (0..spec.k()).all(|i| cells.get(spec.family().index(i, &b, spec.num_cells())) == 1)
-        })
+        let found = self.inner.spec().try_for_each_update(key, |u| {
+            if cells.get(u.index) == 1 {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        });
+        found.is_continue()
     }
 
     /// Memory footprint in bits.

@@ -5,15 +5,16 @@
 //! functions (the conjoined variant, like a counting Bloom filter), which is
 //! also the form SHE wraps — one cell array that group cleaning can sweep.
 
-use crate::csm::push_row_updates;
 use crate::{CellUpdate, CsmSpec, FixedSketch};
-use she_hash::{HashFamily, HashKey};
+use she_hash::{FastMod, HashFamily, HashKey};
+use std::ops::ControlFlow;
 
 /// CSM spec for the single-array Count-Min: `m` counters of `counter_bits`
 /// bits, `k` hash functions.
 #[derive(Debug, Clone)]
 pub struct CountMinSpec {
     m: usize,
+    cell_of: FastMod,
     counter_bits: u32,
     family: HashFamily,
 }
@@ -23,7 +24,7 @@ impl CountMinSpec {
     pub fn new(m: usize, counter_bits: u32, k: usize, seed: u32) -> Self {
         assert!(m > 0 && k > 0);
         assert!((2..=64).contains(&counter_bits));
-        Self { m, counter_bits, family: HashFamily::new(k, seed) }
+        Self { m, cell_of: FastMod::new(m), counter_bits, family: HashFamily::new(k, seed) }
     }
 
     /// The hash family (shared with SHE-CM's query path).
@@ -46,11 +47,14 @@ impl CsmSpec for CountMinSpec {
     fn k(&self) -> usize {
         self.family.k()
     }
-    fn updates<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>) {
-        push_row_updates(&self.family, key, out, |_, h| CellUpdate {
-            index: h as usize % self.m,
-            operand: 1,
-        });
+    type Row = u32;
+    #[inline]
+    fn hash_rows<K: HashKey + ?Sized>(&self, key: &K, first: usize, out: &mut [u32]) {
+        self.family.hash_range(first, key, out);
+    }
+    #[inline]
+    fn row_update(&self, _row: usize, hash: u32) -> CellUpdate {
+        CellUpdate { index: self.cell_of.reduce(hash), operand: 1 }
     }
     fn apply(&self, _operand: u64, old: u64) -> u64 {
         let max = if self.counter_bits == 64 { u64::MAX } else { (1u64 << self.counter_bits) - 1 };
@@ -85,14 +89,13 @@ impl CountMin {
     ///
     /// Never underestimates (over the fixed window) — collisions only add.
     pub fn query<K: HashKey + ?Sized>(&self, key: &K) -> u64 {
-        let spec = self.inner.spec();
         let cells = self.inner.cells();
-        key.with_bytes(|b| {
-            (0..spec.k())
-                .map(|i| cells.get(spec.family().index(i, &b, spec.num_cells())))
-                .min()
-                .unwrap_or(0)
-        })
+        let mut min = u64::MAX;
+        let _ = self.inner.spec().try_for_each_update(key, |u| {
+            min = min.min(cells.get(u.index));
+            ControlFlow::<()>::Continue(())
+        });
+        min
     }
 
     /// Memory footprint in bits.

@@ -10,7 +10,8 @@
 //! strategy.
 
 use crate::{CellUpdate, CsmSpec, FixedSketch};
-use she_hash::{HashFamily, HashKey};
+use she_hash::{FastMod, HashFamily, HashKey};
+use std::ops::ControlFlow;
 
 /// Signed counters are stored as 32-bit two's complement inside the
 /// packed cell array.
@@ -35,6 +36,7 @@ fn from_cell(c: u64) -> i32 {
 #[derive(Debug, Clone)]
 pub struct CountSketchSpec {
     m: usize,
+    cell_of: FastMod,
     locs: HashFamily,
     signs: HashFamily,
 }
@@ -43,7 +45,12 @@ impl CountSketchSpec {
     /// `m` counters, `k` hash pairs.
     pub fn new(m: usize, k: usize, seed: u32) -> Self {
         assert!(m > 0 && k > 0);
-        Self { m, locs: HashFamily::new(k, seed), signs: HashFamily::new(k, seed ^ 0x00C0_FFEE) }
+        Self {
+            m,
+            cell_of: FastMod::new(m),
+            locs: HashFamily::new(k, seed),
+            signs: HashFamily::new(k, seed ^ 0x00C0_FFEE),
+        }
     }
 
     /// `+1` or `-1` for hash pair `i`.
@@ -59,7 +66,7 @@ impl CountSketchSpec {
     /// Location for hash pair `i`.
     #[inline]
     pub fn location<K: HashKey + ?Sized>(&self, i: usize, key: &K) -> usize {
-        self.locs.index(i, key, self.m)
+        self.cell_of.reduce(self.locs.hash(i, key))
     }
 }
 
@@ -76,17 +83,18 @@ impl CsmSpec for CountSketchSpec {
     fn k(&self) -> usize {
         self.locs.k()
     }
-    fn updates<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>) {
-        out.clear();
+    /// `(h_i(key), s_i(key))`: the location hash and the sign hash.
+    type Row = (u32, u32);
+    fn hash_rows<K: HashKey + ?Sized>(&self, key: &K, first: usize, out: &mut [(u32, u32)]) {
         key.with_bytes(|b| {
-            for i in 0..self.locs.k() {
-                out.push(CellUpdate {
-                    index: self.locs.index(i, &b, self.m),
-                    // Operand encodes the sign: 1 => +1, 0 => −1.
-                    operand: (self.signs.hash(i, &b) & 1) as u64,
-                });
+            for (row, i) in out.iter_mut().zip(first..) {
+                *row = (self.locs.hash(i, b), self.signs.hash(i, b));
             }
         });
+    }
+    fn row_update(&self, _row: usize, (loc, sign): (u32, u32)) -> CellUpdate {
+        // Operand encodes the sign: 1 => +1, 0 => −1.
+        CellUpdate { index: self.cell_of.reduce(loc), operand: u64::from(sign & 1) }
     }
     fn apply(&self, operand: u64, old: u64) -> u64 {
         let delta = if operand == 1 { 1i32 } else { -1i32 };
@@ -134,15 +142,12 @@ impl CountSketch {
     /// Frequency estimate: the median of the sign-corrected counters
     /// (two-sided error, unbiased).
     pub fn query<K: HashKey + ?Sized>(&self, key: &K) -> i64 {
-        let spec = self.inner.spec();
         let cells = self.inner.cells();
-        let mut vals: Vec<i64> = key.with_bytes(|b| {
-            (0..spec.k())
-                .map(|i| {
-                    let c = from_cell(cells.get(spec.location(i, &b))) as i64;
-                    c * spec.sign(i, &b) as i64
-                })
-                .collect()
+        let mut vals = Vec::with_capacity(self.inner.spec().k());
+        let _ = self.inner.spec().try_for_each_update(key, |u| {
+            let c = i64::from(from_cell(cells.get(u.index)));
+            vals.push(if u.operand == 1 { c } else { -c });
+            ControlFlow::<()>::Continue(())
         });
         median_i64(&mut vals)
     }

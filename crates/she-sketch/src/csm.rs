@@ -11,29 +11,18 @@
 //! is what makes SHE "generic" in the paper's sense.
 
 use crate::PackedArray;
-use she_hash::{HashFamily, HashKey};
+use she_hash::HashKey;
+use std::ops::{ControlFlow, Range};
 
-/// Rows [`push_row_updates`] hashes per lane-wise pass: a stack buffer,
-/// so `updates` stays allocation-free for any `k`.
-const UPDATE_LANES: usize = 64;
+/// Rows one lane-wise pass hashes: the length of every stack buffer of
+/// rows, so no insert or point read allocates, whatever `k`.
+pub const UPDATE_LANES: usize = 64;
 
-/// The `updates` of a one-cell-per-row spec (BF, CM, MinHash): clear
-/// `out`, then push `row(i, h_i(key))` for every member `i` of `family`,
-/// hashing lane-wise ([`HashFamily::hash_range`]) in [`UPDATE_LANES`]-row
-/// chunks. `h_i` is the same raw hash `HashFamily::hash(i, key)` returns.
-pub(crate) fn push_row_updates<K: HashKey + ?Sized>(
-    family: &HashFamily,
-    key: &K,
-    out: &mut Vec<CellUpdate>,
-    row: impl Fn(usize, u32) -> CellUpdate,
-) {
-    out.clear();
-    let mut lanes = [0u32; UPDATE_LANES];
-    for first in (0..family.k()).step_by(UPDATE_LANES) {
-        let lanes = &mut lanes[..UPDATE_LANES.min(family.k() - first)];
-        family.hash_range(first, key, lanes);
-        out.extend(lanes.iter().enumerate().map(|(j, &h)| row(first + j, h)));
-    }
+/// The row ranges a key's `k` rows are hashed in, [`UPDATE_LANES`] at a
+/// time, in row order.
+#[inline]
+pub fn row_chunks(k: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..k).step_by(UPDATE_LANES).map(move |first| first..k.min(first + UPDATE_LANES))
 }
 
 /// One hashed location plus the operand `F` needs there.
@@ -47,17 +36,6 @@ pub struct CellUpdate {
     pub index: usize,
     /// Operand handed to [`CsmSpec::apply`].
     pub operand: u64,
-}
-
-impl CellUpdate {
-    /// The time-mark group owning this cell when the array is split into
-    /// groups of `group_cells` cells — the unit whose mark a sliding
-    /// engine observes. Exposed at the CSM layer so read paths can map
-    /// hashed locations to groups without reaching into engine state.
-    #[inline]
-    pub fn group(&self, group_cells: usize) -> usize {
-        self.index / group_cells.max(1)
-    }
 }
 
 /// A fixed-window algorithm expressed as the paper's `<C, K, F>` triple.
@@ -75,12 +53,54 @@ pub trait CsmSpec {
     /// `K`: how many cells one insertion touches.
     fn k(&self) -> usize;
 
-    /// Compute the hashed locations (and update operands) for `key`.
-    ///
-    /// Pushes exactly [`CsmSpec::k`] entries into `out` (which is cleared
-    /// first). Reusing the caller's buffer keeps the insertion path
-    /// allocation-free.
-    fn updates<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>);
+    /// The raw hash material of one row — what [`CsmSpec::hash_rows`]
+    /// writes and [`CsmSpec::row_update`] turns into a cell update: one
+    /// 32-bit hash for the one-hash-per-row specs (BF, BM, CM, MinHash),
+    /// a pair where a row takes two (HLL's index and rank, the count
+    /// sketch's location and sign).
+    type Row: Copy + Default;
+
+    /// Hash rows `first..first + out.len()` of `key` into `out`
+    /// (`first + out.len() ≤ k()`).
+    fn hash_rows<K: HashKey + ?Sized>(&self, key: &K, first: usize, out: &mut [Self::Row]);
+
+    /// The cell update row `row` makes from its hash: the row→cell map,
+    /// split from the hashing so a caller that already holds a key's rows
+    /// (a shard feeding several sketches from one hash pass) applies them
+    /// without hashing again.
+    fn row_update(&self, row: usize, hash: Self::Row) -> CellUpdate;
+
+    /// Visit `key`'s [`CsmSpec::k`] updates in row order until `f`
+    /// breaks. The rows are hashed [`UPDATE_LANES`] at a time into a
+    /// stack buffer, so the walk allocates nothing. Always inlined, so
+    /// that `f`'s state stays in registers (an outlined walk cost SHE-CM's
+    /// frozen read ~45 %).
+    #[inline(always)]
+    fn try_for_each_update<K: HashKey + ?Sized, B>(
+        &self,
+        key: &K,
+        mut f: impl FnMut(CellUpdate) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let mut buf = [Self::Row::default(); UPDATE_LANES];
+        for chunk in row_chunks(self.k()) {
+            let rows = &mut buf[..chunk.len()];
+            self.hash_rows(key, chunk.start, rows);
+            for (row, &hash) in chunk.zip(rows.iter()) {
+                f(self.row_update(row, hash))?;
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// `key`'s [`CsmSpec::k`] updates in row order, collected into `out`
+    /// (cleared first) — for callers that want them as a list.
+    fn updates<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>) {
+        out.clear();
+        let _ = self.try_for_each_update(key, |u| {
+            out.push(u);
+            ControlFlow::<()>::Continue(())
+        });
+    }
 
     /// `F(x, y)`: merge `operand` into the old cell value `old`.
     ///
@@ -100,15 +120,13 @@ pub trait CsmSpec {
 pub struct FixedSketch<S: CsmSpec> {
     spec: S,
     cells: PackedArray,
-    scratch: Vec<CellUpdate>,
 }
 
 impl<S: CsmSpec> FixedSketch<S> {
     /// Build an empty sketch from its spec.
     pub fn new(spec: S) -> Self {
         let cells = PackedArray::new(spec.num_cells(), spec.cell_bits());
-        let scratch = Vec::with_capacity(spec.k());
-        Self { spec, cells, scratch }
+        Self { spec, cells }
     }
 
     /// The spec driving this sketch.
@@ -138,13 +156,11 @@ impl<S: CsmSpec> FixedSketch<S> {
 
     /// Insert one item: update all `K` hashed cells with `F`.
     pub fn insert<K: HashKey + ?Sized>(&mut self, key: &K) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.spec.updates(key, &mut scratch);
-        for u in &scratch {
+        let _ = self.spec.try_for_each_update(key, |u| {
             let old = self.cells.get(u.index);
             self.cells.set(u.index, self.spec.apply(u.operand, old));
-        }
-        self.scratch = scratch;
+            ControlFlow::<()>::Continue(())
+        });
     }
 
     /// Reset to the empty state.
@@ -175,10 +191,12 @@ mod tests {
         fn k(&self) -> usize {
             1
         }
-        fn updates<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>) {
-            out.clear();
-            let h = key.with_bytes(|b| she_hash::Bob32::new(0).hash(b));
-            out.push(CellUpdate { index: h as usize % self.m, operand: 0 });
+        type Row = u32;
+        fn hash_rows<K: HashKey + ?Sized>(&self, key: &K, _first: usize, out: &mut [u32]) {
+            out[0] = key.with_bytes(|b| she_hash::Bob32::new(0).hash(b));
+        }
+        fn row_update(&self, _row: usize, hash: u32) -> CellUpdate {
+            CellUpdate { index: hash as usize % self.m, operand: 0 }
         }
         fn apply(&self, _operand: u64, old: u64) -> u64 {
             (old + 1).min(255)
@@ -201,6 +219,7 @@ mod tests {
 
     #[test]
     fn bloom_and_count_min_updates_are_the_per_row_index() {
+        use she_hash::HashFamily;
         // The lane-wise `updates` against the scalar `HashFamily::index`:
         // k = 8 is the served default, 70 crosses the `UPDATE_LANES`
         // chunk boundary with a ragged tail, and a long key takes the

@@ -7,7 +7,7 @@
 //! the age-legal registers and scale back up to the full array.
 
 use crate::{CellUpdate, CsmSpec, FixedSketch};
-use she_hash::{rank_of, HashFamily, HashKey};
+use she_hash::{rank_of, FastMod, HashFamily, HashKey};
 
 /// The HyperLogLog bias-correction constant `α_m`.
 pub fn hll_alpha(m: usize) -> f64 {
@@ -60,6 +60,7 @@ pub fn hll_estimate_subset(registers: impl Iterator<Item = u64>, m_total: usize)
 #[derive(Debug, Clone)]
 pub struct HllSpec {
     m: usize,
+    register_of: FastMod,
     reg_bits: u32,
     hc: HashFamily,
     hz: HashFamily,
@@ -73,6 +74,7 @@ impl HllSpec {
         assert!((4..=8).contains(&reg_bits), "HLL registers are 4..=8 bits");
         Self {
             m,
+            register_of: FastMod::new(m),
             reg_bits,
             hc: HashFamily::new(1, seed),
             hz: HashFamily::new(1, seed ^ 0x5bd1_e995),
@@ -88,8 +90,14 @@ impl HllSpec {
     /// The rank operand for `key`: `ρ(Hz(key))` capped to the register width.
     #[inline]
     pub fn rank<K: HashKey + ?Sized>(&self, key: &K) -> u64 {
+        self.rank_of_hash(self.hz.hash(0, key))
+    }
+
+    /// `ρ(hz)` capped to the register width.
+    #[inline]
+    fn rank_of_hash(&self, hz: u32) -> u64 {
         let max = (1u64 << self.reg_bits) - 1;
-        (rank_of(self.hz.hash(0, key) as u64, 32) as u64).min(max)
+        u64::from(rank_of(u64::from(hz), 32)).min(max)
     }
 }
 
@@ -106,9 +114,17 @@ impl CsmSpec for HllSpec {
     fn k(&self) -> usize {
         1
     }
-    fn updates<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>) {
-        out.clear();
-        out.push(CellUpdate { index: self.hc.index(0, key, self.m), operand: self.rank(key) });
+    /// `(Hc(key), Hz(key))`: the register hash and the rank hash.
+    type Row = (u32, u32);
+    #[inline]
+    fn hash_rows<K: HashKey + ?Sized>(&self, key: &K, _first: usize, out: &mut [(u32, u32)]) {
+        for row in out {
+            *row = key.with_bytes(|b| (self.hc.hash(0, b), self.hz.hash(0, b)));
+        }
+    }
+    #[inline]
+    fn row_update(&self, _row: usize, (hc, hz): (u32, u32)) -> CellUpdate {
+        CellUpdate { index: self.register_of.reduce(hc), operand: self.rank_of_hash(hz) }
     }
     fn apply(&self, operand: u64, old: u64) -> u64 {
         operand.max(old)

@@ -36,7 +36,7 @@ pub use bloom::{BloomFilter, BloomSpec};
 pub use cells::PackedArray;
 pub use cm::{CountMin, CountMinSpec};
 pub use count_sketch::{CountSketch, CountSketchSpec};
-pub use csm::{CellUpdate, CsmSpec, FixedSketch};
+pub use csm::{row_chunks, CellUpdate, CsmSpec, FixedSketch, UPDATE_LANES};
 pub use hll::{hll_alpha, hll_estimate_subset, HllSpec, HyperLogLog};
 pub use minhash::{MinHash, MinHashSpec, MINHASH_CELL_BITS};
 

@@ -8,7 +8,6 @@
 //! `hash + 1`. This keeps "empty" distinguishable inside SHE's zero-reset
 //! group cleaning.
 
-use crate::csm::push_row_updates;
 use crate::{CellUpdate, CsmSpec, FixedSketch};
 use she_hash::{HashFamily, HashKey};
 
@@ -16,12 +15,6 @@ use she_hash::{HashFamily, HashKey};
 pub const MINHASH_CELL_BITS: u32 = 25;
 
 const HASH_MASK: u32 = (1 << 24) - 1;
-
-/// A row's operand `(h mod 2^24) + 1` from its raw hash `h`.
-#[inline]
-fn operand(h: u32) -> u32 {
-    (h & HASH_MASK) + 1
-}
 
 /// CSM spec for MinHash: `m` cells, each owned by its own hash function;
 /// every insertion updates all `m`.
@@ -37,17 +30,18 @@ impl MinHashSpec {
         Self { family: HashFamily::new(m, seed) }
     }
 
-    /// The operands `(h_i(key) mod 2^24) + 1` of rows
-    /// `first..first + out.len()` — the one definition of which hash
-    /// feeds which row, shared by [`CsmSpec::updates`] and SHE-MH's
-    /// row-wise insert. One lane-wise pass over the row seeds
-    /// (`she_hash::Bob32::hash_seeds`).
+    /// The hash family, one function per row.
     #[inline]
-    pub fn operands<K: HashKey + ?Sized>(&self, first: usize, key: &K, out: &mut [u32]) {
-        self.family.hash_range(first, key, out);
-        for o in out {
-            *o = operand(*o);
-        }
+    pub fn family(&self) -> &HashFamily {
+        &self.family
+    }
+
+    /// A row's operand `(h mod 2^24) + 1` from its raw hash `h` — the
+    /// one definition of what a row offers its cell, shared by
+    /// [`CsmSpec::row_update`] and SHE-MH's row-wise insert.
+    #[inline]
+    pub fn operand(h: u32) -> u32 {
+        (h & HASH_MASK) + 1
     }
 }
 
@@ -64,11 +58,15 @@ impl CsmSpec for MinHashSpec {
     fn k(&self) -> usize {
         self.family.k()
     }
-    fn updates<K: HashKey + ?Sized>(&self, key: &K, out: &mut Vec<CellUpdate>) {
-        push_row_updates(&self.family, key, out, |i, h| CellUpdate {
-            index: i,
-            operand: u64::from(operand(h)),
-        });
+    type Row = u32;
+    /// One lane-wise pass over the row seeds (`she_hash::Bob32::hash_seeds`).
+    #[inline]
+    fn hash_rows<K: HashKey + ?Sized>(&self, key: &K, first: usize, out: &mut [u32]) {
+        self.family.hash_range(first, key, out);
+    }
+    #[inline]
+    fn row_update(&self, row: usize, hash: u32) -> CellUpdate {
+        CellUpdate { index: row, operand: u64::from(Self::operand(hash)) }
     }
     fn apply(&self, operand: u64, old: u64) -> u64 {
         if old == 0 {
@@ -225,7 +223,7 @@ mod tests {
         let family = HashFamily::new(m, seed);
         let long = "a key longer than twelve bytes";
         let mut ups = Vec::new();
-        let mut ops = vec![0u32; m];
+        let mut rows = vec![0u32; m];
         for round in 0..50u64 {
             let expect = |i: usize| {
                 let h = if round % 2 == 0 { family.hash(i, &round) } else { family.hash(i, long) };
@@ -233,15 +231,15 @@ mod tests {
             };
             if round % 2 == 0 {
                 spec.updates(&round, &mut ups);
-                spec.operands(0, &round, &mut ops);
+                spec.hash_rows(&round, 0, &mut rows);
             } else {
                 spec.updates(long, &mut ups);
-                spec.operands(0, long, &mut ops);
+                spec.hash_rows(long, 0, &mut rows);
             }
             assert_eq!(ups.len(), m);
             for (i, u) in ups.iter().enumerate() {
                 assert_eq!((u.index, u.operand), (i, expect(i)), "round {round} row {i}");
-                assert_eq!(u64::from(ops[i]), expect(i));
+                assert_eq!(u64::from(MinHashSpec::operand(rows[i])), expect(i));
             }
         }
     }

@@ -50,7 +50,9 @@ stage cargo test -q --offline --workspace
 # build the benchmark times, where the worker outpaces the reactor. So do
 # she-cluster's: the coordinator's peer links and their in-order leg
 # matching, under the timing the benchmark's cluster workload sees.
-stage cargo test -q --offline --release -p she-hash -p she-sketch -p she-core -p she-server -p she-cluster
+# she-readpath's too: the mirror's frozen reads and mark signatures are
+# what `QUERY_FAST` runs on the reactor thread.
+stage cargo test -q --offline --release -p she-hash -p she-sketch -p she-core -p she-server -p she-cluster -p she-readpath
 
 # The CLI scenarios again, against the release `she`: the binary people
 # actually serve with is otherwise never started by the gate.
