@@ -36,12 +36,6 @@ pub struct ResolvedCall {
     pub confident: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-pub struct Edge {
-    pub callee: usize,
-    pub confident: bool,
-}
-
 /// Headline numbers for `--json` and the CLI banner.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GraphStats {
@@ -54,8 +48,8 @@ pub struct GraphStats {
 #[derive(Debug, Default)]
 pub struct CallGraph {
     pub fns: Vec<FnDef>,
-    /// Adjacency: `edges[caller]` → deduped callee edges.
-    pub edges: Vec<Vec<Edge>>,
+    /// Adjacency: `edges[caller]` → deduped callee indices.
+    pub edges: Vec<Vec<usize>>,
     /// Per-fn resolution results, parallel to `fns[i].calls` subsets.
     pub resolved: Vec<Vec<ResolvedCall>>,
     pub unresolved_calls: usize,
@@ -148,12 +142,12 @@ impl CallGraph {
         };
 
         let mut resolved: Vec<Vec<ResolvedCall>> = Vec::with_capacity(fns.len());
-        let mut edges: Vec<Vec<Edge>> = Vec::with_capacity(fns.len());
+        let mut edges: Vec<Vec<usize>> = Vec::with_capacity(fns.len());
         let mut unresolved = 0usize;
         for f in &fns {
             let mut rets: BTreeMap<usize, BTreeSet<&str>> = BTreeMap::new();
             let mut rcs = Vec::new();
-            let mut adj: BTreeMap<usize, bool> = BTreeMap::new();
+            let mut adj: BTreeSet<usize> = BTreeSet::new();
             for (ci, call) in f.calls.iter().enumerate() {
                 let (callees, confident) = resolve_call(
                     &fns,
@@ -173,17 +167,12 @@ impl CallGraph {
                         .flat_map(|&i| fns[i].ret_tys.iter().map(String::as_str))
                         .collect();
                     rets.insert(call.close, tys);
-                    for &c in &callees {
-                        let e = adj.entry(c).or_insert(confident);
-                        *e = *e || confident;
-                    }
+                    adj.extend(&callees);
                 }
                 rcs.push(ResolvedCall { call: ci, callees, confident });
             }
             resolved.push(rcs);
-            edges.push(
-                adj.into_iter().map(|(callee, confident)| Edge { callee, confident }).collect(),
-            );
+            edges.push(adj.into_iter().collect());
         }
 
         CallGraph { fns, edges, resolved, unresolved_calls: unresolved }
@@ -217,10 +206,8 @@ impl CallGraph {
         (ids, missing)
     }
 
-    /// BFS from `roots`; `confident_only` restricts traversal to
-    /// type-hinted edges (used where blind fan-out would drown the
-    /// rule in false positives: the locks a callee may acquire).
-    pub fn reach(&self, roots: &[usize], confident_only: bool) -> Reach {
+    /// BFS from `roots` over every edge, confident or not.
+    pub fn reach(&self, roots: &[usize]) -> Reach {
         let mut reachable = vec![false; self.fns.len()];
         let mut parent = vec![None; self.fns.len()];
         let mut q = VecDeque::new();
@@ -231,19 +218,16 @@ impl CallGraph {
             }
         }
         while let Some(n) = q.pop_front() {
-            for e in &self.edges[n] {
-                if confident_only && !e.confident {
-                    continue;
-                }
+            for &callee in &self.edges[n] {
                 // Spawn nodes run on their own thread: never reachable
                 // *through* the graph, only as explicit roots.
-                if self.fns[e.callee].is_spawn {
+                if self.fns[callee].is_spawn {
                     continue;
                 }
-                if !reachable[e.callee] {
-                    reachable[e.callee] = true;
-                    parent[e.callee] = Some(n);
-                    q.push_back(e.callee);
+                if !reachable[callee] {
+                    reachable[callee] = true;
+                    parent[callee] = Some(n);
+                    q.push_back(callee);
                 }
             }
         }
@@ -356,9 +340,9 @@ mod tests {
             ("b", "b/src/lib.rs", "fn helper() {}\n"),
         ]);
         let go = idx(&g, "go");
-        let tgt = g.edges[go][0].callee;
+        let tgt = g.edges[go][0];
         assert_eq!(g.fns[tgt].crate_name, "a");
-        assert!(g.edges[go][0].confident);
+        assert!(g.resolved[go][0].confident);
     }
 
     #[test]
@@ -366,10 +350,9 @@ mod tests {
         let src = "trait T { fn m(&self); }\nstruct A; struct B;\nimpl T for A { fn m(&self) {} }\nimpl T for B { fn m(&self) {} }\nfn go(x: &dyn T) { x.m(); }\n";
         let g = graph(&[("a", "a/src/lib.rs", src)]);
         let go = idx(&g, "go");
-        let callees: Vec<&str> =
-            g.edges[go].iter().map(|e| g.fns[e.callee].qual.as_str()).collect();
+        let callees: Vec<&str> = g.edges[go].iter().map(|&e| g.fns[e].qual.as_str()).collect();
         assert!(callees.contains(&"A::m") && callees.contains(&"B::m"), "{callees:?}");
-        assert!(g.edges[go].iter().all(|e| e.confident));
+        assert!(g.resolved[go].iter().all(|rc| rc.confident));
     }
 
     #[test]
@@ -377,8 +360,7 @@ mod tests {
         let src = "struct W; impl W { fn sink(&self) {} }\nfn make() -> W { W }\nfn go() { make().sink(); }\n";
         let g = graph(&[("a", "a/src/lib.rs", src)]);
         let go = idx(&g, "go");
-        let callees: Vec<&str> =
-            g.edges[go].iter().map(|e| g.fns[e.callee].qual.as_str()).collect();
+        let callees: Vec<&str> = g.edges[go].iter().map(|&e| g.fns[e].qual.as_str()).collect();
         assert!(callees.contains(&"W::sink"), "{callees:?}");
     }
 
@@ -389,7 +371,7 @@ mod tests {
             ("srv", "srv/src/lib.rs", "fn go(rp: &Rp) { rp.query(); }\n"),
         ]);
         let go = idx(&g, "go");
-        assert_eq!(g.fns[g.edges[go][0].callee].qual, "Rp::query");
+        assert_eq!(g.fns[g.edges[go][0]].qual, "Rp::query");
     }
 
     #[test]
@@ -415,8 +397,7 @@ mod tests {
             ("b", "b/src/lib.rs", "struct M; impl M { fn run(&self) {} }\n"),
         ]);
         let go = idx(&g, "go");
-        let callees: Vec<&str> =
-            g.edges[go].iter().map(|e| g.fns[e.callee].qual.as_str()).collect();
+        let callees: Vec<&str> = g.edges[go].iter().map(|&e| g.fns[e].qual.as_str()).collect();
         assert!(callees.contains(&"L::run"), "{callees:?}");
         assert!(!callees.contains(&"M::run"), "{callees:?}");
     }
@@ -434,11 +415,11 @@ mod tests {
             "fn serve() { spawn(move || { worker(); }); }\nfn worker() { sink(); }\nfn sink() {}\n";
         let g = graph(&[("a", "a/src/lib.rs", src)]);
         let serve = idx(&g, "serve");
-        let r = g.reach(&[serve], false);
+        let r = g.reach(&[serve]);
         assert!(!r.reachable[idx(&g, "worker")], "spawned work not reachable from spawner");
         let spawn = idx(&g, "serve::<spawn@1>");
         assert!(g.fns[spawn].is_spawn);
-        let r2 = g.reach(&[spawn], false);
+        let r2 = g.reach(&[spawn]);
         assert!(r2.reachable[idx(&g, "sink")], "spawn roots reach their closure's callees");
         assert_eq!(g.chain_str(&r2, idx(&g, "sink")), "serve::<spawn@1> → worker → sink");
     }
@@ -447,7 +428,7 @@ mod tests {
     fn reach_chain_prints_root_to_sink() {
         let src = "fn root() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\n";
         let g = graph(&[("a", "a/src/lib.rs", src)]);
-        let r = g.reach(&[idx(&g, "root")], false);
+        let r = g.reach(&[idx(&g, "root")]);
         assert_eq!(g.chain_str(&r, idx(&g, "leaf")), "root → mid → leaf");
     }
 

@@ -4,11 +4,10 @@
 //! workspace, parses items into a conservative whole-workspace call
 //! graph ([`parse`], [`graph`]), and enforces the repo invariants that
 //! need that whole-program view: blocking calls reachable from the
-//! reactor, lock-order inversions across fns, wire lengths that size
-//! memory unclamped, and unbounded growth. Each rule is one [`Rule`]
-//! pass, registered once in [`RULES`]; `docs/ANALYSIS.md` catalogues
-//! them and the lints that hold what the compiler can see. Every finding
-//! fails the gate.
+//! reactor, wire lengths that size memory unclamped, and unbounded
+//! growth. Each rule is one [`Rule`] pass, registered once in
+//! [`RULES`]; `docs/ANALYSIS.md` catalogues them and the lints that
+//! hold what the compiler can see. Every finding fails the gate.
 //!
 //! The entry point is [`audit`] (or [`audit_with`] for `--rule`
 //! support); `she audit` (in `she-cli`) is a thin wrapper.
@@ -21,7 +20,7 @@ pub mod graph;
 pub mod parse;
 pub mod rules;
 
-pub use config::{parse_toml, parse_toml_file, RuleConfig, TomlEntry, Value};
+pub use config::RuleConfig;
 pub use graph::{CallGraph, GraphStats, Reach};
 pub use lexer::{lex, Lexed, TokKind, Token};
 pub use rules::{Finding, Rule, RULES};
@@ -181,7 +180,7 @@ pub fn audit_with(root: &Path, cfg: &RuleConfig, opts: &AuditOptions) -> io::Res
             .collect(),
         lexed: &lexed,
         graph: &graph,
-        reactor: Roots { reach: graph.reach(&reactor_ids, false), missing: reactor_missing },
+        reactor: Roots { reach: graph.reach(&reactor_ids), missing: reactor_missing },
     };
     let mut timings =
         vec![RuleTiming { name: "graph", micros: t0.elapsed().as_micros(), findings: 0 }];
@@ -203,20 +202,6 @@ pub fn audit_with(root: &Path, cfg: &RuleConfig, opts: &AuditOptions) -> io::Res
 
     let files_scanned = scanned.len();
     Ok(Audit { findings, gate_failures, files_scanned, graph_stats, timings })
-}
-
-/// Every `.lock()` call site in the files the `lock` rule polices, as
-/// `file:line — crate` (`she audit --list-locks`).
-pub fn lock_sites(root: &Path, cfg: &RuleConfig) -> io::Result<Vec<String>> {
-    let files = discover(root)?;
-    let policed: Vec<&SourceFile> = files
-        .iter()
-        .filter(|f| !f.test_only && cfg.polices("lock", &f.crate_name, &f.rel_path))
-        .collect();
-    let lexed = lex_files(&policed)?;
-    let srcs =
-        policed.iter().map(|f| (f.crate_name.as_str(), f.rel_path.as_str(), &lexed[&f.rel_path]));
-    Ok(rules::lock_order::lock_sites(srcs))
 }
 
 /// Read and lex `files`, keyed by workspace-relative path.
@@ -285,10 +270,15 @@ mod tests {
     fn rule_filter_runs_and_gates_only_that_rule() {
         let tmp = tree("filter", &[("crates/demo/src/lib.rs", HOARD)]);
         let cfg = RuleConfig::policing("demo");
-        let a = audit_with(&tmp, &cfg, &AuditOptions { rule: Some("lock".into()) }).expect("audit");
-        assert!(a.ok(), "growth finding must not gate a --rule lock run: {:?}", a.gate_failures);
+        let a =
+            audit_with(&tmp, &cfg, &AuditOptions { rule: Some("wiresize".into()) }).expect("audit");
+        assert!(
+            a.ok(),
+            "growth finding must not gate a --rule wiresize run: {:?}",
+            a.gate_failures
+        );
         assert!(a.findings.is_empty());
-        assert!(a.timings.iter().any(|t| t.name == "lock"));
+        assert!(a.timings.iter().any(|t| t.name == "wiresize"));
         assert!(!a.timings.iter().any(|t| t.name == "growth"));
 
         let a =

@@ -153,7 +153,7 @@ mod tests {
         let specs: Vec<(String, String)> =
             roots.iter().map(|r| ("demo".to_string(), r.to_string())).collect();
         let (ids, missing) = graph.find_roots(&specs);
-        let reach = graph.reach(&ids, false);
+        let reach = graph.reach(&ids);
         let lexed = [("demo/src/lib.rs".to_string(), lx)].into_iter().collect();
         let files: Vec<String> = files.iter().map(|s| s.to_string()).collect();
         check_graph(&graph, &reach, &lexed, &files, &missing)

@@ -6,7 +6,6 @@
 
 pub mod blocking_io;
 pub mod growth;
-pub mod lock_order;
 pub mod wiresize;
 
 use std::collections::BTreeMap;
@@ -19,7 +18,7 @@ use crate::lexer::Lexed;
 
 /// Every rule, in execution (and report) order.
 pub static RULES: &[&dyn Rule] =
-    &[&Allow, &growth::Growth, &blocking_io::Blocking, &lock_order::Lock, &wiresize::WireSize];
+    &[&Allow, &growth::Growth, &blocking_io::Blocking, &wiresize::WireSize];
 
 /// One named audit pass.
 pub trait Rule: Sync {
@@ -122,7 +121,7 @@ pub struct Finding {
     /// Workspace-relative file path.
     pub file: String,
     /// 1-based line (0 when the finding has no single line, e.g. a
-    /// manifest entry with no source counterpart).
+    /// configured root that matches nothing).
     pub line: u32,
     /// Human-readable description.
     pub msg: String,

@@ -2,16 +2,6 @@
 //! `tests/audit_self.rs`, which asserts every audit rule fires on this
 //! file. If you add a rule to she-audit, add a violation here.
 
-use std::sync::Mutex;
-
-pub fn raw_lock() -> Mutex<u32> {
-    Mutex::new(0)
-}
-
-pub fn ghost_lock() {
-    let _m = she_core::OrderedMutex::new("ghost", 0u8);
-}
-
 // audit:allow(growth)
 pub fn malformed_allow_above() {}
 

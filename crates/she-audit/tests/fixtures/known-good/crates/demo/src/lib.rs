@@ -1,15 +1,10 @@
 //! Rule-clean fixture. Never compiled — only lexed by
 //! `tests/audit_self.rs`, which asserts the audit reports zero findings
-//! here: a ranked OrderedMutex instead of a raw mutex, bounded or
-//! properly-annotated growth, and a clamped wire length.
+//! here: bounded or properly-annotated growth, a reactor root that
+//! reaches nothing blocking, and a clamped wire length.
 
 pub fn first(v: &[u32]) -> Option<u32> {
     v.first().copied()
-}
-
-pub fn ranked_lock() -> u32 {
-    let m = she_core::OrderedMutex::new("listed", 7u32);
-    *m.lock()
 }
 
 pub fn bounded_log(log: &mut Vec<u32>, x: u32, cap: usize) {

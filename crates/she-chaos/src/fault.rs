@@ -2,7 +2,7 @@
 //! *deterministic schedule* of it. Every decision is drawn from a seeded
 //! [`Xoshiro256`], so a failing run replays bit-for-bit from its seed.
 
-use she_core::{OrderedGuard, OrderedMutex};
+use she_core::{LeafGuard, LeafMutex};
 use she_hash::{mix64, RandomSource, Xoshiro256};
 use she_metrics::FaultCounters;
 use std::sync::Arc;
@@ -137,7 +137,7 @@ pub enum FileFault {
 #[derive(Debug)]
 pub struct Faults {
     cfg: FaultConfig,
-    rng: OrderedMutex<Xoshiro256>,
+    rng: LeafMutex<Xoshiro256>,
     counters: Arc<FaultCounters>,
 }
 
@@ -149,11 +149,7 @@ impl Faults {
 
     /// A root injector tallying into existing counters.
     pub fn with_counters(cfg: FaultConfig, counters: Arc<FaultCounters>) -> Self {
-        Self {
-            cfg,
-            rng: OrderedMutex::new("chaos-rng", Xoshiro256::new(mix64(cfg.seed))),
-            counters,
-        }
+        Self { cfg, rng: LeafMutex::new(Xoshiro256::new(mix64(cfg.seed))), counters }
     }
 
     /// A child injector whose schedule depends only on `(seed, salt)`,
@@ -161,10 +157,7 @@ impl Faults {
     pub fn derive(&self, salt: u64) -> Faults {
         Faults {
             cfg: self.cfg,
-            rng: OrderedMutex::new(
-                "chaos-rng",
-                Xoshiro256::new(mix64(self.cfg.seed ^ mix64(salt))),
-            ),
+            rng: LeafMutex::new(Xoshiro256::new(mix64(self.cfg.seed ^ mix64(salt)))),
             counters: Arc::clone(&self.counters),
         }
     }
@@ -179,7 +172,7 @@ impl Faults {
         &self.cfg
     }
 
-    fn rng(&self) -> OrderedGuard<'_, Xoshiro256> {
+    fn rng(&self) -> LeafGuard<'_, Xoshiro256> {
         self.rng.lock()
     }
 

@@ -11,7 +11,7 @@
 
 use crate::fault::{FaultConfig, Faults};
 use crate::stream::ChaosStream;
-use she_core::OrderedMutex;
+use she_core::LeafMutex;
 use she_metrics::FaultCounters;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -27,8 +27,8 @@ const PUMP_POLL: Duration = Duration::from_millis(50);
 struct ProxyShared {
     stop: AtomicBool,
     /// Raw sockets of live links, kept so `sever` can cut them all.
-    links: OrderedMutex<Vec<TcpStream>>,
-    pumps: OrderedMutex<Vec<JoinHandle<()>>>,
+    links: LeafMutex<Vec<TcpStream>>,
+    pumps: LeafMutex<Vec<JoinHandle<()>>>,
     conn_seq: AtomicU64,
 }
 
@@ -49,8 +49,8 @@ impl ChaosProxy {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(ProxyShared {
             stop: AtomicBool::new(false),
-            links: OrderedMutex::new("chaos-links", Vec::new()),
-            pumps: OrderedMutex::new("chaos-pumps", Vec::new()),
+            links: LeafMutex::new(Vec::new()),
+            pumps: LeafMutex::new(Vec::new()),
             conn_seq: AtomicU64::new(0),
         });
         let faults = Arc::new(Faults::new(cfg));

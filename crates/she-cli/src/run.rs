@@ -88,8 +88,8 @@ COMMANDS
   shutdown     ask a running server to drain and stop
                --addr HOST:PORT
   audit        run the workspace static-analysis gate (docs/ANALYSIS.md),
-               rules allow, growth, blocking, lock, wiresize
-               --root DIR (workspace root, default .) --list-locks yes
+               rules allow, growth, blocking, wiresize
+               --root DIR (workspace root, default .)
                --json yes (the report as JSON) --rule NAME (run one rule)
 
 Sizes accept k/m/g suffixes: --memory 64k, --items 2m.
@@ -544,24 +544,16 @@ fn query(a: &Args) -> Result<(), CliError> {
 
 /// `she audit` — run the static-analysis gate over the workspace and
 /// exit nonzero on any finding (unbounded growth, a blocking call the
-/// reactor reaches, lock-manifest drift or an order inversion, an
-/// unclamped wire length, or a malformed or unknown allow annotation).
+/// reactor reaches, an unclamped wire length, or a malformed or unknown
+/// allow annotation).
 /// See `docs/ANALYSIS.md`.
 fn audit(a: &Args) -> Result<(), CliError> {
-    a.expect_only(&["root", "list-locks", "json", "rule"])?;
+    a.expect_only(&["root", "json", "rule"])?;
     let root = std::path::PathBuf::from(a.get("root", "."));
     let fail = |msg: String| CliError { msg, code: 1 };
-    let cfg = she_audit::RuleConfig::for_workspace(&root).map_err(|e| fail(e.to_string()))?;
+    let cfg = she_audit::RuleConfig::for_workspace();
     let rule = a.get("rule", "");
     let opts = she_audit::AuditOptions { rule: (!rule.is_empty()).then_some(rule) };
-    if a.get("list-locks", "no") == "yes" && a.get("json", "no") != "yes" {
-        let sites = she_audit::lock_sites(&root, &cfg).map_err(|e| fail(e.to_string()))?;
-        println!("{} lock() site(s):", sites.len());
-        for site in &sites {
-            println!("  {site}");
-        }
-        return Ok(());
-    }
     let report = she_audit::audit_with(&root, &cfg, &opts).map_err(|e| fail(e.to_string()))?;
     if a.get("json", "no") == "yes" {
         println!("{}", report.to_json());

@@ -55,7 +55,7 @@
 )]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use she_core::OrderedMutex;
+use she_core::LeafMutex;
 use she_replica::{Replica, ReplicaConfig};
 use she_server::codec::read_frame;
 use she_server::protocol::Response;
@@ -295,7 +295,7 @@ fn ephemeral_on_same_host(addr: &str) -> String {
 /// fills, the flag that cancels that thread, and the thread itself.
 #[derive(Debug)]
 struct Slot {
-    cell: Arc<OrderedMutex<Option<Replica>>>,
+    cell: Arc<LeafMutex<Option<Replica>>>,
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
@@ -414,7 +414,7 @@ impl Monitor {
             max_bootstrap_attempts: 2,
             ..Default::default()
         };
-        let cell = Arc::new(OrderedMutex::new("cluster-node-replica", None));
+        let cell = Arc::new(LeafMutex::new(None));
         let slot_stop = Arc::new(AtomicBool::new(false));
         let (cell2, stop2, node_stop) =
             (Arc::clone(&cell), Arc::clone(&slot_stop), Arc::clone(&self.stop));

@@ -54,8 +54,8 @@ mod cs;
 mod engine;
 pub mod frame;
 mod hll;
+mod leaf;
 mod mh;
-pub mod ordered;
 pub mod sharded;
 mod snapshot;
 mod soft;
@@ -68,8 +68,8 @@ pub use config::{SheConfig, SheConfigBuilder};
 pub use cs::SheCountSketch;
 pub use engine::{CellAge, EngineStats, GroupView, She};
 pub use hll::SheHyperLogLog;
+pub use leaf::{LeafGuard, LeafMutex};
 pub use mh::SheMinHash;
-pub use ordered::{OrderedGuard, OrderedMutex};
 pub use snapshot::{MergeMode, SnapshotError, SnapshotState};
 pub use soft::SoftClock;
 pub use topk::SlidingTopK;

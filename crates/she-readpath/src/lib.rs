@@ -20,7 +20,7 @@
 //!   provable staleness bound of one window sub-group (see
 //!   `docs/READPATH.md`).
 //!
-//! [`ReadPath`] glues the two behind one ranked lock, counts
+//! [`ReadPath`] glues the two behind one leaf lock, counts
 //! hits/misses/fills/invalidations into
 //! [`ReadpathCounters`], and tracks the
 //! op-log sequence it has applied so callers can wait for quiescence.
@@ -41,7 +41,7 @@ pub use cache::{Lookup, MarkCache};
 
 use she_core::convert::usize_of;
 use she_core::sharded::DirectEngine;
-use she_core::{OrderedMutex, SlidingTopK, SnapshotError};
+use she_core::{LeafMutex, SlidingTopK, SnapshotError};
 use she_metrics::ReadpathCounters;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -106,10 +106,10 @@ struct Inner {
 }
 
 /// The serving tier's read accelerator: fast summary + mark cache behind
-/// one ranked lock, with hit/miss counters and an applied-sequence
+/// one leaf lock, with hit/miss counters and an applied-sequence
 /// watermark.
 pub struct ReadPath {
-    inner: OrderedMutex<Inner>,
+    inner: LeafMutex<Inner>,
     counters: Arc<ReadpathCounters>,
     /// Highest op-log sequence applied to the fast summary.
     seq: AtomicU64,
@@ -129,10 +129,7 @@ impl ReadPath {
     pub fn new(mirror: DirectEngine, cfg: ReadPathConfig, counters: Arc<ReadpathCounters>) -> Self {
         let topk = SlidingTopK::new(cfg.topk.max(1));
         Self {
-            inner: OrderedMutex::new(
-                "readpath",
-                Inner { mirror, topk, cache: MarkCache::new(cfg.cache_slots) },
-            ),
+            inner: LeafMutex::new(Inner { mirror, topk, cache: MarkCache::new(cfg.cache_slots) }),
             counters,
             seq: AtomicU64::new(0),
         }

@@ -30,7 +30,7 @@ use crate::protocol::{ProtoError, Response};
 use she_core::convert::usize_of;
 use she_core::frame::Reader;
 use she_core::sharded::route;
-use she_core::OrderedMutex;
+use she_core::LeafMutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -305,13 +305,13 @@ impl ClusterMap {
 /// immediately what `CLUSTER_MAP` and `CLUSTER_QUERY` serve.
 #[derive(Debug)]
 pub struct ClusterDirectory {
-    map: OrderedMutex<Arc<ClusterMap>>,
+    map: LeafMutex<Arc<ClusterMap>>,
 }
 
 impl ClusterDirectory {
     /// Start from `initial` (normally [`ClusterMap::initial`]).
     pub fn new(initial: ClusterMap) -> Self {
-        ClusterDirectory { map: OrderedMutex::new("cluster-map", Arc::new(initial)) }
+        ClusterDirectory { map: LeafMutex::new(Arc::new(initial)) }
     }
 
     /// A snapshot of the current view.

@@ -25,8 +25,9 @@
 use crate::protocol::PeerStatus;
 use she_core::convert::{le_u64s, usize_of};
 use she_core::frame::{self, Frame, FrameWriter, Reader};
-use she_core::{OrderedMutex, SnapshotError};
+use she_core::{LeafMutex, SnapshotError};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
@@ -149,7 +150,7 @@ pub enum Tail {
 /// The primary's bounded, in-memory op log (see module docs).
 #[derive(Debug)]
 pub struct ReplLog {
-    inner: OrderedMutex<Inner>,
+    inner: LeafMutex<Inner>,
     grew: Condvar,
     cap: usize,
 }
@@ -158,7 +159,7 @@ impl ReplLog {
     /// An empty log retaining at most `cap` records.
     pub fn new(cap: usize) -> Self {
         Self {
-            inner: OrderedMutex::new("repl-log", Inner { head: 0, records: VecDeque::new() }),
+            inner: LeafMutex::new(Inner { head: 0, records: VecDeque::new() }),
             grew: Condvar::new(),
             cap: cap.max(1),
         }
@@ -233,8 +234,11 @@ impl ReplLog {
 /// when it ends; `acked` tracks the peer's `REPL_ACK`s.
 #[derive(Debug)]
 pub struct ReplHub {
-    peers: OrderedMutex<Vec<(u64, String, u64)>>, // (id, addr, acked)
-    next_id: OrderedMutex<u64>,
+    peers: LeafMutex<Vec<(u64, String, u64)>>, // (id, addr, acked)
+    /// The last id handed out; ids start at 1. `Relaxed` suffices: the
+    /// counter publishes no other data, and `fetch_add` alone keeps ids
+    /// unique.
+    last_id: AtomicU64,
 }
 
 impl Default for ReplHub {
@@ -246,18 +250,12 @@ impl Default for ReplHub {
 impl ReplHub {
     /// An empty registry.
     pub fn new() -> Self {
-        Self {
-            peers: OrderedMutex::new("repl-hub-peers", Vec::new()),
-            next_id: OrderedMutex::new("repl-hub-ids", 0),
-        }
+        Self { peers: LeafMutex::new(Vec::new()), last_id: AtomicU64::new(0) }
     }
 
     /// Register a subscriber; returns its registry id.
     pub fn register(&self, addr: String) -> u64 {
-        let mut id_g = self.next_id.lock();
-        *id_g += 1;
-        let id = *id_g;
-        drop(id_g);
+        let id = self.last_id.fetch_add(1, Ordering::Relaxed) + 1;
         // audit:allow(growth): one entry per live subscriber; the accept loop caps connections
         self.peers.lock().push((id, addr, 0));
         id

@@ -23,6 +23,29 @@ fn raw_call(sock: &mut TcpStream, req: &Request) -> Response {
     Response::decode(&payload).unwrap()
 }
 
+/// Wedge a single-shard, depth-1 server: batch A is admitted and the
+/// worker starts chewing (hundreds of ms in a debug build); batch B is
+/// retried past `BUSY` until it is admitted, which happens only once the
+/// worker has dequeued A, so B then holds the queue's single slot. A
+/// `BUSY` applies nothing: the shard applies the returned keys exactly
+/// twice. (Batches are bounded by MAX_BATCH ≈ 131k keys.)
+fn wedge_worker(sock: &mut TcpStream) -> Vec<u64> {
+    let big: Vec<u64> = (0..120_000u64).collect();
+    let batch = Request::InsertBatch { stream: 0, keys: big.clone() };
+    let resp = raw_call(sock, &batch);
+    assert!(matches!(resp, Response::Ok { .. }), "batch A: {resp:?}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match raw_call(sock, &batch) {
+            Response::Ok { .. } => return big,
+            Response::Busy { .. } if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            resp => panic!("batch B not admitted within 5 s: {resp:?}"),
+        }
+    }
+}
+
 /// With one shard, a queue of depth 1, and the worker wedged on a huge
 /// batch, a read must come back `OVERLOADED` immediately — not block
 /// behind the write backlog, not `BUSY` (that's the write-side answer).
@@ -37,14 +60,7 @@ fn saturated_queue_sheds_reads_as_overloaded() {
     .unwrap();
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
 
-    // Batch A: admitted, worker starts chewing (hundreds of ms in a
-    // debug build). Batch B: fills the queue's single slot. (Batches are
-    // bounded by MAX_BATCH ≈ 131k keys.)
-    let big: Vec<u64> = (0..120_000u64).collect();
-    for _ in 0..2 {
-        let resp = raw_call(&mut sock, &Request::InsertBatch { stream: 0, keys: big.clone() });
-        assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
-    }
+    wedge_worker(&mut sock);
     // The queue is now full: the read must shed, with the configured
     // retry hint, while the insert path still owns the next free slot.
     let t0 = Instant::now();
@@ -79,12 +95,7 @@ fn saturated_queue_sheds_a_whole_read_set() {
     sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut twin = DirectEngine::new(engine);
 
-    // Wedge the worker exactly as `saturated_queue_sheds_reads_as_overloaded`.
-    let big: Vec<u64> = (0..120_000u64).collect();
-    for _ in 0..2 {
-        let resp = raw_call(&mut sock, &Request::InsertBatch { stream: 0, keys: big.clone() });
-        assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
-    }
+    let big = wedge_worker(&mut sock);
     let mut bytes = Vec::new();
     let reads = (0..3u64)
         .map(|key| Request::QueryFreq { key })

@@ -68,6 +68,8 @@ stage cargo test -q --offline --manifest-path ladder/Cargo.toml
 
 # `--all-targets`: `cargo test` never builds `she-bench/benches/`, so
 # without it a changed engine signature could break them unnoticed.
+# `clippy.toml` bans a raw `std::sync::Mutex` here: every lock is a
+# `she_core::LeafMutex`, which panics on nested locking in debug builds.
 stage cargo clippy --offline --workspace --all-targets -- -D warnings
 # Intra-doc links name public items; a deleted field or type must take
 # its links with it. `--lib`: the `she` lib and bin would otherwise
@@ -76,11 +78,11 @@ stage env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -
 stage cargo fmt --check
 
 # Workspace-wide static-analysis gate (docs/ANALYSIS.md): the checks
-# that need the call graph (reactor blocking, wiresize taint), the
-# lock-order manifest + mined acquisition edges, unbounded growth and
-# allow-annotation hygiene. Any finding fails the build; the panic,
-# cast and unsafe checks are clippy's above. The audit prints per-rule
-# timings itself; the wall-time budget below keeps the pass interactive.
+# that need the call graph (reactor blocking, wiresize taint),
+# unbounded growth and allow-annotation hygiene. Any finding fails the
+# build; the panic, cast, unsafe and raw-mutex checks are clippy's
+# above. The audit prints per-rule timings itself; the wall-time budget
+# below keeps the pass interactive.
 stage target/release/she audit --root .
 [ "$STAGE_MS" -le 10000 ] || {
     echo "she audit took ${STAGE_MS}ms (budget 10000ms) — profile the graph build"
