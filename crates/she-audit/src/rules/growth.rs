@@ -74,7 +74,8 @@ fn sites(lx: &Lexed) -> Vec<(u32, String)> {
 }
 
 /// A growth call — `.push(` and friends; a fn named `push` or a bare path
-/// does not grow a collection here — with no bound signal within
+/// does not grow a collection here, and neither does an `.append(` of a
+/// bool literal (the `OpenOptions` setter) — with no bound signal within
 /// [`BOUND_WINDOW`] lines.
 fn site(toks: &[Token], i: usize) -> bool {
     let t = &toks[i];
@@ -83,7 +84,7 @@ fn site(toks: &[Token], i: usize) -> bool {
         && i > 0
         && toks[i - 1].is_punct('.')
         && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
-    if !is_call {
+    if !is_call || (t.text == "append" && bool_literal_arg(toks, i + 2)) {
         return false;
     }
     let (lo, hi) = (t.line.saturating_sub(BOUND_WINDOW), t.line + BOUND_WINDOW);
@@ -93,6 +94,14 @@ fn site(toks: &[Token], i: usize) -> bool {
         .iter()
         .take_while(|b| b.line <= hi)
         .any(|b| b.kind == TokKind::Ident && BOUNDERS.contains(&b.text.as_str()))
+}
+
+/// Whether the tokens from `i` on are a lone `true` or `false` and the
+/// closing parenthesis.
+fn bool_literal_arg(toks: &[Token], i: usize) -> bool {
+    let is_bool =
+        |t: &Token| t.kind == TokKind::Ident && matches!(t.text.as_str(), "true" | "false");
+    toks.get(i).is_some_and(is_bool) && toks.get(i + 1).is_some_and(|t| t.is_punct(')'))
 }
 
 fn msg(toks: &[Token], i: usize) -> String {
@@ -127,6 +136,18 @@ mod tests {
     fn eviction_after_push_suppresses() {
         let src = "fn f(q: &mut std::collections::VecDeque<u32>, x: u32) {\n    q.push_back(x);\n    while q.len() > 16 {\n        q.pop_front();\n    }\n}";
         assert!(lines(src).is_empty());
+    }
+
+    #[test]
+    fn open_options_append_is_not_growth() {
+        let src = "fn open(p: &str) -> std::io::Result<std::fs::File> {\n    std::fs::OpenOptions::new().create(true).append(true).open(p)\n}";
+        assert!(lines(src).is_empty());
+        assert!(lines("fn f(o: &mut std::fs::OpenOptions) {\n    o.append(false);\n}").is_empty());
+        // A real `Vec::append` is still growth.
+        let src = "fn f(a: &mut Vec<u32>, b: &mut Vec<u32>) {\n    a.append(b);\n}";
+        assert_eq!(lines(src), [2]);
+        let src = "fn f(a: &mut Vec<bool>, b: &mut Vec<bool>, on: bool) {\n    a.append(&mut vec![on]);\n    b.push(true);\n}";
+        assert_eq!(lines(src), [2, 3]);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! SHE-BM: sliding-window cardinality via linear counting (Section 4.1).
 //!
-//! Insertion sets one hashed bit. The query sweeps all groups, keeps those
-//! whose age lies in the legal range `[βN, Tcycle)` (β slightly below 1 —
-//! the bitmap estimator has two-sided error, so nearly-perfect young groups
-//! reduce bias, per §3.2), counts the zero bits `u` among the `ℓ·w` legal
-//! bits, and scales the MLE to the full array: `Ĉ = −M · ln(u / (w·ℓ))`.
+//! Insertion sets one hashed bit. The query cleans the due groups, keeps
+//! those whose age lies in the legal range `[βN, Tcycle)` (β slightly
+//! below 1 — the bitmap estimator has two-sided error, so nearly-perfect
+//! young groups reduce bias, per §3.2), counts the zero bits `u` among the
+//! `ℓ·w` legal bits, and scales the MLE to the full array:
+//! `Ĉ = −M · ln(u / (w·ℓ))`.
 
+use crate::engine::min_legal_age;
 use crate::{She, SheConfig};
 use she_hash::HashKey;
 use she_sketch::{BitmapSpec, CsmSpec};
@@ -126,19 +128,21 @@ impl SheBitmap {
 
     /// Estimated cardinality of the sliding window.
     ///
-    /// Takes `&mut self` because the sweep runs `CheckGroup` on every group.
+    /// Cleans every due group first (`She::check_due`: the groups whose
+    /// mark flipped since the last sweep), so it leaves the state exactly
+    /// as running `CheckGroup` on every group would — hence `&mut self`.
+    /// The legal groups (`age ≥ βN`) are at most two `gid` ranges, and
+    /// their zeros are counted a word at a time.
     pub fn estimate(&mut self) -> f64 {
-        let beta_n = self.engine.config().beta * self.engine.config().window as f64;
+        self.engine.check_due();
+        let cfg = self.engine.config();
+        let min_age = min_legal_age(cfg.beta * cfg.window as f64);
         let m = self.engine.spec().num_cells();
-        let mut legal_bits = 0usize;
-        let mut zeros = 0usize;
-        self.engine.for_each_group(|g| {
-            if (g.age() as f64) < beta_n {
-                return; // young group: outside the legal range
-            }
-            legal_bits += g.len();
-            zeros += g.zeros();
-        });
+        let (mut legal_bits, mut zeros) = (0usize, 0usize);
+        for gids in self.engine.groups_aged(min_age) {
+            let (bits, zs) = self.engine.count_zeros_in_groups(gids);
+            (legal_bits, zeros) = (legal_bits + bits, zeros + zs);
+        }
         if legal_bits == 0 {
             return 0.0;
         }

@@ -36,14 +36,19 @@
 //! configuration) and the same kind of reciprocal otherwise.
 //!
 //! Whole-array queries (SHE-BM, SHE-HLL) sweep the groups through
-//! [`She::for_each_group`], which hands each checked group over as a
+//! [`She::for_each_group`], which hands each group over as a
 //! [`GroupView`]: for bit cells its zero count is a popcount over the
-//! group's words, as the hardware reads a group as one memory word.
+//! group's words, as the hardware reads a group as one memory word. A
+//! sweep does not re-check every group: the offsets ascend with `gid`, so
+//! the groups that can have come due since the last sweep are those whose
+//! flip instant passed in between, one or two `gid` ranges
+//! ([`She::check_due`]). For the same reason the groups of any minimum age
+//! are at most two `gid` ranges, which SHE-BM's `estimate` sums directly.
 
 use crate::SheConfig;
 use she_hash::{FastMod, HashKey};
 use she_sketch::{row_chunks, CellUpdate, CsmSpec, PackedArray, UPDATE_LANES};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 /// Age classification of a cell/group at query time (Sec. 3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +85,10 @@ pub struct She<S: CsmSpec> {
     t: u64,
     /// `index / w`, without dividing.
     group_div: GroupDiv,
+    /// The clock at which every group was last checked, so that only the
+    /// groups whose flip instant has passed since can be due
+    /// ([`She::check_due`]); `None` = unknown.
+    swept_at: Option<u64>,
 }
 
 /// A cell's group `index / w` without a division instruction: a shift
@@ -148,6 +157,33 @@ impl<'a> GroupView<'a> {
         let cells = self.cells;
         (self.start..self.start + self.len).map(move |i| cells.get(i))
     }
+}
+
+/// The least age `a` with `a as f64 >= beta_n`: the two-sided estimators'
+/// legal-age test (`age ≥ βN`) as one integer comparison that agrees with
+/// the `f64` one for every age. `0` for `βN ≤ 0`; `u64::MAX` when no age
+/// reaches `βN` (or it is NaN).
+pub(crate) fn min_legal_age(beta_n: f64) -> u64 {
+    if beta_n <= 0.0 {
+        return 0;
+    }
+    if beta_n.is_nan() || beta_n > u64::MAX as f64 {
+        return u64::MAX;
+    }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "0 < ⌈βN⌉ ≤ 2^64, and the saturating cast's 2^64 is corrected below"
+    )]
+    let mut a = beta_n.ceil() as u64;
+    // Exact below 2^53. Above it ages round to the nearest double, so
+    // some just below ⌈βN⌉ already compare equal, and 2^64 saturates.
+    while a > 0 && (a - 1) as f64 >= beta_n {
+        a -= 1;
+    }
+    while (a as f64) < beta_n {
+        a += 1;
+    }
+    a
 }
 
 /// Per-group pipeline state packed into one word: the stored time mark
@@ -232,6 +268,7 @@ impl<S: CsmSpec> She<S> {
             neg_offsets,
             t: 0,
             group_div,
+            swept_at: None,
         };
         for gid in 0..g {
             let mark = engine.observe_mark(gid);
@@ -537,6 +574,12 @@ impl<S: CsmSpec> She<S> {
         self.groups[gid].next_flip()
     }
 
+    /// Every group's [`She::next_flip`], in `gid` order.
+    #[inline]
+    pub(crate) fn next_flips(&self) -> impl Iterator<Item = u64> + '_ {
+        self.groups.iter().map(|meta| meta.next_flip())
+    }
+
     /// Store `v` in cell `index` without touching marks. The caller has
     /// already checked the owning group at the current time.
     #[inline]
@@ -557,14 +600,80 @@ impl<S: CsmSpec> She<S> {
         self.cells.get(index)
     }
 
-    /// Check every group (a query-time sweep used by whole-array estimators)
-    /// and then visit each group, in `gid` order, as a [`GroupView`].
+    /// Clean every due group (`check_due`), then visit each group,
+    /// in `gid` order, as a [`GroupView`] — the sweep of the whole-array
+    /// estimators.
     pub fn for_each_group(&mut self, mut f: impl FnMut(GroupView<'_>)) {
+        self.check_due();
         for gid in 0..self.num_groups() {
-            self.check_group(gid);
             let (start, len) = (self.group_start(gid), self.group_len(gid));
             f(GroupView { cells: &self.cells, start, len, age: self.group_age(gid) });
         }
+    }
+
+    /// Run `CheckGroup` on every group that can be due, so that afterwards
+    /// none is ([`She::group_due`]): the cleanings of checking all `G`
+    /// groups, from the groups whose mark flipped since the last sweep.
+    ///
+    /// Group `gid` flips at the instants `≡ ofs_gid (mod Tcycle)`. Every
+    /// group was current at the last sweep `s`, and a check since keeps it
+    /// so; only a flip in `(s, t]` can have made it due. Within one cycle
+    /// those are the groups whose offset lies in the residue interval
+    /// `(s mod Tcycle, t mod Tcycle]`, wrapping past `Tcycle` at most once,
+    /// and the offsets ascend with `gid`: one or two `gid` ranges. With the
+    /// cursor unknown, or a cycle or more behind (a group may have flipped
+    /// twice), every group is checked.
+    pub(crate) fn check_due(&mut self) {
+        let (t, tc, g) = (self.t, self.cfg.t_cycle, self.num_groups());
+        match self.swept_at {
+            Some(s) if s <= t && t - s < tc => {
+                let (rs, rt) = (s % tc, t % tc);
+                let (lo, hi) = (self.offsets_upto(rs), self.offsets_upto(rt));
+                if rs <= rt {
+                    self.check_groups(lo..hi);
+                } else {
+                    self.check_groups(lo..g);
+                    self.check_groups(0..hi);
+                }
+            }
+            _ => self.check_groups(0..g),
+        }
+        self.swept_at = Some(t);
+    }
+
+    /// How many groups have an offset `≤ residue`: the offsets ascend with
+    /// `gid`, so those are the groups below the returned `gid`.
+    #[inline]
+    fn offsets_upto(&self, residue: u64) -> usize {
+        self.neg_offsets.partition_point(|&ofs| ofs <= residue)
+    }
+
+    fn check_groups(&mut self, gids: Range<usize>) {
+        for gid in gids {
+            self.check_group(gid);
+        }
+    }
+
+    /// The groups aged at least `min_age`, as two `gid` ranges.
+    ///
+    /// With `r = t mod Tcycle`, a group's age is `r − ofs` when its offset
+    /// `ofs ≤ r` and `r + Tcycle − ofs` otherwise; each falls as `gid`
+    /// rises. So the old-enough groups are `[0, p1)`, the offsets
+    /// `≤ r − min_age`, and `[k, p2)`, the offsets in
+    /// `(r, r + Tcycle − min_age]`. Pure: reads the clock, never the marks.
+    pub(crate) fn groups_aged(&self, min_age: u64) -> [Range<usize>; 2] {
+        let (tc, r) = (self.cfg.t_cycle, self.t % self.cfg.t_cycle);
+        let upto = |bound: Option<u64>| bound.map_or(0, |b| self.offsets_upto(b));
+        let k = upto(Some(r));
+        [0..upto(r.checked_sub(min_age)), k..upto((r + tc).checked_sub(min_age)).max(k)]
+    }
+
+    /// `(cells, zero cells)` over the groups `gids`, a popcount per word
+    /// for 1-bit cells ([`PackedArray::count_zeros_in`]).
+    pub(crate) fn count_zeros_in_groups(&self, gids: Range<usize>) -> (usize, usize) {
+        let m = self.cells.len();
+        let (start, end) = (self.group_start(gids.start).min(m), self.group_start(gids.end).min(m));
+        (end - start, self.cells.count_zeros_in(start, end - start))
     }
 
     /// Compute the hashed cell updates for `key` into `out` (query helper
@@ -595,6 +704,7 @@ impl<S: CsmSpec> She<S> {
         assert_eq!(marks.len(), self.groups.len());
         self.t = t;
         self.cells.copy_from_words(words);
+        self.swept_at = None;
         let tc = self.cfg.t_cycle;
         for (gid, &stored) in marks.iter().enumerate() {
             let cur = self.observe_mark(gid);
@@ -627,6 +737,7 @@ impl<S: CsmSpec> She<S> {
     ) {
         assert_eq!(marks_other.len(), self.groups.len());
         self.t = self.t.max(t_other);
+        self.swept_at = None;
         let mut other = PackedArray::new(self.cells.len(), self.cells.cell_bits());
         other.copy_from_words(words_other);
         for (gid, &mark_other) in marks_other.iter().enumerate() {
@@ -647,6 +758,7 @@ impl<S: CsmSpec> She<S> {
     pub fn clear(&mut self) {
         self.cells.clear();
         self.t = 0;
+        self.swept_at = None;
         for gid in 0..self.groups.len() {
             let mark = self.observe_mark(gid);
             let ofs = self.neg_offsets[gid];
@@ -750,6 +862,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What a snapshot records of an engine: clock, stored marks, cells.
+    fn state<S: CsmSpec>(s: &She<S>) -> (u64, Vec<bool>, Vec<u64>) {
+        let (t, marks, cells) = s.snapshot_state();
+        (t, marks, cells.words().to_vec())
+    }
+
+    #[test]
+    fn check_due_cleans_what_checking_every_group_cleans() {
+        use crate::snapshot::MergeMode;
+        use she_hash::{RandomSource, Xoshiro256};
+
+        // G = 8 over Tcycle = 150 with a short last group (500 = 7·64 + 52);
+        // and w = 1 with G = 200 > Tcycle = 80, so offsets repeat.
+        for (case, (window, alpha, m, w)) in
+            [(100, 0.5, 500, 64), (40, 1.0, 200, 1)].into_iter().enumerate()
+        {
+            // `cursor` sweeps with `check_due`, `every` checks all G groups.
+            let (mut cursor, mut every, mut other) =
+                (tiny(window, alpha, m, w), tiny(window, alpha, m, w), tiny(window, alpha, m, w));
+            let (tc, g) = (cursor.cfg.t_cycle, cursor.num_groups());
+            let mut rng = Xoshiro256::new(0xC0 + case as u64);
+            let mut saved = state(&cursor);
+            let (mut narrow, mut wrapped) = (0, 0);
+            for step in 0..60 * tc {
+                let key = rng.next_range(0, 4 * window);
+                let (op, k) = (rng.next_below(64), rng.next_range(1, 4));
+                other.insert(&(key + 1));
+                other.advance_time(key % 3);
+                if op == 8 {
+                    saved = state(&cursor);
+                }
+                for s in [&mut cursor, &mut every] {
+                    match op {
+                        0 => s.advance_time(k * tc - 1),
+                        1 => s.advance_time(k * tc),
+                        2 => s.advance_time(k * tc + 1),
+                        3..=5 => s.advance_time(key % 9),
+                        6 => s.restore_state(saved.0, &saved.1, &saved.2),
+                        7 => {
+                            let (t, marks, words) = state(&other);
+                            s.merge_state(t, &marks, &words, MergeMode::Or);
+                        }
+                        8 => {}
+                        9 if key.is_multiple_of(4) => s.clear(),
+                        _ => s.insert(&key),
+                    }
+                }
+                // Sweep on two steps in three, so that gaps of several
+                // inserts and idle steps build up between sweeps.
+                if rng.next_below(3) == 0 {
+                    continue;
+                }
+                if let Some(s) = cursor.swept_at.filter(|&s| cursor.t - s < tc) {
+                    narrow += 1;
+                    wrapped += usize::from(s % tc > cursor.t % tc);
+                }
+                cursor.check_due();
+                for gid in 0..g {
+                    every.check_group(gid);
+                }
+                let at = format!("case {case} step {step} t {}", cursor.t);
+                assert!((0..g).all(|gid| !cursor.group_due(gid)), "{at}: a group is still due");
+                assert_eq!(state(&cursor), state(&every), "{at}: snapshot state");
+            }
+            assert!(narrow > 1000 && wrapped > 40, "case {case}: {narrow} / {wrapped} sweeps");
+        }
+    }
+
+    #[test]
+    fn min_legal_age_is_the_f64_comparison() {
+        // 0; integral; the served β·N (non-integral); 90.000…01, whose
+        // ceiling is 91; and doubles around 2^53, where ages stop being
+        // exact and neighbours of ⌈βN⌉ round onto it.
+        let two53 = (1u64 << 53) as f64;
+        for beta_n in [
+            0.0,
+            0.5 * 16_384.0,
+            0.9 * 16_384.0,
+            0.9 * 100.0,
+            0.5,
+            two53 / 2.0 - 0.5,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            two53 * 2.0 + 4.0,
+            (1u64 << 62) as f64 + 4096.0,
+        ] {
+            // A band around the threshold catches it off by any amount.
+            let min_age = min_legal_age(beta_n);
+            for age in min_age.saturating_sub(4096)..min_age + 4096 {
+                assert_eq!(age >= min_age, age as f64 >= beta_n, "βN {beta_n}, age {age}");
+            }
+        }
+        assert_eq!(min_legal_age(0.9 * 16_384.0), 14_746);
+        assert_eq!(min_legal_age(0.5 * 16_384.0), 8_192);
+        assert_eq!(min_legal_age(0.0), 0);
     }
 
     #[test]

@@ -32,10 +32,16 @@
 //!   drops.
 //!
 //! `settled_until = 0` means "unknown" and is set by every other writer
-//! of the cells: `engine_mut()` (restore, merge, reconcile), `clear()`,
-//! and a `similarity()` whose `check_group` actually cleaned a group
-//! (possible only after `advance_time`).
+//! of the cells: `engine_mut()` (restore, merge, reconcile) and
+//! `clear()`. An `advance_time` past `settled_until` needs no mark of its
+//! own: the next insert or `similarity()` finds `t ≥ settled_until`.
+//!
+//! `similarity()` settles each side that is not settled — `check_group`
+//! on every row, as a full check would, also refreshing `mins` — and then
+//! reads the two `mins` arrays in one branch-free pass, a row's age coming
+//! off its cached next flip.
 
+use crate::engine::min_legal_age;
 use crate::{She, SheConfig};
 use she_hash::HashKey;
 use she_sketch::{row_chunks, CsmSpec, MinHashSpec, UPDATE_LANES};
@@ -174,8 +180,15 @@ impl SheMinHash {
     /// at the new time.
     #[inline]
     fn tick(&mut self) {
-        debug_assert!(self.settled_until == 0 || self.mins_are_decoded_cells());
         self.engine.advance_time(1);
+        self.ensure_settled();
+    }
+
+    /// Settle every group at the current time unless that still holds
+    /// from the last settle (no flip since).
+    #[inline]
+    fn ensure_settled(&mut self) {
+        debug_assert!(self.settled_until == 0 || self.mins_are_decoded_cells());
         if self.engine.now() >= self.settled_until {
             self.settle();
         }
@@ -226,43 +239,40 @@ impl SheMinHash {
     ///
     /// Positions are compared only when legal on both sides; positions empty
     /// on both sides are skipped (as in the fixed-window estimator).
+    ///
+    /// Each side is settled first unless it already is — the `CheckGroup`
+    /// on every row that the insert path runs, which also leaves `mins`
+    /// the decoded cells — and then one branch-free pass reads both
+    /// `mins` arrays. A settled row's next flip lies ahead, so its age is
+    /// `t + Tcycle − next_flip`.
     pub fn similarity(&mut self, other: &mut SheMinHash) -> f64 {
-        let m = self.engine.spec().num_cells();
-        assert_eq!(m, other.engine.spec().num_cells(), "signature sizes differ");
-        let beta_n_a = self.engine.config().beta * self.engine.config().window as f64;
-        let beta_n_b = other.engine.config().beta * other.engine.config().window as f64;
-        let mut used = 0usize;
-        let mut matches = 0usize;
-        for i in 0..m {
-            // w = 1: cell i is group i on both sides. A check that cleans
-            // (the clock was advanced past a flip) writes a cell behind
-            // the insert path's caches.
-            if self.engine.check_group(i) {
-                self.settled_until = 0;
-            }
-            if other.engine.check_group(i) {
-                other.settled_until = 0;
-            }
-            let legal_a = self.engine.group_age(i) as f64 >= beta_n_a;
-            let legal_b = other.engine.group_age(i) as f64 >= beta_n_b;
-            if !legal_a || !legal_b {
-                continue;
-            }
-            let a = self.engine.peek_cell(i);
-            let b = other.engine.peek_cell(i);
-            if a == 0 && b == 0 {
-                continue;
-            }
-            used += 1;
-            if a == b {
-                matches += 1;
-            }
+        let m = self.num_hashes();
+        assert_eq!(m, other.num_hashes(), "signature sizes differ");
+        self.ensure_settled();
+        other.ensure_settled();
+        let (a, b) = (self.legal_rows(), other.legal_rows());
+        let (mut used, mut matches) = (0usize, 0usize);
+        for (((&min_a, &min_b), legal_a), legal_b) in
+            self.mins.iter().zip(&other.mins).zip(a).zip(b)
+        {
+            let counted = legal_a & legal_b & !(min_a == EMPTY && min_b == EMPTY);
+            used += usize::from(counted);
+            matches += usize::from(counted & (min_a == min_b));
         }
         if used == 0 {
             0.0
         } else {
             matches as f64 / used as f64
         }
+    }
+
+    /// Per row, in order, whether its age is legal (`≥ βN`). Valid while
+    /// settled: every row's next flip then lies in `(t, t + Tcycle]`.
+    fn legal_rows(&self) -> impl Iterator<Item = bool> + '_ {
+        let cfg = self.engine.config();
+        let (start, min_age) =
+            (self.engine.now() + cfg.t_cycle, min_legal_age(cfg.beta * cfg.window as f64));
+        self.engine.next_flips().map(move |next_flip| start - next_flip >= min_age)
     }
 
     /// Advance logical time without inserting.
@@ -423,6 +433,101 @@ mod tests {
                 }
             }
             assert!(queries > 10, "case {case}: only {queries} similarity queries");
+        }
+    }
+
+    /// The oracle similarity: the per-row loop `similarity` ran before it
+    /// settled — `CheckGroup` on row `i` of both sides (through
+    /// `engine_mut`, which leaves the insert caches unknown), the `f64`
+    /// legal-age test, and the packed cells.
+    fn per_row_similarity(a: &mut SheMinHash, b: &mut SheMinHash) -> f64 {
+        let beta_n = |s: &SheMinHash| s.engine().config().beta * s.engine().config().window as f64;
+        let (beta_n_a, beta_n_b) = (beta_n(a), beta_n(b));
+        let (a, b) = (a.engine_mut(), b.engine_mut());
+        let (mut used, mut matches) = (0usize, 0usize);
+        for i in 0..a.spec().num_cells() {
+            a.check_group(i);
+            b.check_group(i);
+            if (a.group_age(i) as f64) < beta_n_a || (b.group_age(i) as f64) < beta_n_b {
+                continue;
+            }
+            let (x, y) = (a.peek_cell(i), b.peek_cell(i));
+            if x == 0 && y == 0 {
+                continue;
+            }
+            used += 1;
+            matches += usize::from(x == y);
+        }
+        if used == 0 {
+            0.0
+        } else {
+            matches as f64 / used as f64
+        }
+    }
+
+    #[test]
+    fn similarity_is_bit_for_bit_the_per_row_loop() {
+        use crate::SnapshotState;
+        use she_hash::{RandomSource, Xoshiro256};
+
+        // βN = 50 (integral); 900.000…01, so age 900 is not legal (130
+        // rows: two insert chunks); 233.1, non-integral.
+        for (case, (window, m, beta)) in
+            [(100u64, 67usize, 0.5), (1_000, 130, 0.9), (333, 64, 0.7)].into_iter().enumerate()
+        {
+            let b = SheMinHash::builder().window(window).num_hashes(m).beta(beta).seed(11);
+            let mut fast = [b.clone().build(), b.clone().build()];
+            let mut oracle = [b.clone().build(), b.build()];
+            let mut rng = Xoshiro256::new(0x51A1 + case as u64);
+            let t_cycle = fast[0].engine().config().t_cycle;
+            let mut saved = [fast[0].save_snapshot(), fast[1].save_snapshot()];
+            // Queries that cleaned a group, that met different clocks, and
+            // that read something.
+            let (mut cleaned, mut skewed, mut nonzero) = (0, 0, 0);
+            for step in 0..12 * window {
+                let side = rng.next_below(2);
+                let key = rng.next_range(0, 4 * window);
+                let op = match rng.next_below(40) {
+                    0 => Op::Advance(side, key % 7),
+                    // An idle jump past flips: the next query cleans.
+                    1 => Op::Advance(side, t_cycle / 3 + key % t_cycle),
+                    2 => {
+                        saved = [fast[0].save_snapshot(), fast[1].save_snapshot()];
+                        continue;
+                    }
+                    3 => Op::Load(side, saved[side].clone()),
+                    // The other stream's state, its clock elsewhere.
+                    4 => Op::Merge(side, fast[1 - side].save_snapshot()),
+                    5 if key.is_multiple_of(4) => Op::Clear(side),
+                    _ => Op::Insert(side, key),
+                };
+                apply(&mut fast, &op, false);
+                apply(&mut oracle, &op, false);
+                let before = [oracle[0].save_snapshot(), oracle[1].save_snapshot()];
+                let ([fa, fb], [oa, ob]) = (&mut fast, &mut oracle);
+                let (got, want) = if step % 2 == 0 {
+                    (fa.similarity(fb), per_row_similarity(oa, ob))
+                } else {
+                    (fb.similarity(fa), per_row_similarity(ob, oa))
+                };
+                let at = format!("case {case} (N={window}, m={m}, β={beta}) step {step}");
+                assert_eq!(got.to_bits(), want.to_bits(), "{at}: similarity bits");
+                for s in 0..2 {
+                    assert_eq!(
+                        fast[s].save_snapshot(),
+                        oracle[s].save_snapshot(),
+                        "{at} side {s}: snapshot bytes"
+                    );
+                }
+                cleaned +=
+                    usize::from(before != [oracle[0].save_snapshot(), oracle[1].save_snapshot()]);
+                skewed += usize::from(fast[0].now() != fast[1].now());
+                nonzero += usize::from(got != 0.0);
+            }
+            assert!(
+                cleaned > 20 && skewed > 500 && nonzero > 100,
+                "case {case}: {cleaned} / {skewed} / {nonzero}"
+            );
         }
     }
 
