@@ -13,39 +13,6 @@ use she_core::{SheBitmap, SheBloomFilter, SoftClock};
 use she_metrics::*;
 use she_streams::{DistinctStream, KeyStream};
 
-struct Bf(SheBloomFilter);
-impl MemberSketch for Bf {
-    fn name(&self) -> &'static str {
-        "SHE-BF"
-    }
-    fn insert(&mut self, key: u64) {
-        self.0.insert(&key);
-    }
-    fn query(&mut self, key: u64) -> bool {
-        self.0.contains(&key)
-    }
-    fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
-    }
-}
-
-/// Software-version SHE-BF under the membership harness.
-struct SoftBf(SoftClock<she_sketch::BloomSpec>);
-impl MemberSketch for SoftBf {
-    fn name(&self) -> &'static str {
-        "SHE-BF-soft"
-    }
-    fn insert(&mut self, key: u64) {
-        self.0.insert(&key);
-    }
-    fn query(&mut self, key: u64) -> bool {
-        self.0.contains_bf(&key)
-    }
-    fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
-    }
-}
-
 fn main() {
     let w = window();
     let s = she_bench::scale();
@@ -56,13 +23,13 @@ fn main() {
 
     header("Ablation A", "SHE-BF FPR vs group size w");
     for group_w in [1usize, 8, 64, 256, 1024] {
-        let mut bf = Bf(SheBloomFilter::builder()
+        let mut bf = SheBloomFilter::builder()
             .window(w)
             .memory_bytes(bytes)
             .alpha(3.0)
             .group_cells(group_w)
             .seed(1)
-            .build());
+            .build();
         let r = membership_fpr(&mut bf, &distinct, guard, 3, 4_000);
         println!("w={group_w:<5} fpr={:.6}", r.value);
     }
@@ -70,9 +37,8 @@ fn main() {
     header("Ablation B", "SHE-BM RE vs beta (legal-age band)");
     let keys = caida_trace(n, 31);
     for beta in [0.25, 0.5, 0.75, 0.9, 1.0] {
-        let mut bm = SheBmAdapter(
-            SheBitmap::builder().window(w).memory_bytes(512 * s).beta(beta).seed(2).build(),
-        );
+        let mut bm =
+            SheBitmap::builder().window(w).memory_bytes(512 * s).beta(beta).seed(2).build();
         let r = cardinality_re(&mut bm, &keys, w as usize, 4);
         println!("beta={beta:<5} re={:.5}", r.value);
     }
@@ -80,15 +46,15 @@ fn main() {
     header("Ablation C", "on-demand (hw) vs continuous (soft) cleaning, SHE-BF");
     {
         let cfg = she_core::SheConfig::builder().window(w).alpha(3.0).group_cells(64).build();
-        let mut hw = Bf(SheBloomFilter::builder()
+        let mut hw = SheBloomFilter::builder()
             .window(w)
             .memory_bytes(bytes)
             .alpha(3.0)
             .group_cells(64)
             .seed(3)
-            .build());
+            .build();
         let r_hw = membership_fpr(&mut hw, &distinct, guard, 3, 4_000);
-        let mut soft = SoftBf(SoftClock::new(she_sketch::BloomSpec::new(bytes * 8, 8, 3), cfg));
+        let mut soft = SoftClock::new(she_sketch::BloomSpec::new(bytes * 8, 8, 3), cfg);
         let r_soft = membership_fpr(&mut soft, &distinct, guard, 3, 4_000);
         println!("hardware marks: fpr={:.6}", r_hw.value);
         println!("software sweep: fpr={:.6}", r_soft.value);
@@ -96,9 +62,9 @@ fn main() {
 
     header("Ablation D", "frequency: SHE-CM vs SHE-CS at equal memory");
     for mem in [(32 << 10) * s, (128 << 10) * s] {
-        let mut cm = SheCmAdapter::sized(w, mem, 4);
+        let mut cm = sized::she_cm(w, mem, 4);
         let r_cm = frequency_are(&mut cm, &keys, w as usize, 3, 400);
-        let mut cs = SheCsAdapter::sized(w, mem, 4);
+        let mut cs = sized::she_cs(w, mem, 4);
         let r_cs = frequency_are(&mut cs, &keys, w as usize, 3, 400);
         println!("mem={mem:>8}B  SHE-CM={:.4}  SHE-CS={:.4}", r_cm.value, r_cs.value);
     }

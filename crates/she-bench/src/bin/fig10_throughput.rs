@@ -6,10 +6,9 @@
 //! Expected shape: SHE within a small constant of the original algorithm
 //! and clearly above the queue/decay baselines, on every dataset.
 
-use she_baselines::{CounterVectorSketch, SlidingHyperLogLog};
 use she_bench::{header, window};
 use she_core::{SheBitmap, SheHyperLogLog};
-use she_metrics::throughput_mips;
+use she_metrics::{sized, throughput_mips};
 use she_sketch::{Bitmap, HyperLogLog};
 use she_streams::{CaidaLike, CampusLike, KeyStream, WebpageLike};
 
@@ -34,7 +33,7 @@ fn main() {
         let t_ideal = throughput_mips(|k| ideal.insert(&k), &keys, warmup);
         let mut she = SheHyperLogLog::builder().window(w).memory_bytes(mem).build();
         let t_she = throughput_mips(|k| she.insert(&k), &keys, warmup);
-        let mut shll = SlidingHyperLogLog::new(mem * 8 / (3 * 69), w, 1);
+        let mut shll = sized::shll(w, mem, 1);
         let t_shll = throughput_mips(|k| shll.insert(k), &keys, warmup);
         println!("{name:8} Ideal={t_ideal:.1}  SHE-HLL={t_she:.1}  SHLL={t_shll:.1}");
     }
@@ -45,7 +44,7 @@ fn main() {
         let t_ideal = throughput_mips(|k| ideal.insert(&k), &keys, warmup);
         let mut she = SheBitmap::builder().window(w).memory_bytes(mem).build();
         let t_she = throughput_mips(|k| she.insert(&k), &keys, warmup);
-        let mut cvs = CounterVectorSketch::with_memory(mem, 10, w, 2);
+        let mut cvs = sized::cvs(w, mem, 2);
         let t_cvs = throughput_mips(|k| cvs.insert(k), &keys, warmup);
         println!("{name:8} Ideal={t_ideal:.1}  SHE-BM={t_she:.1}  CVS={t_cvs:.1}");
     }

@@ -21,7 +21,7 @@ fn main() {
             .iter()
             .map(|&w| {
                 let keys = CaidaLike::new(w as usize * 4, 1.05, 60).take_vec(w as usize * 6);
-                let mut a = SheBmAdapter::sized(w, bytes, 1);
+                let mut a = sized::she_bm(w, bytes, 1);
                 let r = cardinality_re(&mut a, &keys, w as usize, checkpoints);
                 (format!("W={w}"), r.value)
             })
@@ -35,7 +35,7 @@ fn main() {
             .iter()
             .map(|&w| {
                 let keys = CaidaLike::new(w as usize * 4, 1.05, 61).take_vec(w as usize * 6);
-                let mut a = SheHllAdapter::sized(w, bytes, 2);
+                let mut a = sized::she_hll(w, bytes, 2);
                 let r = cardinality_re(&mut a, &keys, w as usize, checkpoints);
                 (format!("W={w}"), r.value)
             })
@@ -49,7 +49,7 @@ fn main() {
             .iter()
             .map(|&w| {
                 let keys = CaidaLike::new(w as usize * 4, 1.05, 62).take_vec(w as usize * 6);
-                let mut a = SheCmAdapter::sized(w, bytes, 3);
+                let mut a = sized::she_cm(w, bytes, 3);
                 let r = frequency_are(&mut a, &keys, w as usize, checkpoints, 300);
                 (format!("W={w}"), r.value)
             })
@@ -63,7 +63,7 @@ fn main() {
             .iter()
             .map(|&w| {
                 let keys = DistinctStream::new(63).take_vec(w as usize * 8);
-                let mut a = SheBfAdapter::sized(w, bytes, 4);
+                let mut a = sized::she_bf(w, bytes, 4);
                 let r = membership_fpr(&mut a, &keys, w as usize * 5, checkpoints, 3_000);
                 (format!("W={w}"), r.value)
             })
@@ -78,7 +78,7 @@ fn main() {
             .map(|&w| {
                 let mut gen = RelevantPair::new((w as usize).max(2_000), 0.6, 64);
                 let pairs: Vec<(u64, u64)> = (0..w as usize * 6).map(|_| gen.next_pair()).collect();
-                let mut a = SheMhAdapter::sized(w, bytes, 5);
+                let mut a = sized::she_mh(w, bytes, 5);
                 let r = similarity_re(&mut a, &pairs, w as usize, checkpoints);
                 (format!("W={w}"), r.value)
             })

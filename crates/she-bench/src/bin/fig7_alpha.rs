@@ -6,26 +6,9 @@
 //!     empirical band (§7.2).
 
 use she_bench::{header, kb, row, window};
-use she_core::{analysis, SheBloomFilter};
+use she_core::{analysis, SheBitmap, SheBloomFilter};
 use she_metrics::*;
 use she_streams::{DistinctStream, KeyStream};
-
-struct BfWithAlpha(SheBloomFilter);
-
-impl MemberSketch for BfWithAlpha {
-    fn name(&self) -> &'static str {
-        "SHE-BF"
-    }
-    fn insert(&mut self, key: u64) {
-        self.0.insert(&key);
-    }
-    fn query(&mut self, key: u64) -> bool {
-        self.0.contains(&key)
-    }
-    fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
-    }
-}
 
 fn main() {
     let w = window();
@@ -45,15 +28,13 @@ fn main() {
             (format!("a*={opt:.2}"), opt),
             ("a=4".to_string(), 4.0),
         ] {
-            let mut bf = BfWithAlpha(
-                SheBloomFilter::builder()
-                    .window(w)
-                    .memory_bytes(bytes)
-                    .hash_functions(8)
-                    .alpha(alpha)
-                    .seed(1)
-                    .build(),
-            );
+            let mut bf = SheBloomFilter::builder()
+                .window(w)
+                .memory_bytes(bytes)
+                .hash_functions(8)
+                .alpha(alpha)
+                .seed(1)
+                .build();
             let r = membership_fpr(&mut bf, &keys, guard, checkpoints, 5_000);
             cells.push((label, r.value));
         }
@@ -65,14 +46,8 @@ fn main() {
     for bytes in [64, 128, 256, 512].map(|b| b * s) {
         let mut cells = Vec::new();
         for alpha in [0.1, 0.2, 0.4] {
-            let mut bm = SheBmAdapter(
-                she_core::SheBitmap::builder()
-                    .window(w)
-                    .memory_bytes(bytes)
-                    .alpha(alpha)
-                    .seed(2)
-                    .build(),
-            );
+            let mut bm =
+                SheBitmap::builder().window(w).memory_bytes(bytes).alpha(alpha).seed(2).build();
             let r = cardinality_re(&mut bm, &keys, w as usize, checkpoints);
             cells.push((format!("a={alpha}"), r.value));
         }

@@ -22,10 +22,10 @@ fn main() {
     let keys = caida_trace(n, 42);
     for bytes in [64 * s, 128 * s, 256 * s, 512 * s, 1024 * s, 6400 * s] {
         let mut algos: Vec<Box<dyn CardinalitySketch>> = vec![
-            Box::new(SheBmAdapter::sized(w, bytes, 1)),
-            Box::new(SwampCard::sized(w, bytes, 1)),
-            Box::new(TsvAdapter::sized(w, bytes, 1)),
-            Box::new(CvsAdapter::sized(w, bytes, 1)),
+            Box::new(sized::she_bm(w, bytes, 1)),
+            Box::new(sized::swamp(w, bytes, 1)),
+            Box::new(sized::tsv(w, bytes, 1)),
+            Box::new(sized::cvs(w, bytes, 1)),
             Box::new(IdealBitmap::sized(w, bytes, 1)),
         ];
         let cells: Vec<(String, f64)> = algos
@@ -43,8 +43,8 @@ fn main() {
     let keys_hll = caida_trace((hw as usize * 4).min(4_000_000), 43);
     for bytes in [64 * s, 256 * s, 512 * s, 1024 * s, 2048 * s] {
         let mut algos: Vec<Box<dyn CardinalitySketch>> = vec![
-            Box::new(SheHllAdapter::sized(hw, bytes, 2)),
-            Box::new(ShllAdapter::sized(hw, bytes, 2)),
+            Box::new(sized::she_hll(hw, bytes, 2)),
+            Box::new(sized::shll(hw, bytes, 2)),
             Box::new(IdealHll::sized(hw, bytes, 2)),
         ];
         let cells: Vec<(String, f64)> = algos
@@ -60,9 +60,9 @@ fn main() {
     header("Fig 9c", "Frequency: ARE vs memory");
     for bytes in [8 << 10, 32 << 10, 64 << 10, 128 << 10].map(|b| b * s) {
         let mut algos: Vec<Box<dyn FrequencySketch>> = vec![
-            Box::new(SheCmAdapter::sized(w, bytes, 3)),
-            Box::new(SwampFreq::sized(w, bytes, 3)),
-            Box::new(EcmAdapter::sized(w, bytes, 3)),
+            Box::new(sized::she_cm(w, bytes, 3)),
+            Box::new(sized::swamp(w, bytes, 3)),
+            Box::new(sized::ecm(w, bytes, 3)),
             Box::new(IdealCm::sized(w, bytes, 3)),
         ];
         let cells: Vec<(String, f64)> = algos
@@ -82,10 +82,10 @@ fn main() {
     let guard = (w as usize) * 5;
     for bytes in [2 << 10, 8 << 10, 16 << 10, 32 << 10].map(|b| b * s) {
         let mut algos: Vec<Box<dyn MemberSketch>> = vec![
-            Box::new(SheBfAdapter::sized(w, bytes, 4)),
-            Box::new(SwampMember::sized(w, bytes, 4)),
-            Box::new(TobfAdapter::sized(w, bytes, 4)),
-            Box::new(TbfAdapter::sized(w, bytes, 4)),
+            Box::new(sized::she_bf(w, bytes, 4)),
+            Box::new(sized::swamp(w, bytes, 4)),
+            Box::new(sized::tobf(w, bytes, 4)),
+            Box::new(sized::tbf(w, bytes, 4)),
             Box::new(IdealBloom::sized(w, bytes, 4)),
         ];
         let cells: Vec<(String, f64)> = algos
@@ -102,8 +102,8 @@ fn main() {
     let pairs = relevant_trace(n, 0.5, 45);
     for bytes in [512, 1024, 2048, 4096].map(|b| b * s) {
         let mut algos: Vec<Box<dyn SimilaritySketch>> = vec![
-            Box::new(SheMhAdapter::sized(w, bytes, 5)),
-            Box::new(StrawmanMhAdapter::sized(w, bytes, 5)),
+            Box::new(sized::she_mh(w, bytes, 5)),
+            Box::new(sized::strawman_mh(w, bytes, 5)),
             Box::new(IdealMh::sized(w, bytes, 5)),
         ];
         let cells: Vec<(String, f64)> = algos

@@ -25,6 +25,7 @@ use she_server::{
     cluster_op, Client, ClusterMap, DirectEngine, EngineConfig, NodeRef, PartitionMap,
 };
 use std::collections::BTreeMap;
+use std::io::ErrorKind;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -73,6 +74,8 @@ pub struct ClusterDrillReport {
     pub battery: usize,
 }
 
+/// Rosters to try before a start that keeps losing a reserved port fails.
+const START_ATTEMPTS: usize = 5;
 /// Outer bound on any single wait inside the drill.
 const DRILL_TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -81,7 +84,7 @@ fn ctx<E: std::fmt::Display>(what: &str) -> impl FnOnce(E) -> String + '_ {
 }
 
 /// Grab `n` distinct loopback ports by binding and immediately releasing
-/// them; the tiny reuse window is acceptable in a drill.
+/// them.
 fn reserve_addrs(n: usize) -> Result<Vec<String>, String> {
     let mut listeners = Vec::with_capacity(n);
     for _ in 0..n {
@@ -158,38 +161,44 @@ fn insert_routed(
     Ok(inserted)
 }
 
-/// Run the drill; `Err` carries the first failed check (the caller
-/// prints the seed for replay).
-pub fn run(cfg: &ClusterDrillConfig) -> Result<ClusterDrillReport, String> {
-    let addrs = reserve_addrs(NODES)?;
-    let roster: Vec<NodeRef> = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| NodeRef {
-            node_id: u64::try_from(i).unwrap_or(u64::MAX) + 1,
-            addr: a.clone(),
-        })
-        .collect();
+/// A started drill cluster: the gossip proxies, and the nodes by id.
+type Started = (Vec<ChaosProxy>, Vec<(u64, ClusterNode)>);
 
-    // Every CLUSTER_JOIN dial goes through a per-peer fault proxy; the
-    // data plane (inserts, queries, replication, anti-entropy) keeps the
-    // real addresses — the drill attacks membership, not payloads.
-    let mut proxies: Vec<ChaosProxy> = Vec::with_capacity(NODES);
-    let mut gossip_via: BTreeMap<u64, String> = BTreeMap::new();
-    for r in &roster {
-        let proxy =
-            ChaosProxy::start(r.addr.clone(), FaultConfig::gossip(cfg.seed ^ mix64(r.node_id)))
-                .map_err(ctx("start gossip proxy"))?;
-        gossip_via.insert(r.node_id, proxy.local_addr().to_string());
-        // audit:allow(growth): one proxy per node
-        proxies.push(proxy);
-    }
+/// Reserve a roster, then start its gossip proxies and its nodes. A
+/// reserved port is free only until its node binds it: a proxy, or an
+/// earlier node's replica slot, binding an ephemeral port meanwhile can
+/// take it. On `AddrInUse` everything started so far stops and the whole
+/// start retries with a new roster.
+fn start_cluster(seed: u64) -> Result<Started, String> {
+    for _ in 0..START_ATTEMPTS {
+        let addrs = reserve_addrs(NODES)?;
+        let roster: Vec<NodeRef> = addrs
+            .iter()
+            .enumerate()
+            .map(|(i, a)| NodeRef {
+                node_id: u64::try_from(i).unwrap_or(u64::MAX) + 1,
+                addr: a.clone(),
+            })
+            .collect();
 
-    let mut nodes: Vec<(u64, ClusterNode)> = Vec::with_capacity(NODES);
-    for r in &roster {
-        nodes.push((
-            r.node_id,
-            ClusterNode::start(NodeConfig {
+        // Every CLUSTER_JOIN dial goes through a per-peer fault proxy; the
+        // data plane (inserts, queries, replication, anti-entropy) keeps the
+        // real addresses — the drill attacks membership, not payloads.
+        let mut proxies: Vec<ChaosProxy> = Vec::with_capacity(NODES);
+        let mut gossip_via: BTreeMap<u64, String> = BTreeMap::new();
+        for r in &roster {
+            let proxy =
+                ChaosProxy::start(r.addr.clone(), FaultConfig::gossip(seed ^ mix64(r.node_id)))
+                    .map_err(ctx("start gossip proxy"))?;
+            gossip_via.insert(r.node_id, proxy.local_addr().to_string());
+            // audit:allow(growth): one proxy per node
+            proxies.push(proxy);
+        }
+
+        let mut nodes: Vec<(u64, ClusterNode)> = Vec::with_capacity(NODES);
+        let mut clash = false;
+        for r in &roster {
+            match ClusterNode::start(NodeConfig {
                 node_id: r.node_id,
                 roster: roster.clone(),
                 window: WINDOW,
@@ -201,10 +210,35 @@ pub fn run(cfg: &ClusterDrillConfig) -> Result<ClusterDrillReport, String> {
                 anti_entropy_ms: 500,
                 gossip_via: gossip_via.clone(),
                 ..Default::default()
-            })
-            .map_err(ctx("start cluster node"))?,
-        ));
+            }) {
+                Ok(node) => nodes.push((r.node_id, node)),
+                Err(e) if e.kind() == ErrorKind::AddrInUse => {
+                    clash = true;
+                    break;
+                }
+                Err(e) => return Err(format!("start cluster node: {e}")),
+            }
+        }
+        if !clash {
+            return Ok((proxies, nodes));
+        }
+        for (_, n) in nodes {
+            n.shutdown();
+            n.wait();
+        }
+        for p in proxies {
+            p.stop();
+        }
     }
+    Err(format!(
+        "{START_ATTEMPTS} reserved rosters in a row lost a port before their node bound it"
+    ))
+}
+
+/// Run the drill; `Err` carries the first failed check (the caller
+/// prints the seed for replay).
+pub fn run(cfg: &ClusterDrillConfig) -> Result<ClusterDrillReport, String> {
+    let (proxies, mut nodes) = start_cluster(cfg.seed)?;
     let map = nodes[0].1.directory().get();
 
     // ---- seeded workload, routed like a cluster-aware writer ----------

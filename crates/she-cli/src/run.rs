@@ -197,17 +197,15 @@ fn membership(a: &Args) -> Result<(), ArgError> {
     let seed = a.get_u64("seed", 1)?;
     let keys = make_stream(&a.get("stream", "distinct"), seed)?.take_vec(items);
 
-    let mut bf = SheBfAdapter::sized(window, memory, seed as u32);
+    let mut bf = sized::she_bf(window, memory, seed as u32);
     if let Some(alpha) = a.get_f64("alpha", -1.0).ok().filter(|&v| v > 0.0) {
-        bf = SheBfAdapter(
-            she_core::SheBloomFilter::builder()
-                .window(window)
-                .memory_bytes(memory)
-                .hash_functions(8)
-                .alpha(alpha)
-                .seed(seed as u32)
-                .build(),
-        );
+        bf = she_core::SheBloomFilter::builder()
+            .window(window)
+            .memory_bytes(memory)
+            .hash_functions(8)
+            .alpha(alpha)
+            .seed(seed as u32)
+            .build();
     }
     let guard = (window as usize * 5).min(items / 2);
     let r = membership_fpr(&mut bf, &keys, guard, 4, probes);
@@ -227,11 +225,11 @@ fn cardinality(a: &Args) -> Result<(), ArgError> {
     let algo = a.get("algo", "bm");
     let r = match algo.as_str() {
         "bm" => {
-            let mut s = SheBmAdapter::sized(window, memory, seed as u32);
+            let mut s = sized::she_bm(window, memory, seed as u32);
             cardinality_re(&mut s, &keys, window as usize, 4)
         }
         "hll" => {
-            let mut s = SheHllAdapter::sized(window, memory, seed as u32);
+            let mut s = sized::she_hll(window, memory, seed as u32);
             cardinality_re(&mut s, &keys, window as usize, 4)
         }
         other => return Err(ArgError(format!("unknown --algo '{other}' (bm|hll)"))),
@@ -249,7 +247,7 @@ fn frequency(a: &Args) -> Result<(), ArgError> {
     let sample = a.get_u64("sample", 500)? as usize;
     let seed = a.get_u64("seed", 1)?;
     let keys = make_stream(&a.get("stream", "caida"), seed)?.take_vec(items);
-    let mut s = SheCmAdapter::sized(window, memory, seed as u32);
+    let mut s = sized::she_cm(window, memory, seed as u32);
     let r = frequency_are(&mut s, &keys, window as usize, 4, sample);
     println!("SHE-CM  window={window} memory={memory}B items={items}");
     println!("  ARE = {:.6}  (per-checkpoint: {:?})", r.value, r.series);
@@ -265,7 +263,7 @@ fn similarity(a: &Args) -> Result<(), ArgError> {
     let seed = a.get_u64("seed", 1)?;
     let mut gen = RelevantPair::new(window as usize, overlap, seed);
     let pairs: Vec<(u64, u64)> = (0..items).map(|_| gen.next_pair()).collect();
-    let mut s = SheMhAdapter::sized(window, memory, seed as u32);
+    let mut s = sized::she_mh(window, memory, seed as u32);
     let r = similarity_re(&mut s, &pairs, window as usize, 4);
     println!("SHE-MH  window={window} memory={memory}B items={items} overlap={overlap}");
     println!("  RE = {:.6}  (per-checkpoint: {:?})", r.value, r.series);

@@ -5,11 +5,11 @@ use she_cluster::{migrate, ClusterNode, NodeConfig};
 use she_server::codec::{read_frame, write_frame};
 use she_server::protocol::{Request, Response};
 use she_server::{cluster_op, Client, DirectEngine, EngineConfig, NodeRef, Server, ServerConfig};
+use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Grab `n` free ports by binding and immediately releasing them. The
-/// tiny reuse race is acceptable in tests.
+/// Grab `n` free ports by binding and immediately releasing them.
 fn reserve_addrs(n: usize) -> Vec<String> {
     let listeners: Vec<TcpListener> =
         (0..n).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
@@ -26,16 +26,23 @@ impl Rng {
     }
 }
 
-fn start_cluster(addrs: &[String], heartbeat_ms: u64) -> (Vec<NodeRef>, Vec<ClusterNode>) {
-    let roster: Vec<NodeRef> = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| NodeRef { node_id: i as u64 + 1, addr: a.clone() })
-        .collect();
-    let nodes: Vec<ClusterNode> = roster
-        .iter()
-        .map(|r| {
-            ClusterNode::start(NodeConfig {
+/// Start a three-node cluster on freshly reserved loopback ports. A
+/// reserved port is free only until its node binds it: an earlier node's
+/// replica slot, binding an ephemeral port meanwhile, can take it. On
+/// `AddrInUse` the nodes started so far stop and the whole start retries
+/// with a new roster.
+fn start_cluster(heartbeat_ms: u64) -> (Vec<String>, Vec<NodeRef>, Vec<ClusterNode>) {
+    for _ in 0..5 {
+        let addrs = reserve_addrs(3);
+        let roster: Vec<NodeRef> = addrs
+            .iter()
+            .enumerate()
+            .map(|(i, a)| NodeRef { node_id: i as u64 + 1, addr: a.clone() })
+            .collect();
+        let mut nodes = Vec::new();
+        let mut clash = false;
+        for r in &roster {
+            match ClusterNode::start(NodeConfig {
                 node_id: r.node_id,
                 roster: roster.clone(),
                 window: 6 * 1024,
@@ -44,11 +51,24 @@ fn start_cluster(addrs: &[String], heartbeat_ms: u64) -> (Vec<NodeRef>, Vec<Clus
                 gossip_ms: 100,
                 heartbeat_timeout_ms: heartbeat_ms,
                 ..Default::default()
-            })
-            .expect("start node")
-        })
-        .collect();
-    (roster, nodes)
+            }) {
+                Ok(node) => nodes.push(node),
+                Err(e) if e.kind() == ErrorKind::AddrInUse => {
+                    clash = true;
+                    break;
+                }
+                Err(e) => panic!("start node: {e}"),
+            }
+        }
+        if !clash {
+            return (addrs, roster, nodes);
+        }
+        for n in nodes {
+            n.shutdown();
+            n.wait();
+        }
+    }
+    panic!("five reserved rosters in a row lost a port before their node bound it");
 }
 
 fn client(addr: &str) -> Client {
@@ -75,8 +95,7 @@ fn cluster_insert(roster: &[NodeRef], map: &she_server::ClusterMap, stream: u8, 
 
 #[test]
 fn scatter_gather_matches_direct_mirror_bit_for_bit() {
-    let addrs = reserve_addrs(3);
-    let (roster, nodes) = start_cluster(&addrs, 60_000); // no failover here
+    let (addrs, roster, nodes) = start_cluster(60_000); // no failover here
     let map = nodes[0].directory().get();
 
     let mut mirror = DirectEngine::new(EngineConfig {
@@ -138,8 +157,7 @@ fn scatter_gather_matches_direct_mirror_bit_for_bit() {
 /// Every answer equals the twin's, asked in the same order.
 #[test]
 fn pipelined_cluster_reads_equal_the_twin() {
-    let addrs = reserve_addrs(3);
-    let (roster, nodes) = start_cluster(&addrs, 60_000);
+    let (addrs, roster, nodes) = start_cluster(60_000);
     let map = nodes[0].directory().get();
     let mut twin = DirectEngine::new(EngineConfig {
         window: 6 * 1024,
@@ -227,8 +245,7 @@ fn pipelined_cluster_reads_equal_the_twin() {
 
 #[test]
 fn killing_a_primary_promotes_its_replica() {
-    let addrs = reserve_addrs(3);
-    let (roster, mut nodes) = start_cluster(&addrs, 800);
+    let (addrs, roster, mut nodes) = start_cluster(800);
     let map = nodes[0].directory().get();
 
     // Put keys into every partition, including some owned by partition 0

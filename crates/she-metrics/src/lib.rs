@@ -5,15 +5,16 @@
 //! provides:
 //!
 //! * task traits ([`MemberSketch`], [`CardinalitySketch`],
-//!   [`FrequencySketch`], [`SimilaritySketch`]) with adapters for every SHE
-//!   algorithm, every baseline, and the **Ideal goal** (the fixed-window
-//!   original replayed on the exact window contents);
+//!   [`FrequencySketch`], [`SimilaritySketch`]), implemented directly on
+//!   every SHE algorithm and every baseline, plus the **Ideal goal** types
+//!   (the fixed-window original replayed on the exact window contents);
+//! * [`sized`]: each algorithm built from a `(window, memory-bytes, seed)`
+//!   triple, the one place its memory budget becomes parameters;
 //! * experiment runners ([`membership_fpr`], [`cardinality_re`],
 //!   [`frequency_are`], [`similarity_re`], [`throughput_mips`]) that feed a
 //!   workload, track exact ground truth, and measure at checkpoints exactly
 //!   the way the paper describes (e.g. membership probes are drawn from
 //!   keys absent from the last `(1+α)·N` items).
-
 //!
 //! For the serving path (`she-server`), the [`latency`] module adds a
 //! mergeable log-bucket [`LatencyHistogram`], and the [`counters`]
@@ -21,20 +22,19 @@
 //! self-protection events, [`FaultCounters`] for injected faults under
 //! `she-chaos`).
 
-pub mod adapters;
 pub mod counters;
 pub mod latency;
-mod report;
 mod runners;
+pub mod sized;
+mod sketches;
 
-pub use adapters::*;
 pub use counters::{
     FaultCounters, FaultCountersSnapshot, ReadpathCounters, ReadpathCountersSnapshot,
     ServeCounters, ServeCountersSnapshot,
 };
 pub use latency::LatencyHistogram;
-pub use report::ResultTable;
 pub use runners::*;
+pub use sketches::{IdealBitmap, IdealBloom, IdealCm, IdealHll, IdealMh};
 
 /// A sliding-window membership structure under test.
 pub trait MemberSketch {

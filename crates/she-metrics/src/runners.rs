@@ -181,7 +181,7 @@ pub fn throughput_mips(mut insert: impl FnMut(u64), keys: &[u64], warmup: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapters::*;
+    use crate::{sized, IdealBitmap};
     use she_streams::{CaidaLike, DistinctStream, KeyStream, RelevantPair};
 
     const WINDOW: u64 = 1 << 12;
@@ -194,9 +194,9 @@ mod tests {
     fn membership_runner_separates_she_from_starved_swamp() {
         let keys = DistinctStream::new(1).take_vec(6 * WINDOW as usize);
         let guard = 5 * WINDOW as usize;
-        let mut she = SheBfAdapter::sized(WINDOW, 32 << 10, 7);
+        let mut she = sized::she_bf(WINDOW, 32 << 10, 7);
         let she_res = membership_fpr(&mut she, &keys, guard, 4, 2_000);
-        let mut swamp = SwampMember::sized(WINDOW, 2 << 10, 7); // starved
+        let mut swamp = sized::swamp(WINDOW, 2 << 10, 7); // starved
         let swamp_res = membership_fpr(&mut swamp, &keys, guard, 4, 2_000);
         assert!(she_res.value < 0.02, "SHE-BF FPR {}", she_res.value);
         assert!(
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn cardinality_runner_tracks_truth() {
         let keys = caida(6 * WINDOW as usize);
-        let mut bm = SheBmAdapter::sized(WINDOW, 4 << 10, 3);
+        let mut bm = sized::she_bm(WINDOW, 4 << 10, 3);
         let res = cardinality_re(&mut bm, &keys, WINDOW as usize, 4);
         assert!(res.value < 0.2, "SHE-BM RE {}", res.value);
         let mut ideal = IdealBitmap::sized(WINDOW, 4 << 10, 3);
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn frequency_runner_prefers_she_over_tiny_swamp() {
         let keys = caida(6 * WINDOW as usize);
-        let mut cm = SheCmAdapter::sized(WINDOW, 256 << 10, 3);
+        let mut cm = sized::she_cm(WINDOW, 256 << 10, 3);
         let res = frequency_are(&mut cm, &keys, WINDOW as usize, 3, 300);
         assert!(res.value < 1.0, "SHE-CM ARE {}", res.value);
     }
@@ -231,7 +231,7 @@ mod tests {
     fn similarity_runner_tracks_truth() {
         let mut gen = RelevantPair::new(5_000, 0.6, 2);
         let pairs: Vec<(u64, u64)> = (0..5 * WINDOW as usize).map(|_| gen.next_pair()).collect();
-        let mut mh = SheMhAdapter::sized(WINDOW, 4 << 10, 5);
+        let mut mh = sized::she_mh(WINDOW, 4 << 10, 5);
         let res = similarity_re(&mut mh, &pairs, WINDOW as usize, 3);
         assert!(res.value < 0.35, "SHE-MH RE {}", res.value);
     }
@@ -239,8 +239,8 @@ mod tests {
     #[test]
     fn throughput_runner_returns_positive_mips() {
         let keys = caida(200_000);
-        let mut bm = SheBmAdapter::sized(WINDOW, 8 << 10, 1);
-        let mips = throughput_mips(|k| bm.insert(k), &keys, 50_000);
+        let mut bm = sized::she_bm(WINDOW, 8 << 10, 1);
+        let mips = throughput_mips(|k| bm.insert(&k), &keys, 50_000);
         assert!(mips > 0.0);
     }
 }

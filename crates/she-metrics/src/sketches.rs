@@ -1,8 +1,8 @@
-//! Adapters plugging every algorithm — SHE, baselines, and the Ideal goal —
-//! into the task traits, each sized from a `(window, memory-bytes, seed)`
-//! triple so the memory-sweep figures can treat them uniformly.
+//! The task traits implemented directly on every algorithm — SHE and the
+//! baselines — plus the **Ideal goal** (see [`crate::sized`] for the
+//! memory-budget constructors).
 //!
-//! The **Ideal** adapters implement the paper's "ideal goal": at query time
+//! The **Ideal** types implement the paper's "ideal goal": at query time
 //! the exact window contents (tracked by a `WindowTruth`) are replayed into
 //! a fresh fixed-window original of the same memory budget, so the answer
 //! carries only the original algorithm's error, none of the sliding error.
@@ -12,122 +12,90 @@ use she_baselines::{
     CounterVectorSketch, EcmSketch, SlidingHyperLogLog, StrawmanMinHash, Swamp, TimeOutBloomFilter,
     TimestampVector, TimingBloomFilter,
 };
-use she_core::{SheBitmap, SheBloomFilter, SheCountMin, SheHyperLogLog, SheMinHash};
-use she_sketch::{Bitmap, BloomFilter, CountMin, HyperLogLog, MinHash};
+use she_core::{
+    SheBitmap, SheBloomFilter, SheCountMin, SheCountSketch, SheHyperLogLog, SheMinHash, SoftClock,
+};
+use she_sketch::{Bitmap, BloomFilter, BloomSpec, CountMin, HyperLogLog, MinHash};
 use she_window::{PairTruth, WindowTruth};
 
 // ---------------------------------------------------------------------------
 // Membership (Fig. 9d): SHE-BF, SWAMP, TOBF, TBF, Ideal.
 // ---------------------------------------------------------------------------
 
-/// SHE-BF under the membership harness.
-#[derive(Debug)]
-pub struct SheBfAdapter(pub SheBloomFilter);
-
-impl SheBfAdapter {
-    /// Paper §7.1 settings: 8 hash functions, α from Eq. 2.
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(
-            SheBloomFilter::builder()
-                .window(window)
-                .memory_bytes(bytes)
-                .hash_functions(8)
-                .seed(seed)
-                .build(),
-        )
-    }
-}
-
-impl MemberSketch for SheBfAdapter {
+impl MemberSketch for SheBloomFilter {
     fn name(&self) -> &'static str {
         "SHE-BF"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(&key);
+        Self::insert(self, &key);
     }
     fn query(&mut self, key: u64) -> bool {
-        self.0.contains(&key)
+        self.contains(&key)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// SWAMP's `ISMEMBER` under the membership harness.
-#[derive(Debug)]
-pub struct SwampMember(pub Swamp);
-
-impl SwampMember {
-    /// Budgeted SWAMP (fingerprint width from the memory budget).
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(Swamp::with_memory(window as usize, bytes, seed))
+/// The software version (continuous cleaning) of SHE-BF.
+impl MemberSketch for SoftClock<BloomSpec> {
+    fn name(&self) -> &'static str {
+        "SHE-BF-soft"
+    }
+    fn insert(&mut self, key: u64) {
+        Self::insert(self, &key);
+    }
+    fn query(&mut self, key: u64) -> bool {
+        self.contains_bf(&key)
+    }
+    fn memory_bits(&self) -> usize {
+        Self::memory_bits(self)
     }
 }
 
-impl MemberSketch for SwampMember {
+/// SWAMP's `ISMEMBER`.
+impl MemberSketch for Swamp {
     fn name(&self) -> &'static str {
         "SWAMP"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(key);
+        Self::insert(self, key);
     }
     fn query(&mut self, key: u64) -> bool {
-        self.0.contains(key)
+        self.contains(key)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// TOBF under the membership harness.
-#[derive(Debug)]
-pub struct TobfAdapter(pub TimeOutBloomFilter);
-
-impl TobfAdapter {
-    /// Budgeted TOBF (64-bit timestamps, 8 hashes like SHE-BF).
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(TimeOutBloomFilter::with_memory(bytes, 8, window, seed))
-    }
-}
-
-impl MemberSketch for TobfAdapter {
+impl MemberSketch for TimeOutBloomFilter {
     fn name(&self) -> &'static str {
         "TOBF"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(key);
+        Self::insert(self, key);
     }
     fn query(&mut self, key: u64) -> bool {
-        self.0.contains(key)
+        self.contains(key)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// TBF under the membership harness.
-#[derive(Debug)]
-pub struct TbfAdapter(pub TimingBloomFilter);
-
-impl TbfAdapter {
-    /// Budgeted TBF (paper settings: 18-bit counters, 8 hashes).
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(TimingBloomFilter::with_memory(bytes, 8, window, seed))
-    }
-}
-
-impl MemberSketch for TbfAdapter {
+impl MemberSketch for TimingBloomFilter {
     fn name(&self) -> &'static str {
         "TBF"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(key);
+        Self::insert(self, key);
     }
     fn query(&mut self, key: u64) -> bool {
-        self.0.contains(key)
+        self.contains(key)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
@@ -176,165 +144,95 @@ impl MemberSketch for IdealBloom {
 // Cardinality (Figs. 9a, 9b): SHE-BM, SHE-HLL, SWAMP, TSV, CVS, SHLL, Ideal.
 // ---------------------------------------------------------------------------
 
-/// SHE-BM under the cardinality harness.
-#[derive(Debug)]
-pub struct SheBmAdapter(pub SheBitmap);
-
-impl SheBmAdapter {
-    /// Paper defaults: α = 0.2, w = 64.
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(SheBitmap::builder().window(window).memory_bytes(bytes).seed(seed).build())
-    }
-}
-
-impl CardinalitySketch for SheBmAdapter {
+impl CardinalitySketch for SheBitmap {
     fn name(&self) -> &'static str {
         "SHE-BM"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(&key);
+        Self::insert(self, &key);
     }
     fn estimate(&mut self) -> f64 {
-        self.0.estimate()
+        Self::estimate(self)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// SHE-HLL under the cardinality harness.
-#[derive(Debug)]
-pub struct SheHllAdapter(pub SheHyperLogLog);
-
-impl SheHllAdapter {
-    /// Paper defaults: α = 0.2, w = 1, 5-bit registers.
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(SheHyperLogLog::builder().window(window).memory_bytes(bytes).seed(seed).build())
-    }
-}
-
-impl CardinalitySketch for SheHllAdapter {
+impl CardinalitySketch for SheHyperLogLog {
     fn name(&self) -> &'static str {
         "SHE-HLL"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(&key);
+        Self::insert(self, &key);
     }
     fn estimate(&mut self) -> f64 {
-        self.0.estimate()
+        Self::estimate(self)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// SWAMP's `DISTINCT` MLE under the cardinality harness.
-#[derive(Debug)]
-pub struct SwampCard(pub Swamp);
-
-impl SwampCard {
-    /// Budgeted SWAMP.
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(Swamp::with_memory(window as usize, bytes, seed))
-    }
-}
-
-impl CardinalitySketch for SwampCard {
+/// SWAMP's `DISTINCT` MLE.
+impl CardinalitySketch for Swamp {
     fn name(&self) -> &'static str {
         "SWAMP"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(key);
+        Self::insert(self, key);
     }
     fn estimate(&mut self) -> f64 {
-        self.0.distinct_mle()
+        self.distinct_mle()
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// TSV under the cardinality harness.
-#[derive(Debug)]
-pub struct TsvAdapter(pub TimestampVector);
-
-impl TsvAdapter {
-    /// Budgeted TSV (64-bit timestamps).
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(TimestampVector::with_memory(bytes, window, seed))
-    }
-}
-
-impl CardinalitySketch for TsvAdapter {
+impl CardinalitySketch for TimestampVector {
     fn name(&self) -> &'static str {
         "TSV"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(key);
+        Self::insert(self, key);
     }
     fn estimate(&mut self) -> f64 {
-        self.0.estimate()
+        Self::estimate(self)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// CVS under the cardinality harness.
-#[derive(Debug)]
-pub struct CvsAdapter(pub CounterVectorSketch);
-
-impl CvsAdapter {
-    /// Budgeted CVS (counter ceiling 10 per §7.1).
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(CounterVectorSketch::with_memory(bytes, 10, window, seed as u64))
-    }
-}
-
-impl CardinalitySketch for CvsAdapter {
+impl CardinalitySketch for CounterVectorSketch {
     fn name(&self) -> &'static str {
         "CVS"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(key);
+        Self::insert(self, key);
     }
     fn estimate(&mut self) -> f64 {
-        self.0.estimate()
+        Self::estimate(self)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// SHLL under the cardinality harness.
-///
-/// SHLL's memory is input-dependent; `sized` provisions registers assuming
-/// the paper's observation of a few LPFM records per register
-/// (`bytes / (3 · 69 bits)` registers), and `memory_bits` reports the live
-/// usage.
-#[derive(Debug)]
-pub struct ShllAdapter(pub SlidingHyperLogLog);
-
-impl ShllAdapter {
-    /// Budgeted SHLL.
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        let m = ((bytes * 8) / (3 * 69)).max(16);
-        Self(SlidingHyperLogLog::new(m, window, seed))
-    }
-}
-
-impl CardinalitySketch for ShllAdapter {
+/// SHLL; `memory_bits` is its live, input-dependent usage.
+impl CardinalitySketch for SlidingHyperLogLog {
     fn name(&self) -> &'static str {
         "SHLL"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(key);
+        Self::insert(self, key);
     }
     fn estimate(&mut self) -> f64 {
-        self.0.estimate()
+        Self::estimate(self)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
@@ -407,119 +305,70 @@ impl CardinalitySketch for IdealHll {
 }
 
 // ---------------------------------------------------------------------------
-// Frequency (Fig. 9c): SHE-CM, SWAMP, ECM, Ideal.
+// Frequency (Fig. 9c): SHE-CM, SHE-CS, SWAMP, ECM, Ideal.
 // ---------------------------------------------------------------------------
 
-/// SHE-CM under the frequency harness.
-#[derive(Debug)]
-pub struct SheCmAdapter(pub SheCountMin);
-
-impl SheCmAdapter {
-    /// Paper defaults: k = 8 hashes, α = 1.
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(SheCountMin::builder().window(window).memory_bytes(bytes).seed(seed).build())
-    }
-}
-
-impl FrequencySketch for SheCmAdapter {
+impl FrequencySketch for SheCountMin {
     fn name(&self) -> &'static str {
         "SHE-CM"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(&key);
+        Self::insert(self, &key);
     }
     fn query(&mut self, key: u64) -> u64 {
-        self.0.query(&key)
+        Self::query(self, &key)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// SHE-CS (sliding count sketch) under the frequency harness.
-///
-/// Negative estimates (count sketch has two-sided error) clamp to zero for
-/// the ARE metric, as is standard when the true frequencies are counts.
-#[derive(Debug)]
-pub struct SheCsAdapter(pub she_core::SheCountSketch);
-
-impl SheCsAdapter {
-    /// Defaults: 5 hash pairs, α = 1, β = 0.9.
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(
-            she_core::SheCountSketch::builder()
-                .window(window)
-                .memory_bytes(bytes)
-                .seed(seed)
-                .build(),
-        )
-    }
-}
-
-impl FrequencySketch for SheCsAdapter {
+/// SHE-CS (sliding count sketch). Negative estimates (count sketch has
+/// two-sided error) clamp to zero for the ARE metric, as is standard when
+/// the true frequencies are counts.
+impl FrequencySketch for SheCountSketch {
     fn name(&self) -> &'static str {
         "SHE-CS"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(&key);
+        Self::insert(self, &key);
     }
     fn query(&mut self, key: u64) -> u64 {
-        self.0.query(&key).max(0) as u64
+        Self::query(self, &key).max(0) as u64
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// SWAMP's fingerprint-multiplicity frequency under the harness.
-#[derive(Debug)]
-pub struct SwampFreq(pub Swamp);
-
-impl SwampFreq {
-    /// Budgeted SWAMP.
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(Swamp::with_memory(window as usize, bytes, seed))
-    }
-}
-
-impl FrequencySketch for SwampFreq {
+/// SWAMP's fingerprint multiplicity.
+impl FrequencySketch for Swamp {
     fn name(&self) -> &'static str {
         "SWAMP"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(key);
+        Self::insert(self, key);
     }
     fn query(&mut self, key: u64) -> u64 {
-        self.0.frequency(key) as u64
+        self.frequency(key) as u64
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
-/// ECM under the frequency harness.
-#[derive(Debug)]
-pub struct EcmAdapter(pub EcmSketch);
-
-impl EcmAdapter {
-    /// Budgeted ECM (4 hash functions per §7.1, EH parameter 8).
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self(EcmSketch::with_memory(bytes, 4, 8, window, seed))
-    }
-}
-
-impl FrequencySketch for EcmAdapter {
+impl FrequencySketch for EcmSketch {
     fn name(&self) -> &'static str {
         "ECM"
     }
     fn insert(&mut self, key: u64) {
-        self.0.insert(key);
+        Self::insert(self, key);
     }
     fn query(&mut self, key: u64) -> u64 {
-        self.0.query(key)
+        Self::query(self, key)
     }
     fn memory_bits(&self) -> usize {
-        self.0.memory_bits()
+        Self::memory_bits(self)
     }
 }
 
@@ -563,71 +412,39 @@ impl FrequencySketch for IdealCm {
 }
 
 // ---------------------------------------------------------------------------
-// Similarity (Fig. 9e): SHE-MH, straw-man, Ideal.
+// Similarity (Fig. 9e): SHE-MH, straw-man, Ideal — each a pair of
+// signatures, one per stream.
 // ---------------------------------------------------------------------------
 
-/// SHE-MH pair under the similarity harness.
-#[derive(Debug)]
-pub struct SheMhAdapter {
-    a: SheMinHash,
-    b: SheMinHash,
-}
-
-impl SheMhAdapter {
-    /// Paper defaults: α = 0.2, w = 1; `bytes` covers both signatures.
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        let builder = SheMinHash::builder().window(window).memory_bytes(bytes / 2).seed(seed);
-        Self { a: builder.clone().build(), b: builder.build() }
-    }
-}
-
-impl SimilaritySketch for SheMhAdapter {
+impl SimilaritySketch for (SheMinHash, SheMinHash) {
     fn name(&self) -> &'static str {
         "SHE-MH"
     }
     fn insert_pair(&mut self, a: u64, b: u64) {
-        self.a.insert(&a);
-        self.b.insert(&b);
+        self.0.insert(&a);
+        self.1.insert(&b);
     }
     fn estimate(&mut self) -> f64 {
-        self.a.similarity(&mut self.b)
+        self.0.similarity(&mut self.1)
     }
     fn memory_bits(&self) -> usize {
-        self.a.memory_bits() + self.b.memory_bits()
+        self.0.memory_bits() + self.1.memory_bits()
     }
 }
 
-/// Straw-man MinHash pair under the similarity harness.
-#[derive(Debug)]
-pub struct StrawmanMhAdapter {
-    a: StrawmanMinHash,
-    b: StrawmanMinHash,
-}
-
-impl StrawmanMhAdapter {
-    /// `bytes` covers both signatures (each cell charges a 64-bit
-    /// timestamp, so the straw-man affords far fewer hash functions).
-    pub fn sized(window: u64, bytes: usize, seed: u32) -> Self {
-        Self {
-            a: StrawmanMinHash::with_memory(bytes / 2, window, seed),
-            b: StrawmanMinHash::with_memory(bytes / 2, window, seed),
-        }
-    }
-}
-
-impl SimilaritySketch for StrawmanMhAdapter {
+impl SimilaritySketch for (StrawmanMinHash, StrawmanMinHash) {
     fn name(&self) -> &'static str {
         "Straw"
     }
     fn insert_pair(&mut self, a: u64, b: u64) {
-        self.a.insert(a);
-        self.b.insert(b);
+        self.0.insert(a);
+        self.1.insert(b);
     }
     fn estimate(&mut self) -> f64 {
-        self.a.similarity(&self.b)
+        self.0.similarity(&self.1)
     }
     fn memory_bits(&self) -> usize {
-        self.a.memory_bits() + self.b.memory_bits()
+        self.0.memory_bits() + self.1.memory_bits()
     }
 }
 

@@ -38,6 +38,18 @@ line_table() {
 
 stage cargo build --release --offline --workspace
 stage line_table
+
+# `results/` holds what every seeded accuracy driver prints at
+# SHE_SCALE=1, and EXPERIMENTS.md quotes it: a change that moves one digit
+# of any figure or table fails here until the file is regenerated and the
+# move explained. fig10/fig11 print timings and are not compared.
+results_match() {
+    for bin in ablations_accuracy fig5_stability fig6_window fig7_alpha fig8_bf_params \
+        fig9_accuracy table2_resources table3_clock; do
+        SHE_SCALE=1 "target/release/$bin" | diff -u "results/$bin.txt" -
+    done
+}
+stage results_match
 stage cargo test -q --offline --workspace
 
 # SHE-MH's row-wise insert hashes lane-wise in a loop the compiler only
@@ -66,8 +78,9 @@ stage cargo test -q --offline --release -p she-cli
 # answers the way the benchmark expects (ladder/README.md).
 stage cargo test -q --offline --manifest-path ladder/Cargo.toml
 
-# `--all-targets`: `cargo test` never builds `she-bench/benches/`, so
-# without it a changed engine signature could break them unnoticed.
+# `--all-targets`: `cargo test` never builds `she-bench/benches/` (the
+# `ablations` suite), so without it a changed engine signature could break
+# it unnoticed.
 # `clippy.toml` bans a raw `std::sync::Mutex` here: every lock is a
 # `she_core::LeafMutex`, which panics on nested locking in debug builds.
 stage cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -19,16 +19,16 @@ fn membership_she_bf_dominates_at_scarce_memory() {
     let guard = 5 * WINDOW as usize;
     let bytes = 16 << 10;
 
-    let mut she = SheBfAdapter::sized(WINDOW, bytes, 1);
+    let mut she = sized::she_bf(WINDOW, bytes, 1);
     let she_fpr = membership_fpr(&mut she, &keys, guard, 3, 4_000).value;
 
-    let mut tobf = TobfAdapter::sized(WINDOW, bytes, 1);
+    let mut tobf = sized::tobf(WINDOW, bytes, 1);
     let tobf_fpr = membership_fpr(&mut tobf, &keys, guard, 3, 4_000).value;
 
-    let mut tbf = TbfAdapter::sized(WINDOW, bytes, 1);
+    let mut tbf = sized::tbf(WINDOW, bytes, 1);
     let tbf_fpr = membership_fpr(&mut tbf, &keys, guard, 3, 4_000).value;
 
-    let mut swamp = SwampMember::sized(WINDOW, bytes, 1);
+    let mut swamp = sized::swamp(WINDOW, bytes, 1);
     let swamp_fpr = membership_fpr(&mut swamp, &keys, guard, 3, 4_000).value;
 
     assert!(she_fpr < 0.05, "SHE-BF FPR {she_fpr}");
@@ -44,13 +44,13 @@ fn cardinality_she_bm_wins_small_memory() {
     let keys = caida(8 * WINDOW as usize, 2);
     let bytes = 256; // bytes! SHE-BM thrives, O(W)/timestamp structures can't.
 
-    let mut she = SheBmAdapter::sized(WINDOW, bytes, 2);
+    let mut she = sized::she_bm(WINDOW, bytes, 2);
     let she_re = cardinality_re(&mut she, &keys, WINDOW as usize, 3).value;
 
-    let mut swamp = SwampCard::sized(WINDOW, bytes, 2);
+    let mut swamp = sized::swamp(WINDOW, bytes, 2);
     let swamp_re = cardinality_re(&mut swamp, &keys, WINDOW as usize, 3).value;
 
-    let mut tsv = TsvAdapter::sized(WINDOW, bytes, 2);
+    let mut tsv = sized::tsv(WINDOW, bytes, 2);
     let tsv_re = cardinality_re(&mut tsv, &keys, WINDOW as usize, 3).value;
 
     assert!(she_re < 0.15, "SHE-BM RE {she_re}");
@@ -64,10 +64,10 @@ fn cardinality_she_hll_beats_shll() {
     let keys = caida(8 * WINDOW as usize, 3);
     let bytes = 512;
 
-    let mut she = SheHllAdapter::sized(WINDOW, bytes, 3);
+    let mut she = sized::she_hll(WINDOW, bytes, 3);
     let she_re = cardinality_re(&mut she, &keys, WINDOW as usize, 3).value;
 
-    let mut shll = ShllAdapter::sized(WINDOW, bytes, 3);
+    let mut shll = sized::shll(WINDOW, bytes, 3);
     let shll_re = cardinality_re(&mut shll, &keys, WINDOW as usize, 3).value;
 
     assert!(she_re < 0.25, "SHE-HLL RE {she_re}");
@@ -81,10 +81,10 @@ fn frequency_she_cm_wins_scarce_memory() {
     let keys = caida(8 * WINDOW as usize, 4);
     let bytes = 16 << 10;
 
-    let mut she = SheCmAdapter::sized(WINDOW, bytes, 4);
+    let mut she = sized::she_cm(WINDOW, bytes, 4);
     let she_are = frequency_are(&mut she, &keys, WINDOW as usize, 3, 300).value;
 
-    let mut ecm = EcmAdapter::sized(WINDOW, bytes, 4);
+    let mut ecm = sized::ecm(WINDOW, bytes, 4);
     let ecm_are = frequency_are(&mut ecm, &keys, WINDOW as usize, 3, 300).value;
 
     let mut ideal = IdealCm::sized(WINDOW, bytes, 4);
@@ -111,10 +111,10 @@ fn similarity_she_mh_beats_strawman() {
         let mut gen = RelevantPair::new(WINDOW as usize, 0.5, seed);
         let pairs: Vec<(u64, u64)> = (0..8 * WINDOW as usize).map(|_| gen.next_pair()).collect();
 
-        let mut she = SheMhAdapter::sized(WINDOW, bytes, seed as u32);
+        let mut she = sized::she_mh(WINDOW, bytes, seed as u32);
         she_sum += similarity_re(&mut she, &pairs, WINDOW as usize, 8).value;
 
-        let mut straw = StrawmanMhAdapter::sized(WINDOW, bytes, seed as u32);
+        let mut straw = sized::strawman_mh(WINDOW, bytes, seed as u32);
         straw_sum += similarity_re(&mut straw, &pairs, WINDOW as usize, 8).value;
     }
     let she_re = she_sum / seeds as f64;
@@ -130,7 +130,7 @@ fn similarity_she_mh_beats_strawman() {
 fn ideal_is_a_lower_envelope() {
     let keys = caida(6 * WINDOW as usize, 6);
     let bytes = 2 << 10;
-    let mut she = SheBmAdapter::sized(WINDOW, bytes, 6);
+    let mut she = sized::she_bm(WINDOW, bytes, 6);
     let she_re = cardinality_re(&mut she, &keys, WINDOW as usize, 4).value;
     let mut ideal = IdealBitmap::sized(WINDOW, bytes, 6);
     let ideal_re = cardinality_re(&mut ideal, &keys, WINDOW as usize, 4).value;
