@@ -198,7 +198,13 @@ fn membership(a: &Args) -> Result<(), ArgError> {
     let keys = make_stream(&a.get("stream", "distinct"), seed)?.take_vec(items);
 
     let mut bf = sized::she_bf(window, memory, seed as u32);
-    if let Some(alpha) = a.get_f64("alpha", -1.0).ok().filter(|&v| v > 0.0) {
+    // No `--alpha` means Eq. 2's α; a given one must parse and be positive.
+    if a.has("alpha") {
+        let alpha = a.get_f64("alpha", 0.0)?;
+        if !(alpha.is_finite() && alpha > 0.0) {
+            let raw = a.get("alpha", "");
+            return Err(ArgError(format!("--alpha: must be a positive number, got '{raw}'")));
+        }
         bf = she_core::SheBloomFilter::builder()
             .window(window)
             .memory_bytes(memory)

@@ -116,6 +116,27 @@ fn battery(command: &str, addr: &str) -> String {
     lines + &she_ok(&format!("{command} --addr {addr} --op sim"))
 }
 
+/// `she membership --alpha`: a malformed or non-positive α is refused
+/// with a non-zero exit instead of silently falling back to Eq. 2's α,
+/// and a valid one still prints exactly what it printed before the flag
+/// was checked.
+#[test]
+fn membership_alpha_must_parse_and_be_positive() {
+    let run = "membership --window 4096 --memory 16k --items 40000 --probes 1000";
+    for (alpha, why) in [("abc", "bad float"), ("0", "positive"), ("-1", "positive")] {
+        let out = she(&format!("{run} --alpha {alpha}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "--alpha {alpha} was accepted");
+        assert!(stderr.contains(why), "--alpha {alpha}: {stderr}");
+    }
+    assert_eq!(
+        she_ok(&format!("{run} --alpha 2")),
+        "SHE-BF  window=4096 memory=16384B items=40000\n  \
+         FPR = 0.012500  (per-checkpoint: [0.011, 0.008, 0.019, 0.012])\n  \
+         memory used: 133152 bits\n"
+    );
+}
+
 const SIZING: &str = "--shards 4 --window 64k --memory 64k";
 
 /// `she checkpoint --dir D` → `she shutdown` → `she serve --restore D`

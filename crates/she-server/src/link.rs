@@ -6,9 +6,11 @@
 //! `QUERY_BATCH`, `QUERY_CARD`/`QUERY_SIM`) into that partition's link,
 //! and the peer answers a connection's frames in request order, so a FIFO
 //! of in-flight legs matches each answer to its leg. Every leg carries
-//! the [`Route`] a shard job would carry; its answer becomes an
-//! [`Answer`] and goes back through the reactor's one completion path,
-//! so partitions merge exactly like shards.
+//! the [`Route::Reads`] a shard's round job carries — an aggregate leg
+//! one read at position = partition index — and its answer becomes the
+//! [`Answer::Values`] a worker would post (an estimate as its `f64`
+//! bits), back through the reactor's one completion path, so partitions
+//! fill read sets and merge exactly like shards.
 //!
 //! This module is the link's sans-epoll state: framing (a [`Connection`]
 //! holds the queued legs as output and parses answers from input), the
@@ -35,6 +37,9 @@ pub(crate) struct Leg {
     pub(crate) route: Route,
     /// The partition the leg asks, for error messages.
     pub(crate) part: usize,
+    /// A `QUERY_CARD`/`QUERY_SIM` leg, answered `F64`; every other leg is
+    /// a per-key read, answered `Bool`, `U64` or `U64s`.
+    pub(crate) agg: bool,
     /// When the leg was queued, on the reactor's millisecond clock.
     pub(crate) sent_ms: u64,
 }
@@ -107,8 +112,9 @@ impl Link {
             };
             let resp = Response::decode(&payload).map_err(|e| format!("bad answer: {e}"))?;
             let leg = self.legs.pop_front().ok_or("answer with no leg in flight")?;
+            let answer = leg_answer(resp, leg.part, leg.agg);
             // audit:allow(growth): at most one completion per leg in flight
-            done.push(Completion { route: leg.route, answer: leg_answer(resp, leg.part) });
+            done.push(Completion { route: leg.route, answer });
         }
     }
 
@@ -134,16 +140,17 @@ impl Link {
     }
 }
 
-/// A leg's answer as the reactor's merge path takes it: per-key values
-/// fill a read set by position, an estimate fills a gather part. A peer's
-/// `OVERLOADED` passes through, so the client retries it like any shed
-/// read; an `ERR` or a reply of the wrong kind fails the request.
-fn leg_answer(resp: Response, part: usize) -> Answer {
+/// A leg's answer as the reactor's read path takes it: values that fill
+/// the leg's read set by position — an aggregate leg's estimate as its
+/// `f64` bits. A peer's `OVERLOADED` passes through, so the client
+/// retries it like any shed read; an `ERR` or a reply of the wrong kind
+/// for the leg (`agg`) fails the request.
+fn leg_answer(resp: Response, part: usize, agg: bool) -> Answer {
     match resp {
-        Response::Bool(b) => Answer::Values(vec![u64::from(b)]),
-        Response::U64(v) => Answer::Values(vec![v]),
-        Response::U64s(values) => Answer::Values(values),
-        Response::F64(v) => Answer::F64(v),
+        Response::Bool(b) if !agg => Answer::Values(vec![u64::from(b)]),
+        Response::U64(v) if !agg => Answer::Values(vec![v]),
+        Response::U64s(values) if !agg => Answer::Values(values),
+        Response::F64(v) if agg => Answer::Values(vec![v.to_bits()]),
         resp @ Response::Overloaded { .. } => Answer::Resp(resp),
         Response::Err(m) => Answer::Resp(Response::Err(format!("partition {part}: {m}"))),
         other => Answer::Resp(Response::Err(format!("partition {part}: unexpected {other:?}"))),
@@ -189,9 +196,9 @@ mod tests {
     use crate::cluster::NodeRef;
     use crate::worker::ReadShare;
 
-    fn leg(part: usize, sent_ms: u64) -> Leg {
+    fn leg(part: usize, agg: bool, sent_ms: u64) -> Leg {
         let share = ReadShare { slot: 0, gen: 0, token: 1, len: 1 };
-        Leg { route: Route::Reads { shares: vec![share], pos: vec![0] }, part, sent_ms }
+        Leg { route: Route::Reads { shares: vec![share], pos: vec![0] }, part, agg, sent_ms }
     }
 
     fn map_naming(addr: &str) -> ClusterMap {
@@ -211,8 +218,8 @@ mod tests {
     fn sweep_expires_on_the_oldest_leg_and_retires_unnamed_idle_links() {
         let map = map_naming("127.0.0.1:1");
         let mut link = Link::new("127.0.0.1:1", 0);
-        link.queue(&Request::QueryCard, leg(0, 1_000));
-        link.queue(&Request::QueryCard, leg(0, 5_000));
+        link.queue(&Request::QueryCard, leg(0, true, 1_000));
+        link.queue(&Request::QueryCard, leg(0, true, 5_000));
         assert_eq!(link.sweep(10_999, 10_000, Some(&map)), LinkSweep::Keep);
         assert_eq!(link.sweep(11_000, 10_000, Some(&map)), LinkSweep::Expire);
         assert_eq!(link.sweep(11_000, 10_000, None), LinkSweep::Expire, "legs outrank the map");
@@ -228,9 +235,9 @@ mod tests {
     #[test]
     fn answers_pair_with_legs_in_order() {
         let mut link = Link::new("127.0.0.1:1", 0);
-        link.queue(&Request::QueryMember { key: 1 }, leg(0, 0));
-        link.queue(&Request::QueryCard, leg(1, 0));
-        link.queue(&Request::QueryFreq { key: 2 }, leg(2, 0));
+        link.queue(&Request::QueryMember { key: 1 }, leg(0, false, 0));
+        link.queue(&Request::QueryCard, leg(1, true, 0));
+        link.queue(&Request::QueryFreq { key: 2 }, leg(2, false, 0));
         let mut bytes = frame(&Response::Bool(true));
         bytes.extend(frame(&Response::Err("boom".to_string())));
         bytes.extend(frame(&Response::U64(7)));
@@ -253,15 +260,24 @@ mod tests {
         assert!(link.answers(&frame(&Response::U64(9)), 2).is_err(), "no leg in flight");
     }
 
+    /// An aggregate leg's estimate becomes its bits, a read set's one
+    /// value; a reply of the wrong kind for its leg fails the request.
     #[test]
     fn overloaded_passes_through_and_odd_replies_fail() {
         let hint = Response::Overloaded { retry_after_ms: 3 };
-        assert_eq!(leg_answer(hint.clone(), 0), Answer::Resp(hint));
-        assert_eq!(leg_answer(Response::U64s(vec![4, 5]), 0), Answer::Values(vec![4, 5]));
-        assert_eq!(leg_answer(Response::F64(0.5), 0), Answer::F64(0.5));
-        assert!(matches!(
-            leg_answer(Response::Ok { accepted: 1 }, 2),
-            Answer::Resp(Response::Err(m)) if m.starts_with("partition 2:")
-        ));
+        assert_eq!(leg_answer(hint.clone(), 0, true), Answer::Resp(hint));
+        assert_eq!(leg_answer(Response::U64s(vec![4, 5]), 0, false), Answer::Values(vec![4, 5]));
+        assert_eq!(leg_answer(Response::F64(0.5), 0, true), Answer::Values(vec![0.5f64.to_bits()]));
+        for (odd, agg) in [
+            (Response::Ok { accepted: 1 }, false),
+            (Response::F64(0.5), false),
+            (Response::U64(7), true),
+            (Response::Bool(true), true),
+        ] {
+            assert!(matches!(
+                leg_answer(odd, 2, agg),
+                Answer::Resp(Response::Err(m)) if m.starts_with("partition 2:")
+            ));
+        }
     }
 }

@@ -7,19 +7,20 @@
 //! * **inline** — inserts (admission control is `try_send`-first, so the
 //!   reactor never waits behind an un-admitted write), HELLO, cluster map
 //!   ops, SHUTDOWN;
-//! * **native** — per-key reads (pipelined `QUERY_MEMBER`/`QUERY_FREQ`
-//!   runs and `QUERY_BATCH` keys) join the round's per-shard
-//!   accumulator, and `QUERY_CARD`/`QUERY_SIM` fan out to every shard;
-//!   the worker posts a [`Completion`] and wakes the reactor, which
-//!   scatters read values back by position and sums aggregate parts in
-//!   [`finish_gather`] — the server's only merge rule;
+//! * **native** — every read joins the round's per-shard accumulator:
+//!   pipelined `QUERY_MEMBER`/`QUERY_FREQ` runs and `QUERY_BATCH` keys
+//!   one read per key on the key's shard, `QUERY_CARD`/`QUERY_SIM` one
+//!   read per shard at position = shard index. The worker posts a
+//!   [`Completion`] and wakes the reactor, which scatters values back by
+//!   position; an aggregate's parts are folded by [`merge_parts`] — the
+//!   server's only merge rule;
 //! * **peer-link gathers** — `CLUSTER_QUERY`/`CLUSTER_QUERY_BATCH` write
 //!   one leg frame per partition involved into that partition's
 //!   persistent [`Link`], and read the answers back in order on this same
 //!   loop; each leg carries the [`Route`] a shard job carries, so its
-//!   answer fills the same read set or gather and partitions merge
-//!   exactly like shards. A link is dialed on a one-shot thread, never
-//!   here; legs queue in its output meanwhile;
+//!   answer fills the same read set and partitions merge exactly like
+//!   shards. A link is dialed on a one-shot thread, never here; legs
+//!   queue in its output meanwhile;
 //! * **offloaded** — snapshots, stats, restores and bootstrap cuts run on
 //!   a small offload pool so their blocking rendezvous never stalls the
 //!   event loop;
@@ -30,8 +31,9 @@
 //! parsing pauses while an answer is in flight — which preserves the
 //! thread-per-connection tier's FIFO request/response order per
 //! connection. A read set is a maximal run of buffered single-key reads
-//! (at most `MAX_BATCH`; it stops at the first other frame) or the keys
-//! of one `QUERY_BATCH`. The event-loop **round** is the unit of shard
+//! (at most `MAX_BATCH`; it stops at the first other frame), the keys
+//! of one `QUERY_BATCH`, or one aggregate's per-shard parts. The
+//! event-loop **round** is the unit of shard
 //! work: every read set parsed while pumping the round's connections
 //! lands in one per-shard accumulator, and the end of the round sends
 //! **one job per shard** that has reads ([`Job::Reads`]). The job carries
@@ -48,9 +50,9 @@
 //! was freed and reused are recognized as stale and dropped. Peer links
 //! take tokens `LINK_TAG | index`; connection indices stay below
 //! `LINK_TAG`, so the two never meet. The same
-//! goes for a per-connection *request* token: a shed gather or read set
-//! leaves already-enqueued jobs behind, and their late completions must
-//! not be mistaken for the answer to a newer request.
+//! goes for a per-connection *request* token: a shed read set leaves
+//! already-enqueued jobs behind, and their late completions must not be
+//! mistaken for the answer to a newer request.
 
 use crate::cluster::{batch_op_check, cluster_op, ClusterMap};
 use crate::conn::{Connection, Event};
@@ -108,20 +110,18 @@ enum Pending {
     Idle,
     /// One answer outstanding (an offloaded op).
     Single,
-    /// A cardinality / similarity gather in flight.
-    Gather { parts: Vec<Option<Answer>>, remaining: usize, kind: GatherKind },
     /// A read set in this round's jobs or a cluster request's legs:
     /// `values[i]` arrives from the shard (or partition) owning read `i`;
     /// `remaining` counts the values still out.
     Reads { values: Vec<u64>, remaining: usize, set: ReadSet },
 }
 
-/// How a finished gather's parts merge into one response.
+/// How an aggregate's parts merge into one response ([`merge_parts`]).
 #[derive(Clone, Copy)]
 enum GatherKind {
-    /// Cardinality: sum the per-shard f64s in shard order.
+    /// Cardinality: sum the per-part f64s in part order.
     CardSum,
-    /// Similarity: sum in shard order, divide by shard count.
+    /// Similarity: sum in part order, divide by the part count.
     SimAvg,
 }
 
@@ -131,6 +131,9 @@ enum ReadSet {
     Run(Vec<u8>),
     /// One `QUERY_BATCH`: one `U64s` frame.
     Batch,
+    /// One `QUERY_CARD`/`QUERY_SIM` (or its cluster form): one `F64`
+    /// frame, value `i` being part `i`'s `f64` bits.
+    Agg(GatherKind),
 }
 
 impl ReadSet {
@@ -138,7 +141,7 @@ impl ReadSet {
     fn frames(&self) -> usize {
         match self {
             ReadSet::Run(ops) => ops.len(),
-            ReadSet::Batch => 1,
+            ReadSet::Batch | ReadSet::Agg(_) => 1,
         }
     }
 
@@ -156,12 +159,13 @@ impl ReadSet {
                 }
             }
             ReadSet::Batch => conn.push_response(&Response::U64s(values)),
+            ReadSet::Agg(kind) => conn.push_response(&Response::F64(merge_parts(kind, &values))),
         }
     }
 }
 
-/// One shard's reads gathered so far this round; the end of the round
-/// sends them as one [`Job::Reads`].
+/// One shard's reads gathered so far this round, aggregate parts
+/// included; the end of the round sends them as one [`Job::Reads`].
 #[derive(Default)]
 struct RoundPart {
     /// `(op, key)` in arrival order.
@@ -241,12 +245,7 @@ pub(crate) fn spawn_reactor(
                 while let Ok(job) = rx.recv() {
                     let resp = shared.handle(job.req);
                     let done = Completion {
-                        route: Route::Request {
-                            slot: job.slot,
-                            gen: job.gen,
-                            token: job.token,
-                            shard: 0,
-                        },
+                        route: Route::Request { slot: job.slot, gen: job.gen, token: job.token },
                         answer: Answer::Resp(resp),
                     };
                     if comp_tx.send(done).is_err() {
@@ -484,8 +483,8 @@ impl Reactor {
     /// The one completion path, for shard jobs and peer legs alike.
     fn apply_completion(&mut self, c: Completion) {
         match (c.route, c.answer) {
-            (Route::Request { slot, gen, token, shard }, answer) => {
-                self.answer_request(slot, gen, token, shard, answer);
+            (Route::Request { slot, gen, token }, answer) => {
+                self.answer_request(slot, gen, token, answer);
             }
             (Route::Reads { shares, pos }, Answer::Values(values)) if values.len() == pos.len() => {
                 self.deliver_reads(&shares, &pos, &values);
@@ -504,34 +503,16 @@ impl Reactor {
         }
     }
 
-    fn answer_request(&mut self, slot: u32, gen: u32, token: u64, shard: usize, answer: Answer) {
+    /// An offloaded request's answer.
+    fn answer_request(&mut self, slot: u32, gen: u32, token: u64, answer: Answer) {
         let Some(cs) = live_conn(&mut self.slots, slot, gen, token) else { return };
-        match (std::mem::replace(&mut cs.pending, Pending::Idle), answer) {
-            (Pending::Single, Answer::Resp(resp)) => cs.conn.push_response(&resp),
-            (Pending::Single, _) => cs.conn.push_response(&answer_mismatch()),
-            // A failed leg fails the whole gather; its other legs' answers
-            // then find the connection idle and die.
-            (Pending::Gather { .. }, Answer::Resp(resp)) => cs.conn.push_response(&resp),
-            (Pending::Gather { mut parts, mut remaining, kind }, answer) => {
-                if let Some(p) = parts.get_mut(shard) {
-                    if p.is_none() {
-                        *p = Some(answer);
-                        remaining -= 1;
-                    }
-                }
-                if remaining == 0 {
-                    cs.conn.push_response(&finish_gather(parts, kind));
-                } else {
-                    cs.pending = Pending::Gather { parts, remaining, kind };
-                    return;
-                }
-            }
-            // A shed gather's stragglers land here: the token still
-            // matches, but nothing of that shape is in flight any more.
-            (other, _) => {
-                cs.pending = other;
-                return;
-            }
+        if !matches!(cs.pending, Pending::Single) {
+            return;
+        }
+        cs.pending = Pending::Idle;
+        match answer {
+            Answer::Resp(resp) => cs.conn.push_response(&resp),
+            _ => cs.conn.push_response(&answer_mismatch()),
         }
         self.mark_dirty(slot);
     }
@@ -550,7 +531,7 @@ impl Reactor {
         let frames = match std::mem::replace(&mut cs.pending, Pending::Idle) {
             Pending::Idle => return, // already answered or failed
             Pending::Reads { set, .. } => set.frames(),
-            Pending::Single | Pending::Gather { .. } => 1,
+            Pending::Single => 1,
         };
         for _ in 0..frames {
             cs.conn.push_response(&resp(&self.shared));
@@ -664,8 +645,8 @@ impl Reactor {
         match req {
             Request::QueryMember { key } => self.read_run(cs, idx, gen, cluster_op::MEMBER, key),
             Request::QueryFreq { key } => self.read_run(cs, idx, gen, cluster_op::FREQ, key),
-            Request::QueryCard => self.native_all(cs, idx, gen, GatherKind::CardSum),
-            Request::QuerySim => self.native_all(cs, idx, gen, GatherKind::SimAvg),
+            Request::QueryCard => self.aggregate(cs, idx, gen, cluster_op::CARD),
+            Request::QuerySim => self.aggregate(cs, idx, gen, cluster_op::SIM),
             Request::QueryBatch { op, keys } => match batch_op_check(op) {
                 Err(resp) => cs.conn.push_response(&resp),
                 Ok(()) if keys.is_empty() => cs.conn.push_response(&Response::U64s(Vec::new())),
@@ -709,8 +690,15 @@ impl Reactor {
         self.add_reads(cs, idx, gen, reads.into_iter(), ReadSet::Run(ops));
     }
 
+    /// `QUERY_CARD`/`QUERY_SIM`: one read per shard, read `i` on shard `i`.
+    fn aggregate(&mut self, cs: &mut ConnState, idx: u32, gen: u32, op: u8) {
+        let reads = (0..self.round.len()).map(|_| (op, 0));
+        self.add_reads(cs, idx, gen, reads, ReadSet::Agg(gather_kind(op)));
+    }
+
     /// Put a read set's `(op, key)` reads into this round's per-shard
-    /// parts; the connection waits until every value is back.
+    /// parts; the connection waits until every value is back. A per-key
+    /// read goes to its key's shard, an aggregate's read `i` to shard `i`.
     fn add_reads(
         &mut self,
         cs: &mut ConnState,
@@ -722,7 +710,11 @@ impl Reactor {
         let n = reads.len();
         let token = cs.token;
         for (i, (op, key)) in reads.enumerate() {
-            let part = &mut self.round[self.shared.engine.shard_of(key)];
+            let shard = match op {
+                cluster_op::CARD | cluster_op::SIM => i,
+                _ => self.shared.engine.shard_of(key),
+            };
+            let part = &mut self.round[shard];
             // A set is added whole, so its reads on one shard are contiguous.
             match part.shares.last_mut() {
                 Some(last) if (last.slot, last.gen, last.token) == (idx, gen, token) => {
@@ -731,7 +723,7 @@ impl Reactor {
                 // audit:allow(growth): one share per connection per round, bounded by the live connection count
                 _ => part.shares.push(ReadShare { slot: idx, gen, token, len: 1 }),
             }
-            // audit:allow(growth): a round holds at most one read set per live connection, each at most MAX_BATCH reads; flushed every round
+            // audit:allow(growth): a round holds at most one read set per live connection, each at most MAX_BATCH reads (an aggregate: one per shard); flushed every round
             part.reads.push((op, key));
             // audit:allow(growth): as above
             part.pos.push(u32::try_from(i).unwrap_or(u32::MAX));
@@ -780,40 +772,6 @@ impl Reactor {
         }
     }
 
-    fn reactor_sink(&self, slot: u32, gen: u32, token: u64, shard: usize) -> QuerySink {
-        QuerySink::Reactor {
-            tx: self.comp_tx.clone(),
-            waker: Arc::clone(&self.shared.waker),
-            route: Route::Request { slot, gen, token, shard },
-        }
-    }
-
-    /// All-shard gather (cardinality / similarity). Any full queue sheds
-    /// the whole query; completions already in flight die on the token.
-    fn native_all(&mut self, cs: &mut ConnState, idx: u32, gen: u32, kind: GatherKind) {
-        let shards = self.shared.txs.len();
-        for shard in 0..shards {
-            let sink = self.reactor_sink(idx, gen, cs.token, shard);
-            let job = match kind {
-                GatherKind::CardSum => Job::Card { sink },
-                GatherKind::SimAvg => Job::Sim { sink },
-            };
-            match self.shared.txs[shard].try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    let resp = self.shared.shed();
-                    cs.conn.push_response(&resp);
-                    return;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    cs.conn.push_response(&shutting_down());
-                    return;
-                }
-            }
-        }
-        cs.pending = Pending::Gather { parts: vec![None; shards], remaining: shards, kind };
-    }
-
     /// The map a cluster request scatters over, or the `ERR` that answers
     /// it instead. The legs are plain `QUERY_*` requests (never a nested
     /// `CLUSTER_QUERY`), so coordinators cannot recurse.
@@ -827,45 +785,39 @@ impl Reactor {
     }
 
     /// `CLUSTER_QUERY`: member/freq is a one-read set answered by the
-    /// key's partition; card/sim is a gather with one part per partition,
-    /// summed in partition order by [`finish_gather`].
+    /// key's partition; card/sim is an aggregate read set with one read
+    /// per partition, at position = partition index, folded by
+    /// [`merge_parts`] exactly like a server's shards.
     fn cluster_query(&mut self, cs: &mut ConnState, idx: u32, gen: u32, op: u8, key: u64) {
         let map = match self.cluster_map() {
             Ok(map) => map,
             Err(resp) => return cs.conn.push_response(&resp),
         };
-        let token = cs.token;
-        match op {
-            cluster_op::MEMBER | cluster_op::FREQ => {
-                let part = map.partition_of(key);
-                let req = if op == cluster_op::MEMBER {
-                    Request::QueryMember { key }
-                } else {
-                    Request::QueryFreq { key }
-                };
-                let share = ReadShare { slot: idx, gen, token, len: 1 };
-                let route = Route::Reads { shares: vec![share], pos: vec![0] };
-                self.send_leg(&map, part, &req, route);
-                let set = ReadSet::Run(vec![op]);
-                cs.pending = Pending::Reads { values: vec![0], remaining: 1, set };
+        let (req, parts, set) = match op {
+            cluster_op::MEMBER => {
+                (Request::QueryMember { key }, vec![map.partition_of(key)], ReadSet::Run(vec![op]))
+            }
+            cluster_op::FREQ => {
+                (Request::QueryFreq { key }, vec![map.partition_of(key)], ReadSet::Run(vec![op]))
             }
             cluster_op::CARD | cluster_op::SIM => {
-                let (req, kind) = if op == cluster_op::CARD {
-                    (Request::QueryCard, GatherKind::CardSum)
-                } else {
-                    (Request::QuerySim, GatherKind::SimAvg)
-                };
-                let parts = map.partitions.len();
-                for part in 0..parts {
-                    let route = Route::Request { slot: idx, gen, token, shard: part };
-                    self.send_leg(&map, part, &req, route);
-                }
-                cs.pending = Pending::Gather { parts: vec![None; parts], remaining: parts, kind };
+                let req =
+                    if op == cluster_op::CARD { Request::QueryCard } else { Request::QuerySim };
+                (req, (0..map.partitions.len()).collect(), ReadSet::Agg(gather_kind(op)))
             }
             other => {
-                cs.conn.push_response(&Response::Err(format!("unknown cluster query op {other}")))
+                let resp = Response::Err(format!("unknown cluster query op {other}"));
+                return cs.conn.push_response(&resp);
             }
+        };
+        let token = cs.token;
+        for (at, &part) in parts.iter().enumerate() {
+            let share = ReadShare { slot: idx, gen, token, len: 1 };
+            let pos = vec![u32::try_from(at).unwrap_or(u32::MAX)];
+            self.send_leg(&map, part, &req, Route::Reads { shares: vec![share], pos });
         }
+        let n = parts.len();
+        cs.pending = Pending::Reads { values: vec![0; n], remaining: n, set };
     }
 
     /// `CLUSTER_QUERY_BATCH`: one `QUERY_BATCH` leg per partition holding
@@ -914,7 +866,8 @@ impl Reactor {
             Some(at) => at,
             None => self.open_link(addr),
         };
-        let leg = Leg { route, part, sent_ms: self.now_ms() };
+        let agg = matches!(req, Request::QueryCard | Request::QuerySim);
+        let leg = Leg { route, part, agg, sent_ms: self.now_ms() };
         if let Some(Some(link)) = self.links.get_mut(at) {
             link.queue(req, leg);
         }
@@ -1254,22 +1207,28 @@ fn live_conn(slots: &mut [Slot], slot: u32, gen: u32, token: u64) -> Option<&mut
     slot.conn.as_mut().filter(|cs| cs.token == token) // else a superseded request
 }
 
-/// The merge rule for every multi-part aggregate the server gives, over a
-/// server's shards and a cluster's partitions alike. Cardinality is the
-/// sum of the per-part estimates and similarity their mean, both
-/// accumulated in part index order from `0.0` — f64 addition is not
-/// associative, so the fixed order is what makes the answer equal bit for
-/// bit to [`DirectEngine`](she_core::sharded::DirectEngine)'s.
-fn finish_gather(parts: Vec<Option<Answer>>, kind: GatherKind) -> Response {
-    let n = parts.len() as f64;
-    let mut sum = 0.0f64;
-    for a in parts.into_iter().flatten() {
-        match a {
-            Answer::F64(v) => sum += v,
-            _ => return answer_mismatch(),
-        }
+/// The aggregate an op byte asks for (`cluster_op::CARD` or `SIM`).
+fn gather_kind(op: u8) -> GatherKind {
+    if op == cluster_op::SIM {
+        GatherKind::SimAvg
+    } else {
+        GatherKind::CardSum
     }
-    Response::F64(if matches!(kind, GatherKind::SimAvg) { sum / n } else { sum })
+}
+
+/// The merge rule for every multi-part aggregate the server gives, over a
+/// server's shards and a cluster's partitions alike: `parts[i]` holds part
+/// `i`'s `f64` bits. Cardinality is the sum of the per-part estimates and
+/// similarity their mean, both accumulated in part index order from `0.0`
+/// — f64 addition is not associative, so the fixed order is what makes
+/// the answer equal bit for bit to
+/// [`DirectEngine`](she_core::sharded::DirectEngine)'s.
+fn merge_parts(kind: GatherKind, parts: &[u64]) -> f64 {
+    let sum = parts.iter().fold(0.0f64, |sum, &bits| sum + f64::from_bits(bits));
+    match kind {
+        GatherKind::CardSum => sum,
+        GatherKind::SimAvg => sum / parts.len() as f64,
+    }
 }
 
 /// Refuse an over-cap connection: one best-effort `OVERLOADED` frame on
@@ -1289,4 +1248,31 @@ fn refuse(stream: TcpStream, retry_after_ms: u32) {
     frame.extend_from_slice(&payload);
     let mut stream = stream;
     let _ = stream.write(&frame);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parts whose sum depends on the order it is taken in: the answer is
+    /// the left-to-right fold from `0.0` (a pairwise sum would give 2.0),
+    /// and similarity divides it by the part count.
+    #[test]
+    fn aggregate_parts_fold_in_index_order() {
+        let parts = [1e16, 1.0, -1e16, 1.0];
+        let bits: Vec<u64> = parts.iter().map(|v: &f64| v.to_bits()).collect();
+        let fold = parts.iter().fold(0.0f64, |sum, &v| sum + v);
+        assert_eq!(fold, 1.0);
+        assert_ne!((parts[0] + parts[2]) + (parts[1] + parts[3]), fold, "order matters here");
+        assert_eq!(merge_parts(GatherKind::CardSum, &bits).to_bits(), fold.to_bits());
+        assert_eq!(merge_parts(GatherKind::SimAvg, &bits).to_bits(), (fold / 4.0).to_bits());
+
+        // The read set answers one `F64` frame with that value.
+        let mut conn = Connection::new();
+        assert_eq!(ReadSet::Agg(GatherKind::SimAvg).frames(), 1);
+        ReadSet::Agg(GatherKind::SimAvg).respond(&mut conn, bits);
+        let out: Vec<u8> = conn.out_slices().flatten().copied().collect();
+        let resp = Response::decode(&out[4..]).expect("one frame");
+        assert!(matches!(resp, Response::F64(v) if v.to_bits() == 0.25f64.to_bits()), "{resp:?}");
+    }
 }

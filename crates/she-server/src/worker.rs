@@ -30,10 +30,9 @@ pub const DRAIN_BATCH: usize = 64;
 pub enum Answer {
     /// Membership of one key ([`Job::Member`]).
     Bool(bool),
-    /// Cardinality / similarity contribution.
-    F64(f64),
-    /// A [`Job::Reads`]: one value per key, in the job's key order —
-    /// membership as 0/1, frequency as the count.
+    /// A [`Job::Reads`]: one value per read, in the job's order —
+    /// membership as 0/1, frequency as the count, an aggregate as the
+    /// bits of this shard's `f64` part.
     Values(Vec<u64>),
     /// A full response computed off the reactor (offloaded ops).
     Resp(Response),
@@ -58,13 +57,14 @@ pub struct ReadShare {
 /// table that a dropped job could leak.
 #[derive(Debug, Clone)]
 pub enum Route {
-    /// One request: `slot`/`gen` name the connection, `token` the request
-    /// (a connection's dispatch counter — a stale completion whose token
-    /// no longer matches is dropped), `shard` indexes multi-shard gathers.
-    Request { slot: u32, gen: u32, token: u64, shard: usize },
+    /// One offloaded request: `slot`/`gen` name the connection, `token`
+    /// the request (a connection's dispatch counter — a stale completion
+    /// whose token no longer matches is dropped).
+    Request { slot: u32, gen: u32, token: u64 },
     /// One shard's reads of a reactor round: `shares` split the job's
-    /// keys among connections in order, and `pos[i]` is key `i`'s
-    /// position in its connection's read set.
+    /// reads among connections in order, and `pos[i]` is read `i`'s
+    /// position in its connection's read set (for an aggregate, the
+    /// shard's — or the partition's — index).
     Reads { shares: Vec<ReadShare>, pos: Vec<u32> },
 }
 
@@ -122,15 +122,14 @@ pub enum Job {
     /// reactor sends [`Job::Reads`]; this one-key form is for callers
     /// that drive a worker directly.
     Member { key: u64, sink: QuerySink },
-    /// This shard's cardinality contribution (answers [`Answer::F64`]).
-    Card { sink: QuerySink },
-    /// This shard's A/B Jaccard estimate (answers [`Answer::F64`]).
-    Sim { sink: QuerySink },
-    /// Every per-key read one reactor round has for this shard — runs of
-    /// pipelined `QUERY_MEMBER`/`QUERY_FREQ` and `QUERY_BATCH` keys, from
-    /// any number of connections: `(op, key)` pairs, `op` being
-    /// `cluster_op::{MEMBER, FREQ}`, read in order (answers
-    /// [`Answer::Values`]).
+    /// Every read one reactor round has for this shard — runs of
+    /// pipelined `QUERY_MEMBER`/`QUERY_FREQ`, `QUERY_BATCH` keys and
+    /// `QUERY_CARD`/`QUERY_SIM` parts, from any number of connections:
+    /// `(op, key)` pairs, `op` being a [`cluster_op`], read in order
+    /// (answers [`Answer::Values`]). `CARD`/`SIM` ignore the key and
+    /// answer the bits of [`ShardEngine::cardinality`] /
+    /// [`ShardEngine::similarity`]; every one asks the engine, so the
+    /// shard's query count moves exactly as a twin's does.
     Reads { reads: Vec<(u8, u64)>, sink: QuerySink },
     /// Counter snapshot.
     Stats { reply: SyncSender<ShardStats> },
@@ -203,17 +202,14 @@ fn apply(engine: &mut ShardEngine, job: Job) {
             }
         }
         Job::Member { key, sink } => sink.send(Answer::Bool(engine.member(key))),
-        Job::Card { sink } => sink.send(Answer::F64(engine.cardinality())),
-        Job::Sim { sink } => sink.send(Answer::F64(engine.similarity())),
         Job::Reads { reads, sink } => {
             let values = reads
                 .into_iter()
-                .map(|(op, k)| {
-                    if op == cluster_op::MEMBER {
-                        u64::from(engine.member(k))
-                    } else {
-                        engine.frequency(k)
-                    }
+                .map(|(op, k)| match op {
+                    cluster_op::MEMBER => u64::from(engine.member(k)),
+                    cluster_op::CARD => engine.cardinality().to_bits(),
+                    cluster_op::SIM => engine.similarity().to_bits(),
+                    _ => engine.frequency(k),
                 })
                 .collect();
             sink.send(Answer::Values(values));
@@ -282,10 +278,29 @@ mod tests {
             sink,
         };
         assert_eq!(ask(&reads), Answer::Values(vec![2, 1, 0]));
+
+        // Aggregates ride the same job, key ignored, answered in job order
+        // as the bits of the engine's own estimates.
+        queue.send(Job::Batch { stream: 1, keys: vec![9, 11] }).expect("worker alive");
+        let mut twin = ShardEngine::new(&cfg, 0);
+        for (stream, key) in [(0, 7), (0, 7), (0, 9), (1, 9), (1, 11)] {
+            twin.insert(stream, key);
+        }
+        let mixed = |sink| Job::Reads {
+            reads: vec![
+                (cluster_op::CARD, 0),
+                (cluster_op::MEMBER, 7),
+                (cluster_op::SIM, 99),
+                (cluster_op::FREQ, 9),
+            ],
+            sink,
+        };
+        let want = vec![twin.cardinality().to_bits(), 1, twin.similarity().to_bits(), 1];
+        assert_eq!(ask(&mixed), Answer::Values(want));
         assert_eq!(queue.depth(), 0, "every job was dequeued");
 
         drop(queue);
         let stats = worker.join().expect("worker thread");
-        assert_eq!(stats.inserts, 3);
+        assert_eq!(stats.inserts, 5);
     }
 }

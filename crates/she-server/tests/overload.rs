@@ -1,7 +1,8 @@
-//! Overload-degradation and connection-hygiene tests: reads shed with
-//! `OVERLOADED` when a shard queue is saturated, excess connections are
-//! refused at the door, and a client stalled mid-frame is evicted within
-//! the configured deadline instead of pinning a handler thread forever.
+//! Overload-degradation and connection-hygiene tests: reads — per-key
+//! and aggregate — shed with `OVERLOADED` when a shard queue is
+//! saturated, excess connections are refused at the door, and a client
+//! stalled mid-frame is evicted within the configured deadline instead of
+//! pinning a handler thread forever.
 
 use she_server::codec::{read_frame, write_frame};
 use she_server::protocol::{Request, Response};
@@ -132,6 +133,63 @@ fn saturated_queue_sheds_a_whole_read_set() {
         raw_call(&mut sock, &Request::QueryFreq { key: last }),
         Response::U64(twin.frequency(last))
     );
+
+    server.shutdown();
+    server.join();
+}
+
+/// Aggregates are shed by the same end-of-round rule: `QUERY_CARD`,
+/// `QUERY_SIM` and a `QUERY_FREQ` pipelined in one write behind a full
+/// queue get three `OVERLOADED` frames, in order, each counted once.
+/// After the drain both aggregates answer the twin's bits.
+#[test]
+fn saturated_queue_sheds_aggregates_like_reads() {
+    let engine = small_engine();
+    let server = Server::start(ServerConfig {
+        engine,
+        queue_capacity: 1,
+        retry_after_ms: 7,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut twin = DirectEngine::new(engine);
+
+    let big = wedge_worker(&mut sock);
+    let mut bytes = Vec::new();
+    for req in [Request::QueryCard, Request::QuerySim, Request::QueryFreq { key: 1 }] {
+        let payload = req.encode();
+        bytes.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        bytes.extend_from_slice(&payload);
+    }
+    sock.write_all(&bytes).unwrap();
+    for at in 0..3 {
+        let resp = Response::decode(&read_frame(&mut sock).unwrap().expect("a reply")).unwrap();
+        assert!(
+            matches!(resp, Response::Overloaded { retry_after_ms: 7 }),
+            "reply {at}: expected OVERLOADED, got {resp:?}"
+        );
+    }
+    assert_eq!(server.counters().snapshot().shed_reads, 3, "one count per shed frame");
+    twin.apply(0, &big);
+    twin.apply(0, &big);
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let card = loop {
+        match raw_call(&mut sock, &Request::QueryCard) {
+            Response::Overloaded { .. } if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Response::F64(v) => break v,
+            other => panic!("card after the drain: {other:?}"),
+        }
+    };
+    assert_eq!(card.to_bits(), twin.cardinality().to_bits());
+    let Response::F64(sim) = raw_call(&mut sock, &Request::QuerySim) else {
+        panic!("sim answers F64")
+    };
+    assert_eq!(sim.to_bits(), twin.similarity().to_bits());
 
     server.shutdown();
     server.join();

@@ -260,6 +260,84 @@ fn concurrent_pipelined_reads_match_the_twin() {
     server.join();
 }
 
+/// Four connections released together, each writing one batch that mixes
+/// both aggregates with pipelined per-key reads and a `QUERY_BATCH`, so
+/// several aggregates share a reactor round with other connections' reads.
+/// Every answer equals the twin's bit for bit; afterwards the per-shard
+/// counters (`queries` included) and the `SNAPSHOT_ALL` bytes equal those
+/// of a twin asked the same reads, so no aggregate was answered twice or
+/// from a memo.
+#[test]
+fn aggregates_sharing_a_round_match_the_twin() {
+    use she_server::cluster_op;
+    use she_server::protocol::Request;
+    use std::io::Write;
+    use std::sync::Barrier;
+
+    let engine = EngineConfig { window: 1 << 12, shards: 4, memory_bytes: 32 << 10, seed: 17 };
+    let server = start_server(engine);
+    let addr = server.local_addr();
+    let mut twin = DirectEngine::new(engine);
+    let mut warm = Client::connect(addr).unwrap();
+    for stream in [0u8, 1] {
+        let keys: Vec<u64> =
+            (0..3_000u64).map(|i| she_hash::mix64(i * 2 + u64::from(stream)) % 900).collect();
+        warm.insert_batch(stream, &keys).unwrap();
+        twin.apply(stream, &keys);
+    }
+
+    // Reads between two inserts commute, so the twin can answer in any
+    // order the reactor happens to pick.
+    let conns: Vec<Vec<(Request, Response)>> = (0..4u64)
+        .map(|c| {
+            let key = |i: u64| she_hash::mix64(c * 16 + i) % 1_000;
+            let batch: Vec<u64> = (8..14).map(key).collect();
+            let counts = batch.iter().map(|&k| twin.frequency(k)).collect();
+            vec![
+                (Request::QueryCard, Response::F64(twin.cardinality())),
+                (Request::QueryMember { key: key(0) }, Response::Bool(twin.member(key(0)))),
+                (Request::QueryFreq { key: key(1) }, Response::U64(twin.frequency(key(1)))),
+                (Request::QuerySim, Response::F64(twin.similarity())),
+                (Request::QueryBatch { op: cluster_op::FREQ, keys: batch }, Response::U64s(counts)),
+                (Request::QueryMember { key: key(2) }, Response::Bool(twin.member(key(2)))),
+                (Request::QueryCard, Response::F64(twin.cardinality())),
+            ]
+        })
+        .collect();
+    let barrier = Barrier::new(conns.len());
+    std::thread::scope(|scope| {
+        for (c, calls) in conns.iter().enumerate() {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                let mut sock = std::net::TcpStream::connect(addr).unwrap();
+                sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+                let mut bytes = Vec::new();
+                for (req, _) in calls {
+                    let f = req.encode();
+                    bytes.extend_from_slice(&u32::try_from(f.len()).unwrap().to_le_bytes());
+                    bytes.extend_from_slice(&f);
+                }
+                barrier.wait();
+                sock.write_all(&bytes).unwrap();
+                for (i, (req, want)) in calls.iter().enumerate() {
+                    let got = read_frame(&mut sock).unwrap().expect("a reply");
+                    match (Response::decode(&got).unwrap(), want) {
+                        (Response::F64(g), Response::F64(w)) => {
+                            assert_eq!(g.to_bits(), w.to_bits(), "connection {c}, {i}: {req:?}");
+                        }
+                        (got, want) => assert_eq!(&got, want, "connection {c}, {i}: {req:?}"),
+                    }
+                }
+            });
+        }
+    });
+
+    assert_eq!(warm.stats().unwrap(), twin.stats(), "per-shard inserts and queries");
+    assert!(warm.snapshot_all().unwrap() == twin.checkpoint(), "checkpoint bytes differ");
+    drop(warm);
+    server.join();
+}
+
 /// 1 023 connections held open at once — the feed subscription below is
 /// the 1 024th, the default cap — each insert through one reactor,
 /// interleaved by four threads. No keygen rerun could reproduce
