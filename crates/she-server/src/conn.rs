@@ -202,16 +202,18 @@ impl Connection {
 
     /// Queue one response frame for writing.
     pub fn push_response(&mut self, resp: &Response) {
-        self.push_payload(&resp.encode());
+        self.push_frame(|b| resp.encode_into(b));
     }
 
-    /// Queue one raw frame payload for writing (length prefix added).
-    pub fn push_payload(&mut self, payload: &[u8]) {
-        debug_assert!(payload.len() <= MAX_FRAME, "oversize response payload");
-        let mut framed = Vec::with_capacity(4 + payload.len());
-        // audit:allow(growth): one framed response, capped at MAX_FRAME by every Response encoder
-        framed.extend_from_slice(&u32::try_from(payload.len()).unwrap_or(u32::MAX).to_le_bytes());
-        framed.extend_from_slice(payload);
+    /// Queue one frame for writing: `encode` appends the payload straight
+    /// behind its length prefix, so a frame is built in one buffer.
+    pub(crate) fn push_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        let mut framed = Vec::with_capacity(4 + 16);
+        framed.resize(4, 0);
+        encode(&mut framed);
+        let len = framed.len() - 4;
+        debug_assert!(len <= MAX_FRAME, "oversize frame payload");
+        framed[..4].copy_from_slice(&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes());
         self.out_bytes += framed.len();
         // audit:allow(growth): callers hold one pending read set or request per connection (a round sends one job per shard), so the queue holds at most the responses to frames already buffered in `input`
         self.out.push_back(framed);

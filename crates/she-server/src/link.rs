@@ -2,10 +2,12 @@
 //!
 //! A coordinating reactor keeps one non-blocking TCP link per peer
 //! address. A `CLUSTER_QUERY`/`CLUSTER_QUERY_BATCH` writes one *leg*
-//! frame per partition it involves (`QUERY_MEMBER`/`QUERY_FREQ`,
-//! `QUERY_BATCH`, `QUERY_CARD`/`QUERY_SIM`) into that partition's link,
-//! and the peer answers a connection's frames in request order, so a FIFO
-//! of in-flight legs matches each answer to its leg. Every leg carries
+//! frame per partition it involves (`QUERY_MEMBER`/`QUERY_FREQ` for one
+//! key, `QUERY_BATCH` for several, `QUERY_CARD`/`QUERY_SIM`) into that
+//! partition's link, and the peer answers a connection's frames in
+//! request order, so a FIFO of in-flight legs matches each answer to its
+//! leg; the peer takes a link's buffered legs, of every kind, as one
+//! read set, one job per shard in one round. Every leg carries
 //! the [`Route::Reads`] a shard's round job carries — an aggregate leg
 //! one read at position = partition index — and its answer becomes the
 //! [`Answer::Values`] a worker would post (an estimate as its `f64`
@@ -92,8 +94,9 @@ impl Link {
 
     /// Queue one leg: its frame goes out with the round's other legs.
     pub(crate) fn queue(&mut self, req: &Request, leg: Leg) {
-        self.conn.push_payload(&req.encode());
-        // audit:allow(growth): each client connection holds one pending request with at most one leg per partition; legs leave on answer, failure or the sweep deadline
+        // audit:allow(growth): one request frame, capped at MAX_FRAME by its encoder
+        self.conn.push_frame(|b| b.extend_from_slice(&req.encode()));
+        // audit:allow(growth): each client connection holds one pending read set, and each leg carries at least one of its values, so a set puts at most MAX_BATCH values plus one frame's worth of legs in flight; legs leave on answer, failure or the sweep deadline (a failed set's other legs too)
         self.legs.push_back(leg);
     }
 

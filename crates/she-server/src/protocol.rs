@@ -528,6 +528,13 @@ impl Response {
     /// Encode into a frame payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(16);
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Append the frame payload to `b` — how a server frames a response
+    /// in place, behind its length prefix, with no second buffer.
+    pub(crate) fn encode_into(&self, b: &mut Vec<u8>) {
         // audit:allow(growth): frame encoder — payload capped at MAX_FRAME by the asserts above each variable-length variant
         match self {
             Response::Ok { accepted } => {
@@ -614,7 +621,7 @@ impl Response {
             }
             Response::ClusterMapReply(map) => {
                 b.push(opcode::CLUSTER_MAP_REPLY);
-                map.encode_into(&mut b);
+                map.encode_into(b);
             }
             Response::Err(msg) => {
                 b.push(opcode::ERR);
@@ -637,7 +644,6 @@ impl Response {
                 b.extend_from_slice(&retry_after_ms.to_le_bytes());
             }
         }
-        b
     }
 
     /// Decode from a frame payload.

@@ -7,19 +7,19 @@
 //! * **inline** — inserts (admission control is `try_send`-first, so the
 //!   reactor never waits behind an un-admitted write), HELLO, cluster map
 //!   ops, SHUTDOWN;
-//! * **native** — every read joins the round's per-shard accumulator:
-//!   pipelined `QUERY_MEMBER`/`QUERY_FREQ` runs and `QUERY_BATCH` keys
-//!   one read per key on the key's shard, `QUERY_CARD`/`QUERY_SIM` one
-//!   read per shard at position = shard index. The worker posts a
-//!   [`Completion`] and wakes the reactor, which scatters values back by
-//!   position; an aggregate's parts are folded by [`merge_parts`] — the
-//!   server's only merge rule;
-//! * **peer-link gathers** — `CLUSTER_QUERY`/`CLUSTER_QUERY_BATCH` write
-//!   one leg frame per partition involved into that partition's
-//!   persistent [`Link`], and read the answers back in order on this same
-//!   loop; each leg carries the [`Route`] a shard job carries, so its
-//!   answer fills the same read set and partitions merge exactly like
-//!   shards. A link is dialed on a one-shot thread, never here; legs
+//! * **native** — every local read joins the round's per-shard
+//!   accumulator: a `QUERY_MEMBER`/`QUERY_FREQ` or a `QUERY_BATCH` key
+//!   is one read on the key's shard, a `QUERY_CARD`/`QUERY_SIM` one read
+//!   per shard at shard index. The worker posts a [`Completion`] and
+//!   wakes the reactor, which scatters values back by position; an
+//!   aggregate's parts are folded by [`merge_parts`] — the server's only
+//!   merge rule;
+//! * **peer-link gathers** — a `CLUSTER_QUERY`/`CLUSTER_QUERY_BATCH`
+//!   writes one leg frame per partition involved into that partition's
+//!   persistent [`Link`], and reads the answers back in order on this
+//!   same loop; each leg carries the [`Route`] a shard job carries, so
+//!   its answer fills the same read set and partitions merge exactly
+//!   like shards. A link is dialed on a one-shot thread, never here; legs
 //!   queue in its output meanwhile;
 //! * **offloaded** — snapshots, stats, restores and bootstrap cuts run on
 //!   a small offload pool so their blocking rendezvous never stalls the
@@ -30,18 +30,22 @@
 //! Each connection holds **one pending read set or request** at a time —
 //! parsing pauses while an answer is in flight — which preserves the
 //! thread-per-connection tier's FIFO request/response order per
-//! connection. A read set is a maximal run of buffered single-key reads
-//! (at most `MAX_BATCH`; it stops at the first other frame), the keys
-//! of one `QUERY_BATCH`, or one aggregate's per-shard parts. The
+//! connection. A read set is a maximal run of buffered read frames of
+//! every kind, native and cluster, one [`Shape`] per frame over one
+//! values vector, answered frame by frame in request order. It stops at
+//! the first other frame (an insert, `QUERY_FAST`, an offloaded op, an
+//! undecodable or incomplete frame) and at `MAX_BATCH` values. The
 //! event-loop **round** is the unit of shard
 //! work: every read set parsed while pumping the round's connections
 //! lands in one per-shard accumulator, and the end of the round sends
 //! **one job per shard** that has reads ([`Job::Reads`]). The job carries
 //! its own delivery list ([`Route::Reads`]) back through the completion,
 //! so the reactor keeps no table a dropped job could leak. A full shard
-//! queue sheds every read set with a read in that job: one `OVERLOADED`
-//! per frame it covers. Frames behind a read set wait in the
-//! connection's input buffer.
+//! queue sheds every read set with a read in that job, and a failed leg
+//! fails every set it covers: one `OVERLOADED` (or the leg's `ERR`) per
+//! frame. Frames behind a read set wait in the connection's input
+//! buffer. A peer link is a connection to its peer like any other, so
+//! the legs queued on it in one round are one read set there.
 //!
 //! Sockets are registered edge-triggered (`EPOLLET`); the listener and
 //! the waker are level-triggered and fully drained on every wakeup.
@@ -110,57 +114,57 @@ enum Pending {
     Idle,
     /// One answer outstanding (an offloaded op).
     Single,
-    /// A read set in this round's jobs or a cluster request's legs:
-    /// `values[i]` arrives from the shard (or partition) owning read `i`;
-    /// `remaining` counts the values still out.
-    Reads { values: Vec<u64>, remaining: usize, set: ReadSet },
+    /// A read set in this round's jobs and legs: `values[i]` arrives from
+    /// the shard (or partition) owning read `i`; `remaining` counts the
+    /// values still out; `set` holds one shape per frame, in order.
+    Reads { values: Vec<u64>, remaining: usize, set: Vec<Shape> },
 }
 
-/// How an aggregate's parts merge into one response ([`merge_parts`]).
-#[derive(Clone, Copy)]
-enum GatherKind {
-    /// Cardinality: sum the per-part f64s in part order.
-    CardSum,
-    /// Similarity: sum in part order, divide by the part count.
-    SimAvg,
+/// One frame of a read set: how many of the set's values it takes, in
+/// frame order, and the one response they make.
+enum Shape {
+    /// `QUERY_MEMBER`/`QUERY_FREQ` or its cluster form, by op: one value,
+    /// a `Bool` or `U64` frame.
+    Point(u8),
+    /// A `QUERY_BATCH` of `n` keys or its cluster form: `n` values, one
+    /// `U64s` frame.
+    Batch(usize),
+    /// `QUERY_CARD`/`QUERY_SIM` or its cluster form, by op, over `n`
+    /// shards or partitions: value `i` is part `i`'s `f64` bits, folded
+    /// by [`merge_parts`] into one `F64` frame.
+    Agg(u8, usize),
+    /// A frame answered when it was parsed (a bad batch op, an empty
+    /// batch, no cluster map): no values.
+    Ready(Box<Response>),
 }
 
-/// The frames a pending read set answers.
-enum ReadSet {
-    /// A run of single-key reads: one `Bool`/`U64` frame per op, in order.
-    Run(Vec<u8>),
-    /// One `QUERY_BATCH`: one `U64s` frame.
-    Batch,
-    /// One `QUERY_CARD`/`QUERY_SIM` (or its cluster form): one `F64`
-    /// frame, value `i` being part `i`'s `f64` bits.
-    Agg(GatherKind),
-}
-
-impl ReadSet {
-    /// How many response frames the set answers.
-    fn frames(&self) -> usize {
+impl Shape {
+    /// How many of the set's values the frame takes.
+    fn len(&self) -> usize {
         match self {
-            ReadSet::Run(ops) => ops.len(),
-            ReadSet::Batch | ReadSet::Agg(_) => 1,
+            Shape::Point(_) => 1,
+            Shape::Batch(n) | Shape::Agg(_, n) => *n,
+            Shape::Ready(_) => 0,
         }
     }
+}
 
-    /// Queue the set's responses, in request order.
-    fn respond(self, conn: &mut Connection, values: Vec<u64>) {
-        match self {
-            ReadSet::Run(ops) => {
-                for (op, v) in ops.into_iter().zip(values) {
-                    let resp = if op == cluster_op::MEMBER {
-                        Response::Bool(v != 0)
-                    } else {
-                        Response::U64(v)
-                    };
-                    conn.push_response(&resp);
-                }
-            }
-            ReadSet::Batch => conn.push_response(&Response::U64s(values)),
-            ReadSet::Agg(kind) => conn.push_response(&Response::F64(merge_parts(kind, &values))),
-        }
+/// Queue a read set's responses in request order, each frame taking its
+/// values from the front of what the frames before it left.
+fn respond(set: Vec<Shape>, conn: &mut Connection, values: &[u64]) {
+    let mut rest = values;
+    for shape in set {
+        let (vals, tail) = rest.split_at(shape.len().min(rest.len()));
+        rest = tail;
+        let first = vals.first().copied().unwrap_or(0);
+        let resp = match shape {
+            Shape::Point(cluster_op::MEMBER) => Response::Bool(first != 0),
+            Shape::Point(_) => Response::U64(first),
+            Shape::Batch(_) => Response::U64s(vals.to_vec()),
+            Shape::Agg(op, _) => Response::F64(merge_parts(op, vals)),
+            Shape::Ready(resp) => *resp,
+        };
+        conn.push_response(&resp);
     }
 }
 
@@ -530,7 +534,7 @@ impl Reactor {
         let Some(cs) = live_conn(&mut self.slots, slot, gen, token) else { return };
         let frames = match std::mem::replace(&mut cs.pending, Pending::Idle) {
             Pending::Idle => return, // already answered or failed
-            Pending::Reads { set, .. } => set.frames(),
+            Pending::Reads { set, .. } => set.len(),
             Pending::Single => 1,
         };
         for _ in 0..frames {
@@ -564,7 +568,7 @@ impl Reactor {
             if let Pending::Reads { values, set, .. } =
                 std::mem::replace(&mut cs.pending, Pending::Idle)
             {
-                set.respond(&mut cs.conn, values);
+                respond(set, &mut cs.conn, &values);
             }
             self.mark_dirty(share.slot);
         }
@@ -598,7 +602,7 @@ impl Reactor {
                     slot.conn = Some(cs);
                 }
             }
-            Disp::Close => self.release(slot_i, cs),
+            Disp::Close => self.release(slot_i, &cs.stream),
             Disp::Detach { from_seq, node_id } => self.detach(slot_i, cs, from_seq, node_id),
         }
     }
@@ -643,20 +647,7 @@ impl Reactor {
     fn dispatch(&mut self, cs: &mut ConnState, idx: u32, gen: u32, req: Request) -> Ctl {
         cs.token = cs.token.wrapping_add(1);
         match req {
-            Request::QueryMember { key } => self.read_run(cs, idx, gen, cluster_op::MEMBER, key),
-            Request::QueryFreq { key } => self.read_run(cs, idx, gen, cluster_op::FREQ, key),
-            Request::QueryCard => self.aggregate(cs, idx, gen, cluster_op::CARD),
-            Request::QuerySim => self.aggregate(cs, idx, gen, cluster_op::SIM),
-            Request::QueryBatch { op, keys } => match batch_op_check(op) {
-                Err(resp) => cs.conn.push_response(&resp),
-                Ok(()) if keys.is_empty() => cs.conn.push_response(&Response::U64s(Vec::new())),
-                Ok(()) => {
-                    let reads = keys.iter().map(|&key| (op, key));
-                    self.add_reads(cs, idx, gen, reads, ReadSet::Batch);
-                }
-            },
-            Request::ClusterQuery { op, key } => self.cluster_query(cs, idx, gen, op, key),
-            Request::ClusterQueryBatch { op, keys } => self.cluster_batch(cs, idx, gen, op, &keys),
+            req if read_of(&req).is_some() => self.read_set(cs, idx, gen, req),
             Request::ReplSubscribe { from_seq, node_id } => {
                 return Ctl::Detach { from_seq, node_id }
             }
@@ -678,57 +669,137 @@ impl Reactor {
         Ctl::Continue
     }
 
-    /// A run of single-key reads: this one plus every point read buffered
-    /// right behind it, up to `MAX_BATCH`.
-    fn read_run(&mut self, cs: &mut ConnState, idx: u32, gen: u32, op: u8, key: u64) {
-        let mut reads = vec![(op, key)];
-        while reads.len() < MAX_BATCH {
-            let Some(req) = cs.conn.poll_if(|r| point_read(r).is_some()) else { break };
-            reads.extend(point_read(&req));
+    /// A read set: `first` plus every read frame buffered right behind
+    /// it, until the first other frame or `MAX_BATCH` values. Each
+    /// frame's values take the next positions of the set's one values
+    /// vector; the connection waits until every value is back, unless
+    /// every frame answered at once.
+    fn read_set(&mut self, cs: &mut ConnState, idx: u32, gen: u32, first: Request) {
+        let who = ReadShare { slot: idx, gen, token: cs.token, len: 0 };
+        let mut map = None;
+        let mut set = Vec::new();
+        let mut n = 0;
+        let mut next = Some(first);
+        while let Some(req) = next {
+            let shape = self.add_frame(&req, &who, n, &mut map);
+            n += shape.len();
+            // audit:allow(growth): one shape per frame of the set, which stops at MAX_BATCH frames
+            set.push(shape);
+            let more = n.max(set.len()) < MAX_BATCH;
+            next = more.then(|| cs.conn.poll_if(|r| read_of(r).is_some())).flatten();
         }
-        let ops = reads.iter().map(|&(op, _)| op).collect();
-        self.add_reads(cs, idx, gen, reads.into_iter(), ReadSet::Run(ops));
+        if n == 0 {
+            respond(set, &mut cs.conn, &[]);
+        } else {
+            cs.pending = Pending::Reads { values: vec![0; n], remaining: n, set };
+        }
     }
 
-    /// `QUERY_CARD`/`QUERY_SIM`: one read per shard, read `i` on shard `i`.
-    fn aggregate(&mut self, cs: &mut ConnState, idx: u32, gen: u32, op: u8) {
-        let reads = (0..self.round.len()).map(|_| (op, 0));
-        self.add_reads(cs, idx, gen, reads, ReadSet::Agg(gather_kind(op)));
-    }
-
-    /// Put a read set's `(op, key)` reads into this round's per-shard
-    /// parts; the connection waits until every value is back. A per-key
-    /// read goes to its key's shard, an aggregate's read `i` to shard `i`.
-    fn add_reads(
+    /// Place one read frame's reads at positions `at..` of the set `who`
+    /// names — a local read in its shard's part of this round, a cluster
+    /// read in a leg — and say how the frame answers. `map` is the
+    /// cluster map the set scatters over, looked up at its first cluster
+    /// frame.
+    fn add_frame(
         &mut self,
-        cs: &mut ConnState,
-        idx: u32,
-        gen: u32,
-        reads: impl ExactSizeIterator<Item = (u8, u64)>,
-        set: ReadSet,
-    ) {
-        let n = reads.len();
-        let token = cs.token;
-        for (i, (op, key)) in reads.enumerate() {
-            let shard = match op {
-                cluster_op::CARD | cluster_op::SIM => i,
-                _ => self.shared.engine.shard_of(key),
-            };
-            let part = &mut self.round[shard];
-            // A set is added whole, so its reads on one shard are contiguous.
-            match part.shares.last_mut() {
-                Some(last) if (last.slot, last.gen, last.token) == (idx, gen, token) => {
-                    last.len += 1
-                }
-                // audit:allow(growth): one share per connection per round, bounded by the live connection count
-                _ => part.shares.push(ReadShare { slot: idx, gen, token, len: 1 }),
-            }
-            // audit:allow(growth): a round holds at most one read set per live connection, each at most MAX_BATCH reads (an aggregate: one per shard); flushed every round
-            part.reads.push((op, key));
-            // audit:allow(growth): as above
-            part.pos.push(u32::try_from(i).unwrap_or(u32::MAX));
+        req: &Request,
+        who: &ReadShare,
+        at: usize,
+        map: &mut Option<Result<Arc<ClusterMap>, Box<Response>>>,
+    ) -> Shape {
+        let Some((cluster, batch, op, keys)) = read_of(req) else {
+            return Shape::Ready(Box::new(answer_mismatch()));
+        };
+        if let Some(Err(resp)) = batch.then(|| batch_op_check(op)) {
+            return Shape::Ready(resp);
         }
-        cs.pending = Pending::Reads { values: vec![0; n], remaining: n, set };
+        let map = match cluster.then(|| map.get_or_insert_with(|| self.cluster_map())) {
+            None => None,
+            Some(Ok(map)) => Some(&**map),
+            Some(Err(resp)) => return Shape::Ready(resp.clone()),
+        };
+        let shape = match op {
+            _ if batch && keys.is_empty() => {
+                return Shape::Ready(Box::new(Response::U64s(Vec::new())));
+            }
+            _ if batch => Shape::Batch(keys.len()),
+            cluster_op::MEMBER | cluster_op::FREQ => Shape::Point(op),
+            cluster_op::CARD | cluster_op::SIM => {
+                Shape::Agg(op, map.map_or(self.round.len(), |map| map.partitions.len()))
+            }
+            other => {
+                let resp = Response::Err(format!("unknown cluster query op {other}"));
+                return Shape::Ready(Box::new(resp));
+            }
+        };
+        match map {
+            Some(map) => self.add_legs(map, op, keys, who, at),
+            // An aggregate has no keys: its read `i` goes to shard `i`.
+            None => {
+                for i in 0..shape.len() {
+                    let (shard, key) =
+                        keys.get(i).map_or((i, 0), |&k| (self.shared.engine.shard_of(k), k));
+                    self.add_read(shard, (op, key), who, at + i);
+                }
+            }
+        }
+        shape
+    }
+
+    /// Put one read into `shard`'s part of this round at position `pos`
+    /// of the set `who` names.
+    fn add_read(&mut self, shard: usize, read: (u8, u64), who: &ReadShare, pos: usize) {
+        let part = &mut self.round[shard];
+        // A set is added whole, so its reads on one shard are contiguous.
+        match part.shares.last_mut() {
+            Some(last) if (last.slot, last.gen, last.token) == (who.slot, who.gen, who.token) => {
+                last.len += 1
+            }
+            // audit:allow(growth): one share per connection per round, bounded by the live connection count
+            _ => part.shares.push(ReadShare { len: 1, ..*who }),
+        }
+        // audit:allow(growth): a round holds at most one read set per live connection, each at most MAX_BATCH values plus one frame's; flushed every round
+        part.reads.push(read);
+        // audit:allow(growth): as above
+        part.pos.push(u32::try_from(pos).unwrap_or(u32::MAX));
+    }
+
+    /// A cluster frame's legs: an aggregate asks every partition, value
+    /// `i` from partition `i`; per-key reads ask each partition holding
+    /// keys once — its one key as `QUERY_MEMBER`/`QUERY_FREQ`, several as
+    /// a `QUERY_BATCH` — each value landing at its key's position.
+    fn add_legs(&mut self, map: &ClusterMap, op: u8, keys: &[u64], who: &ReadShare, at: usize) {
+        let route = |pos: Vec<u32>| {
+            let len = u32::try_from(pos.len()).unwrap_or(u32::MAX);
+            Route::Reads { shares: vec![ReadShare { len, ..*who }], pos }
+        };
+        let pos_of = |i: usize| u32::try_from(at + i).unwrap_or(u32::MAX);
+        // A batch op is member or freq, so these are aggregates.
+        if op == cluster_op::CARD || op == cluster_op::SIM {
+            let req = if op == cluster_op::CARD { Request::QueryCard } else { Request::QuerySim };
+            for part in 0..map.partitions.len() {
+                self.send_leg(map, part, &req, route(vec![pos_of(part)]));
+            }
+            return;
+        }
+        let mut per: Vec<(Vec<u64>, Vec<u32>)> =
+            vec![(Vec::new(), Vec::new()); map.partitions.len()];
+        for (i, &key) in keys.iter().enumerate() {
+            let (part_keys, pos) = &mut per[map.partition_of(key)];
+            // audit:allow(growth): per-partition split of one frame's keys, bounded by MAX_BATCH at decode
+            part_keys.push(key);
+            // audit:allow(growth): position index of the same bounded keys
+            pos.push(pos_of(i));
+        }
+        for (part, (part_keys, pos)) in per.into_iter().enumerate() {
+            let req = match part_keys[..] {
+                [] => continue,
+                [key] if op == cluster_op::MEMBER => Request::QueryMember { key },
+                [key] => Request::QueryFreq { key },
+                _ => Request::QueryBatch { op, keys: part_keys },
+            };
+            self.send_leg(map, part, &req, route(pos));
+        }
     }
 
     /// End of round: one [`Job::Reads`] per shard that has reads. A full
@@ -782,78 +853,6 @@ impl Reactor {
             return Err(Box::new(Response::Err("cluster map has no partitions".to_string())));
         }
         Ok(map)
-    }
-
-    /// `CLUSTER_QUERY`: member/freq is a one-read set answered by the
-    /// key's partition; card/sim is an aggregate read set with one read
-    /// per partition, at position = partition index, folded by
-    /// [`merge_parts`] exactly like a server's shards.
-    fn cluster_query(&mut self, cs: &mut ConnState, idx: u32, gen: u32, op: u8, key: u64) {
-        let map = match self.cluster_map() {
-            Ok(map) => map,
-            Err(resp) => return cs.conn.push_response(&resp),
-        };
-        let (req, parts, set) = match op {
-            cluster_op::MEMBER => {
-                (Request::QueryMember { key }, vec![map.partition_of(key)], ReadSet::Run(vec![op]))
-            }
-            cluster_op::FREQ => {
-                (Request::QueryFreq { key }, vec![map.partition_of(key)], ReadSet::Run(vec![op]))
-            }
-            cluster_op::CARD | cluster_op::SIM => {
-                let req =
-                    if op == cluster_op::CARD { Request::QueryCard } else { Request::QuerySim };
-                (req, (0..map.partitions.len()).collect(), ReadSet::Agg(gather_kind(op)))
-            }
-            other => {
-                let resp = Response::Err(format!("unknown cluster query op {other}"));
-                return cs.conn.push_response(&resp);
-            }
-        };
-        let token = cs.token;
-        for (at, &part) in parts.iter().enumerate() {
-            let share = ReadShare { slot: idx, gen, token, len: 1 };
-            let pos = vec![u32::try_from(at).unwrap_or(u32::MAX)];
-            self.send_leg(&map, part, &req, Route::Reads { shares: vec![share], pos });
-        }
-        let n = parts.len();
-        cs.pending = Pending::Reads { values: vec![0; n], remaining: n, set };
-    }
-
-    /// `CLUSTER_QUERY_BATCH`: one `QUERY_BATCH` leg per partition holding
-    /// keys; each leg's values land at their keys' request positions.
-    fn cluster_batch(&mut self, cs: &mut ConnState, idx: u32, gen: u32, op: u8, keys: &[u64]) {
-        if let Err(resp) = batch_op_check(op) {
-            return cs.conn.push_response(&resp);
-        }
-        let map = match self.cluster_map() {
-            Ok(map) => map,
-            Err(resp) => return cs.conn.push_response(&resp),
-        };
-        if keys.is_empty() {
-            return cs.conn.push_response(&Response::U64s(Vec::new()));
-        }
-        let mut per: Vec<(Vec<u64>, Vec<u32>)> =
-            vec![(Vec::new(), Vec::new()); map.partitions.len()];
-        for (i, &key) in keys.iter().enumerate() {
-            let (part_keys, pos) = &mut per[map.partition_of(key)];
-            // audit:allow(growth): per-partition split of one batch, total bounded by MAX_BATCH at decode
-            part_keys.push(key);
-            // audit:allow(growth): position index of the same bounded batch
-            pos.push(u32::try_from(i).unwrap_or(u32::MAX));
-        }
-        let token = cs.token;
-        for (part, (part_keys, pos)) in per.into_iter().enumerate() {
-            if part_keys.is_empty() {
-                continue;
-            }
-            let len = u32::try_from(pos.len()).unwrap_or(u32::MAX);
-            let route =
-                Route::Reads { shares: vec![ReadShare { slot: idx, gen, token, len }], pos };
-            self.send_leg(&map, part, &Request::QueryBatch { op, keys: part_keys }, route);
-        }
-        let n = keys.len();
-        cs.pending = Pending::Reads { values: vec![0; n], remaining: n, set: ReadSet::Batch };
     }
 
     /// Queue one leg on the link to `part`'s primary, opening the link
@@ -995,30 +994,24 @@ impl Reactor {
 
     // ---- lifecycle -----------------------------------------------------
 
-    /// Free a slot: deregister, bump the generation, return to the free
-    /// list. Dropping `cs` closes the socket and releases the cap slot.
-    fn release(&mut self, slot_i: usize, cs: ConnState) {
-        let _ = self.epoll.del(raw_fd(&cs.stream));
+    /// Free a slot: deregister its socket, bump the generation, return it
+    /// to the free list. Dropping the caller's `ConnState` then closes the
+    /// socket and releases the cap slot.
+    fn release(&mut self, slot_i: usize, stream: &TcpStream) {
+        let _ = self.epoll.del(raw_fd(stream));
         if let Some(slot) = self.slots.get_mut(slot_i) {
             slot.gen = slot.gen.wrapping_add(1);
             slot.conn = None;
         }
         // audit:allow(growth): free list never exceeds the slab, itself capped by max_connections
         self.free.push(u32::try_from(slot_i).unwrap_or(u32::MAX));
-        drop(cs);
     }
 
     /// `REPL_SUBSCRIBE`: pull the socket out of the reactor, re-block it,
     /// flush anything still queued, and hand it (plus over-read bytes) to
     /// a dedicated feed thread.
     fn detach(&mut self, slot_i: usize, mut cs: ConnState, from_seq: u64, node_id: u64) {
-        let _ = self.epoll.del(raw_fd(&cs.stream));
-        if let Some(slot) = self.slots.get_mut(slot_i) {
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.conn = None;
-        }
-        // audit:allow(growth): free list never exceeds the slab, itself capped by max_connections
-        self.free.push(u32::try_from(slot_i).unwrap_or(u32::MAX));
+        self.release(slot_i, &cs.stream);
         if cs.stream.set_nonblocking(false).is_err() {
             return;
         }
@@ -1079,7 +1072,7 @@ impl Reactor {
         for slot_i in evict {
             if let Some(cs) = self.slots.get_mut(slot_i).and_then(|s| s.conn.take()) {
                 ServeCounters::bump(&self.shared.counters.evicted_conns);
-                self.release(slot_i, cs);
+                self.release(slot_i, &cs.stream);
             }
         }
     }
@@ -1145,7 +1138,7 @@ impl Reactor {
         self.flush_all();
         for slot_i in 0..self.slots.len() {
             if let Some(cs) = self.slots[slot_i].conn.take() {
-                self.release(slot_i, cs);
+                self.release(slot_i, &cs.stream);
             }
         }
         // Feed threads watch the shutdown flag between streaming rounds.
@@ -1188,13 +1181,20 @@ fn flush_out(
     true
 }
 
-/// The `(op, key)` of a single-key read, the frames a read run takes.
-fn point_read(req: &Request) -> Option<(u8, u64)> {
-    match *req {
-        Request::QueryMember { key } => Some((cluster_op::MEMBER, key)),
-        Request::QueryFreq { key } => Some((cluster_op::FREQ, key)),
-        _ => None,
-    }
+/// A read frame as a read set takes it — `(cluster, batch, op, keys)`,
+/// an aggregate with no keys — or `None` for a frame that ends the set.
+fn read_of(req: &Request) -> Option<(bool, bool, u8, &[u64])> {
+    let one = std::slice::from_ref;
+    Some(match req {
+        Request::QueryMember { key } => (false, false, cluster_op::MEMBER, one(key)),
+        Request::QueryFreq { key } => (false, false, cluster_op::FREQ, one(key)),
+        Request::QueryCard => (false, false, cluster_op::CARD, &[]),
+        Request::QuerySim => (false, false, cluster_op::SIM, &[]),
+        Request::QueryBatch { op, keys } => (false, true, *op, keys),
+        Request::ClusterQuery { op, key } => (true, false, *op, one(key)),
+        Request::ClusterQueryBatch { op, keys } => (true, true, *op, keys),
+        _ => return None,
+    })
 }
 
 /// The live connection at `slot`, if it is still the tenant of `gen` and
@@ -1207,27 +1207,19 @@ fn live_conn(slots: &mut [Slot], slot: u32, gen: u32, token: u64) -> Option<&mut
     slot.conn.as_mut().filter(|cs| cs.token == token) // else a superseded request
 }
 
-/// The aggregate an op byte asks for (`cluster_op::CARD` or `SIM`).
-fn gather_kind(op: u8) -> GatherKind {
-    if op == cluster_op::SIM {
-        GatherKind::SimAvg
-    } else {
-        GatherKind::CardSum
-    }
-}
-
 /// The merge rule for every multi-part aggregate the server gives, over a
 /// server's shards and a cluster's partitions alike: `parts[i]` holds part
-/// `i`'s `f64` bits. Cardinality is the sum of the per-part estimates and
+/// `i`'s `f64` bits, `op` is `cluster_op::CARD` or `SIM`. Cardinality is the sum of the per-part estimates and
 /// similarity their mean, both accumulated in part index order from `0.0`
 /// — f64 addition is not associative, so the fixed order is what makes
 /// the answer equal bit for bit to
 /// [`DirectEngine`](she_core::sharded::DirectEngine)'s.
-fn merge_parts(kind: GatherKind, parts: &[u64]) -> f64 {
+fn merge_parts(op: u8, parts: &[u64]) -> f64 {
     let sum = parts.iter().fold(0.0f64, |sum, &bits| sum + f64::from_bits(bits));
-    match kind {
-        GatherKind::CardSum => sum,
-        GatherKind::SimAvg => sum / parts.len() as f64,
+    if op == cluster_op::SIM {
+        sum / parts.len() as f64
+    } else {
+        sum
     }
 }
 
@@ -1241,13 +1233,10 @@ fn refuse(stream: TcpStream, retry_after_ms: u32) {
         return;
     }
     let resp = Response::Overloaded { retry_after_ms: retry_after_ms.max(1).saturating_mul(10) };
-    let payload = resp.encode();
-    let Ok(len) = u32::try_from(payload.len()) else { return };
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&payload);
-    let mut stream = stream;
-    let _ = stream.write(&frame);
+    let mut conn = Connection::new();
+    conn.push_response(&resp);
+    let frame: Vec<u8> = conn.out_slices().flatten().copied().collect();
+    let _ = (&stream).write(&frame);
 }
 
 #[cfg(test)]
@@ -1264,15 +1253,42 @@ mod tests {
         let fold = parts.iter().fold(0.0f64, |sum, &v| sum + v);
         assert_eq!(fold, 1.0);
         assert_ne!((parts[0] + parts[2]) + (parts[1] + parts[3]), fold, "order matters here");
-        assert_eq!(merge_parts(GatherKind::CardSum, &bits).to_bits(), fold.to_bits());
-        assert_eq!(merge_parts(GatherKind::SimAvg, &bits).to_bits(), (fold / 4.0).to_bits());
+        assert_eq!(merge_parts(cluster_op::CARD, &bits).to_bits(), fold.to_bits());
+        assert_eq!(merge_parts(cluster_op::SIM, &bits).to_bits(), (fold / 4.0).to_bits());
+    }
 
-        // The read set answers one `F64` frame with that value.
+    /// A read set answers frame by frame in request order, each frame
+    /// taking its values in turn; a frame answered at parse time takes
+    /// none and keeps its position.
+    #[test]
+    fn a_read_set_answers_each_frame_from_its_own_values() {
+        let sim: Vec<u64> = [1e16, 1.0, -1e16, 1.0].iter().map(|v: &f64| v.to_bits()).collect();
+        let set = vec![
+            Shape::Point(cluster_op::MEMBER),
+            Shape::Batch(2),
+            Shape::Ready(Box::new(Response::Err("bad op".to_string()))),
+            Shape::Agg(cluster_op::SIM, 4),
+            Shape::Point(cluster_op::FREQ),
+        ];
+        let mut values = vec![1, 7, 8];
+        values.extend(&sim);
+        values.push(9);
+        assert_eq!(set.iter().map(Shape::len).sum::<usize>(), values.len());
         let mut conn = Connection::new();
-        assert_eq!(ReadSet::Agg(GatherKind::SimAvg).frames(), 1);
-        ReadSet::Agg(GatherKind::SimAvg).respond(&mut conn, bits);
+        respond(set, &mut conn, &values);
         let out: Vec<u8> = conn.out_slices().flatten().copied().collect();
-        let resp = Response::decode(&out[4..]).expect("one frame");
-        assert!(matches!(resp, Response::F64(v) if v.to_bits() == 0.25f64.to_bits()), "{resp:?}");
+        let mut frames = Vec::new();
+        let mut rest = &out[..];
+        while let Some((len, tail)) = rest.split_first_chunk::<4>() {
+            let (payload, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
+            frames.push(Response::decode(payload).expect("a frame"));
+            rest = tail;
+        }
+        assert_eq!(frames.len(), 5);
+        assert_eq!(frames[0], Response::Bool(true));
+        assert_eq!(frames[1], Response::U64s(vec![7, 8]));
+        assert_eq!(frames[2], Response::Err("bad op".to_string()));
+        assert!(matches!(frames[3], Response::F64(v) if v.to_bits() == 0.25f64.to_bits()));
+        assert_eq!(frames[4], Response::U64(9));
     }
 }

@@ -25,7 +25,7 @@
 //!   sends, so a request is applied exactly once or not at all.
 //! * **Ordering** — the reactor parses one connection's frames in order
 //!   and holds one pending read set or request per connection (a read
-//!   set is a run of pipelined single-key reads or one `QUERY_BATCH`); a
+//!   set is a run of pipelined read frames of any kind); a
 //!   round sends one job per shard, after that round's inserts, and the
 //!   shard queues are FIFO, so a query observes every insert the same
 //!   connection sent before it (the property the verify mode relies on).

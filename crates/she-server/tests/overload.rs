@@ -5,7 +5,7 @@
 //! pinning a handler thread forever.
 
 use she_server::codec::{read_frame, write_frame};
-use she_server::protocol::{Request, Response};
+use she_server::protocol::{Request, Response, PROTOCOL_VERSION};
 use she_server::{cluster_op, Client, DirectEngine, EngineConfig, Server, ServerConfig};
 use std::io::Write;
 use std::net::TcpStream;
@@ -78,9 +78,13 @@ fn saturated_queue_sheds_reads_as_overloaded() {
 }
 
 /// A full queue at the end of a reactor round sheds each read set in the
-/// refused job whole: three pipelined `QUERY_FREQ`s and one `QUERY_BATCH`
-/// written at once get four `OVERLOADED` frames, in order. Once the
-/// backlog drains, a read on the same connection answers like the twin.
+/// refused job whole: point reads, `QUERY_BATCH`es, both aggregates and
+/// a frame that answers at parse time (an empty batch), pipelined in one
+/// write behind a wedged worker, are one read set and get one
+/// `OVERLOADED` per frame, in order, each counted once. The `HELLO`
+/// behind the set is not a read, so it is answered after the set. Once
+/// the backlog drains, the same reads retried equal the twin's, the
+/// aggregates bit for bit.
 #[test]
 fn saturated_queue_sheds_a_whole_read_set() {
     let engine = small_engine();
@@ -92,104 +96,65 @@ fn saturated_queue_sheds_a_whole_read_set() {
     })
     .unwrap();
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-    // A frame the server never answers fails the test instead of hanging it.
     sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut twin = DirectEngine::new(engine);
 
     let big = wedge_worker(&mut sock);
-    let mut bytes = Vec::new();
-    let reads = (0..3u64)
-        .map(|key| Request::QueryFreq { key })
-        .chain([Request::QueryBatch { op: cluster_op::MEMBER, keys: vec![1, 2, 3] }]);
-    for req in reads {
-        let payload = req.encode();
-        bytes.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-        bytes.extend_from_slice(&payload);
-    }
-    sock.write_all(&bytes).unwrap();
-    for at in 0..4 {
-        let resp = Response::decode(&read_frame(&mut sock).unwrap().expect("a reply")).unwrap();
-        assert!(
-            matches!(resp, Response::Overloaded { retry_after_ms: 7 }),
-            "reply {at}: expected OVERLOADED, got {resp:?}"
-        );
-    }
-    assert_eq!(server.counters().snapshot().shed_reads, 4, "one count per shed frame");
-    twin.apply(0, &big);
-    twin.apply(0, &big);
-
     let last = *big.last().unwrap();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let answer = loop {
-        match raw_call(&mut sock, &Request::QueryMember { key: last }) {
-            Response::Overloaded { .. } if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            other => break other,
-        }
-    };
-    assert_eq!(answer, Response::Bool(twin.member(last)));
-    assert_eq!(
-        raw_call(&mut sock, &Request::QueryFreq { key: last }),
-        Response::U64(twin.frequency(last))
-    );
-
-    server.shutdown();
-    server.join();
-}
-
-/// Aggregates are shed by the same end-of-round rule: `QUERY_CARD`,
-/// `QUERY_SIM` and a `QUERY_FREQ` pipelined in one write behind a full
-/// queue get three `OVERLOADED` frames, in order, each counted once.
-/// After the drain both aggregates answer the twin's bits.
-#[test]
-fn saturated_queue_sheds_aggregates_like_reads() {
-    let engine = small_engine();
-    let server = Server::start(ServerConfig {
-        engine,
-        queue_capacity: 1,
-        retry_after_ms: 7,
-        ..Default::default()
-    })
-    .unwrap();
-    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-    sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut twin = DirectEngine::new(engine);
-
-    let big = wedge_worker(&mut sock);
+    let reads = [
+        Request::QueryMember { key: last },
+        Request::QueryBatch { op: cluster_op::FREQ, keys: vec![last, last - 1, 5] },
+        Request::QueryCard,
+        Request::QueryFreq { key: last },
+        Request::QueryBatch { op: cluster_op::MEMBER, keys: Vec::new() },
+        Request::QuerySim,
+    ];
     let mut bytes = Vec::new();
-    for req in [Request::QueryCard, Request::QuerySim, Request::QueryFreq { key: 1 }] {
-        let payload = req.encode();
-        bytes.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
-        bytes.extend_from_slice(&payload);
+    for req in reads.iter().chain([&Request::Hello { version: PROTOCOL_VERSION }]) {
+        write_frame(&mut bytes, &req.encode()).unwrap();
     }
     sock.write_all(&bytes).unwrap();
-    for at in 0..3 {
-        let resp = Response::decode(&read_frame(&mut sock).unwrap().expect("a reply")).unwrap();
+    let mut reply = || Response::decode(&read_frame(&mut sock).unwrap().expect("a reply")).unwrap();
+    for (at, req) in reads.iter().enumerate() {
+        let resp = reply();
         assert!(
             matches!(resp, Response::Overloaded { retry_after_ms: 7 }),
-            "reply {at}: expected OVERLOADED, got {resp:?}"
+            "frame {at} ({req:?}): expected OVERLOADED, got {resp:?}"
         );
     }
-    assert_eq!(server.counters().snapshot().shed_reads, 3, "one count per shed frame");
+    assert_eq!(reply(), Response::Hello { version: PROTOCOL_VERSION }, "the frame behind the set");
+    let shed = server.counters().snapshot().shed_reads;
+    assert_eq!(shed, reads.len() as u64, "one count per shed frame");
     twin.apply(0, &big);
     twin.apply(0, &big);
 
     let deadline = Instant::now() + Duration::from_secs(30);
-    let card = loop {
-        match raw_call(&mut sock, &Request::QueryCard) {
-            Response::Overloaded { .. } if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(10));
+    for req in &reads {
+        let got = loop {
+            match raw_call(&mut sock, req) {
+                Response::Overloaded { .. } if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                other => break other,
             }
-            Response::F64(v) => break v,
-            other => panic!("card after the drain: {other:?}"),
+        };
+        let want = match req {
+            Request::QueryMember { key } => Response::Bool(twin.member(*key)),
+            Request::QueryFreq { key } => Response::U64(twin.frequency(*key)),
+            Request::QueryBatch { op, keys } if *op == cluster_op::MEMBER => {
+                Response::U64s(keys.iter().map(|&k| u64::from(twin.member(k))).collect())
+            }
+            Request::QueryBatch { keys, .. } => {
+                Response::U64s(keys.iter().map(|&k| twin.frequency(k)).collect())
+            }
+            Request::QueryCard => Response::F64(twin.cardinality()),
+            _ => Response::F64(twin.similarity()),
+        };
+        match (got, want) {
+            (Response::F64(g), Response::F64(w)) => assert_eq!(g.to_bits(), w.to_bits(), "{req:?}"),
+            (got, want) => assert_eq!(got, want, "{req:?}"),
         }
-    };
-    assert_eq!(card.to_bits(), twin.cardinality().to_bits());
-    let Response::F64(sim) = raw_call(&mut sock, &Request::QuerySim) else {
-        panic!("sim answers F64")
-    };
-    assert_eq!(sim.to_bits(), twin.similarity().to_bits());
+    }
 
     server.shutdown();
     server.join();

@@ -202,6 +202,97 @@ fn pipelined_mixed_frames_answer_in_order_and_match_the_twin() {
     server.join();
 }
 
+/// One connection writes a mixed burst in one write: member, freq, a
+/// `QUERY_BATCH`, card, sim and member again, an `INSERT_BATCH` of the
+/// very keys it just probed, then the same reads once more. The reads on
+/// either side of the insert are one read set each, so every answer must
+/// equal the twin asked frame by frame: the first reads must not see the
+/// insert and the second must. Afterwards the per-shard counters
+/// (`queries` included) and the `SNAPSHOT_ALL` bytes equal the twin's.
+#[test]
+fn one_connection_pipelines_a_mixed_burst_around_an_insert() {
+    use she_server::cluster_op;
+    use she_server::protocol::Request;
+    use std::io::Write;
+
+    let engine = EngineConfig { window: 1 << 12, shards: 4, memory_bytes: 32 << 10, seed: 19 };
+    let server = start_server(engine);
+    let mut twin = DirectEngine::new(engine);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for stream in [0u8, 1] {
+        let keys: Vec<u64> =
+            (0..2_000u64).map(|i| she_hash::mix64(i * 2 + u64::from(stream)) % 800).collect();
+        client.insert_batch(stream, &keys).unwrap();
+        twin.apply(stream, &keys);
+    }
+
+    // Keys 1 000.. were never inserted: only the pipelined insert can
+    // make them members.
+    let probed: Vec<u64> = (1_000..1_012).collect();
+    let reads = [
+        Request::QueryMember { key: probed[0] },
+        Request::QueryFreq { key: probed[1] },
+        Request::QueryBatch { op: cluster_op::FREQ, keys: probed[2..].to_vec() },
+        Request::QueryCard,
+        Request::QuerySim,
+        Request::QueryMember { key: probed[2] },
+    ];
+    let insert = Request::InsertBatch { stream: 0, keys: probed.clone() };
+    let mut bytes = Vec::new();
+    for req in reads.iter().chain([&insert]).chain(&reads) {
+        let f = req.encode();
+        bytes.extend_from_slice(&u32::try_from(f.len()).unwrap().to_le_bytes());
+        bytes.extend_from_slice(&f);
+    }
+    let mut sock = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+    sock.write_all(&bytes).unwrap();
+
+    let ask = |req: &Request, twin: &mut DirectEngine| match req {
+        Request::QueryMember { key } => Response::Bool(twin.member(*key)),
+        Request::QueryFreq { key } => Response::U64(twin.frequency(*key)),
+        Request::QueryBatch { keys, .. } => {
+            Response::U64s(keys.iter().map(|&k| twin.frequency(k)).collect())
+        }
+        Request::QueryCard => Response::F64(twin.cardinality()),
+        Request::QuerySim => Response::F64(twin.similarity()),
+        other => panic!("not a read: {other:?}"),
+    };
+    let reply = |sock: &mut std::net::TcpStream| {
+        Response::decode(&read_frame(sock).unwrap().expect("a reply")).unwrap()
+    };
+    let answers = |when: &str, sock: &mut std::net::TcpStream, twin: &mut DirectEngine| {
+        let got: Vec<Response> = reads.iter().map(|_| reply(sock)).collect();
+        for (req, got) in reads.iter().zip(&got) {
+            match (got, ask(req, twin)) {
+                (Response::F64(g), Response::F64(w)) => {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{when} the insert: {req:?}");
+                }
+                (got, want) => assert_eq!(got, &want, "{when} the insert: {req:?}"),
+            }
+        }
+        got
+    };
+
+    let before = answers("before", &mut sock, &mut twin);
+    twin.apply(0, &probed);
+    assert_eq!(reply(&mut sock), Response::Ok { accepted: probed.len() as u64 });
+    let after = answers("after", &mut sock, &mut twin);
+
+    // The twin check above is what pins each side of the insert; this
+    // shows the insert is there to be seen: every probed count rose.
+    assert_eq!(after[0], Response::Bool(true), "a read after the insert missed it");
+    let (Response::U64s(was), Response::U64s(now)) = (&before[2], &after[2]) else {
+        panic!("batch answers: {before:?} / {after:?}")
+    };
+    assert!(was.iter().zip(now).all(|(w, n)| n > w), "counts {was:?} → {now:?}");
+
+    assert_eq!(client.stats().unwrap(), twin.stats(), "per-shard inserts and queries");
+    assert!(client.snapshot_all().unwrap() == twin.checkpoint(), "checkpoint bytes differ");
+    drop((sock, client));
+    server.join();
+}
+
 /// Eight connections, each with four reads in flight, released together
 /// so their runs share reactor rounds: every answer equals the twin's.
 #[test]

@@ -57,11 +57,13 @@ stage cargo test -q --offline --workspace
 # compiled out there: the debug run above never executes the code that
 # serves. The equivalence, `hash_seeds` and golden-digest tests must hold
 # on that code too (seconds; the release artefacts already exist).
-# she-server's tests run here as well: the reactor's round path — per-key
-# reads and the aggregates' one-read-per-shard parts riding the same
-# per-shard job — its shedding and the twin-equivalence tests then also
-# run on the optimised build the benchmark times, where the worker
-# outpaces the reactor. So do
+# she-server's tests run here as well: the reactor's round path — a
+# connection's multi-frame read set (point, batch and aggregate frames in
+# one set, riding one per-shard job), its shedding, one `OVERLOADED` per
+# frame, and the twin-equivalence tests — then also run on the optimised
+# build the benchmark times, where the worker outpaces the reactor. So
+# do the pipelined-cluster tests (`cluster_links.rs`: a connection's
+# cluster frames in one set, a failed leg failing the set) and
 # she-cluster's: the coordinator's peer links and their in-order leg
 # matching, under the timing the benchmark's cluster workload sees.
 # she-readpath's too: the mirror's frozen reads and mark signatures are
