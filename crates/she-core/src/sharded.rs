@@ -18,8 +18,16 @@
 //! ([`DirectEngine::into_shards`] + [`EngineConfig::partition`]) — while a
 //! [`DirectEngine`] drives all shards serially in one place: the
 //! in-process reference every served answer is compared against
-//! bit-for-bit, and, read through its `*_frozen` methods, the read path's
-//! mirror.
+//! bit-for-bit.
+//!
+//! A shard's *point half* ([`PointHalf`]: SHE-BF and SHE-CM, the two
+//! sketches a per-key read touches) is a type of its own that
+//! `ShardEngine` embeds. The read path's mirror is a routed set of point
+//! halves read through their `*_frozen` methods: in SF-sketch terms, the
+//! small read-side stage beside the full write-side engine. One
+//! definition serves both, so they share the sizing, the row hashes and
+//! the `SHARD` frame parser, and a mirror fed the same stream-A keys
+//! answers exactly what the shard's own frozen reads would.
 //!
 //! ## The merge rule
 //!
@@ -166,100 +174,131 @@ impl EngineConfig {
 /// O(memory)).
 const MH_ROWS: usize = 128;
 
-/// One shard's sketches. Inserts feed every structure; stream B (tag 1)
-/// exists only for the similarity pair and feeds just its MinHash.
-#[derive(Debug)]
-pub struct ShardEngine {
-    cfg: EngineConfig,
-    shard: usize,
-    bf: SheBloomFilter,
-    bm: SheBitmap,
-    cm: SheCountMin,
-    mh_a: SheMinHash,
-    mh_b: SheMinHash,
+/// Hash functions of SHE-BF and of SHE-CM (the paper's §7.1 default for
+/// both): the rows a point-half insert hashes, a prefix of SHE-MH's.
+const POINT_ROWS: usize = 8;
+
+/// Per-shard window (items) and per-structure memory (bytes) of a
+/// `cfg`-sized engine: the global budget split evenly over the shards.
+fn shard_sizing(cfg: &EngineConfig) -> (u64, usize) {
+    ((cfg.window / cfg.shards as u64).max(1), (cfg.memory_bytes / cfg.shards).max(64))
+}
+
+/// A parsed `SHARD` frame whose config has been checked against the shard
+/// loading it — the one parser behind [`ShardEngine::restore`],
+/// [`ShardEngine::merge`], [`ShardEngine::reconcile`] and
+/// [`PointHalf::load`].
+struct ShardFrame<'a> {
+    frame: Frame<'a>,
     inserts: u64,
     queries: u64,
 }
 
-impl ShardEngine {
-    /// Build shard `shard` of a `cfg`-sized engine.
+impl<'a> ShardFrame<'a> {
+    /// Parse `buf` for shard `shard` of a `cfg`-sized engine. The seed must
+    /// always match; with `check_placement` (a copy of the same shard, not
+    /// a rebalance source) so must the whole config and the shard index.
+    fn parse(
+        buf: &'a [u8],
+        cfg: &EngineConfig,
+        shard: usize,
+        check_placement: bool,
+    ) -> Result<Self, SnapshotError> {
+        let mut parsed = Self { frame: Frame::parse(buf)?, inserts: 0, queries: 0 };
+        if parsed.frame.kind != frame::kind::SHARD {
+            return Err(SnapshotError::WrongKind {
+                expected: frame::kind::SHARD,
+                found: parsed.frame.kind,
+            });
+        }
+
+        let mut r = Reader::new(parsed.section(frame::tag::CONFIG)?);
+        let theirs = EngineConfig::decode(&mut r)?;
+        let their_shard = usize_of(r.u64().map_err(SnapshotError::Frame)?);
+        r.finish().map_err(SnapshotError::Frame)?;
+        if theirs.seed != cfg.seed {
+            return Err(SnapshotError::ConfigMismatch { field: "seed" });
+        }
+        if check_placement {
+            if theirs != *cfg {
+                return Err(SnapshotError::ConfigMismatch { field: "engine config" });
+            }
+            if their_shard != shard {
+                return Err(SnapshotError::ConfigMismatch { field: "shard index" });
+            }
+        }
+
+        let mut r = Reader::new(parsed.section(frame::tag::COUNTERS)?);
+        parsed.inserts = r.u64().map_err(SnapshotError::Frame)?;
+        parsed.queries = r.u64().map_err(SnapshotError::Frame)?;
+        r.finish().map_err(SnapshotError::Frame)?;
+        Ok(parsed)
+    }
+
+    /// The payload of section `tag`.
+    fn section(&self, tag: u16) -> Result<&'a [u8], SnapshotError> {
+        self.frame.section(tag).ok_or(SnapshotError::MissingSection { tag })
+    }
+}
+
+/// One shard's point half: SHE-BF (membership) and SHE-CM (frequency),
+/// the two sketches a per-key read touches. [`ShardEngine`] embeds one
+/// and delegates to it; the read path's mirror is a routed set of them,
+/// fed only stream-A keys (stream B never reaches BF or CM).
+#[derive(Debug)]
+pub struct PointHalf {
+    cfg: EngineConfig,
+    shard: usize,
+    bf: SheBloomFilter,
+    cm: SheCountMin,
+}
+
+impl PointHalf {
+    /// The point half of shard `shard` of a `cfg`-sized engine: the same
+    /// sketches, sizing and hashes as that [`ShardEngine`]'s.
     pub fn new(cfg: &EngineConfig, shard: usize) -> Self {
         assert!(shard < cfg.shards);
-        let window = (cfg.window / cfg.shards as u64).max(1);
-        let bytes = (cfg.memory_bytes / cfg.shards).max(64);
+        let (window, bytes) = shard_sizing(cfg);
         let seed = cfg.seed;
-        // The similarity pair must share hash functions (same seed) —
-        // per-row minima are only comparable under identical hashes.
-        let mh = || SheMinHash::builder().window(window).num_hashes(MH_ROWS).seed(seed).build();
-        let engine = Self {
+        let half = Self {
             cfg: *cfg,
             shard,
-            bf: SheBloomFilter::builder().window(window).memory_bytes(bytes).seed(seed).build(),
-            bm: SheBitmap::builder().window(window).memory_bytes(bytes).seed(seed).build(),
-            cm: SheCountMin::builder().window(window).memory_bytes(bytes).seed(seed).build(),
-            mh_a: mh(),
-            mh_b: mh(),
-            inserts: 0,
-            queries: 0,
+            bf: SheBloomFilter::builder()
+                .window(window)
+                .memory_bytes(bytes)
+                .hash_functions(POINT_ROWS)
+                .seed(seed)
+                .build(),
+            cm: SheCountMin::builder()
+                .window(window)
+                .memory_bytes(bytes)
+                .hash_functions(POINT_ROWS)
+                .seed(seed)
+                .build(),
         };
-        // What lets `insert` hash a stream-A key once for all four.
-        let rows = engine.mh_a.engine().spec().family();
+        // What lets `insert` hash a key once for both.
         assert!(
-            engine.bf.engine().spec().family().is_prefix_of(rows)
-                && engine.bm.engine().spec().family().is_prefix_of(rows)
-                && engine.cm.engine().spec().family().is_prefix_of(rows),
-            "the BF, BM and CM hash families must be row prefixes of SHE-MH's"
+            half.cm.engine().spec().family().is_prefix_of(half.bf.engine().spec().family()),
+            "the CM hash family must be a row prefix of the BF's"
         );
-        engine
+        half
     }
 
-    /// Insert a key into stream 0 (A) or 1 (B). Stream A feeds every
-    /// structure; stream B only its similarity MinHash.
-    ///
-    /// A stream-A key is hashed once: the SHE-MH family's rows, into a
-    /// stack buffer. BF, BM and CM are built from the same seed, so their
-    /// families are row prefixes of it (asserted in `new`): BF takes rows
-    /// `0..k`, BM row 0, CM rows `0..k` and SHE-MH all of them — the cells,
-    /// `CheckGroup` instants and bytes of four separate `insert(&key)`s.
+    /// Insert a stream-A key: its `POINT_ROWS` row hashes, computed once
+    /// for both sketches — what [`ShardEngine::insert`] does to them.
     #[inline]
-    pub fn insert(&mut self, stream: u8, key: u64) {
-        if stream == 0 {
-            let mut rows = [0u32; MH_ROWS];
-            self.mh_a.engine().spec().hash_rows(&key, 0, &mut rows);
-            self.bf.insert_rows(&rows);
-            self.bm.insert_rows(&rows);
-            self.cm.insert_rows(&rows);
-            self.mh_a.insert_rows(&rows);
-        } else {
-            self.mh_b.insert(&key);
-        }
-        self.inserts += 1;
+    pub fn insert(&mut self, key: u64) {
+        let mut rows = [0u32; POINT_ROWS];
+        self.bf.engine().spec().hash_rows(&key, 0, &mut rows);
+        self.insert_rows(&rows);
     }
 
-    /// Sliding-window membership in stream A.
+    /// Insert a key whose row hashes, from a family BF's and CM's are
+    /// prefixes of, the caller already holds.
     #[inline]
-    pub fn member(&mut self, key: u64) -> bool {
-        self.queries += 1;
-        self.bf.contains(&key)
-    }
-
-    /// This shard's contribution to the stream-A cardinality.
-    pub fn cardinality(&mut self) -> f64 {
-        self.queries += 1;
-        self.bm.estimate()
-    }
-
-    /// Sliding-window frequency of `key` in stream A.
-    #[inline]
-    pub fn frequency(&mut self, key: u64) -> u64 {
-        self.queries += 1;
-        self.cm.query(&key)
-    }
-
-    /// This shard's A/B Jaccard estimate.
-    pub fn similarity(&mut self) -> f64 {
-        self.queries += 1;
-        self.mh_a.similarity(&mut self.mh_b)
+    fn insert_rows(&mut self, rows: &[u32]) {
+        self.bf.insert_rows(rows);
+        self.cm.insert_rows(rows);
     }
 
     /// Frozen membership: answers exactly what [`ShardEngine::member`]
@@ -291,13 +330,147 @@ impl ShardEngine {
         }
     }
 
+    /// Load the BF and CM sections of a `SHARD` frame taken of this same
+    /// shard (same config, same shard index): replace them
+    /// (`merge = false`, as [`ShardEngine::restore`] does) or fold them
+    /// in cell-wise (`merge = true`, as [`ShardEngine::reconcile`] does).
+    /// The frame's other structure sections are not read.
+    pub fn load(&mut self, buf: &[u8], merge: bool) -> Result<(), SnapshotError> {
+        let f = ShardFrame::parse(buf, &self.cfg, self.shard, true)?;
+        self.load_sections(
+            f.section(frame::tag::STRUCT_BF)?,
+            f.section(frame::tag::STRUCT_CM)?,
+            merge,
+        )
+    }
+
+    /// Load (`merge = false`) or cell-wise merge (`merge = true`) the two
+    /// sketches from their snapshot sections.
+    fn load_sections(&mut self, bf: &[u8], cm: &[u8], merge: bool) -> Result<(), SnapshotError> {
+        if merge {
+            self.bf.merge_snapshot(bf)?;
+            self.cm.merge_snapshot(cm)
+        } else {
+            self.bf.load_snapshot(bf)?;
+            self.cm.load_snapshot(cm)
+        }
+    }
+}
+
+/// One shard's sketches: the [`PointHalf`] plus SHE-BM and the similarity
+/// MinHash pair. Inserts feed every structure; stream B (tag 1) exists
+/// only for the similarity pair and feeds just its MinHash.
+#[derive(Debug)]
+pub struct ShardEngine {
+    point: PointHalf,
+    bm: SheBitmap,
+    mh_a: SheMinHash,
+    mh_b: SheMinHash,
+    inserts: u64,
+    queries: u64,
+}
+
+impl ShardEngine {
+    /// Build shard `shard` of a `cfg`-sized engine.
+    pub fn new(cfg: &EngineConfig, shard: usize) -> Self {
+        let point = PointHalf::new(cfg, shard);
+        let (window, bytes) = shard_sizing(cfg);
+        let seed = cfg.seed;
+        // The similarity pair must share hash functions (same seed) —
+        // per-row minima are only comparable under identical hashes.
+        let mh = || SheMinHash::builder().window(window).num_hashes(MH_ROWS).seed(seed).build();
+        let engine = Self {
+            point,
+            bm: SheBitmap::builder().window(window).memory_bytes(bytes).seed(seed).build(),
+            mh_a: mh(),
+            mh_b: mh(),
+            inserts: 0,
+            queries: 0,
+        };
+        // What lets `insert` hash a stream-A key once for all four (CM's
+        // family is a prefix of BF's, asserted in `PointHalf::new`).
+        let rows = engine.mh_a.engine().spec().family();
+        assert!(
+            engine.point.bf.engine().spec().family().is_prefix_of(rows)
+                && engine.bm.engine().spec().family().is_prefix_of(rows),
+            "the BF, BM and CM hash families must be row prefixes of SHE-MH's"
+        );
+        engine
+    }
+
+    /// Insert a key into stream 0 (A) or 1 (B). Stream A feeds every
+    /// structure; stream B only its similarity MinHash.
+    ///
+    /// A stream-A key is hashed once: the SHE-MH family's rows, into a
+    /// stack buffer. BF, BM and CM are built from the same seed, so their
+    /// families are row prefixes of it (asserted in `new`): BF takes rows
+    /// `0..k`, BM row 0, CM rows `0..k` and SHE-MH all of them — the cells,
+    /// `CheckGroup` instants and bytes of four separate `insert(&key)`s.
+    #[inline]
+    pub fn insert(&mut self, stream: u8, key: u64) {
+        if stream == 0 {
+            let mut rows = [0u32; MH_ROWS];
+            self.mh_a.engine().spec().hash_rows(&key, 0, &mut rows);
+            self.point.insert_rows(&rows);
+            self.bm.insert_rows(&rows);
+            self.mh_a.insert_rows(&rows);
+        } else {
+            self.mh_b.insert(&key);
+        }
+        self.inserts += 1;
+    }
+
+    /// Sliding-window membership in stream A.
+    #[inline]
+    pub fn member(&mut self, key: u64) -> bool {
+        self.queries += 1;
+        self.point.bf.contains(&key)
+    }
+
+    /// This shard's contribution to the stream-A cardinality.
+    pub fn cardinality(&mut self) -> f64 {
+        self.queries += 1;
+        self.bm.estimate()
+    }
+
+    /// Sliding-window frequency of `key` in stream A.
+    #[inline]
+    pub fn frequency(&mut self, key: u64) -> u64 {
+        self.queries += 1;
+        self.point.cm.query(&key)
+    }
+
+    /// This shard's A/B Jaccard estimate.
+    pub fn similarity(&mut self) -> f64 {
+        self.queries += 1;
+        self.mh_a.similarity(&mut self.mh_b)
+    }
+
+    /// Frozen membership (see [`PointHalf::member_frozen`]).
+    #[inline]
+    pub fn member_frozen(&self, key: u64) -> bool {
+        self.point.member_frozen(key)
+    }
+
+    /// Frozen frequency (see [`PointHalf::frequency_frozen`]).
+    #[inline]
+    pub fn frequency_frozen(&self, key: u64) -> u64 {
+        self.point.frequency_frozen(key)
+    }
+
+    /// Mark signature of `key`'s cells (see [`PointHalf::mark_sig`]).
+    #[inline]
+    pub fn mark_sig(&self, freq: bool, key: u64) -> u64 {
+        self.point.mark_sig(freq, key)
+    }
+
     /// Serialize this shard: sizing config + counters + one nested frame
     /// per structure, wrapped in a `SHARD` frame.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = FrameWriter::new(frame::kind::SHARD);
 
-        let mut sec = self.cfg.encode();
-        sec.extend_from_slice(&(self.shard as u64).to_le_bytes());
+        let mut sec = self.point.cfg.encode();
+        sec.extend_from_slice(&(self.point.shard as u64).to_le_bytes());
         w.section(frame::tag::CONFIG, &sec);
 
         sec = Vec::with_capacity(16);
@@ -305,78 +478,46 @@ impl ShardEngine {
         sec.extend_from_slice(&self.queries.to_le_bytes());
         w.section(frame::tag::COUNTERS, &sec);
 
-        w.section(frame::tag::STRUCT_BF, &self.bf.save_snapshot());
+        w.section(frame::tag::STRUCT_BF, &self.point.bf.save_snapshot());
         w.section(frame::tag::STRUCT_BM, &self.bm.save_snapshot());
-        w.section(frame::tag::STRUCT_CM, &self.cm.save_snapshot());
+        w.section(frame::tag::STRUCT_CM, &self.point.cm.save_snapshot());
         w.section(frame::tag::STRUCT_MH_A, &self.mh_a.save_snapshot());
         w.section(frame::tag::STRUCT_MH_B, &self.mh_b.save_snapshot());
         w.finish()
     }
 
-    /// Parse a `SHARD` frame and hand its sections to `structures` —
-    /// shared by [`ShardEngine::restore`] (exact) and
-    /// [`ShardEngine::merge`] (cell-wise).
-    fn with_shard_frame(
+    /// Parse a `SHARD` frame and load (`merge = false`) or cell-wise merge
+    /// (`merge = true`) every structure from it, every section present
+    /// before any is applied. Returns the frame's counters.
+    fn load_frame(
         &mut self,
         buf: &[u8],
         check_placement: bool,
-        mut structures: impl FnMut(
-            &mut Self,
-            [&[u8]; 5], // bf, bm, cm, mh_a, mh_b
-        ) -> Result<(), SnapshotError>,
+        merge: bool,
     ) -> Result<(u64, u64), SnapshotError> {
-        let f = Frame::parse(buf)?;
-        if f.kind != frame::kind::SHARD {
-            return Err(SnapshotError::WrongKind { expected: frame::kind::SHARD, found: f.kind });
+        let f = ShardFrame::parse(buf, &self.point.cfg, self.point.shard, check_placement)?;
+        let bf = f.section(frame::tag::STRUCT_BF)?;
+        let bm = f.section(frame::tag::STRUCT_BM)?;
+        let cm = f.section(frame::tag::STRUCT_CM)?;
+        let mh_a = f.section(frame::tag::STRUCT_MH_A)?;
+        let mh_b = f.section(frame::tag::STRUCT_MH_B)?;
+        self.point.load_sections(bf, cm, merge)?;
+        if merge {
+            self.bm.merge_snapshot(bm)?;
+            self.mh_a.merge_snapshot(mh_a)?;
+            self.mh_b.merge_snapshot(mh_b)?;
+        } else {
+            self.bm.load_snapshot(bm)?;
+            self.mh_a.load_snapshot(mh_a)?;
+            self.mh_b.load_snapshot(mh_b)?;
         }
-        let section = |tag: u16| f.section(tag).ok_or(SnapshotError::MissingSection { tag });
-
-        let mut r = Reader::new(section(frame::tag::CONFIG)?);
-        let cfg = EngineConfig::decode(&mut r)?;
-        let shard = usize_of(r.u64().map_err(SnapshotError::Frame)?);
-        r.finish().map_err(SnapshotError::Frame)?;
-        if cfg.seed != self.cfg.seed {
-            return Err(SnapshotError::ConfigMismatch { field: "seed" });
-        }
-        if check_placement {
-            if cfg != self.cfg {
-                return Err(SnapshotError::ConfigMismatch { field: "engine config" });
-            }
-            if shard != self.shard {
-                return Err(SnapshotError::ConfigMismatch { field: "shard index" });
-            }
-        }
-
-        let mut r = Reader::new(section(frame::tag::COUNTERS)?);
-        let inserts = r.u64().map_err(SnapshotError::Frame)?;
-        let queries = r.u64().map_err(SnapshotError::Frame)?;
-        r.finish().map_err(SnapshotError::Frame)?;
-
-        structures(
-            self,
-            [
-                section(frame::tag::STRUCT_BF)?,
-                section(frame::tag::STRUCT_BM)?,
-                section(frame::tag::STRUCT_CM)?,
-                section(frame::tag::STRUCT_MH_A)?,
-                section(frame::tag::STRUCT_MH_B)?,
-            ],
-        )?;
-        Ok((inserts, queries))
+        Ok((f.inserts, f.queries))
     }
 
     /// Replace this shard's state with a snapshot taken by an identically
     /// configured shard (same config, same shard index).
     pub fn restore(&mut self, buf: &[u8]) -> Result<(), SnapshotError> {
-        let (inserts, queries) =
-            self.with_shard_frame(buf, true, |e, [bf, bm, cm, mha, mhb]| {
-                e.bf.load_snapshot(bf)?;
-                e.bm.load_snapshot(bm)?;
-                e.cm.load_snapshot(cm)?;
-                e.mh_a.load_snapshot(mha)?;
-                e.mh_b.load_snapshot(mhb)?;
-                Ok(())
-            })?;
+        let (inserts, queries) = self.load_frame(buf, true, false)?;
         self.inserts = inserts;
         self.queries = queries;
         Ok(())
@@ -386,15 +527,7 @@ impl ShardEngine {
     /// path). Requires the same seed and the same per-structure geometry;
     /// the source's shard index and shard count may differ.
     pub fn merge(&mut self, buf: &[u8]) -> Result<(), SnapshotError> {
-        let (inserts, queries) =
-            self.with_shard_frame(buf, false, |e, [bf, bm, cm, mha, mhb]| {
-                e.bf.merge_snapshot(bf)?;
-                e.bm.merge_snapshot(bm)?;
-                e.cm.merge_snapshot(cm)?;
-                e.mh_a.merge_snapshot(mha)?;
-                e.mh_b.merge_snapshot(mhb)?;
-                Ok(())
-            })?;
+        let (inserts, queries) = self.load_frame(buf, false, true)?;
         self.inserts += inserts;
         self.queries += queries;
         Ok(())
@@ -407,15 +540,7 @@ impl ShardEngine {
     /// counter **max** — the two sides are copies of the *same* shard, so
     /// repeated passes are idempotent and counters never inflate.
     pub fn reconcile(&mut self, buf: &[u8]) -> Result<(), SnapshotError> {
-        let (inserts, queries) =
-            self.with_shard_frame(buf, true, |e, [bf, bm, cm, mha, mhb]| {
-                e.bf.merge_snapshot(bf)?;
-                e.bm.merge_snapshot(bm)?;
-                e.cm.merge_snapshot(cm)?;
-                e.mh_a.merge_snapshot(mha)?;
-                e.mh_b.merge_snapshot(mhb)?;
-                Ok(())
-            })?;
+        let (inserts, queries) = self.load_frame(buf, true, true)?;
         self.inserts = self.inserts.max(inserts);
         self.queries = self.queries.max(queries);
         Ok(())
@@ -423,9 +548,9 @@ impl ShardEngine {
 
     /// Counter snapshot.
     pub fn stats(&self) -> ShardStats {
-        let bits = self.bf.memory_bits()
+        let bits = self.point.bf.memory_bits()
             + self.bm.memory_bits()
-            + self.cm.memory_bits()
+            + self.point.cm.memory_bits()
             + self.mh_a.memory_bits()
             + self.mh_b.memory_bits();
         ShardStats { inserts: self.inserts, queries: self.queries, memory_bits: bits as u64 }
@@ -433,8 +558,7 @@ impl ShardEngine {
 }
 
 /// All shards in one place, driven serially — the in-process reference the
-/// server must agree with, the read path's frozen mirror, and the engine
-/// behind `she-cli`'s offline mode.
+/// server must agree with, and the engine behind `she-cli`'s offline mode.
 #[derive(Debug)]
 pub struct DirectEngine {
     cfg: EngineConfig,
@@ -494,29 +618,9 @@ impl DirectEngine {
         }
     }
 
-    /// Frozen membership routes to the key's shard (see
-    /// [`ShardEngine::member_frozen`]).
-    #[inline]
-    pub fn member_frozen(&self, key: u64) -> bool {
-        self.shards[self.cfg.shard_of(key)].member_frozen(key)
-    }
-
-    /// Frozen frequency routes to the key's shard.
-    #[inline]
-    pub fn frequency_frozen(&self, key: u64) -> u64 {
-        self.shards[self.cfg.shard_of(key)].frequency_frozen(key)
-    }
-
-    /// Mark signature of `key`'s cells in its shard (see
-    /// [`ShardEngine::mark_sig`]).
-    #[inline]
-    pub fn mark_sig(&self, freq: bool, key: u64) -> u64 {
-        self.shards[self.cfg.shard_of(key)].mark_sig(freq, key)
-    }
-
     /// Replace (`merge = false`) or cell-wise reconcile (`merge = true`)
-    /// one shard from a same-placement snapshot frame — the mirror's
-    /// resync and anti-entropy path.
+    /// one shard from a same-placement snapshot frame — what a replica's
+    /// bootstrap and anti-entropy sweep do to its workers' shards.
     pub fn load(&mut self, shard: usize, frame: &[u8], merge: bool) -> Result<(), SnapshotError> {
         let Some(engine) = self.shards.get_mut(shard) else {
             return Err(SnapshotError::ConfigMismatch { field: "shard index" });
@@ -611,12 +715,12 @@ impl Checkpoint {
     /// structures to coincide with this checkpoint's (same per-shard
     /// window and memory — the global totals scale with the shard count).
     fn rebalanced_config(&self, new_shards: usize) -> EngineConfig {
-        let old = self.cfg;
+        let (window, bytes) = shard_sizing(&self.cfg);
         EngineConfig {
-            window: (old.window / old.shards as u64).max(1) * new_shards as u64,
+            window: window * new_shards as u64,
             shards: new_shards,
-            memory_bytes: (old.memory_bytes / old.shards).max(64) * new_shards,
-            seed: old.seed,
+            memory_bytes: bytes * new_shards,
+            seed: self.cfg.seed,
         }
     }
 
@@ -738,9 +842,9 @@ mod tests {
     /// sketch hashes the key itself — the oracle of the hashed-once insert.
     fn insert_per_structure(e: &mut ShardEngine, stream: u8, key: u64) {
         if stream == 0 {
-            e.bf.insert(&key);
+            e.point.bf.insert(&key);
             e.bm.insert(&key);
-            e.cm.insert(&key);
+            e.point.cm.insert(&key);
             e.mh_a.insert(&key);
         } else {
             e.mh_b.insert(&key);
@@ -762,9 +866,9 @@ mod tests {
             let (mut fast, mut oracle) = (ShardEngine::new(&cfg, 0), ShardEngine::new(&cfg, 0));
             let mut donor = ShardEngine::new(&cfg, 1);
             let t_cycle = [
-                fast.bf.engine().config().t_cycle,
+                fast.point.bf.engine().config().t_cycle,
                 fast.bm.engine().config().t_cycle,
-                fast.cm.engine().config().t_cycle,
+                fast.point.cm.engine().config().t_cycle,
                 fast.mh_a.engine().config().t_cycle,
             ]
             .into_iter()
@@ -815,7 +919,7 @@ mod tests {
         }
     }
 
-    /// The three ways an engine is fed — `apply` (the mirror), per-key
+    /// The three ways an engine is fed — `apply` (the test twins), per-key
     /// `insert` (the verify twin), `partition` + per-shard feed (the
     /// workers) — end in the same bytes, so any of them can stand in for
     /// any other in a bit-for-bit check.
@@ -847,14 +951,60 @@ mod tests {
             let want = inserted.checkpoint();
             assert!(applied.checkpoint() == want, "apply != insert ({shards} shards)");
             assert!(fed_ckpt.encode() == want, "partitioned feed != insert ({shards} shards)");
-            // And the engine's frozen reads route to the shard that holds
-            // the key — what QUERY_FAST correctness rests on.
-            for probe in (0..2000).map(mix64) {
-                let shard = &fed[cfg.shard_of(probe)];
-                assert_eq!(applied.member_frozen(probe), shard.member_frozen(probe));
-                assert_eq!(applied.frequency_frozen(probe), shard.frequency_frozen(probe));
-                assert_eq!(applied.mark_sig(true, probe), shard.mark_sig(true, probe));
-                assert_eq!(applied.mark_sig(false, probe), shard.mark_sig(false, probe));
+        }
+    }
+
+    /// A point half loads only a frame of its own shard: another shard
+    /// index, another config or seed, and a frame without the `STRUCT_BF`
+    /// or `STRUCT_CM` section are each refused with their typed error. A
+    /// frame missing only sections it does not read loads, and afterwards
+    /// the half answers as the shard it was taken of.
+    #[test]
+    fn point_half_load_refuses_foreign_frames() {
+        let cfg = EngineConfig { window: 1 << 10, shards: 2, memory_bytes: 16 << 10, seed: 5 };
+        let mut own = ShardEngine::new(&cfg, 0);
+        for k in 0..3000u64 {
+            own.insert(u8::from(k % 5 == 0), mix64(k));
+        }
+        let frame = own.snapshot();
+        let without = |missing: u16| {
+            let f = Frame::parse(&frame).expect("own frame parses");
+            let mut w = FrameWriter::new(frame::kind::SHARD);
+            for tag in [
+                frame::tag::CONFIG,
+                frame::tag::COUNTERS,
+                frame::tag::STRUCT_BF,
+                frame::tag::STRUCT_BM,
+                frame::tag::STRUCT_CM,
+                frame::tag::STRUCT_MH_A,
+                frame::tag::STRUCT_MH_B,
+            ] {
+                if tag != missing {
+                    w.section(tag, f.section(tag).expect("every section"));
+                }
+            }
+            w.finish()
+        };
+        let mismatch = |field| Err(SnapshotError::ConfigMismatch { field });
+        let missing = |tag| Err(SnapshotError::MissingSection { tag });
+        let other_config = EngineConfig { window: 1 << 11, ..cfg };
+        let other_seed = EngineConfig { seed: 6, ..cfg };
+        for merge in [false, true] {
+            let mut half = PointHalf::new(&cfg, 0);
+            let other_shard = ShardEngine::new(&cfg, 1).snapshot();
+            assert_eq!(half.load(&other_shard, merge), mismatch("shard index"));
+            let other_config = ShardEngine::new(&other_config, 0).snapshot();
+            assert_eq!(half.load(&other_config, merge), mismatch("engine config"));
+            let other_seed = ShardEngine::new(&other_seed, 0).snapshot();
+            assert_eq!(half.load(&other_seed, merge), mismatch("seed"));
+            for tag in [frame::tag::STRUCT_BF, frame::tag::STRUCT_CM] {
+                assert_eq!(half.load(&without(tag), merge), missing(tag), "merge {merge}");
+            }
+            half.load(&without(frame::tag::STRUCT_MH_B), merge).expect("BF and CM present");
+            for probe in (0..4000).map(mix64) {
+                assert_eq!(half.member_frozen(probe), own.member_frozen(probe));
+                assert_eq!(half.frequency_frozen(probe), own.frequency_frozen(probe));
+                assert_eq!(half.mark_sig(true, probe), own.mark_sig(true, probe));
             }
         }
     }

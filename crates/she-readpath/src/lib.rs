@@ -4,15 +4,18 @@
 //! the full sketch under a worker queue. This crate answers the hot read
 //! mix from a structure that never touches the write path:
 //!
-//! * **Stage one — the fast summary**: a second
-//!   [`DirectEngine`] — the *same* sketch
-//!   the workers own, in the SF-sketch spirit, not a second type —
-//!   refreshed incrementally from the op stream (the replication log
-//!   tail) and read *frozen*: queries never mutate, so the mirror answers
-//!   bit-for-bit what the authoritative engines would after the same
-//!   inserts *and* the same mutating queries. Next to it sits a
-//!   [`SlidingTopK`] candidate set, ranked by the mirror's own SHE-CM,
-//!   that the authoritative tier does not maintain at all.
+//! * **Stage one — the fast summary**: one [`PointHalf`] per shard —
+//!   SHE-BF and SHE-CM, the only sketches `QUERY_FAST` reads, routed like
+//!   the served engine. In SF-sketch terms it is the small read-side
+//!   stage beside the full write-side engine: the *same* type the
+//!   workers' shards embed, so the same sizing, hashes and frame parser,
+//!   but without SHE-BM or the similarity MinHashes, and stream-B records
+//!   pass it by. It is refreshed incrementally from the op stream (the
+//!   replication log tail) and read *frozen*: queries never mutate, so
+//!   the mirror answers bit-for-bit what the authoritative engines would
+//!   after the same inserts *and* the same mutating queries. Next to it
+//!   sits a [`SlidingTopK`] candidate set, ranked by the mirror's own
+//!   SHE-CM, that the authoritative tier does not maintain at all.
 //! * **Stage two — [`MarkCache`]**: a direct-mapped `(op, key)` result
 //!   cache validated by SHE **time-mark signatures**. An entry is dropped
 //!   only when a group the answer depends on changes observation context
@@ -40,7 +43,7 @@ mod cache;
 pub use cache::{Lookup, MarkCache};
 
 use she_core::convert::usize_of;
-use she_core::sharded::DirectEngine;
+use she_core::sharded::{EngineConfig, PointHalf};
 use she_core::{LeafMutex, SlidingTopK, SnapshotError};
 use she_metrics::ReadpathCounters;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,11 +99,32 @@ const APPLY_CHUNK: usize = 1024;
 /// Upper bound on a top-k request so a hostile `n` cannot size a reply.
 const TOPK_MAX: u64 = 1024;
 
+/// The fast summary: the point half of every shard, routed by the served
+/// engine's config and fed the same per-shard stream-A key order (op-log
+/// order guarantees this).
+struct Mirror {
+    cfg: EngineConfig,
+    shards: Vec<PointHalf>,
+}
+
+impl Mirror {
+    /// The point half `key` routes to.
+    #[inline]
+    fn half(&self, key: u64) -> &PointHalf {
+        &self.shards[self.cfg.shard_of(key)]
+    }
+
+    /// Feed a stream-A key to the point half it routes to.
+    #[inline]
+    fn insert(&mut self, key: u64) {
+        let shard = self.cfg.shard_of(key);
+        self.shards[shard].insert(key);
+    }
+}
+
 struct Inner {
-    /// Frozen mirror of the authoritative engines, fed the same per-shard
-    /// key order (op-log order guarantees this).
-    mirror: DirectEngine,
-    /// Stream-A candidates, ranked by `mirror.frequency_frozen`.
+    mirror: Mirror,
+    /// Stream-A candidates, ranked by the mirror's frozen frequencies.
     topk: SlidingTopK,
     cache: MarkCache,
 }
@@ -122,11 +146,18 @@ impl std::fmt::Debug for ReadPath {
 }
 
 impl ReadPath {
-    /// Wrap a mirror engine with a `cfg`-sized mark cache and a `cfg.topk`
-    /// candidate set. Candidates are the keys the op stream offers; their
-    /// estimates always come from the mirror, so a mirror loaded from a
-    /// snapshot ranks by the loaded state.
-    pub fn new(mirror: DirectEngine, cfg: ReadPathConfig, counters: Arc<ReadpathCounters>) -> Self {
+    /// An empty mirror of an `engine`-sized engine's point halves, with a
+    /// `cfg`-sized mark cache and a `cfg.topk` candidate set; seed it with
+    /// [`ReadPath::load`]. Candidates are the keys the op stream offers;
+    /// their estimates always come from the mirror, so a mirror loaded
+    /// from a snapshot ranks by the loaded state.
+    pub fn new(
+        engine: &EngineConfig,
+        cfg: ReadPathConfig,
+        counters: Arc<ReadpathCounters>,
+    ) -> Self {
+        let shards = (0..engine.shards).map(|i| PointHalf::new(engine, i)).collect();
+        let mirror = Mirror { cfg: *engine, shards };
         let topk = SlidingTopK::new(cfg.topk.max(1));
         Self {
             inner: LeafMutex::new(Inner { mirror, topk, cache: MarkCache::new(cfg.cache_slots) }),
@@ -142,7 +173,7 @@ impl ReadPath {
             op::TOPK => {
                 let mut g = self.inner.lock();
                 let Inner { mirror, topk, .. } = &mut *g;
-                let mut top = topk.top(|k| mirror.frequency_frozen(k));
+                let mut top = topk.top(|k| mirror.half(k).frequency_frozen(k));
                 top.truncate(usize_of(key.min(TOPK_MAX)));
                 Some(FastAnswer::Ranked(top))
             }
@@ -152,8 +183,10 @@ impl ReadPath {
             }
             op::MEMBER | op::FREQ => {
                 let mut g = self.inner.lock();
-                let sig = g.mirror.mark_sig(opcode == op::FREQ, key);
-                match g.cache.lookup(opcode, key, sig) {
+                let Inner { mirror, cache, .. } = &mut *g;
+                let half = mirror.half(key);
+                let sig = half.mark_sig(opcode == op::FREQ, key);
+                match cache.lookup(opcode, key, sig) {
                     Lookup::Hit(v) => {
                         ReadpathCounters::bump(&self.counters.hits);
                         Some(unpack(opcode, v))
@@ -164,10 +197,10 @@ impl ReadPath {
                         }
                         ReadpathCounters::bump(&self.counters.misses);
                         let v = match opcode {
-                            op::MEMBER => u64::from(g.mirror.member_frozen(key)),
-                            _ => g.mirror.frequency_frozen(key),
+                            op::MEMBER => u64::from(half.member_frozen(key)),
+                            _ => half.frequency_frozen(key),
                         };
-                        g.cache.fill(opcode, key, sig, v);
+                        cache.fill(opcode, key, sig, v);
                         ReadpathCounters::bump(&self.counters.fills);
                         Some(unpack(opcode, v))
                     }
@@ -179,18 +212,19 @@ impl ReadPath {
 
     /// Apply one op-stream record to the fast summary, in chunks so a
     /// large batch cannot monopolize the read lock. A stream-A chunk
-    /// reaches the mirror, then its keys are offered to the candidate set
-    /// at the mirror's estimate. Stream B feeds only the mirror.
+    /// reaches the mirror, then is offered to the candidate set as one run
+    /// at the mirror's estimates. Stream B feeds only the similarity
+    /// MinHash, which the mirror does not hold: its records change nothing
+    /// here.
     pub fn apply(&self, stream: u8, keys: &[u64]) {
+        if stream != 0 {
+            return;
+        }
         for chunk in keys.chunks(APPLY_CHUNK) {
             let mut g = self.inner.lock();
             let Inner { mirror, topk, .. } = &mut *g;
-            mirror.apply(stream, chunk);
-            if stream == 0 {
-                for &k in chunk {
-                    topk.offer(k, |k| mirror.frequency_frozen(k));
-                }
-            }
+            chunk.iter().for_each(|&k| mirror.insert(k));
+            topk.offer(chunk, |k| mirror.half(k).frequency_frozen(k));
         }
     }
 
@@ -205,12 +239,17 @@ impl ReadPath {
         self.seq.load(Ordering::Acquire)
     }
 
-    /// Load one mirrored shard from a snapshot frame (resync or
-    /// anti-entropy), dropping every cached answer: the state changed
-    /// out from under the signatures.
+    /// Load one mirrored shard's point half from a full `SHARD` snapshot
+    /// frame of that shard — replaced (`merge = false`: seed, restore,
+    /// resync) or reconciled cell-wise (`merge = true`: anti-entropy) —
+    /// dropping every cached answer: the state changed out from under the
+    /// signatures.
     pub fn load(&self, shard: usize, frame: &[u8], merge: bool) -> Result<(), SnapshotError> {
         let mut g = self.inner.lock();
-        g.mirror.load(shard, frame, merge)?;
+        let Some(half) = g.mirror.shards.get_mut(shard) else {
+            return Err(SnapshotError::ConfigMismatch { field: "shard index" });
+        };
+        half.load(frame, merge)?;
         g.cache.clear();
         Ok(())
     }
@@ -238,7 +277,7 @@ fn unpack(opcode: u8, v: u64) -> FastAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use she_core::sharded::{EngineConfig, ShardEngine};
+    use she_core::sharded::{DirectEngine, ShardEngine};
     use she_hash::{RandomSource, Xoshiro256};
     use she_streams::Zipf;
     use she_window::WindowTruth;
@@ -246,15 +285,19 @@ mod tests {
     const WINDOW: u64 = 1 << 10;
 
     /// A 1-shard engine: the shape the server's mirror has, minus
-    /// routing. Built twice per test — once inside the read path, once as
-    /// the authoritative twin fed the same history.
-    fn engine(seed: u32) -> DirectEngine {
-        DirectEngine::new(EngineConfig { window: WINDOW, shards: 1, memory_bytes: 64 << 10, seed })
+    /// routing. The read path mirrors its point half; the authoritative
+    /// twin is the whole engine, fed the same history.
+    fn config(seed: u32) -> EngineConfig {
+        EngineConfig { window: WINDOW, shards: 1, memory_bytes: 64 << 10, seed }
+    }
+
+    fn engine(seed: u32) -> ShardEngine {
+        ShardEngine::new(&config(seed), 0)
     }
 
     fn readpath(seed: u32, slots: usize) -> ReadPath {
         ReadPath::new(
-            engine(seed),
+            &config(seed),
             ReadPathConfig { cache_slots: slots, topk: 16 },
             Arc::new(ReadpathCounters::new()),
         )
@@ -283,7 +326,7 @@ mod tests {
                 batch.push(rng.next_u64() % 700);
             }
             rp.apply(0, &batch);
-            auth.apply(0, &batch);
+            batch.iter().for_each(|&k| auth.insert(0, k));
             // Probe a mix of hot and cold keys.
             let probe = if round % 3 == 0 { rng.next_u64() % 700 } else { rng.next_u64() % 4096 };
             for opcode in [op::MEMBER, op::FREQ] {
@@ -331,7 +374,7 @@ mod tests {
         let mut auth = engine(5);
         let keys: Vec<u64> = (0..3 * WINDOW).map(|i| i % 900).collect();
         rp.apply(0, &keys);
-        auth.apply(0, &keys);
+        keys.iter().for_each(|&k| auth.insert(0, k));
         for probe in 0..1500u64 {
             let first = rp.query(op::FREQ, probe);
             let second = rp.query(op::FREQ, probe);
@@ -359,7 +402,7 @@ mod tests {
     fn zipf_fed(shards: usize, seed: u64) -> (ReadPath, Vec<(u64, u32)>) {
         let cfg = EngineConfig { window: WINDOW, shards, memory_bytes: 64 << 10, seed: 7 };
         let rp = ReadPath::new(
-            DirectEngine::new(cfg),
+            &cfg,
             ReadPathConfig { cache_slots: 1 << 12, topk: 16 },
             Arc::new(ReadpathCounters::new()),
         );
@@ -458,6 +501,86 @@ mod tests {
         let heaviest =
             keys.iter().copied().max_by_key(|&k| twin.frequency_frozen(k)).expect("keys");
         assert_eq!(top[0].0, heaviest, "{top:?}");
+    }
+
+    /// Today's point halves against the mirror they replace: a whole
+    /// [`DirectEngine`]'s shards read frozen, with a [`SlidingTopK`]
+    /// offered one key at a time. Both are fed the same records on both
+    /// streams, full `SHARD` frames restored and merged in between, and
+    /// after every step every probed MEMBER, FREQ and mark signature and
+    /// the TOPK answer are equal.
+    #[test]
+    fn point_halves_answer_as_the_full_engine_mirror() {
+        let cfg = EngineConfig { window: WINDOW, shards: 3, memory_bytes: 48 << 10, seed: 13 };
+        let rp = ReadPath::new(
+            &cfg,
+            ReadPathConfig { cache_slots: 64, topk: 8 },
+            Arc::new(ReadpathCounters::new()),
+        );
+        let (_, mut twin) = DirectEngine::new(cfg).into_shards();
+        let mut twin_topk = SlidingTopK::new(8);
+        // Donors: other copies of each shard, fed their own stream.
+        let (_, mut donors) = DirectEngine::new(cfg).into_shards();
+        let zipf = Zipf::new(5_000, 1.1);
+        let mut rng = Xoshiro256::new(0xD1FF);
+        for step in 0..600u64 {
+            match rng.next_below(20) {
+                0 | 1 => {
+                    let shard = rng.next_below(cfg.shards);
+                    let merge = rng.next_below(2) == 1;
+                    let frame = donors[shard].snapshot();
+                    rp.load(shard, &frame, merge).expect("same-placement frame");
+                    if merge {
+                        twin[shard].reconcile(&frame).expect("same-placement frame");
+                    } else {
+                        twin[shard].restore(&frame).expect("same-placement frame");
+                    }
+                }
+                draw => {
+                    let stream = u8::from(draw < 6);
+                    let n = 1 + rng.next_below(2 * APPLY_CHUNK);
+                    let keys: Vec<u64> = (0..n).map(|_| zipf.sample(&mut rng) as u64).collect();
+                    rp.apply(stream, &keys);
+                    for chunk in keys.chunks(APPLY_CHUNK) {
+                        for (shard, ks) in cfg.partition(chunk) {
+                            ks.iter().for_each(|&k| twin[shard].insert(stream, k));
+                        }
+                        if stream == 0 {
+                            for &k in chunk {
+                                let est = |k| twin[cfg.shard_of(k)].frequency_frozen(k);
+                                twin_topk.offer(&[k], est);
+                            }
+                        }
+                    }
+                    for &k in keys.iter().take(64) {
+                        donors[cfg.shard_of(k)].insert(0, k ^ step);
+                    }
+                }
+            }
+            // A flush makes every first ask a fill from the mirror.
+            rp.query(op::FLUSH, 0);
+            let probes: Vec<u64> =
+                (0..256).map(|_| zipf.sample(&mut rng) as u64).chain([u64::MAX, step]).collect();
+            for &probe in &probes {
+                let full = &twin[cfg.shard_of(probe)];
+                let member = FastAnswer::Bool(full.member_frozen(probe));
+                assert_eq!(rp.query(op::MEMBER, probe), Some(member), "step {step}: {probe}");
+                let freq = FastAnswer::Count(full.frequency_frozen(probe));
+                assert_eq!(rp.query(op::FREQ, probe), Some(freq), "step {step}: {probe}");
+                let g = rp.inner.lock();
+                for freq in [false, true] {
+                    let sig = g.mirror.half(probe).mark_sig(freq, probe);
+                    assert_eq!(sig, full.mark_sig(freq, probe), "step {step}: {probe}");
+                }
+            }
+            let n = rng.next_below(9);
+            let Some(FastAnswer::Ranked(got)) = rp.query(op::TOPK, n as u64) else {
+                panic!("topk answer missing");
+            };
+            let mut want = twin_topk.top(|k| twin[cfg.shard_of(k)].frequency_frozen(k));
+            want.truncate(n);
+            assert_eq!(got, want, "step {step}: top {n}");
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! * `link` — a coordinator's persistent peer links: the scatter legs
 //!   of `CLUSTER_QUERY`, answered in order on the reactor;
 //! * `readpath` — the QUERY_FAST accelerator's server glue: seeds
-//!   `she-readpath`'s frozen [`DirectEngine`] mirror from the shard
-//!   engines and refreshes it from the op-log tail (see
-//!   `docs/READPATH.md`);
+//!   `she-readpath`'s frozen mirror of the shards' point halves
+//!   (SHE-BF + SHE-CM) from the shard engines and refreshes it from the
+//!   op-log tail (see `docs/READPATH.md`);
 //! * [`store`] — generation-rotating checkpoint store with corrupt-file
 //!   quarantine and automatic fallback;
 //! * [`backoff`] — capped exponential backoff with jitter, shared by the

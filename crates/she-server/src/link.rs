@@ -95,7 +95,7 @@ impl Link {
     /// Queue one leg: its frame goes out with the round's other legs.
     pub(crate) fn queue(&mut self, req: &Request, leg: Leg) {
         // audit:allow(growth): one request frame, capped at MAX_FRAME by its encoder
-        self.conn.push_frame(|b| b.extend_from_slice(&req.encode()));
+        self.conn.push_frame(|b| req.encode_into(b));
         // audit:allow(growth): each client connection holds one pending read set, and each leg carries at least one of its values, so a set puts at most MAX_BATCH values plus one frame's worth of legs in flight; legs leave on answer, failure or the sweep deadline (a failed set's other legs too)
         self.legs.push_back(leg);
     }

@@ -395,6 +395,13 @@ impl Request {
     /// Encode into a frame payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(16);
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Append the frame payload to `b` — how a peer link frames a leg in
+    /// place, behind its length prefix, with no second buffer.
+    pub(crate) fn encode_into(&self, b: &mut Vec<u8>) {
         // audit:allow(growth): frame encoder — payload capped at MAX_FRAME by the asserts above each variable-length variant
         match self {
             Request::Insert { stream, key } => {
@@ -403,7 +410,7 @@ impl Request {
                 b.extend_from_slice(&key.to_le_bytes());
             }
             Request::InsertBatch { stream, keys } => {
-                encode_keys(&mut b, opcode::INSERT_BATCH, *stream, keys);
+                encode_keys(b, opcode::INSERT_BATCH, *stream, keys);
             }
             Request::QueryMember { key } => {
                 b.push(opcode::QUERY_MEMBER);
@@ -416,7 +423,7 @@ impl Request {
             }
             Request::QuerySim => b.push(opcode::QUERY_SIM),
             Request::QueryBatch { op, keys } => {
-                encode_keys(&mut b, opcode::QUERY_BATCH, *op, keys);
+                encode_keys(b, opcode::QUERY_BATCH, *op, keys);
             }
             Request::QueryFast { op, key } => {
                 b.push(opcode::QUERY_FAST);
@@ -454,7 +461,7 @@ impl Request {
             Request::ClusterJoin { from_node, map } => {
                 b.push(opcode::CLUSTER_JOIN);
                 b.extend_from_slice(&from_node.to_le_bytes());
-                map.encode_into(&mut b);
+                map.encode_into(b);
             }
             Request::ClusterMapGet => b.push(opcode::CLUSTER_MAP),
             Request::ClusterQuery { op, key } => {
@@ -463,11 +470,10 @@ impl Request {
                 b.extend_from_slice(&key.to_le_bytes());
             }
             Request::ClusterQueryBatch { op, keys } => {
-                encode_keys(&mut b, opcode::CLUSTER_QUERY_BATCH, *op, keys);
+                encode_keys(b, opcode::CLUSTER_QUERY_BATCH, *op, keys);
             }
             Request::Shutdown => b.push(opcode::SHUTDOWN),
         }
-        b
     }
 
     /// Decode from a frame payload.
@@ -759,7 +765,82 @@ impl Response {
 
 #[cfg(test)]
 mod tests {
-    use super::{opcode, PROTOCOL_VERSION};
+    use super::{opcode, Request, PROTOCOL_VERSION};
+    use crate::cluster::{ClusterMap, NodeRef};
+
+    /// One request of every variant; the `match` has no wildcard, so a
+    /// new variant does not compile until it is listed here.
+    fn one_of_each() -> Vec<Request> {
+        let roster: Vec<NodeRef> =
+            (1..=3).map(|id| NodeRef { node_id: id, addr: format!("10.0.0.{id}:7070") }).collect();
+        let all = vec![
+            Request::Insert { stream: 1, key: u64::MAX },
+            Request::InsertBatch { stream: 0, keys: vec![1, 2, u64::MAX] },
+            Request::QueryMember { key: 0xDEAD_BEEF },
+            Request::QueryCard,
+            Request::QueryFreq { key: 42 },
+            Request::QuerySim,
+            Request::QueryBatch { op: 2, keys: vec![5, 6] },
+            Request::QueryFast { op: 4, key: 16 },
+            Request::Stats,
+            Request::Hello { version: PROTOCOL_VERSION },
+            Request::Snapshot { shard: 3 },
+            Request::SnapshotAll,
+            Request::Restore { shard: 1, data: b"SHEF-opaque".to_vec() },
+            Request::ReplBootstrap,
+            Request::ReplSubscribe { from_seq: 7, node_id: 42 },
+            Request::ReplAck { seq: 12_345 },
+            Request::ClusterStatus,
+            Request::ClusterJoin { from_node: 2, map: ClusterMap::initial(&roster) },
+            Request::ClusterMapGet,
+            Request::ClusterQuery { op: 0, key: 9 },
+            Request::ClusterQueryBatch { op: 2, keys: vec![9, 8, 7] },
+            Request::Shutdown,
+        ];
+        let mut seen = [false; 22];
+        for req in &all {
+            let i = match req {
+                Request::Insert { .. } => 0,
+                Request::InsertBatch { .. } => 1,
+                Request::QueryMember { .. } => 2,
+                Request::QueryCard => 3,
+                Request::QueryFreq { .. } => 4,
+                Request::QuerySim => 5,
+                Request::QueryBatch { .. } => 6,
+                Request::QueryFast { .. } => 7,
+                Request::Stats => 8,
+                Request::Hello { .. } => 9,
+                Request::Snapshot { .. } => 10,
+                Request::SnapshotAll => 11,
+                Request::Restore { .. } => 12,
+                Request::ReplBootstrap => 13,
+                Request::ReplSubscribe { .. } => 14,
+                Request::ReplAck { .. } => 15,
+                Request::ClusterStatus => 16,
+                Request::ClusterJoin { .. } => 17,
+                Request::ClusterMapGet => 18,
+                Request::ClusterQuery { .. } => 19,
+                Request::ClusterQueryBatch { .. } => 20,
+                Request::Shutdown => 21,
+            };
+            seen[i] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "a variant is missing from the list");
+        all
+    }
+
+    /// `encode_into` appends exactly `encode`'s bytes behind whatever the
+    /// buffer already holds (a peer link's length prefix and earlier legs).
+    #[test]
+    fn request_encode_into_appends_the_encoded_payload() {
+        for req in one_of_each() {
+            let mut b = vec![0xAB; 7];
+            req.encode_into(&mut b);
+            assert_eq!(b[..7], [0xAB; 7], "{req:?} touched the bytes before it");
+            assert_eq!(b[7..], req.encode()[..], "{req:?}");
+            assert_eq!(Request::decode(&b[7..]).as_ref(), Ok(&req));
+        }
+    }
 
     const MD: &str = include_str!("../../../docs/PROTOCOL.md");
 

@@ -2,13 +2,15 @@
 //! seeds its mirror from the (possibly restored) shard engines, and the
 //! refresher thread that tails the primary's op log.
 //!
-//! The mirror is a second, read-only [`DirectEngine`]: same
-//! [`EngineConfig`], same router, fed the identical per-shard insert
-//! order ([`EngineConfig::partition`]) — so its *frozen* reads answer
-//! bit-for-bit what the workers would after the same inserts *and* the
-//! same mutating queries (a worker's `QUERY` cleans due groups the mirror
-//! leaves alone). `TOPK` ranks by the same frozen frequencies, so a
-//! mirror seeded or resynced from snapshots ranks by the loaded state.
+//! The mirror is every shard's read-only
+//! [`PointHalf`](she_core::sharded::PointHalf) — the SHE-BF and SHE-CM a
+//! [`ShardEngine`] embeds, nothing else: same [`EngineConfig`], same
+//! router, fed the identical per-shard stream-A insert order — so its
+//! *frozen* reads answer bit-for-bit what the workers would after the
+//! same inserts *and* the same mutating queries (a worker's `QUERY`
+//! cleans due groups the mirror leaves alone). `TOPK` ranks by the same
+//! frozen frequencies, so a mirror seeded or resynced from snapshots
+//! ranks by the loaded state.
 //! On a primary the refresher keeps it fresh from the replication log
 //! tail (the read path rides the replication machinery; it adds no work
 //! to the write path). On a replica the [`crate::server::Injector`] feeds
@@ -17,7 +19,7 @@
 
 use crate::repl::Tail;
 use crate::server::Shared;
-use she_core::sharded::{DirectEngine, EngineConfig, ShardEngine};
+use she_core::sharded::{EngineConfig, ShardEngine};
 use she_metrics::ReadpathCounters;
 use she_readpath::{ReadPath, ReadPathConfig};
 use std::io;
@@ -30,7 +32,7 @@ const REFRESH_BATCH: usize = 64;
 /// Refresher poll timeout — also bounds its shutdown latency.
 const REFRESH_POLL: Duration = Duration::from_millis(100);
 
-/// Build a server's read path: a mirror seeded from the engines'
+/// Build a server's read path: point halves seeded from the engines'
 /// snapshots, so a restored server starts its fast reads from the
 /// restored state, not empty.
 pub(crate) fn build(
@@ -38,13 +40,13 @@ pub(crate) fn build(
     rcfg: ReadPathConfig,
     engines: &[ShardEngine],
 ) -> io::Result<Arc<ReadPath>> {
-    let mut mirror = DirectEngine::new(*cfg);
+    let rp = ReadPath::new(cfg, rcfg, Arc::new(ReadpathCounters::new()));
     for (shard, engine) in engines.iter().enumerate() {
-        mirror.load(shard, &engine.snapshot(), false).map_err(|e| {
+        rp.load(shard, &engine.snapshot(), false).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("read-path mirror seed: {e}"))
         })?;
     }
-    Ok(Arc::new(ReadPath::new(mirror, rcfg, Arc::new(ReadpathCounters::new()))))
+    Ok(Arc::new(rp))
 }
 
 /// The refresher loop: tail the op log from just past the read path's
