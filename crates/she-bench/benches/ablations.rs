@@ -4,12 +4,15 @@
 //!   mean fewer mark checks per array bit but coarser ages;
 //! * software vs hardware cleaning — the per-cell sweep of §3.2 against
 //!   the lazy group marks of §3.3;
-//! * α — cleaning-cycle length vs insertion cost (more mark flips).
+//! * α — cleaning-cycle length vs insertion cost (more mark flips);
+//! * SHE-MH's last-insert memo — one served signature's insert on an
+//!   all-distinct stream, where the memo never hits and every insert
+//!   hashes all 128 rows, and on a ladder-like Zipf-1.05 stream.
 
 use she_bench::harness::{black_box, Group};
-use she_core::{She, SheConfig, SoftClock};
+use she_core::{She, SheConfig, SheMinHash, SoftClock};
 use she_sketch::BloomSpec;
-use she_streams::{CaidaLike, KeyStream};
+use she_streams::{CaidaLike, DistinctStream, KeyStream};
 
 const WINDOW: u64 = 1 << 14;
 const M_BITS: usize = 1 << 16;
@@ -64,8 +67,27 @@ fn alpha_sweep() {
     }
 }
 
+/// One served SHE-MH signature (128 rows over a shard's 16 384-item
+/// window) fed an all-distinct stream and a Zipf-1.05 draw over 25 000
+/// keys: one shard's share of the ladder's 100 000-key trace.
+fn minhash_memo() {
+    let mut g = Group::new("ablation_minhash_insert");
+    for (name, keys) in [
+        ("distinct", DistinctStream::new(4).take_vec(1 << 20)),
+        ("zipf105", CaidaLike::new(25_000, 1.05, 5).take_vec(1 << 20)),
+    ] {
+        let mut s = SheMinHash::builder().window(WINDOW).num_hashes(128).seed(1).build();
+        let mut i = 0usize;
+        g.bench(name, || {
+            i = (i + 1) % keys.len();
+            s.insert(black_box(&keys[i]));
+        });
+    }
+}
+
 fn main() {
     group_size_sweep();
     soft_vs_hw_cleaning();
     alpha_sweep();
+    minhash_memo();
 }

@@ -25,10 +25,15 @@
 //! feeds BF, BM and CM from the same rows). Both advance the clock, then
 //! run `CheckGroup` + `F` per update in row order, through the one
 //! function that writes an inserted cell — the insert path of every
-//! adapter whose `K` is a handful of cells (BF, BM, CM, HLL, CS). SHE-MH (`K = M`, `w = 1`) walks all of its cells itself in
-//! one row-wise pass (`mh.rs`) built on `advance_time(1)`, `check_group`
-//! and the crate-private `next_flip` / `write_cell`; this loop is the
-//! oracle that pass is tested bit-for-bit against.
+//! adapter whose `K` is a handful of cells (BF, BM, CM, HLL, CS). That
+//! function hands the spec's cell width to the packed array, so 1-bit
+//! BF/BM cells compile to constant shifts and masks (the configurable
+//! widths of CM and HLL stay runtime values). SHE-MH (`K = M`, `w = 1`) walks its cells
+//! itself in one row-wise pass (`mh.rs`) built on `advance_time(1)`,
+//! `check_group` and the crate-private `next_flip` / `write_cell`, and
+//! skips the rows its last-insert memo rules out by the flip count
+//! ([`She::flipped_since`]); this loop is the oracle that pass is tested
+//! bit-for-bit against.
 //!
 //! Nothing on an insert or point read divides: the specs reduce a row
 //! hash to a cell with a precomputed reciprocal (`she_hash::FastMod`),
@@ -45,6 +50,7 @@
 //! ([`She::check_due`]). For the same reason the groups of any minimum age
 //! are at most two `gid` ranges, which SHE-BM's `estimate` sums directly.
 
+use crate::convert::u64_of;
 use crate::SheConfig;
 use she_hash::{FastMod, HashKey};
 use she_sketch::{row_chunks, CellUpdate, CsmSpec, PackedArray, UPDATE_LANES};
@@ -85,10 +91,30 @@ pub struct She<S: CsmSpec> {
     t: u64,
     /// `index / w`, without dividing.
     group_div: GroupDiv,
-    /// The clock at which every group was last checked, so that only the
-    /// groups whose flip instant has passed since can be due
-    /// ([`She::check_due`]); `None` = unknown.
-    swept_at: Option<u64>,
+    /// The [`FlipCount`] at which every group was last checked, so that
+    /// only the groups that flipped since can be due ([`She::check_due`]);
+    /// `None` = unknown.
+    swept: Option<u64>,
+}
+
+/// How many mark flips the groups have scheduled up to the clock — the
+/// sum of their [`She::mark_epoch`]s — and the group the next one falls
+/// to, `count mod G`. The offsets ascend with `gid`, so the flips come
+/// round the groups in `gid` order, ties at one instant included: flip
+/// number `f` is group `f mod G`'s, and the flips between two counts are
+/// consecutive groups ([`She::flipped_since`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FlipCount {
+    count: u64,
+    next: usize,
+}
+
+impl FlipCount {
+    /// The count, for comparison with a later one.
+    #[inline]
+    pub(crate) fn count(self) -> u64 {
+        self.count
+    }
 }
 
 /// A cell's group `index / w` without a division instruction: a shift
@@ -268,7 +294,7 @@ impl<S: CsmSpec> She<S> {
             neg_offsets,
             t: 0,
             group_div,
-            swept_at: None,
+            swept: None,
         };
         for gid in 0..g {
             let mark = engine.observe_mark(gid);
@@ -532,12 +558,14 @@ impl<S: CsmSpec> She<S> {
     }
 
     /// `CheckGroup` + `F` on one hashed cell — the only place an insert
-    /// writes a cell.
+    /// writes a cell. The spec's cell width is a constant but for CM and
+    /// HLL, whose widths are configurable, so the packed read and write
+    /// inline to constant shifts and masks.
     #[inline]
     fn update_cell(&mut self, u: CellUpdate) {
         self.check_group(self.group_of(u.index));
-        let old = self.cells.get(u.index);
-        self.cells.set(u.index, self.spec.apply(u.operand, old));
+        let spec = &self.spec;
+        self.cells.update(u.index, spec.cell_bits(), |old| spec.apply(u.operand, old));
     }
 
     /// Hand `key`'s cell updates to `f` in row order, with the engine,
@@ -584,7 +612,7 @@ impl<S: CsmSpec> She<S> {
     /// already checked the owning group at the current time.
     #[inline]
     pub(crate) fn write_cell(&mut self, index: usize, v: u64) {
-        self.cells.set(index, v);
+        self.cells.update(index, self.spec.cell_bits(), |_| v);
     }
 
     /// Read a cell *after* checking its group (query-path accessor).
@@ -615,30 +643,49 @@ impl<S: CsmSpec> She<S> {
     /// none is ([`She::group_due`]): the cleanings of checking all `G`
     /// groups, from the groups whose mark flipped since the last sweep.
     ///
-    /// Group `gid` flips at the instants `≡ ofs_gid (mod Tcycle)`. Every
-    /// group was current at the last sweep `s`, and a check since keeps it
-    /// so; only a flip in `(s, t]` can have made it due. Within one cycle
-    /// those are the groups whose offset lies in the residue interval
-    /// `(s mod Tcycle, t mod Tcycle]`, wrapping past `Tcycle` at most once,
-    /// and the offsets ascend with `gid`: one or two `gid` ranges. With the
-    /// cursor unknown, or a cycle or more behind (a group may have flipped
-    /// twice), every group is checked.
+    /// Every group was current at the last sweep, and a check since keeps
+    /// it so; only a flip since can have made it due
+    /// ([`She::flipped_since`]). With the sweep unknown, or `G` or more
+    /// flips behind (a group may have flipped twice), every group is
+    /// checked.
     pub(crate) fn check_due(&mut self) {
-        let (t, tc, g) = (self.t, self.cfg.t_cycle, self.num_groups());
-        match self.swept_at {
-            Some(s) if s <= t && t - s < tc => {
-                let (rs, rt) = (s % tc, t % tc);
-                let (lo, hi) = (self.offsets_upto(rs), self.offsets_upto(rt));
-                if rs <= rt {
-                    self.check_groups(lo..hi);
-                } else {
-                    self.check_groups(lo..g);
-                    self.check_groups(0..hi);
-                }
+        let now = self.flip_count();
+        match self.swept.and_then(|s| self.flipped_since(s, now)) {
+            Some([a, b]) => {
+                self.check_groups(a);
+                self.check_groups(b);
             }
-            _ => self.check_groups(0..g),
+            None => self.check_groups(0..self.num_groups()),
         }
-        self.swept_at = Some(t);
+        self.swept = Some(now.count);
+    }
+
+    /// The [`FlipCount`] at the current clock. With `t = q·Tcycle + r`,
+    /// every group has flipped `q` times per whole cycle, and the groups
+    /// whose offset is `≤ r` once more in the current one.
+    #[inline]
+    pub(crate) fn flip_count(&self) -> FlipCount {
+        let (tc, g) = (self.cfg.t_cycle, self.num_groups());
+        let k = self.offsets_upto(self.t % tc);
+        let count = u64_of(g) * (self.t / tc) + u64_of(k);
+        FlipCount { count, next: if k == g { 0 } else { k } }
+    }
+
+    /// The groups whose mark flipped between flip count `since` and
+    /// `now`, as two `gid` ranges (the second empty unless the run wraps
+    /// past `G`); `None` when `since` lies ahead of `now` or `G` or more
+    /// flips behind it, where a group may have flipped more than once.
+    /// Exact for any offsets, repeated ones (`Tcycle < G`) included: the
+    /// flips are numbered per group, not per instant.
+    #[inline]
+    pub(crate) fn flipped_since(&self, since: u64, now: FlipCount) -> Option<[Range<usize>; 2]> {
+        let g = self.num_groups();
+        let d = usize::try_from(now.count.checked_sub(since)?).ok().filter(|&d| d < g)?;
+        Some(if d <= now.next {
+            [now.next - d..now.next, 0..0]
+        } else {
+            [now.next + g - d..g, 0..now.next]
+        })
     }
 
     /// How many groups have an offset `≤ residue`: the offsets ascend with
@@ -704,7 +751,7 @@ impl<S: CsmSpec> She<S> {
         assert_eq!(marks.len(), self.groups.len());
         self.t = t;
         self.cells.copy_from_words(words);
-        self.swept_at = None;
+        self.swept = None;
         let tc = self.cfg.t_cycle;
         for (gid, &stored) in marks.iter().enumerate() {
             let cur = self.observe_mark(gid);
@@ -737,7 +784,7 @@ impl<S: CsmSpec> She<S> {
     ) {
         assert_eq!(marks_other.len(), self.groups.len());
         self.t = self.t.max(t_other);
-        self.swept_at = None;
+        self.swept = None;
         let mut other = PackedArray::new(self.cells.len(), self.cells.cell_bits());
         other.copy_from_words(words_other);
         for (gid, &mark_other) in marks_other.iter().enumerate() {
@@ -758,7 +805,7 @@ impl<S: CsmSpec> She<S> {
     pub fn clear(&mut self) {
         self.cells.clear();
         self.t = 0;
-        self.swept_at = None;
+        self.swept = None;
         for gid in 0..self.groups.len() {
             let mark = self.observe_mark(gid);
             let ofs = self.neg_offsets[gid];
@@ -771,6 +818,7 @@ impl<S: CsmSpec> She<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::usize_of;
     use she_sketch::BloomSpec;
 
     fn tiny(window: u64, alpha: f64, m: usize, w: usize) -> She<BloomSpec> {
@@ -900,7 +948,8 @@ mod tests {
                         0 => s.advance_time(k * tc - 1),
                         1 => s.advance_time(k * tc),
                         2 => s.advance_time(k * tc + 1),
-                        3..=5 => s.advance_time(key % 9),
+                        3 | 4 => s.advance_time(key % tc),
+                        5 => s.advance_time(key % 9),
                         6 => s.restore_state(saved.0, &saved.1, &saved.2),
                         7 => {
                             let (t, marks, words) = state(&other);
@@ -916,9 +965,10 @@ mod tests {
                 if rng.next_below(3) == 0 {
                     continue;
                 }
-                if let Some(s) = cursor.swept_at.filter(|&s| cursor.t - s < tc) {
+                let now = cursor.flip_count();
+                if let Some([_, b]) = cursor.swept.and_then(|s| cursor.flipped_since(s, now)) {
                     narrow += 1;
-                    wrapped += usize::from(s % tc > cursor.t % tc);
+                    wrapped += usize::from(!b.is_empty());
                 }
                 cursor.check_due();
                 for gid in 0..g {
@@ -929,6 +979,53 @@ mod tests {
                 assert_eq!(state(&cursor), state(&every), "{at}: snapshot state");
             }
             assert!(narrow > 1000 && wrapped > 40, "case {case}: {narrow} / {wrapped} sweeps");
+        }
+    }
+
+    /// The flip count is the sum of the mark epochs, and
+    /// `flipped_since` names exactly the groups whose epoch stepped
+    /// between two counts — or answers `None`, which a gap of a cycle or
+    /// more must get, and then every group has flipped.
+    #[test]
+    fn flipped_since_is_the_epoch_change() {
+        // G = 8 over Tcycle = 150; and w = 1 with G = 200 > Tcycle = 80,
+        // so offsets repeat.
+        for (window, alpha, m, w) in [(100, 0.5, 500, 64), (40, 1.0, 200, 1)] {
+            let mut then = tiny(window, alpha, m, w);
+            let (tc, g) = (then.cfg.t_cycle, then.num_groups());
+            let (mut ranged, mut wrapped) = (0, 0);
+            // Clocks at and after group 0's flip, and mid-cycle ones whose
+            // runs wrap past group G − 1.
+            for s in [0, 1, 7, tc / 2, tc - 5, tc - 1, tc, 2 * tc + tc / 3, 3 * tc + 11] {
+                then.clear();
+                then.advance_time(s);
+                let since = then.flip_count();
+                let epochs: u64 = (0..g).map(|gid| then.mark_epoch(gid)).sum();
+                assert_eq!(since.count(), epochs, "s {s}: count");
+                assert_eq!(since.next, usize_of(epochs % u64_of(g)), "s {s}: next");
+                for gap in 0..tc + 2 {
+                    let mut now = then.clone();
+                    now.advance_time(gap);
+                    let flipped: Vec<usize> =
+                        (0..g).filter(|&gid| now.mark_epoch(gid) != then.mark_epoch(gid)).collect();
+                    match now.flipped_since(since.count(), now.flip_count()) {
+                        Some([a, b]) => {
+                            assert!(gap < tc, "s {s} gap {gap}: a range past a cycle");
+                            assert_eq!(
+                                b.clone().chain(a).collect::<Vec<_>>(),
+                                flipped,
+                                "s {s} gap {gap}"
+                            );
+                            ranged += 1;
+                            wrapped += usize::from(!b.is_empty());
+                        }
+                        None => assert_eq!(flipped.len(), g, "s {s} gap {gap}: None"),
+                    }
+                }
+                let ahead = since.count() + 1;
+                assert_eq!(then.flipped_since(ahead, since), None, "a count ahead of the clock");
+            }
+            assert!(ranged > 4 * tc && wrapped > 10, "{ranged} / {wrapped}");
         }
     }
 

@@ -16,10 +16,8 @@
 //! time into a stack buffer) and the decoded minima — and is bit-for-bit
 //! the generic loop: same hash per row, same `CheckGroup` instants, same
 //! packed cells, same snapshot bytes (the generic loop is the oracle of
-//! this module's tests). A shard that already hashed the key for its
-//! other sketches hands the rows over instead (`insert_rows`), and the
-//! same pass runs on them. Two cached facts make that possible, under
-//! one validity word:
+//! this module's tests). Two cached facts make that possible, under one
+//! validity word:
 //!
 //! * `settled_until` — every group has been checked at the current mark
 //!   and none flips before this instant. Because every insert checks
@@ -36,19 +34,102 @@
 //! `clear()`. An `advance_time` past `settled_until` needs no mark of its
 //! own: the next insert or `similarity()` finds `t ≥ settled_until`.
 //!
+//! ## The last-insert memo
+//!
+//! `F = min` gives the insert an exact shortcut (§4.5 with Algorithm 1's
+//! staggered offsets). Right after key `k` is inserted, every row's
+//! minimum is at most `k`'s operand there, and a minimum only falls until
+//! its group is cleaned. So a later insert of `k` can lower only the rows
+//! whose group flipped in between; every other row already holds a
+//! minimum no larger than `k`'s operand, and offering it is a no-op.
+//!
+//! The memo is direct-mapped: `MEMO_SLOTS` (1 024) slots, each an 8-byte key
+//! and the engine's flip count at its last insert. The flips come round
+//! the groups in `gid` order, so the rows flipped since are one or two
+//! row ranges — `She::flipped_since`, the function SHE-BM's sweep
+//! (`check_due`) uses too. On a hit the insert hashes and offers only
+//! those rows. A miss, a key that is not 8 bytes long, or `G` or more
+//! flips since (a cycle or more) takes the full 128-row pass. The stored
+//! key is compared in full: a fingerprint's false match would skip a row
+//! whose minimum the insert lowers. Every write that is not an insert —
+//! restore, merge, reconcile, `clear()` — goes through `engine_mut()`,
+//! which empties the memo. On the benchmark's Zipf-1.05 trace routed to
+//! four shards, 41 % of inserts hash no row at all and the mean falls
+//! from 128 rows to ≈ 45.
+//!
+//! The memo takes 16 bytes a slot: 16 KiB per signature, 128 KiB for the
+//! eight signatures of a default 4-shard engine. [`SheMinHash::memory_bits`]
+//! leaves it out, as it leaves out `mins` and the group metadata: all
+//! three are caches of the insert path, not the paper's sketch state. No
+//! snapshot carries them, and a signature restored without them inserts
+//! and answers exactly as the one that had them.
+//!
+//! ## Similarity
+//!
 //! `similarity()` settles each side that is not settled — `check_group`
 //! on every row, as a full check would, also refreshing `mins` — and then
 //! reads the two `mins` arrays in one branch-free pass, a row's age coming
 //! off its cached next flip.
 
-use crate::engine::min_legal_age;
+use crate::engine::{min_legal_age, FlipCount};
 use crate::{She, SheConfig};
 use she_hash::HashKey;
-use she_sketch::{row_chunks, CsmSpec, MinHashSpec, UPDATE_LANES};
+use she_sketch::{CsmSpec, MinHashSpec, UPDATE_LANES};
+use std::ops::Range;
 
 /// `mins` entry of an empty cell: above every operand (`≤ 2^24`), so the
 /// first offer always lands — `F(x, 0) = h(x)`.
 const EMPTY: u32 = u32::MAX;
+
+/// Slots of the last-insert memo (module docs, *The last-insert memo*).
+const MEMO_SLOTS: usize = 1 << 10;
+
+/// Direct-mapped memo of the flip count at which an 8-byte key was last
+/// inserted. Not sketch state: no snapshot or `memory_bits` sees it.
+#[derive(Clone)]
+struct Memo(Box<[(u64, u64); MEMO_SLOTS]>);
+
+/// The flip count of an empty slot: ahead of every count, so that
+/// `flipped_since` has no answer for it and the insert takes the full pass.
+const NEVER: u64 = u64::MAX;
+
+impl Memo {
+    fn new() -> Self {
+        Self(Box::new([(0, NEVER); MEMO_SLOTS]))
+    }
+
+    /// Record that `key` was inserted at flip count `count`; return the
+    /// count at its previous insert, [`NEVER`] when the slot holds another
+    /// key. The stored key is compared in full: a false match would skip
+    /// a row whose minimum the insert lowers.
+    #[inline]
+    fn swap(&mut self, key: u64, count: u64) -> u64 {
+        let (last_key, last) = std::mem::replace(&mut self.0[Self::slot(key)], (key, count));
+        if last_key == key {
+            last
+        } else {
+            NEVER
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.fill((0, NEVER));
+    }
+
+    /// `key`'s slot: the top bits of a multiplicative hash.
+    #[inline]
+    fn slot(key: u64) -> usize {
+        #[expect(clippy::cast_possible_truncation, reason = "the top 10 bits of a u64")]
+        let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.ilog2())) as usize;
+        slot
+    }
+}
+
+impl std::fmt::Debug for Memo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Memo({MEMO_SLOTS} slots)")
+    }
+}
 
 /// Sliding-window MinHash signature (hardware version of SHE).
 ///
@@ -72,6 +153,10 @@ pub struct SheMinHash {
     /// Every group is checked at its current mark and none flips before
     /// this instant; `0` = unknown (and `mins` stale).
     settled_until: u64,
+    /// The engine's flip count, taken by the last settle: no flip since.
+    flips: FlipCount,
+    /// When each recently inserted 8-byte key was last inserted.
+    memo: Memo,
 }
 
 /// Builder for [`SheMinHash`] with the paper's defaults (`w = 1`, `α = 0.2`,
@@ -140,10 +225,13 @@ impl SheMinHashBuilder {
             .group_cells(1) // w = 1 per §4.5
             .beta(self.beta)
             .build();
+        let engine = She::new(MinHashSpec::new(self.num_hashes, self.seed), cfg);
         SheMinHash {
-            engine: She::new(MinHashSpec::new(self.num_hashes, self.seed), cfg),
+            flips: engine.flip_count(),
+            engine,
             mins: vec![EMPTY; self.num_hashes],
             settled_until: 0,
+            memo: Memo::new(),
         }
     }
 }
@@ -155,25 +243,28 @@ impl SheMinHash {
     }
 
     /// Insert an item at the next time step (module docs, *The row-wise
-    /// insert*).
+    /// insert* and *The last-insert memo*).
     #[inline]
     pub fn insert<K: HashKey + ?Sized>(&mut self, key: &K) {
         self.tick();
-        let mut buf = [0u32; UPDATE_LANES];
-        for chunk in row_chunks(self.num_hashes()) {
-            let rows = &mut buf[..chunk.len()];
-            self.engine.spec().hash_rows(key, chunk.start, rows);
-            self.offer(chunk.start, rows);
-        }
+        let word = key.with_bytes(|b| <[u8; 8]>::try_from(b).ok().map(u64::from_le_bytes));
+        let last = word.map_or(NEVER, |word| self.memo.swap(word, self.flips.count()));
+        let [a, b] =
+            self.engine.flipped_since(last, self.flips).unwrap_or([0..self.num_hashes(), 0..0]);
+        self.offer_key(key, a);
+        self.offer_key(key, b);
     }
 
-    /// [`SheMinHash::insert`] of a key whose row hashes the caller
-    /// already holds: `rows[i]` is row `i`'s, one per row.
+    /// Hash `key`'s rows `rows`, [`UPDATE_LANES`] at a time into a stack
+    /// buffer, and offer each chunk.
     #[inline]
-    pub(crate) fn insert_rows(&mut self, rows: &[u32]) {
-        debug_assert_eq!(rows.len(), self.num_hashes(), "one hash per row");
-        self.tick();
-        self.offer(0, rows);
+    fn offer_key<K: HashKey + ?Sized>(&mut self, key: &K, rows: Range<usize>) {
+        let mut buf = [0u32; UPDATE_LANES];
+        for first in rows.clone().step_by(UPDATE_LANES) {
+            let hashes = &mut buf[..(rows.end - first).min(UPDATE_LANES)];
+            self.engine.spec().hash_rows(key, first, hashes);
+            self.offer(first, hashes);
+        }
     }
 
     /// The item clock — one insert, one tick — with every group settled
@@ -228,6 +319,7 @@ impl SheMinHash {
             *min = decode(self.engine.peek_cell(i));
         }
         self.settled_until = until;
+        self.flips = self.engine.flip_count();
     }
 
     fn mins_are_decoded_cells(&self) -> bool {
@@ -287,10 +379,12 @@ impl SheMinHash {
         &self.engine
     }
 
-    /// Mutable engine access for the snapshot layer (restore, merge):
-    /// whatever it writes, the insert path's caches no longer describe.
+    /// Mutable engine access for the snapshot layer (restore, merge,
+    /// reconcile) and `clear`: whatever it writes, the insert path's
+    /// caches and memo no longer describe.
     pub(crate) fn engine_mut(&mut self) -> &mut She<MinHashSpec> {
         self.settled_until = 0;
+        self.memo.clear();
         &mut self.engine
     }
 
@@ -371,15 +465,28 @@ mod tests {
         None
     }
 
+    /// The row-wise insert, memo included, is the generic per-cell loop:
+    /// snapshot bytes after every op and similarity bits on every query.
+    /// The drive mixes a uniform key stream with hot-key phases (at most
+    /// eight keys, so most inserts meet the memo), two keys sharing one
+    /// memo slot inserted alternately, repeats of one key across idle
+    /// jumps of `k·Tcycle − 1`, `k·Tcycle` and `k·Tcycle + 1`, string keys
+    /// of 8 bytes (memoised) and of other lengths (not), and restores,
+    /// merges and clears, which must empty the memo.
     #[test]
     fn row_wise_insert_is_bit_for_bit_the_generic_insert() {
         use crate::SnapshotState;
         use she_hash::{RandomSource, Xoshiro256};
 
+        // Two keys that share a memo slot.
+        let twins = (7u64, (8u64..).find(|&k| Memo::slot(k) == Memo::slot(7)).expect("a twin"));
         // m = 5 and 67 are multiples of neither 4 nor 64 (ragged vector
-        // tails, a ragged `updates` chunk); 130 crosses two chunks.
-        for (case, (window, m)) in
-            [(64u64, 5usize), (100, 67), (256, 128), (1_000, 130)].into_iter().enumerate()
+        // tails, a ragged `updates` chunk); 130 crosses two chunks. N = 64
+        // with 130 rows has Tcycle = 77 < G, so rows share offsets and
+        // several flip at one instant.
+        for (case, (window, m)) in [(64u64, 5usize), (100, 67), (256, 128), (1_000, 130), (64, 130)]
+            .into_iter()
+            .enumerate()
         {
             let b = SheMinHash::builder().window(window).num_hashes(m).seed(11);
             let mut fast = [b.clone().build(), b.clone().build()];
@@ -390,12 +497,15 @@ mod tests {
             let mut inserted = [0u64; 2];
             let (mut queries, mut step) = (0u64, 0u64);
 
-            // At least six windows of inserts on each side, whatever the
+            // At least eight windows of inserts on each side, whatever the
             // clears and roll-backs in between do to the clocks.
-            while inserted[0].min(inserted[1]) < 6 * window {
+            while inserted[0].min(inserted[1]) < 8 * window {
                 step += 1;
                 let side = rng.next_below(2);
-                let key = rng.next_range(0, 4 * window);
+                // Every other stretch of 2N steps is a hot-key phase.
+                let hot = (step / (2 * window)).is_multiple_of(2);
+                let key =
+                    if hot { rng.next_below(8) as u64 } else { rng.next_range(0, 4 * window) };
                 // A flip-crossing jump is followed at once by the query
                 // that then has cleaning to do behind the insert caches.
                 let ops = match rng.next_below(48) {
@@ -404,6 +514,7 @@ mod tests {
                     2 => vec![Op::Similarity],
                     3 => vec![
                         Op::InsertStr(side, format!("k{key}")),
+                        Op::InsertStr(side, format!("{key:08}")),
                         Op::InsertStr(side, format!("a-key-longer-than-one-block-{key}")),
                     ],
                     4 => {
@@ -414,6 +525,13 @@ mod tests {
                     // The other stream's state, its clock elsewhere.
                     6 => vec![Op::Merge(side, fast[1 - side].save_snapshot())],
                     7 if key.is_multiple_of(8) => vec![Op::Clear(side)],
+                    // The other stream's state, its clock near this one's.
+                    8 => vec![Op::Load(side, fast[1 - side].save_snapshot())],
+                    9 => [twins.0, twins.1, twins.0, twins.1].map(|k| Op::Insert(side, k)).into(),
+                    10 => {
+                        let jump = (1 + key % 3) * t_cycle + rng.next_below(3) as u64 - 1;
+                        vec![Op::Insert(side, key), Op::Advance(side, jump), Op::Insert(side, key)]
+                    }
                     _ => vec![Op::Insert(side, key)],
                 };
                 for op in &ops {

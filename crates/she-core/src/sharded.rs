@@ -6,10 +6,16 @@
 //! software analogue of the paper's parallel FPGA lanes — the standard
 //! sketching recipe applies: partition the key space into `S` shards by
 //! hash ([`route`]), give each shard its own SHE structures over a window
-//! of `N/S` items, and feed each arrival to its shard. Because the router
-//! hash is uniform, each shard sees an unbiased 1/S sample of the stream
-//! and its `N/S`-item window covers the same time span as the global
-//! `N`-item window.
+//! of `N/S` items, and feed each arrival to its shard. The router hash is
+//! uniform over *keys*: each shard owns an unbiased 1/S sample of the key
+//! space and sees every arrival of its keys. Each shard's clock counts
+//! only its own items, so its `N/S`-item window spans the global `N`-item
+//! window only when every shard receives 1/S of the *items*. Routing
+//! balances keys, not items: on a skewed stream the shard holding the
+//! heaviest keys spans fewer than `N` global items and the others more
+//! (ROADMAP item 6 estimates ≈ 0.75 N against ≈ 1.1 N on the benchmark's
+//! Zipf-1.05 trace). Item 6 is the fix, item 21 the measurement against
+//! global truth.
 //!
 //! A [`ShardEngine`] bundles one SHE structure per supported query class
 //! (membership, cardinality, frequency, similarity) over one shard's slice
@@ -169,13 +175,13 @@ impl EngineConfig {
     }
 }
 
-/// Rows of each similarity MinHash: every insert touches every row, so it
-/// is sized by hash count, not bytes (a byte budget would make inserts
-/// O(memory)).
+/// Rows of each similarity MinHash: a full-pass insert hashes every row,
+/// so it is sized by hash count, not bytes (a byte budget would make
+/// inserts O(memory)).
 const MH_ROWS: usize = 128;
 
 /// Hash functions of SHE-BF and of SHE-CM (the paper's §7.1 default for
-/// both): the rows a point-half insert hashes, a prefix of SHE-MH's.
+/// both): the rows a stream-A insert hashes once for BF, CM and BM.
 const POINT_ROWS: usize = 8;
 
 /// Per-shard window (items) and per-structure memory (bytes) of a
@@ -387,13 +393,15 @@ impl ShardEngine {
             inserts: 0,
             queries: 0,
         };
-        // What lets `insert` hash a stream-A key once for all four (CM's
-        // family is a prefix of BF's, asserted in `PointHalf::new`).
-        let rows = engine.mh_a.engine().spec().family();
+        // The split `insert` rests on: BF, CM and BM share the
+        // `POINT_ROWS` point rows, hashed once (CM's family is a prefix of
+        // BF's, asserted in `PointHalf::new`; BM's, here), and SHE-MH
+        // hashes its own rows.
+        let (bm_rows, point_rows) =
+            (engine.bm.engine().spec().family(), engine.point.bf.engine().spec().family());
         assert!(
-            engine.point.bf.engine().spec().family().is_prefix_of(rows)
-                && engine.bm.engine().spec().family().is_prefix_of(rows),
-            "the BF, BM and CM hash families must be row prefixes of SHE-MH's"
+            bm_rows.is_prefix_of(point_rows),
+            "BM's hash family must be a prefix of the point rows"
         );
         engine
     }
@@ -401,19 +409,21 @@ impl ShardEngine {
     /// Insert a key into stream 0 (A) or 1 (B). Stream A feeds every
     /// structure; stream B only its similarity MinHash.
     ///
-    /// A stream-A key is hashed once: the SHE-MH family's rows, into a
-    /// stack buffer. BF, BM and CM are built from the same seed, so their
-    /// families are row prefixes of it (asserted in `new`): BF takes rows
-    /// `0..k`, BM row 0, CM rows `0..k` and SHE-MH all of them — the cells,
-    /// `CheckGroup` instants and bytes of four separate `insert(&key)`s.
+    /// A stream-A key's `POINT_ROWS` point rows are hashed once, into a
+    /// stack buffer, for BF, CM and BM: all three are built from the same
+    /// seed, so CM's family and BM's are row prefixes of BF's (asserted in
+    /// `new`). BF and CM take rows `0..k`, BM row 0 — the cells,
+    /// `CheckGroup` instants and bytes of three separate `insert(&key)`s.
+    /// SHE-MH hashes its own rows on either stream, only those its
+    /// last-insert memo cannot rule out (`mh.rs`).
     #[inline]
     pub fn insert(&mut self, stream: u8, key: u64) {
         if stream == 0 {
-            let mut rows = [0u32; MH_ROWS];
-            self.mh_a.engine().spec().hash_rows(&key, 0, &mut rows);
+            let mut rows = [0u32; POINT_ROWS];
+            self.point.bf.engine().spec().hash_rows(&key, 0, &mut rows);
             self.point.insert_rows(&rows);
             self.bm.insert_rows(&rows);
-            self.mh_a.insert_rows(&rows);
+            self.mh_a.insert(&key);
         } else {
             self.mh_b.insert(&key);
         }
@@ -838,25 +848,31 @@ mod tests {
         }
     }
 
-    /// The per-structure insert `ShardEngine::insert` replaces: every
-    /// sketch hashes the key itself — the oracle of the hashed-once insert.
+    /// The per-structure insert `ShardEngine::insert` replaces — every
+    /// sketch hashes the key itself, SHE-MH all its rows through the
+    /// generic per-cell loop, no memo — the oracle of the hashed-once,
+    /// memoised insert.
     fn insert_per_structure(e: &mut ShardEngine, stream: u8, key: u64) {
         if stream == 0 {
             e.point.bf.insert(&key);
             e.bm.insert(&key);
             e.point.cm.insert(&key);
-            e.mh_a.insert(&key);
+            e.mh_a.engine_mut().insert(&key);
         } else {
-            e.mh_b.insert(&key);
+            e.mh_b.engine_mut().insert(&key);
         }
         e.inserts += 1;
     }
 
-    /// The hashed-once stream-A insert is bit-for-bit four per-structure
-    /// inserts: after every op — inserts on both streams, the four reads,
-    /// restore of an earlier snapshot, merge of another shard's — the two
-    /// shards answer alike and their snapshots are byte-equal, over at
-    /// least three cleaning cycles of the slowest structure.
+    /// The stream-A insert (point rows hashed once for BF, CM and BM, and
+    /// SHE-MH's own memoised pass) and the stream-B insert are bit-for-bit
+    /// the per-structure inserts: after every op — inserts on both
+    /// streams, the four reads, restore of an earlier snapshot, merge of
+    /// another shard's — the two shards answer alike and their snapshots
+    /// are byte-equal, over at least three cleaning cycles of the slowest
+    /// structure. Stretches of 2N steps cycle through a uniform phase, a
+    /// hot-key phase (eight keys, so most inserts meet SHE-MH's memo) and
+    /// a stream-B phase, which gives `mh_b`'s memo its hits.
     #[test]
     fn hashed_once_insert_is_the_per_structure_insert() {
         for (case, (seed, window, memory_bytes)) in
@@ -876,10 +892,13 @@ mod tests {
             .expect("four structures");
             let mut rng = Xoshiro256::new(0x0A5C_E000 + case as u64);
             let mut saved = fast.snapshot();
-            let (mut inserted, mut step) = (0u64, 0u64);
-            while inserted < 3 * t_cycle {
+            let (mut inserted, mut step) = ([0u64; 2], 0u64);
+            while inserted[0] < 3 * t_cycle || inserted[1] < t_cycle {
                 step += 1;
-                let key = mix64(rng.next_below(3 * window as usize) as u64);
+                let phase = (step / (2 * window)) % 3;
+                let universe = if phase == 1 { 8 } else { 3 * window as usize };
+                let key = mix64(rng.next_below(universe) as u64);
+                let b_ops = if phase == 2 { 7..=48 } else { 7..=14 };
                 let (got, want) = match rng.next_below(64) {
                     0 => (fast.member(key).into(), oracle.member(key).into()),
                     1 => (fast.frequency(key), oracle.frequency(key)),
@@ -900,16 +919,17 @@ mod tests {
                         oracle.merge(&blob).expect("merge");
                         (0, 0)
                     }
-                    7..=14 => {
+                    op if b_ops.contains(&op) => {
                         fast.insert(1, key);
                         insert_per_structure(&mut oracle, 1, key);
                         insert_per_structure(&mut donor, 0, key ^ 1);
+                        inserted[1] += 1;
                         (0, 0)
                     }
                     _ => {
                         fast.insert(0, key);
                         insert_per_structure(&mut oracle, 0, key);
-                        inserted += 1;
+                        inserted[0] += 1;
                         (0, 0)
                     }
                 };

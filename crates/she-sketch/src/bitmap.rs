@@ -32,6 +32,7 @@ impl CsmSpec for BitmapSpec {
     fn num_cells(&self) -> usize {
         self.m
     }
+    #[inline]
     fn cell_bits(&self) -> u32 {
         1
     }

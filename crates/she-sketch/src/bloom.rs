@@ -33,6 +33,7 @@ impl CsmSpec for BloomSpec {
     fn num_cells(&self) -> usize {
         self.m
     }
+    #[inline]
     fn cell_bits(&self) -> u32 {
         1
     }

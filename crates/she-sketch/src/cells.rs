@@ -54,22 +54,42 @@ impl PackedArray {
     /// The largest value a cell can hold.
     #[inline]
     pub fn max_value(&self) -> u64 {
-        if self.bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.bits) - 1
-        }
+        mask_of(self.bits)
     }
 
     /// Read cell `i`.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
+        self.get_as(i, self.bits)
+    }
+
+    /// Write cell `i`.
+    #[inline]
+    pub fn set(&mut self, i: usize, v: u64) {
+        self.set_as(i, self.bits, v);
+    }
+
+    /// Replace cell `i` with `f` of its value, given the array's cell
+    /// width `bits`. A caller that knows the width at compile time (a
+    /// 1-bit filter, a 25-bit MinHash register) gets constant shifts and
+    /// masks once this inlines; [`PackedArray::get`] and
+    /// [`PackedArray::set`] read the width from the array.
+    #[inline(always)]
+    pub fn update(&mut self, i: usize, bits: u32, f: impl FnOnce(u64) -> u64) {
+        let v = f(self.get_as(i, bits));
+        self.set_as(i, bits, v);
+    }
+
+    /// [`PackedArray::get`] for cells of `bits` bits, this array's width.
+    #[inline(always)]
+    fn get_as(&self, i: usize, bits: u32) -> u64 {
+        debug_assert_eq!(bits, self.bits, "cell width");
         assert!(i < self.m, "cell index {i} out of bounds ({})", self.m);
-        let bit = i * self.bits as usize;
+        let bit = i * bits as usize;
         #[expect(clippy::cast_possible_truncation, reason = "a bit offset below 64")]
         let (w, off) = (bit / 64, (bit % 64) as u32);
-        let mask = self.max_value();
-        if off + self.bits <= 64 {
+        let mask = mask_of(bits);
+        if off + bits <= 64 {
             (self.words[w] >> off) & mask
         } else {
             let lo = self.words[w] >> off;
@@ -78,21 +98,20 @@ impl PackedArray {
         }
     }
 
-    /// Write cell `i`.
-    #[inline]
-    pub fn set(&mut self, i: usize, v: u64) {
+    /// [`PackedArray::set`] for cells of `bits` bits, this array's width.
+    #[inline(always)]
+    fn set_as(&mut self, i: usize, bits: u32, v: u64) {
+        debug_assert_eq!(bits, self.bits, "cell width");
         assert!(i < self.m, "cell index {i} out of bounds ({})", self.m);
-        let mask = self.max_value();
-        debug_assert!(v <= mask, "value {v} does not fit in {} bits", self.bits);
+        let mask = mask_of(bits);
+        debug_assert!(v <= mask, "value {v} does not fit in {bits} bits");
         let v = v & mask;
-        let bit = i * self.bits as usize;
+        let bit = i * bits as usize;
         #[expect(clippy::cast_possible_truncation, reason = "a bit offset below 64")]
         let (w, off) = (bit / 64, (bit % 64) as u32);
-        if off + self.bits <= 64 {
-            self.words[w] = (self.words[w] & !(mask << off)) | (v << off);
-        } else {
+        self.words[w] = (self.words[w] & !(mask << off)) | (v << off);
+        if off + bits > 64 {
             let lo_bits = 64 - off;
-            self.words[w] = (self.words[w] & !(mask << off)) | (v << off);
             let hi_mask = mask >> lo_bits;
             self.words[w + 1] = (self.words[w + 1] & !hi_mask) | (v >> lo_bits);
         }
@@ -167,6 +186,12 @@ impl PackedArray {
     }
 }
 
+/// The largest value a cell of `bits` bits can hold.
+#[inline(always)]
+fn mask_of(bits: u32) -> u64 {
+    u64::MAX >> (64 - bits)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +209,24 @@ mod tests {
             for i in 0..m {
                 let v = (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1)) & mask;
                 assert_eq!(a.get(i), v, "bits={bits} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_is_get_then_set() {
+        // The widths SHE passes as constants (1, 25) and a runtime one,
+        // straddling cells included.
+        for bits in [1u32, 5, 25, 33, 64] {
+            let (mut a, mut b) = (PackedArray::new(100, bits), PackedArray::new(100, bits));
+            let mask = a.max_value();
+            for round in 1..4u64 {
+                for i in 0..100 {
+                    let v = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + round);
+                    a.update(i, bits, |old| (old ^ v) & mask);
+                    b.set(i, (b.get(i) ^ v) & mask);
+                }
+                assert_eq!(a, b, "bits={bits} round {round}");
             }
         }
     }

@@ -41,6 +41,7 @@ impl CsmSpec for CountMinSpec {
     fn num_cells(&self) -> usize {
         self.m
     }
+    #[inline]
     fn cell_bits(&self) -> u32 {
         self.counter_bits
     }

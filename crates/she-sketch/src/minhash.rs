@@ -52,6 +52,7 @@ impl CsmSpec for MinHashSpec {
     fn num_cells(&self) -> usize {
         self.family.k()
     }
+    #[inline]
     fn cell_bits(&self) -> u32 {
         MINHASH_CELL_BITS
     }

@@ -56,7 +56,10 @@ stage cargo test -q --offline --workspace
 # vectorises in release, and its `debug_assert`ed cache invariant is
 # compiled out there: the debug run above never executes the code that
 # serves. The equivalence, `hash_seeds` and golden-digest tests must hold
-# on that code too (seconds; the release artefacts already exist).
+# on that code too (seconds; the release artefacts already exist) — the
+# SHE-MH memo oracle among them: `mh.rs`'s row-wise test holds the
+# memoised insert, which hashes only the rows flipped since a key's last
+# insert, to the generic loop.
 # she-server's tests run here as well: the reactor's round path — a
 # connection's multi-frame read set (point, batch and aggregate frames in
 # one set, riding one per-shard job), its shedding, one `OVERLOADED` per
