@@ -6,7 +6,32 @@
 //! young groups reduce bias, per §3.2), counts the zero bits `u` among the
 //! `ℓ·w` legal bits, and scales the MLE to the full array:
 //! `Ĉ = −M · ln(u / (w·ℓ))`.
+//!
+//! ## Set-bit counts
+//!
+//! Only an insert sets a bit and only a cleaning clears a group, so the
+//! sketch keeps one set-bit count per group and the estimate sums counts
+//! over the legal groups (at most two `gid` ranges) instead of
+//! popcounting their words: `u` is the legal bits less the summed counts.
+//! An insert is one pass of its own — advance the clock, `CheckGroup` the
+//! hashed bit's group (a cleaning zeroes its count), then one
+//! test-and-set of the bit that bumps the count when the bit was zero.
+//! The query's sweep (`She::check_due`) reports each group it cleans and
+//! zeroes that count too, so a count always equals its group's popcount.
+//!
+//! Every other writer of the cells — restore, merge and reconcile, all
+//! through `engine_mut()` — marks the counts stale, and the next estimate
+//! rebuilds them with one popcount per group. `clear()` zeroes them.
+//!
+//! The counts are `u16` (`build` asserts `w ≤ 65 535`): 2 bytes per group,
+//! 4 KiB for the 2 048 groups of a default served shard's 16 KiB bitmap
+//! (the shard's two SHE-MH memos take 32 KiB).
+//! [`SheBitmap::memory_bits`] leaves them out, as it leaves out the group
+//! metadata: they are a cache of the query path, not the paper's sketch
+//! state. No snapshot carries them, and a bitmap restored without them
+//! answers exactly as the one that had them.
 
+use crate::convert::usize_of;
 use crate::engine::min_legal_age;
 use crate::{She, SheConfig};
 use she_hash::HashKey;
@@ -30,6 +55,11 @@ use she_sketch::{BitmapSpec, CsmSpec};
 #[derive(Debug, Clone)]
 pub struct SheBitmap {
     engine: She<BitmapSpec>,
+    /// Set bits per group (module docs, *Set-bit counts*); zero and
+    /// meaningless while `stale`.
+    counts: Vec<u16>,
+    /// Whether the cells were written behind the counts' back.
+    stale: bool,
 }
 
 /// Builder for [`SheBitmap`] with the paper's defaults (`w = 64`, `α = 0.2`,
@@ -97,13 +127,16 @@ impl SheBitmapBuilder {
     /// Build the sketch.
     pub fn build(self) -> SheBitmap {
         let m = self.memory_bits.max(self.group_cells);
+        let w = self.group_cells.min(m);
+        assert!(w <= usize::from(u16::MAX), "group size w={w} overflows a u16 set-bit count");
         let cfg = SheConfig::builder()
             .window(self.window)
             .alpha(self.alpha)
-            .group_cells(self.group_cells.min(m))
+            .group_cells(w)
             .beta(self.beta)
             .build();
-        SheBitmap { engine: She::new(BitmapSpec::new(m, self.seed), cfg) }
+        let engine = She::new(BitmapSpec::new(m, self.seed), cfg);
+        SheBitmap { counts: vec![0; engine.num_groups()], engine, stale: false }
     }
 }
 
@@ -116,14 +149,29 @@ impl SheBitmap {
     /// Insert an item at the next time step.
     #[inline]
     pub fn insert<K: HashKey + ?Sized>(&mut self, key: &K) {
-        self.engine.insert(key);
+        let mut row = [0u32];
+        self.engine.spec().hash_rows(key, 0, &mut row);
+        self.insert_hash(row[0]);
     }
 
     /// [`SheBitmap::insert`] of a key whose row hash the caller already
     /// holds: `rows[0]`, from a family this bitmap's is a prefix of.
     #[inline]
     pub(crate) fn insert_rows(&mut self, rows: &[u32]) {
-        self.engine.insert_rows(&rows[..1]);
+        self.insert_hash(rows[0]);
+    }
+
+    /// The insert pass (module docs, *Set-bit counts*): the cells,
+    /// `CheckGroup` instants and bytes of the generic `She::insert`.
+    #[inline]
+    fn insert_hash(&mut self, hash: u32) {
+        self.engine.advance_time(1);
+        let u = self.engine.spec().row_update(0, hash);
+        let gid = self.engine.group_of(u.index);
+        if self.engine.check_group(gid) {
+            self.counts[gid] = 0;
+        }
+        self.counts[gid] += u16::from(self.engine.apply_update(u) == 0);
     }
 
     /// Estimated cardinality of the sliding window.
@@ -132,17 +180,18 @@ impl SheBitmap {
     /// mark flipped since the last sweep), so it leaves the state exactly
     /// as running `CheckGroup` on every group would — hence `&mut self`.
     /// The legal groups (`age ≥ βN`) are at most two `gid` ranges, and
-    /// their zeros are counted a word at a time.
+    /// their zeros are the legal bits less the summed set-bit counts.
     pub fn estimate(&mut self) -> f64 {
-        self.engine.check_due();
+        self.sweep();
         let cfg = self.engine.config();
         let min_age = min_legal_age(cfg.beta * cfg.window as f64);
         let m = self.engine.spec().num_cells();
-        let (mut legal_bits, mut zeros) = (0usize, 0usize);
+        let (mut legal_bits, mut set_bits) = (0usize, 0usize);
         for gids in self.engine.groups_aged(min_age) {
-            let (bits, zs) = self.engine.count_zeros_in_groups(gids);
-            (legal_bits, zeros) = (legal_bits + bits, zeros + zs);
+            legal_bits += self.engine.cells_of_groups(gids.clone()).len();
+            set_bits += sum_counts(&self.counts[gids]);
         }
+        let zeros = legal_bits - set_bits;
         if legal_bits == 0 {
             return 0.0;
         }
@@ -184,6 +233,7 @@ impl SheBitmap {
         let mut legal_bits = 0usize;
         let mut zeros = 0usize;
         let mut nearest: Option<(u64, usize, usize)> = None; // (dist, bits, zeros)
+        self.sweep();
         self.engine.for_each_group(|g| {
             let (age, bits, zs) = (g.age(), g.len(), g.zeros());
             let dist = age.abs_diff(n);
@@ -215,6 +265,7 @@ impl SheBitmap {
     pub fn cardinality_curve(&mut self) -> Vec<(u64, f64)> {
         let m = self.engine.spec().num_cells();
         let mut pts = Vec::with_capacity(self.engine.num_groups());
+        self.sweep();
         self.engine.for_each_group(|g| {
             let (age, bits, zs) = (g.age(), g.len(), g.zeros());
             if bits > 0 && zs > 0 {
@@ -225,6 +276,27 @@ impl SheBitmap {
         });
         pts.sort_unstable_by_key(|&(age, _)| age);
         pts
+    }
+
+    /// Clean every due group (`She::check_due`), zeroing the count of
+    /// each group it cleans, and rebuild stale counts from the words. The
+    /// group sweep of `estimate_at` and `cardinality_curve` then finds
+    /// nothing left to clean.
+    fn sweep(&mut self) {
+        let counts = &mut self.counts;
+        self.engine.check_due(|gid| counts[gid] = 0);
+        if self.stale {
+            for (gid, count) in self.counts.iter_mut().enumerate() {
+                let bits = self.engine.cells_of_groups(gid..gid + 1).len();
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a group holds at most w ≤ u16::MAX bits, asserted in `build`"
+                )]
+                let set = (bits - self.engine.count_zeros_in_groups(gid..gid + 1)) as u16;
+                *count = set;
+            }
+            self.stale = false;
+        }
     }
 
     /// Advance logical time without inserting.
@@ -239,8 +311,13 @@ impl SheBitmap {
         &self.engine
     }
 
-    /// Mutable engine access for the snapshot layer.
+    /// Mutable engine access for the snapshot layer (restore, merge,
+    /// reconcile): whatever it writes, the set-bit counts no longer
+    /// describe. They are zeroed as well as marked, so that the inserts
+    /// before the next rebuild cannot overflow them.
     pub(crate) fn engine_mut(&mut self) -> &mut She<BitmapSpec> {
+        self.counts.fill(0);
+        self.stale = true;
         &mut self.engine
     }
 
@@ -259,7 +336,17 @@ impl SheBitmap {
     /// Reset to empty at time zero.
     pub fn clear(&mut self) {
         self.engine.clear();
+        self.counts.fill(0);
+        self.stale = false;
     }
+}
+
+/// The sum of `counts` in `u32` lanes, which vectorise twice as wide as
+/// `usize` ones (a `usize` sum took SHE-BM's estimate ×1.6 as long): a
+/// chunk of 2^16 counts, each at most `u16::MAX`, sums below 2^32.
+fn sum_counts(counts: &[u16]) -> usize {
+    let chunk_sum = |c: &[u16]| c.iter().map(|&n| u32::from(n)).sum::<u32>();
+    counts.chunks(1 << 16).map(|c| usize_of(u64::from(chunk_sum(c)))).sum()
 }
 
 #[cfg(test)]
@@ -290,16 +377,28 @@ mod tests {
         -(m as f64) * (zeros.max(1) as f64 / bits as f64).ln()
     }
 
-    fn oracle_estimate(bm: &mut SheBitmap) -> f64 {
-        let cfg = *bm.engine().config();
-        let beta_n = cfg.beta * cfg.window as f64;
+    /// The estimate before the set-bit counts: sweep, then popcount the
+    /// legal groups' words.
+    fn popcount_estimate(bm: &mut SheBitmap) -> f64 {
+        let e = bm.engine_mut();
+        e.check_due(|_| {});
+        let cfg = *e.config();
         let (mut bits, mut zeros) = (0, 0);
-        for (age, b, z) in per_cell_groups(bm) {
-            if age as f64 >= beta_n {
-                (bits, zeros) = (bits + b, zeros + z);
-            }
+        for gids in e.groups_aged(min_legal_age(cfg.beta * cfg.window as f64)) {
+            bits += e.cells_of_groups(gids.clone()).len();
+            zeros += e.count_zeros_in_groups(gids);
         }
-        mle(bm.engine().spec().num_cells(), zeros, bits)
+        mle(e.spec().num_cells(), zeros, bits)
+    }
+
+    /// Every set-bit count is its group's popcount.
+    fn assert_counts_exact(bm: &SheBitmap, at: &str) {
+        let e = bm.engine();
+        for (gid, &count) in bm.counts.iter().enumerate() {
+            let ones =
+                e.cells_of_groups(gid..gid + 1).len() - e.count_zeros_in_groups(gid..gid + 1);
+            assert_eq!(usize::from(count), ones, "{at}: set-bit count of group {gid}");
+        }
     }
 
     fn oracle_estimate_at(bm: &mut SheBitmap, n: u64, tolerance: f64) -> f64 {
@@ -334,54 +433,93 @@ mod tests {
         pts.into_iter().map(|(age, est)| (age, est.to_bits())).collect()
     }
 
+    /// The counted insert and estimate are the generic insert and the
+    /// popcount estimate: after every op every set-bit count is its
+    /// group's popcount (unless a restore or merge left them stale), and
+    /// on the steps that query, `estimate`, `estimate_at` and
+    /// `cardinality_curve` have the oracles' bits and the snapshots are
+    /// byte-equal. Queries skip two steps in three, so that inserts (whose
+    /// `CheckGroup` cleans a group that came due since the last sweep) and
+    /// idle jumps of `k·Tcycle − 1`, `k·Tcycle` and `k·Tcycle + 1` pile up
+    /// between sweeps.
     #[test]
     fn group_sweep_is_bit_for_bit_the_per_cell_sweep() {
         use crate::SnapshotState;
         use she_hash::{RandomSource, Xoshiro256};
 
-        // w = 64: one aligned word per group. w = 40: groups straddle
-        // words, and 2 408 bits leave a short last group of 8.
+        // w = 64: one aligned word per group, the served width. w = 40:
+        // groups straddle words, and 2 408 bits leave a short last group
+        // of 8. w = 3: 512 bits in G = 171 groups over Tcycle = 120, so
+        // offsets repeat, and a short last group of 2.
         for (case, (window, bytes, w)) in
-            [(256u64, 256usize, 64usize), (300, 301, 40)].into_iter().enumerate()
+            [(256u64, 256usize, 64usize), (300, 301, 40), (100, 64, 3)].into_iter().enumerate()
         {
             let b = SheBitmap::builder().window(window).memory_bytes(bytes).group_cells(w).seed(3);
-            // `pair` = [fast, oracle]; `other` is a second stream to merge.
-            let (mut pair, mut other) = ([b.clone().build(), b.clone().build()], b.build());
+            // `fast` counts; `oracle` inserts through the generic loop;
+            // `other` is a second stream to merge.
+            let (mut fast, mut oracle, mut other) =
+                (b.clone().build(), b.clone().build(), b.build());
             let t_cycle = other.engine().config().t_cycle;
             let mut rng = Xoshiro256::new(0xB175 + case as u64);
             let mut saved = other.save_snapshot();
-            for step in 0..6 * window {
+            let mut cleaned_by_insert = 0;
+            for step in 0..6_000 {
                 let key = rng.next_range(0, 4 * window);
                 let op = rng.next_below(48);
                 other.insert(&(key + 1));
                 if op == 4 {
-                    saved = pair[0].save_snapshot();
+                    saved = fast.save_snapshot();
                 }
-                for s in &mut pair {
+                let before = fast.counts.clone();
+                for (s, generic) in [(&mut fast, false), (&mut oracle, true)] {
                     match op {
                         0 => s.advance_time(key % (2 * t_cycle)),
                         1 => s.load_snapshot(&saved).expect("load"),
                         2 => s.merge_snapshot(&other.save_snapshot()).expect("merge"),
                         3 if key.is_multiple_of(4) => s.clear(),
                         4 => {}
+                        5 => s.advance_time((1 + key % 3) * t_cycle + key % 3 - 1),
+                        _ if generic => s.engine_mut().insert(&key),
                         _ => s.insert(&key),
                     }
                 }
-                let [fast, oracle] = &mut pair;
-                let n = 1 + key % (t_cycle - 1);
                 let at = format!("case {case} step {step}");
-                assert_eq!(fast.estimate().to_bits(), oracle_estimate(oracle).to_bits(), "{at}");
+                if !fast.stale {
+                    assert_counts_exact(&fast, &at);
+                    cleaned_by_insert += usize::from(
+                        op > 5 && fast.counts.iter().zip(&before).any(|(&c, &b)| c < b),
+                    );
+                }
+                if rng.next_below(3) != 0 {
+                    continue;
+                }
+                let n = 1 + key % (t_cycle - 1);
+                assert_eq!(
+                    fast.estimate().to_bits(),
+                    popcount_estimate(&mut oracle).to_bits(),
+                    "{at}"
+                );
+                assert_counts_exact(&fast, &at);
                 assert_eq!(
                     fast.estimate_at(n, 0.25).to_bits(),
-                    oracle_estimate_at(oracle, n, 0.25).to_bits(),
+                    oracle_estimate_at(&mut oracle, n, 0.25).to_bits(),
                     "{at}: estimate_at({n})"
                 );
                 let curve: Vec<(u64, u64)> =
                     fast.cardinality_curve().into_iter().map(|(a, e)| (a, e.to_bits())).collect();
-                assert_eq!(curve, oracle_curve(oracle), "{at}: curve");
+                assert_eq!(curve, oracle_curve(&mut oracle), "{at}: curve");
+                assert_counts_exact(&fast, &at);
                 assert_eq!(fast.save_snapshot(), oracle.save_snapshot(), "{at}: snapshot bytes");
             }
+            assert!(cleaned_by_insert > 15, "case {case}: {cleaned_by_insert} insert cleanings");
         }
+    }
+
+    #[test]
+    fn count_sums_do_not_overflow_their_lanes() {
+        // Three chunks of full groups, the last one ragged.
+        let counts = vec![u16::MAX; (1 << 17) + 3];
+        assert_eq!(sum_counts(&counts), counts.len() * usize::from(u16::MAX));
     }
 
     #[test]

@@ -22,18 +22,21 @@
 //! ([`CsmSpec::row_update`]). [`She::insert`] hashes the rows
 //! [`UPDATE_LANES`] at a time into a stack buffer; [`She::insert_rows`]
 //! takes rows a caller already hashed (a shard hashes a key once and
-//! feeds BF, BM and CM from the same rows). Both advance the clock, then
+//! feeds BF and CM from the same rows). Both advance the clock, then
 //! run `CheckGroup` + `F` per update in row order, through the one
 //! function that writes an inserted cell — the insert path of every
-//! adapter whose `K` is a handful of cells (BF, BM, CM, HLL, CS). That
+//! adapter whose `K` is a handful of cells (BF, CM, HLL, CS). That
 //! function hands the spec's cell width to the packed array, so 1-bit
-//! BF/BM cells compile to constant shifts and masks (the configurable
-//! widths of CM and HLL stay runtime values). SHE-MH (`K = M`, `w = 1`) walks its cells
-//! itself in one row-wise pass (`mh.rs`) built on `advance_time(1)`,
-//! `check_group` and the crate-private `next_flip` / `write_cell`, and
-//! skips the rows its last-insert memo rules out by the flip count
-//! ([`She::flipped_since`]); this loop is the oracle that pass is tested
-//! bit-for-bit against.
+//! BF cells compile to constant shifts and masks (the configurable
+//! widths of CM and HLL stay runtime values). Two adapters run their
+//! own pass on the same primitives, and this loop is the oracle each is
+//! tested bit-for-bit against: SHE-BM (`K = 1`) ticks, `check_group`s
+//! and writes its one bit through `apply_update`, which reports the old
+//! bit so that it can count set bits per group (`bm.rs`); SHE-MH
+//! (`K = M`, `w = 1`) walks its cells in one row-wise pass (`mh.rs`)
+//! built on `advance_time(1)`, `check_group` and the crate-private
+//! `next_flip` / `write_cell`, and skips the rows its last-insert memo
+//! rules out by the flip count ([`She::flipped_since`]).
 //!
 //! Nothing on an insert or point read divides: the specs reduce a row
 //! hash to a cell with a precomputed reciprocal (`she_hash::FastMod`),
@@ -47,8 +50,12 @@
 //! sweep does not re-check every group: the offsets ascend with `gid`, so
 //! the groups that can have come due since the last sweep are those whose
 //! flip instant passed in between, one or two `gid` ranges
-//! ([`She::check_due`]). For the same reason the groups of any minimum age
-//! are at most two `gid` ranges, which SHE-BM's `estimate` sums directly.
+//! ([`She::check_due`]). The sweep reports each group it cleans, so that
+//! SHE-BM zeroes that group's set-bit count where the sweep zeroed its
+//! bits. For the same reason the groups of any minimum age are at most
+//! two `gid` ranges: SHE-BM's `estimate` sums its counts over them, and
+//! SHE-MH's `similarity` (`w = 1`, a row per group) compares its rows
+//! only inside them.
 
 use crate::convert::u64_of;
 use crate::SheConfig;
@@ -114,6 +121,12 @@ impl FlipCount {
     #[inline]
     pub(crate) fn count(self) -> u64 {
         self.count
+    }
+
+    /// The group the next flip falls to, `count mod G`.
+    #[inline]
+    pub(crate) fn next(self) -> usize {
+        self.next
     }
 }
 
@@ -423,9 +436,16 @@ impl<S: CsmSpec> She<S> {
     /// Whether group `gid` is **due** for cleaning: its stored mark
     /// disagrees with the observed current mark, so the next
     /// [`She::check_group`] will zero its cells. Pure.
+    ///
+    /// While the clock is short of the cached next flip, the cached
+    /// current mark is still current — the fact [`She::check_group`]
+    /// trusts — so only a group whose flip has passed pays
+    /// [`She::mark_epoch`]'s division.
     #[inline]
     pub fn group_due(&self, gid: usize) -> bool {
-        self.groups[gid].stored_mark() != self.observe_mark(gid)
+        let meta = self.groups[gid];
+        let cur = if self.t < meta.next_flip() { meta.cur_mark() } else { self.observe_mark(gid) };
+        meta.stored_mark() != cur
     }
 
     /// Whether the group is mature (`age ≥ N`) — the pure half of
@@ -557,15 +577,27 @@ impl<S: CsmSpec> She<S> {
         }
     }
 
-    /// `CheckGroup` + `F` on one hashed cell — the only place an insert
-    /// writes a cell. The spec's cell width is a constant but for CM and
-    /// HLL, whose widths are configurable, so the packed read and write
-    /// inline to constant shifts and masks.
+    /// `CheckGroup` + `F` on one hashed cell — the only place the generic
+    /// insert writes a cell. The spec's cell width is a constant but for
+    /// CM and HLL, whose widths are configurable, so the packed read and
+    /// write inline to constant shifts and masks.
     #[inline]
     fn update_cell(&mut self, u: CellUpdate) {
         self.check_group(self.group_of(u.index));
-        let spec = &self.spec;
-        self.cells.update(u.index, spec.cell_bits(), |old| spec.apply(u.operand, old));
+        self.apply_update(u);
+    }
+
+    /// `F` on one hashed cell whose group the caller has already checked
+    /// at the current time; returns the cell's value before. One read and
+    /// one write of the cell's word: for a 1-bit cell, a test-and-set.
+    #[inline]
+    pub(crate) fn apply_update(&mut self, u: CellUpdate) -> u64 {
+        let (spec, mut before) = (&self.spec, 0);
+        self.cells.update(u.index, spec.cell_bits(), |old| {
+            before = old;
+            spec.apply(u.operand, old)
+        });
+        before
     }
 
     /// Hand `key`'s cell updates to `f` in row order, with the engine,
@@ -602,12 +634,6 @@ impl<S: CsmSpec> She<S> {
         self.groups[gid].next_flip()
     }
 
-    /// Every group's [`She::next_flip`], in `gid` order.
-    #[inline]
-    pub(crate) fn next_flips(&self) -> impl Iterator<Item = u64> + '_ {
-        self.groups.iter().map(|meta| meta.next_flip())
-    }
-
     /// Store `v` in cell `index` without touching marks. The caller has
     /// already checked the owning group at the current time.
     #[inline]
@@ -632,7 +658,7 @@ impl<S: CsmSpec> She<S> {
     /// in `gid` order, as a [`GroupView`] — the sweep of the whole-array
     /// estimators.
     pub fn for_each_group(&mut self, mut f: impl FnMut(GroupView<'_>)) {
-        self.check_due();
+        self.check_due(|_| {});
         for gid in 0..self.num_groups() {
             let (start, len) = (self.group_start(gid), self.group_len(gid));
             f(GroupView { cells: &self.cells, start, len, age: self.group_age(gid) });
@@ -648,14 +674,20 @@ impl<S: CsmSpec> She<S> {
     /// ([`She::flipped_since`]). With the sweep unknown, or `G` or more
     /// flips behind (a group may have flipped twice), every group is
     /// checked.
-    pub(crate) fn check_due(&mut self) {
+    ///
+    /// `cleaned` is told each group the sweep cleans, so that a caller
+    /// keeping per-group tallies (SHE-BM's set-bit counts) zeroes them
+    /// where the sweep zeroed the cells.
+    pub(crate) fn check_due(&mut self, mut cleaned: impl FnMut(usize)) {
         let now = self.flip_count();
-        match self.swept.and_then(|s| self.flipped_since(s, now)) {
-            Some([a, b]) => {
-                self.check_groups(a);
-                self.check_groups(b);
+        let [a, b] = self
+            .swept
+            .and_then(|s| self.flipped_since(s, now))
+            .unwrap_or([0..self.num_groups(), 0..0]);
+        for gid in a.chain(b) {
+            if self.check_group(gid) {
+                cleaned(gid);
             }
-            None => self.check_groups(0..self.num_groups()),
         }
         self.swept = Some(now.count);
     }
@@ -695,12 +727,6 @@ impl<S: CsmSpec> She<S> {
         self.neg_offsets.partition_point(|&ofs| ofs <= residue)
     }
 
-    fn check_groups(&mut self, gids: Range<usize>) {
-        for gid in gids {
-            self.check_group(gid);
-        }
-    }
-
     /// The groups aged at least `min_age`, as two `gid` ranges.
     ///
     /// With `r = t mod Tcycle`, a group's age is `r − ofs` when its offset
@@ -715,12 +741,17 @@ impl<S: CsmSpec> She<S> {
         [0..upto(r.checked_sub(min_age)), k..upto((r + tc).checked_sub(min_age)).max(k)]
     }
 
-    /// `(cells, zero cells)` over the groups `gids`, a popcount per word
-    /// for 1-bit cells ([`PackedArray::count_zeros_in`]).
-    pub(crate) fn count_zeros_in_groups(&self, gids: Range<usize>) -> (usize, usize) {
+    /// The cells of the groups `gids`, as one index range.
+    pub(crate) fn cells_of_groups(&self, gids: Range<usize>) -> Range<usize> {
         let m = self.cells.len();
-        let (start, end) = (self.group_start(gids.start).min(m), self.group_start(gids.end).min(m));
-        (end - start, self.cells.count_zeros_in(start, end - start))
+        self.group_start(gids.start).min(m)..self.group_start(gids.end).min(m)
+    }
+
+    /// Zero cells among the groups `gids`, a popcount per word for 1-bit
+    /// cells ([`PackedArray::count_zeros_in`]).
+    pub(crate) fn count_zeros_in_groups(&self, gids: Range<usize>) -> usize {
+        let cells = self.cells_of_groups(gids);
+        self.cells.count_zeros_in(cells.start, cells.len())
     }
 
     /// Compute the hashed cell updates for `key` into `out` (query helper
@@ -840,8 +871,9 @@ mod tests {
     }
 
     /// Step the clock one unit at a time for `ticks` units, checking every
-    /// group's age, mark and maturity against the references at each
-    /// instant. Each group is `check_mature`d on every other tick only
+    /// group's age, mark, due flag (read off the cached mark while the
+    /// clock is short of the cached flip) and maturity against the
+    /// references at each instant. Each group is `check_mature`d on every other tick only
     /// (alternating by `gid`), so reads meet flip caches refreshed one
     /// tick ago, two ticks ago, and — right after a jump — far behind.
     fn assert_ages_match<S: CsmSpec>(s: &mut She<S>, ticks: u64, state: &str) {
@@ -850,6 +882,8 @@ mod tests {
                 let (age, mark, t) = (ref_age(s, gid), ref_mark(s, gid), s.t);
                 assert_eq!(s.group_age(gid), age, "{state}: gid {gid} t {t}: age");
                 assert_eq!(s.observe_mark(gid), mark, "{state}: gid {gid} t {t}: mark");
+                let due = s.groups[gid].stored_mark() != mark;
+                assert_eq!(s.group_due(gid), due, "{state}: gid {gid} t {t}: due");
                 if (step + gid as u64).is_multiple_of(2) {
                     let mature = s.check_mature(gid);
                     assert_eq!(mature, age >= s.cfg.window, "{state}: gid {gid} t {t}: mature");
@@ -970,13 +1004,14 @@ mod tests {
                     narrow += 1;
                     wrapped += usize::from(!b.is_empty());
                 }
-                cursor.check_due();
-                for gid in 0..g {
-                    every.check_group(gid);
-                }
+                let mut reported = Vec::new();
+                cursor.check_due(|gid| reported.push(gid));
+                reported.sort_unstable();
+                let cleaned: Vec<usize> = (0..g).filter(|&gid| every.check_group(gid)).collect();
                 let at = format!("case {case} step {step} t {}", cursor.t);
                 assert!((0..g).all(|gid| !cursor.group_due(gid)), "{at}: a group is still due");
                 assert_eq!(state(&cursor), state(&every), "{at}: snapshot state");
+                assert_eq!(reported, cleaned, "{at}: the groups reported cleaned");
             }
             assert!(narrow > 1000 && wrapped > 40, "case {case}: {narrow} / {wrapped} sweeps");
         }

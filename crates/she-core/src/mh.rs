@@ -22,12 +22,16 @@
 //! * `settled_until` — every group has been checked at the current mark
 //!   and none flips before this instant. Because every insert checks
 //!   every group, the 128 mark tests collapse to `t < settled_until`;
-//!   when that trips, `settle()` runs `check_group(0..M)` exactly as the
-//!   generic loop would and takes the minimum next flip.
-//! * `mins` — the cells decoded (`u32::MAX` for an empty cell), rebuilt
-//!   by the same `settle()`. The per-key work is `operand(rows[i]) < mins[i]`;
-//!   the packed array is written only for the rare rows whose minimum
-//!   drops.
+//!   when that trips, `settle()` runs `check_group` as the generic loop
+//!   would, on the rows that can be due: those flipped since the last
+//!   settle (`She::flipped_since` against the flip count it took; every
+//!   row while unknown, or `G` or more flips behind). The new
+//!   `settled_until` is the next flip's instant, that of group
+//!   `count mod G`, which the flips come round to next.
+//! * `mins` — the cells decoded (`u32::MAX` for an empty cell),
+//!   re-decoded by the same `settle()` on the rows it checks. The per-key
+//!   work is `operand(rows[i]) < mins[i]`; the packed array is written
+//!   only for the rare rows whose minimum drops.
 //!
 //! `settled_until = 0` means "unknown" and is set by every other writer
 //! of the cells: `engine_mut()` (restore, merge, reconcile) and
@@ -67,9 +71,19 @@
 //! ## Similarity
 //!
 //! `similarity()` settles each side that is not settled — `check_group`
-//! on every row, as a full check would, also refreshing `mins` — and then
-//! reads the two `mins` arrays in one branch-free pass, a row's age coming
-//! off its cached next flip.
+//! on every row that can be due, as a full check would, also refreshing
+//! `mins` — and then compares the two `mins` arrays only inside the rows
+//! legal on both sides.
+//!
+//! With `w = 1`, a settled side's legal rows are its groups aged at least
+//! `min_legal_age(βN)` (`She::groups_aged`), at most two row ranges: a
+//! settled row's next flip lies in `(t, t + Tcycle]`, so its age
+//! `t + Tcycle − next_flip` is `(t + Tcycle − ofs) mod Tcycle`, the age
+//! `groups_aged` ranges by — repeated offsets (`Tcycle < G`) included.
+//! The two sides' ranges meet in at most four ranges, and there the rows
+//! are compared in 32-bit lanes: a row counts when not both sides are
+//! empty, and matches when the minima are equal. No row's age is tested,
+//! and the rows outside the ranges are not read.
 
 use crate::engine::{min_legal_age, FlipCount};
 use crate::{She, SheConfig};
@@ -310,16 +324,31 @@ impl SheMinHash {
     /// Check every group at the current time — what the generic insert
     /// does per key — then cache how long that stays true and re-decode
     /// the cells the checks may have cleaned.
+    ///
+    /// Only the rows flipped since the last settle can be due
+    /// ([`She::flipped_since`]; `w = 1`, so row `i` is group `i`): every
+    /// other row was checked then and has not flipped since. While
+    /// unknown, or `G` or more flips behind, every row is checked.
     #[cold]
     fn settle(&mut self) {
-        let mut until = u64::MAX;
-        for (i, min) in self.mins.iter_mut().enumerate() {
-            self.engine.check_group(i); // w = 1: cell i is group i
-            until = until.min(self.engine.next_flip(i));
-            *min = decode(self.engine.peek_cell(i));
+        let now = self.engine.flip_count();
+        let known = if self.settled_until == 0 { None } else { Some(self.flips.count()) };
+        let [a, b] = known
+            .and_then(|s| self.engine.flipped_since(s, now))
+            .unwrap_or([0..self.num_hashes(), 0..0]);
+        for i in a.chain(b) {
+            self.engine.check_group(i);
+            self.mins[i] = decode(self.engine.peek_cell(i));
         }
-        self.settled_until = until;
-        self.flips = self.engine.flip_count();
+        // The next flip to come is flip number `now.count`, the group
+        // `now.count mod G` = `now.next`'s: the earliest pending instant.
+        self.settled_until = self.engine.next_flip(now.next());
+        debug_assert_eq!(
+            Some(self.settled_until),
+            (0..self.num_hashes()).map(|i| self.engine.next_flip(i)).min(),
+            "the next flip is not the earliest"
+        );
+        self.flips = now;
     }
 
     fn mins_are_decoded_cells(&self) -> bool {
@@ -334,22 +363,32 @@ impl SheMinHash {
     ///
     /// Each side is settled first unless it already is — the `CheckGroup`
     /// on every row that the insert path runs, which also leaves `mins`
-    /// the decoded cells — and then one branch-free pass reads both
-    /// `mins` arrays. A settled row's next flip lies ahead, so its age is
-    /// `t + Tcycle − next_flip`.
+    /// the decoded cells (module docs, *Similarity*). A side's legal rows
+    /// are then at most two row ranges, and the `mins` are compared only
+    /// where a range of one side meets a range of the other.
     pub fn similarity(&mut self, other: &mut SheMinHash) -> f64 {
         let m = self.num_hashes();
         assert_eq!(m, other.num_hashes(), "signature sizes differ");
         self.ensure_settled();
         other.ensure_settled();
-        let (a, b) = (self.legal_rows(), other.legal_rows());
         let (mut used, mut matches) = (0usize, 0usize);
-        for (((&min_a, &min_b), legal_a), legal_b) in
-            self.mins.iter().zip(&other.mins).zip(a).zip(b)
-        {
-            let counted = legal_a & legal_b & !(min_a == EMPTY && min_b == EMPTY);
-            used += usize::from(counted);
-            matches += usize::from(counted & (min_a == min_b));
+        let (legal_a, legal_b) = (self.legal_rows(), other.legal_rows());
+        for ra in legal_a {
+            for rb in legal_b.clone() {
+                let rows = ra.start.max(rb.start)..ra.end.min(rb.end);
+                if rows.is_empty() {
+                    continue;
+                }
+                // EMPTY is all ones, so `a & b` is EMPTY only when both
+                // rows are; a pair of empty rows is equal but not counted.
+                let (mut both, mut equal) = (0u32, 0u32);
+                for (&a, &b) in self.mins[rows.clone()].iter().zip(&other.mins[rows.clone()]) {
+                    both += u32::from(a & b != EMPTY);
+                    equal += u32::from(a == b);
+                }
+                let empty = rows.len() - both as usize;
+                (used, matches) = (used + both as usize, matches + equal as usize - empty);
+            }
         }
         if used == 0 {
             0.0
@@ -358,13 +397,11 @@ impl SheMinHash {
         }
     }
 
-    /// Per row, in order, whether its age is legal (`≥ βN`). Valid while
-    /// settled: every row's next flip then lies in `(t, t + Tcycle]`.
-    fn legal_rows(&self) -> impl Iterator<Item = bool> + '_ {
+    /// The rows whose age is legal (`≥ βN`), as two row ranges. Valid
+    /// while settled (module docs, *Similarity*).
+    fn legal_rows(&self) -> [Range<usize>; 2] {
         let cfg = self.engine.config();
-        let (start, min_age) =
-            (self.engine.now() + cfg.t_cycle, min_legal_age(cfg.beta * cfg.window as f64));
-        self.engine.next_flips().map(move |next_flip| start - next_flip >= min_age)
+        self.engine.groups_aged(min_legal_age(cfg.beta * cfg.window as f64))
     }
 
     /// Advance logical time without inserting.
@@ -466,7 +503,10 @@ mod tests {
     }
 
     /// The row-wise insert, memo included, is the generic per-cell loop:
-    /// snapshot bytes after every op and similarity bits on every query.
+    /// snapshot bytes after every op and similarity bits on every query,
+    /// and a query right after every op that flips a group on either
+    /// side, so that a settle that leaves a flipped row's `mins` behind
+    /// shows in the bits.
     /// The drive mixes a uniform key stream with hot-key phases (at most
     /// eight keys, so most inserts meet the memo), two keys sharing one
     /// memo slot inserted alternately, repeats of one key across idle
@@ -496,6 +536,8 @@ mod tests {
             let mut saved = [fast[0].save_snapshot(), fast[1].save_snapshot()];
             let mut inserted = [0u64; 2];
             let (mut queries, mut step) = (0u64, 0u64);
+            let flips = |pair: &[SheMinHash; 2]| pair.each_ref().map(|s| s.engine.flip_count());
+            let mut last_flips = flips(&fast);
 
             // At least eight windows of inserts on each side, whatever the
             // clears and roll-backs in between do to the clocks.
@@ -541,6 +583,14 @@ mod tests {
                     let (got, want) = (apply(&mut fast, op, false), apply(&mut oracle, op, true));
                     assert_eq!(got, want, "case {case} step {step}: similarity bits");
                     queries += u64::from(got.is_some());
+                    if flips(&fast) != last_flips {
+                        last_flips = flips(&fast);
+                        let (got, want) = (
+                            apply(&mut fast, &Op::Similarity, false),
+                            apply(&mut oracle, &Op::Similarity, true),
+                        );
+                        assert_eq!(got, want, "case {case} step {step}: similarity after a flip");
+                    }
                     for s in 0..2 {
                         assert_eq!(
                             fast[s].save_snapshot(),
@@ -583,15 +633,45 @@ mod tests {
         }
     }
 
+    /// The oracle similarity of settled signatures: the per-row pass
+    /// `similarity` ran before it compared row ranges — every row's age
+    /// off its cached next flip, then one pass over both `mins` arrays.
+    fn legal_rows_similarity(a: &mut SheMinHash, b: &mut SheMinHash) -> f64 {
+        a.ensure_settled();
+        b.ensure_settled();
+        let legal = |s: &SheMinHash| -> Vec<bool> {
+            let cfg = s.engine.config();
+            let (start, min_age) =
+                (s.now() + cfg.t_cycle, min_legal_age(cfg.beta * cfg.window as f64));
+            (0..s.num_hashes()).map(|i| start - s.engine.next_flip(i) >= min_age).collect()
+        };
+        let (mut used, mut matches) = (0usize, 0usize);
+        for (((&min_a, &min_b), legal_a), legal_b) in
+            a.mins.iter().zip(&b.mins).zip(legal(a)).zip(legal(b))
+        {
+            let counted = legal_a & legal_b & !(min_a == EMPTY && min_b == EMPTY);
+            used += usize::from(counted);
+            matches += usize::from(counted & (min_a == min_b));
+        }
+        if used == 0 {
+            0.0
+        } else {
+            matches as f64 / used as f64
+        }
+    }
+
     #[test]
     fn similarity_is_bit_for_bit_the_per_row_loop() {
         use crate::SnapshotState;
         use she_hash::{RandomSource, Xoshiro256};
 
         // βN = 50 (integral); 900.000…01, so age 900 is not legal (130
-        // rows: two insert chunks); 233.1, non-integral.
+        // rows: two insert chunks); 233.1, non-integral; and N = 64 with
+        // 130 rows, Tcycle = 77 < G, so rows share offsets.
         for (case, (window, m, beta)) in
-            [(100u64, 67usize, 0.5), (1_000, 130, 0.9), (333, 64, 0.7)].into_iter().enumerate()
+            [(100u64, 67usize, 0.5), (1_000, 130, 0.9), (333, 64, 0.7), (64, 130, 0.5)]
+                .into_iter()
+                .enumerate()
         {
             let b = SheMinHash::builder().window(window).num_hashes(m).beta(beta).seed(11);
             let mut fast = [b.clone().build(), b.clone().build()];
@@ -599,37 +679,43 @@ mod tests {
             let mut rng = Xoshiro256::new(0x51A1 + case as u64);
             let t_cycle = fast[0].engine().config().t_cycle;
             let mut saved = [fast[0].save_snapshot(), fast[1].save_snapshot()];
-            // Queries that cleaned a group, that met different clocks, and
-            // that read something.
-            let (mut cleaned, mut skewed, mut nonzero) = (0, 0, 0);
+            // Queries that cleaned a group, that met different clocks, that
+            // met a row empty on both sides, and that read something.
+            let (mut cleaned, mut skewed, mut empty, mut nonzero) = (0, 0, 0, 0);
             for step in 0..12 * window {
                 let side = rng.next_below(2);
                 let key = rng.next_range(0, 4 * window);
-                let op = match rng.next_below(40) {
-                    0 => Op::Advance(side, key % 7),
+                let jump = t_cycle / 3 + key % t_cycle;
+                let ops = match rng.next_below(40) {
+                    0 => vec![Op::Advance(side, key % 7)],
                     // An idle jump past flips: the next query cleans.
-                    1 => Op::Advance(side, t_cycle / 3 + key % t_cycle),
-                    2 => {
+                    1 => vec![Op::Advance(side, jump)],
+                    // The same jump on both sides: the rows both clean are
+                    // empty on both.
+                    2 => vec![Op::Advance(0, jump), Op::Advance(1, jump)],
+                    3 => {
                         saved = [fast[0].save_snapshot(), fast[1].save_snapshot()];
                         continue;
                     }
-                    3 => Op::Load(side, saved[side].clone()),
+                    4 => vec![Op::Load(side, saved[side].clone())],
                     // The other stream's state, its clock elsewhere.
-                    4 => Op::Merge(side, fast[1 - side].save_snapshot()),
-                    5 if key.is_multiple_of(4) => Op::Clear(side),
-                    _ => Op::Insert(side, key),
+                    5 => vec![Op::Merge(side, fast[1 - side].save_snapshot())],
+                    6 if key.is_multiple_of(4) => vec![Op::Clear(side)],
+                    _ => vec![Op::Insert(side, key)],
                 };
-                apply(&mut fast, &op, false);
-                apply(&mut oracle, &op, false);
+                for op in &ops {
+                    apply(&mut fast, op, false);
+                    apply(&mut oracle, op, false);
+                }
                 let before = [oracle[0].save_snapshot(), oracle[1].save_snapshot()];
                 let ([fa, fb], [oa, ob]) = (&mut fast, &mut oracle);
-                let (got, want) = if step % 2 == 0 {
-                    (fa.similarity(fb), per_row_similarity(oa, ob))
-                } else {
-                    (fb.similarity(fa), per_row_similarity(ob, oa))
-                };
+                let (fa, fb, oa, ob) =
+                    if step % 2 == 0 { (fa, fb, oa, ob) } else { (fb, fa, ob, oa) };
+                let rows = legal_rows_similarity(&mut fa.clone(), &mut fb.clone());
+                let (got, want) = (fa.similarity(fb), per_row_similarity(oa, ob));
                 let at = format!("case {case} (N={window}, m={m}, β={beta}) step {step}");
                 assert_eq!(got.to_bits(), want.to_bits(), "{at}: similarity bits");
+                assert_eq!(got.to_bits(), rows.to_bits(), "{at}: similarity bits, per-row pass");
                 for s in 0..2 {
                     assert_eq!(
                         fast[s].save_snapshot(),
@@ -640,11 +726,13 @@ mod tests {
                 cleaned +=
                     usize::from(before != [oracle[0].save_snapshot(), oracle[1].save_snapshot()]);
                 skewed += usize::from(fast[0].now() != fast[1].now());
+                let [fa, fb] = &fast;
+                empty += usize::from(fa.mins.iter().zip(&fb.mins).any(|(&a, &b)| a & b == EMPTY));
                 nonzero += usize::from(got != 0.0);
             }
             assert!(
-                cleaned > 20 && skewed > 500 && nonzero > 100,
-                "case {case}: {cleaned} / {skewed} / {nonzero}"
+                cleaned > 20 && skewed > 500 && empty > 20 && nonzero > 100,
+                "case {case}: {cleaned} / {skewed} / {empty} / {nonzero}"
             );
         }
     }

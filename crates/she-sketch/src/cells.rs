@@ -151,16 +151,31 @@ impl PackedArray {
     }
 
     /// Count cells equal to zero in `[start, start + count)`: a popcount
-    /// over the masked words for 1-bit cells, one `get` per cell otherwise.
+    /// for 1-bit cells, one `get` per cell otherwise.
+    ///
+    /// The 1-bit count masks only the head and tail words; the whole words
+    /// between them are a plain slice, whose popcount the compiler
+    /// vectorises (a mask per word keeps it from doing so).
     pub fn count_zeros_in(&self, start: usize, count: usize) -> usize {
         assert!(start + count <= self.m, "count range out of bounds");
         if self.bits != 1 {
             return (start..start + count).filter(|&i| self.get(i) == 0).count();
         }
-        let ones: u32 = self
-            .word_masks(start, count)
-            .map(|(w, mask)| (self.words[w] & mask).count_ones())
-            .sum();
+        if count == 0 {
+            return 0;
+        }
+        let end = start + count;
+        let (first, last) = (start / 64, (end - 1) / 64);
+        // The first word's bits from `start` up, the last word's below `end`.
+        let (head, tail) = (u64::MAX << (start % 64), u64::MAX >> (end.wrapping_neg() % 64));
+        let ones = if first == last {
+            (self.words[first] & head & tail).count_ones()
+        } else {
+            let middle: u32 = self.words[first + 1..last].iter().map(|w| w.count_ones()).sum();
+            (self.words[first] & head).count_ones()
+                + middle
+                + (self.words[last] & tail).count_ones()
+        };
         count - ones as usize
     }
 
@@ -227,6 +242,26 @@ mod tests {
                     b.set(i, (b.get(i) ^ v) & mask);
                 }
                 assert_eq!(a, b, "bits={bits} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn count_zeros_in_is_the_per_cell_count() {
+        // Four words of cells at width 1 (aligned and ragged ranges, head
+        // and tail in one word or two), and the per-cell widths 3 and 25.
+        for bits in [1u32, 3, 25] {
+            let m = 4 * 64 / bits as usize + 3;
+            let mut a = PackedArray::new(m, bits);
+            for i in 0..m {
+                let v = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 7) >> 61;
+                a.set(i, if v < 3 { 0 } else { v & a.max_value() });
+            }
+            for start in 0..=m {
+                for count in 0..=m - start {
+                    let want = (start..start + count).filter(|&i| a.get(i) == 0).count();
+                    assert_eq!(a.count_zeros_in(start, count), want, "bits={bits} {start}+{count}");
+                }
             }
         }
     }

@@ -59,7 +59,12 @@ stage cargo test -q --offline --workspace
 # on that code too (seconds; the release artefacts already exist) — the
 # SHE-MH memo oracle among them: `mh.rs`'s row-wise test holds the
 # memoised insert, which hashes only the rows flipped since a key's last
-# insert, to the generic loop.
+# insert, and the settle, which re-checks only the rows flipped since the
+# last one, to the generic loop. So are the aggregate-read oracles:
+# `bm.rs`'s sweep test holds SHE-BM's per-group set-bit counts to each
+# group's popcount and its estimate to the popcount estimate, and
+# `mh.rs`'s similarity test holds the row-range comparison to the
+# per-row loops.
 # she-server's tests run here as well: the reactor's round path — a
 # connection's multi-frame read set (point, batch and aggregate frames in
 # one set, riding one per-shard job), its shedding, one `OVERLOADED` per
