@@ -16,8 +16,10 @@
 //! An insert is one pass of its own — advance the clock, `CheckGroup` the
 //! hashed bit's group (a cleaning zeroes its count), then one
 //! test-and-set of the bit that bumps the count when the bit was zero.
-//! The query's sweep (`She::check_due`) reports each group it cleans and
-//! zeroes that count too, so a count always equals its group's popcount.
+//! Every query's sweep (`She::check_due`, and `She::for_each_group` for
+//! `estimate_at` and `cardinality_curve`) reports each group it cleans
+//! and zeroes that count too, so a count always equals its group's
+//! popcount.
 //!
 //! Every other writer of the cells — restore, merge and reconcile, all
 //! through `engine_mut()` — marks the counts stale, and the next estimate
@@ -233,18 +235,21 @@ impl SheBitmap {
         let mut legal_bits = 0usize;
         let mut zeros = 0usize;
         let mut nearest: Option<(u64, usize, usize)> = None; // (dist, bits, zeros)
-        self.sweep();
-        self.engine.for_each_group(|g| {
-            let (age, bits, zs) = (g.age(), g.len(), g.zeros());
-            let dist = age.abs_diff(n);
-            if nearest.is_none_or(|(d, _, _)| dist < d) {
-                nearest = Some((dist, bits, zs));
-            }
-            if (age as f64) >= lo && (age as f64) <= hi {
-                legal_bits += bits;
-                zeros += zs;
-            }
-        });
+        let counts = &mut self.counts;
+        self.engine.for_each_group(
+            |gid| counts[gid] = 0,
+            |g| {
+                let (age, bits, zs) = (g.age(), g.len(), g.zeros());
+                let dist = age.abs_diff(n);
+                if nearest.is_none_or(|(d, _, _)| dist < d) {
+                    nearest = Some((dist, bits, zs));
+                }
+                if (age as f64) >= lo && (age as f64) <= hi {
+                    legal_bits += bits;
+                    zeros += zs;
+                }
+            },
+        );
         if legal_bits == 0 {
             // `nearest` is Some whenever the structure has >= 1 group;
             // an impossible empty layout degrades to "no bits set".
@@ -265,23 +270,24 @@ impl SheBitmap {
     pub fn cardinality_curve(&mut self) -> Vec<(u64, f64)> {
         let m = self.engine.spec().num_cells();
         let mut pts = Vec::with_capacity(self.engine.num_groups());
-        self.sweep();
-        self.engine.for_each_group(|g| {
-            let (age, bits, zs) = (g.age(), g.len(), g.zeros());
-            if bits > 0 && zs > 0 {
-                pts.push((age, -(m as f64) * (zs as f64 / bits as f64).ln()));
-            } else if bits > 0 {
-                pts.push((age, m as f64 * (bits as f64).ln()));
-            }
-        });
+        let counts = &mut self.counts;
+        self.engine.for_each_group(
+            |gid| counts[gid] = 0,
+            |g| {
+                let (age, bits, zs) = (g.age(), g.len(), g.zeros());
+                if bits > 0 && zs > 0 {
+                    pts.push((age, -(m as f64) * (zs as f64 / bits as f64).ln()));
+                } else if bits > 0 {
+                    pts.push((age, m as f64 * (bits as f64).ln()));
+                }
+            },
+        );
         pts.sort_unstable_by_key(|&(age, _)| age);
         pts
     }
 
     /// Clean every due group (`She::check_due`), zeroing the count of
-    /// each group it cleans, and rebuild stale counts from the words. The
-    /// group sweep of `estimate_at` and `cardinality_curve` then finds
-    /// nothing left to clean.
+    /// each group it cleans, and rebuild stale counts from the words.
     fn sweep(&mut self) {
         let counts = &mut self.counts;
         self.engine.check_due(|gid| counts[gid] = 0);
@@ -377,6 +383,20 @@ mod tests {
         -(m as f64) * (zeros.max(1) as f64 / bits as f64).ln()
     }
 
+    /// The per-cell estimate: the groups whose age passes the `f64` test
+    /// `age ≥ βN`, their zeros counted one `peek_cell` at a time.
+    fn oracle_estimate(bm: &mut SheBitmap) -> f64 {
+        let cfg = *bm.engine().config();
+        let beta_n = cfg.beta * cfg.window as f64;
+        let (mut bits, mut zeros) = (0, 0);
+        for (age, b, z) in per_cell_groups(bm) {
+            if age as f64 >= beta_n {
+                (bits, zeros) = (bits + b, zeros + z);
+            }
+        }
+        mle(bm.engine().spec().num_cells(), zeros, bits)
+    }
+
     /// The estimate before the set-bit counts: sweep, then popcount the
     /// legal groups' words.
     fn popcount_estimate(bm: &mut SheBitmap) -> f64 {
@@ -391,12 +411,14 @@ mod tests {
         mle(e.spec().num_cells(), zeros, bits)
     }
 
-    /// Every set-bit count is its group's popcount.
+    /// Every set-bit count is its group's set bits, read one `peek_cell`
+    /// at a time.
     fn assert_counts_exact(bm: &SheBitmap, at: &str) {
         let e = bm.engine();
+        let (w, m) = (e.config().group_cells, e.spec().num_cells());
+        assert_eq!(bm.counts.len(), m.div_ceil(w), "{at}: one count per group");
         for (gid, &count) in bm.counts.iter().enumerate() {
-            let ones =
-                e.cells_of_groups(gid..gid + 1).len() - e.count_zeros_in_groups(gid..gid + 1);
+            let ones = (gid * w..(gid * w + w).min(m)).filter(|&i| e.peek_cell(i) == 1).count();
             assert_eq!(usize::from(count), ones, "{at}: set-bit count of group {gid}");
         }
     }
@@ -434,14 +456,15 @@ mod tests {
     }
 
     /// The counted insert and estimate are the generic insert and the
-    /// popcount estimate: after every op every set-bit count is its
-    /// group's popcount (unless a restore or merge left them stale), and
-    /// on the steps that query, `estimate`, `estimate_at` and
-    /// `cardinality_curve` have the oracles' bits and the snapshots are
-    /// byte-equal. Queries skip two steps in three, so that inserts (whose
-    /// `CheckGroup` cleans a group that came due since the last sweep) and
-    /// idle jumps of `k·Tcycle − 1`, `k·Tcycle` and `k·Tcycle + 1` pile up
-    /// between sweeps.
+    /// per-cell and popcount estimates: after every op every set-bit
+    /// count is its group's popcount (unless a restore or merge left them
+    /// stale), and on the steps that query, `estimate`, `estimate_at` and
+    /// `cardinality_curve` have the oracles' bits, in a rotated order so
+    /// that each is sometimes the query whose sweep cleans, and the
+    /// snapshots are byte-equal. Queries skip two steps in three, so that
+    /// inserts (whose `CheckGroup` cleans a group that came due since the
+    /// last sweep) and idle jumps of `k·Tcycle − 1`, `k·Tcycle` and
+    /// `k·Tcycle + 1` pile up between sweeps.
     #[test]
     fn group_sweep_is_bit_for_bit_the_per_cell_sweep() {
         use crate::SnapshotState;
@@ -493,22 +516,40 @@ mod tests {
                 if rng.next_below(3) != 0 {
                     continue;
                 }
-                let n = 1 + key % (t_cycle - 1);
-                assert_eq!(
-                    fast.estimate().to_bits(),
-                    popcount_estimate(&mut oracle).to_bits(),
-                    "{at}"
-                );
-                assert_counts_exact(&fast, &at);
-                assert_eq!(
-                    fast.estimate_at(n, 0.25).to_bits(),
-                    oracle_estimate_at(&mut oracle, n, 0.25).to_bits(),
-                    "{at}: estimate_at({n})"
-                );
-                let curve: Vec<(u64, u64)> =
-                    fast.cardinality_curve().into_iter().map(|(a, e)| (a, e.to_bits())).collect();
-                assert_eq!(curve, oracle_curve(&mut oracle), "{at}: curve");
-                assert_counts_exact(&fast, &at);
+                let (n, first) = (1 + key % (t_cycle - 1), rng.next_below(3));
+                for query in (0..3).map(|q| (first + q) % 3) {
+                    match query {
+                        0 => {
+                            let est = fast.estimate().to_bits();
+                            assert_eq!(
+                                est,
+                                oracle_estimate(&mut oracle).to_bits(),
+                                "{at}: per-cell"
+                            );
+                            assert_eq!(
+                                est,
+                                popcount_estimate(&mut oracle).to_bits(),
+                                "{at}: popcount"
+                            );
+                        }
+                        1 => assert_eq!(
+                            fast.estimate_at(n, 0.25).to_bits(),
+                            oracle_estimate_at(&mut oracle, n, 0.25).to_bits(),
+                            "{at}: estimate_at({n})"
+                        ),
+                        _ => {
+                            let curve: Vec<(u64, u64)> = fast
+                                .cardinality_curve()
+                                .into_iter()
+                                .map(|(a, e)| (a, e.to_bits()))
+                                .collect();
+                            assert_eq!(curve, oracle_curve(&mut oracle), "{at}: curve");
+                        }
+                    }
+                    if !fast.stale {
+                        assert_counts_exact(&fast, &at);
+                    }
+                }
                 assert_eq!(fast.save_snapshot(), oracle.save_snapshot(), "{at}: snapshot bytes");
             }
             assert!(cleaned_by_insert > 15, "case {case}: {cleaned_by_insert} insert cleanings");

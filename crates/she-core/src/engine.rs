@@ -654,11 +654,11 @@ impl<S: CsmSpec> She<S> {
         self.cells.get(index)
     }
 
-    /// Clean every due group (`check_due`), then visit each group,
-    /// in `gid` order, as a [`GroupView`] — the sweep of the whole-array
-    /// estimators.
-    pub fn for_each_group(&mut self, mut f: impl FnMut(GroupView<'_>)) {
-        self.check_due(|_| {});
+    /// Clean every due group (`check_due`, which tells `cleaned` each
+    /// group it cleans), then visit each group, in `gid` order, as a
+    /// [`GroupView`] — the sweep of the whole-array estimators.
+    pub fn for_each_group(&mut self, cleaned: impl FnMut(usize), mut f: impl FnMut(GroupView<'_>)) {
+        self.check_due(cleaned);
         for gid in 0..self.num_groups() {
             let (start, len) = (self.group_start(gid), self.group_len(gid));
             f(GroupView { cells: &self.cells, start, len, age: self.group_age(gid) });
@@ -1325,12 +1325,15 @@ mod tests {
         (0..40u64).for_each(|k| s.insert(&k));
         let (mut total, mut zeros, mut gid) = (0usize, 0usize, 0usize);
         let ages: Vec<u64> = (0..s.num_groups()).map(|g| s.group_age(g)).collect();
-        s.for_each_group(|g| {
-            assert_eq!(g.len(), g.cells().count());
-            assert_eq!(g.zeros(), g.cells().filter(|&v| v == 0).count());
-            assert_eq!(g.age(), ages[gid]);
-            (total, zeros, gid) = (total + g.len(), zeros + g.zeros(), gid + 1);
-        });
+        s.for_each_group(
+            |_| {},
+            |g| {
+                assert_eq!(g.len(), g.cells().count());
+                assert_eq!(g.zeros(), g.cells().filter(|&v| v == 0).count());
+                assert_eq!(g.age(), ages[gid]);
+                (total, zeros, gid) = (total + g.len(), zeros + g.zeros(), gid + 1);
+            },
+        );
         assert_eq!((total, gid), (500, 8));
         assert_eq!(zeros, s.cells.count_zeros());
         assert!(zeros < 500);

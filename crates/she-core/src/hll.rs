@@ -123,11 +123,14 @@ impl SheHyperLogLog {
         let beta_n = self.engine.config().beta * self.engine.config().window as f64;
         let m = self.engine.spec().num_cells();
         let mut legal = Vec::with_capacity(m);
-        self.engine.for_each_group(|g| {
-            if (g.age() as f64) >= beta_n {
-                legal.extend(g.cells());
-            }
-        });
+        self.engine.for_each_group(
+            |_| {},
+            |g| {
+                if (g.age() as f64) >= beta_n {
+                    legal.extend(g.cells());
+                }
+            },
+        );
         hll_estimate_subset(legal.into_iter(), m)
     }
 
@@ -147,12 +150,15 @@ impl SheHyperLogLog {
         let lo = n as f64 * (1.0 - tolerance);
         let hi = n as f64 * (1.0 + tolerance);
         let mut legal = Vec::new();
-        self.engine.for_each_group(|g| {
-            if (g.age() as f64) >= lo && (g.age() as f64) <= hi {
-                // audit:allow(growth): at most M registers — the groups partition the M-cell array
-                legal.extend(g.cells());
-            }
-        });
+        self.engine.for_each_group(
+            |_| {},
+            |g| {
+                if (g.age() as f64) >= lo && (g.age() as f64) <= hi {
+                    // audit:allow(growth): at most M registers — the groups partition the M-cell array
+                    legal.extend(g.cells());
+                }
+            },
+        );
         hll_estimate_subset(legal.into_iter(), m)
     }
 

@@ -62,7 +62,8 @@ stage cargo test -q --offline --workspace
 # insert, and the settle, which re-checks only the rows flipped since the
 # last one, to the generic loop. So are the aggregate-read oracles:
 # `bm.rs`'s sweep test holds SHE-BM's per-group set-bit counts to each
-# group's popcount and its estimate to the popcount estimate, and
+# group's set bits and its estimate to both the per-cell and the popcount
+# estimate, and
 # `mh.rs`'s similarity test holds the row-range comparison to the
 # per-row loops.
 # she-server's tests run here as well: the reactor's round path — a
