@@ -26,15 +26,15 @@
 //! rebuilds them with one popcount per group. `clear()` zeroes them.
 //!
 //! The counts are `u16` (`build` asserts `w ≤ 65 535`): 2 bytes per group,
-//! 4 KiB for the 2 048 groups of a default served shard's 16 KiB bitmap
-//! (the shard's two SHE-MH memos take 32 KiB).
-//! [`SheBitmap::memory_bits`] leaves them out, as it leaves out the group
-//! metadata: they are a cache of the query path, not the paper's sketch
-//! state. No snapshot carries them, and a bitmap restored without them
-//! answers exactly as the one that had them.
+//! 4 KiB for the 2 048 groups of a default served shard's 16 KiB bitmap,
+//! sixteen times its 256 B of marks, and of the ≈ 88 KB the shard holds
+//! (the two SHE-MH memos take 32 KiB; `sharded.rs`'s resident-bytes test).
+//! [`SheBitmap::memory_bits`] leaves them out: they are a cache of the
+//! query path, not the paper's sketch state. No snapshot carries them,
+//! and a bitmap restored without them answers exactly as the one that
+//! had them.
 
 use crate::convert::usize_of;
-use crate::engine::min_legal_age;
 use crate::{She, SheConfig};
 use she_hash::HashKey;
 use she_sketch::{BitmapSpec, CsmSpec};
@@ -181,15 +181,14 @@ impl SheBitmap {
     /// Cleans every due group first (`She::check_due`: the groups whose
     /// mark flipped since the last sweep), so it leaves the state exactly
     /// as running `CheckGroup` on every group would — hence `&mut self`.
-    /// The legal groups (`age ≥ βN`) are at most two `gid` ranges, and
-    /// their zeros are the legal bits less the summed set-bit counts.
+    /// The legal groups (`age ≥ βN`) are at most two `gid` ranges, read
+    /// off the clock, and their zeros are the legal bits less the summed
+    /// set-bit counts.
     pub fn estimate(&mut self) -> f64 {
         self.sweep();
-        let cfg = self.engine.config();
-        let min_age = min_legal_age(cfg.beta * cfg.window as f64);
         let m = self.engine.spec().num_cells();
         let (mut legal_bits, mut set_bits) = (0usize, 0usize);
-        for gids in self.engine.groups_aged(min_age) {
+        for gids in self.engine.legal_groups() {
             legal_bits += self.engine.cells_of_groups(gids.clone()).len();
             set_bits += sum_counts(&self.counts[gids]);
         }
@@ -345,6 +344,12 @@ impl SheBitmap {
         self.counts.fill(0);
         self.stale = false;
     }
+
+    /// Bytes on the heap: the engine's and the set-bit counts.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.engine.heap_bytes() + std::mem::size_of_val(&self.counts[..])
+    }
 }
 
 /// The sum of `counts` in `u32` lanes, which vectorise twice as wide as
@@ -402,9 +407,8 @@ mod tests {
     fn popcount_estimate(bm: &mut SheBitmap) -> f64 {
         let e = bm.engine_mut();
         e.check_due(|_| {});
-        let cfg = *e.config();
         let (mut bits, mut zeros) = (0, 0);
-        for gids in e.groups_aged(min_legal_age(cfg.beta * cfg.window as f64)) {
+        for gids in e.legal_groups() {
             bits += e.cells_of_groups(gids.clone()).len();
             zeros += e.count_zeros_in_groups(gids);
         }

@@ -119,7 +119,6 @@ impl SheCountSketch {
         reason = "`peek_cell(..) as u32`: the cell holds a 32-bit two's-complement counter in its low bits"
     )]
     pub fn query<K: HashKey + ?Sized>(&mut self, key: &K) -> i64 {
-        let beta_n = self.engine.config().beta * self.engine.config().window as f64;
         let k = self.engine.spec().k();
         let mut vals: Vec<i64> = Vec::with_capacity(k);
         let mut fallback: Vec<i64> = Vec::with_capacity(k);
@@ -129,7 +128,7 @@ impl SheCountSketch {
             let raw = engine.peek_cell(u.index) as u32 as i32 as i64;
             let sign = if u.operand == 1 { 1 } else { -1 };
             fallback.push(raw * sign);
-            if engine.group_age(gid) as f64 >= beta_n {
+            if engine.legal_groups().iter().any(|gids| gids.contains(&gid)) {
                 vals.push(raw * sign);
             }
             ControlFlow::<()>::Continue(())

@@ -1,81 +1,67 @@
 //! The generic hardware-version SHE engine (Section 3.3, Algorithm 1).
 //!
 //! The cell array of a CSM algorithm is split into `G` groups of `w` cells.
-//! Group `gid` carries:
+//! As in §3.3, group `gid` carries exactly a static time offset
+//! `d_gid = -floor(Tcycle · gid / G)`, spreading the groups' cleaning
+//! deadlines evenly over one cycle, and a stored 1-bit time mark `m[gid]`
+//! (one bit of a bit vector). The *current* mark is
+//! `floor((t + d_gid)/Tcycle) mod 2`: it flips once per `Tcycle`. When an
+//! operation touches a group whose stored mark differs from the current
+//! mark, the group is reset to zero and the mark updated (`CheckGroup`);
+//! a group untouched for a full cycle keeps stale data, which is the
+//! on-demand-cleaning error analyzed in §5.1. A group's **age**,
+//! `(t + d_gid) mod Tcycle`, is the time since its last *scheduled*
+//! cleaning: point reads use the mature groups (`age ≥ N`), the
+//! two-sided estimators the legal ones (`age ≥ βN`).
 //!
-//! * a static time offset `d_gid = -floor(Tcycle · gid / G)`, spreading the
-//!   groups' cleaning deadlines evenly over one cycle, and
-//! * a stored 1-bit time mark `m[gid]`.
-//!
-//! The *current* mark of a group is `floor((t + d_gid)/Tcycle) mod 2` — it
-//! flips exactly once per `Tcycle`. When an operation touches a group whose
-//! stored mark differs from the current mark, the group is reset to zero and
-//! the mark updated (`CheckGroup`); a group untouched for a full cycle keeps
-//! stale data, which is the on-demand-cleaning error analyzed in §5.1.
-//!
-//! A group's **age** is `(t + d_gid) mod Tcycle`: the time since its last
-//! *scheduled* cleaning. Ages classify cells as young (`age < N`), perfect
-//! (`age == N`), or aged (`age > N`) — the basis of age-sensitive selection.
+//! **Group time** is the clock's: `e = ⌊t/Tcycle⌋`, `r = t mod Tcycle` and
+//! the cursor `p = min(G, ⌊((r+1)·G − 1)/Tcycle⌋ + 1)`, the number of
+//! offsets `≤ r`. The offsets ascend with `gid`, so group `gid`'s mark
+//! epoch (flips since `t = 0`) is `e + [gid < p]` and its mark the epoch's
+//! parity; its age is `r − ofs`, plus `Tcycle` when `gid ≥ p`; all groups
+//! have flipped `e·G + p` times, in `gid` order ([`She::flipped_since`]);
+//! and the groups aged at least `a` are two `gid` ranges, read off `p` and
+//! a cursor at `(r − a) mod Tcycle`. The clock keeps those for `N` and
+//! for `βN`'s least legal age ([`min_legal_age`]), so maturity and
+//! legality are `gid` comparisons. A tick moves `r` by one and steps the
+//! cursors past the offsets they reach, carrying `⌊Tcycle/G⌋` and
+//! `Tcycle mod G` from offset to offset; only an idle jump, a restore or
+//! a merge divides.
 //!
 //! Algorithm 1 is fed **rows**: a spec hashes a key's `K` rows
 //! ([`CsmSpec::hash_rows`]) and maps each row's hash to a cell update
 //! ([`CsmSpec::row_update`]). [`She::insert`] hashes the rows
 //! [`UPDATE_LANES`] at a time into a stack buffer; [`She::insert_rows`]
 //! takes rows a caller already hashed (a shard hashes a key once and
-//! feeds BF and CM from the same rows). Both advance the clock, then
-//! run `CheckGroup` + `F` per update in row order, through the one
-//! function that writes an inserted cell — the insert path of every
-//! adapter whose `K` is a handful of cells (BF, CM, HLL, CS). That
-//! function hands the spec's cell width to the packed array, so 1-bit
-//! BF cells compile to constant shifts and masks (the configurable
-//! widths of CM and HLL stay runtime values). Two adapters run their
+//! feeds BF and CM from the same rows). Both tick the clock, then run
+//! `CheckGroup` + `F` per update in row order, through the one function
+//! that writes an inserted cell — the insert path of every adapter whose
+//! `K` is a handful of cells (BF, CM, HLL, CS). Two adapters run their
 //! own pass on the same primitives, and this loop is the oracle each is
-//! tested bit-for-bit against: SHE-BM (`K = 1`) ticks, `check_group`s
-//! and writes its one bit through `apply_update`, which reports the old
-//! bit so that it can count set bits per group (`bm.rs`); SHE-MH
-//! (`K = M`, `w = 1`) walks its cells in one row-wise pass (`mh.rs`)
-//! built on `advance_time(1)`, `check_group` and the crate-private
-//! `next_flip` / `write_cell`, and skips the rows its last-insert memo
-//! rules out by the flip count ([`She::flipped_since`]).
-//!
-//! Nothing on an insert or point read divides: the specs reduce a row
-//! hash to a cell with a precomputed reciprocal (`she_hash::FastMod`),
-//! and [`She::group_of`] is a shift for a power-of-two `w` (every served
-//! configuration) and the same kind of reciprocal otherwise.
+//! tested bit-for-bit against: SHE-BM (`K = 1`) writes its bit through
+//! `apply_update`, which reports the old bit so that it can count set
+//! bits per group (`bm.rs`); SHE-MH (`K = M`, `w = 1`) walks its cells in
+//! one row-wise pass (`mh.rs`) that skips the rows its last-insert memo
+//! rules out by the flip count. Nothing on an insert or point read
+//! divides: row hashes reduce to cells by a precomputed reciprocal
+//! (`she_hash::FastMod`), and [`She::group_of`] is a shift for a
+//! power-of-two `w` (every served configuration), a reciprocal otherwise.
 //!
 //! Whole-array queries (SHE-BM, SHE-HLL) sweep the groups through
 //! [`She::for_each_group`], which hands each group over as a
 //! [`GroupView`]: for bit cells its zero count is a popcount over the
 //! group's words, as the hardware reads a group as one memory word. A
-//! sweep does not re-check every group: the offsets ascend with `gid`, so
-//! the groups that can have come due since the last sweep are those whose
-//! flip instant passed in between, one or two `gid` ranges
-//! ([`She::check_due`]). The sweep reports each group it cleans, so that
-//! SHE-BM zeroes that group's set-bit count where the sweep zeroed its
-//! bits. For the same reason the groups of any minimum age are at most
-//! two `gid` ranges: SHE-BM's `estimate` sums its counts over them, and
-//! SHE-MH's `similarity` (`w = 1`, a row per group) compares its rows
-//! only inside them.
+//! sweep re-checks only the groups whose flip came since the last one, at
+//! most two `gid` ranges ([`She::check_due`]), and reports each group it
+//! cleans, so that SHE-BM zeroes that group's set-bit count. SHE-BM's
+//! `estimate` sums its counts over the legal groups' ranges, and SHE-MH's
+//! `similarity` (`w = 1`, a row per group) compares rows only inside them.
 
-use crate::convert::u64_of;
+use crate::convert::{u64_of, usize_of};
 use crate::SheConfig;
 use she_hash::{FastMod, HashKey};
 use she_sketch::{row_chunks, CellUpdate, CsmSpec, PackedArray, UPDATE_LANES};
 use std::ops::{ControlFlow, Range};
-
-/// Age classification of a cell/group at query time (Sec. 3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellAge {
-    /// Cleaned more recently than one window ago: records a *smaller*
-    /// window. Using it risks false negatives / underestimation.
-    Young,
-    /// Cleaned exactly one window ago: records the sliding window exactly.
-    Perfect,
-    /// Cleaned more than one window ago: records a *larger* window. Using it
-    /// risks false positives / overestimation but never misses in-window
-    /// items.
-    Aged,
-}
 
 /// The generic sliding-window engine wrapping any [`CsmSpec`].
 ///
@@ -86,16 +72,11 @@ pub struct She<S: CsmSpec> {
     spec: S,
     cfg: SheConfig,
     cells: PackedArray,
-    /// Per-group metadata, kept together so the insertion fast path touches
-    /// a single cache line per hashed group.
-    groups: Vec<GroupMeta>,
-    /// `floor(Tcycle · gid / G)` per group (the negated offset `-d_gid`).
-    /// Only read on query paths; the insert path works off `GroupMeta`.
-    neg_offsets: Vec<u64>,
-    /// Item counter — the logical clock `t_cur`. Counts insertions, so a
-    /// count-based window of `N` items is `N` time units (the paper assumes
-    /// uniform arrival for time-based windows).
-    t: u64,
+    /// The stored time marks, group `gid`'s at bit `gid mod 64` of word
+    /// `gid / 64`; the bits past `G` stay zero.
+    marks: Vec<u64>,
+    /// The logical clock and where it stands among the offsets.
+    clock: Clock,
     /// `index / w`, without dividing.
     group_div: GroupDiv,
     /// The [`FlipCount`] at which every group was last checked, so that
@@ -105,11 +86,11 @@ pub struct She<S: CsmSpec> {
 }
 
 /// How many mark flips the groups have scheduled up to the clock — the
-/// sum of their [`She::mark_epoch`]s — and the group the next one falls
-/// to, `count mod G`. The offsets ascend with `gid`, so the flips come
-/// round the groups in `gid` order, ties at one instant included: flip
-/// number `f` is group `f mod G`'s, and the flips between two counts are
-/// consecutive groups ([`She::flipped_since`]).
+/// sum of their [`She::mark_epoch`]s, `e·G + p` — and the group the next
+/// one falls to, `count mod G`. The offsets ascend with `gid`, so the
+/// flips come round the groups in `gid` order, ties at one instant
+/// included: flip number `f` is group `f mod G`'s, and the flips between
+/// two counts are consecutive groups ([`She::flipped_since`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FlipCount {
     count: u64,
@@ -122,12 +103,6 @@ impl FlipCount {
     pub(crate) fn count(self) -> u64 {
         self.count
     }
-
-    /// The group the next flip falls to, `count mod G`.
-    #[inline]
-    pub(crate) fn next(self) -> usize {
-        self.next
-    }
 }
 
 /// A cell's group `index / w` without a division instruction: a shift
@@ -139,18 +114,167 @@ enum GroupDiv {
     Reciprocal(FastMod),
 }
 
-/// A counter snapshot of one engine, cheap to take and `Copy` — the unit
-/// a serving layer (`she-server`) reports per shard.
+/// The static half of group time: `Tcycle` and `G`, the offset's step
+/// from one group to the next (`⌊Tcycle/G⌋`, plus one each time the
+/// carried `Tcycle mod G` reaches `G`), and the two ages the reads test:
+/// `N` and the least that passes `age ≥ βN`.
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
+    t_cycle: u64,
+    groups: usize,
+    step: u64,
+    carry: u64,
+    window: u64,
+    legal_age: u64,
+}
+
+/// Where a residue `at ∈ [0, Tcycle)` stands among the offsets: `pos`
+/// groups have an offset `≤ at`, and the next one's offset is `ofs`
+/// (`Tcycle` once `pos = G`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Logical time (items inserted so far).
-    pub now: u64,
-    /// Configured window length.
-    pub window: u64,
-    /// Number of time-mark groups `G`.
-    pub num_groups: usize,
-    /// Total footprint in bits (cells + marks + counter).
-    pub memory_bits: usize,
+struct Cursor {
+    at: u64,
+    pos: usize,
+    ofs: u64,
+    /// `Tcycle·pos mod G`, what `ofs` leaves of `Tcycle·pos / G`.
+    frac: u64,
+}
+
+/// The item counter `t_cur` (a count-based window of `N` items is `N` time
+/// units), `e = ⌊t/Tcycle⌋`, and the cursors at `r = t mod Tcycle` (`p`),
+/// at `(r − N) mod Tcycle` and at `(r − legal_age) mod Tcycle`.
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    sched: Schedule,
+    t: u64,
+    e: u64,
+    now: Cursor,
+    mature: Cursor,
+    legal: Cursor,
+}
+
+/// The largest clock `t + 2·Tcycle` may reach ([`She::clock_fits`]).
+const CLOCK_LIMIT: u64 = (1 << 62) - 1;
+
+impl Schedule {
+    fn new(cfg: &SheConfig, groups: usize) -> Self {
+        let g = u64_of(groups);
+        let legal_age = min_legal_age(cfg.beta * cfg.window as f64);
+        debug_assert!(legal_age <= cfg.window && cfg.window < cfg.t_cycle);
+        Self {
+            t_cycle: cfg.t_cycle,
+            groups,
+            step: cfg.t_cycle / g,
+            carry: cfg.t_cycle % g,
+            window: cfg.window,
+            legal_age,
+        }
+    }
+
+    /// The cursor at residue `x < Tcycle`, by the closed form.
+    fn cursor_at(&self, x: u64) -> Cursor {
+        let g = u128::from(u64_of(self.groups));
+        let pos = ((u128::from(x) + 1) * g - 1) / u128::from(self.t_cycle) + 1;
+        Cursor { at: x, ..self.passed(pos.min(g)) }
+    }
+
+    /// The cursor that has passed `pos` groups: the next offset is
+    /// `⌊Tcycle·pos/G⌋`, by dividing.
+    fn passed(&self, pos: u128) -> Cursor {
+        let (scaled, g) = (u128::from(self.t_cycle) * pos, u128::from(u64_of(self.groups)));
+        let narrow = |v: u128| u64::try_from(v).unwrap_or(u64::MAX);
+        Cursor {
+            at: 0,
+            pos: usize_of(narrow(pos)),
+            ofs: narrow(scaled / g),
+            frac: narrow(scaled % g),
+        }
+    }
+}
+
+impl Cursor {
+    /// Before any group of a cycle: the next offset is group 0's, `0`.
+    const START: Self = Self { at: 0, pos: 0, ofs: 0, frac: 0 };
+
+    /// Pass group `pos`: the next offset is group `pos + 1`'s.
+    #[inline]
+    fn step(&mut self, s: &Schedule) {
+        self.pos += 1;
+        self.ofs += s.step;
+        self.frac += s.carry;
+        if self.frac >= u64_of(s.groups) {
+            self.frac -= u64_of(s.groups);
+            self.ofs += 1;
+        }
+    }
+
+    /// One time unit on. When the residue reaches the next offset, wrap
+    /// to a new cycle if that offset is `Tcycle` (every group passed),
+    /// then pass every group whose offset the residue reaches — several
+    /// at one residue when `Tcycle < G`. Returns whether the cycle wrapped.
+    #[inline]
+    fn tick(&mut self, s: &Schedule) -> bool {
+        self.at += 1;
+        if self.at < self.ofs {
+            return false;
+        }
+        let wrapped = self.at == s.t_cycle;
+        if wrapped {
+            *self = Self::START;
+        }
+        while self.ofs <= self.at {
+            self.step(s);
+        }
+        wrapped
+    }
+}
+
+impl Clock {
+    /// One time unit on.
+    #[inline]
+    fn tick(&mut self) {
+        self.t += 1;
+        if self.now.tick(&self.sched) {
+            self.e += 1;
+        }
+        self.mature.tick(&self.sched);
+        self.legal.tick(&self.sched);
+    }
+
+    /// Set the clock to `t`: the one place group time divides.
+    fn set(&mut self, t: u64) {
+        let (s, tc) = (self.sched, self.sched.t_cycle);
+        let r = t % tc;
+        (self.t, self.e) = (t, t / tc);
+        self.now = s.cursor_at(r);
+        self.mature = s.cursor_at((r + tc - s.window) % tc);
+        self.legal = s.cursor_at((r + tc - s.legal_age) % tc);
+    }
+
+    /// The age of group `gid`, whose offset is `ofs`.
+    #[inline]
+    fn age(&self, gid: usize, ofs: u64) -> u64 {
+        let r = self.now.at;
+        if gid < self.now.pos {
+            r - ofs
+        } else {
+            r + self.sched.t_cycle - ofs
+        }
+    }
+
+    /// The groups aged at least `a`, whose cursor is `th`, as two `gid`
+    /// ranges. For `r ≥ a` those of `[0, p)` have age `r − ofs ≥ a` up to
+    /// the offset `r − a`, and all others an age above `r`; for `r < a`
+    /// only the others qualify, up to the offset `r + Tcycle − a`.
+    #[inline]
+    fn aged(&self, th: &Cursor) -> [Range<usize>; 2] {
+        let p = self.now.pos;
+        if th.at <= self.now.at {
+            [0..th.pos, p..self.sched.groups]
+        } else {
+            [0..0, p..th.pos]
+        }
+    }
 }
 
 /// One checked group as [`She::for_each_group`] hands it to a
@@ -225,47 +349,10 @@ pub(crate) fn min_legal_age(beta_n: f64) -> u64 {
     a
 }
 
-/// Per-group pipeline state packed into one word: the stored time mark
-/// (what the hardware keeps in its mark memory), a lazily-maintained cache
-/// of the *current* mark (which the FPGA computes combinationally each
-/// cycle but a CPU would otherwise re-derive with a division per
-/// insertion), and the time of the next mark flip — which also gives the
-/// group's age without a division ([`She::group_age`]). One `u64` per group
-/// keeps the metadata array at 1 bit per cell for `w = 64`, so the
-/// insertion fast path stays cache-resident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GroupMeta(u64);
-
-const STORED_BIT: u64 = 1 << 63;
-const CUR_BIT: u64 = 1 << 62;
-const FLIP_MASK: u64 = CUR_BIT - 1;
-
-impl GroupMeta {
-    #[inline]
-    fn new(next_flip: u64, stored_mark: bool, cur_mark: bool) -> Self {
-        debug_assert!(next_flip <= FLIP_MASK, "clock exceeds 2^62");
-        Self(
-            next_flip
-                | if stored_mark { STORED_BIT } else { 0 }
-                | if cur_mark { CUR_BIT } else { 0 },
-        )
-    }
-    #[inline]
-    fn next_flip(self) -> u64 {
-        self.0 & FLIP_MASK
-    }
-    #[inline]
-    fn stored_mark(self) -> bool {
-        self.0 & STORED_BIT != 0
-    }
-    #[inline]
-    fn cur_mark(self) -> bool {
-        self.0 & CUR_BIT != 0
-    }
-    #[inline]
-    fn set_stored(&mut self, v: bool) {
-        self.0 = (self.0 & !STORED_BIT) | if v { STORED_BIT } else { 0 };
-    }
+/// Stored mark bit `gid` of a mark vector.
+#[inline]
+fn mark_bit(marks: &[u64], gid: usize) -> bool {
+    marks[gid / 64] >> (gid % 64) & 1 != 0
 }
 
 impl<S: CsmSpec> She<S> {
@@ -289,32 +376,12 @@ impl<S: CsmSpec> She<S> {
             GroupDiv::Reciprocal(FastMod::new(w))
         };
         let g = m.div_ceil(w);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "gid < g, so Tcycle·gid/g is below Tcycle and fits u64"
-        )]
-        let neg_offsets: Vec<u64> =
-            (0..g).map(|gid| ((cfg.t_cycle as u128 * gid as u128) / g as u128) as u64).collect();
         let cells = PackedArray::new(m, spec.cell_bits());
-        // Stored marks start equal to the current marks at t = 0 so that the
-        // zeroed cells are not spuriously "due" for cleaning. Each group's
-        // mark next flips at its offset (mod Tcycle), strictly after t = 0.
-        let mut engine = Self {
-            spec,
-            cfg,
-            cells,
-            groups: vec![GroupMeta::new(0, false, false); g],
-            neg_offsets,
-            t: 0,
-            group_div,
-            swept: None,
-        };
-        for gid in 0..g {
-            let mark = engine.observe_mark(gid);
-            let ofs = engine.neg_offsets[gid];
-            engine.groups[gid] =
-                GroupMeta::new(if ofs > 0 { ofs } else { engine.cfg.t_cycle }, mark, mark);
-        }
+        let (sched, start) = (Schedule::new(&cfg, g), Cursor::START);
+        let clock = Clock { sched, t: 0, e: 0, now: start, mature: start, legal: start };
+        let marks = vec![0; g.div_ceil(64)];
+        let mut engine = Self { spec, cfg, cells, marks, clock, group_div, swept: None };
+        engine.clear();
         engine
     }
 
@@ -333,36 +400,30 @@ impl<S: CsmSpec> She<S> {
     /// Number of groups `G`.
     #[inline]
     pub fn num_groups(&self) -> usize {
-        self.groups.len()
+        self.clock.sched.groups
     }
 
     /// Current logical time (number of insertions so far).
     #[inline]
     pub fn now(&self) -> u64 {
-        self.t
+        self.clock.t
     }
 
     /// Advance the logical clock without inserting (time-based windows with
     /// idle periods).
     #[inline]
     pub fn advance_time(&mut self, dt: u64) {
-        self.t += dt;
+        if dt == 1 {
+            self.clock.tick();
+        } else {
+            self.clock.set(self.clock.t + dt);
+        }
     }
 
     /// Memory footprint in bits: cells plus one mark bit per group plus the
     /// 32-bit item counter (the FPGA implementation's register).
     pub fn memory_bits(&self) -> usize {
         self.cells.memory_bits() + self.num_groups() + 32
-    }
-
-    /// One-call counter snapshot — what a serving layer exports per shard.
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            now: self.t,
-            window: self.cfg.window,
-            num_groups: self.num_groups(),
-            memory_bits: self.memory_bits(),
-        }
     }
 
     /// Group id owning cell `index`: `index / w`, by shift or reciprocal.
@@ -392,42 +453,27 @@ impl<S: CsmSpec> She<S> {
     }
 
     /// The group's age: time since its last scheduled cleaning,
-    /// `(t + d_gid) mod Tcycle ∈ [0, Tcycle)`.
-    ///
-    /// Read off the cached flip instant when it still lies ahead: the
-    /// cached `next_flip` is always the least flip instant after some
-    /// clock `≤ t`, so while `t < next_flip` it is also the least after
-    /// `t`, the last flip was `next_flip − Tcycle`, and the age is the
-    /// time since then. Otherwise one `u64` remainder over
-    /// [`She::mark_epoch`]'s operands (`t + Tcycle − ofs ≡ t + d_gid`).
-    #[inline]
+    /// `(t + d_gid) mod Tcycle ∈ [0, Tcycle)`. Divides for the offset:
+    /// the reads test ages against the clock's cursors instead.
     pub fn group_age(&self, gid: usize) -> u64 {
-        let (tc, next_flip) = (self.cfg.t_cycle, self.groups[gid].next_flip());
-        if self.t < next_flip {
-            self.t + tc - next_flip
-        } else {
-            (self.t + tc - self.neg_offsets[gid]) % tc
-        }
+        self.clock.age(gid, self.clock.sched.passed(u64_of(gid).into()).ofs)
     }
 
     /// The group's **mark epoch**: how many mark flips group `gid` has
     /// scheduled up to (and including) the current clock, counted from
-    /// `t = 0`. The epoch increments by exactly one at each flip instant
+    /// `t = 0` — `e`, plus one once the cursor has passed the group this
+    /// cycle. The epoch increments by exactly one at each flip instant
     /// `t = ofs_gid + j·Tcycle`, so two observations with equal epochs
     /// bracket *no* flip of this group — the invariant the read path's
     /// [`MarkCache`](crate) signatures rest on. Pure: never cleans.
     #[inline]
     pub fn mark_epoch(&self, gid: usize) -> u64 {
-        let tc = self.cfg.t_cycle;
-        // ofs < Tcycle, so t + tc - ofs never underflows; equals
-        // floor((t - ofs)/Tcycle) + 1 for every t ≥ 0 (also t < ofs).
-        (self.t + tc - self.neg_offsets[gid]) / tc
+        self.clock.e + u64::from(gid < self.clock.now.pos)
     }
 
     /// The group's *current* mark `floor((t + d_gid)/Tcycle) mod 2`
     /// (the epoch counts one flip more), observed without mutating
-    /// anything — the pure counterpart of the cached mark
-    /// [`She::check_group`] refreshes.
+    /// anything.
     #[inline]
     pub fn observe_mark(&self, gid: usize) -> bool {
         self.mark_epoch(gid).is_multiple_of(2)
@@ -436,24 +482,25 @@ impl<S: CsmSpec> She<S> {
     /// Whether group `gid` is **due** for cleaning: its stored mark
     /// disagrees with the observed current mark, so the next
     /// [`She::check_group`] will zero its cells. Pure.
-    ///
-    /// While the clock is short of the cached next flip, the cached
-    /// current mark is still current — the fact [`She::check_group`]
-    /// trusts — so only a group whose flip has passed pays
-    /// [`She::mark_epoch`]'s division.
     #[inline]
     pub fn group_due(&self, gid: usize) -> bool {
-        let meta = self.groups[gid];
-        let cur = if self.t < meta.next_flip() { meta.cur_mark() } else { self.observe_mark(gid) };
-        meta.stored_mark() != cur
+        mark_bit(&self.marks, gid) != self.observe_mark(gid)
     }
 
     /// Whether the group is mature (`age ≥ N`) — the pure half of
     /// [`She::check_mature`]: maturity depends only on the clock, never
-    /// on whether the lazy cleaning has run yet.
+    /// on whether the lazy cleaning has run yet. A `gid` test against the
+    /// clock's maturity cursor, branch-free in `gid`: point reads ask it
+    /// of scattered groups.
     #[inline]
     pub fn observe_mature(&self, gid: usize) -> bool {
-        self.group_age(gid) >= self.cfg.window
+        let (now, th) = (&self.clock.now, &self.clock.mature);
+        let (below, passed) = (gid < th.pos, gid >= now.pos);
+        if th.at <= now.at {
+            below | passed
+        } else {
+            below & passed
+        }
     }
 
     /// Read a cell *as the next `check_group` would leave it*: zero when
@@ -498,45 +545,17 @@ impl<S: CsmSpec> She<S> {
         self.group_age(self.group_of(index))
     }
 
-    /// Classify a group by its age relative to the window `N`.
-    pub fn classify(&self, gid: usize) -> CellAge {
-        let age = self.group_age(gid);
-        match age.cmp(&self.cfg.window) {
-            std::cmp::Ordering::Less => CellAge::Young,
-            std::cmp::Ordering::Equal => CellAge::Perfect,
-            std::cmp::Ordering::Greater => CellAge::Aged,
-        }
-    }
-
-    /// Bring the cached current mark of `gid` up to the present.
-    #[inline]
-    fn refresh_cur_mark(&mut self, gid: usize) -> bool {
-        let meta = self.groups[gid];
-        if self.t < meta.next_flip() {
-            return meta.cur_mark(); // fast path: no flip since last look
-        }
-        let tc = self.cfg.t_cycle;
-        let flips = (self.t - meta.next_flip()) / tc + 1;
-        let cur = meta.cur_mark() ^ (flips % 2 == 1);
-        let updated = GroupMeta::new(meta.next_flip() + flips * tc, meta.stored_mark(), cur);
-        self.groups[gid] = updated;
-        cur
-    }
-
     /// `CheckGroup` of Algorithm 1: lazily reset the group if its stored
     /// mark disagrees with the current mark. Returns true if a reset
     /// happened.
     pub fn check_group(&mut self, gid: usize) -> bool {
-        let cur = self.refresh_cur_mark(gid);
-        debug_assert_eq!(cur, self.observe_mark(gid), "mark cache out of sync");
-        if self.groups[gid].stored_mark() != cur {
-            self.groups[gid].set_stored(cur);
-            let (start, len) = (self.group_start(gid), self.group_len(gid));
-            self.cells.clear_range(start, len);
-            true
-        } else {
-            false
+        if !self.group_due(gid) {
+            return false;
         }
+        self.marks[gid / 64] ^= 1 << (gid % 64);
+        let (start, len) = (self.group_start(gid), self.group_len(gid));
+        self.cells.clear_range(start, len);
+        true
     }
 
     /// `CheckMature` of Algorithm 1: check the group, then report whether it
@@ -544,21 +563,13 @@ impl<S: CsmSpec> She<S> {
     /// queries.
     pub fn check_mature(&mut self, gid: usize) -> bool {
         self.check_group(gid);
-        self.group_age(gid) >= self.cfg.window
-    }
-
-    /// Whether the group's age lies in the legal range `[βN, Tcycle)` used
-    /// by two-sided estimators. Checks (and possibly cleans) the group
-    /// first.
-    pub fn check_legal(&mut self, gid: usize) -> bool {
-        self.check_group(gid);
-        self.group_age(gid) as f64 >= self.cfg.beta * self.cfg.window as f64
+        self.observe_mature(gid)
     }
 
     /// Insert one item: advance the clock, then for every hashed cell run
     /// `CheckGroup` on its group and apply the update function `F`.
     pub fn insert<K: HashKey + ?Sized>(&mut self, key: &K) {
-        self.t += 1;
+        self.clock.tick();
         let _ = self.try_for_each_update(key, |engine, u| {
             engine.update_cell(u);
             ControlFlow::<()>::Continue(())
@@ -570,7 +581,7 @@ impl<S: CsmSpec> She<S> {
     #[inline]
     pub fn insert_rows(&mut self, rows: &[S::Row]) {
         debug_assert_eq!(rows.len(), self.spec.k(), "one hash per row");
-        self.t += 1;
+        self.clock.tick();
         for (row, &hash) in rows.iter().enumerate() {
             let u = self.spec.row_update(row, hash);
             self.update_cell(u);
@@ -625,13 +636,14 @@ impl<S: CsmSpec> She<S> {
         ControlFlow::Continue(())
     }
 
-    /// The cached instant of group `gid`'s next mark flip. Right after a
-    /// [`She::check_group`] at the current time it lies strictly after
-    /// `now()`, and until the clock reaches it checking the group again is
-    /// a no-op.
+    /// The instant of the next mark flip of any group, strictly after
+    /// `now()`: group `p`'s offset in this cycle, or the next cycle's
+    /// start once `p = G` (the cursor's next offset is then `Tcycle`).
+    /// Right after every group is checked at the current time, checking
+    /// any again is a no-op until the clock reaches it.
     #[inline]
-    pub(crate) fn next_flip(&self, gid: usize) -> u64 {
-        self.groups[gid].next_flip()
+    pub(crate) fn next_flip_at(&self) -> u64 {
+        self.clock.t - self.clock.now.at + self.clock.now.ofs
     }
 
     /// Store `v` in cell `index` without touching marks. The caller has
@@ -639,12 +651,6 @@ impl<S: CsmSpec> She<S> {
     #[inline]
     pub(crate) fn write_cell(&mut self, index: usize, v: u64) {
         self.cells.update(index, self.spec.cell_bits(), |_| v);
-    }
-
-    /// Read a cell *after* checking its group (query-path accessor).
-    pub fn read_cell(&mut self, index: usize) -> u64 {
-        self.check_group(self.group_of(index));
-        self.cells.get(index)
     }
 
     /// Read a cell without touching marks (test/debug accessor; may observe
@@ -656,12 +662,17 @@ impl<S: CsmSpec> She<S> {
 
     /// Clean every due group (`check_due`, which tells `cleaned` each
     /// group it cleans), then visit each group, in `gid` order, as a
-    /// [`GroupView`] — the sweep of the whole-array estimators.
+    /// [`GroupView`] — the sweep of the whole-array estimators. The walk
+    /// steps from one group's offset to the next as the clock's cursors
+    /// do, so no group's age divides.
     pub fn for_each_group(&mut self, cleaned: impl FnMut(usize), mut f: impl FnMut(GroupView<'_>)) {
         self.check_due(cleaned);
+        let mut walk = Cursor::START;
         for gid in 0..self.num_groups() {
             let (start, len) = (self.group_start(gid), self.group_len(gid));
-            f(GroupView { cells: &self.cells, start, len, age: self.group_age(gid) });
+            let age = self.clock.age(gid, walk.ofs);
+            f(GroupView { cells: &self.cells, start, len, age });
+            walk.step(&self.clock.sched);
         }
     }
 
@@ -692,15 +703,14 @@ impl<S: CsmSpec> She<S> {
         self.swept = Some(now.count);
     }
 
-    /// The [`FlipCount`] at the current clock. With `t = q·Tcycle + r`,
-    /// every group has flipped `q` times per whole cycle, and the groups
-    /// whose offset is `≤ r` once more in the current one.
+    /// The [`FlipCount`] at the current clock: every group has flipped
+    /// `e` times in whole cycles, and the `p` groups the cursor passed
+    /// once more in the current one.
     #[inline]
     pub(crate) fn flip_count(&self) -> FlipCount {
-        let (tc, g) = (self.cfg.t_cycle, self.num_groups());
-        let k = self.offsets_upto(self.t % tc);
-        let count = u64_of(g) * (self.t / tc) + u64_of(k);
-        FlipCount { count, next: if k == g { 0 } else { k } }
+        let (g, p) = (self.num_groups(), self.clock.now.pos);
+        let count = u64_of(g) * self.clock.e + u64_of(p);
+        FlipCount { count, next: if p == g { 0 } else { p } }
     }
 
     /// The groups whose mark flipped between flip count `since` and
@@ -720,25 +730,11 @@ impl<S: CsmSpec> She<S> {
         })
     }
 
-    /// How many groups have an offset `≤ residue`: the offsets ascend with
-    /// `gid`, so those are the groups below the returned `gid`.
+    /// The groups of legal age (`age ≥ βN`), as two `gid` ranges off the
+    /// clock's cursors. Pure: reads the clock, never the marks.
     #[inline]
-    fn offsets_upto(&self, residue: u64) -> usize {
-        self.neg_offsets.partition_point(|&ofs| ofs <= residue)
-    }
-
-    /// The groups aged at least `min_age`, as two `gid` ranges.
-    ///
-    /// With `r = t mod Tcycle`, a group's age is `r − ofs` when its offset
-    /// `ofs ≤ r` and `r + Tcycle − ofs` otherwise; each falls as `gid`
-    /// rises. So the old-enough groups are `[0, p1)`, the offsets
-    /// `≤ r − min_age`, and `[k, p2)`, the offsets in
-    /// `(r, r + Tcycle − min_age]`. Pure: reads the clock, never the marks.
-    pub(crate) fn groups_aged(&self, min_age: u64) -> [Range<usize>; 2] {
-        let (tc, r) = (self.cfg.t_cycle, self.t % self.cfg.t_cycle);
-        let upto = |bound: Option<u64>| bound.map_or(0, |b| self.offsets_upto(b));
-        let k = upto(Some(r));
-        [0..upto(r.checked_sub(min_age)), k..upto((r + tc).checked_sub(min_age)).max(k)]
+    pub(crate) fn legal_groups(&self) -> [Range<usize>; 2] {
+        self.clock.aged(&self.clock.legal)
     }
 
     /// The cells of the groups `gids`, as one index range.
@@ -761,41 +757,34 @@ impl<S: CsmSpec> She<S> {
         self.spec.updates(key, out);
     }
 
-    /// Whether a clock arriving from outside (restore, merge) leaves the
-    /// mark arithmetic room. Next-flip instants run up to one `Tcycle`
-    /// ahead of the clock and share their word with the two mark bits, so
-    /// `t + 2·Tcycle` must stay below `2^62`; past that a flip instant
-    /// would spill into the stored/current mark bits.
+    /// Whether a clock arriving from outside (restore, merge) is one this
+    /// engine accepts: `t + 2·Tcycle` at most `2^62 − 1`. No stream
+    /// counts that far, so a clock beyond it marks the frame as hostile
+    /// or corrupt, and the bound leaves the clock's arithmetic — the next
+    /// flip instant up to a `Tcycle` ahead, a later idle jump — ample
+    /// room. The bound is the one snapshots have always been checked
+    /// against: a wider one would change which checkpoints are refused.
     pub(crate) fn clock_fits(&self, t: u64) -> bool {
         let ahead = self.cfg.t_cycle.checked_mul(2).and_then(|c| t.checked_add(c));
-        ahead.is_some_and(|end| end <= FLIP_MASK)
+        ahead.is_some_and(|end| end <= CLOCK_LIMIT)
     }
 
-    /// Snapshot support: the clock and the stored marks.
-    pub(crate) fn snapshot_state(&self) -> (u64, Vec<bool>, &PackedArray) {
-        (self.t, self.groups.iter().map(|m| m.stored_mark()).collect(), &self.cells)
+    /// Snapshot support: the clock, the stored mark words and the cells.
+    pub(crate) fn snapshot_state(&self) -> (u64, &[u64], &PackedArray) {
+        (self.clock.t, &self.marks, &self.cells)
     }
 
-    /// Snapshot support: restore `(clock, stored marks, cell words)` and
-    /// rebuild the lazy mark caches.
-    pub(crate) fn restore_state(&mut self, t: u64, marks: &[bool], words: &[u64]) {
-        assert_eq!(marks.len(), self.groups.len());
-        self.t = t;
+    /// Snapshot support: restore `(clock, stored mark words, cell
+    /// words)`. The mark words' bits past `G` must be zero.
+    pub(crate) fn restore_state(&mut self, t: u64, marks: &[u64], words: &[u64]) {
+        self.marks.copy_from_slice(marks);
         self.cells.copy_from_words(words);
+        self.clock.set(t);
         self.swept = None;
-        let tc = self.cfg.t_cycle;
-        for (gid, &stored) in marks.iter().enumerate() {
-            let cur = self.observe_mark(gid);
-            // Next flip: the smallest `ofs + j·Tcycle` strictly greater
-            // than `t`.
-            let ofs = self.neg_offsets[gid];
-            let j = (self.t + tc - ofs) / tc; // ≥ 1 since t ≥ 0, ofs < Tc
-            self.groups[gid] = GroupMeta::new(ofs + j * tc, stored, cur);
-        }
     }
 
-    /// Snapshot support: merge another engine's `(clock, stored marks,
-    /// cell words)` into this one cell-wise under `mode`.
+    /// Snapshot support: merge another engine's `(clock, stored mark
+    /// words, cell words)` into this one cell-wise under `mode`.
     ///
     /// The clock advances to `max(t, t_other)`. Every local group is
     /// first `CheckGroup`ed at the merged time (cleaning it if due, and
@@ -809,19 +798,18 @@ impl<S: CsmSpec> She<S> {
     pub(crate) fn merge_state(
         &mut self,
         t_other: u64,
-        marks_other: &[bool],
+        marks_other: &[u64],
         words_other: &[u64],
         mode: crate::snapshot::MergeMode,
     ) {
-        assert_eq!(marks_other.len(), self.groups.len());
-        self.t = self.t.max(t_other);
+        assert_eq!(marks_other.len(), self.marks.len());
+        self.clock.set(self.clock.t.max(t_other));
         self.swept = None;
         let mut other = PackedArray::new(self.cells.len(), self.cells.cell_bits());
         other.copy_from_words(words_other);
-        for (gid, &mark_other) in marks_other.iter().enumerate() {
+        for gid in 0..self.num_groups() {
             self.check_group(gid);
-            let cur = self.groups[gid].stored_mark();
-            if mark_other != cur {
+            if mark_bit(marks_other, gid) != mark_bit(&self.marks, gid) {
                 continue; // other's group is due for cleaning: all expired
             }
             let (start, len) = (self.group_start(gid), self.group_len(gid));
@@ -832,17 +820,23 @@ impl<S: CsmSpec> She<S> {
         }
     }
 
-    /// Reset to the empty state at time zero.
+    /// Reset to the empty state at time zero. The stored marks start equal
+    /// to the current marks, so that the zeroed cells are not spuriously
+    /// "due" for cleaning.
     pub fn clear(&mut self) {
         self.cells.clear();
-        self.t = 0;
+        self.clock.set(0);
         self.swept = None;
-        for gid in 0..self.groups.len() {
-            let mark = self.observe_mark(gid);
-            let ofs = self.neg_offsets[gid];
-            self.groups[gid] =
-                GroupMeta::new(if ofs > 0 { ofs } else { self.cfg.t_cycle }, mark, mark);
+        self.marks.fill(0);
+        for gid in 0..self.num_groups() {
+            self.marks[gid / 64] |= u64::from(self.observe_mark(gid)) << (gid % 64);
         }
+    }
+
+    /// Bytes on the heap: the cell words and the mark words.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        8 * (self.cells.words().len() + self.marks.len())
     }
 }
 
@@ -857,32 +851,37 @@ mod tests {
         She::new(BloomSpec::new(m, 2, 42), cfg)
     }
 
-    /// Reference current mark: the signed `floor((t + d_gid)/Tcycle) mod 2`
-    /// the engine computed in `i128` before ages came off the flip cache.
+    /// Reference offset `⌊Tcycle·gid/G⌋`, in `i128` from `config()` and
+    /// `num_groups()` alone: nothing the clock's cursors keep.
+    fn ref_offset<S: CsmSpec>(s: &She<S>, gid: usize) -> i128 {
+        i128::from(s.config().t_cycle) * gid as i128 / s.num_groups() as i128
+    }
+
+    /// Reference current mark: the signed `floor((t + d_gid)/Tcycle) mod 2`,
+    /// in `i128`.
     fn ref_mark<S: CsmSpec>(s: &She<S>, gid: usize) -> bool {
-        let shifted = i128::from(s.t) - i128::from(s.neg_offsets[gid]);
-        shifted.div_euclid(i128::from(s.cfg.t_cycle)).rem_euclid(2) == 1
+        let shifted = i128::from(s.now()) - ref_offset(s, gid);
+        shifted.div_euclid(i128::from(s.config().t_cycle)).rem_euclid(2) == 1
     }
 
     /// Reference age `(t + d_gid) mod Tcycle`, in `i128` likewise.
     fn ref_age<S: CsmSpec>(s: &She<S>, gid: usize) -> u64 {
-        let shifted = i128::from(s.t) - i128::from(s.neg_offsets[gid]);
-        u64::try_from(shifted.rem_euclid(i128::from(s.cfg.t_cycle))).expect("age < Tcycle")
+        let shifted = i128::from(s.now()) - ref_offset(s, gid);
+        u64::try_from(shifted.rem_euclid(i128::from(s.config().t_cycle))).expect("age < Tcycle")
     }
 
     /// Step the clock one unit at a time for `ticks` units, checking every
-    /// group's age, mark, due flag (read off the cached mark while the
-    /// clock is short of the cached flip) and maturity against the
-    /// references at each instant. Each group is `check_mature`d on every other tick only
-    /// (alternating by `gid`), so reads meet flip caches refreshed one
+    /// group's age, mark, due flag and maturity against the references at
+    /// each instant. Each group is `check_mature`d on every other tick
+    /// only (alternating by `gid`), so reads meet stored marks checked one
     /// tick ago, two ticks ago, and — right after a jump — far behind.
     fn assert_ages_match<S: CsmSpec>(s: &mut She<S>, ticks: u64, state: &str) {
         for step in 0..ticks {
             for gid in 0..s.num_groups() {
-                let (age, mark, t) = (ref_age(s, gid), ref_mark(s, gid), s.t);
+                let (age, mark, t) = (ref_age(s, gid), ref_mark(s, gid), s.now());
                 assert_eq!(s.group_age(gid), age, "{state}: gid {gid} t {t}: age");
                 assert_eq!(s.observe_mark(gid), mark, "{state}: gid {gid} t {t}: mark");
-                let due = s.groups[gid].stored_mark() != mark;
+                let due = mark_bit(&s.marks, gid) != mark;
                 assert_eq!(s.group_due(gid), due, "{state}: gid {gid} t {t}: due");
                 if (step + gid as u64).is_multiple_of(2) {
                     let mature = s.check_mature(gid);
@@ -910,14 +909,16 @@ mod tests {
 
             // Restores at arbitrary clocks, the last one two cycles below
             // the `clock_fits` boundary: its three-cycle run crosses the
-            // boundary and pushes cached flips up to `FLIP_MASK − 1`.
-            let boundary = FLIP_MASK - 2 * tc;
+            // boundary, where next-flip instants reach `CLOCK_LIMIT − 1`.
+            let boundary = CLOCK_LIMIT - 2 * tc;
             assert!(s.clock_fits(boundary) && !s.clock_fits(boundary + 1));
             for clock in
                 [0, 1, tc - 1, tc, tc + 1, 7 * tc + 3, (1 << 40) + 12_345, boundary - 2 * tc]
             {
-                let marks: Vec<bool> =
-                    (0..s.num_groups()).map(|_| rng.next_below(2) == 1).collect();
+                let mut marks = vec![0u64; s.marks.len()];
+                for gid in 0..s.num_groups() {
+                    marks[gid / 64] |= u64::from(rng.next_below(2) == 1) << (gid % 64);
+                }
                 let words = s.cells.words().to_vec();
                 s.restore_state(clock, &marks, &words);
                 assert_ages_match(&mut s, cycles, &format!("restore at {clock}"));
@@ -930,8 +931,7 @@ mod tests {
             later.advance_time(5 * tc + 7);
             (0..50u64).for_each(|k| later.insert(&k));
             let (t_other, marks, cells) = later.snapshot_state();
-            let words = cells.words().to_vec();
-            s.merge_state(t_other, &marks, &words, MergeMode::Or);
+            s.merge_state(t_other, marks, cells.words(), MergeMode::Or);
             assert_eq!(s.now(), 5 * tc + 57);
             assert_ages_match(&mut s, cycles, "merge");
 
@@ -947,9 +947,9 @@ mod tests {
     }
 
     /// What a snapshot records of an engine: clock, stored marks, cells.
-    fn state<S: CsmSpec>(s: &She<S>) -> (u64, Vec<bool>, Vec<u64>) {
+    fn state<S: CsmSpec>(s: &She<S>) -> (u64, Vec<u64>, Vec<u64>) {
         let (t, marks, cells) = s.snapshot_state();
-        (t, marks, cells.words().to_vec())
+        (t, marks.to_vec(), cells.words().to_vec())
     }
 
     #[test]
@@ -1008,7 +1008,7 @@ mod tests {
                 cursor.check_due(|gid| reported.push(gid));
                 reported.sort_unstable();
                 let cleaned: Vec<usize> = (0..g).filter(|&gid| every.check_group(gid)).collect();
-                let at = format!("case {case} step {step} t {}", cursor.t);
+                let at = format!("case {case} step {step} t {}", cursor.now());
                 assert!((0..g).all(|gid| !cursor.group_due(gid)), "{at}: a group is still due");
                 assert_eq!(state(&cursor), state(&every), "{at}: snapshot state");
                 assert_eq!(reported, cleaned, "{at}: the groups reported cleaned");
@@ -1062,6 +1062,138 @@ mod tests {
             }
             assert!(ranged > 4 * tc && wrapped > 10, "{ranged} / {wrapped}");
         }
+    }
+
+    /// A bare schedule of `G` groups over `Tcycle`, for the cursor alone.
+    fn schedule(t_cycle: u64, groups: usize) -> Schedule {
+        let g = groups as u64;
+        Schedule { t_cycle, groups, step: t_cycle / g, carry: t_cycle % g, window: 0, legal_age: 0 }
+    }
+
+    /// The cursor at residue `x`, by counting the offsets `⌊Tcycle·gid/G⌋`
+    /// one by one in `i128`.
+    fn ref_cursor(t_cycle: u64, groups: usize, x: u64) -> Cursor {
+        let (tc, g) = (i128::from(t_cycle), groups as i128);
+        let pos = (0..g).filter(|&gid| tc * gid / g <= i128::from(x)).count();
+        let scaled = tc * pos as i128;
+        let narrow = |v: i128| u64::try_from(v).expect("below Tcycle·G");
+        Cursor { at: x, pos, ofs: narrow(scaled / g), frac: narrow(scaled % g) }
+    }
+
+    /// The closed form `p = min(G, ⌊((r+1)·G − 1)/Tcycle⌋ + 1)` counts the
+    /// offsets `≤ r` for every G < 60, `Tcycle` < 80 and `r` — `Tcycle < G`
+    /// (offsets repeat), G dividing `Tcycle` or not — and a cursor ticked
+    /// one unit at a time through three cycles agrees with it at every
+    /// residue, stepping past every group of a repeated offset at once.
+    #[test]
+    fn cursor_is_the_closed_form_and_counts_the_offsets() {
+        let (mut repeated, mut ragged) = (0, 0);
+        for groups in 1..60 {
+            for t_cycle in 1..80u64 {
+                let s = schedule(t_cycle, groups);
+                for r in 0..t_cycle {
+                    let want = ref_cursor(t_cycle, groups, r);
+                    assert_eq!(s.cursor_at(r), want, "G {groups} Tcycle {t_cycle} r {r}");
+                }
+                let mut c = s.cursor_at(t_cycle - 1);
+                for step in 0..3 * t_cycle {
+                    c.tick(&s);
+                    let want = ref_cursor(t_cycle, groups, step % t_cycle);
+                    assert_eq!(c, want, "G {groups} Tcycle {t_cycle} tick {step}");
+                }
+                repeated += usize::from(t_cycle < groups as u64);
+                ragged += usize::from(t_cycle % groups as u64 != 0);
+            }
+        }
+        assert!(repeated > 1000 && ragged > 3000, "{repeated} / {ragged}");
+    }
+
+    /// After every op the clock holds `e = ⌊t/Tcycle⌋`, `r = t mod
+    /// Tcycle` and the cursors at `r`, `r − N` and `r − ⌈βN⌉` (mod
+    /// `Tcycle`), each equal to the offsets counted in `i128`; the flip
+    /// count is the sum of the reference epochs; the legal and mature
+    /// groups are those whose reference age passes `age ≥ βN` / `age ≥ N`;
+    /// and the next flip is the earliest reference flip instant. The ops
+    /// are single ticks, inserts, idle jumps of `k·Tcycle − 1`,
+    /// `k·Tcycle` and `k·Tcycle + 1`, and restores, merges and clears at
+    /// other clocks.
+    #[test]
+    fn clock_keeps_e_r_and_the_cursors_through_every_op() {
+        use crate::snapshot::MergeMode;
+        use she_hash::{RandomSource, Xoshiro256};
+
+        // (N, Tcycle, M, w): G = 20 > Tcycle = 7; w = 1 with G = 59 over
+        // Tcycle = 79; short last groups (47 = 11·4 + 3, 100 = 33·3 + 1)
+        // with G not dividing Tcycle; Tcycle = 2; one group.
+        for (case, (window, t_cycle, m, w)) in [
+            (3u64, 7u64, 20usize, 1usize),
+            (50, 79, 59, 1),
+            (10, 13, 47, 4),
+            (40, 59, 100, 3),
+            (1, 2, 64, 1),
+            (5, 6, 64, 64),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let cfg = SheConfig { window, t_cycle, group_cells: w, beta: 0.7 };
+            let new = || She::new(BloomSpec::new(m, 2, 5), cfg);
+            let (mut s, mut other) = (new(), new());
+            let mut rng = Xoshiro256::new(0xC10C + case as u64);
+            let mut saved = state(&s);
+            for step in 0..40 * t_cycle {
+                let (op, k) = (rng.next_below(16), rng.next_range(1, 4));
+                other.insert(&step);
+                match op {
+                    0 => s.advance_time(k * t_cycle - 1),
+                    1 => s.advance_time(k * t_cycle),
+                    2 => s.advance_time(k * t_cycle + 1),
+                    3 => saved = state(&s),
+                    4 => s.restore_state(saved.0, &saved.1, &saved.2),
+                    5 => {
+                        let (t, marks, words) = state(&other);
+                        s.merge_state(t, &marks, &words, MergeMode::Or);
+                    }
+                    6 if k == 1 => s.clear(),
+                    7 | 8 => s.insert(&step),
+                    _ => s.advance_time(1),
+                }
+                assert_clock_is_reference(&s, &format!("case {case} step {step} op {op}"));
+            }
+        }
+    }
+
+    fn assert_clock_is_reference<S: CsmSpec>(s: &She<S>, at: &str) {
+        let (cfg, g, t) = (*s.config(), s.num_groups(), s.now());
+        let tc = cfg.t_cycle;
+        let (clock, r) = (&s.clock, t % tc);
+        let back = |a: u64| {
+            let x = (i128::from(r) - i128::from(a)).rem_euclid(tc.into());
+            u64::try_from(x).expect("below Tcycle")
+        };
+        let beta_n = cfg.beta * cfg.window as f64;
+        assert_eq!((clock.t, clock.e), (t, t / tc), "{at}: e");
+        assert_eq!(clock.now, ref_cursor(tc, g, r), "{at}: p");
+        assert_eq!(clock.mature, ref_cursor(tc, g, back(cfg.window)), "{at}: N");
+        let legal_age = min_legal_age(beta_n);
+        assert_eq!(clock.legal, ref_cursor(tc, g, back(legal_age)), "{at}: βN");
+        let epochs: u64 = (0..g)
+            .map(|gid| {
+                let flips = (i128::from(t) - ref_offset(s, gid)).div_euclid(tc.into()) + 1;
+                u64::try_from(flips).expect("at least one flip pending")
+            })
+            .sum();
+        assert_eq!(s.flip_count().count(), epochs, "{at}: flip count");
+        let legal: Vec<usize> = (0..g).filter(|&gid| ref_age(s, gid) as f64 >= beta_n).collect();
+        let [a, b] = s.legal_groups();
+        assert_eq!(a.chain(b).collect::<Vec<_>>(), legal, "{at}: legal groups");
+        for gid in 0..g {
+            let age = ref_age(s, gid);
+            assert_eq!(s.group_age(gid), age, "{at}: gid {gid} age");
+            assert_eq!(s.observe_mature(gid), age >= cfg.window, "{at}: gid {gid} mature");
+        }
+        let next = (0..g).map(|gid| t + tc - ref_age(s, gid)).min();
+        assert_eq!(Some(s.next_flip_at()), next, "{at}: next flip");
     }
 
     #[test]
@@ -1186,22 +1318,6 @@ mod tests {
         s.advance_time(2 * s.config().t_cycle);
         assert!(!s.check_group(gid), "mark parity repeats after 2 cycles");
         assert_eq!(s.peek_cell(idx), 1, "stale bit survived, as modelled");
-    }
-
-    #[test]
-    fn classification_boundaries() {
-        let mut s = tiny(100, 0.5, 512, 512); // single group, offset 0
-        assert_eq!(s.classify(0), CellAge::Young);
-        s.advance_time(99);
-        assert_eq!(s.classify(0), CellAge::Young);
-        s.advance_time(1);
-        assert_eq!(s.classify(0), CellAge::Perfect);
-        s.advance_time(1);
-        assert_eq!(s.classify(0), CellAge::Aged);
-        s.advance_time(48); // age 149 = Tcycle - 1
-        assert_eq!(s.classify(0), CellAge::Aged);
-        s.advance_time(1); // wraps to 0
-        assert_eq!(s.classify(0), CellAge::Young);
     }
 
     #[test]

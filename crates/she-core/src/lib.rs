@@ -66,7 +66,7 @@ pub use bm::SheBitmap;
 pub use cm::SheCountMin;
 pub use config::{SheConfig, SheConfigBuilder};
 pub use cs::SheCountSketch;
-pub use engine::{CellAge, EngineStats, GroupView, She};
+pub use engine::{GroupView, She};
 pub use hll::SheHyperLogLog;
 pub use leaf::{LeafGuard, LeafMutex};
 pub use mh::SheMinHash;

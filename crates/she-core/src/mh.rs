@@ -26,8 +26,7 @@
 //!   would, on the rows that can be due: those flipped since the last
 //!   settle (`She::flipped_since` against the flip count it took; every
 //!   row while unknown, or `G` or more flips behind). The new
-//!   `settled_until` is the next flip's instant, that of group
-//!   `count mod G`, which the flips come round to next.
+//!   `settled_until` is the clock's next flip instant (`She::next_flip_at`).
 //! * `mins` — the cells decoded (`u32::MAX` for an empty cell),
 //!   re-decoded by the same `settle()` on the rows it checks. The per-key
 //!   work is `operand(rows[i]) < mins[i]`; the packed array is written
@@ -61,12 +60,13 @@
 //! four shards, 41 % of inserts hash no row at all and the mean falls
 //! from 128 rows to ≈ 45.
 //!
-//! The memo takes 16 bytes a slot: 16 KiB per signature, 128 KiB for the
-//! eight signatures of a default 4-shard engine. [`SheMinHash::memory_bits`]
-//! leaves it out, as it leaves out `mins` and the group metadata: all
-//! three are caches of the insert path, not the paper's sketch state. No
-//! snapshot carries them, and a signature restored without them inserts
-//! and answers exactly as the one that had them.
+//! The memo takes 16 bytes a slot: 16 KiB per signature, 32 KiB of the
+//! ≈ 88 KB a default shard holds (`sharded.rs`'s resident-bytes test;
+//! its counted state is 50 524 B). [`SheMinHash::memory_bits`] leaves the
+//! memo out, as it leaves out `mins`: both are caches of the insert path,
+//! not the paper's sketch state. No snapshot carries them, and a
+//! signature restored without them inserts and answers exactly as the
+//! one that had them.
 //!
 //! ## Similarity
 //!
@@ -75,17 +75,15 @@
 //! `mins` — and then compares the two `mins` arrays only inside the rows
 //! legal on both sides.
 //!
-//! With `w = 1`, a settled side's legal rows are its groups aged at least
-//! `min_legal_age(βN)` (`She::groups_aged`), at most two row ranges: a
-//! settled row's next flip lies in `(t, t + Tcycle]`, so its age
-//! `t + Tcycle − next_flip` is `(t + Tcycle − ofs) mod Tcycle`, the age
-//! `groups_aged` ranges by — repeated offsets (`Tcycle < G`) included.
+//! With `w = 1`, a side's legal rows are its groups of legal age, at most
+//! two row ranges read off its clock (`She::legal_groups`), repeated
+//! offsets (`Tcycle < G`) included.
 //! The two sides' ranges meet in at most four ranges, and there the rows
 //! are compared in 32-bit lanes: a row counts when not both sides are
 //! empty, and matches when the minima are equal. No row's age is tested,
 //! and the rows outside the ranges are not read.
 
-use crate::engine::{min_legal_age, FlipCount};
+use crate::engine::FlipCount;
 use crate::{She, SheConfig};
 use she_hash::HashKey;
 use she_sketch::{CsmSpec, MinHashSpec, UPDATE_LANES};
@@ -340,14 +338,7 @@ impl SheMinHash {
             self.engine.check_group(i);
             self.mins[i] = decode(self.engine.peek_cell(i));
         }
-        // The next flip to come is flip number `now.count`, the group
-        // `now.count mod G` = `now.next`'s: the earliest pending instant.
-        self.settled_until = self.engine.next_flip(now.next());
-        debug_assert_eq!(
-            Some(self.settled_until),
-            (0..self.num_hashes()).map(|i| self.engine.next_flip(i)).min(),
-            "the next flip is not the earliest"
-        );
+        self.settled_until = self.engine.next_flip_at();
         self.flips = now;
     }
 
@@ -372,7 +363,7 @@ impl SheMinHash {
         self.ensure_settled();
         other.ensure_settled();
         let (mut used, mut matches) = (0usize, 0usize);
-        let (legal_a, legal_b) = (self.legal_rows(), other.legal_rows());
+        let (legal_a, legal_b) = (self.engine.legal_groups(), other.engine.legal_groups());
         for ra in legal_a {
             for rb in legal_b.clone() {
                 let rows = ra.start.max(rb.start)..ra.end.min(rb.end);
@@ -395,13 +386,6 @@ impl SheMinHash {
         } else {
             matches as f64 / used as f64
         }
-    }
-
-    /// The rows whose age is legal (`≥ βN`), as two row ranges. Valid
-    /// while settled (module docs, *Similarity*).
-    fn legal_rows(&self) -> [Range<usize>; 2] {
-        let cfg = self.engine.config();
-        self.engine.groups_aged(min_legal_age(cfg.beta * cfg.window as f64))
     }
 
     /// Advance logical time without inserting.
@@ -446,6 +430,14 @@ impl SheMinHash {
     /// Reset to empty at time zero.
     pub fn clear(&mut self) {
         self.engine_mut().clear();
+    }
+
+    /// Bytes on the heap: the engine's, `mins` and the memo.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.engine.heap_bytes()
+            + std::mem::size_of_val(&self.mins[..])
+            + std::mem::size_of_val(&*self.memo.0)
     }
 }
 
@@ -635,15 +627,14 @@ mod tests {
 
     /// The oracle similarity of settled signatures: the per-row pass
     /// `similarity` ran before it compared row ranges — every row's age
-    /// off its cached next flip, then one pass over both `mins` arrays.
+    /// against the least legal age, then one pass over both `mins` arrays.
     fn legal_rows_similarity(a: &mut SheMinHash, b: &mut SheMinHash) -> f64 {
         a.ensure_settled();
         b.ensure_settled();
         let legal = |s: &SheMinHash| -> Vec<bool> {
             let cfg = s.engine.config();
-            let (start, min_age) =
-                (s.now() + cfg.t_cycle, min_legal_age(cfg.beta * cfg.window as f64));
-            (0..s.num_hashes()).map(|i| start - s.engine.next_flip(i) >= min_age).collect()
+            let min_age = crate::engine::min_legal_age(cfg.beta * cfg.window as f64);
+            (0..s.num_hashes()).map(|i| s.engine.group_age(i) >= min_age).collect()
         };
         let (mut used, mut matches) = (0usize, 0usize);
         for (((&min_a, &min_b), legal_a), legal_b) in

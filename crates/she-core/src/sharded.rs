@@ -799,6 +799,23 @@ mod tests {
         z.wrapping_sub(0x9E37_79B9_7F4A_7C15)
     }
 
+    /// What one default shard holds on the heap — cells, mark words,
+    /// SHE-BM's set-bit counts, SHE-MH's memos and `mins` — against the
+    /// state its `memory_bits` counts: 1.75×. With 16 B of group time per
+    /// group beside the stored marks it was 158 496 B, 3.14×.
+    #[test]
+    fn a_default_shard_holds_under_1_8_times_its_counted_state() {
+        let shard = ShardEngine::new(&EngineConfig::default(), 0);
+        let resident = shard.point.bf.engine().heap_bytes()
+            + shard.point.cm.engine().heap_bytes()
+            + shard.bm.heap_bytes()
+            + shard.mh_a.heap_bytes()
+            + shard.mh_b.heap_bytes();
+        let counted = usize_of(shard.stats().memory_bits).div_ceil(8);
+        assert_eq!((resident, counted), (88_392, 50_524), "resident and counted bytes");
+        assert!(5 * resident <= 9 * counted, "{resident} B is over 1.8 × {counted} B");
+    }
+
     fn key_hashing_to(h: u64) -> u64 {
         let key = unmix64(h) ^ ROUTER_SEED;
         assert_eq!(mix64(key ^ ROUTER_SEED), h);

@@ -23,6 +23,7 @@
 //! [`SnapshotState::merge_snapshot`], which reconciles the two time-mark
 //! sets so a merge commutes cell-for-cell (see `She::merge_state`).
 
+use crate::convert::u64_of;
 use crate::frame::{self, Frame, FrameError, FrameWriter, Reader};
 use crate::She;
 use she_sketch::CsmSpec;
@@ -157,18 +158,25 @@ pub trait SnapshotState {
     fn merge_snapshot(&mut self, buf: &[u8]) -> Result<(), SnapshotError>;
 }
 
-/// Bit-pack a mark vector, little-endian within each byte.
-pub(crate) fn pack_marks(marks: &[bool], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(marks.len() as u64).to_le_bytes());
-    for chunk in marks.chunks(8) {
-        let mut byte = 0u8;
-        for (i, &m) in chunk.iter().enumerate() {
-            if m {
-                byte |= 1 << i;
-            }
-        }
-        out.push(byte);
+/// The `MARKS` section of `n` marks from their words: `n`, then the
+/// first `⌈n/8⌉` little-endian bytes of the words (mark `i` at bit
+/// `i mod 8` of byte `i / 8`; the words' bits past `n` are zero).
+fn pack_marks(words: &[u64], n: usize) -> Vec<u8> {
+    let mut sec = Vec::with_capacity(8 + n.div_ceil(8));
+    sec.extend_from_slice(&u64_of(n).to_le_bytes());
+    sec.extend(words.iter().flat_map(|w| w.to_le_bytes()).take(n.div_ceil(8)));
+    sec
+}
+
+/// The mark words of `n` packed marks ([`pack_marks`]'s bytes), with the
+/// last byte's pad bits past `n` cleared: a writer may leave them set.
+fn unpack_marks(packed: &[u8], n: usize) -> Vec<u64> {
+    let mut words: Vec<u64> =
+        packed.chunks(8).map(|c| c.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b))).collect();
+    if let Some(last) = words.last_mut().filter(|_| !n.is_multiple_of(64)) {
+        *last &= (1 << (n % 64)) - 1;
     }
+    words
 }
 
 impl<S: CsmSpec> She<S> {
@@ -194,9 +202,7 @@ impl<S: CsmSpec> She<S> {
 
         w.section(frame::tag::CLOCK, &t.to_le_bytes());
 
-        sec = Vec::with_capacity(8 + marks.len().div_ceil(8));
-        pack_marks(&marks, &mut sec);
-        w.section(frame::tag::MARKS, &sec);
+        w.section(frame::tag::MARKS, &pack_marks(marks, self.num_groups()));
 
         let words = cells.words();
         sec = Vec::with_capacity(8 + words.len() * 8);
@@ -210,12 +216,12 @@ impl<S: CsmSpec> She<S> {
     }
 
     /// Parse an engine frame, validating kind, config and geometry
-    /// against this engine. Returns `(t, stored marks, cell words)`.
+    /// against this engine. Returns `(t, stored mark words, cell words)`.
     fn parse_engine_frame(
         &self,
         kind: u16,
         buf: &[u8],
-    ) -> Result<(u64, Vec<bool>, Vec<u64>), SnapshotError> {
+    ) -> Result<(u64, Vec<u64>, Vec<u64>), SnapshotError> {
         let f = Frame::parse(buf)?;
         if f.kind != kind {
             return Err(SnapshotError::WrongKind { expected: kind, found: f.kind });
@@ -264,16 +270,8 @@ impl<S: CsmSpec> She<S> {
         if n_marks != self.num_groups() {
             return Err(SnapshotError::GeometryMismatch);
         }
-        let packed = r.take(n_marks.div_ceil(8))?;
+        let marks = unpack_marks(r.take(n_marks.div_ceil(8))?, n_marks);
         r.finish()?;
-        let mut marks = Vec::with_capacity(n_marks);
-        for &byte in packed {
-            for bit in 0..8 {
-                if marks.len() < n_marks {
-                    marks.push(byte & (1 << bit) != 0);
-                }
-            }
-        }
 
         let mut r = Reader::new(section(frame::tag::CELLS)?);
         #[expect(
@@ -426,6 +424,41 @@ mod tests {
         for i in 4_000..5_000u64 {
             assert_eq!(bf_contains(&mut a, i), bf_contains(&mut b, i));
         }
+    }
+
+    /// A frame whose last mark byte has its pad bits set (past `G`)
+    /// loads to the state of the canonical frame, and saves back to the
+    /// canonical bytes.
+    #[test]
+    fn pad_bits_past_the_last_mark_are_ignored() {
+        // G = 11 (700 = 10·64 + 60): the second mark byte holds three
+        // marks and five pad bits.
+        let cfg = SheConfig::builder().window(1 << 10).alpha(1.0).group_cells(64).build();
+        let new = || She::new(BloomSpec::new(700, 4, 12), cfg);
+        let mut a = new();
+        (0..3_000u64).for_each(|i| a.insert(&i));
+        let snap = a.save_state();
+        let f = Frame::parse(&snap).expect("frame");
+        let mut marks = f.section(frame::tag::MARKS).expect("marks").to_vec();
+        assert_eq!(marks.len(), 8 + 2);
+        marks[9] |= 0xF8;
+        let mut w = FrameWriter::new(frame::kind::ENGINE);
+        for tag in [frame::tag::CONFIG, frame::tag::CLOCK, frame::tag::MARKS, frame::tag::CELLS] {
+            let canonical = f.section(tag).expect("section");
+            w.section(tag, if tag == frame::tag::MARKS { &marks } else { canonical });
+        }
+        let padded = w.finish();
+        assert_ne!(padded, snap);
+        let (mut b, mut c) = (new(), new());
+        b.load_state(&padded).expect("padded load");
+        c.load_state(&snap).expect("canonical load");
+        let state = |s: &She<BloomSpec>| {
+            let (t, marks, cells) = s.snapshot_state();
+            (t, marks.to_vec(), cells.words().to_vec())
+        };
+        assert_eq!(state(&b), state(&c));
+        assert_eq!(state(&b), state(&a));
+        assert_eq!(b.save_state(), snap);
     }
 
     #[test]

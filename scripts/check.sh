@@ -65,7 +65,11 @@ stage cargo test -q --offline --workspace
 # group's set bits and its estimate to both the per-cell and the popcount
 # estimate, and
 # `mh.rs`'s similarity test holds the row-range comparison to the
-# per-row loops.
+# per-row loops. So is the clock: `engine.rs`'s
+# `cursor_is_the_closed_form_and_counts_the_offsets` and
+# `clock_keeps_e_r_and_the_cursors_through_every_op` hold the closed form
+# and the ticked cursors, on which every group's mark and age rest, to
+# the offsets counted one by one.
 # she-server's tests run here as well: the reactor's round path — a
 # connection's multi-frame read set (point, batch and aggregate frames in
 # one set, riding one per-shard job), its shedding, one `OVERLOADED` per
