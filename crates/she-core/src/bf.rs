@@ -5,12 +5,12 @@
 //! in-window items to cleaning — and answer "absent" iff some mature hashed
 //! bit is zero. Like the original Bloom filter, SHE-BF therefore has
 //! one-sided error: no false negatives for items inside the window, only
-//! false positives (hash collisions + aged information).
+//! false positives (hash collisions + aged information). A mutating read
+//! is the frozen read plus the cleaning of the due groups it covered.
 
 use crate::{analysis, She, SheConfig};
 use she_hash::HashKey;
 use she_sketch::{BloomSpec, CsmSpec};
-use std::ops::ControlFlow;
 
 /// Sliding-window Bloom filter (hardware version of SHE).
 #[derive(Debug, Clone)]
@@ -123,27 +123,22 @@ impl SheBloomFilter {
     ///
     /// Takes `&mut self` because queries run `CheckGroup` on the hashed
     /// groups (Algorithm 1), possibly cleaning them — exactly as on the
-    /// hardware pipeline.
-    /// The walk stops at the first mature zero bit, so the groups of
-    /// later rows are not checked.
+    /// hardware pipeline: up to the first mature zero bit (all rows when
+    /// there is none), so the groups of later rows are not checked.
     pub fn contains<K: HashKey + ?Sized>(&mut self, key: &K) -> bool {
-        let walk = self.engine.try_for_each_update(key, |engine, u| {
-            // A young bit is ignored (age-sensitive selection).
-            if engine.check_mature(engine.group_of(u.index)) && engine.peek_cell(u.index) == 0 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        walk.is_continue()
+        let (present, checked) = self.read(key);
+        if let Some(rows) = checked {
+            self.engine.check_rows(key, rows);
+        }
+        present
     }
 
     /// Sliding-window membership, **frozen read**: answers exactly what
     /// [`SheBloomFilter::contains`] would on the same state, without
     /// running `CheckGroup` — a hashed bit whose group is due for
-    /// cleaning reads as zero ([`She::peek_cell_effective`]), and
-    /// maturity is observed purely. Because nothing mutates, two engines
-    /// with equal insert *and* mutating-query histories answer identically
+    /// cleaning reads as zero, and maturity is observed purely. Because
+    /// nothing mutates, two engines with equal insert *and*
+    /// mutating-query histories answer identically
     /// however often either is read frozen — the property the read-path
     /// mirror relies on. Equal insert histories alone are not enough: a
     /// [`SheBloomFilter::contains`] that cleans a due group stores the
@@ -151,18 +146,22 @@ impl SheBloomFilter {
     /// unqueried twin's group stops being due and its stale bits read as
     /// live (Eq. 1's unswept groups).
     pub fn contains_frozen<K: HashKey + ?Sized>(&self, key: &K) -> bool {
-        let engine = &self.engine;
-        let walk = engine.spec().try_for_each_update(key, |u| {
-            // A young bit is ignored (age-sensitive selection).
-            if engine.observe_mature(engine.group_of(u.index))
-                && engine.peek_cell_effective(u.index) == 0
-            {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
+        self.read(key).0
+    }
+
+    /// Both membership reads ([`She::read_rows`]): a bit that is mature
+    /// and reads zero answers absent (young bits are ignored), and, if a
+    /// row up to the first such bit (all rows when there is none) is due,
+    /// how many rows `contains` checks.
+    #[inline(always)]
+    fn read<K: HashKey + ?Sized>(&self, key: &K) -> (bool, Option<usize>) {
+        let (mut absent, mut due, mut rows) = (false, false, 0);
+        self.engine.read_rows(key, |_, r| {
+            // The rows up to and including the first absent one.
+            (due, rows) = (due | (r.due & !absent), rows + usize::from(!absent));
+            absent |= r.mature & (r.value == 0);
         });
-        walk.is_continue()
+        (!absent, due.then_some(rows))
     }
 
     /// Time-mark signature of the groups `key` hashes to (see
@@ -211,6 +210,8 @@ impl SheBloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{assert_pass_is_the_walk, PassOracle};
+    use std::ops::ControlFlow;
 
     fn filter(window: u64, kb: usize, alpha: f64) -> SheBloomFilter {
         SheBloomFilter::builder().window(window).memory_bytes(kb << 10).alpha(alpha).seed(3).build()
@@ -374,5 +375,87 @@ mod tests {
         // are rejected; young groups answer vacuously-true. Either way the
         // sketch holds no data: allow only vacuous positives.
         assert!(hits <= 1000);
+    }
+
+    /// The per-row walk the pass replaced: per row, `CheckGroup` (or, for
+    /// the frozen read, a due group's bit read as zero), then maturity,
+    /// then the bit, stopping at the first mature zero bit.
+    impl PassOracle for SheBloomFilter {
+        type Spec = BloomSpec;
+        fn she(&self) -> &She<BloomSpec> {
+            &self.engine
+        }
+        fn insert_key(&mut self, key: u64) {
+            self.insert(&key);
+        }
+        fn advance(&mut self, dt: u64) {
+            self.advance_time(dt);
+        }
+        fn clear_all(&mut self) {
+            self.clear();
+        }
+        fn pass(&mut self, key: u64, mutating: bool) -> u64 {
+            u64::from(if mutating { self.contains(&key) } else { self.contains_frozen(&key) })
+        }
+        fn walk(&mut self, key: u64, mutating: bool) -> u64 {
+            // A mature zero bit answers absent.
+            let stop = |mature: bool, bit: u64| {
+                if mature && bit == 0 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            };
+            let walk = if mutating {
+                self.engine.try_for_each_update(&key, |engine, u| {
+                    let gid = engine.group_of(u.index);
+                    engine.check_group(gid);
+                    stop(engine.observe_mature(gid), engine.peek_cell(u.index))
+                })
+            } else {
+                let engine = &self.engine;
+                engine.spec().try_for_each_update(&key, |u| {
+                    let gid = engine.group_of(u.index);
+                    let bit = if engine.group_due(gid) { 0 } else { engine.peek_cell(u.index) };
+                    stop(engine.observe_mature(gid), bit)
+                })
+            };
+            u64::from(walk.is_continue())
+        }
+    }
+
+    /// The point-read pass answers, and cleans, exactly as the per-row
+    /// walk, frozen and mutating, after every op: the served `k = 8,
+    /// w = 64`; `k = 1`; `k = 3` over `w = 48` with a short last group
+    /// (8000 = 166·48 + 32 bits); `Tcycle = 32 < G = 512`; and
+    /// `k = 70 > UPDATE_LANES`, two chunks of rows.
+    #[test]
+    fn pass_answers_and_cleans_as_the_per_row_walk() {
+        for (case, (window, bytes, k, w)) in [
+            (256, 1 << 10, 8, 64),
+            (128, 512, 1, 64),
+            (200, 1000, 3, 48),
+            (16, 512, 4, 8),
+            (64, 2048, 70, 64),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let new = || {
+                SheBloomFilter::builder()
+                    .window(window)
+                    .memory_bytes(bytes)
+                    .hash_functions(k)
+                    .alpha(1.0)
+                    .group_cells(w)
+                    .seed(case as u32 + 1)
+                    .build()
+            };
+            let (covered, left_due) = assert_pass_is_the_walk(new, 0xBF + case as u64, 4000);
+            assert!(covered > 50, "case {case}: {covered} reads covered a due group");
+            if k > 1 {
+                assert!(left_due > 5, "case {case}: {left_due} early exits left a due group");
+            }
+        }
     }
 }

@@ -6,12 +6,12 @@
 //! to cleaning, and using them would break Count-Min's
 //! never-underestimates guarantee (§4.4). If every hashed counter is young
 //! (rare for α ≥ 1), the query falls back to the plain minimum as a
-//! best-effort answer.
+//! best-effort answer. A mutating read is the frozen read plus the
+//! cleaning of the due groups of its `k` rows (`She::check_rows`).
 
 use crate::{She, SheConfig};
 use she_hash::HashKey;
 use she_sketch::{CountMinSpec, CsmSpec};
-use std::ops::ControlFlow;
 
 /// Sliding-window Count-Min sketch (hardware version of SHE).
 ///
@@ -133,13 +133,11 @@ impl SheCountMin {
 
     /// Estimated frequency of `key` within the sliding window.
     pub fn query<K: HashKey + ?Sized>(&mut self, key: &K) -> u64 {
-        let mut mins = Mins::default();
-        let _ = self.engine.try_for_each_update(key, |engine, u| {
-            let mature = engine.check_mature(engine.group_of(u.index));
-            mins.offer(engine.peek_cell(u.index), mature);
-            ControlFlow::<()>::Continue(())
-        });
-        mins.estimate()
+        let (estimate, due) = self.read(key);
+        if due {
+            self.engine.check_rows(key, self.engine.spec().k());
+        }
+        estimate
     }
 
     /// [`SheCountMin::insert`] of a key whose row hashes the caller already
@@ -152,21 +150,29 @@ impl SheCountMin {
     /// Estimated frequency, **frozen read**: answers exactly what
     /// [`SheCountMin::query`] would on the same state, without running
     /// `CheckGroup` — a counter whose group is due for cleaning reads as
-    /// zero ([`She::peek_cell_effective`]), and maturity is observed
-    /// purely. Nothing mutates, so two sketches with equal insert *and*
-    /// mutating-query histories answer identically however often either
-    /// is read frozen — the read-path mirror's bit-for-bit property. Equal
-    /// insert histories alone are not enough (see
+    /// zero, and maturity is observed purely. Nothing mutates, so two
+    /// sketches with equal insert *and* mutating-query histories answer
+    /// identically however often either is read frozen — the read-path
+    /// mirror's bit-for-bit property. Equal insert histories alone are not
+    /// enough (see
     /// [`crate::SheBloomFilter::contains_frozen`]).
     pub fn query_frozen<K: HashKey + ?Sized>(&self, key: &K) -> u64 {
-        let engine = &self.engine;
-        let mut mins = Mins::default();
-        let _ = engine.spec().try_for_each_update(key, |u| {
-            let mature = engine.observe_mature(engine.group_of(u.index));
-            mins.offer(engine.peek_cell_effective(u.index), mature);
-            ControlFlow::<()>::Continue(())
+        self.read(key).0
+    }
+
+    /// Both frequency reads ([`She::read_rows`]): the minimum over the
+    /// mature rows, else over all rows (every counter young), and whether
+    /// a row's group is due.
+    #[inline(always)]
+    fn read<K: HashKey + ?Sized>(&self, key: &K) -> (u64, bool) {
+        let (mut due, mut mature, mut mature_min, mut any_min) = (false, false, u64::MAX, u64::MAX);
+        self.engine.read_rows(key, |_, r| {
+            // A young counter offers u64::MAX to the mature minimum.
+            mature_min = mature_min.min(r.value | u64::from(r.mature).wrapping_sub(1));
+            any_min = any_min.min(r.value);
+            (due, mature) = (due | r.due, mature | r.mature);
         });
-        mins.estimate()
+        (if mature { mature_min } else { any_min }, due)
     }
 
     /// Time-mark signature of the groups `key` hashes to (see
@@ -211,33 +217,11 @@ impl SheCountMin {
     }
 }
 
-/// The two minima a SHE-CM read keeps: over the mature counters, and
-/// over all of them — the best-effort answer when every hashed counter
-/// is young.
-#[derive(Debug, Default)]
-struct Mins {
-    mature: Option<u64>,
-    any: Option<u64>,
-}
-
-impl Mins {
-    #[inline]
-    fn offer(&mut self, v: u64, mature: bool) {
-        self.any = Some(self.any.map_or(v, |m| m.min(v)));
-        if mature {
-            self.mature = Some(self.mature.map_or(v, |m| m.min(v)));
-        }
-    }
-
-    #[inline]
-    fn estimate(&self) -> u64 {
-        self.mature.or(self.any).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{assert_pass_is_the_walk, PassOracle};
+    use std::ops::ControlFlow;
 
     #[test]
     fn counts_in_window_frequencies() {
@@ -320,5 +304,91 @@ mod tests {
         }
         let est = cm.query(&7u64);
         assert!(est < 100, "expired key still estimated at {est}");
+    }
+
+    /// The per-row walk the pass replaced: per row, `CheckGroup` (or, for
+    /// the frozen read, a due group's counter read as zero), then
+    /// maturity, then the counter, into the minimum over the mature rows
+    /// and the one over all rows.
+    impl PassOracle for SheCountMin {
+        type Spec = CountMinSpec;
+        fn she(&self) -> &She<CountMinSpec> {
+            &self.engine
+        }
+        fn insert_key(&mut self, key: u64) {
+            self.insert(&key);
+        }
+        fn advance(&mut self, dt: u64) {
+            self.advance_time(dt);
+        }
+        fn clear_all(&mut self) {
+            self.clear();
+        }
+        fn pass(&mut self, key: u64, mutating: bool) -> u64 {
+            if mutating {
+                self.query(&key)
+            } else {
+                self.query_frozen(&key)
+            }
+        }
+        fn walk(&mut self, key: u64, mutating: bool) -> u64 {
+            let (mut mature, mut any) = (None::<u64>, None::<u64>);
+            let mut offer = |v: u64, is_mature: bool| {
+                any = Some(any.map_or(v, |m| m.min(v)));
+                if is_mature {
+                    mature = Some(mature.map_or(v, |m| m.min(v)));
+                }
+                ControlFlow::<()>::Continue(())
+            };
+            if mutating {
+                let _ = self.engine.try_for_each_update(&key, |engine, u| {
+                    let gid = engine.group_of(u.index);
+                    engine.check_group(gid);
+                    offer(engine.peek_cell(u.index), engine.observe_mature(gid))
+                });
+            } else {
+                let engine = &self.engine;
+                let _ = engine.spec().try_for_each_update(&key, |u| {
+                    let gid = engine.group_of(u.index);
+                    let v = if engine.group_due(gid) { 0 } else { engine.peek_cell(u.index) };
+                    offer(v, engine.observe_mature(gid))
+                });
+            }
+            mature.or(any).unwrap_or(0)
+        }
+    }
+
+    /// The point-read pass answers, and cleans, exactly as the per-row
+    /// walk, frozen and mutating, after every op: the served `k = 8,
+    /// w = 64`; `k = 1`; `k = 3` over `w = 48` with 7-bit counters, some
+    /// straddling words, and a short last group (1142 = 23·48 + 38);
+    /// `Tcycle = 32 < G = 256`; and `k = 70 > UPDATE_LANES`, two chunks
+    /// of rows.
+    #[test]
+    fn pass_answers_and_cleans_as_the_per_row_walk() {
+        for (case, (window, bytes, bits, k, w)) in [
+            (256, 4 << 10, 32, 8, 64),
+            (128, 2 << 10, 32, 1, 64),
+            (200, 1000, 7, 3, 48),
+            (16, 4 << 10, 32, 4, 4),
+            (64, 4 << 10, 32, 70, 64),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let new = || {
+                SheCountMin::builder()
+                    .window(window)
+                    .memory_bytes(bytes)
+                    .counter_bits(bits)
+                    .hash_functions(k)
+                    .alpha(1.0)
+                    .group_cells(w)
+                    .seed(case as u32 + 1)
+                    .build()
+            };
+            let (covered, _) = assert_pass_is_the_walk(new, 0xC3 + case as u64, 4000);
+            assert!(covered > 50, "case {case}: {covered} reads covered a due group");
+        }
     }
 }

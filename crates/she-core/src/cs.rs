@@ -8,8 +8,7 @@
 
 use crate::{She, SheConfig};
 use she_hash::HashKey;
-use she_sketch::{CountSketchSpec, CsmSpec};
-use std::ops::ControlFlow;
+use she_sketch::{median_i64, CountSketchSpec, CsmSpec, UPDATE_LANES};
 
 /// Sliding-window count sketch (hardware version of SHE).
 #[derive(Debug, Clone)]
@@ -113,30 +112,35 @@ impl SheCountSketch {
     }
 
     /// Estimated frequency of `key` within the sliding window: the median
-    /// of the sign-corrected legal counters.
+    /// of the sign-corrected legal counters (of all of them when none is
+    /// legal). One pass over the key's rows (`She::read_rows`) reads
+    /// the counters as `CheckGroup` leaves them against the legal ranges
+    /// taken once, into stack buffers (a heap one only past
+    /// [`UPDATE_LANES`] rows); then `CheckGroup` on every row's group
+    /// when one of them is due.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "`peek_cell(..) as u32`: the cell holds a 32-bit two's-complement counter in its low bits"
+        reason = "`value as u32`: the cell holds a 32-bit two's-complement counter in its low bits"
     )]
     pub fn query<K: HashKey + ?Sized>(&mut self, key: &K) -> i64 {
-        let k = self.engine.spec().k();
-        let mut vals: Vec<i64> = Vec::with_capacity(k);
-        let mut fallback: Vec<i64> = Vec::with_capacity(k);
-        let _ = self.engine.try_for_each_update(key, |engine, u| {
-            let gid = engine.group_of(u.index);
-            engine.check_group(gid);
-            let raw = engine.peek_cell(u.index) as u32 as i32 as i64;
-            let sign = if u.operand == 1 { 1 } else { -1 };
-            fallback.push(raw * sign);
-            if engine.legal_groups().iter().any(|gids| gids.contains(&gid)) {
-                vals.push(raw * sign);
-            }
-            ControlFlow::<()>::Continue(())
+        let (engine, mut due) = (&self.engine, false);
+        let (k, [a, b]) = (engine.spec().k(), engine.legal_groups());
+        let mut stack = [0i64; 2 * UPDATE_LANES];
+        let mut heap = vec![0; if k > UPDATE_LANES { 2 * k } else { 0 }];
+        let vals = if heap.is_empty() { &mut stack[..2 * k] } else { &mut heap[..] };
+        let (all, legal) = vals.split_at_mut(k);
+        let mut n = 0;
+        engine.read_rows(key, |row, r| {
+            let sign = if r.update.operand == 1 { 1 } else { -1 };
+            let v = i64::from(r.value as u32 as i32) * sign;
+            (all[row], legal[n], due) = (v, v, due | r.due);
+            n += usize::from(a.contains(&r.gid) || b.contains(&r.gid));
         });
-        if vals.is_empty() {
-            vals = fallback;
+        let estimate = median_i64(if n > 0 { &mut legal[..n] } else { all });
+        if due {
+            self.engine.check_rows(key, k);
         }
-        median(&mut vals)
+        estimate
     }
 
     /// Advance logical time without inserting.
@@ -163,22 +167,11 @@ impl SheCountSketch {
     }
 }
 
-fn median(vals: &mut [i64]) -> i64 {
-    if vals.is_empty() {
-        return 0;
-    }
-    vals.sort_unstable();
-    let n = vals.len();
-    if n % 2 == 1 {
-        vals[n / 2]
-    } else {
-        (vals[n / 2 - 1] + vals[n / 2]) / 2
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{assert_pass_is_the_walk, PassOracle};
+    use std::ops::ControlFlow;
 
     #[test]
     fn counts_in_window_frequencies() {
@@ -231,5 +224,75 @@ mod tests {
         }
         let any_negative = (0..500u64).any(|k| cs.query(&(k + 1_000_000)) < 0);
         assert!(any_negative, "expected two-sided noise on a crowded sketch");
+    }
+
+    /// The per-row walk the pass replaced: per row, `CheckGroup`, then the
+    /// signed counter into the legal list (legal ranges asked per row) and
+    /// the fallback list, each a `Vec`. SHE-CS has no frozen read, so both
+    /// read kinds are `query`.
+    impl PassOracle for SheCountSketch {
+        type Spec = CountSketchSpec;
+        fn she(&self) -> &She<CountSketchSpec> {
+            &self.engine
+        }
+        fn insert_key(&mut self, key: u64) {
+            self.insert(&key);
+        }
+        fn advance(&mut self, dt: u64) {
+            self.advance_time(dt);
+        }
+        fn clear_all(&mut self) {
+            self.engine.clear();
+        }
+        fn pass(&mut self, key: u64, _mutating: bool) -> u64 {
+            self.query(&key) as u64
+        }
+        fn walk(&mut self, key: u64, _mutating: bool) -> u64 {
+            let (mut vals, mut fallback) = (Vec::new(), Vec::new());
+            let _ = self.engine.try_for_each_update(&key, |engine, u| {
+                let gid = engine.group_of(u.index);
+                engine.check_group(gid);
+                let raw = i64::from(engine.peek_cell(u.index) as u32 as i32);
+                let v = if u.operand == 1 { raw } else { -raw };
+                fallback.push(v);
+                if engine.legal_groups().iter().any(|gids| gids.contains(&gid)) {
+                    vals.push(v);
+                }
+                ControlFlow::<()>::Continue(())
+            });
+            median_i64(if vals.is_empty() { &mut fallback } else { &mut vals }) as u64
+        }
+    }
+
+    /// The point-read pass answers, and cleans, exactly as the per-row
+    /// walk after every op: the default `k = 5, w = 64`; `k = 1`; `k = 4`
+    /// over `w = 48` with a short last group (250 = 5·48 + 10); `Tcycle =
+    /// 32 < G = 256`; and `k = 70 > UPDATE_LANES`, whose counters spill to
+    /// the heap.
+    #[test]
+    fn pass_answers_and_cleans_as_the_per_row_walk() {
+        for (case, (window, bytes, k, w)) in [
+            (256, 4 << 10, 5, 64),
+            (128, 2 << 10, 1, 64),
+            (200, 1000, 4, 48),
+            (16, 4 << 10, 4, 4),
+            (64, 4 << 10, 70, 64),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let new = || {
+                SheCountSketch::builder()
+                    .window(window)
+                    .memory_bytes(bytes)
+                    .hash_functions(k)
+                    .alpha(1.0)
+                    .group_cells(w)
+                    .seed(case as u32 + 1)
+                    .build()
+            };
+            let (covered, _) = assert_pass_is_the_walk(new, 0xC5 + case as u64, 3000);
+            assert!(covered > 50, "case {case}: {covered} reads covered a due group");
+        }
     }
 }

@@ -42,8 +42,13 @@
 //! `apply_update`, which reports the old bit so that it can count set
 //! bits per group (`bm.rs`); SHE-MH (`K = M`, `w = 1`) walks its cells in
 //! one row-wise pass (`mh.rs`) that skips the rows its last-insert memo
-//! rules out by the flip count. Nothing on an insert or point read
-//! divides: row hashes reduce to cells by a precomputed reciprocal
+//! rules out by the flip count. A point read (SHE-BF, SHE-CM, SHE-CS) is
+//! one pass over the same rows ([`She::read_rows`]) on the state before
+//! the read: each row's cell, zero when its group is due, and whether the
+//! group is due and mature, folded without a branch. A frozen read is a
+//! function of the pass; a mutating one adds `CheckGroup` on the due
+//! groups it covered ([`She::check_rows`]). Nothing on an insert or point
+//! read divides: row hashes reduce to cells by a precomputed reciprocal
 //! (`she_hash::FastMod`), and [`She::group_of`] is a shift for a
 //! power-of-two `w` (every served configuration), a reciprocal otherwise.
 //!
@@ -322,6 +327,22 @@ impl<'a> GroupView<'a> {
     }
 }
 
+/// One row of a key as the point-read pass ([`She::read_rows`]) reads
+/// it, on the state before the read.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowRead {
+    /// The row's hashed cell and operand.
+    pub(crate) update: CellUpdate,
+    /// The cell's group.
+    pub(crate) gid: usize,
+    /// The cell as the next `CheckGroup` leaves it: zero when `due`.
+    pub(crate) value: u64,
+    /// Whether the group is due for cleaning ([`She::group_due`]).
+    pub(crate) due: bool,
+    /// Whether the group is mature ([`She::observe_mature`]).
+    pub(crate) mature: bool,
+}
+
 /// The least age `a` with `a as f64 >= beta_n`: the two-sided estimators'
 /// legal-age test (`age ≥ βN`) as one integer comparison that agrees with
 /// the `f64` one for every age. `0` for `βN ≤ 0`; `u64::MAX` when no age
@@ -487,34 +508,16 @@ impl<S: CsmSpec> She<S> {
         mark_bit(&self.marks, gid) != self.observe_mark(gid)
     }
 
-    /// Whether the group is mature (`age ≥ N`) — the pure half of
-    /// [`She::check_mature`]: maturity depends only on the clock, never
-    /// on whether the lazy cleaning has run yet. A `gid` test against the
-    /// clock's maturity cursor, branch-free in `gid`: point reads ask it
-    /// of scattered groups.
+    /// Whether the group is mature (`age ≥ N`), Algorithm 1's
+    /// `CheckMature` without its `CheckGroup`: maturity depends only on
+    /// the clock, never on the lazy cleaning. A branch-free `gid` test:
+    /// below the maturity cursor or at or past `p`, either when the
+    /// cursor's residue is at most `r`, both when it is ahead.
     #[inline]
     pub fn observe_mature(&self, gid: usize) -> bool {
         let (now, th) = (&self.clock.now, &self.clock.mature);
         let (below, passed) = (gid < th.pos, gid >= now.pos);
-        if th.at <= now.at {
-            below | passed
-        } else {
-            below & passed
-        }
-    }
-
-    /// Read a cell *as the next `check_group` would leave it*: zero when
-    /// the owning group is due for cleaning, the raw stored value
-    /// otherwise. Pure — frozen-read query variants use this so two
-    /// engines with equal insert and mutating-query histories answer
-    /// identically however often either is read frozen.
-    #[inline]
-    pub fn peek_cell_effective(&self, index: usize) -> u64 {
-        if self.group_due(self.group_of(index)) {
-            0
-        } else {
-            self.cells.get(index)
-        }
+        (below & passed) | ((th.at <= now.at) & (below | passed))
     }
 
     /// Fold a 64-bit **time-mark signature** over the groups the hashed
@@ -556,14 +559,6 @@ impl<S: CsmSpec> She<S> {
         let (start, len) = (self.group_start(gid), self.group_len(gid));
         self.cells.clear_range(start, len);
         true
-    }
-
-    /// `CheckMature` of Algorithm 1: check the group, then report whether it
-    /// is mature (perfect or aged, `age ≥ N`) — usable by one-sided-error
-    /// queries.
-    pub fn check_mature(&mut self, gid: usize) -> bool {
-        self.check_group(gid);
-        self.observe_mature(gid)
     }
 
     /// Insert one item: advance the clock, then for every hashed cell run
@@ -612,12 +607,11 @@ impl<S: CsmSpec> She<S> {
     }
 
     /// Hand `key`'s cell updates to `f` in row order, with the engine,
-    /// until `f` breaks: the walk of an insert and of the point reads
-    /// that check groups — [`CsmSpec::try_for_each_update`] for callers
-    /// that mutate the engine. The rows are hashed [`UPDATE_LANES`] at a
-    /// time into a stack buffer, so nothing allocates. Always inlined, so
-    /// that `f`'s state stays in registers (an outlined walk cost SHE-CM's
-    /// point read ~40 %).
+    /// until `f` breaks: the walk of an insert and of a point read's
+    /// cleaning (`She::check_rows`) — [`CsmSpec::try_for_each_update`]
+    /// for callers that mutate the engine. The rows are hashed
+    /// [`UPDATE_LANES`] at a time into a stack buffer, so nothing
+    /// allocates. Always inlined, so that `f`'s state stays in registers.
     #[inline(always)]
     pub fn try_for_each_update<K: HashKey + ?Sized, B>(
         &mut self,
@@ -634,6 +628,48 @@ impl<S: CsmSpec> She<S> {
             }
         }
         ControlFlow::Continue(())
+    }
+
+    /// The point-read pass: hash `key`'s rows [`UPDATE_LANES`] at a time
+    /// into a stack buffer and hand `f` each row and its [`RowRead`] in
+    /// row order, for `f` to fold branch-free into what its read keeps.
+    /// Cells are read at the spec's width (a constant for bit cells);
+    /// nothing branches on the data or mutates.
+    #[inline(always)]
+    pub(crate) fn read_rows<K: HashKey + ?Sized>(
+        &self,
+        key: &K,
+        mut f: impl FnMut(usize, RowRead),
+    ) {
+        let mut buf = [S::Row::default(); UPDATE_LANES];
+        for chunk in row_chunks(self.spec.k()) {
+            let hashes = &mut buf[..chunk.len()];
+            self.spec.hash_rows(key, chunk.start, hashes);
+            for (row, &hash) in chunk.zip(hashes.iter()) {
+                let update = self.spec.row_update(row, hash);
+                let gid = self.group_of(update.index);
+                let (due, mature) = (self.group_due(gid), self.observe_mature(gid));
+                let cell = self.cells.get_as(update.index, self.spec.cell_bits());
+                let value = cell & u64::from(due).wrapping_sub(1);
+                f(row, RowRead { update, gid, value, due, mature });
+            }
+        }
+    }
+
+    /// `CheckGroup` on the groups of `key`'s first `n` rows, in row order:
+    /// the cleaning a mutating point read adds to its pass. Only a group
+    /// the pass saw due changes, so a read calls this only when one of
+    /// those rows was, and then hashes the rows again: out of line, so
+    /// that the pass's registers are the read's own.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn check_rows<K: HashKey + ?Sized>(&mut self, key: &K, n: usize) {
+        let mut left = n;
+        let _ = self.try_for_each_update(key, |engine, u| {
+            left = left.checked_sub(1).map_or(ControlFlow::Break(()), ControlFlow::Continue)?;
+            engine.check_group(engine.group_of(u.index));
+            ControlFlow::Continue(())
+        });
     }
 
     /// The instant of the next mark flip of any group, strictly after
@@ -764,9 +800,15 @@ impl<S: CsmSpec> She<S> {
     /// flip instant up to a `Tcycle` ahead, a later idle jump — ample
     /// room. The bound is the one snapshots have always been checked
     /// against: a wider one would change which checkpoints are refused.
+    /// It also refuses a clock at which `(⌊(t + 2·Tcycle)/Tcycle⌋ + 1)·G`,
+    /// a bound on the flip count `e·G + p` in that reach, is not below
+    /// `u64::MAX` (SHE-MH's empty memo slot): only clocks near the bound
+    /// with `G > 4·Tcycle` or so, which used to overflow the count.
     pub(crate) fn clock_fits(&self, t: u64) -> bool {
-        let ahead = self.cfg.t_cycle.checked_mul(2).and_then(|c| t.checked_add(c));
-        ahead.is_some_and(|end| end <= CLOCK_LIMIT)
+        let (tc, g) = (self.cfg.t_cycle, u64_of(self.num_groups()));
+        let flips = |end: u64| (end / tc + 1).checked_mul(g).is_some_and(|f| f < u64::MAX);
+        let ahead = tc.checked_mul(2).and_then(|c| t.checked_add(c));
+        ahead.is_some_and(|end| end <= CLOCK_LIMIT && flips(end))
     }
 
     /// Snapshot support: the clock, the stored mark words and the cells.
@@ -841,7 +883,7 @@ impl<S: CsmSpec> She<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::convert::usize_of;
     use she_sketch::BloomSpec;
@@ -872,7 +914,7 @@ mod tests {
 
     /// Step the clock one unit at a time for `ticks` units, checking every
     /// group's age, mark, due flag and maturity against the references at
-    /// each instant. Each group is `check_mature`d on every other tick
+    /// each instant. Each group is checked on every other tick
     /// only (alternating by `gid`), so reads meet stored marks checked one
     /// tick ago, two ticks ago, and — right after a jump — far behind.
     fn assert_ages_match<S: CsmSpec>(s: &mut She<S>, ticks: u64, state: &str) {
@@ -884,7 +926,8 @@ mod tests {
                 let due = mark_bit(&s.marks, gid) != mark;
                 assert_eq!(s.group_due(gid), due, "{state}: gid {gid} t {t}: due");
                 if (step + gid as u64).is_multiple_of(2) {
-                    let mature = s.check_mature(gid);
+                    s.check_group(gid);
+                    let mature = s.observe_mature(gid);
                     assert_eq!(mature, age >= s.cfg.window, "{state}: gid {gid} t {t}: mature");
                     assert_eq!(s.group_age(gid), age, "{state}: gid {gid} t {t}: checked age");
                 }
@@ -1384,14 +1427,25 @@ mod tests {
         s.updates_for(&7u64, &mut ups);
         let idx = ups[0].index;
         let gid = s.group_of(idx);
+        // Row 0 as the point-read pass reads it: its value, and its due bit.
+        let row0 = |s: &She<BloomSpec>| {
+            let mut value = None;
+            s.read_rows(&7u64, |row, r| {
+                if row == 0 {
+                    assert_eq!((r.update, r.gid), (ups[0], gid));
+                    value = Some((r.value, r.due));
+                }
+            });
+            value.expect("row 0")
+        };
         // Not yet due: effective = stored.
         assert!(!s.group_due(gid));
-        assert_eq!(s.peek_cell_effective(idx), s.peek_cell(idx));
+        assert_eq!(row0(&s), (s.peek_cell(idx), false));
         // One cycle later the group is due: effective reads zero while the
         // stored bit is still set, and check_group then agrees.
         s.advance_time(s.config().t_cycle);
         assert!(s.group_due(gid));
-        assert_eq!(s.peek_cell_effective(idx), 0);
+        assert_eq!(row0(&s), (0, true));
         assert_eq!(s.peek_cell(idx), 1);
         s.check_group(gid);
         assert_eq!(s.peek_cell(idx), 0);
@@ -1453,5 +1507,86 @@ mod tests {
         assert_eq!((total, gid), (500, 8));
         assert_eq!(zeros, s.cells.count_zeros());
         assert!(zeros < 500);
+    }
+
+    /// A point-read structure driven by [`assert_pass_is_the_walk`]: its
+    /// reads through the point-read pass, and the per-row walk the pass
+    /// replaced — `CheckGroup`, maturity, cell, row by row — as the oracle.
+    pub(crate) trait PassOracle: crate::SnapshotState {
+        type Spec: CsmSpec;
+        /// The engine under the structure.
+        fn she(&self) -> &She<Self::Spec>;
+        fn insert_key(&mut self, key: u64);
+        fn advance(&mut self, dt: u64);
+        fn clear_all(&mut self);
+        /// The pass: the mutating read, or the frozen one.
+        fn pass(&mut self, key: u64, mutating: bool) -> u64;
+        /// The per-row walk, of the same kind.
+        fn walk(&mut self, key: u64, mutating: bool) -> u64;
+    }
+
+    /// Rows of `key` whose group is due for cleaning.
+    fn due_rows(s: &She<impl CsmSpec>, key: u64) -> usize {
+        let mut ups = Vec::new();
+        s.updates_for(&key, &mut ups);
+        ups.iter().filter(|u| s.group_due(s.group_of(u.index))).count()
+    }
+
+    /// Drive `pass` through the pass and `walk` through the per-row walks
+    /// with the same seeded ops — inserts, idle jumps of k·`Tcycle` − 1,
+    /// k·`Tcycle` and k·`Tcycle` + 1, frozen and mutating reads, restore,
+    /// merge (where the structure merges) and clear — and after every op
+    /// require equal answers and
+    /// equal `save_snapshot` bytes: the cleaned groups, and so the early
+    /// exit of a membership read, are the walk's. A read's frozen answer
+    /// must also be its mutating one. Returns how many reads covered a
+    /// due group, and how many of those left one of the key's groups due.
+    pub(crate) fn assert_pass_is_the_walk<T: PassOracle>(
+        new: impl Fn() -> T,
+        seed: u64,
+        steps: u64,
+    ) -> (usize, usize) {
+        use she_hash::{RandomSource, Xoshiro256};
+        let (mut pass, mut walk, mut other) = (new(), new(), new());
+        let (tc, window) = (pass.she().config().t_cycle, pass.she().config().window);
+        let mut rng = Xoshiro256::new(seed);
+        let (mut saved, mut covered, mut left_due) = (pass.save_snapshot(), 0, 0);
+        for step in 0..steps {
+            let (op, k) = (u64_of(rng.next_below(40)), rng.next_range(1, 4));
+            let key = rng.next_range(0, 2 * window);
+            other.insert_key(key ^ 1);
+            let at = format!("seed {seed} step {step} op {op} key {key} t {}", pass.she().now());
+            if (7..=22).contains(&op) {
+                let due = due_rows(pass.she(), key);
+                let frozen = (pass.pass(key, false), walk.walk(key, false));
+                let mutating = (pass.pass(key, true), walk.walk(key, true));
+                assert_eq!(frozen, (mutating.1, mutating.1), "{at}: frozen reads");
+                assert_eq!(mutating.0, mutating.1, "{at}: mutating read");
+                covered += usize::from(due > 0);
+                left_due += usize::from(due > 0 && due_rows(pass.she(), key) > 0);
+            }
+            let merged = (op == 5).then(|| other.save_snapshot());
+            if op == 3 {
+                saved = pass.save_snapshot();
+            }
+            for s in [&mut pass, &mut walk] {
+                match op {
+                    0..=2 => s.advance(k * tc + op - 1),
+                    3 | 7..=22 => {}
+                    4 => s.load_snapshot(&saved).expect("restore"),
+                    5 => {
+                        let merge = s.merge_snapshot(merged.as_deref().expect("frame"));
+                        match T::MERGE {
+                            Some(_) => merge.expect("merge"),
+                            None => assert_eq!(merge, Err(crate::SnapshotError::NotMergeable)),
+                        }
+                    }
+                    6 if k == 1 => s.clear_all(),
+                    _ => s.insert_key(key),
+                }
+            }
+            assert!(pass.save_snapshot() == walk.save_snapshot(), "{at}: snapshot bytes");
+        }
+        (covered, left_due)
     }
 }

@@ -12,7 +12,8 @@ fn bf_contains(s: &mut She<BloomSpec>, key: u64) -> bool {
     s.updates_for(&key, &mut ups);
     for u in ups {
         let gid = s.group_of(u.index);
-        if !s.check_mature(gid) {
+        s.check_group(gid);
+        if !s.observe_mature(gid) {
             continue;
         }
         if s.peek_cell(u.index) == 0 {

@@ -4,7 +4,8 @@
 use she_core::frame::{self, checksum, Frame, FrameError, FrameWriter};
 use she_core::sharded::{EngineConfig, ShardEngine};
 use she_core::{
-    SheBitmap, SheBloomFilter, SheCountMin, SheCountSketch, SnapshotError, SnapshotState,
+    SheBitmap, SheBloomFilter, SheCountMin, SheCountSketch, SheMinHash, SnapshotError,
+    SnapshotState,
 };
 use she_hash::{RandomSource, Xoshiro256};
 
@@ -210,6 +211,53 @@ fn hostile_clock_is_refused_before_any_state_is_touched() {
     let first_out = with_section(&bf_before, &ENGINE_TAGS, CLOCK, &(last + 1).to_le_bytes());
     assert_eq!(
         fresh.load_snapshot(&first_out),
+        Err(SnapshotError::ClockOutOfRange { t: last + 1 })
+    );
+}
+
+#[test]
+fn clock_whose_flip_count_overflows_is_refused() {
+    // A 128-row SHE-MH over a 16-item window (Tcycle = 19) has G > 4·Tcycle,
+    // so near the 2^62 clock bound its flip count `G·⌊t/Tcycle⌋ + p`
+    // leaves u64: such a frame used to load, and the next insert
+    // overflowed (a panic in debug, a wrapped count in release).
+    use frame::tag::{CELLS, CLOCK, CONFIG, MARKS};
+    const ENGINE_TAGS: [u16; 4] = [CONFIG, CLOCK, MARKS, CELLS];
+    let new_mh = || SheMinHash::builder().window(16).num_hashes(128).seed(5).build();
+    let mut mh = new_mh();
+    for key in 0..40u64 {
+        mh.insert(&key);
+    }
+    let before = mh.save_snapshot();
+    let t = (1u64 << 62) - 44;
+    let forged = with_section(&before, &ENGINE_TAGS, CLOCK, &t.to_le_bytes());
+    match mh.load_snapshot(&forged) {
+        Err(err) => {
+            assert_eq!(err, SnapshotError::ClockOutOfRange { t });
+            assert_eq!(mh.save_snapshot(), before, "a refused frame changed the signature");
+        }
+        Ok(()) => {
+            mh.insert(&1u64);
+            let mut twin = mh.clone();
+            assert!(mh.similarity(&mut twin).is_finite());
+        }
+    }
+    // The last clock whose `(⌊(t + 2·Tcycle)/Tcycle⌋ + 1)·G` stays below
+    // u64::MAX loads, inserts and compares; the next one is refused.
+    let t_cycle = mh.engine().config().t_cycle;
+    let groups = mh.engine().num_groups() as u64;
+    let last = ((u64::MAX - 1) / groups) * t_cycle - 1 - 2 * t_cycle;
+    assert!(last < t, "the refused clock lies past the last one");
+    let mut fresh = new_mh();
+    fresh
+        .load_snapshot(&with_section(&before, &ENGINE_TAGS, CLOCK, &last.to_le_bytes()))
+        .expect("the last clock that fits");
+    fresh.insert(&1u64);
+    let mut twin = fresh.clone();
+    assert!(fresh.similarity(&mut twin).is_finite());
+    let first_out = with_section(&before, &ENGINE_TAGS, CLOCK, &(last + 1).to_le_bytes());
+    assert_eq!(
+        new_mh().load_snapshot(&first_out),
         Err(SnapshotError::ClockOutOfRange { t: last + 1 })
     );
 }

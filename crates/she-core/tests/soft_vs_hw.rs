@@ -63,7 +63,8 @@ fn membership_answers_mostly_agree() {
         let mut hw_ans = true;
         for u in ups.clone() {
             let gid = hw.group_of(u.index);
-            if !hw.check_mature(gid) {
+            hw.check_group(gid);
+            if !hw.observe_mature(gid) {
                 continue;
             }
             if hw.peek_cell(u.index) == 0 {

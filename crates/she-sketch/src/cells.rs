@@ -80,9 +80,12 @@ impl PackedArray {
         self.set_as(i, bits, v);
     }
 
-    /// [`PackedArray::get`] for cells of `bits` bits, this array's width.
+    /// Read cell `i`, given the array's cell width `bits` — the read
+    /// [`PackedArray::update`] makes: a caller that knows the width at
+    /// compile time (a 1-bit filter) gets a constant shift and mask once
+    /// this inlines.
     #[inline(always)]
-    fn get_as(&self, i: usize, bits: u32) -> u64 {
+    pub fn get_as(&self, i: usize, bits: u32) -> u64 {
         debug_assert_eq!(bits, self.bits, "cell width");
         assert!(i < self.m, "cell index {i} out of bounds ({})", self.m);
         let bit = i * bits as usize;
@@ -224,6 +227,7 @@ mod tests {
             for i in 0..m {
                 let v = (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1)) & mask;
                 assert_eq!(a.get(i), v, "bits={bits} i={i}");
+                assert_eq!(a.get_as(i, bits), v, "bits={bits} i={i}: width-taking read");
             }
         }
     }

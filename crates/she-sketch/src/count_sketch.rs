@@ -102,8 +102,10 @@ impl CsmSpec for CountSketchSpec {
     }
 }
 
-/// Median of a small value list (the count-sketch combiner).
-pub(crate) fn median_i64(vals: &mut [i64]) -> i64 {
+/// Median of a small value list (the count-sketch combiner, SHE-CS's
+/// too): `0` for none, the mean of the middle two rounded toward zero for
+/// an even count.
+pub fn median_i64(vals: &mut [i64]) -> i64 {
     if vals.is_empty() {
         return 0;
     }

@@ -35,7 +35,7 @@ pub use bitmap::{Bitmap, BitmapSpec};
 pub use bloom::{BloomFilter, BloomSpec};
 pub use cells::PackedArray;
 pub use cm::{CountMin, CountMinSpec};
-pub use count_sketch::{CountSketch, CountSketchSpec};
+pub use count_sketch::{median_i64, CountSketch, CountSketchSpec};
 pub use csm::{row_chunks, CellUpdate, CsmSpec, FixedSketch, UPDATE_LANES};
 pub use hll::{hll_alpha, hll_estimate_subset, HllSpec, HyperLogLog};
 pub use minhash::{MinHash, MinHashSpec, MINHASH_CELL_BITS};

@@ -69,7 +69,10 @@ stage cargo test -q --offline --workspace
 # `cursor_is_the_closed_form_and_counts_the_offsets` and
 # `clock_keeps_e_r_and_the_cursors_through_every_op` hold the closed form
 # and the ticked cursors, on which every group's mark and age rest, to
-# the offsets counted one by one.
+# the offsets counted one by one. So is the point-read pass: `bf.rs`'s,
+# `cm.rs`'s and `cs.rs`'s `pass_answers_and_cleans_as_the_per_row_walk`
+# hold the reads' answers and the snapshot bytes (the groups a read
+# cleans) to the per-row walk the pass replaced.
 # she-server's tests run here as well: the reactor's round path — a
 # connection's multi-frame read set (point, batch and aggregate frames in
 # one set, riding one per-shard job), its shedding, one `OVERLOADED` per
